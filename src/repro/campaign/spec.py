@@ -10,10 +10,11 @@ per-tenant quotas, so a spec document can be statically verified
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.resilience.spec import QuarantineSpec
+from repro.util.xmlfield import attr, check_fields, child, children
 
 
 @dataclass(frozen=True)
@@ -31,27 +32,13 @@ class TenantSpec:
             never buffered without limit.
     """
 
-    tenant_id: str
-    quota_cores: int = 0
-    weight: float = 1.0
-    max_queue: int = 8
+    tenant_id: str = attr(name="id", nonempty=True)
+    quota_cores: int = attr(0, ge=0)
+    weight: float = attr(1.0, gt=0)
+    max_queue: int = attr(8, gt=0)
 
     def validate(self) -> None:
-        if not self.tenant_id:
-            raise ReproError("tenant id must be non-empty")
-        if self.quota_cores < 0:
-            raise ReproError(
-                f"tenant {self.tenant_id!r} quota-cores must be >= 0, "
-                f"got {self.quota_cores}"
-            )
-        if self.weight <= 0:
-            raise ReproError(
-                f"tenant {self.tenant_id!r} weight must be > 0, got {self.weight}"
-            )
-        if self.max_queue <= 0:
-            raise ReproError(
-                f"tenant {self.tenant_id!r} max-queue must be > 0, got {self.max_queue}"
-            )
+        check_fields(self, ReproError, f"tenant {self.tenant_id!r}")
 
 
 @dataclass(frozen=True)
@@ -74,34 +61,17 @@ class ExecutorSpec:
             SIGKILLed mid-cell.  Test/bench chaos only.
     """
 
-    workers: int = 0
-    cell_timeout: float = 0.0
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    jitter: float = 0.25
-    kill_prob: float = 0.0
+    workers: int = attr(0, ge=0)
+    cell_timeout: float = attr(0.0, ge=0)
+    max_attempts: int = attr(3, ge=1)
+    backoff_base: float = attr(0.5, ge=0)
+    backoff_factor: float = attr(2.0, ge=1)
+    backoff_max: float = attr(30.0, ge=0)
+    jitter: float = attr(0.25, ge=0, le=1)
+    kill_prob: float = attr(0.0, ge=0, lt=1)
 
     def validate(self) -> None:
-        if self.workers < 0:
-            raise ReproError(f"executor workers must be >= 0, got {self.workers}")
-        if self.cell_timeout < 0:
-            raise ReproError(
-                f"executor cell-timeout must be >= 0, got {self.cell_timeout}"
-            )
-        if self.max_attempts < 1:
-            raise ReproError(
-                f"executor max-attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 1.0 or self.backoff_max < 0:
-            raise ReproError("executor backoff schedule out of range")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ReproError(f"executor jitter must be in [0, 1], got {self.jitter}")
-        if not 0.0 <= self.kill_prob < 1.0:
-            raise ReproError(
-                f"executor kill-prob must be in [0, 1), got {self.kill_prob}"
-            )
+        check_fields(self, ReproError, "executor")
 
 
 @dataclass(frozen=True)
@@ -118,25 +88,19 @@ class TenantsSpec:
             quarantine parameters, applied to tenant ids).
     """
 
-    nodes: int = 0
-    cores_per_node: int = 0
-    tenants: tuple[TenantSpec, ...] = field(default_factory=tuple)
-    executor: ExecutorSpec | None = None
-    breaker: QuarantineSpec | None = None
+    nodes: int = attr(0, ge=0)
+    cores_per_node: int = attr(0, ge=0)
+    tenants: tuple[TenantSpec, ...] = children(TenantSpec, "tenant")
+    executor: ExecutorSpec | None = child(ExecutorSpec)
+    breaker: QuarantineSpec | None = child(QuarantineSpec)
 
     def validate(self) -> None:
-        if self.nodes < 0 or self.cores_per_node < 0:
-            raise ReproError("tenants machine shape must be >= 0")
+        check_fields(self, ReproError, "tenants")
         seen: set[str] = set()
         for t in self.tenants:
-            t.validate()
             if t.tenant_id in seen:
                 raise ReproError(f"duplicate tenant id {t.tenant_id!r}")
             seen.add(t.tenant_id)
-        if self.executor is not None:
-            self.executor.validate()
-        if self.breaker is not None:
-            self.breaker.validate()
 
     @property
     def capacity_cores(self) -> int:

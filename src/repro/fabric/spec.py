@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from repro.errors import ResilienceError
+from repro.util.xmlfield import attr, check_fields, children
 
 # The observability health engine publishes its pseudo-task updates
 # under this task name (repro.observability.health.HEALTH_TASK); the
@@ -35,15 +36,12 @@ class PartitionWindow:
     partitions every link (the launch node loses the interconnect).
     """
 
-    start: float
-    duration: float
-    link: str | None = None
+    start: float = attr(ge=0)
+    duration: float = attr(gt=0)
+    link: str | None = attr(None)
 
     def validate(self) -> None:
-        if self.start < 0:
-            raise ResilienceError(f"partition start must be >= 0, got {self.start}")
-        if self.duration <= 0:
-            raise ResilienceError(f"partition duration must be > 0, got {self.duration}")
+        check_fields(self, ResilienceError, "partition")
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.start + self.duration
@@ -53,25 +51,16 @@ class PartitionWindow:
 class LinkOverride:
     """Per-client overrides of the default fault profile (``None`` = inherit)."""
 
-    client: str
-    latency: float | None = None
-    jitter: float | None = None
-    drop_prob: float | None = None
-    dup_prob: float | None = None
-    reorder_prob: float | None = None
-    reorder_delay: float | None = None
+    client: str = attr(nonempty=True)
+    latency: float | None = attr(None, ge=0)
+    jitter: float | None = attr(None, ge=0)
+    drop_prob: float | None = attr(None, ge=0, lt=1)
+    dup_prob: float | None = attr(None, ge=0, lt=1)
+    reorder_prob: float | None = attr(None, ge=0, lt=1)
+    reorder_delay: float | None = attr(None, ge=0)
 
     def validate(self) -> None:
-        if not self.client:
-            raise ResilienceError("link override needs a client id")
-        for name in ("latency", "jitter", "reorder_delay"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ResilienceError(f"link {self.client!r}: {name} must be >= 0, got {v}")
-        for name in ("drop_prob", "dup_prob", "reorder_prob"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v < 1.0:
-                raise ResilienceError(f"link {self.client!r}: {name} must be in [0, 1), got {v}")
+        check_fields(self, ResilienceError, f"link {self.client!r}")
 
 
 @dataclass(frozen=True)
@@ -120,73 +109,37 @@ class NetworkSpec:
         enter/leave degraded mode.
     """
 
-    enabled: bool = True
-    latency: float = 0.0
-    jitter: float = 0.0
-    drop_prob: float = 0.0
-    dup_prob: float = 0.0
-    reorder_prob: float = 0.0
-    reorder_delay: float = 0.5
-    ack_timeout: float = 2.0
-    ack_drop_prob: float = 0.0
-    max_retransmits: int = 5
-    retransmit_factor: float = 2.0
-    retransmit_max: float = 30.0
-    retransmit_jitter: float = 0.25
-    send_buffer: int = 256
-    breaker_failures: int = 0
-    breaker_reset: float = 60.0
-    ingress_capacity: int = 0
-    drain_per_tick: int = 0
-    stale_after: float = 0.0
-    degrade_after: int = 3
-    recover_after: int = 3
-    partitions: tuple[PartitionWindow, ...] = ()
-    links: tuple[LinkOverride, ...] = ()
+    enabled: bool = attr(True)
+    latency: float = attr(0.0, ge=0)
+    jitter: float = attr(0.0, ge=0)
+    drop_prob: float = attr(0.0, ge=0, lt=1)
+    dup_prob: float = attr(0.0, ge=0, lt=1)
+    reorder_prob: float = attr(0.0, ge=0, lt=1)
+    reorder_delay: float = attr(0.5, ge=0)
+    ack_timeout: float = attr(2.0, gt=0)
+    ack_drop_prob: float = attr(0.0, ge=0, lt=1)
+    max_retransmits: int = attr(5, ge=0)
+    retransmit_factor: float = attr(2.0, ge=1)
+    retransmit_max: float = attr(30.0, gt=0)
+    retransmit_jitter: float = attr(0.25, ge=0, le=1)
+    send_buffer: int = attr(256, ge=1)
+    breaker_failures: int = attr(0, ge=0)
+    breaker_reset: float = attr(60.0, gt=0)
+    ingress_capacity: int = attr(0, ge=0)
+    drain_per_tick: int = attr(0, ge=0)
+    stale_after: float = attr(0.0, ge=0)
+    degrade_after: int = attr(3, ge=1)
+    recover_after: int = attr(3, ge=1)
+    partitions: tuple[PartitionWindow, ...] = children(PartitionWindow, "partition")
+    links: tuple[LinkOverride, ...] = children(LinkOverride, "link")
 
     def validate(self) -> None:
-        for name in ("latency", "jitter", "reorder_delay"):
-            if getattr(self, name) < 0:
-                raise ResilienceError(f"network {name} must be >= 0")
-        for name in ("drop_prob", "dup_prob", "reorder_prob", "ack_drop_prob"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ResilienceError(
-                    f"network {name} must be in [0, 1), got {getattr(self, name)}"
-                )
-        if self.ack_timeout <= 0:
-            raise ResilienceError(f"ack_timeout must be > 0, got {self.ack_timeout}")
-        if self.max_retransmits < 0:
-            raise ResilienceError(f"max_retransmits must be >= 0, got {self.max_retransmits}")
-        if self.retransmit_factor < 1.0:
-            raise ResilienceError(
-                f"retransmit_factor must be >= 1, got {self.retransmit_factor}"
-            )
-        if self.retransmit_max <= 0:
-            raise ResilienceError(f"retransmit_max must be > 0, got {self.retransmit_max}")
-        if not 0.0 <= self.retransmit_jitter <= 1.0:
-            raise ResilienceError(
-                f"retransmit_jitter must be in [0, 1], got {self.retransmit_jitter}"
-            )
-        if self.send_buffer < 1:
-            raise ResilienceError(f"send_buffer must be >= 1, got {self.send_buffer}")
-        if self.breaker_failures < 0:
-            raise ResilienceError(f"breaker_failures must be >= 0, got {self.breaker_failures}")
-        if self.breaker_reset <= 0:
-            raise ResilienceError(f"breaker_reset must be > 0, got {self.breaker_reset}")
-        if self.ingress_capacity < 0 or self.drain_per_tick < 0:
-            raise ResilienceError("ingress_capacity and drain_per_tick must be >= 0")
-        if self.stale_after < 0:
-            raise ResilienceError(f"stale_after must be >= 0, got {self.stale_after}")
-        if self.degrade_after < 1 or self.recover_after < 1:
-            raise ResilienceError("degrade_after and recover_after must be >= 1")
+        check_fields(self, ResilienceError, "network")
         seen: set[str] = set()
         for lo in self.links:
-            lo.validate()
             if lo.client in seen:
                 raise ResilienceError(f"duplicate link override for client {lo.client!r}")
             seen.add(lo.client)
-        for w in self.partitions:
-            w.validate()
 
     def profile_for(self, link_id: str) -> LinkProfile:
         """Resolve the fault profile of one client's link (overrides applied)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import JournalError
+from repro.util.xmlfield import attr, check_fields
 
 FSYNC_MODES = ("off", "always", "batch")
 
@@ -19,22 +20,11 @@ class JournalSpec:
     is measured in control-loop barriers (ticks).
     """
 
-    dir: str = "journal"
-    enabled: bool = True
-    fsync: str = "batch"
-    batch_every: int = 64
-    snapshot_every: int = 20
+    dir: str = attr("journal", nonempty=True)
+    enabled: bool = attr(True)
+    fsync: str = attr("batch", choices=FSYNC_MODES)
+    batch_every: int = attr(64, ge=1)
+    snapshot_every: int = attr(20, ge=1)
 
     def validate(self) -> None:
-        if not self.dir:
-            raise JournalError("journal dir must be a non-empty path")
-        if self.fsync not in FSYNC_MODES:
-            raise JournalError(
-                f"journal fsync must be one of {FSYNC_MODES}, got {self.fsync!r}"
-            )
-        if self.batch_every < 1:
-            raise JournalError(f"journal batch_every must be >= 1, got {self.batch_every}")
-        if self.snapshot_every < 1:
-            raise JournalError(
-                f"journal snapshot_every must be >= 1, got {self.snapshot_every}"
-            )
+        check_fields(self, JournalError, "journal")

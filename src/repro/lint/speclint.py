@@ -27,6 +27,7 @@ from repro.core.actions import ActionType, actions_conflict
 from repro.core.policy import PolicyApplication, PolicySpec
 from repro.errors import ReproError
 from repro.lint.diagnostics import Diagnostic, Severity, make, sort_diagnostics
+from repro.util.xmlfield import xml_fields
 from repro.xmlspec.model import DyflowSpec
 
 # Pseudo-task published by the health engine; HEALTH-source bindings
@@ -157,6 +158,7 @@ def verify_spec(
     diags += _check_placement(spec, machine, task_specs)
     diags += _check_rule_cycles(spec)
     diags += _check_policy_interactions(spec)
+    diags += _check_declared_ranges(spec)
     diags += _check_parameter_ranges(spec)
     diags += _check_tenants(spec)
     diags += _check_fleet_slos(spec)
@@ -628,19 +630,34 @@ def _conflict(spec, app_a, pol_a, app_b, pol_b, ia, ib, shared) -> list[Diagnost
 
 
 # -- DY4xx: parameter ranges -------------------------------------------------- #
-def _validate_part(part, code: str, xml_path: str) -> list[Diagnostic]:
-    try:
-        part.validate()
-    except ReproError as err:
-        return [make(code, str(err), xml_path=xml_path)]
-    return []
+_RANGE_CODES = {
+    "resilience": "DY407",
+    "telemetry": "DY405",
+    "journal": "DY403",
+    "observability": "DY404",
+    "tenants": "DY407",
+}
+
+
+def _check_declared_ranges(spec: DyflowSpec) -> list[Diagnostic]:
+    """The ranges the spec dataclasses declare, one code per section."""
+    out: list[Diagnostic] = []
+    for x in xml_fields(DyflowSpec):
+        part = getattr(spec, x.attr)
+        if part is None:
+            continue
+        try:
+            part.validate()
+        except ReproError as err:
+            out.append(make(_RANGE_CODES[x.attr], str(err), xml_path=x.name))
+    return out
 
 
 def _check_parameter_ranges(spec: DyflowSpec) -> list[Diagnostic]:
+    """Rules relating two parameters, which no single field can declare."""
     out: list[Diagnostic] = []
     res = spec.resilience
     if res is not None:
-        out += _validate_part(res, "DY407", "resilience")
         retry = res.retry
         if retry is not None and retry.backoff_max < retry.backoff_base:
             out.append(make(
@@ -694,13 +711,8 @@ def _check_parameter_ranges(spec: DyflowSpec) -> list[Diagnostic]:
                         "and killed",
                         xml_path=f"resilience/network/partition[{i}]",
                     ))
-    if spec.journal is not None:
-        out += _validate_part(spec.journal, "DY403", "journal")
-    if spec.telemetry is not None:
-        out += _validate_part(spec.telemetry, "DY405", "telemetry")
     obs = spec.observability
     if obs is not None:
-        out += _validate_part(obs, "DY404", "observability")
         for i, det in enumerate(obs.anomalies):
             if det.min_points > det.window:
                 out.append(make(
@@ -719,7 +731,7 @@ def _check_tenants(spec: DyflowSpec) -> list[Diagnostic]:
     ten = spec.tenants
     if ten is None:
         return []
-    out = _validate_part(ten, "DY407", "tenants")
+    out: list[Diagnostic] = []
     capacity = ten.capacity_cores
     if capacity > 0:
         for i, t in enumerate(ten.tenants):
@@ -789,9 +801,7 @@ def lint_xml_text(
 
     try:
         spec = parse_dyflow_xml(text, validate=False)
-    except (XmlSpecError, ValueError) as err:
-        # ValueError covers malformed numeric attributes (float("x"))
-        # the parser coerces before its own validation runs.
+    except XmlSpecError as err:
         return [make("DY100", str(err), file=filename, xml_path=None if filename else "dyflow")]
     diags = verify_spec(spec, machine=machine, workflow=workflow)
     if filename is not None:

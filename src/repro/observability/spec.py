@@ -16,9 +16,10 @@ exceeds ``z``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ObservabilityError
+from repro.util.xmlfield import attr, check_fields, child, children
 
 SEVERITIES = ("info", "warning", "critical")
 SLO_STATS = ("p50", "p95", "p99", "mean", "min", "max", "count", "value")
@@ -48,14 +49,14 @@ class SloSpec:
             DY412 checks the id against the ``<tenants>`` declaration).
     """
 
-    metric: str
-    stat: str = "p95"
-    op: str = "LT"
-    threshold: float = 0.0
-    severity: str = "warning"
-    fire_after: int = 1
-    clear_after: int = 1
-    tenant: str = ""
+    metric: str = attr(nonempty=True)
+    stat: str = attr("p95", choices=SLO_STATS)
+    op: str = attr("LT", choices=SLO_OPS, upper=True)
+    threshold: float = attr(0.0, required=True)
+    severity: str = attr("warning", choices=SEVERITIES)
+    fire_after: int = attr(1, ge=1)
+    clear_after: int = attr(1, ge=1)
+    tenant: str = attr("", optional=True)
 
     @property
     def key(self) -> str:
@@ -64,18 +65,7 @@ class SloSpec:
         return f"{self.tenant}:{base}" if self.tenant else base
 
     def validate(self) -> None:
-        if not self.metric:
-            raise ObservabilityError("slo needs a metric name")
-        if self.stat not in SLO_STATS:
-            raise ObservabilityError(f"slo stat must be one of {SLO_STATS}, got {self.stat!r}")
-        if self.op not in SLO_OPS:
-            raise ObservabilityError(f"slo op must be one of {SLO_OPS}, got {self.op!r}")
-        if self.severity not in SEVERITIES:
-            raise ObservabilityError(
-                f"slo severity must be one of {SEVERITIES}, got {self.severity!r}"
-            )
-        if self.fire_after < 1 or self.clear_after < 1:
-            raise ObservabilityError("slo fire_after/clear_after must be >= 1")
+        check_fields(self, ObservabilityError, "slo")
 
     def healthy(self, value: float) -> bool:
         """Does *value* meet the objective?"""
@@ -97,37 +87,20 @@ class AnomalySpec:
     deviation.  ``|z| > z`` (with at least ``min_points`` history) fires.
     """
 
-    metric: str
-    stat: str = "value"
-    window: int = 20
-    z: float = 3.0
-    alpha: float = 0.3
-    min_points: int = 5
-    severity: str = "warning"
+    metric: str = attr(nonempty=True)
+    stat: str = attr("value", choices=SLO_STATS)
+    window: int = attr(20, ge=2)
+    z: float = attr(3.0, gt=0)
+    alpha: float = attr(0.3, gt=0, le=1)
+    min_points: int = attr(5, ge=2)
+    severity: str = attr("warning", choices=SEVERITIES)
 
     @property
     def key(self) -> str:
         return f"{self.metric}.{self.stat}"
 
     def validate(self) -> None:
-        if not self.metric:
-            raise ObservabilityError("anomaly detector needs a metric name")
-        if self.stat not in SLO_STATS:
-            raise ObservabilityError(
-                f"anomaly stat must be one of {SLO_STATS}, got {self.stat!r}"
-            )
-        if self.window < 2:
-            raise ObservabilityError(f"anomaly window must be >= 2, got {self.window}")
-        if self.z <= 0.0:
-            raise ObservabilityError(f"anomaly z must be > 0, got {self.z}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ObservabilityError(f"anomaly alpha must be in (0, 1], got {self.alpha}")
-        if self.min_points < 2:
-            raise ObservabilityError(f"anomaly min_points must be >= 2, got {self.min_points}")
-        if self.severity not in SEVERITIES:
-            raise ObservabilityError(
-                f"anomaly severity must be one of {SEVERITIES}, got {self.severity!r}"
-            )
+        check_fields(self, ObservabilityError, "anomaly")
 
 
 @dataclass(frozen=True)
@@ -148,19 +121,14 @@ class FleetSpec:
             poison-quarantine flight recorder; 0 disables it.
     """
 
-    enabled: bool = True
-    openmetrics_path: str | None = None
-    top_k: int = 3
-    watch_path: str | None = None
-    flight_recorder: int = 256
+    enabled: bool = attr(True)
+    openmetrics_path: str | None = attr(None)
+    top_k: int = attr(3, ge=1)
+    watch_path: str | None = attr(None)
+    flight_recorder: int = attr(256, ge=0)
 
     def validate(self) -> None:
-        if self.top_k < 1:
-            raise ObservabilityError(f"fleet top_k must be >= 1, got {self.top_k}")
-        if self.flight_recorder < 0:
-            raise ObservabilityError(
-                f"fleet flight_recorder must be >= 0, got {self.flight_recorder}"
-            )
+        check_fields(self, ObservabilityError, "fleet")
 
 
 @dataclass(frozen=True)
@@ -188,17 +156,17 @@ class ObservabilitySpec:
             watch stream, flight recorder); ``None`` means no fleet plane.
     """
 
-    enabled: bool = True
-    eval_every: float = 5.0
-    snapshot_every: float = 0.0
-    openmetrics_path: str | None = None
-    report_path: str | None = None
-    report_json_path: str | None = None
-    analysis: bool = True
-    top_n: int = 5
-    slos: tuple[SloSpec, ...] = field(default_factory=tuple)
-    anomalies: tuple[AnomalySpec, ...] = field(default_factory=tuple)
-    fleet: FleetSpec | None = None
+    enabled: bool = attr(True)
+    eval_every: float = attr(5.0, gt=0)
+    snapshot_every: float = attr(0.0, ge=0)
+    openmetrics_path: str | None = attr(None, holder="openmetrics", name="path")
+    report_path: str | None = attr(None, holder="report", name="path")
+    report_json_path: str | None = attr(None, holder="report", name="json-path")
+    analysis: bool = attr(True)
+    top_n: int = attr(5, ge=1)
+    slos: tuple[SloSpec, ...] = children(SloSpec, "slo")
+    anomalies: tuple[AnomalySpec, ...] = children(AnomalySpec, "anomaly")
+    fleet: FleetSpec | None = child(FleetSpec)
 
     def __post_init__(self) -> None:
         # Tolerate lists from programmatic callers; store tuples so the
@@ -207,18 +175,7 @@ class ObservabilitySpec:
         object.__setattr__(self, "anomalies", tuple(self.anomalies))
 
     def validate(self) -> None:
-        if self.eval_every <= 0.0:
-            raise ObservabilityError(f"eval_every must be > 0, got {self.eval_every}")
-        if self.snapshot_every < 0.0:
-            raise ObservabilityError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
-        if self.top_n < 1:
-            raise ObservabilityError(f"top_n must be >= 1, got {self.top_n}")
+        check_fields(self, ObservabilityError, "observability")
         keys = [s.key for s in self.slos]
         if len(set(keys)) != len(keys):
             raise ObservabilityError(f"duplicate slo objectives: {sorted(keys)}")
-        for slo in self.slos:
-            slo.validate()
-        for det in self.anomalies:
-            det.validate()
-        if self.fleet is not None:
-            self.fleet.validate()

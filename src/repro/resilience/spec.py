@@ -18,8 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ResilienceError
+from repro.util.xmlfield import attr, check_fields, child
 
-if TYPE_CHECKING:  # imported lazily to keep repro.resilience import-light
+if TYPE_CHECKING:
     from repro.fabric.spec import NetworkSpec
 
 
@@ -35,21 +36,14 @@ class RetryPolicy:
     chaos runs replay bit-identically.
     """
 
-    max_retries: int = 3
-    backoff_base: float = 2.0
-    backoff_factor: float = 2.0
-    backoff_max: float = 120.0
-    jitter: float = 0.25
+    max_retries: int = attr(3, ge=0)
+    backoff_base: float = attr(2.0, ge=0)
+    backoff_factor: float = attr(2.0, ge=1)
+    backoff_max: float = attr(120.0, ge=0)
+    jitter: float = attr(0.25, ge=0, le=1)
 
     def validate(self) -> None:
-        if self.max_retries < 0:
-            raise ResilienceError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ResilienceError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ResilienceError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ResilienceError(f"jitter must be in [0, 1], got {self.jitter}")
+        check_fields(self, ResilienceError, "retry")
 
     def delay(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff delay before retry *attempt* (0-based), jitter included."""
@@ -72,19 +66,12 @@ class WatchdogSpec:
     ``kill_code`` so the retry/restart machinery can relaunch it.
     """
 
-    heartbeat_timeout: float = 120.0
-    poll: float = 10.0
-    kill_code: int = 142
+    heartbeat_timeout: float = attr(120.0, gt=0)
+    poll: float = attr(10.0, gt=0)
+    kill_code: int = attr(142, gt=128)  # a signal exit code
 
     def validate(self) -> None:
-        if self.heartbeat_timeout <= 0:
-            raise ResilienceError(
-                f"heartbeat_timeout must be > 0, got {self.heartbeat_timeout}"
-            )
-        if self.poll <= 0:
-            raise ResilienceError(f"watchdog poll must be > 0, got {self.poll}")
-        if self.kill_code <= 128:
-            raise ResilienceError(f"kill_code must be > 128 (a signal code), got {self.kill_code}")
+        check_fields(self, ResilienceError, "watchdog")
 
 
 @dataclass(frozen=True)
@@ -97,15 +84,12 @@ class QuarantineSpec:
     scheduler reports it UP.
     """
 
-    failures: int = 3
-    window: float = 600.0
-    cooldown: float = 1800.0
+    failures: int = attr(3, ge=1)
+    window: float = attr(600.0, gt=0)
+    cooldown: float = attr(1800.0, gt=0)
 
     def validate(self) -> None:
-        if self.failures < 1:
-            raise ResilienceError(f"quarantine failures must be >= 1, got {self.failures}")
-        if self.window <= 0 or self.cooldown <= 0:
-            raise ResilienceError("quarantine window and cooldown must be > 0")
+        check_fields(self, ResilienceError, "quarantine")
 
 
 @dataclass(frozen=True)
@@ -117,12 +101,11 @@ class CheckpointSpec:
     saved checkpoint instead of step 0.
     """
 
-    every: int = 50
-    resume: bool = True
+    every: int = attr(50, ge=0)
+    resume: bool = attr(True)
 
     def validate(self) -> None:
-        if self.every < 0:
-            raise ResilienceError(f"checkpoint every must be >= 0, got {self.every}")
+        check_fields(self, ResilienceError, "checkpoint")
 
 
 DISTRIBUTIONS = ("exponential", "weibull")
@@ -140,40 +123,21 @@ class FaultModelSpec:
     and staged coupling steps with ``stage_drop_prob``.
     """
 
-    node_mtbf: float = 0.0
-    node_dist: str = "exponential"
-    weibull_shape: float = 1.5
-    node_repair_time: float = 600.0
-    task_crash_mtbf: float = 0.0
-    task_hang_mtbf: float = 0.0
-    msg_drop_prob: float = 0.0
-    stage_drop_prob: float = 0.0
+    node_mtbf: float = attr(0.0, ge=0)
+    node_dist: str = attr("exponential", choices=DISTRIBUTIONS)
+    weibull_shape: float = attr(1.5, gt=0)
+    node_repair_time: float = attr(600.0, ge=0)
+    task_crash_mtbf: float = attr(0.0, ge=0)
+    task_hang_mtbf: float = attr(0.0, ge=0)
+    msg_drop_prob: float = attr(0.0, ge=0, lt=1)
+    stage_drop_prob: float = attr(0.0, ge=0, lt=1)
     # Mean time between orchestrator (controller) crashes.  The control
     # loop dies and is resumed from its write-ahead journal; the launcher
     # and running tasks survive (the fail-stop model of docs/crash-recovery.md).
-    orch_crash_mtbf: float = 0.0
+    orch_crash_mtbf: float = attr(0.0, ge=0)
 
     def validate(self) -> None:
-        if self.node_dist not in DISTRIBUTIONS:
-            raise ResilienceError(
-                f"node_dist must be one of {DISTRIBUTIONS}, got {self.node_dist!r}"
-            )
-        for name in (
-            "node_mtbf",
-            "node_repair_time",
-            "task_crash_mtbf",
-            "task_hang_mtbf",
-            "orch_crash_mtbf",
-        ):
-            if getattr(self, name) < 0:
-                raise ResilienceError(f"{name} must be >= 0")
-        if self.weibull_shape <= 0:
-            raise ResilienceError(f"weibull_shape must be > 0, got {self.weibull_shape}")
-        for name in ("msg_drop_prob", "stage_drop_prob"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ResilienceError(
-                    f"{name} must be in [0, 1), got {getattr(self, name)}"
-                )
+        check_fields(self, ResilienceError, "faults")
 
     @property
     def any_enabled(self) -> bool:
@@ -197,6 +161,14 @@ class FaultModelSpec:
         return float(rng.exponential(mtbf))
 
 
+def _network_spec() -> type:
+    # repro.fabric's package imports reach back into repro.resilience,
+    # so the class is looked up on first use, not at import.
+    from repro.fabric.spec import NetworkSpec
+
+    return NetworkSpec
+
+
 @dataclass(frozen=True)
 class ResilienceSpec:
     """The complete resilience configuration (XML ``<resilience>``).
@@ -207,17 +179,12 @@ class ResilienceSpec:
     staleness thresholds behind degraded planning.
     """
 
-    retry: RetryPolicy | None = None
-    watchdog: WatchdogSpec | None = None
-    quarantine: QuarantineSpec | None = None
-    checkpoint: CheckpointSpec | None = None
-    faults: FaultModelSpec | None = None
-    network: "NetworkSpec | None" = None
+    retry: RetryPolicy | None = child(RetryPolicy)
+    watchdog: WatchdogSpec | None = child(WatchdogSpec)
+    quarantine: QuarantineSpec | None = child(QuarantineSpec)
+    checkpoint: CheckpointSpec | None = child(CheckpointSpec)
+    faults: FaultModelSpec | None = child(FaultModelSpec)
+    network: "NetworkSpec | None" = child(_network_spec)
 
     def validate(self) -> None:
-        for part in (
-            self.retry, self.watchdog, self.quarantine,
-            self.checkpoint, self.faults, self.network,
-        ):
-            if part is not None:
-                part.validate()
+        check_fields(self, ResilienceError, "resilience")

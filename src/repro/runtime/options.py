@@ -11,9 +11,8 @@ folds them into one frozen :class:`RuntimeOptions` value accepted by
     opts = RuntimeOptions(telemetry=TelemetrySpec(...), preflight="warn")
     orch = DyflowOrchestrator(launcher, options=opts)
 
-The old per-subsystem kwargs keep working for one release via
-:func:`resolve_options` (warn-once :class:`DeprecationWarning` shims);
-passing both ``options=`` and a legacy kwarg is an error, not a merge.
+``options=`` is the only way to pass them: the constructors take no
+per-subsystem keyword arguments.
 
 Tuning knobs that describe *how this particular run is driven* (warmup,
 settle, poll cadence, tracer injection, worker caps) are not part of
@@ -25,19 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import DyflowError
-from repro.util.deprecation import warn_once
-
 if TYPE_CHECKING:
     from repro.observability import ObservabilitySpec
     from repro.profiler.sampling import ProfileSpec
     from repro.resilience.spec import ResilienceSpec
     from repro.telemetry import TelemetrySpec
     from repro.xmlspec.model import DyflowSpec
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``
-#: (legacy callers could legitimately pass ``telemetry=None``).
-_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
@@ -74,35 +66,3 @@ class RuntimeOptions:
     def override(self, **changes: Any) -> "RuntimeOptions":
         """Copy with the given fields replaced (``dataclasses.replace``)."""
         return replace(self, **changes)
-
-
-def resolve_options(
-    owner: str,
-    options: RuntimeOptions | None,
-    legacy: dict[str, Any],
-) -> RuntimeOptions:
-    """Fold deprecated per-subsystem kwargs into a RuntimeOptions.
-
-    *legacy* maps field name -> passed value or :data:`_UNSET`.  Every
-    field actually passed emits one DeprecationWarning per process
-    (keyed ``{owner}.{field}``).  Mixing ``options=`` with legacy kwargs
-    raises :class:`DyflowError` — silent merging would hide which value
-    won.
-    """
-    provided = {k: v for k, v in legacy.items() if v is not _UNSET}
-    for name in provided:
-        warn_once(
-            f"{owner}.{name}",
-            f"{owner}({name}=...) is deprecated; pass "
-            f"options=RuntimeOptions({name}=...) instead",
-        )
-    if options is not None:
-        if provided:
-            raise DyflowError(
-                f"{owner}: {sorted(provided)} passed both via options= and as "
-                "legacy keyword(s); put them in RuntimeOptions only"
-            )
-        return options
-    if provided:
-        return RuntimeOptions(**provided)
-    return RuntimeOptions()

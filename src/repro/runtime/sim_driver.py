@@ -40,7 +40,7 @@ from repro.observability import (
 )
 from repro.profiler.sampling import CoreProfiler
 from repro.resilience import ChaosEngine, HeartbeatWatchdog
-from repro.runtime.options import _UNSET, RuntimeOptions, resolve_options
+from repro.runtime.options import RuntimeOptions
 from repro.telemetry import build_tracer, write_chrome_trace
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.jsonmsg import Envelope
@@ -63,28 +63,13 @@ class DyflowOrchestrator:
         graceful_stops: bool = True,
         core_quota: int | None = None,
         options: RuntimeOptions | None = None,
-        telemetry=_UNSET,
         tracer: Tracer | None = None,
-        observability=_UNSET,
-        journal=_UNSET,
         ignore_crash_requests: bool = False,
         on_crash: Callable[["DyflowOrchestrator"], None] | None = None,
-        preflight=_UNSET,
     ) -> None:
         from repro.lint.preflight import check_mode
 
-        # telemetry=/observability=/journal=/preflight= are deprecated
-        # shims (one release); new code passes options=RuntimeOptions(...).
-        opts = resolve_options(
-            "DyflowOrchestrator",
-            options,
-            {
-                "telemetry": telemetry,
-                "observability": observability,
-                "journal": journal,
-                "preflight": preflight,
-            },
-        )
+        opts = options if options is not None else RuntimeOptions()
         self.options = opts
         telemetry = opts.telemetry
         observability = opts.observability
@@ -229,7 +214,8 @@ class DyflowOrchestrator:
             if self.health is None:
                 raise DyflowError(
                     f"sensor {sensor_id!r} uses a HEALTH source but the orchestrator "
-                    "has no enabled ObservabilitySpec (pass observability=...)"
+                    "has no enabled ObservabilitySpec "
+                    "(pass options=RuntimeOptions(observability=...))"
                 )
             source: object = self.health.bind_source(var)
         else:

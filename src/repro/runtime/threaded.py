@@ -39,7 +39,7 @@ from repro.observability import (
     write_openmetrics,
     write_report,
 )
-from repro.runtime.options import _UNSET, RuntimeOptions, resolve_options
+from repro.runtime.options import RuntimeOptions
 from repro.sim.rng import RngRegistry
 from repro.staging.hub import DataHub
 from repro.staging.serialization import Sample
@@ -153,32 +153,14 @@ class ThreadedDyflow:
         warmup: float = 2.0,
         settle: float = 2.0,
         max_workers_total: int | None = None,
-        resilience=_UNSET,
         rng: RngRegistry | None = None,
-        telemetry=_UNSET,
         tracer: Tracer | None = None,
-        observability=_UNSET,
-        journal=_UNSET,
-        preflight=_UNSET,
         queue_capacity: int = 64,
         options: RuntimeOptions | None = None,
     ) -> None:
         from repro.lint.preflight import check_mode
 
-        # resilience=/telemetry=/observability=/journal=/preflight= are
-        # deprecated shims (one release); new code passes
-        # options=RuntimeOptions(...).
-        opts = resolve_options(
-            "ThreadedDyflow",
-            options,
-            {
-                "resilience": resilience,
-                "telemetry": telemetry,
-                "observability": observability,
-                "journal": journal,
-                "preflight": preflight,
-            },
-        )
+        opts = options if options is not None else RuntimeOptions()
         self.options = opts
         resilience = opts.resilience
         telemetry = opts.telemetry
@@ -303,7 +285,8 @@ class ThreadedDyflow:
             if self.health is None:
                 raise DyflowError(
                     f"sensor {sensor_id!r} uses a HEALTH source but the runner "
-                    "has no enabled ObservabilitySpec (pass observability=...)"
+                    "has no enabled ObservabilitySpec "
+                    "(pass options=RuntimeOptions(observability=...))"
                 )
             source: object = self.health.bind_source(var)
         else:

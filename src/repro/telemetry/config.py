@@ -17,6 +17,7 @@ from typing import Callable
 from repro.errors import TelemetryError
 from repro.telemetry.events import JsonlEventLog
 from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.util.xmlfield import attr, check_fields
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,13 @@ class TelemetrySpec:
             ``trace_event`` JSON file there when the run finishes.
     """
 
-    enabled: bool = True
-    sample: float = 1.0
-    jsonl_path: str | None = None
-    chrome_trace_path: str | None = None
+    enabled: bool = attr(True)
+    sample: float = attr(1.0, gt=0, le=1)
+    jsonl_path: str | None = attr(None, holder="jsonl", name="path")
+    chrome_trace_path: str | None = attr(None, holder="chrome-trace", name="path")
 
     def validate(self) -> None:
-        if not 0.0 < self.sample <= 1.0:
-            raise TelemetryError(f"telemetry sample must be in (0, 1], got {self.sample}")
+        check_fields(self, TelemetryError, "telemetry")
 
 
 def build_tracer(

@@ -1,6 +1,5 @@
 """Shared utilities: id generation, statistics, messaging, validation."""
 
-from repro.util.deprecation import reset_warned, warn_once
 from repro.util.ids import IdGenerator
 from repro.util.stats import RunningStats, SlidingWindow
 from repro.util.jsonmsg import DedupFilter, Envelope, OutOfOrderFilter, SequenceTracker
@@ -13,8 +12,6 @@ from repro.util.validation import (
 
 __all__ = [
     "IdGenerator",
-    "warn_once",
-    "reset_warned",
     "RunningStats",
     "SlidingWindow",
     "DedupFilter",

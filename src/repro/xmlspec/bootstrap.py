@@ -47,8 +47,8 @@ def configure_orchestrator(
     *preflight*) overrides its section when given; pass an explicit
     *options* to replace the spec-derived bundle wholesale (combining it
     with the per-section arguments is an error).  These convenience
-    keywords remain first-class here — only the orchestrator constructors
-    deprecate them.  A spec/options resilience section configures the
+    keywords are first-class here; the orchestrator constructors take
+    ``options=`` only.  A spec/options resilience section configures the
     launcher's recovery layer *before* the orchestrator is built, so the
     orchestrator can wire the watchdog and the chaos engine; without one,
     any programmatically installed resilience spec is left intact.

@@ -13,6 +13,7 @@ from repro.journal.spec import JournalSpec
 from repro.observability.spec import ObservabilitySpec
 from repro.resilience.spec import ResilienceSpec
 from repro.telemetry.config import TelemetrySpec
+from repro.util.xmlfield import check_fields, child
 from repro.wms.spec import DependencySpec
 
 
@@ -47,11 +48,11 @@ class DyflowSpec:
     policies: dict[str, PolicySpec] = field(default_factory=dict)
     applications: list[PolicyApplication] = field(default_factory=list)
     rules: dict[str, RuleSpec] = field(default_factory=dict)
-    resilience: ResilienceSpec | None = None
-    telemetry: TelemetrySpec | None = None
-    journal: JournalSpec | None = None
-    observability: ObservabilitySpec | None = None
-    tenants: TenantsSpec | None = None
+    resilience: ResilienceSpec | None = child(ResilienceSpec)
+    telemetry: TelemetrySpec | None = child(TelemetrySpec)
+    journal: JournalSpec | None = child(JournalSpec)
+    observability: ObservabilitySpec | None = child(ObservabilitySpec)
+    tenants: TenantsSpec | None = child(TenantsSpec)
 
     def validate(self, strict: bool = False) -> None:
         """Cross-reference checks a schema cannot express.
@@ -62,16 +63,7 @@ class DyflowSpec:
         accepted these silently and the dangling priority was ignored
         at arbitration time.
         """
-        if self.resilience is not None:
-            self.resilience.validate()
-        if self.telemetry is not None:
-            self.telemetry.validate()
-        if self.journal is not None:
-            self.journal.validate()
-        if self.observability is not None:
-            self.observability.validate()
-        if self.tenants is not None:
-            self.tenants.validate()
+        check_fields(self, XmlSpecError, "dyflow")  # each config section validates itself
         for mt in self.monitor_tasks:
             if mt.sensor_id not in self.sensors:
                 raise XmlSpecError(

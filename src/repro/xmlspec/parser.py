@@ -3,25 +3,14 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from dataclasses import MISSING
 from typing import Any
 
-from repro.campaign.spec import ExecutorSpec, TenantSpec, TenantsSpec
 from repro.core.actions import ActionType
 from repro.core.policy import PolicyApplication, PolicySpec
 from repro.core.sensors.base import GroupBySpec, JoinSpec, SensorSpec
 from repro.errors import XmlSpecError
-from repro.fabric.spec import LinkOverride, NetworkSpec, PartitionWindow
-from repro.journal.spec import JournalSpec
-from repro.observability.spec import AnomalySpec, FleetSpec, ObservabilitySpec, SloSpec
-from repro.resilience.spec import (
-    CheckpointSpec,
-    FaultModelSpec,
-    QuarantineSpec,
-    ResilienceSpec,
-    RetryPolicy,
-    WatchdogSpec,
-)
-from repro.telemetry.config import TelemetrySpec
+from repro.util.xmlfield import xml_fields
 from repro.wms.spec import CouplingType, DependencySpec
 from repro.xmlspec.model import DyflowSpec, MonitorTaskSpec, RuleSpec
 
@@ -45,40 +34,23 @@ def parse_dyflow_xml(
     except ET.ParseError as err:
         raise XmlSpecError(f"malformed XML: {err}") from err
     spec = DyflowSpec()
-    standalone = (
-        "monitor", "decision", "arbitration", "resilience", "telemetry",
-        "journal", "observability", "tenants",
-    )
-    sections = [root] if root.tag in standalone else list(root)
-    if root.tag not in ("dyflow",) + standalone:
+    stages = {
+        "monitor": _parse_monitor,
+        "decision": _parse_decision,
+        "arbitration": _parse_arbitration,
+    }
+    # The configuration sections are the child elements DyflowSpec declares.
+    config = {x.name: x for x in xml_fields(DyflowSpec)}
+    if root.tag != "dyflow" and root.tag not in stages and root.tag not in config:
         raise XmlSpecError(f"unexpected root element <{root.tag}>")
-    for section in sections:
-        if section.tag == "monitor":
-            _parse_monitor(section, spec)
-        elif section.tag == "decision":
-            _parse_decision(section, spec)
-        elif section.tag == "arbitration":
-            _parse_arbitration(section, spec)
-        elif section.tag == "resilience":
-            if spec.resilience is not None:
-                raise XmlSpecError("duplicate <resilience> section")
-            spec.resilience = _parse_resilience(section, validate=validate)
-        elif section.tag == "telemetry":
-            if spec.telemetry is not None:
-                raise XmlSpecError("duplicate <telemetry> section")
-            spec.telemetry = _parse_telemetry(section, validate=validate)
-        elif section.tag == "journal":
-            if spec.journal is not None:
-                raise XmlSpecError("duplicate <journal> section")
-            spec.journal = _parse_journal(section, validate=validate)
-        elif section.tag == "observability":
-            if spec.observability is not None:
-                raise XmlSpecError("duplicate <observability> section")
-            spec.observability = _parse_observability(section, validate=validate)
-        elif section.tag == "tenants":
-            if spec.tenants is not None:
-                raise XmlSpecError("duplicate <tenants> section")
-            spec.tenants = _parse_tenants(section, validate=validate)
+    for section in root if root.tag == "dyflow" else [root]:
+        if section.tag in stages:
+            stages[section.tag](section, spec)
+        elif section.tag in config:
+            x = config[section.tag]
+            if getattr(spec, x.attr) is not None:
+                raise XmlSpecError(f"duplicate <{section.tag}> section")
+            setattr(spec, x.attr, _read_element(section, x.cls))
         else:
             raise XmlSpecError(f"unexpected section <{section.tag}>")
     if validate:
@@ -87,20 +59,103 @@ def parse_dyflow_xml(
 
 
 # --------------------------------------------------------------------------- #
-# helpers
+# the typed attribute reader (every element goes through it)
 # --------------------------------------------------------------------------- #
-def _require(el: ET.Element, attr: str) -> str:
-    value = el.get(attr)
-    if value is None:
-        raise XmlSpecError(f"<{el.tag}> missing required attribute {attr!r}")
-    return value
+def _convert(el: ET.Element, name: str, raw: str, typ: type) -> Any:
+    if typ is bool:
+        lowered = raw.strip().lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return True
+        if lowered in ("0", "false", "no", "off"):
+            return False
+        raise XmlSpecError(f"<{el.tag}> attribute {name!r}: not a boolean: {raw!r}")
+    try:
+        return typ(raw)
+    except ValueError:
+        kind = "an integer" if typ is int else "a number"
+        raise XmlSpecError(f"<{el.tag}> attribute {name!r}: not {kind}: {raw!r}") from None
+
+
+_Decl = dict[str, tuple[type, Any]]  # attribute name -> (type, default)
+
+
+def _read(el: ET.Element, decl: _Decl) -> list[Any]:
+    """The typed values of the attributes *decl* declares, in its order.
+
+    Any other attribute is rejected; a ``MISSING`` default makes the
+    attribute required.
+    """
+    attrib = el.attrib
+    for name in attrib:
+        if name not in decl:
+            raise XmlSpecError(
+                f"unexpected <{el.tag}> attribute {name!r} (known: {sorted(decl)})"
+            )
+    out = []
+    for name, (typ, default) in decl.items():
+        raw = attrib.get(name)
+        if raw is not None:
+            out.append(raw if typ is str else _convert(el, name, raw, typ))
+        elif default is MISSING:
+            raise XmlSpecError(f"<{el.tag}> missing required attribute {name!r}")
+        else:
+            out.append(default)
+    return out
+
+
+def _decl(**attrs: Any) -> _Decl:
+    """Declare a hand-written element's attributes for :func:`_read`.
+
+    Each keyword names an attribute (``_`` spells ``-``) and gives its
+    type when required, or ``(type, default)``.
+    """
+    return {
+        key.replace("_", "-"): want if isinstance(want, tuple) else (want, MISSING)
+        for key, want in attrs.items()
+    }
+
+
+def _read_element(el: ET.Element, cls: type) -> Any:
+    """Build dataclass *cls* from *el* as its field declarations describe."""
+    groups: dict[str | None, list] = {None: []}  # holder tag (None: *el*) -> attributes
+    nested = {}
+    for x in xml_fields(cls):
+        if x.element is not None:
+            nested[x.name] = x
+        else:
+            groups.setdefault(x.holder, []).append(x)
+    for sub in el:
+        if sub.tag not in nested and sub.tag not in groups:
+            raise XmlSpecError(f"unexpected <{el.tag}> child <{sub.tag}>")
+    kwargs = {}
+    for tag, group in groups.items():
+        holder = el if tag is None else el.find(tag)
+        if holder is None:
+            continue
+        values = _read(
+            holder, {x.name: (x.type, MISSING if x.required else x.default) for x in group}
+        )
+        if tag is not None and all(v is None for v in values):
+            raise XmlSpecError(f"<{tag}> needs " + " and/or ".join(x.name for x in group))
+        for x, value in zip(group, values):
+            kwargs[x.attr] = value.upper() if x.upper else value
+    for tag, x in nested.items():
+        parts = tuple(_read_element(sub, x.cls) for sub in el.findall(tag))
+        if x.many:
+            kwargs[x.attr] = parts
+        elif parts:
+            kwargs[x.attr] = parts[0]
+    return cls(**kwargs)
+
+
+_PARAM = _decl(key=str, value=(str, ""))
 
 
 def _parse_params(parent: ET.Element, tag: str = "param") -> dict[str, Any]:
     out: dict[str, Any] = {}
     for p in parent.iter(tag):
-        key = _require(p, "key")
-        out[key] = _coerce(p.get("value", ""))
+        key, value = _read(p, _PARAM)
+        out[key] = _coerce(value)
     return out
 
 
@@ -121,6 +176,14 @@ def _text(el: ET.Element) -> str:
 # --------------------------------------------------------------------------- #
 # monitor section
 # --------------------------------------------------------------------------- #
+_SENSOR = _decl(id=str, type=str)
+_GROUP = _decl(granularity=str, reduction_operation=(str, "MAX"))
+_PREPROCESS = _decl(operation=(str, None))
+_JOIN = _decl(sensor_id=str, operation=(str, "DIV"))
+_MONITOR_TASK = _decl(name=str, workflowId=str, info_source=(str, None))
+_BINDING = _decl(sensor_id=str, info=(str, None))
+
+
 def _parse_monitor(section: ET.Element, spec: DyflowSpec) -> None:
     sensors = section.find("sensors")
     if sensors is not None:
@@ -132,45 +195,34 @@ def _parse_monitor(section: ET.Element, spec: DyflowSpec) -> None:
     tasks = section.find("monitor-tasks")
     if tasks is not None:
         for mt in tasks.findall("monitor-task"):
-            task = _require(mt, "name")
-            workflow_id = _require(mt, "workflowId")
-            info_source = mt.get("info-source")
+            task, workflow_id, info_source = _read(mt, _MONITOR_TASK)
             for use in mt.findall("use-sensor"):
+                sensor_id, info = _read(use, _BINDING)
                 spec.monitor_tasks.append(
                     MonitorTaskSpec(
                         task=task,
                         workflow_id=workflow_id,
-                        sensor_id=_require(use, "sensor-id"),
+                        sensor_id=sensor_id,
                         info_source=info_source,
-                        info=use.get("info"),
+                        info=info,
                         params=_parse_params(use, "parameter"),
                     )
                 )
 
 
 def _parse_sensor(el: ET.Element) -> SensorSpec:
-    sensor_id = _require(el, "id")
-    source_type = _require(el, "type")
+    sensor_id, source_type = _read(el, _SENSOR)
     group_by: list[GroupBySpec] = []
     gb = el.find("group-by")
     if gb is not None:
         for g in gb.findall("group"):
-            group_by.append(
-                GroupBySpec(
-                    granularity=_require(g, "granularity"),
-                    reduction=g.get("reduction-operation", "MAX"),
-                )
-            )
+            group_by.append(GroupBySpec(*_read(g, _GROUP)))
     if not group_by:
         group_by = [GroupBySpec("task", "MAX")]
     pre = el.find("preprocess")
-    preprocess = pre.get("operation") if pre is not None else None
+    (preprocess,) = _read(pre, _PREPROCESS) if pre is not None else (None,)
     join_el = el.find("join")
-    join = (
-        JoinSpec(_require(join_el, "sensor-id"), join_el.get("operation", "DIV"))
-        if join_el is not None
-        else None
-    )
+    join = JoinSpec(*_read(join_el, _JOIN)) if join_el is not None else None
     return SensorSpec(
         sensor_id=sensor_id,
         source_type=source_type,
@@ -183,6 +235,15 @@ def _parse_sensor(el: ET.Element) -> SensorSpec:
 # --------------------------------------------------------------------------- #
 # decision section
 # --------------------------------------------------------------------------- #
+_WORKFLOW = _decl(workflowId=str)
+_APPLY_POLICY = _decl(policyId=str, assess_task=(str, ""))
+_POLICY = _decl(id=str)
+_EVAL = _decl(operation=str, threshold=float)
+_USE_SENSOR = _decl(id=str, granularity=(str, "task"))
+_HISTORY = _decl(window=(int, 1), operation=(str, "AVG"))
+_FREQUENCY = _decl(seconds=(float, None))
+
+
 def _parse_decision(section: ET.Element, spec: DyflowSpec) -> None:
     policies = section.find("policies")
     if policies is not None:
@@ -192,7 +253,7 @@ def _parse_decision(section: ET.Element, spec: DyflowSpec) -> None:
                 raise XmlSpecError(f"duplicate policy id {policy.policy_id!r}")
             spec.policies[policy.policy_id] = policy
     for apply_on in section.findall("apply-on"):
-        workflow_id = _require(apply_on, "workflowId")
+        (workflow_id,) = _read(apply_on, _WORKFLOW)
         for ap in apply_on.findall("apply-policy"):
             act_el = ap.find("act-on-tasks")
             if act_el is None or not _text(act_el):
@@ -200,19 +261,20 @@ def _parse_decision(section: ET.Element, spec: DyflowSpec) -> None:
             targets = tuple(_text(act_el).split())
             params_el = ap.find("action-params")
             params = _parse_params(params_el) if params_el is not None else {}
+            policy_id, assess_task = _read(ap, _APPLY_POLICY)
             spec.applications.append(
                 PolicyApplication(
-                    policy_id=_require(ap, "policyId"),
+                    policy_id=policy_id,
                     workflow_id=workflow_id,
                     act_on_tasks=targets,
-                    assess_task=ap.get("assess-task", ""),
+                    assess_task=assess_task,
                     action_params=params,
                 )
             )
 
 
 def _parse_policy(el: ET.Element) -> PolicySpec:
-    policy_id = _require(el, "id")
+    (policy_id,) = _read(el, _POLICY)
     eval_el = el.find("eval")
     if eval_el is None:
         raise XmlSpecError(f"policy {policy_id!r} missing <eval>")
@@ -229,434 +291,63 @@ def _parse_policy(el: ET.Element) -> PolicySpec:
         raise XmlSpecError(
             f"policy {policy_id!r}: unknown action {action_name!r}"
         ) from None
-    history = el.find("history")
-    window = int(history.get("window", "1")) if history is not None else 1
-    history_op = history.get("operation", "AVG") if history is not None else "AVG"
+    history_el = el.find("history")
+    if history_el is None:
+        history_el = ET.Element("history")  # absent reads as empty: the defaults
+    history_window, history_op = _read(history_el, _HISTORY)
     freq_el = el.find("frequency")
     frequency = 5.0
     if freq_el is not None:
-        raw = freq_el.get("seconds")
-        if raw is None:
+        (frequency,) = _read(freq_el, _FREQUENCY)
+        if frequency is None:
             # Tolerate the paper's Fig. 10 typo: <frequency> seconds="5" </frequency>
             body = _text(freq_el)
-            if "seconds=" in body:
-                raw = body.split("seconds=")[1].strip().strip('"')
-        if raw is None:
-            raise XmlSpecError(f"policy {policy_id!r}: <frequency> needs seconds")
-        frequency = float(raw)
+            if "seconds=" not in body:
+                raise XmlSpecError(f"policy {policy_id!r}: <frequency> needs seconds")
+            raw = body.split("seconds=")[1].strip().strip('"')
+            frequency = _convert(freq_el, "seconds", raw, float)
+    sensor_id, granularity = _read(use, _USE_SENSOR)
+    eval_op, threshold = _read(eval_el, _EVAL)
     return PolicySpec(
         policy_id=policy_id,
-        sensor_id=_require(use, "id"),
-        granularity=use.get("granularity", "task"),
-        eval_op=_require(eval_el, "operation"),
-        threshold=float(_require(eval_el, "threshold")),
+        sensor_id=sensor_id,
+        granularity=granularity,
+        eval_op=eval_op,
+        threshold=threshold,
         action=action,
-        history_window=window,
+        history_window=history_window,
         history_op=history_op,
         frequency=frequency,
     )
 
 
 # --------------------------------------------------------------------------- #
-# resilience section
-# --------------------------------------------------------------------------- #
-def _check_attrs(el: ET.Element, known: set[str]) -> None:
-    for attr in el.keys():
-        if attr not in known:
-            raise XmlSpecError(
-                f"unexpected <{el.tag}> attribute {attr!r} (known: {sorted(known)})"
-            )
-
-
-def _float_attr(el: ET.Element, attr: str, default: float) -> float:
-    raw = el.get(attr)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise XmlSpecError(f"<{el.tag}> attribute {attr!r}: not a number: {raw!r}") from None
-
-
-def _int_attr(el: ET.Element, attr: str, default: int) -> int:
-    raw = el.get(attr)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise XmlSpecError(f"<{el.tag}> attribute {attr!r}: not an integer: {raw!r}") from None
-
-
-def _bool_attr(el: ET.Element, attr: str, default: bool) -> bool:
-    raw = el.get(attr)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise XmlSpecError(f"<{el.tag}> attribute {attr!r}: not a boolean: {raw!r}")
-
-
-def _opt_float_attr(el: ET.Element, attr: str) -> float | None:
-    """Like :func:`_float_attr` but with no default: absent means ``None``."""
-    raw = el.get(attr)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise XmlSpecError(f"<{el.tag}> attribute {attr!r}: not a number: {raw!r}") from None
-
-
-def _parse_network(el: ET.Element) -> NetworkSpec:
-    """Parse one ``<network>`` element (the Monitor-fabric transport model)."""
-    _check_attrs(el, {
-        "enabled", "latency", "jitter", "drop-prob", "dup-prob",
-        "reorder-prob", "reorder-delay", "ack-timeout", "ack-drop-prob",
-        "max-retransmits", "retransmit-factor", "retransmit-max",
-        "retransmit-jitter", "send-buffer", "breaker-failures",
-        "breaker-reset", "ingress-capacity", "drain-per-tick",
-        "stale-after", "degrade-after", "recover-after",
-    })
-    partitions: list[PartitionWindow] = []
-    links: list[LinkOverride] = []
-    for child in el:
-        if child.tag == "partition":
-            _check_attrs(child, {"start", "duration", "link"})
-            partitions.append(PartitionWindow(
-                start=_float_attr(child, "start", 0.0),
-                duration=_float_attr(child, "duration", 0.0),
-                link=child.get("link"),
-            ))
-        elif child.tag == "link":
-            _check_attrs(child, {"client", "latency", "jitter", "drop-prob",
-                                 "dup-prob", "reorder-prob", "reorder-delay"})
-            links.append(LinkOverride(
-                client=_require(child, "client"),
-                latency=_opt_float_attr(child, "latency"),
-                jitter=_opt_float_attr(child, "jitter"),
-                drop_prob=_opt_float_attr(child, "drop-prob"),
-                dup_prob=_opt_float_attr(child, "dup-prob"),
-                reorder_prob=_opt_float_attr(child, "reorder-prob"),
-                reorder_delay=_opt_float_attr(child, "reorder-delay"),
-            ))
-        else:
-            raise XmlSpecError(f"unexpected <network> child <{child.tag}>")
-    return NetworkSpec(
-        enabled=_bool_attr(el, "enabled", True),
-        latency=_float_attr(el, "latency", 0.0),
-        jitter=_float_attr(el, "jitter", 0.0),
-        drop_prob=_float_attr(el, "drop-prob", 0.0),
-        dup_prob=_float_attr(el, "dup-prob", 0.0),
-        reorder_prob=_float_attr(el, "reorder-prob", 0.0),
-        reorder_delay=_float_attr(el, "reorder-delay", 0.5),
-        ack_timeout=_float_attr(el, "ack-timeout", 2.0),
-        ack_drop_prob=_float_attr(el, "ack-drop-prob", 0.0),
-        max_retransmits=_int_attr(el, "max-retransmits", 5),
-        retransmit_factor=_float_attr(el, "retransmit-factor", 2.0),
-        retransmit_max=_float_attr(el, "retransmit-max", 30.0),
-        retransmit_jitter=_float_attr(el, "retransmit-jitter", 0.25),
-        send_buffer=_int_attr(el, "send-buffer", 256),
-        breaker_failures=_int_attr(el, "breaker-failures", 0),
-        breaker_reset=_float_attr(el, "breaker-reset", 60.0),
-        ingress_capacity=_int_attr(el, "ingress-capacity", 0),
-        drain_per_tick=_int_attr(el, "drain-per-tick", 0),
-        stale_after=_float_attr(el, "stale-after", 0.0),
-        degrade_after=_int_attr(el, "degrade-after", 3),
-        recover_after=_int_attr(el, "recover-after", 3),
-        partitions=tuple(partitions),
-        links=tuple(links),
-    )
-
-
-def _parse_resilience(section: ET.Element, *, validate: bool = True) -> ResilienceSpec:
-    """Parse one ``<resilience>`` section (every child optional)."""
-    known = {"retry", "watchdog", "quarantine", "checkpoint", "faults", "network"}
-    for child in section:
-        if child.tag not in known:
-            raise XmlSpecError(f"unexpected <resilience> child <{child.tag}>")
-    retry = watchdog = quarantine = checkpoint = faults = network = None
-    el = section.find("retry")
-    if el is not None:
-        _check_attrs(el, {"max-retries", "backoff-base", "backoff-factor",
-                          "backoff-max", "jitter"})
-        retry = RetryPolicy(
-            max_retries=_int_attr(el, "max-retries", 3),
-            backoff_base=_float_attr(el, "backoff-base", 2.0),
-            backoff_factor=_float_attr(el, "backoff-factor", 2.0),
-            backoff_max=_float_attr(el, "backoff-max", 120.0),
-            jitter=_float_attr(el, "jitter", 0.25),
-        )
-    el = section.find("watchdog")
-    if el is not None:
-        _check_attrs(el, {"heartbeat-timeout", "poll", "kill-code"})
-        watchdog = WatchdogSpec(
-            heartbeat_timeout=_float_attr(el, "heartbeat-timeout", 120.0),
-            poll=_float_attr(el, "poll", 10.0),
-            kill_code=_int_attr(el, "kill-code", 142),
-        )
-    el = section.find("quarantine")
-    if el is not None:
-        _check_attrs(el, {"failures", "window", "cooldown"})
-        quarantine = QuarantineSpec(
-            failures=_int_attr(el, "failures", 3),
-            window=_float_attr(el, "window", 600.0),
-            cooldown=_float_attr(el, "cooldown", 1800.0),
-        )
-    el = section.find("checkpoint")
-    if el is not None:
-        _check_attrs(el, {"every", "resume"})
-        checkpoint = CheckpointSpec(
-            every=_int_attr(el, "every", 50),
-            resume=_bool_attr(el, "resume", True),
-        )
-    el = section.find("faults")
-    if el is not None:
-        _check_attrs(el, {"node-mtbf", "node-dist", "weibull-shape", "node-repair-time",
-                          "task-crash-mtbf", "task-hang-mtbf", "orch-crash-mtbf",
-                          "msg-drop-prob", "stage-drop-prob"})
-        faults = FaultModelSpec(
-            node_mtbf=_float_attr(el, "node-mtbf", 0.0),
-            node_dist=el.get("node-dist", "exponential"),
-            weibull_shape=_float_attr(el, "weibull-shape", 1.5),
-            node_repair_time=_float_attr(el, "node-repair-time", 600.0),
-            task_crash_mtbf=_float_attr(el, "task-crash-mtbf", 0.0),
-            task_hang_mtbf=_float_attr(el, "task-hang-mtbf", 0.0),
-            orch_crash_mtbf=_float_attr(el, "orch-crash-mtbf", 0.0),
-            msg_drop_prob=_float_attr(el, "msg-drop-prob", 0.0),
-            stage_drop_prob=_float_attr(el, "stage-drop-prob", 0.0),
-        )
-    el = section.find("network")
-    if el is not None:
-        network = _parse_network(el)
-    return ResilienceSpec(
-        retry=retry,
-        watchdog=watchdog,
-        quarantine=quarantine,
-        checkpoint=checkpoint,
-        faults=faults,
-        network=network,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# telemetry section
-# --------------------------------------------------------------------------- #
-def _parse_telemetry(section: ET.Element, *, validate: bool = True) -> TelemetrySpec:
-    """Parse one ``<telemetry>`` section (sink children optional)."""
-    _check_attrs(section, {"enabled", "sample"})
-    known = {"jsonl", "chrome-trace"}
-    for child in section:
-        if child.tag not in known:
-            raise XmlSpecError(f"unexpected <telemetry> child <{child.tag}>")
-    jsonl_path = chrome_trace_path = None
-    el = section.find("jsonl")
-    if el is not None:
-        _check_attrs(el, {"path"})
-        jsonl_path = _require(el, "path")
-    el = section.find("chrome-trace")
-    if el is not None:
-        _check_attrs(el, {"path"})
-        chrome_trace_path = _require(el, "path")
-    spec = TelemetrySpec(
-        enabled=_bool_attr(section, "enabled", True),
-        sample=_float_attr(section, "sample", 1.0),
-        jsonl_path=jsonl_path,
-        chrome_trace_path=chrome_trace_path,
-    )
-    if validate:
-        spec.validate()
-    return spec
-
-
-# --------------------------------------------------------------------------- #
-# journal section
-# --------------------------------------------------------------------------- #
-def _parse_journal(section: ET.Element, *, validate: bool = True) -> JournalSpec:
-    """Parse one ``<journal>`` element (crash-recovery WAL config)."""
-    _check_attrs(section, {"dir", "enabled", "fsync", "batch-every", "snapshot-every"})
-    for child in section:
-        raise XmlSpecError(f"unexpected <journal> child <{child.tag}>")
-    spec = JournalSpec(
-        dir=section.get("dir", "journal"),
-        enabled=_bool_attr(section, "enabled", True),
-        fsync=section.get("fsync", "batch"),
-        batch_every=_int_attr(section, "batch-every", 64),
-        snapshot_every=_int_attr(section, "snapshot-every", 20),
-    )
-    if validate:
-        spec.validate()
-    return spec
-
-
-# --------------------------------------------------------------------------- #
-# observability section
-# --------------------------------------------------------------------------- #
-def _parse_observability(section: ET.Element, *, validate: bool = True) -> ObservabilitySpec:
-    """Parse one ``<observability>`` section (SLOs, snapshots, exports)."""
-    _check_attrs(section, {"enabled", "eval-every", "snapshot-every", "analysis", "top-n"})
-    known = {"openmetrics", "report", "slo", "anomaly", "fleet"}
-    for child in section:
-        if child.tag not in known:
-            raise XmlSpecError(f"unexpected <observability> child <{child.tag}>")
-    openmetrics_path = report_path = report_json_path = None
-    el = section.find("openmetrics")
-    if el is not None:
-        _check_attrs(el, {"path"})
-        openmetrics_path = _require(el, "path")
-    el = section.find("report")
-    if el is not None:
-        _check_attrs(el, {"path", "json-path"})
-        report_path = el.get("path")
-        report_json_path = el.get("json-path")
-        if report_path is None and report_json_path is None:
-            raise XmlSpecError("<report> needs a path and/or json-path")
-    fleet = None
-    el = section.find("fleet")
-    if el is not None:
-        _check_attrs(el, {"enabled", "openmetrics-path", "top-k", "watch-path",
-                          "flight-recorder"})
-        fleet = FleetSpec(
-            enabled=_bool_attr(el, "enabled", True),
-            openmetrics_path=el.get("openmetrics-path"),
-            top_k=_int_attr(el, "top-k", 3),
-            watch_path=el.get("watch-path"),
-            flight_recorder=_int_attr(el, "flight-recorder", 256),
-        )
-    slos = []
-    for el in section.findall("slo"):
-        _check_attrs(el, {"metric", "stat", "op", "threshold", "severity",
-                          "fire-after", "clear-after", "tenant"})
-        slos.append(
-            SloSpec(
-                metric=_require(el, "metric"),
-                stat=el.get("stat", "p95"),
-                op=el.get("op", "LT").upper(),
-                threshold=float(_require(el, "threshold")),
-                severity=el.get("severity", "warning"),
-                fire_after=_int_attr(el, "fire-after", 1),
-                clear_after=_int_attr(el, "clear-after", 1),
-                tenant=el.get("tenant", ""),
-            )
-        )
-    anomalies = []
-    for el in section.findall("anomaly"):
-        _check_attrs(el, {"metric", "stat", "window", "z", "alpha",
-                          "min-points", "severity"})
-        anomalies.append(
-            AnomalySpec(
-                metric=_require(el, "metric"),
-                stat=el.get("stat", "value"),
-                window=_int_attr(el, "window", 20),
-                z=_float_attr(el, "z", 3.0),
-                alpha=_float_attr(el, "alpha", 0.3),
-                min_points=_int_attr(el, "min-points", 5),
-                severity=el.get("severity", "warning"),
-            )
-        )
-    spec = ObservabilitySpec(
-        enabled=_bool_attr(section, "enabled", True),
-        eval_every=_float_attr(section, "eval-every", 5.0),
-        snapshot_every=_float_attr(section, "snapshot-every", 0.0),
-        openmetrics_path=openmetrics_path,
-        report_path=report_path,
-        report_json_path=report_json_path,
-        analysis=_bool_attr(section, "analysis", True),
-        top_n=_int_attr(section, "top-n", 5),
-        slos=tuple(slos),
-        anomalies=tuple(anomalies),
-        fleet=fleet,
-    )
-    if validate:
-        spec.validate()
-    return spec
-
-
-# --------------------------------------------------------------------------- #
-# tenants section
-# --------------------------------------------------------------------------- #
-def _parse_tenants(section: ET.Element, *, validate: bool = True) -> TenantsSpec:
-    """Parse one ``<tenants>`` section (multi-tenant campaign service)."""
-    _check_attrs(section, {"nodes", "cores-per-node"})
-    known = {"tenant", "executor", "breaker"}
-    for child in section:
-        if child.tag not in known:
-            raise XmlSpecError(f"unexpected <tenants> child <{child.tag}>")
-    tenants: list[TenantSpec] = []
-    for el in section.findall("tenant"):
-        _check_attrs(el, {"id", "quota-cores", "weight", "max-queue"})
-        tenants.append(
-            TenantSpec(
-                tenant_id=_require(el, "id"),
-                quota_cores=_int_attr(el, "quota-cores", 0),
-                weight=_float_attr(el, "weight", 1.0),
-                max_queue=_int_attr(el, "max-queue", 8),
-            )
-        )
-    executor = None
-    el = section.find("executor")
-    if el is not None:
-        _check_attrs(el, {"workers", "cell-timeout", "max-attempts",
-                          "backoff-base", "backoff-factor", "backoff-max",
-                          "jitter", "kill-prob"})
-        executor = ExecutorSpec(
-            workers=_int_attr(el, "workers", 0),
-            cell_timeout=_float_attr(el, "cell-timeout", 0.0),
-            max_attempts=_int_attr(el, "max-attempts", 3),
-            backoff_base=_float_attr(el, "backoff-base", 0.5),
-            backoff_factor=_float_attr(el, "backoff-factor", 2.0),
-            backoff_max=_float_attr(el, "backoff-max", 30.0),
-            jitter=_float_attr(el, "jitter", 0.25),
-            kill_prob=_float_attr(el, "kill-prob", 0.0),
-        )
-    breaker = None
-    el = section.find("breaker")
-    if el is not None:
-        _check_attrs(el, {"failures", "window", "cooldown"})
-        breaker = QuarantineSpec(
-            failures=_int_attr(el, "failures", 3),
-            window=_float_attr(el, "window", 600.0),
-            cooldown=_float_attr(el, "cooldown", 1800.0),
-        )
-    spec = TenantsSpec(
-        nodes=_int_attr(section, "nodes", 0),
-        cores_per_node=_int_attr(section, "cores-per-node", 0),
-        tenants=tuple(tenants),
-        executor=executor,
-        breaker=breaker,
-    )
-    if validate:
-        spec.validate()
-    return spec
-
-
-# --------------------------------------------------------------------------- #
 # arbitration section
 # --------------------------------------------------------------------------- #
+_PRIORITY = _decl(name=str, priority=int)
+_TASK_DEPENDENCIES = _decl(workflowId=(str, None))
+_TASK_DEP = _decl(name=str, type=(str, "TIGHT"), parent=str)
+
+
 def _parse_arbitration(section: ET.Element, spec: DyflowSpec) -> None:
     rules = section.find("rules")
     if rules is None:
         return
     for rule_for in rules.findall("rule-for"):
-        workflow_id = _require(rule_for, "workflowId")
+        (workflow_id,) = _read(rule_for, _WORKFLOW)
         rule = spec.rules.setdefault(workflow_id, RuleSpec(workflow_id=workflow_id))
         for tp in rule_for.iter("task-priority"):
-            rule.task_priorities[_require(tp, "name")] = int(_require(tp, "priority"))
+            name, priority = _read(tp, _PRIORITY)
+            rule.task_priorities[name] = priority
         for pp in rule_for.iter("policy-priority"):
-            rule.policy_priorities[_require(pp, "name")] = int(_require(pp, "priority"))
+            name, priority = _read(pp, _PRIORITY)
+            rule.policy_priorities[name] = priority
+        for deps in rule_for.iter("task-dependencies"):
+            _read(deps, _TASK_DEPENDENCIES)  # the writer repeats workflowId here
         for dep in rule_for.iter("task-dep"):
-            type_name = dep.get("type", "TIGHT").upper()
+            task, type_name, parent = _read(dep, _TASK_DEP)
             try:
-                coupling = CouplingType[type_name]
+                coupling = CouplingType[type_name.upper()]
             except KeyError:
-                raise XmlSpecError(f"unknown dependency type {type_name!r}") from None
-            rule.dependencies.append(
-                DependencySpec(
-                    task=_require(dep, "name"),
-                    parent=_require(dep, "parent"),
-                    type=coupling,
-                )
-            )
+                raise XmlSpecError(f"unknown dependency type {type_name.upper()!r}") from None
+            rule.dependencies.append(DependencySpec(task=task, parent=parent, type=coupling))

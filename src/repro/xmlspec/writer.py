@@ -5,6 +5,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from xml.dom import minidom
 
+from repro.util.xmlfield import xml_fields
 from repro.xmlspec.model import DyflowSpec
 
 
@@ -14,11 +15,7 @@ def write_dyflow_xml(spec: DyflowSpec) -> str:
     _write_monitor(root, spec)
     _write_decision(root, spec)
     _write_arbitration(root, spec)
-    _write_resilience(root, spec)
-    _write_telemetry(root, spec)
-    _write_journal(root, spec)
-    _write_observability(root, spec)
-    _write_tenants(root, spec)
+    _write_fields(root, spec)  # the configuration sections DyflowSpec declares
     raw = ET.tostring(root, encoding="unicode")
     return minidom.parseString(raw).toprettyxml(indent="  ")
 
@@ -118,246 +115,19 @@ def _write_arbitration(root: ET.Element, spec: DyflowSpec) -> None:
                 )
 
 
-def _write_resilience(root: ET.Element, spec: DyflowSpec) -> None:
-    res = spec.resilience
-    if res is None:
-        return
-    section = ET.SubElement(root, "resilience")
-    if res.retry is not None:
-        ET.SubElement(
-            section, "retry",
-            attrib={
-                "max-retries": str(res.retry.max_retries),
-                "backoff-base": repr(res.retry.backoff_base),
-                "backoff-factor": repr(res.retry.backoff_factor),
-                "backoff-max": repr(res.retry.backoff_max),
-                "jitter": repr(res.retry.jitter),
-            },
-        )
-    if res.watchdog is not None:
-        ET.SubElement(
-            section, "watchdog",
-            attrib={
-                "heartbeat-timeout": repr(res.watchdog.heartbeat_timeout),
-                "poll": repr(res.watchdog.poll),
-                "kill-code": str(res.watchdog.kill_code),
-            },
-        )
-    if res.quarantine is not None:
-        ET.SubElement(
-            section, "quarantine",
-            attrib={
-                "failures": str(res.quarantine.failures),
-                "window": repr(res.quarantine.window),
-                "cooldown": repr(res.quarantine.cooldown),
-            },
-        )
-    if res.checkpoint is not None:
-        ET.SubElement(
-            section, "checkpoint",
-            attrib={
-                "every": str(res.checkpoint.every),
-                "resume": "true" if res.checkpoint.resume else "false",
-            },
-        )
-    if res.faults is not None:
-        ET.SubElement(
-            section, "faults",
-            attrib={
-                "node-mtbf": repr(res.faults.node_mtbf),
-                "node-dist": res.faults.node_dist,
-                "weibull-shape": repr(res.faults.weibull_shape),
-                "node-repair-time": repr(res.faults.node_repair_time),
-                "task-crash-mtbf": repr(res.faults.task_crash_mtbf),
-                "task-hang-mtbf": repr(res.faults.task_hang_mtbf),
-                "orch-crash-mtbf": repr(res.faults.orch_crash_mtbf),
-                "msg-drop-prob": repr(res.faults.msg_drop_prob),
-                "stage-drop-prob": repr(res.faults.stage_drop_prob),
-            },
-        )
-    if res.network is not None:
-        net = res.network
-        net_el = ET.SubElement(
-            section, "network",
-            attrib={
-                "enabled": "true" if net.enabled else "false",
-                "latency": repr(net.latency),
-                "jitter": repr(net.jitter),
-                "drop-prob": repr(net.drop_prob),
-                "dup-prob": repr(net.dup_prob),
-                "reorder-prob": repr(net.reorder_prob),
-                "reorder-delay": repr(net.reorder_delay),
-                "ack-timeout": repr(net.ack_timeout),
-                "ack-drop-prob": repr(net.ack_drop_prob),
-                "max-retransmits": str(net.max_retransmits),
-                "retransmit-factor": repr(net.retransmit_factor),
-                "retransmit-max": repr(net.retransmit_max),
-                "retransmit-jitter": repr(net.retransmit_jitter),
-                "send-buffer": str(net.send_buffer),
-                "breaker-failures": str(net.breaker_failures),
-                "breaker-reset": repr(net.breaker_reset),
-                "ingress-capacity": str(net.ingress_capacity),
-                "drain-per-tick": str(net.drain_per_tick),
-                "stale-after": repr(net.stale_after),
-                "degrade-after": str(net.degrade_after),
-                "recover-after": str(net.recover_after),
-            },
-        )
-        for w in net.partitions:
-            attrib = {"start": repr(w.start), "duration": repr(w.duration)}
-            if w.link is not None:
-                attrib["link"] = w.link
-            ET.SubElement(net_el, "partition", attrib=attrib)
-        for lo in net.links:
-            attrib = {"client": lo.client}
-            for field, xml_name in (
-                ("latency", "latency"), ("jitter", "jitter"),
-                ("drop_prob", "drop-prob"), ("dup_prob", "dup-prob"),
-                ("reorder_prob", "reorder-prob"), ("reorder_delay", "reorder-delay"),
-            ):
-                value = getattr(lo, field)
-                if value is not None:
-                    attrib[xml_name] = repr(value)
-            ET.SubElement(net_el, "link", attrib=attrib)
-
-
-def _write_telemetry(root: ET.Element, spec: DyflowSpec) -> None:
-    tel = spec.telemetry
-    if tel is None:
-        return
-    section = ET.SubElement(
-        root, "telemetry",
-        attrib={
-            "enabled": "true" if tel.enabled else "false",
-            "sample": repr(tel.sample),
-        },
-    )
-    if tel.jsonl_path is not None:
-        ET.SubElement(section, "jsonl", path=tel.jsonl_path)
-    if tel.chrome_trace_path is not None:
-        ET.SubElement(section, "chrome-trace", path=tel.chrome_trace_path)
-
-
-def _write_observability(root: ET.Element, spec: DyflowSpec) -> None:
-    obs = spec.observability
-    if obs is None:
-        return
-    section = ET.SubElement(
-        root, "observability",
-        attrib={
-            "enabled": "true" if obs.enabled else "false",
-            "eval-every": repr(obs.eval_every),
-            "snapshot-every": repr(obs.snapshot_every),
-            "analysis": "true" if obs.analysis else "false",
-            "top-n": str(obs.top_n),
-        },
-    )
-    if obs.openmetrics_path is not None:
-        ET.SubElement(section, "openmetrics", path=obs.openmetrics_path)
-    if obs.report_path is not None or obs.report_json_path is not None:
-        attrib = {}
-        if obs.report_path is not None:
-            attrib["path"] = obs.report_path
-        if obs.report_json_path is not None:
-            attrib["json-path"] = obs.report_json_path
-        ET.SubElement(section, "report", attrib=attrib)
-    if obs.fleet is not None:
-        attrib = {
-            "enabled": "true" if obs.fleet.enabled else "false",
-            "top-k": str(obs.fleet.top_k),
-            "flight-recorder": str(obs.fleet.flight_recorder),
-        }
-        if obs.fleet.openmetrics_path is not None:
-            attrib["openmetrics-path"] = obs.fleet.openmetrics_path
-        if obs.fleet.watch_path is not None:
-            attrib["watch-path"] = obs.fleet.watch_path
-        ET.SubElement(section, "fleet", attrib=attrib)
-    for slo in obs.slos:
-        attrib = {
-            "metric": slo.metric,
-            "stat": slo.stat,
-            "op": slo.op,
-            "threshold": repr(slo.threshold),
-            "severity": slo.severity,
-            "fire-after": str(slo.fire_after),
-            "clear-after": str(slo.clear_after),
-        }
-        if slo.tenant:
-            attrib["tenant"] = slo.tenant
-        ET.SubElement(section, "slo", attrib=attrib)
-    for an in obs.anomalies:
-        ET.SubElement(
-            section, "anomaly",
-            attrib={
-                "metric": an.metric,
-                "stat": an.stat,
-                "window": str(an.window),
-                "z": repr(an.z),
-                "alpha": repr(an.alpha),
-                "min-points": str(an.min_points),
-                "severity": an.severity,
-            },
-        )
-
-
-def _write_journal(root: ET.Element, spec: DyflowSpec) -> None:
-    jrn = spec.journal
-    if jrn is None:
-        return
-    ET.SubElement(
-        root, "journal",
-        attrib={
-            "dir": jrn.dir,
-            "enabled": "true" if jrn.enabled else "false",
-            "fsync": jrn.fsync,
-            "batch-every": str(jrn.batch_every),
-            "snapshot-every": str(jrn.snapshot_every),
-        },
-    )
-
-
-def _write_tenants(root: ET.Element, spec: DyflowSpec) -> None:
-    ten = spec.tenants
-    if ten is None:
-        return
-    section = ET.SubElement(
-        root, "tenants",
-        attrib={
-            "nodes": str(ten.nodes),
-            "cores-per-node": str(ten.cores_per_node),
-        },
-    )
-    for t in ten.tenants:
-        ET.SubElement(
-            section, "tenant",
-            attrib={
-                "id": t.tenant_id,
-                "quota-cores": str(t.quota_cores),
-                "weight": repr(t.weight),
-                "max-queue": str(t.max_queue),
-            },
-        )
-    if ten.executor is not None:
-        ex = ten.executor
-        ET.SubElement(
-            section, "executor",
-            attrib={
-                "workers": str(ex.workers),
-                "cell-timeout": repr(ex.cell_timeout),
-                "max-attempts": str(ex.max_attempts),
-                "backoff-base": repr(ex.backoff_base),
-                "backoff-factor": repr(ex.backoff_factor),
-                "backoff-max": repr(ex.backoff_max),
-                "jitter": repr(ex.jitter),
-                "kill-prob": repr(ex.kill_prob),
-            },
-        )
-    if ten.breaker is not None:
-        ET.SubElement(
-            section, "breaker",
-            attrib={
-                "failures": str(ten.breaker.failures),
-                "window": repr(ten.breaker.window),
-                "cooldown": repr(ten.breaker.cooldown),
-            },
-        )
+def _write_fields(el: ET.Element, obj: object) -> None:
+    """Emit every XML-visible field of *obj* onto *el*, in field order."""
+    for x in xml_fields(type(obj)):
+        value = getattr(obj, x.attr)
+        if x.element is not None:
+            for part in value if x.many else (value,):
+                if part is not None:
+                    _write_fields(ET.SubElement(el, x.name), part)
+        elif value is not None and not (x.optional and value == x.default):
+            target = el
+            if x.holder is not None:
+                target = el.find(x.holder)
+                if target is None:
+                    target = ET.SubElement(el, x.holder)
+            text = ("true" if value else "false") if x.type is bool else str(value)
+            target.set(x.name, text)

@@ -1,34 +1,22 @@
 """RuntimeOptions: the consolidated runtime-configuration bundle.
 
-Covers the one-release deprecation contract for the legacy per-subsystem
-constructor kwargs: each emits exactly one DeprecationWarning per
-process, mixing them with ``options=`` is an error, and the shims
-produce the same configuration as the options path.
+``options=`` is the only constructor path: the per-subsystem keyword
+arguments the drivers once accepted are gone, like the other renamed-API
+shims checked at the bottom.
 """
-
-import warnings
 
 import pytest
 
 from repro.apps import ConstantModel, IterativeApp
 from repro.cluster import Allocation, summit
-from repro.errors import DyflowError
 from repro.journal import JournalSpec
 from repro.observability import ObservabilitySpec
 from repro.resilience import ResilienceSpec, RetryPolicy
 from repro.runtime import DyflowOrchestrator, RuntimeOptions, ThreadedDyflow
 from repro.sim import RngRegistry, SimEngine
 from repro.telemetry import TelemetrySpec
-from repro.util.deprecation import reset_warned
 from repro.wms import Savanna, TaskSpec, WorkflowSpec
 from repro.xmlspec.model import DyflowSpec
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    reset_warned()
-    yield
-    reset_warned()
 
 
 def make_launcher():
@@ -110,32 +98,10 @@ class TestOrchestratorOptions:
         ("journal", None),
         ("preflight", "off"),
     ])
-    def test_legacy_kwarg_warns_exactly_once(self, kwarg, value):
+    def test_legacy_kwarg_is_a_type_error(self, kwarg, value):
         eng, sav = make_launcher()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError, match=kwarg):
             DyflowOrchestrator(sav, **{kwarg: value})
-            DyflowOrchestrator(sav, **{kwarg: value})
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert kwarg in str(deprecations[0].message)
-        assert "RuntimeOptions" in str(deprecations[0].message)
-
-    def test_legacy_kwarg_value_still_lands(self):
-        eng, sav = make_launcher()
-        telemetry = TelemetrySpec(enabled=True)
-        with pytest.warns(DeprecationWarning, match="telemetry"):
-            orch = DyflowOrchestrator(sav, telemetry=telemetry)
-        assert orch.telemetry is telemetry
-        assert orch.options.telemetry is telemetry
-
-    def test_options_plus_legacy_kwarg_rejected(self):
-        eng, sav = make_launcher()
-        with pytest.warns(DeprecationWarning, match="preflight"):
-            with pytest.raises(DyflowError, match="preflight"):
-                DyflowOrchestrator(
-                    sav, options=RuntimeOptions(), preflight="strict"
-                )
 
 
 class TestThreadedOptions:
@@ -154,28 +120,33 @@ class TestThreadedOptions:
         ("journal", None),
         ("preflight", "off"),
     ])
-    def test_legacy_kwarg_warns_exactly_once(self, kwarg, value):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    def test_legacy_kwarg_is_a_type_error(self, kwarg, value):
+        with pytest.raises(TypeError, match=kwarg):
             ThreadedDyflow("WF", [], **{kwarg: value})
-            ThreadedDyflow("WF", [], **{kwarg: value})
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert kwarg in str(deprecations[0].message)
 
-    def test_options_plus_legacy_kwarg_rejected(self):
-        with pytest.warns(DeprecationWarning, match="journal"):
-            with pytest.raises(DyflowError, match="journal"):
-                ThreadedDyflow("WF", [], options=RuntimeOptions(), journal=None)
 
-    def test_warn_keys_are_per_runtime(self):
-        # DyflowOrchestrator.telemetry and ThreadedDyflow.telemetry are
-        # separate deprecation keys: migrating one runtime's callers
-        # must not silence the other's warning.
-        eng, sav = make_launcher()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DyflowOrchestrator(sav, telemetry=None)
-            ThreadedDyflow("WF", [], telemetry=None)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
+class TestRemovedShims:
+    """The PR 2 renamed-API shims were removed once callers migrated."""
+
+    def test_monitor_receive_is_positional_only_api(self):
+        from repro.core.monitor import MonitorServer
+        from repro.util.jsonmsg import Envelope
+
+        server = MonitorServer()
+        env = Envelope(kind="sensor-update", sender="c/PACE", seq=0,
+                       time=0.0, payload={"updates": []})
+        with pytest.raises(TypeError):
+            server.receive(env=env)  # the old keyword no longer exists
+        server.receive(env)
+        assert server.received == 1
+
+    def test_monitor_receive_requires_an_envelope(self):
+        from repro.core.monitor import MonitorServer
+
+        server = MonitorServer()
+        with pytest.raises(TypeError):
+            server.receive()
+
+    def test_threaded_shutdown_alias_removed(self):
+        runner = ThreadedDyflow("WF", tasks=[])
+        assert not hasattr(runner, "shutdown")

@@ -194,6 +194,33 @@ class TestValidation:
         with pytest.raises(XmlSpecError, match="dependency type"):
             parse_dyflow_xml(xml)
 
+    @pytest.mark.parametrize("element,attribute,fragment", [
+        ("slo", "threshold",
+         '<observability><slo metric="m" threshold="abc"/></observability>'),
+        ("eval", "threshold", FIG4.replace('threshold="36"', 'threshold="abc"', 1)),
+        ("history", "window", FIG4.replace('window="10"', 'window="abc"', 1)),
+        ("frequency", "seconds", FIG4.replace('seconds="5"', 'seconds="abc"', 1)),
+        ("task-priority", "priority", FIG5.replace('priority="0"', 'priority="abc"', 1)),
+        ("policy-priority", "priority",
+         '<arbitration><rules><rule-for workflowId="W">'
+         '<policy-priority name="P" priority="abc"/></rule-for></rules></arbitration>'),
+    ], ids=["slo", "eval", "history", "frequency", "task-priority", "policy-priority"])
+    def test_malformed_number_names_element_and_attribute(
+        self, element, attribute, fragment
+    ):
+        with pytest.raises(XmlSpecError, match=f"<{element}> attribute '{attribute}'.*'abc'"):
+            parse_dyflow_xml(fragment, validate=False)
+
+    def test_fig10_frequency_typo_still_reports_bad_numbers(self):
+        xml = FIG4.replace('<frequency seconds="5" />', '<frequency> seconds="abc" </frequency>', 1)
+        with pytest.raises(XmlSpecError, match="<frequency> attribute 'seconds'"):
+            parse_dyflow_xml(xml, validate=False)
+
+    def test_misspelled_attribute_in_a_paper_section_is_rejected(self):
+        xml = FIG4.replace('<history window="10"', '<history windw="10"', 1)
+        with pytest.raises(XmlSpecError, match=r"unexpected <history> attribute 'windw' \(known"):
+            parse_dyflow_xml(xml, validate=False)
+
     def test_param_coercion(self):
         spec = parse_dyflow_xml(f"<dyflow>{FIG3}{FIG4}</dyflow>")
         assert spec.applications[0].action_params["adjust-by"] == 20  # int, not str

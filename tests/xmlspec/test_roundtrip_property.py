@@ -26,8 +26,9 @@ from repro.resilience import (
     WatchdogSpec,
 )
 from repro.journal import JournalSpec
-from repro.observability import AnomalySpec, FleetSpec, ObservabilitySpec, SloSpec
+from repro.observability import AnomalySpec, ObservabilitySpec, SloSpec
 from repro.telemetry import TelemetrySpec
+from repro.util.xmlfield import xml_fields
 from repro.wms.spec import CouplingType, DependencySpec
 from repro.xmlspec import (
     DyflowSpec,
@@ -37,10 +38,8 @@ from repro.xmlspec import (
     write_dyflow_xml,
 )
 
-names = st.text(alphabet="abcdefgXYZ_", min_size=1, max_size=8)
-# Param *string* values must not look numeric (the parser coerces
-# numeric-looking strings to int/float) nor spell inf/nan.
-safe_text = st.text(alphabet="BCDGHJKLMNPQRSTVWXZ_", min_size=1, max_size=8)
+from tests.xmlspec.strategies import names, safe_text, strategy_for
+
 param_values = st.one_of(
     st.integers(-10**6, 10**6),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -49,223 +48,6 @@ param_values = st.one_of(
 params = st.dictionaries(names, param_values, max_size=3)
 granularities = st.sampled_from(["task", "node-task", "workflow", "node-workflow"])
 reductions = st.sampled_from(["MAX", "MIN", "AVG", "SUM", "MEDIAN", "FIRST", "LAST", "COUNT"])
-positive = st.floats(min_value=0.01, max_value=1e5, allow_nan=False)
-
-
-probs = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
-maybe_probs = st.one_of(st.none(), probs)
-maybe_positive = st.one_of(st.none(), positive)
-
-
-@st.composite
-def network_specs(draw):
-    clients = draw(st.lists(names, max_size=2, unique=True))
-    links = tuple(
-        LinkOverride(
-            client=c,
-            latency=draw(maybe_positive),
-            jitter=draw(maybe_positive),
-            drop_prob=draw(maybe_probs),
-            dup_prob=draw(maybe_probs),
-            reorder_prob=draw(maybe_probs),
-            reorder_delay=draw(maybe_positive),
-        )
-        for c in clients
-    )
-    partitions = tuple(
-        PartitionWindow(
-            start=draw(st.floats(min_value=0.0, max_value=1e5, allow_nan=False)),
-            duration=draw(positive),
-            link=draw(st.one_of(st.none(), names)),
-        )
-        for _ in range(draw(st.integers(0, 2)))
-    )
-    return NetworkSpec(
-        enabled=draw(st.booleans()),
-        latency=draw(st.one_of(st.just(0.0), positive)),
-        jitter=draw(st.one_of(st.just(0.0), positive)),
-        drop_prob=draw(probs),
-        dup_prob=draw(probs),
-        reorder_prob=draw(probs),
-        reorder_delay=draw(st.one_of(st.just(0.0), positive)),
-        ack_timeout=draw(positive),
-        ack_drop_prob=draw(probs),
-        max_retransmits=draw(st.integers(0, 10)),
-        retransmit_factor=draw(st.floats(min_value=1.0, max_value=8.0)),
-        retransmit_max=draw(positive),
-        retransmit_jitter=draw(st.floats(min_value=0.0, max_value=1.0)),
-        send_buffer=draw(st.integers(1, 4096)),
-        breaker_failures=draw(st.integers(0, 10)),
-        breaker_reset=draw(positive),
-        ingress_capacity=draw(st.integers(0, 4096)),
-        drain_per_tick=draw(st.integers(0, 256)),
-        stale_after=draw(st.one_of(st.just(0.0), positive)),
-        degrade_after=draw(st.integers(1, 10)),
-        recover_after=draw(st.integers(1, 10)),
-        partitions=partitions,
-        links=links,
-    )
-
-
-@st.composite
-def resilience_specs(draw):
-    def maybe(strat):
-        return draw(st.one_of(st.none(), strat))
-
-    return ResilienceSpec(
-        retry=maybe(st.builds(
-            RetryPolicy,
-            max_retries=st.integers(0, 10),
-            backoff_base=positive,
-            backoff_factor=st.floats(min_value=1.0, max_value=8.0),
-            backoff_max=positive,
-            jitter=st.floats(min_value=0.0, max_value=1.0),
-        )),
-        watchdog=maybe(st.builds(
-            WatchdogSpec,
-            heartbeat_timeout=positive,
-            poll=positive,
-            kill_code=st.integers(129, 255),
-        )),
-        quarantine=maybe(st.builds(
-            QuarantineSpec,
-            failures=st.integers(1, 10),
-            window=positive,
-            cooldown=positive,
-        )),
-        checkpoint=maybe(st.builds(
-            CheckpointSpec,
-            every=st.integers(1, 1000),
-            resume=st.booleans(),
-        )),
-        faults=maybe(st.builds(
-            FaultModelSpec,
-            node_mtbf=st.one_of(st.just(0.0), positive),
-            node_dist=st.sampled_from(["exponential", "weibull"]),
-            weibull_shape=st.floats(min_value=0.2, max_value=5.0),
-            node_repair_time=positive,
-            task_crash_mtbf=st.one_of(st.just(0.0), positive),
-            task_hang_mtbf=st.one_of(st.just(0.0), positive),
-            msg_drop_prob=st.floats(min_value=0.0, max_value=0.99),
-            stage_drop_prob=st.floats(min_value=0.0, max_value=0.99),
-            orch_crash_mtbf=st.one_of(st.just(0.0), positive),
-        )),
-        network=maybe(network_specs()),
-    )
-
-
-journal_specs = st.builds(
-    JournalSpec,
-    dir=safe_text,
-    enabled=st.booleans(),
-    fsync=st.sampled_from(["off", "always", "batch"]),
-    batch_every=st.integers(1, 1000),
-    snapshot_every=st.integers(1, 100),
-)
-
-
-telemetry_specs = st.builds(
-    TelemetrySpec,
-    enabled=st.booleans(),
-    sample=st.floats(min_value=0.001, max_value=1.0),
-    jsonl_path=st.one_of(st.none(), safe_text),
-    chrome_trace_path=st.one_of(st.none(), safe_text),
-)
-
-
-slo_stats = st.sampled_from(["p50", "p95", "p99", "mean", "min", "max", "count", "value"])
-severities = st.sampled_from(["info", "warning", "critical"])
-
-
-@st.composite
-def observability_specs(draw):
-    # Unique (metric, stat) keys — duplicate objectives fail validation.
-    slo_keys = draw(st.lists(st.tuples(names, slo_stats), max_size=3,
-                             unique=True))
-    slos = tuple(
-        SloSpec(
-            metric=metric, stat=stat,
-            op=draw(st.sampled_from(["LT", "LE", "GT", "GE"])),
-            threshold=draw(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
-            severity=draw(severities),
-            fire_after=draw(st.integers(1, 5)),
-            clear_after=draw(st.integers(1, 5)),
-            tenant=draw(st.one_of(st.just(""), names)),
-        )
-        for metric, stat in slo_keys
-    )
-    anomalies = tuple(
-        AnomalySpec(
-            metric=draw(names), stat=draw(slo_stats),
-            window=draw(st.integers(2, 50)),
-            z=draw(st.floats(min_value=0.5, max_value=10.0)),
-            alpha=draw(st.floats(min_value=0.01, max_value=1.0)),
-            min_points=draw(st.integers(2, 10)),
-            severity=draw(severities),
-        )
-        for _ in range(draw(st.integers(0, 2)))
-    )
-    report_path = draw(st.one_of(st.none(), safe_text))
-    report_json_path = draw(st.one_of(st.none(), safe_text))
-    fleet = draw(st.one_of(st.none(), st.builds(
-        FleetSpec,
-        enabled=st.booleans(),
-        openmetrics_path=st.one_of(st.none(), safe_text),
-        top_k=st.integers(1, 10),
-        watch_path=st.one_of(st.none(), safe_text),
-        flight_recorder=st.integers(0, 1024),
-    )))
-    return ObservabilitySpec(
-        enabled=draw(st.booleans()),
-        eval_every=draw(positive),
-        snapshot_every=draw(st.one_of(st.just(0.0), positive)),
-        openmetrics_path=draw(st.one_of(st.none(), safe_text)),
-        report_path=report_path,
-        report_json_path=report_json_path,
-        analysis=draw(st.booleans()),
-        top_n=draw(st.integers(1, 20)),
-        slos=slos,
-        anomalies=anomalies,
-        fleet=fleet,
-    )
-
-
-@st.composite
-def tenants_specs(draw):
-    ids = draw(st.lists(names, max_size=3, unique=True))
-    tenants = tuple(
-        TenantSpec(
-            tenant_id=tid,
-            quota_cores=draw(st.integers(0, 10_000)),
-            weight=draw(st.floats(min_value=0.1, max_value=10.0)),
-            max_queue=draw(st.integers(1, 64)),
-        )
-        for tid in ids
-    )
-    executor = draw(st.one_of(st.none(), st.builds(
-        ExecutorSpec,
-        workers=st.integers(0, 16),
-        cell_timeout=st.one_of(st.just(0.0), positive),
-        max_attempts=st.integers(1, 8),
-        backoff_base=positive,
-        backoff_factor=st.floats(min_value=1.0, max_value=8.0),
-        backoff_max=positive,
-        jitter=st.floats(min_value=0.0, max_value=1.0),
-        kill_prob=st.floats(min_value=0.0, max_value=0.99),
-    )))
-    breaker = draw(st.one_of(st.none(), st.builds(
-        QuarantineSpec,
-        failures=st.integers(1, 10),
-        window=positive,
-        cooldown=positive,
-    )))
-    return TenantsSpec(
-        nodes=draw(st.integers(0, 512)),
-        cores_per_node=draw(st.integers(0, 128)),
-        tenants=tenants,
-        executor=executor,
-        breaker=breaker,
-    )
 
 
 @st.composite
@@ -349,11 +131,11 @@ def dyflow_specs(draw):
         policies=policies,
         applications=applications,
         rules=rules,
-        resilience=draw(st.one_of(st.none(), resilience_specs())),
-        telemetry=draw(st.one_of(st.none(), telemetry_specs)),
-        journal=draw(st.one_of(st.none(), journal_specs)),
-        observability=draw(st.one_of(st.none(), observability_specs())),
-        tenants=draw(st.one_of(st.none(), tenants_specs())),
+        # The configuration sections come from their field declarations.
+        **{
+            x.attr: draw(st.one_of(st.none(), strategy_for(x.cls)))
+            for x in xml_fields(DyflowSpec)
+        },
     )
 
 
