@@ -1,7 +1,7 @@
 """Core-kernel throughput: events/ticks/envelopes per wall-second.
 
 Drives the synthetic N-task scenario (``repro.experiments.synthetic``)
-at 1k/5k/10k tasks and reports how fast the discrete-event core and the
+at 1k/5k/10k/30k tasks and reports how fast the discrete-event core and the
 four-stage control loop chew through it.  The artifact
 (``BENCH_core_throughput.json``) is the budget every future PR is held
 to: the ``core-throughput-smoke`` CI job re-runs the smoke size and
@@ -25,8 +25,10 @@ Reading the JSON: one row per scenario size under ``metrics.sizes``;
 wall-second, launch included), ``events_per_sec`` the raw engine rate,
 ``envelopes_per_sec`` the monitor-fabric delivery rate.
 ``metrics.calibration_events_per_sec`` is the machine-speed yardstick
-used by ``--check``.  Raw counters ride along so rates can be
-recomputed.  See docs/performance.md.
+used by ``--check``.  ``metrics.events_per_sec_10k_over_1k`` (present when
+both sizes ran) is the flat-per-event-cost figure: 1.0 means an event
+costs the same at 10k tasks as at 1k; ROADMAP item 1 wants >= 0.5.  Raw
+counters ride along so rates can be recomputed.  See docs/performance.md.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.experiments.synthetic import run_synthetic_experiment
 from repro.sim import SimEngine
 
 SMOKE_SIZES = (1000,)
-FULL_SIZES = (1000, 5000, 10000)
+FULL_SIZES = (1000, 5000, 10000, 30000)
 REGRESSION_BUDGET = 0.10  # fail --check beyond 10% normalized ticks/sec loss
 CALIBRATION_EVENTS = 200_000
 
@@ -92,10 +94,16 @@ def measure(num_tasks: int, repeats: int = 1) -> dict:
 
 
 def run_suite(sizes=FULL_SIZES, repeats: int = 1) -> dict:
-    return {
+    metrics = {
         "calibration_events_per_sec": calibrate(),
         "sizes": {str(n): measure(n, repeats=repeats) for n in sizes},
     }
+    rows = metrics["sizes"]
+    if "1000" in rows and "10000" in rows:
+        metrics["events_per_sec_10k_over_1k"] = round(
+            rows["10000"]["events_per_sec"] / rows["1000"]["events_per_sec"], 3
+        )
+    return metrics
 
 
 def check_regression(metrics: dict, committed_path: str) -> list[str]:
@@ -161,6 +169,8 @@ def main(argv=None) -> int:
             f"{row['events_per_sec']:>10} events/s {row['envelopes_per_sec']:>8} envelopes/s "
             f"({row['wall_seconds']}s wall)"
         )
+    if "events_per_sec_10k_over_1k" in metrics:
+        print(f"events/s at 10k over 1k: {metrics['events_per_sec_10k_over_1k']}")
     if not args.no_write:
         _write(metrics, args.repeats)
     if args.check:

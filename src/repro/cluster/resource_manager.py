@@ -101,12 +101,18 @@ class ResourceManager:
         return ResourceSet(self._per_node)
 
     def free(self) -> ResourceSet:
-        """Unassigned cores on healthy nodes."""
-        return self.allocation.full_resources().subtract(
-            self.assigned_total().restrict_to(
-                {n.node_id for n in self.allocation.healthy_nodes()}
-            )
-        )
+        """Unassigned cores on healthy nodes.
+
+        One pass over the inventory against the per-node totals that
+        :meth:`_account` keeps current; node health is read live because
+        nodes fail and recover outside this class.
+        """
+        used = self._per_node
+        return ResourceSet({
+            n.node_id: n.cores - used.get(n.node_id, 0)
+            for n in self.allocation.nodes
+            if n.state == NodeState.UP
+        })
 
     def free_cores(self) -> int:
         return self.free().total_cores

@@ -29,6 +29,10 @@ class DecisionStage:
     def __init__(self) -> None:
         self._specs: dict[str, PolicySpec] = {}
         self._runtimes: list[PolicyRuntime] = []
+        # Creation indices of the runtimes with something to assess; each
+        # runtime keeps its own membership current (PolicyRuntime.track),
+        # so tick() never visits an idle policy.
+        self._answerable: set[int] = set()
         # Routing index: (sensor, granularity, workflow) -> (by-task map,
         # wildcard list).  Rebuilt lazily after apply_policy; turns
         # ingest from O(updates x runtimes) into O(updates) — the
@@ -57,6 +61,7 @@ class DecisionStage:
         if spec is None:
             raise PolicyError(f"apply-policy references unknown policy {application.policy_id!r}")
         runtime = PolicyRuntime(spec, application)
+        runtime.track(len(self._runtimes), self._answerable)
         self._runtimes.append(runtime)
         self._route = None
         return runtime
@@ -120,8 +125,16 @@ class DecisionStage:
         tracer = self.tracer
         span = tracer.start_span("decision.tick", "decision") if tracer.enabled else None
         suggestions: list[SuggestedAction] = []
-        for rt in self._runtimes:
+        runtimes, answerable = self._runtimes, self._answerable
+        for index in sorted(answerable):  # creation order, as suggestions must be
+            rt = runtimes[index]
+            # Unmark before reading: a value the threaded runtime's
+            # monitor thread appends after this line marks the runtime
+            # again, so it is never left pending and unmarked.
+            answerable.discard(index)
             suggestions.extend(rt.evaluate(now))
+            if rt.can_answer():
+                answerable.add(index)
         if span is not None:
             tracer.end_span(span, suggestions=len(suggestions))
             if suggestions:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.machine import MachinePerf
 from repro.core.events import MetricUpdate
-from repro.core.sensors.base import SensorInstance
+from repro.core.sensors.base import SensorInstance, SensorSpec
 from repro.errors import SensorError
 from repro.telemetry.metrics import LatencyHistogram
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -34,19 +34,18 @@ if TYPE_CHECKING:
 _HEALTH_TASK = "__dyflow__"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonitorTaskBinding:
-    """One (monitored task, sensor instance) pair living on a client."""
+    """One (monitored task, sensor instance) pair living on a client.
+
+    ``task`` and ``sensor_id`` are fixed at bind time: the client indexes
+    its bindings by them, so they must not follow later edits of the
+    instance.
+    """
 
     instance: SensorInstance
-
-    @property
-    def task(self) -> str:
-        return self.instance.task
-
-    @property
-    def sensor_id(self) -> str:
-        return self.instance.spec.sensor_id
+    task: str
+    sensor_id: str
 
 
 class MonitorClient:
@@ -55,13 +54,23 @@ class MonitorClient:
     def __init__(self, client_id: str, perf: MachinePerf) -> None:
         self.client_id = client_id
         self.perf = perf
+        # Creation order is the order of collect() and of the journaled
+        # cursor list; the two maps below are derived from it at bind
+        # time and never journaled.
         self._bindings: list[MonitorTaskBinding] = []
+        self._by_task: dict[str, list[MonitorTaskBinding]] = {}
+        # sensor id -> (spec of its first binding, largest read lag)
+        self._sensors: dict[str, tuple[SensorSpec, float]] = {}
         self._seq = SequenceTracker()
 
     # -- configuration -----------------------------------------------------------
     def add_binding(self, instance: SensorInstance) -> MonitorTaskBinding:
-        binding = MonitorTaskBinding(instance)
+        sensor_id = instance.spec.sensor_id
+        binding = MonitorTaskBinding(instance, instance.task, sensor_id)
         self._bindings.append(binding)
+        self._by_task.setdefault(binding.task, []).append(binding)
+        spec, lag = self._sensors.get(sensor_id, (instance.spec, 0.0))
+        self._sensors[sensor_id] = (spec, max(lag, instance.source.read_lag(self.perf)))
         return binding
 
     @property
@@ -71,9 +80,8 @@ class MonitorClient:
     # -- lifecycle ----------------------------------------------------------------
     def on_task_restart(self, task: str) -> None:
         """Reset connections of every sensor watching *task* (§2.1)."""
-        for b in self._bindings:
-            if b.task == task:
-                b.instance.reconnect()
+        for b in self._by_task.get(task, ()):
+            b.instance.reconnect()
 
     # -- crash recovery ------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -107,20 +115,14 @@ class MonitorClient:
         (granularity, key, step).
         """
         round_updates: dict[str, list[MetricUpdate]] = {}
-        lags: dict[str, float] = {}
-        specs: dict[str, SensorInstance] = {}
         for b in self._bindings:
             ups = b.instance.poll(now)
             if ups:
                 round_updates.setdefault(b.sensor_id, []).extend(ups)
-            lags[b.sensor_id] = max(
-                lags.get(b.sensor_id, 0.0), b.instance.source.read_lag(self.perf)
-            )
-            specs.setdefault(b.sensor_id, b.instance)
 
         out: list[tuple[float, Envelope]] = []
         for sensor_id, ups in round_updates.items():
-            spec = specs[sensor_id].spec
+            spec, lag = self._sensors[sensor_id]
             if spec.join is not None:
                 ups = self._join(spec, ups, round_updates.get(spec.join.other_sensor_id, []))
             if not ups:
@@ -134,7 +136,7 @@ class MonitorClient:
             # Cache the originals so an in-process server skips re-decoding
             # the payload dicts (to_dict/from_dict round-trips exactly).
             env.attach_decoded(tuple(ups))
-            out.append((lags.get(sensor_id, self.perf.file_read_lag), env))
+            out.append((lag, env))
         return out
 
     @staticmethod

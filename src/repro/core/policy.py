@@ -10,6 +10,8 @@ exactly the reuse the XML interface exposes.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -118,6 +120,28 @@ class PolicyRuntime:
         self._last_eval: float | None = None
         self._last_time = 0.0
         self.fired = 0
+        # Set by track(): the owning stage's set of runtime indices that
+        # can answer, and this runtime's index in it.  Derived from the
+        # state above, never journaled.
+        self._answerable: set[int] | None = None
+        self._index = -1
+
+    def track(self, index: int, answerable: set[int]) -> None:
+        """Keep *index* in *answerable* exactly while :meth:`can_answer` holds.
+
+        A Decision stage evaluates only the runtimes in that set, so a
+        tick costs nothing for policies with no data to assess.
+        """
+        self._index = index
+        self._answerable = answerable
+        self._retrack()
+
+    def _retrack(self) -> None:
+        if self._answerable is not None:
+            if self.can_answer():
+                self._answerable.add(self._index)
+            else:
+                self._answerable.discard(self._index)
 
     # -- ingestion ------------------------------------------------------------
     def matches(self, u: MetricUpdate) -> bool:
@@ -147,6 +171,8 @@ class PolicyRuntime:
         self._pending.append((u.value, u.time))
         if u.time > self._last_time:
             self._last_time = u.time
+        if self._answerable is not None:
+            self._answerable.add(self._index)
 
     # -- evaluation -----------------------------------------------------------
     def due(self, now: float) -> bool:
@@ -163,9 +189,18 @@ class PolicyRuntime:
         freq = self.spec.frequency
         if freq <= 0:
             return True
-        import math
-
         return math.floor(now / freq) > math.floor(self._last_eval / freq)
+
+    def can_answer(self) -> bool:
+        """Would a due :meth:`evaluate` assess anything?
+
+        True with pending values, and — for a windowed policy — while the
+        window holds history.  When False, ``evaluate`` returns ``[]``
+        and changes no state, whatever the time.
+        """
+        return bool(self._pending) or (
+            self.spec.history_window > 1 and len(self._window) > 0
+        )
 
     def evaluate(self, now: float) -> list[SuggestedAction]:
         """Run the evaluation condition if due; returns suggested actions.
@@ -178,15 +213,13 @@ class PolicyRuntime:
         checked individually so exact-match (EQ) conditions cannot slip
         through between polls, and each value is consumed exactly once.
         """
-        if not self.due(now) or (not self._pending and len(self._window) == 0):
+        if not self.can_answer() or not self.due(now):
             return []
         spec = self.spec
         if spec.history_window > 1:
             candidates = [(self._preanalysis(), self._last_time)]
-        elif self._pending:
-            candidates = list(self._pending)
         else:
-            return []  # instantaneous policy with nothing new to assess
+            candidates = list(self._pending)
         self._last_eval = now
         self._pending.clear()
         for value, data_time in candidates:
@@ -222,8 +255,6 @@ class PolicyRuntime:
         if op == "LAST":
             return self._window.last()
         if op == "MEDIAN":
-            import statistics
-
             return statistics.median(self._window.values())
         if op == "TREND":
             return self._window.trend()
@@ -233,6 +264,7 @@ class PolicyRuntime:
         """Clear history (used when the assessed task restarts)."""
         self._window.clear()
         self._pending.clear()
+        self._retrack()
 
     # -- crash recovery --------------------------------------------------------
     def state_dict(self) -> dict:
@@ -253,3 +285,4 @@ class PolicyRuntime:
         self._last_eval = float(last_eval) if last_eval is not None else None
         self._last_time = float(state.get("last_time", 0.0))
         self.fired = int(state.get("fired", 0))
+        self._retrack()

@@ -81,7 +81,16 @@ class StreamSource(DataSource):
         return self._reader
 
     def poll(self, now: float) -> list[Sample]:
-        reader = self._ensure_reader()
+        reader = self._reader
+        if reader is None:
+            # The first poll connects: that instant decides which steps
+            # this source will ever see.
+            reader = self._ensure_reader()
+        elif reader.cursor >= reader.channel.next_step:
+            # Nothing published since the last poll.  The cursor is at or
+            # past every retained step, so drain() would neither return
+            # data nor count an eviction.
+            return []
         out: list[Sample] = []
         for record in reader.drain():
             if isinstance(record.data, list):

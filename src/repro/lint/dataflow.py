@@ -42,6 +42,7 @@ from repro.lint.speclint import (
     _policy_path,
     _workflow_view,
     fire_interval,
+    same_stream_pairs,
 )
 from repro.xmlspec.model import DyflowSpec
 
@@ -165,45 +166,31 @@ def _representative(interval) -> float:
 
 def _check_priority_domination(spec: DyflowSpec) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    apps = [
-        (app, spec.policies[app.policy_id])
-        for app in spec.applications
-        if app.policy_id in spec.policies
-    ]
-    for i, (app_a, pol_a) in enumerate(apps):
-        for app_b, pol_b in apps[i + 1:]:
-            if app_a.workflow_id != app_b.workflow_id:
-                continue
-            if pol_a.policy_id == pol_b.policy_id:
-                continue
-            if pol_a.sensor_id != pol_b.sensor_id:
-                continue
-            if pol_a.granularity != pol_b.granularity:
-                continue
-            if app_a.assess_task != app_b.assess_task:
-                continue
-            if not (set(app_a.act_on_tasks) & set(app_b.act_on_tasks)):
-                continue
-            if not actions_conflict(pol_a.action, pol_b.action):
-                continue
-            # Instantaneous evaluation only: a history window decouples
-            # the evaluated value from the raw stream, so containment of
-            # the raw intervals proves nothing.
-            if pol_a.history_window > 1 or pol_b.history_window > 1:
-                continue
-            ia = fire_interval(pol_a.eval_op, pol_a.threshold)
-            ib = fire_interval(pol_b.eval_op, pol_b.threshold)
-            if ia is None or ib is None:
-                continue
-            if ia.subsumes(ib):
-                outer, inner, iv = (app_a, pol_a), (app_b, pol_b), ib
-            elif ib.subsumes(ia):
-                outer, inner, iv = (app_b, pol_b), (app_a, pol_a), ia
-            else:
-                continue
-            diag = _domination_diag(spec, outer, inner, iv)
-            if diag is not None:
-                out.append(diag)
+    for app_a, pol_a, app_b, pol_b in same_stream_pairs(spec):
+        if pol_a.policy_id == pol_b.policy_id:
+            continue
+        if not (set(app_a.act_on_tasks) & set(app_b.act_on_tasks)):
+            continue
+        if not actions_conflict(pol_a.action, pol_b.action):
+            continue
+        # Instantaneous evaluation only: a history window decouples
+        # the evaluated value from the raw stream, so containment of
+        # the raw intervals proves nothing.
+        if pol_a.history_window > 1 or pol_b.history_window > 1:
+            continue
+        ia = fire_interval(pol_a.eval_op, pol_a.threshold)
+        ib = fire_interval(pol_b.eval_op, pol_b.threshold)
+        if ia is None or ib is None:
+            continue
+        if ia.subsumes(ib):
+            outer, inner, iv = (app_a, pol_a), (app_b, pol_b), ib
+        elif ib.subsumes(ia):
+            outer, inner, iv = (app_b, pol_b), (app_a, pol_a), ia
+        else:
+            continue
+        diag = _domination_diag(spec, outer, inner, iv)
+        if diag is not None:
+            out.append(diag)
     return out
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from repro.core.actions import ActionType, actions_conflict
 from repro.core.policy import PolicyApplication, PolicySpec
@@ -547,29 +548,46 @@ def _check_policy_interactions(spec: DyflowSpec) -> list[Diagnostic]:
                 "for a finite metric value",
                 xml_path=_policy_path(pid),
             ))
+    for app_a, pol_a, app_b, pol_b in same_stream_pairs(spec):
+        shared = sorted(set(app_a.act_on_tasks) & set(app_b.act_on_tasks))
+        if not shared:
+            continue
+        ia = fire_interval(pol_a.eval_op, pol_a.threshold)
+        ib = fire_interval(pol_b.eval_op, pol_b.threshold)
+        out += _subsumption(app_a, pol_a, app_b, pol_b, ia, ib, shared)
+        out += _conflict(spec, app_a, pol_a, app_b, pol_b, ia, ib, shared)
+    return out
+
+
+def same_stream_pairs(
+    spec: DyflowSpec,
+) -> Iterator[tuple[PolicyApplication, PolicySpec, PolicyApplication, PolicySpec]]:
+    """Pairs of applications that assess the same metric stream.
+
+    Two ``<apply-policy>`` entries can only interact when workflow,
+    sensor, granularity and assess-task all agree.  Yields
+    ``(app_a, policy_a, app_b, policy_b)`` for every such pair with *a*
+    before *b* in document order, sorted by (position of a, position of
+    b) — the order an all-pairs scan would find them — while visiting
+    only the members of each application's own bucket.  Applications of
+    unknown policies (DY103) are skipped.
+    """
     apps = [
         (app, spec.policies[app.policy_id])
         for app in spec.applications
         if app.policy_id in spec.policies
     ]
-    for i, (app_a, pol_a) in enumerate(apps):
-        for app_b, pol_b in apps[i + 1:]:
-            if app_a.workflow_id != app_b.workflow_id:
-                continue
-            if pol_a.sensor_id != pol_b.sensor_id:
-                continue
-            if pol_a.granularity != pol_b.granularity:
-                continue
-            if app_a.assess_task != app_b.assess_task:
-                continue
-            shared = sorted(set(app_a.act_on_tasks) & set(app_b.act_on_tasks))
-            if not shared:
-                continue
-            ia = fire_interval(pol_a.eval_op, pol_a.threshold)
-            ib = fire_interval(pol_b.eval_op, pol_b.threshold)
-            out += _subsumption(app_a, pol_a, app_b, pol_b, ia, ib, shared)
-            out += _conflict(spec, app_a, pol_a, app_b, pol_b, ia, ib, shared)
-    return out
+    buckets: dict[tuple, list] = {}
+    later: list[tuple[list, int]] = []  # per application: (its bucket, the slot after its own)
+    for app, pol in apps:
+        bucket = buckets.setdefault(
+            (app.workflow_id, pol.sensor_id, pol.granularity, app.assess_task), []
+        )
+        bucket.append((app, pol))
+        later.append((bucket, len(bucket)))
+    for (app_a, pol_a), (bucket, start) in zip(apps, later):
+        for app_b, pol_b in islice(bucket, start, None):
+            yield app_a, pol_a, app_b, pol_b
 
 
 def _unsatisfiable(policy: PolicySpec) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Allocation, ResourceManager, ResourceSet, summit
 from repro.errors import AllocationError
+from repro.resilience import NodeQuarantine, QuarantineSpec
 
 
 def make_rm(num_nodes=4, machine=None):
@@ -150,7 +151,9 @@ def op_sequences(draw):
     return draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["assign", "grow", "shrink", "release"]),
+                st.sampled_from(
+                    ["assign", "grow", "shrink", "release", "fail", "recover", "quarantine"]
+                ),
                 st.sampled_from(["t1", "t2", "t3"]),
                 st.integers(1, 30),
             ),
@@ -159,16 +162,33 @@ def op_sequences(draw):
     )
 
 
+def recomputed_free(rm) -> ResourceSet:
+    """The free pool from first principles: every owner's set, unioned."""
+    assigned = ResourceSet.empty()
+    for owner in rm.owners():
+        assigned = assigned.union(rm.assignment(owner))
+    healthy = {n.node_id for n in rm.allocation.healthy_nodes()}
+    return rm.allocation.full_resources().subtract(assigned.restrict_to(healthy))
+
+
 class TestConservationProperty:
-    @settings(max_examples=60)
+    @settings(max_examples=120)
     @given(op_sequences())
     def test_invariant_after_arbitrary_ops(self, ops):
-        """assigned + free == allocation capacity after any legal op mix."""
+        """assigned + free == healthy capacity after any legal op mix, and
+        the incrementally kept per-node totals behind ``free()`` agree
+        with a recomputation — across node failure, recovery and
+        quarantine too."""
         m = summit(3)
         alloc = Allocation("a0", m, m.nodes, walltime_limit=1e9)
-        rm = ResourceManager(alloc)
-        capacity = alloc.total_cores
+        clock = [0.0]
+        quarantine = NodeQuarantine(
+            QuarantineSpec(failures=1, window=10.0, cooldown=3.0), lambda: clock[0]
+        )
+        rm = ResourceManager(alloc, quarantine=quarantine)
         for op, owner, n in ops:
+            clock[0] += 1.0
+            node = m.nodes[n % len(m.nodes)]
             try:
                 if op == "assign":
                     rm.assign(owner, n)
@@ -176,9 +196,29 @@ class TestConservationProperty:
                     rm.grow(owner, n)
                 elif op == "shrink":
                     rm.shrink(owner, n)
-                else:
+                elif op == "release":
                     rm.release(owner)
+                elif op == "fail":
+                    if node.is_up:
+                        node.fail()
+                        # Between the node going down and the launcher's
+                        # fix-up, free() already leaves the node out.
+                        assert rm.free() == recomputed_free(rm)
+                        rm.on_node_failure(node.node_id)
+                elif op == "recover":
+                    if not node.is_up:
+                        node.recover()
+                else:
+                    quarantine.record_failure(node.node_id)
             except AllocationError:
                 pass  # illegal op rejected; state must stay consistent
             rm.check_invariants()
-            assert rm.assigned_total().total_cores + rm.free_cores() == capacity
+            free = rm.free()
+            assert free == recomputed_free(rm)
+            assert rm.assigned_total().total_cores + free.total_cores == alloc.total_cores
+            open_nodes = set(free.node_ids) - rm.excluded_nodes()
+            if open_nodes:
+                assert set(rm.plan_placement(1).node_ids) <= open_nodes
+            else:
+                with pytest.raises(AllocationError):
+                    rm.plan_placement(1)

@@ -1,0 +1,174 @@
+"""The Monitor and Decision indexes are derived state: never journaled,
+always rebuilt.
+
+``MonitorClient`` (task -> bindings, per-sensor constants) and
+``DecisionStage`` (the set of runtimes that can answer) keep lookup
+structures beside their journaled state.  A snapshot must not grow a key
+for them, and a fresh instance that loads a snapshot must behave exactly
+like the instance that wrote it — including when the snapshot is taken
+at the two instants where a stale index would show: policy values
+pending but not yet due, and a stream step published after the last
+poll.
+"""
+
+import json
+
+from repro.cluster.machine import MachinePerf
+from repro.core import (
+    ActionType,
+    DecisionStage,
+    MetricUpdate,
+    MonitorClient,
+    PolicyApplication,
+    PolicySpec,
+)
+from repro.core.sensors import SensorInstance, SensorSpec, StreamSource
+from repro.staging import DataHub, Sample
+
+TASKS = ("A", "B", "C")
+PACE = SensorSpec("PACE", "TAUADIOS2")
+
+
+def canon(state: dict) -> str:
+    return json.dumps(state, sort_keys=True)
+
+
+# -- Monitor ------------------------------------------------------------------ #
+def make_client(hub: DataHub) -> MonitorClient:
+    client = MonitorClient("c0", MachinePerf())
+    for task in TASKS:
+        source = StreamSource(hub, f"tau-W-{task}", "W", task, var="looptime")
+        client.add_binding(SensorInstance(PACE, "W", task, source))
+    return client
+
+
+def publish(hub: DataHub, task: str, step: int, value: float, time: float) -> None:
+    hub.channel(f"tau-W-{task}").put(
+        [Sample(time=time, workflow_id="W", task=task, rank=0, node_id="n0",
+                var="looptime", value=value, step=step)],
+        time,
+    )
+
+
+def envelopes(client: MonitorClient, now: float) -> list:
+    return [(lag, env.to_json()) for lag, env in client.collect(now)]
+
+
+def recorded_monitor_run() -> tuple[DataHub, MonitorClient]:
+    """Connect, read two steps, leave C unread and B restarted."""
+    hub = DataHub()
+    client = make_client(hub)
+    client.collect(0.0)
+    publish(hub, "A", 0, 1.5, 1.0)
+    publish(hub, "B", 0, 2.5, 1.0)
+    client.collect(1.0)
+    client.on_task_restart("B")
+    publish(hub, "C", 0, 3.5, 2.0)  # after the last poll: cursor lags the channel
+    return hub, client
+
+
+# -- Decision ----------------------------------------------------------------- #
+def make_stage() -> DecisionStage:
+    stage = DecisionStage()
+    stage.add_policy(PolicySpec("NOW", "PACE", "GT", 36.0, ActionType.ADDCPU,
+                                history_window=1, frequency=5.0))
+    stage.add_policy(PolicySpec("AVG3", "PACE", "GT", 36.0, ActionType.RMCPU,
+                                history_window=3, frequency=5.0))
+    for task in TASKS:
+        stage.apply_policy(PolicyApplication("NOW", "W", (task,), assess_task=task))
+    stage.apply_policy(PolicyApplication("AVG3", "W", ("A",), assess_task="A"))
+    return stage
+
+
+def update(task: str, value: float, time: float) -> MetricUpdate:
+    return MetricUpdate("PACE", "W", task, "task", (task,), value, time)
+
+
+def recorded_decision_run() -> DecisionStage:
+    """B holds a value that arrived inside an already-evaluated 5 s bucket."""
+    stage = make_stage()
+    stage.ingest([update("A", 50.0, 1.0), update("B", 50.0, 1.0)])
+    stage.tick(5.0)
+    stage.ingest([update("B", 60.0, 6.0)])
+    stage.tick(7.0)  # NOW/B was evaluated at 5.0: pending, not due before 10.0
+    return stage
+
+
+# -- what the parent commit journaled for the same runs ------------------------ #
+MONITOR_STATE = (
+    '{"cursors": [{"connected": true, "cursor": 1, "missed": 0}, '
+    '{"connected": true, "cursor": 1, "missed": 0}, '
+    '{"connected": true, "cursor": 0, "missed": 0}], '
+    '"seq": {"c0/PACE": 1}}'
+)
+DECISION_STATE = (
+    '{"degraded": false, "runtimes": ['
+    '{"fired": 1, "last_eval": 5.0, "last_time": 1.0, "pending": [], "window": [50.0]}, '
+    '{"fired": 1, "last_eval": 5.0, "last_time": 6.0, "pending": [[60.0, 6.0]], '
+    '"window": [60.0]}, '
+    '{"fired": 0, "last_eval": null, "last_time": 0.0, "pending": [], "window": []}, '
+    '{"fired": 1, "last_eval": 5.0, "last_time": 1.0, "pending": [], "window": [50.0]}], '
+    '"seq": {}, "suggestions_gated": 0, "updates_matched": 4, "updates_seen": 3}'
+)
+
+
+def test_state_dicts_are_what_the_parent_commit_journaled():
+    _hub, client = recorded_monitor_run()
+    assert canon(client.state_dict()) == MONITOR_STATE
+    assert canon(recorded_decision_run().state_dict()) == DECISION_STATE
+
+
+def test_client_resumes_with_a_step_published_after_its_last_poll():
+    hub, live = recorded_monitor_run()
+    resumed = make_client(hub)
+    resumed.load_state_dict(json.loads(canon(live.state_dict())))
+
+    script = [
+        (3.0, [("A", 1, 1.6)]),
+        (4.0, []),
+        (5.0, [("B", 1, 2.6), ("C", 1, 3.6)]),
+    ]
+    for now, steps in script:
+        for task, step, value in steps:
+            publish(hub, task, step, value, now)
+        got = envelopes(resumed, now)
+        assert got == envelopes(live, now)
+        assert canon(resumed.state_dict()) == canon(live.state_dict())
+        if now == 3.0:
+            # C's step from before the snapshot is in the first round after it.
+            tasks = [u["task"] for _lag, env in got
+                     for u in json.loads(env)["payload"]["updates"]]
+            assert tasks == ["A", "C"]
+    resumed.on_task_restart("B")  # the task index was rebuilt at bind time
+    live.on_task_restart("B")
+    assert canon(resumed.state_dict()) == canon(live.state_dict())
+
+
+def test_stage_resumes_with_pending_values_that_are_not_due():
+    live = recorded_decision_run()
+    resumed = make_stage()
+    resumed.load_state_dict(json.loads(canon(live.state_dict())))
+
+    script = [
+        (8.0, []),                      # still inside B's evaluated bucket
+        (10.0, [update("C", 1.0, 9.0)]),  # B's pending 60.0 comes due; AVG3 re-fires
+        (15.0, []),                     # only the windowed policy still answers
+    ]
+    for now, updates in script:
+        live.ingest(updates)
+        resumed.ingest(updates)
+        got = resumed.tick(now)
+        assert got == live.tick(now)
+        assert canon(resumed.state_dict()) == canon(live.state_dict())
+        if now == 10.0:
+            assert [(s.policy_id, s.target, s.metric_value) for s in got] == [
+                ("NOW", "B", 60.0), ("AVG3", "A", 50.0),
+            ]
+        if now == 15.0:
+            assert [(s.policy_id, s.target) for s in got] == [("AVG3", "A")]
+
+    # Loading an idle snapshot over a busy stage forgets the busy marks.
+    busy = recorded_decision_run()
+    busy.load_state_dict(make_stage().state_dict())
+    assert busy.tick(10.0) == []
+    assert canon(busy.state_dict()) == canon(make_stage().state_dict())

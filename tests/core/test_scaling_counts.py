@@ -1,0 +1,205 @@
+"""One task's event must not touch the other tasks' state.
+
+Count-based (never wall-clock) checks that the launch -> Monitor ->
+Decision path visits only what an event concerns: a task start reaches
+that task's bindings, an idle sensor round reads no stream, a tick
+evaluates only policies with something to assess.  Each count is what a
+scan over all N entries would get wrong.
+"""
+
+from repro.cluster.machine import MachinePerf
+from repro.core import (
+    ActionType,
+    DecisionStage,
+    MetricUpdate,
+    MonitorClient,
+    PolicyApplication,
+    PolicySpec,
+)
+from repro.core.policy import PolicyRuntime
+from repro.core.sensors import SensorInstance, SensorSpec, StreamSource
+from repro.core.sensors.sources import DataSource
+from repro.staging import DataHub, Sample
+from repro.staging.stream import StreamReader
+
+N = 500
+PACE = SensorSpec("PACE", "TAUADIOS2")
+STATUS = SensorSpec("STATUS", "ERRORSTATUS")
+
+
+class SpySource(DataSource):
+    def __init__(self) -> None:
+        self.reconnects = 0
+
+    def poll(self, now):
+        return []
+
+    def reconnect(self) -> None:
+        self.reconnects += 1
+
+
+class SpyInstance:
+    """A sensor instance that counts how often its task is looked at."""
+
+    def __init__(self, spec: SensorSpec, task: str) -> None:
+        self.spec = spec
+        self.workflow_id = "W"
+        self._task = task
+        self.source = SpySource()
+        self.task_reads = 0
+
+    @property
+    def task(self) -> str:
+        self.task_reads += 1
+        return self._task
+
+    def poll(self, now):
+        return self.source.poll(now)
+
+    def reconnect(self) -> None:
+        self.source.reconnect()
+
+
+def task_name(i: int) -> str:
+    return f"T{i}"
+
+
+def count_calls(monkeypatch, cls, name: str) -> list:
+    """Patch ``cls.name`` to log the instance of every call."""
+    calls: list = []
+    original = getattr(cls, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+class TestTaskRestart:
+    def test_only_the_restarted_tasks_bindings_are_touched(self):
+        client = MonitorClient("c0", MachinePerf())
+        instances = [SpyInstance(PACE, task_name(i)) for i in range(N)]
+        instances.append(SpyInstance(STATUS, "T7"))  # a second sensor watching T7
+        for inst in instances:
+            client.add_binding(inst)
+        for inst in instances:
+            inst.task_reads = 0
+
+        client.on_task_restart("T7")
+
+        reconnected = [i for i in instances if i.source.reconnects]
+        assert reconnected == [instances[7], instances[N]]
+        assert all(i.source.reconnects == 1 for i in reconnected)
+        assert sum(i.task_reads for i in instances) == 0
+
+    def test_unknown_task_is_a_no_op(self):
+        client = MonitorClient("c0", MachinePerf())
+        inst = SpyInstance(PACE, "T0")
+        client.add_binding(inst)
+        client.on_task_restart("nobody")
+        assert inst.source.reconnects == 0
+
+
+class TestIdleCollect:
+    def _client(self, hub, n=N):
+        client = MonitorClient("c0", MachinePerf())
+        for i in range(n):
+            self._bind(client, hub, i)
+        return client
+
+    @staticmethod
+    def _bind(client, hub, i):
+        task = task_name(i)
+        source = StreamSource(hub, f"tau-W-{task}", "W", task, var="looptime")
+        client.add_binding(SensorInstance(PACE, "W", task, source))
+        return source
+
+    def test_idle_round_drains_nothing_and_still_connects(self, monkeypatch):
+        hub = DataHub()
+        client = self._client(hub)
+        client.collect(0.0)  # connects every source
+        late = self._bind(client, hub, N)  # bound after the others connected
+        drains = count_calls(monkeypatch, StreamReader, "drain")
+
+        assert client.collect(1.0) == []
+        assert late._reader is not None
+        assert [r.name for r in drains] == [f"monitor:{task_name(N)}"]
+
+        del drains[:]
+        assert client.collect(2.0) == []
+        assert drains == []
+
+    def test_a_published_step_is_the_only_read(self, monkeypatch):
+        hub = DataHub()
+        client = self._client(hub)
+        client.collect(0.0)
+        drains = count_calls(monkeypatch, StreamReader, "drain")
+        hub.channel("tau-W-T7").put(
+            [Sample(time=1.0, workflow_id="W", task="T7", rank=0, node_id="n0",
+                    var="looptime", value=2.5, step=0)],
+            1.0,
+        )
+        out = client.collect(1.0)
+        assert [r.name for r in drains] == ["monitor:T7"]
+        (_lag, env), = out
+        assert [(u["task"], u["value"]) for u in env.payload["updates"]] == [("T7", 2.5)]
+
+
+def policy(policy_id: str, window: int) -> PolicySpec:
+    return PolicySpec(policy_id, "PACE", "GT", 36.0, ActionType.ADDCPU,
+                      history_window=window, frequency=5.0)
+
+
+def update(task: str, value: float, time: float) -> MetricUpdate:
+    return MetricUpdate("PACE", "W", task, "task", (task,), value, time)
+
+
+class TestTick:
+    def _stage(self, window: int) -> DecisionStage:
+        stage = DecisionStage()
+        stage.add_policy(policy("P", window))
+        for i in range(N):
+            task = task_name(i)
+            stage.apply_policy(PolicyApplication("P", "W", (task,), assess_task=task))
+        return stage
+
+    def test_tick_evaluates_only_runtimes_with_pending_values(self, monkeypatch):
+        stage = self._stage(window=1)
+        evaluated = count_calls(monkeypatch, PolicyRuntime, "evaluate")
+        assert stage.tick(0.0) == [] and evaluated == []
+
+        # Out of creation order on purpose: suggestions come back in it.
+        stage.ingest([update("T400", 50.0, 1.0), update("T3", 50.0, 1.0),
+                      update("T77", 1.0, 1.0)])
+        suggestions = stage.tick(5.0)
+        assert [rt.application.assess_task for rt in evaluated] == ["T3", "T77", "T400"]
+        assert [s.target for s in suggestions] == ["T3", "T400"]
+
+        del evaluated[:]
+        assert stage.tick(10.0) == [] and evaluated == []  # values consumed once
+
+    def test_pending_values_wait_for_their_frequency_boundary(self, monkeypatch):
+        stage = self._stage(window=1)
+        stage.ingest([update("T3", 50.0, 1.0)])
+        assert len(stage.tick(5.0)) == 1
+        stage.ingest([update("T3", 60.0, 6.0)])
+        evaluated = count_calls(monkeypatch, PolicyRuntime, "evaluate")
+        assert stage.tick(7.0) == []  # same 5 s bucket: asked, not due
+        assert len(stage.tick(10.0)) == 1
+        assert len(evaluated) == 2
+        assert stage.tick(15.0) == [] and len(evaluated) == 2
+
+    def test_windowed_runtime_with_history_is_evaluated_on_every_due_tick(self, monkeypatch):
+        """§4.4: the window stays in violation across ticks with no fresh data."""
+        stage = self._stage(window=10)
+        stage.ingest([update("T7", 50.0, 1.0)])
+        evaluated = count_calls(monkeypatch, PolicyRuntime, "evaluate")
+        for now in (5.0, 10.0, 15.0):
+            assert [s.target for s in stage.tick(now)] == ["T7"]
+        assert [rt.application.assess_task for rt in evaluated] == ["T7"] * 3
+
+        stage.on_task_restart("T7")  # history cleared: nothing left to assess
+        del evaluated[:]
+        assert stage.tick(20.0) == [] and evaluated == []

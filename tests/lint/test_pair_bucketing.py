@@ -1,0 +1,187 @@
+"""The bucketed pair analyses against an all-pairs reference.
+
+``same_stream_pairs`` lets DY301/DY302 (``_check_policy_interactions``)
+and DY304 (``_check_priority_domination``) visit only applications that
+share a (workflow, sensor, granularity, assess-task) bucket.  The
+reference below is the quadratic scan it replaced; both passes must
+return the same diagnostics in the same order with either enumerator.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.actions import ActionType
+from repro.core.policy import PolicyApplication, PolicySpec
+from repro.lint import dataflow, lint_xml_text, speclint
+from repro.xmlspec.model import DyflowSpec, RuleSpec
+from repro.xmlspec.parser import parse_dyflow_xml
+
+from tests.lint.test_speclint_corpus import apply_policy, doc, mt, policy, rule, sensor
+
+
+def all_pairs(spec: DyflowSpec):
+    """Reference: compare every application with every later one."""
+    apps = [
+        (app, spec.policies[app.policy_id])
+        for app in spec.applications
+        if app.policy_id in spec.policies
+    ]
+    for i, (app_a, pol_a) in enumerate(apps):
+        for app_b, pol_b in apps[i + 1:]:
+            if app_a.workflow_id != app_b.workflow_id:
+                continue
+            if pol_a.sensor_id != pol_b.sensor_id:
+                continue
+            if pol_a.granularity != pol_b.granularity:
+                continue
+            if app_a.assess_task != app_b.assess_task:
+                continue
+            yield app_a, pol_a, app_b, pol_b
+
+
+def both_passes(spec: DyflowSpec) -> list:
+    return [
+        speclint._check_policy_interactions(spec),
+        dataflow._check_priority_domination(spec),
+    ]
+
+
+def reference_passes(spec: DyflowSpec) -> list:
+    with mock.patch.object(speclint, "same_stream_pairs", all_pairs), \
+            mock.patch.object(dataflow, "same_stream_pairs", all_pairs):
+        return both_passes(spec)
+
+
+# --------------------------------------------------------------------------- #
+# generated specs: few sensors, tasks and thresholds, so buckets fill up
+# --------------------------------------------------------------------------- #
+POLICY_IDS = ["P0", "P1", "P2", "P3", "P4"]
+
+# Skewed towards one sensor, one workflow and one assessed task, so most
+# examples put several applications into the same bucket.
+policy_specs = st.builds(
+    PolicySpec,
+    policy_id=st.just(""),  # filled in per dictionary key below
+    sensor_id=st.sampled_from(["S1", "S1", "S1", "S2"]),
+    eval_op=st.sampled_from(["GT", "GT", "GE", "LT", "EQ", "NE"]),
+    threshold=st.sampled_from([5.0, 10.0, 20.0, float("inf")]),
+    action=st.sampled_from([ActionType.ADDCPU, ActionType.RMCPU, ActionType.STOP]),
+    granularity=st.sampled_from(["task", "task", "task", "workflow"]),
+    history_window=st.sampled_from([1, 1, 1, 5]),
+    frequency=st.sampled_from([1.0, 5.0]),
+)
+
+applications = st.builds(
+    PolicyApplication,
+    policy_id=st.sampled_from(POLICY_IDS + ["GHOST"]),  # GHOST: unknown, DY103
+    workflow_id=st.sampled_from(["W", "W", "W", "V"]),
+    act_on_tasks=st.lists(
+        st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3, unique=True
+    ).map(tuple),
+    assess_task=st.sampled_from(["A", "A", "A", "B", ""]),
+)
+
+rules = st.dictionaries(
+    st.sampled_from(["W", "V"]),
+    st.dictionaries(st.sampled_from(POLICY_IDS), st.integers(0, 2), min_size=2),
+    max_size=2,
+)
+
+
+@st.composite
+def specs(draw) -> DyflowSpec:
+    policies = {
+        pid: replace(draw(policy_specs), policy_id=pid)
+        for pid in draw(st.lists(st.sampled_from(POLICY_IDS), min_size=1, unique=True))
+    }
+    return DyflowSpec(
+        policies=policies,
+        applications=draw(st.lists(applications, max_size=14)),
+        rules={
+            wf: RuleSpec(wf, policy_priorities=priorities)
+            for wf, priorities in draw(rules).items()
+        },
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs())
+def test_bucketed_passes_match_the_all_pairs_reference(spec):
+    expected_pairs = list(all_pairs(spec))
+    got_pairs = list(speclint.same_stream_pairs(spec))
+    assert len(got_pairs) == len(expected_pairs)
+    assert all(
+        g is e for got, exp in zip(got_pairs, expected_pairs) for g, e in zip(got, exp)
+    )
+    # Diagnostics are frozen dataclasses: equality covers code, message,
+    # location, data and witness; list equality covers the order.
+    assert both_passes(spec) == reference_passes(spec)
+
+
+def test_generated_specs_do_exercise_the_passes():
+    """The strategy is not vacuous: some example yields each code."""
+    seen: set[str] = set()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(specs())
+    def collect(spec):
+        for diags in both_passes(spec):
+            seen.update(d.code for d in diags)
+
+    collect()
+    assert {"DY301", "DY302", "DY303", "DY304"} <= seen
+
+
+# --------------------------------------------------------------------------- #
+# corpus: four applications in one bucket, one outside it
+# --------------------------------------------------------------------------- #
+CROWDED = doc(
+    sensors=sensor(),
+    mts=mt() + mt(task="B"),
+    policies=(
+        policy(pid="WIDE", op="GT", thr="5", action="ADDCPU")
+        + policy(pid="MID", op="GT", thr="10", action="ADDCPU")
+        + policy(pid="NARROW", op="GT", thr="20", action="RMCPU")
+        + policy(pid="OTHER", op="GT", thr="7", action="STOP")
+    ),
+    applies=(
+        apply_policy(pid="WIDE")
+        + apply_policy(pid="OTHER", assess="B", act="A B")  # its own bucket
+        + apply_policy(pid="MID")
+        + apply_policy(pid="NARROW")
+        + apply_policy(pid="WIDE", act="A B")  # duplicate policy id, same bucket
+    ),
+    arbitration=rule(
+        "<policy-priorities>"
+        '<policy-priority name="WIDE" priority="0"/>'
+        '<policy-priority name="NARROW" priority="1"/>'
+        "</policy-priorities>"
+    ),
+)
+
+
+def test_crowded_bucket_reports_every_pair_in_document_order():
+    spec = parse_dyflow_xml(CROWDED, validate=False)
+    pairs = [
+        (spec.applications.index(a), spec.applications.index(b))
+        for a, _pa, b, _pb in speclint.same_stream_pairs(spec)
+    ]
+    assert pairs == [(0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)]
+    assert both_passes(spec) == reference_passes(spec)
+
+    interactions, domination = both_passes(spec)
+    assert [(d.code, d.datum("policy_id"), d.datum("subsumed_by")) for d in interactions] == [
+        ("DY301", "MID", "WIDE"),     # (0, 2)
+        ("DY302", None, None),        # (2, 3): MID is unranked against NARROW
+        ("DY301", "MID", "WIDE"),     # (2, 4)
+    ]
+    # (0, 3) and (3, 4): WIDE outranks the NARROW policy it contains.
+    assert [d.code for d in domination] == ["DY304", "DY304"]
+
+    codes = [d.code for d in lint_xml_text(CROWDED)]
+    assert codes.count("DY301") == 2 and codes.count("DY304") == 2
