@@ -4,7 +4,7 @@ The implementation supports the paper's source types:
 
 * ``ADIOS2`` — application output streamed in situ,
 * ``TAUADIOS2`` — TAU profiler measurements streamed via ADIOS2,
-* ``DISKSCAN`` — scan the filesystem for new output files,
+* ``DISKSCAN`` — follow the filesystem's creation log for new output files,
 * ``FILEREAD`` — read a variable from a (changing) file,
 * ``ERRORSTATUS`` — exit statuses saved by Savanna when tasks end.
 
@@ -16,10 +16,12 @@ since the previous poll), ``reconnect()`` for task restarts, and
 
 from __future__ import annotations
 
+import fnmatch
+import re
 from typing import Any, Callable
 
 from repro.cluster.machine import MachinePerf
-from repro.errors import SensorError
+from repro.errors import JournalError, SensorError
 from repro.staging.filesystem import SimFilesystem
 from repro.staging.hub import DataHub
 from repro.staging.serialization import Sample
@@ -146,7 +148,17 @@ class StreamSource(DataSource):
 
 
 class DiskScanSource(DataSource):
-    """DISKSCAN: new files matching a glob become samples.
+    """DISKSCAN: files created since the last poll that match a glob become samples.
+
+    The source is a reader of the filesystem's creation log (the way
+    :class:`StreamSource` is a reader of a channel): it keeps one integer
+    position, and a poll looks only at the paths logged behind it — an
+    idle poll is one length comparison, whatever is on disk.  Each path
+    is reported once, at the first poll after it exists, in
+    ``(mtime, path)`` order, with the entry as it is at poll time;
+    replacing or appending to a reported file reports nothing.  A path
+    that is removed and created again is a new file and is reported
+    again; one created and removed between two polls is never seen.
 
     The value is extracted from each file (default: its ``step`` metadata
     plus one — "number of timesteps completed", so file ``...out.N``
@@ -168,7 +180,9 @@ class DiskScanSource(DataSource):
         self.task = task
         self.var = var
         self.value_fn = value_fn
-        self._seen: set[str] = set()
+        # What fnmatch.fnmatchcase(path, pattern) evaluates, compiled once.
+        self._matches = re.compile(fnmatch.translate(pattern)).match
+        self._pos = 0
 
     def _value_of(self, entry) -> float:
         if self.value_fn is not None:
@@ -181,34 +195,48 @@ class DiskScanSource(DataSource):
         raise SensorError(f"DISKSCAN cannot extract a value from {entry.path!r}")
 
     def poll(self, now: float) -> list[Sample]:
-        out: list[Sample] = []
-        for entry in self.fs.scan(self.pattern):
-            if entry.path in self._seen:
-                continue
-            self._seen.add(entry.path)
-            out.append(
-                Sample(
-                    time=entry.mtime,
-                    workflow_id=self.workflow_id,
-                    task=self.task,
-                    rank=-1,
-                    node_id="",
-                    var=self.var,
-                    value=self._value_of(entry),
-                    step=int(entry.meta.get("step", -1)) if entry.meta else -1,
-                )
+        created, end = self.fs.created_since(self._pos)
+        hits = [e for e in created if self._matches(e.path)]
+        hits.sort(key=lambda e: (e.mtime, e.path))
+        out = [
+            Sample(
+                time=entry.mtime,
+                workflow_id=self.workflow_id,
+                task=self.task,
+                rank=-1,
+                node_id="",
+                var=self.var,
+                value=self._value_of(entry),
+                step=int(entry.meta.get("step", -1)) if entry.meta else -1,
             )
+            for entry in hits
+        ]
+        # Only now: a file that raised above is polled again, with the
+        # files before it, instead of being stepped over.
+        self._pos = end
         return out
 
     def reconnect(self) -> None:
-        # Already-seen files stay seen: a restarted task appends new ones.
+        # The position stays: a restarted task creates new files.
         pass
 
     def cursor_state(self) -> dict:
-        return {"seen": sorted(self._seen)}
+        return {"pos": self._pos}
 
     def restore_cursor(self, state: dict) -> None:
-        self._seen = set(state.get("seen", []))
+        """Take up the journaled log position.
+
+        Meaningful only over the filesystem the position was read from —
+        ``resume_from`` runs over the surviving launcher and hub, the
+        same contract as :class:`StreamSource`'s journaled cursor.
+        """
+        if "pos" not in state:
+            raise JournalError(
+                f"DISKSCAN cursor for {self.task!r} has no creation-log position "
+                f"(keys: {sorted(state)}); journals written with a seen-list "
+                "cannot be resumed"
+            )
+        self._pos = int(state["pos"])
 
 
 class FileReadSource(DataSource):

@@ -13,6 +13,8 @@ poll.
 
 import json
 
+import pytest
+
 from repro.cluster.machine import MachinePerf
 from repro.core import (
     ActionType,
@@ -22,11 +24,13 @@ from repro.core import (
     PolicyApplication,
     PolicySpec,
 )
-from repro.core.sensors import SensorInstance, SensorSpec, StreamSource
+from repro.core.sensors import DiskScanSource, SensorInstance, SensorSpec, StreamSource
+from repro.errors import JournalError
 from repro.staging import DataHub, Sample
 
 TASKS = ("A", "B", "C")
 PACE = SensorSpec("PACE", "TAUADIOS2")
+NSTEPS = SensorSpec("NSTEPS", "DISKSCAN")
 
 
 def canon(state: dict) -> str:
@@ -172,3 +176,77 @@ def test_stage_resumes_with_pending_values_that_are_not_due():
     busy.load_state_dict(make_stage().state_dict())
     assert busy.tick(10.0) == []
     assert canon(busy.state_dict()) == canon(make_stage().state_dict())
+
+
+# -- a DISKSCAN binding: the cursor is a position in the creation log ---------- #
+def make_diskscan_client(hub: DataHub) -> MonitorClient:
+    client = MonitorClient("c0", MachinePerf())
+    for task in ("XGC1", "XGCA"):
+        source = DiskScanSource(hub.filesystem, f"out/W/{task}.out.*", "W", task)
+        client.add_binding(SensorInstance(NSTEPS, "W", task, source))
+    return client
+
+
+def write_step(hub: DataHub, task: str, step: int, time: float) -> None:
+    hub.filesystem.write(f"out/W/{task}.out.{step}", None, time, step=step)
+
+
+def recorded_diskscan_run(steps: int) -> tuple[DataHub, MonitorClient]:
+    """*steps* XGC1 files reported, one XGCA file created after the last poll."""
+    hub = DataHub()
+    client = make_diskscan_client(hub)
+    for step in range(steps):
+        write_step(hub, "XGC1", step, float(step))
+    client.collect(float(steps))
+    write_step(hub, "XGCA", 0, steps + 1.0)
+    return hub, client
+
+
+def test_diskscan_state_is_a_log_position_not_the_files_seen():
+    _hub, few = recorded_diskscan_run(steps=3)
+    _hub, many = recorded_diskscan_run(steps=300)
+    assert canon(few.state_dict()) == (
+        '{"cursors": [{"pos": 3}, {"pos": 3}], "seq": {"c0/NSTEPS": 1}}'
+    )
+    # A hundred times the files: the same state but for the digits of the position.
+    assert canon(many.state_dict()) == (
+        '{"cursors": [{"pos": 300}, {"pos": 300}], "seq": {"c0/NSTEPS": 1}}'
+    )
+
+
+def test_client_resumes_a_diskscan_with_a_file_created_after_its_last_poll():
+    hub, live = recorded_diskscan_run(steps=3)
+    resumed = make_diskscan_client(hub)
+    resumed.load_state_dict(json.loads(canon(live.state_dict())))
+
+    script = [
+        (5.0, [("XGC1", 3)]),
+        (6.0, []),
+        (7.0, [("XGCA", 1), ("XGC1", 4), ("XGC1", 1)]),  # XGC1.out.1 is replaced
+    ]
+    for now, files in script:
+        for task, step in files:
+            write_step(hub, task, step, now)
+        got = envelopes(resumed, now)
+        assert got == envelopes(live, now)
+        assert canon(resumed.state_dict()) == canon(live.state_dict())
+        if now == 5.0:
+            # XGCA's file from before the snapshot is in the first round after it,
+            # and none of the three files reported before it comes back.
+            updates = [(u["task"], u["value"]) for _lag, env in got
+                       for u in json.loads(env)["payload"]["updates"]]
+            assert updates == [("XGC1", 4.0), ("XGCA", 1.0)]
+        if now == 6.0:
+            assert got == []
+    # Seven paths were created; replacing XGC1.out.1 logged nothing.
+    assert canon(live.state_dict()) == (
+        '{"cursors": [{"pos": 7}, {"pos": 7}], "seq": {"c0/NSTEPS": 3}}'
+    )
+
+
+def test_a_journaled_seen_list_is_rejected_not_rescanned():
+    hub, live = recorded_diskscan_run(steps=3)
+    state = live.state_dict()
+    state["cursors"][0] = {"seen": ["out/W/XGC1.out.0", "out/W/XGC1.out.1"]}
+    with pytest.raises(JournalError, match="creation-log position"):
+        make_diskscan_client(hub).load_state_dict(state)

@@ -3,8 +3,9 @@
 Count-based (never wall-clock) checks that the launch -> Monitor ->
 Decision path visits only what an event concerns: a task start reaches
 that task's bindings, an idle sensor round reads no stream, a tick
-evaluates only policies with something to assess.  Each count is what a
-scan over all N entries would get wrong.
+evaluates only policies with something to assess, a DISKSCAN poll looks
+at the files created since the last one.  Each count is what a scan over
+all N entries would get wrong.
 """
 
 from repro.cluster.machine import MachinePerf
@@ -17,9 +18,9 @@ from repro.core import (
     PolicySpec,
 )
 from repro.core.policy import PolicyRuntime
-from repro.core.sensors import SensorInstance, SensorSpec, StreamSource
+from repro.core.sensors import DiskScanSource, SensorInstance, SensorSpec, StreamSource
 from repro.core.sensors.sources import DataSource
-from repro.staging import DataHub, Sample
+from repro.staging import DataHub, Sample, SimFilesystem
 from repro.staging.stream import StreamReader
 
 N = 500
@@ -145,6 +146,40 @@ class TestIdleCollect:
         assert [r.name for r in drains] == ["monitor:T7"]
         (_lag, env), = out
         assert [(u["task"], u["value"]) for u in env.payload["updates"]] == [("T7", 2.5)]
+
+
+class TestDiskScanPoll:
+    ON_DISK = 2000
+
+    def test_a_poll_examines_only_files_created_since_the_last_one(self, monkeypatch):
+        fs = SimFilesystem()
+        src = DiskScanSource(fs, "out/T.out.*", "W", "T")
+        for i in range(self.ON_DISK):
+            fs.write(f"out/T.out.{i}", None, float(i), step=i)
+        assert len(src.poll(0.0)) == self.ON_DISK
+
+        examined: list[int] = []
+        read = SimFilesystem.created_since
+
+        def spy(self, pos):
+            entries, end = read(self, pos)
+            examined.append(len(entries))
+            return entries, end
+
+        monkeypatch.setattr(SimFilesystem, "created_since", spy)
+        scans = count_calls(monkeypatch, SimFilesystem, "scan")
+
+        assert src.poll(1.0) == [] and examined == [0]  # idle: nothing looked at
+
+        k = 3
+        for i in range(self.ON_DISK, self.ON_DISK + k):
+            fs.write(f"out/T.out.{i}", None, float(i), step=i)
+        fs.write("out/T.out.0", None, 9e9, step=0)  # replaced, not created
+        fs.write("ckpt/T.0", None, 0.0)  # created, not matching: examined, not reported
+        assert [s.step for s in src.poll(2.0)] == [2000, 2001, 2002]
+        assert examined == [0, k + 1]
+        assert src.poll(3.0) == [] and examined == [0, k + 1, 0]
+        assert scans == []
 
 
 def policy(policy_id: str, window: int) -> PolicySpec:

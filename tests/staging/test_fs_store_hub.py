@@ -32,6 +32,40 @@ class TestSimFilesystem:
         fs.write("f1", 0, mtime=1.0)
         assert [e.path for e in fs.scan("f*")] == ["f1", "f2"]
 
+    def test_created_since_follows_creations_only(self):
+        fs = SimFilesystem()
+        assert fs.created_since(0) == ([], 0)
+        fs.write("b", 0, mtime=2.0)
+        fs.append_record("log", "r0", mtime=1.0)
+        entries, pos = fs.created_since(0)
+        assert ([e.path for e in entries], pos) == (["b", "log"], 2)  # creation order
+        fs.write("b", 1, mtime=3.0)  # replaced
+        fs.append_record("log", "r1", mtime=4.0)  # appended to
+        assert fs.created_since(pos) == ([], 2)
+        fs.write("a", 0, mtime=0.0)
+        entries, pos = fs.created_since(pos)
+        assert ([e.path for e in entries], pos) == (["a"], 3)
+        # Reading again from an older position returns the entries as they are now.
+        assert [e.data for e in fs.created_since(0)[0]] == [1, ["r0", "r1"], 0]
+
+    def test_created_since_skips_removed_and_collapses_recreated_paths(self):
+        fs = SimFilesystem()
+        fs.write("gone", 0, mtime=1.0)
+        fs.write("back", 0, mtime=1.0)
+        fs.remove("gone")
+        fs.remove("back")
+        fs.write("back", 1, mtime=2.0)
+        entries, pos = fs.created_since(0)
+        assert ([(e.path, e.data) for e in entries], pos) == ([("back", 1)], 3)
+        assert [e.path for e in fs.created_since(2)[0]] == ["back"]  # the re-creation
+
+    def test_created_since_rejects_a_position_from_another_filesystem(self):
+        fs = SimFilesystem()
+        fs.write("a", 0, mtime=0.0)
+        for pos in (2, -1):
+            with pytest.raises(StoreError, match="position"):
+                fs.created_since(pos)
+
     def test_append_record(self):
         fs = SimFilesystem()
         fs.append_record("log", "a", mtime=1.0)
