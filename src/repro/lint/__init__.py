@@ -45,8 +45,7 @@ from repro.lint.preflight import (
     PREFLIGHT_MODES,
     PreflightWarning,
     run_preflight,
-    spec_from_orchestrator,
-    spec_from_threaded,
+    spec_from_runtime,
 )
 from repro.lint.render import FORMATS, render, render_json, render_sarif, render_text
 from repro.lint.selflint import run_selflint
@@ -80,7 +79,6 @@ __all__ = [
     "run_preflight",
     "run_selflint",
     "sort_diagnostics",
-    "spec_from_orchestrator",
-    "spec_from_threaded",
+    "spec_from_runtime",
     "verify_spec",
 ]

@@ -70,73 +70,46 @@ def run_preflight(
 
 
 # --------------------------------------------------------------------------- #
-# spec reconstruction from configured runtimes
+# spec reconstruction from a configured runtime
 # --------------------------------------------------------------------------- #
-def spec_from_orchestrator(orch) -> DyflowSpec:
-    """Rebuild the effective :class:`DyflowSpec` of a configured
-    :class:`~repro.runtime.sim_driver.DyflowOrchestrator`."""
-    workflow_id = orch.launcher.workflow.workflow_id
+def spec_from_runtime(rt) -> DyflowSpec:
+    """Rebuild the effective :class:`DyflowSpec` of a configured driver
+    (anything wired by :class:`~repro.runtime.core.RuntimeCore`)."""
     monitor_tasks = [
         MonitorTaskSpec(
             task=binding.instance.task,
             workflow_id=binding.instance.workflow_id,
             sensor_id=binding.instance.spec.sensor_id,
         )
-        for client in orch.clients
+        for client in rt.clients
         for binding in client.bindings
     ]
     rules = {}
-    if orch.rules is not None:
-        rules[workflow_id] = RuleSpec(
-            workflow_id=workflow_id,
-            task_priorities=dict(orch.rules.task_priorities),
-            policy_priorities=dict(orch.rules.policy_priorities),
-            dependencies=list(orch.rules.dependencies),
+    if rt.rules is not None:
+        rules[rt.workflow_id] = RuleSpec(
+            workflow_id=rt.workflow_id,
+            task_priorities=dict(rt.rules.task_priorities),
+            policy_priorities=dict(rt.rules.policy_priorities),
+            dependencies=list(rt.rules.dependencies),
         )
     return DyflowSpec(
-        sensors=dict(orch._sensors),
+        sensors=dict(rt._sensors),
         monitor_tasks=monitor_tasks,
-        policies={p.policy_id: p for p in orch.decision.policies},
-        applications=[rt.application for rt in orch.decision.runtimes],
+        policies={p.policy_id: p for p in rt.decision.policies},
+        applications=[r.application for r in rt.decision.runtimes],
         rules=rules,
-        resilience=orch.launcher.resilience,
-        telemetry=orch.telemetry,
-        journal=orch._journal_spec,
-        observability=orch.observability,
-    )
-
-
-def spec_from_threaded(run) -> DyflowSpec:
-    """Rebuild the effective spec of a configured
-    :class:`~repro.runtime.threaded.ThreadedDyflow`."""
-    monitor_tasks = [
-        MonitorTaskSpec(
-            task=binding.instance.task,
-            workflow_id=binding.instance.workflow_id,
-            sensor_id=binding.instance.spec.sensor_id,
-        )
-        for binding in run.client.bindings
-    ]
-    return DyflowSpec(
-        sensors=dict(run._sensors),
-        monitor_tasks=monitor_tasks,
-        policies={p.policy_id: p for p in run.decision.policies},
-        applications=[rt.application for rt in run.decision.runtimes],
-        rules={},
-        resilience=run.resilience,
-        telemetry=run.telemetry,
-        journal=run._journal_spec,
-        observability=run.observability,
+        resilience=rt.resilience,
+        telemetry=rt.telemetry,
+        journal=rt._journal_spec,
+        observability=rt.observability,
     )
 
 
 def preflight_orchestrator(orch, mode: str) -> list[Diagnostic]:
     """Verify a configured simulation orchestrator before tick zero."""
-    if check_mode(mode) == "off":
-        return []
     return run_preflight(
         mode,
-        spec_from_orchestrator(orch),
+        spec_from_runtime(orch),
         machine=orch.launcher.machine,
         workflow=orch.launcher.workflow,
     )
@@ -144,6 +117,4 @@ def preflight_orchestrator(orch, mode: str) -> list[Diagnostic]:
 
 def preflight_threaded(run, mode: str) -> list[Diagnostic]:
     """Verify a configured threaded runtime before the first task starts."""
-    if check_mode(mode) == "off":
-        return []
-    return run_preflight(mode, spec_from_threaded(run), workflow=set(run.specs))
+    return run_preflight(mode, spec_from_runtime(run), workflow=set(run.specs))

@@ -183,6 +183,11 @@ class CoreProfiler:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return path
 
+    def suspend(self) -> None:
+        """Controller crash: mark it in the ring and dump the recorder."""
+        self.record(self._engine.now, "crash")
+        self.dump(reason="crash")
+
     # -- persistence ---------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:

@@ -248,9 +248,11 @@ class ChaosEngine:
 
     # -- crash recovery ------------------------------------------------------------
     def suspend(self) -> None:
-        """Orchestrator crash: cancel pending injections without firing."""
+        """Orchestrator crash: cancel pending injections without firing,
+        and let go of the dead controller."""
         for _stage, ev in self._pending.values():
             ev.cancel()
+        self.orchestrator = None
 
     def state_dict(self) -> dict:
         """Pending fire slots, history, and chaos RNG stream positions."""

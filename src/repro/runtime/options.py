@@ -38,9 +38,7 @@ class RuntimeOptions:
 
     ``resilience`` is applied by the orchestrator through
     ``launcher.configure_resilience`` (the launcher owns retry/quarantine
-    state); the threaded driver consumes it directly.  ``batch_deliveries``
-    only affects the simulated driver — the threaded driver has no
-    discrete-event delivery path to batch.  ``profile`` wires a
+    state); the threaded driver consumes it directly.  ``profile`` wires a
     :class:`~repro.profiler.sampling.CoreProfiler` into the simulated
     driver's tick loop (the threaded driver has no sim kernel to sample).
     """
@@ -50,7 +48,6 @@ class RuntimeOptions:
     journal: Any = None  # Journal | JournalSpec | None
     preflight: str = "off"
     resilience: "ResilienceSpec | None" = None
-    batch_deliveries: bool = True
     profile: "ProfileSpec | None" = None
 
     @classmethod

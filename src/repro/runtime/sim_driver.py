@@ -22,32 +22,20 @@ from typing import Callable
 
 from repro.core.arbitration import ArbitrationStage
 from repro.core.actuation import ActuationStage
-from repro.core.decision import DecisionStage
 from repro.core.lowlevel import ActionPlan
-from repro.core.monitor import MonitorClient, MonitorServer
-from repro.core.policy import PolicyApplication, PolicySpec
 from repro.core.rules import ArbitrationRules
-from repro.core.sensors.base import SensorInstance, SensorSpec
-from repro.core.sensors.sources import make_source
 from repro.errors import DyflowError, JournalError
-from repro.fabric import DegradedModeController, FabricLink
-from repro.observability import (
-    HealthEngine,
-    ObservabilitySpec,
-    report_from_run,
-    write_openmetrics,
-    write_report,
-)
+from repro.journal import AppliedOpsLedger, read_journal
 from repro.profiler.sampling import CoreProfiler
 from repro.resilience import ChaosEngine, HeartbeatWatchdog
+from repro.runtime.core import RuntimeCore
 from repro.runtime.options import RuntimeOptions
-from repro.telemetry import build_tracer, write_chrome_trace
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.jsonmsg import Envelope
 from repro.wms.launcher import Savanna
 
 
-class DyflowOrchestrator:
+class DyflowOrchestrator(RuntimeCore):
     """Bootstrap + service loop for one workflow on one allocation."""
 
     def __init__(
@@ -67,60 +55,35 @@ class DyflowOrchestrator:
         ignore_crash_requests: bool = False,
         on_crash: Callable[["DyflowOrchestrator"], None] | None = None,
     ) -> None:
-        from repro.lint.preflight import check_mode
-
-        opts = options if options is not None else RuntimeOptions()
-        self.options = opts
-        telemetry = opts.telemetry
-        observability = opts.observability
-        journal = opts.journal
-        if opts.resilience is not None:
-            launcher.configure_resilience(opts.resilience)
-        self.preflight = check_mode(opts.preflight)
+        if options is not None and options.resilience is not None:
+            launcher.configure_resilience(options.resilience)
         self.launcher = launcher
         self.engine = launcher.engine
+        super().__init__(
+            options, workflow_id=launcher.workflow.workflow_id, tasks=launcher.workflow.tasks,
+            hub=launcher.hub, perf=launcher.perf, rng=launcher.rng,
+            resilience=launcher.resilience,
+            client_ids=[f"client-{i}" for i in range(max(1, num_clients))],
+            record_history=record_history, tracer=tracer,
+        )
         self.rules = rules if rules is not None else ArbitrationRules.from_workflow(launcher.workflow)
         self.poll_interval = poll_interval
-        self.telemetry = telemetry
-        if tracer is None:
-            tracer = build_tracer(telemetry, clock=lambda: self.engine.now)
-        self.tracer = tracer
-        self._telemetry_finalized = False
-        launcher.attach_tracer(tracer)
-        self.clients = [
-            MonitorClient(f"client-{i}", launcher.perf) for i in range(max(1, num_clients))
-        ]
-        self.decision = DecisionStage()
-        self.server = MonitorServer(on_updates=self.decision.ingest, record_history=record_history)
+        launcher.attach_tracer(self.tracer)
         self.arbitration = ArbitrationStage(
             launcher, self.rules, warmup=warmup, settle=settle,
             allow_victims=allow_victims, graceful_stops=graceful_stops,
             core_quota=core_quota,
         )
         self.actuation = ActuationStage(launcher)
-        self.server.set_tracer(tracer, clock=lambda: self.engine.now)
-        self.decision.set_tracer(tracer)
-        self.arbitration.set_tracer(tracer)
-        self.actuation.set_tracer(tracer)
-        # Observability: the health engine evaluates SLOs/anomalies on the
-        # orchestrator tick and publishes the results back into the Monitor
-        # stage via HEALTH sensor sources (see docs/observability.md).
-        self.observability = observability
-        self.health: HealthEngine | None = None
-        if observability is not None and observability.enabled:
-            self.health = HealthEngine(
-                observability,
-                tracer=tracer,
-                workflow_id=launcher.workflow.workflow_id,
-                aggregates=self._health_aggregates,
-            )
+        self.arbitration.set_tracer(self.tracer)
+        self.actuation.set_tracer(self.tracer)
         # Continuous core profiling: cadenced kernel samples + a bounded
         # flight recorder dumped on crash (repro.profiler.sampling).
         self.profiler: CoreProfiler | None = None
-        if opts.profile is not None and opts.profile.enabled:
-            self.profiler = CoreProfiler(opts.profile)
+        profile = self.options.profile
+        if profile is not None and profile.enabled:
+            self.profiler = CoreProfiler(profile)
             self.profiler.bind(engine=self.engine, arbitration=self.arbitration)
-        self._sensors: dict[str, SensorSpec] = {}
         self._running = False
         self._stop_when: Callable[[], bool] | None = None
         launcher.subscribe_start(self._on_task_start)
@@ -129,43 +92,23 @@ class DyflowOrchestrator:
         # needs to sit on the client->server delivery path).
         self.watchdog: HeartbeatWatchdog | None = None
         self.chaos: ChaosEngine | None = None
-        spec = launcher.resilience
+        spec = self.resilience
         if spec is not None and spec.watchdog is not None:
             self.watchdog = HeartbeatWatchdog(launcher, spec.watchdog, server=self.server)
         if spec is not None and spec.faults is not None and spec.faults.any_enabled:
             self.chaos = ChaosEngine(launcher, spec.faults)
             self.chaos.orchestrator = self
-        # Monitor fabric: each client's envelopes cross a FabricLink
-        # (lossy transport + ack/retransmit reliability), land in the
-        # server's bounded ingress queue, and are drained at the tick;
-        # ingest staleness drives the Decision stage's degraded mode.
-        self.network = spec.network if spec is not None else None
-        if self.network is not None and not self.network.enabled:
-            self.network = None
-        self.links: dict[str, FabricLink] = {}
-        self.degrade: DegradedModeController | None = None
-        if self.network is not None:
-            self.network.validate()
-            for c in self.clients:
-                self.links[c.client_id] = FabricLink(
-                    c.client_id, self.network, launcher.rng, tracer=tracer
-                )
-            self.server.configure_fabric(self.network)
-            self.degrade = DegradedModeController(self.network)
-        # Crash-recovery machinery.  `journal` may be a JournalSpec (the
-        # journal is opened at start()) or an already-open Journal.
-        self._journal = None
-        self._journal_spec = None
-        if journal is not None:
-            from repro.journal import Journal, JournalSpec
-
-            if isinstance(journal, Journal):
-                self._journal = journal
-            elif isinstance(journal, JournalSpec):
-                if journal.enabled:
-                    self._journal_spec = journal
-            else:
-                raise DyflowError(f"journal must be a Journal or JournalSpec, got {journal!r}")
+        #: Optional subsystems: barrier-state key -> component (``None``
+        #: when off).  Each has ``state_dict``/``load_state_dict`` and may
+        #: define ``start``/``stop``/``suspend`` (controller crash); start,
+        #: stop, _crash, _journal_barrier and resume_from walk this table.
+        self._components: dict[str, object | None] = {
+            "watchdog": self.watchdog,
+            "chaos": self.chaos,
+            "health": self.health,
+            "profiler": self.profiler,
+            "fabric": self.fabric,
+        }
         self.ignore_crash_requests = ignore_crash_requests
         self.on_crash = on_crash
         self.crashed = False
@@ -183,60 +126,22 @@ class DyflowOrchestrator:
         #: Aggregate same-deliver-time envelopes registered within one
         #: tick into a single engine event (members run consecutively in
         #: registration order — exactly the order separate events with
-        #: consecutive seqs would have popped).  Opt-out knob for the
-        #: batched-vs-per-sample equivalence suite.
-        self.batch_deliveries = opts.batch_deliveries
+        #: consecutive seqs would have popped).  False only in the
+        #: batched-vs-per-sample equivalence suite, as its reference.
+        self.batch_deliveries = True
         # deliver-at -> (shared event, [dids]); non-None only while the
         # tick's collect phase is registering deliveries.
         self._batch_slots: dict[float, tuple[object, list[int]]] | None = None
 
-    # -- bootstrap configuration ---------------------------------------------------
-    def add_sensor(self, spec: SensorSpec) -> None:
-        if spec.sensor_id in self._sensors:
-            raise DyflowError(f"duplicate sensor id {spec.sensor_id!r}")
-        self._sensors[spec.sensor_id] = spec
+    def now(self) -> float:
+        return self.engine.now
 
-    def monitor_task(
-        self,
-        task: str,
-        sensor_id: str,
-        info_source: str | None = None,
-        var: str | None = None,
-        client: int = 0,
-    ) -> SensorInstance:
-        """Bind a sensor to a monitored task on one Monitor client."""
-        spec = self._sensors.get(sensor_id)
-        if spec is None:
-            raise DyflowError(f"monitor-task references unknown sensor {sensor_id!r}")
-        if spec.source_type.upper() == "HEALTH":
-            # Health streams monitor the orchestrator itself, not a
-            # workflow task: bind straight to the health engine's feed.
-            if self.health is None:
-                raise DyflowError(
-                    f"sensor {sensor_id!r} uses a HEALTH source but the orchestrator "
-                    "has no enabled ObservabilitySpec "
-                    "(pass options=RuntimeOptions(observability=...))"
-                )
-            source: object = self.health.bind_source(var)
-        else:
-            if task not in self.launcher.workflow.tasks:
-                raise DyflowError(f"monitor-task references unknown task {task!r}")
-            source = make_source(
-                spec.source_type,
-                self.launcher.hub,
-                self.launcher.workflow.workflow_id,
-                task,
-                info_source=info_source,
-                var=var,
-            )
-        instance = SensorInstance(
-            spec=spec,
-            workflow_id=self.launcher.workflow.workflow_id,
-            task=task,
-            source=source,
-        )
-        self.clients[client % len(self.clients)].add_binding(instance)
-        return instance
+    def _each(self, hook: str) -> None:
+        """Call *hook* on every configured subsystem that defines it."""
+        for component in self._components.values():
+            fn = getattr(component, hook, None)
+            if fn is not None:
+                fn()
 
     def _health_aggregates(self) -> dict[str, float]:
         """Runtime-level health aggregates published every evaluation."""
@@ -244,19 +149,12 @@ class DyflowOrchestrator:
         total = sum(n.cores for n in self.launcher.allocation.nodes)
         assigned = self.launcher.rm.assigned_total().total_cores
         q = self.launcher.quarantine
-        out = {
+        return {
             "cluster.total_cores": float(total),
             "cluster.assigned_cores": float(assigned),
             "cluster.utilization": assigned / total if total else 0.0,
             "quarantine.count": float(len(q.active(now))) if q is not None else 0.0,
         }
-        return out
-
-    def add_policy(self, spec: PolicySpec) -> None:
-        self.decision.add_policy(spec)
-
-    def apply_policy(self, application: PolicyApplication) -> None:
-        self.decision.apply_policy(application)
 
     # -- service ----------------------------------------------------------------------
     def start(self, stop_when: Callable[[], bool] | None = None) -> None:
@@ -275,15 +173,12 @@ class DyflowOrchestrator:
             preflight_orchestrator(self, self.preflight)
         self._running = True
         self._stop_when = stop_when
-        if self._journal is None and self._journal_spec is not None:
-            from repro.journal import Journal
-
-            self._journal = Journal.open(self._journal_spec, metrics=self.tracer.metrics)
+        self._open_journal()
         if self._journal is not None:
             self._journal.append(
                 "meta",
                 t=self.engine.now,
-                workflow=self.launcher.workflow.workflow_id,
+                workflow=self.workflow_id,
                 poll_interval=self.poll_interval,
             )
             self.actuation.journal = self._journal
@@ -292,61 +187,26 @@ class DyflowOrchestrator:
             nodes={n.node_id: n.cores for n in self.launcher.allocation.nodes},
         )
         self.arbitration.begin(self.engine.now)
-        if self.watchdog is not None:
-            self.watchdog.start()
-        if self.chaos is not None:
-            self.chaos.start()
+        self._each("start")
         self._tick_event = self.engine.call_after(0.0, self._tick, name="dyflow-service")
 
     def stop(self) -> None:
         self._running = False
-        if self.watchdog is not None:
-            self.watchdog.stop()
-        if self.chaos is not None:
-            self.chaos.stop()
+        self._each("stop")
         self._close_journal()
         self.finalize_telemetry()
 
     def finalize_telemetry(self) -> None:
-        """Flush the JSONL log and write the Chrome trace and observability
-        exports (OpenMetrics, run report), if configured."""
-        if self._telemetry_finalized or not self.tracer.enabled:
-            return
-        self._telemetry_finalized = True
+        """Write the end-of-run exports, with the quarantine history first."""
         q = self.launcher.quarantine
-        if q is not None and q.history:
+        if not self._telemetry_finalized and q is not None and q.history:
             # Lazy release means there is no event site for releases; the
             # end-of-run dump lets the report CLI rebuild the intervals.
             self.tracer.point(
                 "run.quarantine-history", "wms",
                 events=[[e.time, e.node_id, e.kind] for e in q.history],
             )
-        self.tracer.flush()
-        if self.telemetry is not None and self.telemetry.chrome_trace_path is not None:
-            write_chrome_trace(self.telemetry.chrome_trace_path, self.tracer)
-        self._write_observability_outputs()
-
-    def _write_observability_outputs(self) -> None:
-        spec = self.observability
-        if spec is None or not spec.enabled:
-            return
-        if spec.openmetrics_path is not None:
-            write_openmetrics(spec.openmetrics_path, self.tracer.metrics)
-        if spec.analysis and (spec.report_path is not None or spec.report_json_path is not None):
-            report = report_from_run(
-                self.tracer,
-                launcher=self.launcher,
-                alerts=self.health.alerts if self.health is not None else (),
-                top_n=spec.top_n,
-                end=self.engine.now,
-                meta={"workflow": self.launcher.workflow.workflow_id},
-            )
-            write_report(report, path=spec.report_path, json_path=spec.report_json_path)
-
-    def _close_journal(self) -> None:
-        if self._journal is not None and not self._journal.closed:
-            self._journal.sync()
-            self._journal.close()
+        super().finalize_telemetry()
 
     # -- the control loop (one tick == one journaled barrier) -------------------------
     def _tick(self) -> None:
@@ -382,13 +242,7 @@ class DyflowOrchestrator:
         finally:
             self._batch_slots = None
         if self.network is not None:
-            self._drain_ingress(now)
-        if self.degrade is not None:
-            for alert in self.degrade.tick(now, self.server.last_seen):
-                if self.health is not None:
-                    self.health.alerts.append(alert)
-                self.tracer.point("health.alert", "health", **alert.to_dict())
-            self.decision.set_degraded(self.degrade.degraded)
+            self._pump_ingress(now)
         # Decision: evaluate due policies on data delivered so far;
         # degraded mode gates non-essential suggestions afterwards.
         suggestions = self.decision.gate(self.decision.tick(now))
@@ -409,7 +263,10 @@ class DyflowOrchestrator:
                 self.actuation.execute(plan, on_done=self._on_plan_done),
                 name=f"actuation:{plan.plan_id}",
             )
-            self._record_plan_point(plan)
+            self.launcher.trace.point(
+                plan.created, f"plan:{plan.plan_id}", category="plan",
+                ops=[op.describe() for op in plan.ordered_ops()],
+            )
         if self._stop_when is not None and self._stop_when():
             self._running = False
             self._close_journal()
@@ -467,26 +324,20 @@ class DyflowOrchestrator:
                 link.on_ack(env.sender, env.seq, self.engine.now)
             return
         if self.network is None:
-            if self._journal is not None and not self._journal.closed:
-                self._journal.append("obs", env=env.to_json())
-            self.server.receive(env)
+            self._receive(env)
             return
         # Fabric mode: admit into the bounded ingress queue; the tick
-        # drains it.  Only admitted envelopes are acked — a shed one
-        # stays unacked and rides the client's retransmit timer, which
-        # is the backpressure signal.  The journal records the envelope
-        # at drain time, so replay (receive only) needs no queue.
-        if self.server.offer(env) and link is not None:
-            ack_at = link.plan_ack(env, self.engine.now)
-            if ack_at is not None:
-                self._register_delivery(ack_at, env, kind="ack", link=link_id)
+        # drains it.
+        ack_at = self._offer(env, link, self.engine.now)
+        if ack_at is not None:
+            self._register_delivery(ack_at, env, kind="ack", link=link_id)
 
-    def _drain_ingress(self, now: float) -> None:
-        for env in self.server.take_ingress():
-            if self._journal is not None and not self._journal.closed:
-                self._journal.append("obs", env=env.to_json())
-            self.server.note_staleness(max(0.0, now - env.time))
-            self.server.receive(env)
+    def _receive(self, env: Envelope) -> None:
+        # In fabric mode this is drain time, not arrival: the journal holds
+        # only what the server ingested, so replay needs no ingress queue.
+        if self._journal is not None and not self._journal.closed:
+            self._journal.append("obs", env=env.to_json())
+        self.server.receive(env)
 
     # -- journaling --------------------------------------------------------------------
     def _journal_barrier(self, now: float) -> None:
@@ -497,22 +348,15 @@ class DyflowOrchestrator:
         state = {
             "arbitration": self.arbitration.state_dict(),
             "clients": [c.state_dict() for c in self.clients],
-            "watchdog": self.watchdog.state_dict() if self.watchdog is not None else None,
-            "chaos": self.chaos.state_dict() if self.chaos is not None else None,
             "inflight": [
                 {"at": at, "seq": ev.heap_seq, "env": env.to_json(),
                  "kind": kind, "link": link}
                 for at, env, ev, kind, link in self._inflight_deliveries.values()
             ],
             "next_tick": {"at": tick_ev.heap_time, "seq": tick_ev.heap_seq},
-            "health": self.health.state_dict() if self.health is not None else None,
-            "profiler": self.profiler.state_dict() if self.profiler is not None else None,
-            "fabric": {
-                "links": {lid: ln.state_dict() for lid, ln in self.links.items()},
-                "server": self.server.fabric_state_dict(),
-                "degraded": self.degrade.state_dict(),
-            } if self.network is not None else None,
         }
+        for name, component in self._components.items():
+            state[name] = component.state_dict() if component is not None else None
         self._journal.append("barrier", t=now, state=state)
         every = self._journal.spec.snapshot_every
         if every > 0 and self._barriers % every == 0:
@@ -567,9 +411,6 @@ class DyflowOrchestrator:
         self.crashed = True
         self._journal.append("crash", t=now)
         self._close_journal()
-        if self.profiler is not None:
-            self.profiler.record(now, "crash")
-            self.profiler.dump(reason="crash")
         self.launcher.trace.point(now, "orchestrator-crash", category="journal")
         if self._tick_event is not None:
             self._tick_event.cancel()
@@ -577,11 +418,7 @@ class DyflowOrchestrator:
         for _at, _env, ev, _kind, _link in self._inflight_deliveries.values():
             ev.cancel()
         self._inflight_deliveries = {}
-        if self.watchdog is not None:
-            self.watchdog.suspend()
-        if self.chaos is not None:
-            self.chaos.suspend()
-            self.chaos.orchestrator = None
+        self._each("suspend")
         self.launcher.unsubscribe_start(self._on_task_start)
         if self.on_crash is not None:
             self.on_crash(self)
@@ -599,8 +436,6 @@ class DyflowOrchestrator:
         its journaled heap slot.  An unfinished plan is completed
         exactly-once through the op ledger.
         """
-        from repro.journal import AppliedOpsLedger, Journal, read_journal
-
         if self._running:
             raise DyflowError("orchestrator already running")
         js = read_journal(journal_dir)
@@ -608,15 +443,8 @@ class DyflowOrchestrator:
         if snap:
             self.server.load_state_dict(snap["server"])
             self.decision.load_state_dict(snap["decision"])
-        plans: list[ActionPlan] = [ActionPlan.from_dict(d) for d in snap.get("plans", [])]
-        by_id = {p.plan_id: i for i, p in enumerate(plans)}
-
-        def upsert(plan: ActionPlan) -> None:
-            if plan.plan_id in by_id:
-                plans[by_id[plan.plan_id]] = plan
-            else:
-                by_id[plan.plan_id] = len(plans)
-                plans.append(plan)
+        # plan id -> latest journaled version, in first-seen order.
+        plans = {d["plan_id"]: ActionPlan.from_dict(d) for d in snap.get("plans", [])}
 
         # Replay with telemetry muted: the tracer survived the crash and
         # already holds the pre-crash spans — replay rebuilds state only.
@@ -637,7 +465,7 @@ class DyflowOrchestrator:
                     self.decision.tick(rec["t"])
                     last_barrier = rec
                 elif kind in ("plan", "plan-done"):
-                    upsert(ActionPlan.from_dict(rec["plan"]))
+                    plans[rec["plan"]["plan_id"]] = ActionPlan.from_dict(rec["plan"])
         finally:
             self.server.tracer = server_tracer
             self.decision.tracer = decision_tracer
@@ -652,8 +480,8 @@ class DyflowOrchestrator:
             raise JournalError(
                 f"journal {journal_dir!r} holds no barrier record; nothing to resume"
             )
-        self.arbitration.load_state_dict(b["arbitration"], plans=plans)
-        self.actuation.executed_plans = [p for p in plans if p.execution_end is not None]
+        self.arbitration.load_state_dict(b["arbitration"], plans=list(plans.values()))
+        self.actuation.executed_plans = [p for p in plans.values() if p.execution_end is not None]
         client_states = b.get("clients", [])
         if len(client_states) != len(self.clients):
             raise JournalError(
@@ -661,31 +489,13 @@ class DyflowOrchestrator:
             )
         for client, cstate in zip(self.clients, client_states):
             client.load_state_dict(cstate)
-        if self.watchdog is not None and b.get("watchdog") is not None:
-            self.watchdog.load_state_dict(b["watchdog"])
-        if self.chaos is not None and b.get("chaos") is not None:
-            self.chaos.load_state_dict(b["chaos"])
-            self.chaos.orchestrator = self
-        if self.health is not None and b.get("health") is not None:
-            self.health.load_state_dict(b["health"])
-        if self.profiler is not None and b.get("profiler") is not None:
-            self.profiler.load_state_dict(b["profiler"])
-        if self.network is not None and b.get("fabric") is not None:
-            fb = b["fabric"]
-            for lid, lstate in fb["links"].items():
-                link = self.links.get(lid)
-                if link is None:
-                    raise JournalError(
-                        f"journaled fabric link {lid!r} is not configured — drift"
-                    )
-                link.load_state_dict(lstate)
-            self.server.load_fabric_state(fb["server"])
-            self.degrade.load_state_dict(fb["degraded"])
-            self.decision.set_degraded(self.degrade.degraded)
+        for name, component in self._components.items():
+            if component is not None and b.get(name) is not None:
+                component.load_state_dict(b[name])
 
         # Take over the journal (claims the next fencing epoch) and keep
         # the snapshot cadence aligned with the uninterrupted run.
-        self._journal = Journal.reopen(journal_dir, metrics=self.tracer.metrics)
+        self._reopen_journal(journal_dir)
         self.actuation.journal = self._journal
         self.actuation.abort_requested = False
         every = self._journal.spec.snapshot_every
@@ -731,12 +541,6 @@ class DyflowOrchestrator:
         self.launcher.trace.add_span(
             "DYFLOW", plan.plan_id, plan.execution_start, plan.execution_end,
             category="adjust", response=plan.response_time,
-        )
-
-    def _record_plan_point(self, plan: ActionPlan) -> None:
-        self.launcher.trace.point(
-            plan.created, f"plan:{plan.plan_id}", category="plan",
-            ops=[op.describe() for op in plan.ordered_ops()],
         )
 
     def _on_task_start(self, instance) -> None:

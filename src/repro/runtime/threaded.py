@@ -24,26 +24,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.actions import ActionType, SuggestedAction
-from repro.core.decision import DecisionStage
-from repro.core.monitor import MonitorClient, MonitorServer
-from repro.core.policy import PolicyApplication, PolicySpec
-from repro.core.sensors.base import SensorInstance, SensorSpec
-from repro.core.sensors.sources import make_source
 from repro.cluster.machine import MachinePerf
 from repro.errors import DyflowError
-from repro.fabric import BoundedShedQueue, DegradedModeController, FabricLink
-from repro.observability import (
-    HealthEngine,
-    ObservabilitySpec,
-    report_from_run,
-    write_openmetrics,
-    write_report,
-)
+from repro.fabric import BoundedShedQueue
+from repro.journal import read_journal
+from repro.runtime.core import RuntimeCore
 from repro.runtime.options import RuntimeOptions
 from repro.sim.rng import RngRegistry
 from repro.staging.hub import DataHub
 from repro.staging.serialization import Sample
-from repro.telemetry import build_tracer, write_chrome_trace
 from repro.telemetry.tracer import Tracer
 
 
@@ -136,7 +125,7 @@ class _LiveInstance(threading.Thread):
         self.runner._on_instance_exit(self)
 
 
-class ThreadedDyflow:
+class ThreadedDyflow(RuntimeCore):
     """Monitor/Decision/Arbitration/Actuation as wall-clock threads.
 
     The Monitor thread polls sensors and puts envelopes on the server
@@ -158,150 +147,62 @@ class ThreadedDyflow:
         queue_capacity: int = 64,
         options: RuntimeOptions | None = None,
     ) -> None:
-        from repro.lint.preflight import check_mode
-
-        opts = options if options is not None else RuntimeOptions()
-        self.options = opts
-        resilience = opts.resilience
-        telemetry = opts.telemetry
-        observability = opts.observability
-        journal = opts.journal
-        self.preflight = check_mode(opts.preflight)
-        self.workflow_id = workflow_id
         self.specs = {t.name: t for t in tasks}
         if len(self.specs) != len(tasks):
             raise DyflowError("duplicate live task names")
+        # Resilience mirror of the simulated launcher: same spec, same
+        # named backoff stream, wall-clock watchdog + crash retry.
+        resilience = options.resilience if options is not None else None
+        if resilience is not None:
+            resilience.validate()
+        self._rng = rng if rng is not None else RngRegistry(0)
+        # What now() and _health_aggregates() read.
+        self._t0 = time.perf_counter()
+        self._state_lock = threading.RLock()
+        self._instances: dict[str, _LiveInstance] = {}
+        self.retry_exhausted: set[str] = set()
+        # One Monitor client on at most one FabricLink, pumped (like the
+        # health engine) by the monitor loop on wall-clock time; this
+        # driver makes no determinism promise.
+        super().__init__(
+            options, workflow_id=workflow_id, tasks=self.specs, hub=DataHub(),
+            perf=MachinePerf(), rng=self._rng, resilience=resilience,
+            client_ids=["live-client"], record_history=True, tracer=tracer,
+        )
+        self.hub.attach_tracer(self.tracer)
         self.poll_interval = poll_interval
         self.warmup = warmup
         self.settle = settle
         self.max_workers_total = max_workers_total
-        self.hub = DataHub()
         self.hub_lock = threading.Lock()
-        self.client = MonitorClient("live-client", MachinePerf())
-        self.decision = DecisionStage()
-        self.server = MonitorServer(on_updates=self.decision.ingest, record_history=True)
-        self._instances: dict[str, _LiveInstance] = {}
         self._incarnations: dict[str, int] = {}
-        self._sensors: dict[str, SensorSpec] = {}
         # Bounded Decision -> Arbitration hand-off: when Arbitration
         # falls behind, the *oldest* suggestion batch is shed (newer
         # batches supersede it) instead of growing memory without bound.
         self._queue = BoundedShedQueue(queue_capacity)
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
-        self._t0 = time.perf_counter()
         self._gate_until = 0.0
-        self.telemetry = telemetry
-        if tracer is None:
-            tracer = build_tracer(telemetry, clock=self.now)
-        self.tracer = tracer
-        self._telemetry_finalized = False
-        self.hub.attach_tracer(tracer)
-        self.server.set_tracer(tracer, clock=self.now)
-        self.decision.set_tracer(tracer)
-        # Observability: health evaluation runs on the monitor thread's
-        # wall-clock cadence (this driver makes no determinism promise).
-        self.observability = observability
-        self.health: HealthEngine | None = None
-        if observability is not None and observability.enabled:
-            self.health = HealthEngine(
-                observability,
-                tracer=tracer,
-                workflow_id=workflow_id,
-                aggregates=self._health_aggregates,
-            )
         self.applied_actions: list[tuple[float, str]] = []
-        self._state_lock = threading.RLock()
-        # Resilience mirror of the simulated launcher: same spec, same
-        # named backoff stream, wall-clock watchdog + crash retry.
-        if resilience is not None:
-            resilience.validate()
-        self.resilience = resilience
         self.retry_policy = resilience.retry if resilience is not None else None
         self.watchdog_spec = resilience.watchdog if resilience is not None else None
-        self._rng = rng if rng is not None else RngRegistry(0)
-        # Monitor fabric on wall-clock time: the same FabricLink state
-        # machine the simulated driver uses, pumped by the monitor loop
-        # (transit copies wait in a pending list until their delivery
-        # time passes).  No determinism promise, like the rest of this
-        # driver.
-        self.network = resilience.network if resilience is not None else None
-        if self.network is not None and not self.network.enabled:
-            self.network = None
-        self.link: FabricLink | None = None
-        self.degrade: DegradedModeController | None = None
+        # Transit copies wait here until their delivery time passes — the
+        # wall-clock analogue of the simulated driver's event queue.
         self._transit: list[tuple[float, Any]] = []   # (deliver_at, envelope)
         self._acks: list[tuple[float, Any]] = []      # (deliver_at, envelope)
-        if self.network is not None:
-            self.link = FabricLink(
-                self.client.client_id, self.network, self._rng, tracer=self.tracer
-            )
-            self.server.configure_fabric(self.network)
-            self.degrade = DegradedModeController(self.network)
         self._retries_used: dict[str, int] = {}
-        self.retry_exhausted: set[str] = set()
         self.retries: list[tuple[float, str, int]] = []       # (time, task, attempt)
         self.watchdog_kills: list[tuple[float, str]] = []     # (time, task)
         # Crash recovery: per-step task checkpoints go to a WAL so a
         # restarted runner can relaunch each mini-app at the step after
         # its last completed one instead of redoing finished work.
-        self._journal = None
-        self._journal_spec = None
         self._journal_lock = threading.Lock()
         self._resume_steps: dict[str, int] = {}
         self._completed_tasks: set[str] = set()
-        if journal is not None:
-            from repro.journal import Journal, JournalSpec
-
-            if isinstance(journal, Journal):
-                self._journal = journal
-            elif isinstance(journal, JournalSpec):
-                if journal.enabled:
-                    self._journal_spec = journal
-            else:
-                raise DyflowError(f"journal must be a Journal or JournalSpec, got {journal!r}")
 
     # -- time -----------------------------------------------------------------
     def now(self) -> float:
         return time.perf_counter() - self._t0
-
-    # -- configuration ----------------------------------------------------------
-    # The bootstrap API matches DyflowOrchestrator: register a sensor
-    # once with add_sensor(spec), bind it per task with monitor_task();
-    # register a policy with add_policy(spec), apply it with
-    # apply_policy().
-    def add_sensor(self, spec: SensorSpec) -> None:
-        existing = self._sensors.get(spec.sensor_id)
-        if existing is not None and existing is not spec:
-            raise DyflowError(f"duplicate sensor id {spec.sensor_id!r}")
-        self._sensors[spec.sensor_id] = spec
-
-    def monitor_task(self, task: str, sensor_id: str, var: str | None = "looptime") -> None:
-        """Bind a registered sensor to one live task."""
-        spec = self._sensors.get(sensor_id)
-        if spec is None:
-            raise DyflowError(f"monitor_task references unknown sensor {sensor_id!r}")
-        if spec.source_type.upper() == "HEALTH":
-            if self.health is None:
-                raise DyflowError(
-                    f"sensor {sensor_id!r} uses a HEALTH source but the runner "
-                    "has no enabled ObservabilitySpec "
-                    "(pass options=RuntimeOptions(observability=...))"
-                )
-            source: object = self.health.bind_source(var)
-        else:
-            if task not in self.specs:
-                raise DyflowError(f"monitor_task references unknown task {task!r}")
-            source = make_source(spec.source_type, self.hub, self.workflow_id, task, var=var)
-        self.client.add_binding(
-            SensorInstance(spec=spec, workflow_id=self.workflow_id, task=task, source=source)
-        )
-
-    def add_policy(self, spec: PolicySpec) -> None:
-        self.decision.add_policy(spec)
-
-    def apply_policy(self, application: PolicyApplication) -> None:
-        self.decision.apply_policy(application)
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
@@ -309,10 +210,7 @@ class ThreadedDyflow:
             from repro.lint.preflight import preflight_threaded
 
             preflight_threaded(self, self.preflight)
-        if self._journal is None and self._journal_spec is not None:
-            from repro.journal import Journal
-
-            self._journal = Journal.open(self._journal_spec, metrics=self.tracer.metrics)
+        if self._open_journal():
             self._journal.append(
                 "meta", workflow=self.workflow_id, tasks=sorted(self.specs)
             )
@@ -341,33 +239,8 @@ class ThreadedDyflow:
         for t in self._threads:
             t.join(timeout)
         with self._journal_lock:
-            if self._journal is not None and not self._journal.closed:
-                self._journal.sync()
-                self._journal.close()
+            self._close_journal()
         self.finalize_telemetry()
-
-    def finalize_telemetry(self) -> None:
-        """Flush the JSONL log and write the Chrome trace and observability
-        exports, if configured."""
-        if self._telemetry_finalized or not self.tracer.enabled:
-            return
-        self._telemetry_finalized = True
-        self.tracer.flush()
-        if self.telemetry is not None and self.telemetry.chrome_trace_path is not None:
-            write_chrome_trace(self.telemetry.chrome_trace_path, self.tracer)
-        spec = self.observability
-        if spec is None or not spec.enabled:
-            return
-        if spec.openmetrics_path is not None:
-            write_openmetrics(spec.openmetrics_path, self.tracer.metrics)
-        if spec.analysis and (spec.report_path is not None or spec.report_json_path is not None):
-            report = report_from_run(
-                self.tracer,
-                alerts=self.health.alerts if self.health is not None else (),
-                top_n=spec.top_n,
-                meta={"workflow": self.workflow_id},
-            )
-            write_report(report, path=spec.report_path, json_path=spec.report_json_path)
 
     def wait_until_done(self, timeout: float) -> bool:
         """Block until every task finished (or *timeout* wall seconds)."""
@@ -397,29 +270,22 @@ class ThreadedDyflow:
         all.  Incarnation numbering continues past the journaled values,
         and the journal is reopened under the next fencing epoch.
         """
-        from repro.journal import Journal, read_journal
-
         state = read_journal(journal_dir)
         next_steps: dict[str, int] = {}
         incarnations: dict[str, int] = {}
         for rec in state.records:
+            if rec["kind"] not in ("task-checkpoint", "task-restart"):
+                continue
+            task = rec["task"]
+            incarnations[task] = max(incarnations.get(task, 0), int(rec.get("incarnation", 0)))
             if rec["kind"] == "task-checkpoint":
-                task = rec["task"]
                 next_steps[task] = int(rec["next_step"])
-                incarnations[task] = max(
-                    incarnations.get(task, 0), int(rec.get("incarnation", 0))
-                )
-            elif rec["kind"] == "task-restart":
-                task = rec["task"]
-                incarnations[task] = max(
-                    incarnations.get(task, 0), int(rec.get("incarnation", 0))
-                )
         self._resume_steps = dict(next_steps)
         for name, spec in self.specs.items():
             if spec.total_steps is not None and next_steps.get(name, 0) >= spec.total_steps:
                 self._completed_tasks.add(name)
         self._incarnations = {t: i + 1 for t, i in incarnations.items()}
-        self._journal = Journal.reopen(journal_dir, metrics=self.tracer.metrics)
+        self._reopen_journal(journal_dir)
         return self
 
     # -- task control ---------------------------------------------------------------
@@ -535,11 +401,12 @@ class ThreadedDyflow:
 
     # -- stage threads ----------------------------------------------------------------
     def _monitor_loop(self) -> None:
+        client = self.clients[0]
         while not self._stop.is_set():
             with self.tracer.span("monitor.collect", "monitor"):
                 with self.hub_lock:
-                    envelopes = self.client.collect(self.now())
-                if self.link is None:
+                    envelopes = client.collect(self.now())
+                if self.network is None:
                     for _lag, envelope in envelopes:
                         self.server.receive(envelope)  # thread-safe: decision.ingest is list ops
                 else:
@@ -554,16 +421,13 @@ class ThreadedDyflow:
         """One wall-clock pump of the lossy Monitor fabric.
 
         The link state machine hands back (deliver_at, envelope) copies;
-        they wait in pending lists until their delivery time passes —
-        the wall-clock analogue of the simulated driver's event queue.
+        they wait in the pending lists until their delivery time passes.
         """
-        link = self.link
-        assert link is not None
+        (link,) = self.links.values()
         now = self.now()
         for lag, envelope in envelopes:
             self._transit.extend(link.send(envelope, now, lag=lag))
-        for at, env in link.poll(now):
-            self._transit.append((at, env))
+        self._transit.extend(link.poll(now))
         # Acks whose transit delay elapsed complete the retransmit cycle.
         due_acks = [(at, env) for at, env in self._acks if at <= now]
         self._acks = [(at, env) for at, env in self._acks if at > now]
@@ -572,23 +436,11 @@ class ThreadedDyflow:
         # Deliver due data copies into the server's bounded ingress.
         due = [(at, env) for at, env in self._transit if at <= now]
         self._transit = [(at, env) for at, env in self._transit if at > now]
-        for at, env in sorted(due, key=lambda p: (p[0], p[1].sender, p[1].seq)):
-            if self.server.offer(env):
-                ack_at = link.plan_ack(env, now)
-                if ack_at is not None:
-                    self._acks.append((ack_at, env))
-        # Drain the ingress queue (budgeted) into the real receive path.
-        for env in self.server.take_ingress():
-            self.server.note_staleness(max(0.0, now - env.time))
-            self.server.receive(env)
-        # Staleness-aware degraded planning.
-        if self.degrade is not None:
-            for alert in self.degrade.tick(now, self.server.last_seen):
-                if self.health is not None:
-                    self.health.alerts.append(alert)
-                if self.tracer.enabled:
-                    self.tracer.point("health.alert", "health", **alert.to_dict())
-            self.decision.set_degraded(self.degrade.degraded)
+        for _at, env in sorted(due, key=lambda p: (p[0], p[1].sender, p[1].seq)):
+            ack_at = self._offer(env, link, now)
+            if ack_at is not None:
+                self._acks.append((ack_at, env))
+        self._pump_ingress(now)
 
     def _decision_loop(self) -> None:
         while not self._stop.is_set():
@@ -610,26 +462,25 @@ class ThreadedDyflow:
                 time.sleep(self.poll_interval)
                 self._queue.put(suggestions)
                 continue
-            applied = self._apply(suggestions)
+            with self.tracer.span("arbitration.apply", "arbitration", suggestions=len(suggestions)):
+                applied = self._apply(suggestions)
             if applied:
                 self._gate_until = self.now() + self.settle
 
     def _apply(self, suggestions: list[SuggestedAction]) -> bool:
-        with self.tracer.span("arbitration.apply", "arbitration", suggestions=len(suggestions)):
-            return self._apply_inner(suggestions)
-
-    def _apply_inner(self, suggestions: list[SuggestedAction]) -> bool:
         any_applied = False
         for s in suggestions:
             with self._state_lock:
                 running = s.target in self._instances
                 current = self.nworkers(s.target)
+                # Instance threads delete themselves from _instances as
+                # they exit: total the other tasks' workers under the lock.
+                others = sum(i.nworkers for n, i in self._instances.items() if n != s.target)
             adjust = int(s.params.get("adjust-by", 1))
             applied = False
             if s.action == ActionType.ADDCPU and running:
                 new = current + adjust
                 if self.max_workers_total is not None:
-                    others = sum(self.nworkers(n) for n in self._instances if n != s.target)
                     new = min(new, self.max_workers_total - others)
                 if new > current:
                     self._stop_task(s.target)

@@ -54,12 +54,12 @@ class TestThreadedFabricWiring:
 
     def test_no_network_leaves_plain_path(self):
         runner = self.make_runner()
-        assert runner.link is None and runner.degrade is None
+        assert runner.links == {} and runner.degrade is None
         assert not runner.server.fabric_enabled
 
     def test_disabled_network_ignored(self):
         runner = self.make_runner(NetworkSpec(enabled=False))
-        assert runner.network is None and runner.link is None
+        assert runner.network is None and runner.links == {}
 
     def test_queue_capacity_exposed_via_shed_counter(self):
         runner = self.make_runner(queue_capacity=2)
@@ -76,7 +76,8 @@ class TestThreadedFabricWiring:
                         max_retransmits=10, retransmit_max=0.2,
                         ingress_capacity=64, drain_per_tick=0)
         )
-        assert runner.link is not None and runner.server.fabric_enabled
+        assert list(runner.links) == ["live-client"] and runner.server.fabric_enabled
+        link = runner.links["live-client"]
         runner.add_sensor(SensorSpec("PACE", "TAUADIOS2", (GroupBySpec("task", "MAX"),)))
         runner.monitor_task("T", "PACE")
         runner.start()
@@ -85,7 +86,7 @@ class TestThreadedFabricWiring:
         runner.stop()
         values = [u.value for u in runner.server.history if u.task == "T"]
         assert values, "no updates survived the lossy link"
-        assert runner.link.sent > 0 and runner.link.acked > 0
+        assert link.sent > 0 and link.acked > 0
         # Dedup guarantee holds on the wall-clock path too: every copy the
         # filter caught came from a dup draw or a retransmit, never fresh data.
-        assert runner.server.duplicates <= runner.link.duplicated + runner.link.retransmits
+        assert runner.server.duplicates <= link.duplicated + link.retransmits

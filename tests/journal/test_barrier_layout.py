@@ -1,0 +1,89 @@
+"""The WAL's barrier layout is a format: pinned, not derived.
+
+``DyflowOrchestrator`` builds a barrier's ``state`` from its component
+table, and ``resume_from`` reads it back by the same names.  A journal
+written before a rename or a dropped key could not be resumed, so the
+keys — as the bytes on disk carry them — are pinned here to literals
+captured on the tree before the table existed: once for a plain
+Gray-Scott run (every optional subsystem off, so its key is present and
+``null``) and once with every subsystem on.
+"""
+
+import glob
+import json
+import os
+
+import pytest
+
+from repro.cluster import BatchScheduler, summit
+from repro.experiments.grayscott_scenario import GrayScottConfig, build_workflow, gray_scott_xml
+from repro.journal import JournalSpec
+from repro.observability import ObservabilitySpec
+from repro.profiler import ProfileSpec
+from repro.runtime import RuntimeOptions
+from repro.sim import RngRegistry, SimEngine
+from repro.telemetry import TelemetrySpec
+from repro.wms import Savanna
+from repro.xmlspec import configure_orchestrator, parse_dyflow_xml
+
+STATE_KEYS = [
+    "arbitration", "chaos", "clients", "fabric", "health",
+    "inflight", "next_tick", "profiler", "watchdog",
+]
+OPTIONAL = ["chaos", "fabric", "health", "profiler", "watchdog"]
+FABRIC_KEYS = ["degraded", "links", "server"]
+
+EVERY_SUBSYSTEM = """
+  <resilience>
+    <retry max-retries="8" backoff-base="1.0" jitter="0.25"/>
+    <watchdog heartbeat-timeout="200.0" poll="5.0"/>
+    <faults task-crash-mtbf="400.0" msg-drop-prob="0.02"/>
+    <network latency="0.2" jitter="0.1" drop-prob="0.10" dup-prob="0.05"
+             ack-timeout="2.0" max-retransmits="5" ingress-capacity="64"
+             drain-per-tick="32" stale-after="20.0"/>
+  </resilience>"""
+
+
+def first_barrier_state(journal_dir: str, everything: bool) -> list[tuple[str, object]]:
+    """Run Gray-Scott for 20 simulated seconds; the first barrier's state
+    as (key, value) pairs in the order the WAL line holds them."""
+    config = GrayScottConfig.summit()
+    num_nodes = max(config.gs_procs // config.gs_procs_per_node, 10)
+    engine = SimEngine()
+    job = BatchScheduler(engine, summit(num_nodes)).submit(num_nodes, walltime_limit=10_000.0)
+    engine.run(until=0)
+    launcher = Savanna(engine, build_workflow(config), job.allocation, rng=RngRegistry(3))
+    xml = gray_scott_xml("summit")
+    options = RuntimeOptions(journal=JournalSpec(dir=journal_dir, fsync="off"))
+    if everything:
+        xml = xml.replace("</dyflow>", EVERY_SUBSYSTEM + "\n</dyflow>")
+        options = options.override(
+            telemetry=TelemetrySpec(enabled=True),
+            observability=ObservabilitySpec(enabled=True),
+            profile=ProfileSpec(enabled=True, sample_every=5.0),
+        )
+    spec = parse_dyflow_xml(xml)
+    orch = configure_orchestrator(
+        launcher, spec, options=options.override(resilience=spec.resilience)
+    )
+    orch.start()
+    launcher.launch_workflow()
+    engine.run(until=20.0)
+    orch.stop()
+    for segment in sorted(glob.glob(os.path.join(journal_dir, "wal-*.jsonl"))):
+        with open(segment, encoding="utf-8") as fh:
+            for line in fh:
+                if '"kind":"barrier"' in line:
+                    record = json.loads(line[line.index("{"):], object_pairs_hook=list)
+                    return dict(record)["state"]
+    raise AssertionError("the run journaled no barrier")
+
+
+@pytest.mark.parametrize("everything", [False, True], ids=["plain", "every-subsystem-on"])
+def test_barrier_state_keys_are_pinned(tmp_path, everything):
+    state = first_barrier_state(str(tmp_path / "journal"), everything)
+    assert [key for key, _ in state] == STATE_KEYS
+    absent = [key for key, value in state if value is None]
+    assert absent == ([] if everything else OPTIONAL)
+    if everything:
+        assert [key for key, _ in dict(state)["fabric"]] == FABRIC_KEYS

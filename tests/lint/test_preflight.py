@@ -19,7 +19,7 @@ from repro.core import ActionType, GroupBySpec, PolicyApplication, PolicySpec, S
 from repro.errors import LintError, VerificationError
 from repro.experiments import run_gray_scott_experiment
 from repro.journal import scenario_fingerprint
-from repro.lint import PreflightWarning, spec_from_orchestrator, spec_from_threaded
+from repro.lint import PreflightWarning, spec_from_runtime
 from repro.runtime import DyflowOrchestrator, LiveTaskSpec, RuntimeOptions, ThreadedDyflow
 from repro.sim import RngRegistry, SimEngine
 from repro.wms import CouplingType, DependencySpec, Savanna, TaskSpec, WorkflowSpec
@@ -107,7 +107,7 @@ class TestOrchestratorPreflight:
         _eng, sav = make_launcher()
         orch = DyflowOrchestrator(sav)
         wire_clean(orch)
-        spec = spec_from_orchestrator(orch)
+        spec = spec_from_runtime(orch)
         assert set(spec.sensors) == {"PACE"}
         assert set(spec.policies) == {"INC"}
         assert [mt.task for mt in spec.monitor_tasks] == ["Ana"]
@@ -152,7 +152,7 @@ class TestThreadedPreflight:
         run = self.make_runner()
         run.add_sensor(SensorSpec("S", "TAUADIOS2", (GroupBySpec("task", "MAX"),)))
         run.monitor_task("T", "S")
-        spec = spec_from_threaded(run)
+        spec = spec_from_runtime(run)
         assert set(spec.sensors) == {"S"}
         assert [mt.task for mt in spec.monitor_tasks] == ["T"]
 

@@ -1,9 +1,10 @@
 """Batched vs per-sample envelope delivery must be indistinguishable.
 
 The sim driver aggregates same-deliver-time envelope deliveries into one
-engine event per (link, tick); ``RuntimeOptions(batch_deliveries=False)``
-restores one engine event per envelope.  This suite is the equivalence
-oracle: on a clean fabric and under drop/dup/reorder faults, the two
+engine event per (link, tick).  The one-event-per-envelope path is kept
+only as this suite's reference, reached by setting
+``orch.batch_deliveries = False`` on the constructed orchestrator (it is
+not a runtime option).  This suite is the equivalence oracle: on a clean fabric and under drop/dup/reorder faults, the two
 modes must produce bit-identical ``scenario_fingerprint``\\ s and
 identical MonitorServer ledgers (dedup filter state, received/forwarded
 counts, last-seen times, backpressure counters).
@@ -43,7 +44,7 @@ CHAOS_NETWORK = NetworkSpec(
 )
 
 
-def run_scenario(options):
+def run_scenario(options, batched=True):
     """One small synthetic run; returns (fingerprint, server ledger)."""
     cfg = SyntheticConfig(num_tasks=40, total_steps=4, num_clients=4, seed=7)
     engine = SimEngine()
@@ -56,7 +57,8 @@ def run_scenario(options):
     workflow = build_synthetic_workflow(cfg)
     launcher = Savanna(engine, workflow, job.allocation, rng=RngRegistry(cfg.seed))
     orch = build_synthetic_orchestrator(launcher, cfg, options=options)
-    assert orch.batch_deliveries is options.batch_deliveries
+    assert orch.batch_deliveries is True
+    orch.batch_deliveries = batched
 
     from repro.experiments.results import ScenarioResult
 
@@ -80,12 +82,9 @@ def run_scenario(options):
                          ids=["clean-fabric", "chaos-fabric"])
 def test_batched_matches_per_sample_delivery(network):
     resilience = ResilienceSpec(network=network) if network is not None else None
-    batched_fp, batched_ledger = run_scenario(
-        RuntimeOptions(resilience=resilience, batch_deliveries=True)
-    )
-    unbatched_fp, unbatched_ledger = run_scenario(
-        RuntimeOptions(resilience=resilience, batch_deliveries=False)
-    )
+    options = RuntimeOptions(resilience=resilience)
+    batched_fp, batched_ledger = run_scenario(options)
+    unbatched_fp, unbatched_ledger = run_scenario(options, batched=False)
     assert batched_fp == unbatched_fp
     assert batched_ledger == unbatched_ledger
 

@@ -37,7 +37,6 @@ class TestRuntimeOptions:
         assert opts.journal is None
         assert opts.preflight == "off"
         assert opts.resilience is None
-        assert opts.batch_deliveries is True
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -45,9 +44,8 @@ class TestRuntimeOptions:
 
     def test_override_copies(self):
         base = RuntimeOptions()
-        changed = base.override(preflight="warn", batch_deliveries=False)
+        changed = base.override(preflight="warn")
         assert changed.preflight == "warn"
-        assert changed.batch_deliveries is False
         assert base.preflight == "off"
 
     def test_from_spec_lifts_runtime_sections(self):
@@ -86,11 +84,6 @@ class TestOrchestratorOptions:
         sav.configure_resilience(spec)
         DyflowOrchestrator(sav, options=RuntimeOptions())
         assert sav.resilience is spec
-
-    def test_batch_deliveries_knob(self):
-        eng, sav = make_launcher()
-        orch = DyflowOrchestrator(sav, options=RuntimeOptions(batch_deliveries=False))
-        assert orch.batch_deliveries is False
 
     @pytest.mark.parametrize("kwarg,value", [
         ("telemetry", None),

@@ -4,11 +4,20 @@ These run actual threads with sub-second workloads; they are the slowest
 tests in the suite but each stays under a few wall seconds.
 """
 
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.core import ActionType, GroupBySpec, PolicyApplication, PolicySpec, SensorSpec
+from repro.core import (
+    ActionType,
+    GroupBySpec,
+    PolicyApplication,
+    PolicySpec,
+    SensorSpec,
+    SuggestedAction,
+)
 from repro.errors import DyflowError
 from repro.runtime.threaded import LiveTaskSpec, ThreadedDyflow
 
@@ -136,3 +145,45 @@ class TestLiveActions:
         time.sleep(1.0)
         runner.stop()
         assert runner.applied_actions == []  # gated by the long warmup
+
+
+def test_addcpu_while_other_tasks_exit():
+    """ADDCPU under ``max_workers_total`` totals the *other* tasks' workers
+    while their threads remove themselves from the instance table.
+
+    Outside the state lock that read raised ``RuntimeError: dictionary
+    changed size during iteration``, which killed the daemon arbitration
+    thread and dropped every later suggestion.
+    """
+    grow = SuggestedAction("P", ActionType.ADDCPU, "T", "LIVE", params={"adjust-by": 1})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(3):
+            go = threading.Event()  # holds the short tasks until ADDCPUs are flowing
+            short = [
+                LiveTaskSpec(f"S{i}", lambda s, w: go.wait(60.0), total_steps=1 + i % 40)
+                for i in range(400)  # far more threads than the CI runner has cores
+            ]
+            runner = make_runner(
+                [LiveTaskSpec("T", lambda s, w: time.sleep(0.001), nworkers=2)] + short,
+                max_workers_total=2,
+            )
+            overlapped = 0
+            runner.start()
+            try:
+                threading.Timer(0.05, go.set).start()
+                deadline = time.monotonic() + 60.0
+                while (runner._health_aggregates()["tasks.running"] > 1
+                       and time.monotonic() < deadline):
+                    runner._apply([grow])
+                    overlapped += go.is_set()
+                assert time.monotonic() < deadline, "short tasks never finished"
+                assert overlapped > 1  # suggestions kept coming while tasks exited
+                assert runner.nworkers("T") == 2  # the cap held: T was never grown
+            finally:
+                go.set()
+                runner.stop()
+            assert runner.applied_actions == []
+    finally:
+        sys.setswitchinterval(interval)
