@@ -164,9 +164,6 @@ _FLAT = {
     "RunStore": "repro.observability",
     "RunRecord": "repro.observability",
     "load_record": "repro.observability",
-    # core profiler
-    "ProfileSpec": "repro.profiler",
-    "CoreProfiler": "repro.profiler",
     # canned experiments
     "run_xgc_experiment": "repro.experiments",
     "run_gray_scott_experiment": "repro.experiments",

@@ -38,12 +38,12 @@ from typing import Any, Callable
 
 from repro.campaign.arbiter import Lease, MachineArbiter
 from repro.campaign.breaker import TenantBreaker
-from repro.campaign.executor import COMPLETED, SupervisedExecutor
+from repro.campaign.executor import COMPLETED, POISONED, SupervisedExecutor
 from repro.campaign.registry import AdmissionController, AdmissionResult, TenantRegistry
 from repro.campaign.spec import ExecutorSpec, TenantsSpec
 from repro.campaign.statepoint import statepoint_id
 from repro.errors import ReproError
-from repro.journal import Journal, JournalSpec, read_journal
+from repro.journal import JournalSpec, ResumableJournal, RunLedger
 from repro.observability.fleet import FleetHealthEngine
 from repro.observability.slo import HealthAlert, SloEvaluator
 from repro.observability.spec import ObservabilitySpec, SloSpec
@@ -190,9 +190,10 @@ class CampaignService:
             fleet_spec = observability.fleet
         self.fleet: FleetHealthEngine | None = None
         self._watch: WatchStream | None = None
-        self._fleet_journal_spec: JournalSpec | None = None
         self._fleet_slo: dict[str, list[SloEvaluator]] = {}
         self._resume_replay = False
+        # Read here (to restore the last barrier), claimed by run_pending().
+        self._fleet_wal = ResumableJournal(None)
         if fleet_spec is not None:
             self.fleet = FleetHealthEngine(fleet_spec)
             watch_path = fleet_spec.watch_path
@@ -201,7 +202,9 @@ class CampaignService:
                 os.makedirs(fleet_dir, exist_ok=True)
                 if watch_path is None:
                     watch_path = os.path.join(fleet_dir, "watch.jsonl")
-                self._fleet_journal_spec = JournalSpec(dir=os.path.join(fleet_dir, "wal"))
+                self._fleet_wal = ResumableJournal(
+                    JournalSpec(dir=os.path.join(fleet_dir, "wal")), scope="fleet"
+                )
             self._watch = WatchStream(watch_path)
             # Tenant-scoped SLOs declared on the observability spec run
             # against the tenant's fleet rollup registry.
@@ -312,53 +315,13 @@ class CampaignService:
                 self.fleet.record_rejection(cell.tenant_id)
         return result
 
-    # -- per-tenant journals --------------------------------------------------------
-    def _journal_spec(self, tenant_id: str) -> JournalSpec | None:
-        if self.journal_root is None:
-            return None
-        return JournalSpec(dir=os.path.join(self.journal_root, tenant_id))
-
-    def _load_completed(self, tenant_id: str) -> dict[str, dict]:
-        """Completed-cell ledger from the tenant's own WAL directory."""
-        spec = self._journal_spec(tenant_id)
-        if spec is None:
-            return {}
-        from repro.journal.wal import list_segment_indices
-
-        if not (os.path.isdir(spec.dir) and list_segment_indices(spec.dir)):
-            return {}
-        completed: dict[str, dict] = {}
-        for rec in read_journal(spec.dir).records:
-            if rec["kind"] == "cell-completed":
-                completed[rec["cell_id"]] = rec["result"]
-            elif rec["kind"] == "cell-poisoned":
-                completed[rec["cell_id"]] = {"__poisoned__": rec["failures"]}
-        return completed
-
-    def _open_journal(self, tenant_id: str) -> Journal | None:
-        spec = self._journal_spec(tenant_id)
-        if spec is None:
-            return None
-        from repro.journal.wal import list_segment_indices
-
-        if os.path.isdir(spec.dir) and list_segment_indices(spec.dir):
-            return Journal.reopen(spec.dir, spec=spec)
-        journal = Journal.open(spec)
-        journal.append("meta", tenant=tenant_id)
-        return journal
-
-    # -- fleet WAL ------------------------------------------------------------------
-    def _open_fleet_journal(self) -> Journal | None:
-        spec = self._fleet_journal_spec
-        if spec is None:
-            return None
-        from repro.journal.wal import list_segment_indices
-
-        if os.path.isdir(spec.dir) and list_segment_indices(spec.dir):
-            return Journal.reopen(spec.dir, spec=spec)
-        journal = Journal.open(spec)
-        journal.append("meta", scope="fleet")
-        return journal
+    # -- journals -------------------------------------------------------------------
+    def _ledger(self, tenant_id: str) -> RunLedger:
+        """The tenant's cell ledger, over its own WAL directory."""
+        spec = None
+        if self.journal_root is not None:
+            spec = JournalSpec(dir=os.path.join(self.journal_root, tenant_id))
+        return RunLedger("cell", spec, tenant=tenant_id)
 
     def _fleet_state(self) -> dict[str, Any]:
         assert self.fleet is not None
@@ -377,7 +340,7 @@ class CampaignService:
             },
         }
 
-    def _fleet_barrier(self, journal: Journal | None) -> None:
+    def _fleet_barrier(self) -> None:
         """Make the fleet plane durable after one executed cell.
 
         The barrier carries everything the resumed service cannot
@@ -386,6 +349,7 @@ class CampaignService:
         fleet rollup registries — so rollups and watch streams come back
         bit-identical.
         """
+        journal = self._fleet_wal.journal
         if journal is None:
             return
         journal.append("fleet-barrier", t=self._now, state=self._fleet_state())
@@ -394,15 +358,8 @@ class CampaignService:
             self._watch.sync()
 
     def _restore_fleet_barrier(self) -> None:
-        spec = self._fleet_journal_spec
-        if spec is None:
-            return
-        from repro.journal.wal import list_segment_indices
-
-        if not (os.path.isdir(spec.dir) and list_segment_indices(spec.dir)):
-            return
         barrier: dict[str, Any] | None = None
-        for rec in read_journal(spec.dir).records:
+        for rec in self._fleet_wal.records:
             if rec["kind"] == "fleet-barrier":
                 barrier = rec
         if barrier is None:
@@ -461,12 +418,11 @@ class CampaignService:
         tenants stay parked; the loop stops when nothing is
         dispatchable.  Returns this call's cell records.
         """
-        completed = {tid: self._load_completed(tid) for tid in self.registry.ids()}
-        journals: dict[str, Journal | None] = {}
-        fleet_journal = self._open_fleet_journal() if self.fleet is not None else None
+        ledgers = {tid: self._ledger(tid) for tid in self.registry.ids()}
         executed = 0
         batch: list[dict[str, Any]] = []
         try:
+            self._fleet_wal.open()
             while True:
                 tid = self.admission.next_tenant(self._now)
                 if tid is None:
@@ -475,22 +431,18 @@ class CampaignService:
                     break
                 cell_id, cell = self.admission.pop_cell(tid)
                 state = self.registry.require(tid)
-                record = self._serve(
-                    tid, cell_id, cell, state, completed[tid], journals
-                )
+                record = self._serve(tid, cell_id, cell, state, ledgers[tid])
                 batch.append(record)
                 self.results.append(record)
                 if not record["replayed"]:
                     self._resume_replay = False
                     executed += 1
                     self._now += 1.0
-                    self._fleet_barrier(fleet_journal)
+                    self._fleet_barrier()
         finally:
-            for journal in journals.values():
-                if journal is not None:
-                    journal.close()
-            if fleet_journal is not None:
-                fleet_journal.close()
+            for ledger in ledgers.values():
+                ledger.close()
+            self._fleet_wal.close()
             if self.fleet is not None:
                 path = self.fleet.spec.openmetrics_path
                 if path is not None:
@@ -498,23 +450,23 @@ class CampaignService:
                         fh.write(self.fleet.render_openmetrics())
         return batch
 
-    def _serve(
-        self, tid, cell_id, cell, state, completed, journals
-    ) -> dict[str, Any]:
+    def _serve(self, tid, cell_id, cell, state, ledger: RunLedger) -> dict[str, Any]:
+        def record(status, result=None, replayed=False, attempts=0) -> dict[str, Any]:
+            return {"tenant": tid, "cell_id": cell_id, "status": status,
+                    "result": result, "replayed": replayed, "attempts": attempts}
+
         # Ledger replay: a completed (or poisoned) cell is never re-run.
-        if cell_id in completed:
-            prior = completed[cell_id]
-            if isinstance(prior, dict) and "__poisoned__" in prior:
+        replayed = ledger.replay(cell_id)
+        if replayed is not None:
+            status, result = replayed
+            if status == COMPLETED:
+                state.completed += 1
+            else:
                 state.poisoned += 1
-                return {
-                    "tenant": tid, "cell_id": cell_id, "status": "poisoned",
-                    "result": None, "replayed": True, "attempts": 0,
-                }
-            state.completed += 1
-            return {
-                "tenant": tid, "cell_id": cell_id, "status": "completed",
-                "result": prior, "replayed": True, "attempts": 0,
-            }
+            return record(status, result, replayed=True)
+        # Claim the tenant's WAL before leasing: a directory that cannot
+        # be reopened must not strand a lease.
+        ledger.open()
         lease, deny = self.arbiter.try_lease(state.spec, cell_id, cell.nprocs)
         if lease is None:
             # One-cell-at-a-time service: a denial here is structural
@@ -524,18 +476,11 @@ class CampaignService:
                                tenant=tid, cell_id=cell_id, reason=deny)
             if fresh and self.fleet is not None:
                 self.fleet.record_rejection(tid)
-            return {
-                "tenant": tid, "cell_id": cell_id, "status": f"rejected-{deny}",
-                "result": None, "replayed": False, "attempts": 0,
-            }
+            return record(f"rejected-{deny}")
         self._emit("lease-grant", f"lease-grant:{cell_id}", tenant=tid,
                    cell_id=cell_id, nodes=lease.nodes, cores=lease.cores)
-        if tid not in journals:
-            journals[tid] = self._open_journal(tid)
-        journal = journals[tid]
         try:
-            if journal is not None:
-                journal.append("cell-started", cell_id=cell_id, params=cell.params)
+            ledger.start(cell_id, cell.params)
             self._emit("cell-start", f"cell-start:{cell_id}",
                        tenant=tid, cell_id=cell_id)
             [outcome] = self.executor.run(
@@ -567,15 +512,8 @@ class CampaignService:
             self._evaluate_fleet_slos(tid)
             self._emit("cell-complete", f"cell-complete:{cell_id}",
                        tenant=tid, cell_id=cell_id, attempts=outcome.attempts)
-            if journal is not None:
-                journal.append("cell-completed", cell_id=cell_id,
-                               result=outcome.result)
-                journal.sync()
-            return {
-                "tenant": tid, "cell_id": cell_id, "status": "completed",
-                "result": outcome.result, "replayed": False,
-                "attempts": outcome.attempts,
-            }
+            ledger.complete(cell_id, outcome.result)
+            return record(COMPLETED, outcome.result, attempts=outcome.attempts)
         state.poisoned += 1
         if self.fleet is not None:
             self.fleet.record_cell(tid, 0.0, status="poisoned",
@@ -583,17 +521,9 @@ class CampaignService:
         self._evaluate_fleet_slos(tid)
         self._emit("cell-poison", f"cell-poison:{cell_id}",
                    tenant=tid, cell_id=cell_id, attempts=outcome.attempts)
-        if journal is not None:
-            journal.append(
-                "cell-poisoned", cell_id=cell_id,
-                failures=[[f.attempt, f.kind, f.detail] for f in outcome.failures],
-            )
-            journal.sync()
+        ledger.poison(cell_id, [[f.attempt, f.kind, f.detail] for f in outcome.failures])
         self._dump_flight_recorder(cell_id)
-        return {
-            "tenant": tid, "cell_id": cell_id, "status": "poisoned",
-            "result": None, "replayed": False, "attempts": outcome.attempts,
-        }
+        return record(POISONED, attempts=outcome.attempts)
 
     # -- health --------------------------------------------------------------------
     def _evaluate_health(self, tenant_id: str) -> None:

@@ -67,7 +67,7 @@ class _FeasibilityCache:
     def __init__(self) -> None:
         self._epoch: tuple | None = None
         self._infeasible: set[tuple[int, int | None]] = set()
-        #: Memo effectiveness counters for the core profiler; they never
+        #: Memo effectiveness counters (``memo_stats``); they never
         #: influence placement, so they are not journaled.
         self.hits = 0
         self.misses = 0
@@ -223,7 +223,7 @@ class ArbitrationStage:
         return self._in_flight
 
     def memo_stats(self) -> dict[str, int]:
-        """Placement-memo effectiveness (consumed by the core profiler)."""
+        """Placement-memo effectiveness (``perfbench`` reads it per tick)."""
         return {"hits": self._feasibility.hits, "misses": self._feasibility.misses}
 
     def gated(self, now: float) -> bool:

@@ -5,7 +5,7 @@ semantics, and the resume walkthrough.
 """
 
 from repro.journal.journal import Journal
-from repro.journal.ledger import AppliedOpsLedger
+from repro.journal.ledger import AppliedOpsLedger, ResumableJournal, RunLedger
 from repro.journal.records import RECORD_KINDS, make_record
 from repro.journal.resume import JournalState, read_journal, scenario_fingerprint
 from repro.journal.snapshot import SnapshotStore
@@ -19,6 +19,8 @@ __all__ = [
     "JournalSpec",
     "JournalState",
     "RECORD_KINDS",
+    "ResumableJournal",
+    "RunLedger",
     "SnapshotStore",
     "WalWriter",
     "claim_epoch",

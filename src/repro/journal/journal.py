@@ -13,11 +13,13 @@ and ``journal.snapshot.bytes``.
 
 from __future__ import annotations
 
+import os
 import time as _time
 from dataclasses import asdict
 
 from repro.errors import JournalError
 from repro.journal.records import make_record
+from repro.journal.resume import read_journal
 from repro.journal.snapshot import SnapshotStore
 from repro.journal.spec import JournalSpec
 from repro.journal.wal import WalWriter, claim_epoch, list_segment_indices
@@ -59,8 +61,6 @@ class Journal:
     @classmethod
     def open(cls, spec: JournalSpec, metrics=None) -> "Journal":
         """Start a fresh journal; the directory must hold no WAL segments."""
-        import os
-
         os.makedirs(spec.dir, exist_ok=True)
         if list_segment_indices(spec.dir):
             raise JournalError(
@@ -70,17 +70,18 @@ class Journal:
         return cls(spec, metrics=metrics)
 
     @classmethod
-    def reopen(cls, directory: str, spec: JournalSpec | None = None, metrics=None) -> "Journal":
+    def reopen(
+        cls, directory: str, spec: JournalSpec | None = None, metrics=None, state=None
+    ) -> "Journal":
         """Claim an existing journal for recovery (next epoch, fresh segment).
 
         Appends resume in a *new* segment — never after a possibly-torn
         tail — and the sequence counter continues past the last durable
         record.  The persisted spec (from the latest snapshot or
-        meta/resume record) is reused unless *spec* overrides it.
+        meta/resume record) is reused unless *spec* overrides it; *state*
+        is the directory's ``JournalState`` when the caller already read it.
         """
-        from repro.journal.resume import read_journal
-
-        js = read_journal(directory)
+        js = state if state is not None else read_journal(directory)
         if spec is None:
             persisted = js.journal_spec or {}
             persisted.pop("dir", None)

@@ -19,10 +19,8 @@ kinds split into three groups:
              ``op-completed`` (the idempotent-actuation ledger),
              ``task-checkpoint`` (threaded-runtime step progress, used
              to restart live mini-apps without redoing work), and the
-             the campaign-level ``run-started`` / ``run-completed`` /
-             ``run-failed`` / ``run-poisoned``, and the tenant-service
-             cell ledger (``cell-started`` / ``cell-completed`` /
-             ``cell-poisoned``).
+             campaign ledger's ``run-*`` / ``cell-*`` bracket, written
+             only by :class:`~repro.journal.ledger.RunLedger`.
 """
 
 from __future__ import annotations

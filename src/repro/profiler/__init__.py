@@ -9,13 +9,12 @@ instrumentation, streamed while the task runs.  This package provides:
 * :class:`CounterModel` — hardware-counter models (instructions, cycles)
   so joined sensors can compute IPC, the paper's example of a complex
   metric built from multiple inputs.
-* :class:`CoreProfiler` — a sampling profiler over the orchestrator's
-  own sim kernel (events/sec, queue depth, codec/memo cache hit rates)
-  with a bounded flight-recorder ring dumped on crash.
+
+Profiling the orchestrator itself is not this package's job: the
+per-layer attribution tool is ``python3 -m perfbench --trace 1``.
 """
 
 from repro.profiler.instrument import TaskProfiler
 from repro.profiler.counters import CounterModel
-from repro.profiler.sampling import CoreProfiler, ProfileSpec
 
-__all__ = ["TaskProfiler", "CounterModel", "CoreProfiler", "ProfileSpec"]
+__all__ = ["TaskProfiler", "CounterModel"]

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.observability import ObservabilitySpec
-    from repro.profiler.sampling import ProfileSpec
     from repro.resilience.spec import ResilienceSpec
     from repro.telemetry import TelemetrySpec
     from repro.xmlspec.model import DyflowSpec
@@ -38,9 +37,7 @@ class RuntimeOptions:
 
     ``resilience`` is applied by the orchestrator through
     ``launcher.configure_resilience`` (the launcher owns retry/quarantine
-    state); the threaded driver consumes it directly.  ``profile`` wires a
-    :class:`~repro.profiler.sampling.CoreProfiler` into the simulated
-    driver's tick loop (the threaded driver has no sim kernel to sample).
+    state); the threaded driver consumes it directly.
     """
 
     telemetry: "TelemetrySpec | None" = None
@@ -48,7 +45,6 @@ class RuntimeOptions:
     journal: Any = None  # Journal | JournalSpec | None
     preflight: str = "off"
     resilience: "ResilienceSpec | None" = None
-    profile: "ProfileSpec | None" = None
 
     @classmethod
     def from_spec(cls, spec: "DyflowSpec") -> "RuntimeOptions":

@@ -26,7 +26,6 @@ from repro.core.lowlevel import ActionPlan
 from repro.core.rules import ArbitrationRules
 from repro.errors import DyflowError, JournalError
 from repro.journal import AppliedOpsLedger, read_journal
-from repro.profiler.sampling import CoreProfiler
 from repro.resilience import ChaosEngine, HeartbeatWatchdog
 from repro.runtime.core import RuntimeCore
 from repro.runtime.options import RuntimeOptions
@@ -77,13 +76,6 @@ class DyflowOrchestrator(RuntimeCore):
         self.actuation = ActuationStage(launcher)
         self.arbitration.set_tracer(self.tracer)
         self.actuation.set_tracer(self.tracer)
-        # Continuous core profiling: cadenced kernel samples + a bounded
-        # flight recorder dumped on crash (repro.profiler.sampling).
-        self.profiler: CoreProfiler | None = None
-        profile = self.options.profile
-        if profile is not None and profile.enabled:
-            self.profiler = CoreProfiler(profile)
-            self.profiler.bind(engine=self.engine, arbitration=self.arbitration)
         self._running = False
         self._stop_when: Callable[[], bool] | None = None
         launcher.subscribe_start(self._on_task_start)
@@ -106,7 +98,6 @@ class DyflowOrchestrator(RuntimeCore):
             "watchdog": self.watchdog,
             "chaos": self.chaos,
             "health": self.health,
-            "profiler": self.profiler,
             "fabric": self.fabric,
         }
         self.ignore_crash_requests = ignore_crash_requests
@@ -254,8 +245,6 @@ class DyflowOrchestrator(RuntimeCore):
         # streams before the barrier journals the engine's state.
         if self.health is not None:
             self.health.tick(now)
-        if self.profiler is not None:
-            self.profiler.maybe_sample(now)
         if plan is not None:
             if self._journal is not None:
                 self._journal.append("plan", plan=plan.to_dict())

@@ -169,18 +169,6 @@ class SimEngine:
         """Timestamp of the next pending event, or None when idle."""
         return self._times[0] if self._times else None
 
-    def pending_slots(self) -> int:
-        """How many distinct timestamps are queued (heap depth)."""
-        return len(self._slots)
-
-    def pending_events(self) -> int:
-        """Undrained queued events across all slots (cancelled included).
-
-        O(#slots), not O(#events) — cheap enough for the profiler to
-        sample every tick.
-        """
-        return sum(len(s.entries) - s.head for s in self._slots.values())
-
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock reaches *until*.
 

@@ -38,8 +38,8 @@ _UPDATE_KEYSET = frozenset(_UPDATE_FIELDS)
 class _CodecStats:
     """Envelope-codec cache effectiveness counters.
 
-    Purely observational (the core profiler samples them); they never
-    influence encoding, so resetting them is always safe.
+    Purely observational (read through :func:`codec_stats`); they never
+    influence encoding.
     """
 
     __slots__ = ("encode_hits", "encode_misses")
@@ -58,11 +58,6 @@ def codec_stats() -> dict[str, int]:
         "encode_hits": _CODEC_STATS.encode_hits,
         "encode_misses": _CODEC_STATS.encode_misses,
     }
-
-
-def reset_codec_stats() -> None:
-    _CODEC_STATS.encode_hits = 0
-    _CODEC_STATS.encode_misses = 0
 
 
 def _scalar(value: Any) -> str:

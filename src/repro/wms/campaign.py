@@ -13,7 +13,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from repro.campaign.executor import SupervisedExecutor
+from repro.campaign.spec import ExecutorSpec
 from repro.campaign.statepoint import statepoint_id
+from repro.journal import RunLedger
 from repro.wms.spec import WorkflowSpec
 
 
@@ -94,15 +97,13 @@ class Campaign:
 class CampaignRunner:
     """Executes a campaign's grid in order, with a crash-recoverable ledger.
 
-    Each run is bracketed by ``run-started`` / ``run-completed`` journal
-    records (the latter carrying the run's JSON result summary).  A
-    runner pointed at the journal directory of a crashed predecessor
-    *resumes* the campaign deterministically: completed runs are not
-    re-executed — their journaled results are returned verbatim, marked
-    ``replayed`` — and execution picks up at the first run without a
-    completion record.  Reopening bumps the journal's fencing epoch, so a
-    crashed-but-still-writing predecessor errors out on its next sync
-    instead of corrupting the ledger.
+    A thin client: a :class:`~repro.journal.RunLedger` brackets each run
+    and a serial :class:`~repro.campaign.executor.SupervisedExecutor` owns
+    the attempts.  A runner pointed at the journal directory of a crashed
+    predecessor *resumes* the campaign deterministically: settled runs
+    are not re-executed — their journaled results are returned verbatim,
+    marked ``replayed`` — and execution picks up at the first run without
+    a completion record.
 
     A run whose ``execute`` raises is retried immediately (up to
     ``max_attempts`` total attempts, each failure journaled as
@@ -131,7 +132,7 @@ class CampaignRunner:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.campaign = campaign
         self.execute = execute
-        self.journal_spec = journal if journal is not None and journal.enabled else None
+        self.journal_spec = journal
         self.max_attempts = max_attempts
         self.results: list[dict[str, Any]] = []
 
@@ -143,86 +144,40 @@ class CampaignRunner:
         runs and is what the resume tests use to kill the runner at a
         chosen point.
         """
-        journal = None
-        completed: dict[str, dict] = {}
-        poisoned: set[str] = set()
-        if self.journal_spec is not None:
-            import os
-
-            from repro.journal import Journal, read_journal
-            from repro.journal.wal import list_segment_indices
-
-            if os.path.isdir(self.journal_spec.dir) and list_segment_indices(
-                self.journal_spec.dir
-            ):
-                state = read_journal(self.journal_spec.dir)
-                for rec in state.records:
-                    if rec["kind"] == "run-completed":
-                        completed[rec["run_id"]] = rec["result"]
-                    elif rec["kind"] == "run-poisoned":
-                        poisoned.add(rec["run_id"])
-                journal = Journal.reopen(
-                    self.journal_spec.dir, spec=self.journal_spec
-                )
-            else:
-                journal = Journal.open(self.journal_spec)
-                journal.append("meta", campaign=self.campaign.name,
-                               size=self.campaign.size())
+        # Serial mode: attempts run inline, back to back (backoff is never slept).
+        executor = SupervisedExecutor(ExecutorSpec(workers=0, max_attempts=self.max_attempts))
+        ledger = RunLedger(
+            "run", self.journal_spec,
+            campaign=self.campaign.name, size=self.campaign.size(),
+        )
         self.results = []
         executed = 0
         try:
+            ledger.open()
             for run_id, params, workflow in self.campaign.runs():
-                if run_id in completed:
-                    self.results.append(
-                        {"run_id": run_id, "params": params, "status": "completed",
-                         "result": completed[run_id], "replayed": True}
-                    )
-                    continue
-                if run_id in poisoned:
-                    # Quarantined by a previous runner: never re-executed.
-                    self.results.append(
-                        {"run_id": run_id, "params": params, "status": "poisoned",
-                         "result": None, "replayed": True}
-                    )
-                    continue
-                if stop_after is not None and executed >= stop_after:
+                replayed = ledger.replay(run_id)
+                if replayed is not None:
+                    status, result = replayed
+                elif stop_after is not None and executed >= stop_after:
                     break
-                if journal is not None:
-                    journal.append("run-started", run_id=run_id, params=params)
-                result, failures = self._attempt(journal, run_id, params, workflow)
-                executed += 1
-                if failures is not None:
-                    if journal is not None:
-                        journal.append("run-poisoned", run_id=run_id,
-                                       failures=failures)
-                        journal.sync()
-                    self.results.append(
-                        {"run_id": run_id, "params": params, "status": "poisoned",
-                         "result": None, "replayed": False}
+                else:
+                    executed += 1
+                    ledger.start(run_id, params)
+                    [outcome] = executor.run(
+                        [(run_id, (run_id, params, workflow))],
+                        lambda point: self.execute(*point),
                     )
-                    continue
-                if journal is not None:
-                    journal.append("run-completed", run_id=run_id, result=result)
-                    journal.sync()
+                    for failure in outcome.failures:
+                        ledger.fail(run_id, failure.attempt, failure.detail)
+                    if outcome.poisoned:
+                        ledger.poison(run_id, [f.detail for f in outcome.failures])
+                    else:
+                        ledger.complete(run_id, outcome.result)
+                    status, result = outcome.status, outcome.result
                 self.results.append(
-                    {"run_id": run_id, "params": params, "status": "completed",
-                     "result": result, "replayed": False}
+                    {"run_id": run_id, "params": params, "status": status,
+                     "result": result, "replayed": replayed is not None}
                 )
         finally:
-            if journal is not None:
-                journal.close()
+            ledger.close()
         return self.results
-
-    def _attempt(self, journal, run_id, params, workflow):
-        """Run one point with retries; (result, None) or (None, failures)."""
-        failures: list[str] = []
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return self.execute(run_id, params, workflow), None
-            except Exception as err:  # noqa: BLE001 - a failed attempt is data
-                detail = f"{type(err).__name__}: {err}"
-                failures.append(detail)
-                if journal is not None:
-                    journal.append("run-failed", run_id=run_id,
-                                   attempt=attempt, error=detail)
-        return None, failures

@@ -6,7 +6,9 @@ written before a rename or a dropped key could not be resumed, so the
 keys — as the bytes on disk carry them — are pinned here to literals
 captured on the tree before the table existed: once for a plain
 Gray-Scott run (every optional subsystem off, so its key is present and
-``null``) and once with every subsystem on.
+``null``) and once with every subsystem on.  The one deliberate change
+since: the ``profiler`` key left with the in-core profiler; a barrier
+that still carries it must keep resuming (last test).
 """
 
 import glob
@@ -16,10 +18,10 @@ import os
 import pytest
 
 from repro.cluster import BatchScheduler, summit
+from repro.experiments import run_gray_scott_experiment
 from repro.experiments.grayscott_scenario import GrayScottConfig, build_workflow, gray_scott_xml
-from repro.journal import JournalSpec
+from repro.journal import Journal, JournalSpec, read_journal, scenario_fingerprint
 from repro.observability import ObservabilitySpec
-from repro.profiler import ProfileSpec
 from repro.runtime import RuntimeOptions
 from repro.sim import RngRegistry, SimEngine
 from repro.telemetry import TelemetrySpec
@@ -28,9 +30,9 @@ from repro.xmlspec import configure_orchestrator, parse_dyflow_xml
 
 STATE_KEYS = [
     "arbitration", "chaos", "clients", "fabric", "health",
-    "inflight", "next_tick", "profiler", "watchdog",
+    "inflight", "next_tick", "watchdog",
 ]
-OPTIONAL = ["chaos", "fabric", "health", "profiler", "watchdog"]
+OPTIONAL = ["chaos", "fabric", "health", "watchdog"]
 FABRIC_KEYS = ["degraded", "links", "server"]
 
 EVERY_SUBSYSTEM = """
@@ -60,7 +62,6 @@ def first_barrier_state(journal_dir: str, everything: bool) -> list[tuple[str, o
         options = options.override(
             telemetry=TelemetrySpec(enabled=True),
             observability=ObservabilitySpec(enabled=True),
-            profile=ProfileSpec(enabled=True, sample_every=5.0),
         )
     spec = parse_dyflow_xml(xml)
     orch = configure_orchestrator(
@@ -87,3 +88,23 @@ def test_barrier_state_keys_are_pinned(tmp_path, everything):
     assert absent == ([] if everything else OPTIONAL)
     if everything:
         assert [key for key, _ in dict(state)["fabric"]] == FABRIC_KEYS
+
+
+def test_a_barrier_that_still_carries_the_profiler_key_resumes(tmp_path, monkeypatch):
+    """Journals written while the table had a ``profiler`` row hold
+    ``"profiler": null`` in every barrier; they must stay resumable."""
+    append = Journal.append
+
+    def append_like_the_old_table(self, kind, **payload):
+        if kind == "barrier":
+            payload["state"] = {**payload["state"], "profiler": None}
+        return append(self, kind, **payload)
+
+    monkeypatch.setattr(Journal, "append", append_like_the_old_table)
+    spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
+    ref = run_gray_scott_experiment(crash_times=(300.0,), ignore_crash_requests=True)
+    res = run_gray_scott_experiment(journal=spec, crash_times=(300.0,))
+    assert res.meta["crashes"] == [300.0]
+    barriers = [r for r in read_journal(spec.dir).records if r["kind"] == "barrier"]
+    assert barriers and all(b["state"]["profiler"] is None for b in barriers)
+    assert scenario_fingerprint(res) == scenario_fingerprint(ref)

@@ -38,7 +38,6 @@ API_SURFACE = [
     "ChaosEngine",
     "CheckpointSpec",
     "ConstantModel",
-    "CoreProfiler",
     "CouplingType",
     "DegradedModeController",
     "DependencySpec",
@@ -75,7 +74,6 @@ API_SURFACE = [
     "PolicySpec",
     "PowerLawModel",
     "PreflightWarning",
-    "ProfileSpec",
     "QuarantineSpec",
     "RampModel",
     "ReproError",
