@@ -18,6 +18,7 @@ import time as _time
 from dataclasses import asdict
 
 from repro.errors import JournalError
+from repro.journal.delta import SignedState
 from repro.journal.records import make_record
 from repro.journal.resume import read_journal
 from repro.journal.snapshot import SnapshotStore
@@ -56,6 +57,7 @@ class Journal:
         self._snapshot_index = _snapshot_index
         self._fsyncs_seen = 0
         self._closed = False
+        self._barrier: SignedState | None = None  # the last barrier this epoch wrote
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -83,7 +85,7 @@ class Journal:
         """
         js = state if state is not None else read_journal(directory)
         if spec is None:
-            persisted = js.journal_spec or {}
+            persisted = dict(js.journal_spec or {})
             persisted.pop("dir", None)
             spec = JournalSpec(dir=directory, **persisted)
         journal = cls(
@@ -120,15 +122,33 @@ class Journal:
                 self._fsyncs_seen = self._writer.fsync_count
         return self._seq
 
+    def barrier(self, t: float, state: dict) -> int:
+        """Journal one control-loop barrier at time *t*: *state* in full for
+        the first barrier of a writer epoch, afterwards only its delta
+        against the barrier before it."""
+        if self._barrier is None:
+            seq = self.append("barrier", t=t, state=state)
+            self._barrier = SignedState(state)
+            return seq
+        try:
+            return self.append("barrier", t=t, delta=self._barrier.delta(state))
+        except BaseException:
+            self._barrier = None  # the signatures moved on and the WAL did not
+            raise
+
     def snapshot(self, state: dict) -> int:
         """Compact: seal the current segment and persist *state*.
 
         Returns the snapshot index.  The snapshot covers every record up
         to the current sequence number; older segments and snapshots are
-        deleted once the checkpoint pointer has moved.
+        deleted once the checkpoint pointer has moved.  That deletes the
+        last barrier's record, the base of the next delta: *state* carries
+        it as ``barrier``, or the next barrier is written in full.
         """
         if self._closed:
             raise JournalError("snapshot on closed journal")
+        if "barrier" not in state:
+            self._barrier = None
         index = self._snapshot_index
         self._snapshot_index += 1
         segment_after = self._writer.rotate()

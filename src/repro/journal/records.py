@@ -9,7 +9,8 @@ kinds split into three groups:
              ``obs`` (an envelope delivered to the MonitorServer),
              ``task-restart`` (sensor/window resets on task restart),
              ``barrier`` (a Decision tick; also carries the controller
-             state used when it is the last barrier before a crash).
+             state — in full, or as a delta against the barrier before
+             it — that is restored when it is the last before a crash).
 
 *restored*   records whose payload is state, applied wholesale:
              ``plan`` / ``plan-done`` (ActionPlan creation + execution
@@ -31,7 +32,7 @@ RECORD_KINDS = (
     "obs",           # monitor envelope delivered to the server
     "task-restart",  # task (re)started: sensor epochs / history windows reset
     "task-checkpoint",  # threaded runtime: a live task finished a step
-    "barrier",       # one control-loop tick completed; carries controller state
+    "barrier",       # one control-loop tick completed; controller state or its delta
     "plan",          # arbitration produced a plan (full serialized ActionPlan)
     "plan-done",     # actuation finished a plan (execution-time patch)
     "op-issued",     # actuation is about to apply one op (idempotency key)

@@ -7,8 +7,10 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.errors import JournalError
+from repro.journal.delta import apply_delta
 from repro.journal.snapshot import SnapshotStore
-from repro.journal.wal import list_segment_indices, read_segment
+from repro.journal.wal import current_epoch, list_segment_indices, read_segment, segment_path
 
 
 @dataclass
@@ -24,6 +26,8 @@ class JournalState:
     next_segment: int = 0
     next_snapshot: int = 0
     journal_spec: dict | None = None
+    #: Controller state at the last barrier: full record or snapshot + deltas.
+    barrier_state: dict | None = None
 
 
 def read_journal(directory: str) -> JournalState:
@@ -32,22 +36,18 @@ def read_journal(directory: str) -> JournalState:
     Stale-writer debris is discarded: duplicate sequence numbers keep the
     highest epoch, and the epoch must be non-decreasing along the log.
     """
-    from repro.journal.wal import current_epoch
-
     if not os.path.isdir(directory):
-        from repro.errors import JournalError
-
         raise JournalError(f"journal dir {directory!r} does not exist")
     store = SnapshotStore(directory)
     framed = store.load_latest()
     snapshot_seq = framed["seq"] if framed else 0
     start_segment = framed["segment_after"] if framed else 0
 
+    segments = list_segment_indices(directory)
     raw: list[dict] = []
-    for idx in list_segment_indices(directory):
-        if idx < start_segment:
-            continue
-        raw.extend(read_segment(os.path.join(directory, f"wal-{idx:06d}.jsonl")))
+    for idx in segments:
+        if idx >= start_segment:
+            raw.extend(read_segment(segment_path(directory, idx)))
 
     by_seq: dict[int, dict] = {}
     for rec in raw:
@@ -67,14 +67,19 @@ def read_journal(directory: str) -> JournalState:
         max_epoch_seen = max(max_epoch_seen, epoch)
         records.append(rec)
 
-    segments = list_segment_indices(directory)
     next_segment = (segments[-1] + 1) if segments else start_segment
-    journal_spec = None
+    journal_spec = barrier = None
     if framed is not None:
         journal_spec = framed["state"].get("journal_spec")
+        barrier = framed["state"].get("barrier")
     for rec in records:
         if "journal_spec" in rec:
             journal_spec = rec["journal_spec"]
+        if rec.get("kind") == "barrier":
+            # A full barrier restarts the fold; a delta folds onto the one before.
+            if "delta" in rec and barrier is None:
+                raise JournalError(f"delta barrier seq {rec['seq']} has no barrier before it")
+            barrier = apply_delta(barrier, rec["delta"]) if "delta" in rec else rec["state"]
     return JournalState(
         directory=directory,
         epoch=current_epoch(directory),
@@ -87,6 +92,7 @@ def read_journal(directory: str) -> JournalState:
         next_segment=next_segment,
         next_snapshot=(framed["index"] + 1) if framed else 0,
         journal_spec=dict(journal_spec) if journal_spec else None,
+        barrier_state=barrier,
     )
 
 

@@ -221,9 +221,9 @@ class RuntimeCore:
         self._journal = Journal.open(self._journal_spec, metrics=self.tracer.metrics)
         return True
 
-    def _reopen_journal(self, journal_dir: str) -> None:
-        """Take over a crashed run's journal (claims the next fencing epoch)."""
-        self._journal = Journal.reopen(journal_dir, metrics=self.tracer.metrics)
+    def _reopen_journal(self, journal_dir: str, state) -> None:
+        """Take over the journal whose *state* was resumed from (next fencing epoch)."""
+        self._journal = Journal.reopen(journal_dir, metrics=self.tracer.metrics, state=state)
 
     def _close_journal(self) -> None:
         if self._journal is not None and not self._journal.closed:

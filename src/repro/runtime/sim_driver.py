@@ -266,8 +266,8 @@ class DyflowOrchestrator(RuntimeCore):
         )
         self._journal_barrier(now)
         # A crash request is honored at the first barrier with no plan in
-        # flight, after the barrier record (which carries the full
-        # controller state) is durable.
+        # flight, after the barrier record (which carries the controller
+        # state) is durable.
         if self._crash_requested and self.arbitration._in_flight is None:
             self._crash()
 
@@ -346,12 +346,12 @@ class DyflowOrchestrator(RuntimeCore):
         }
         for name, component in self._components.items():
             state[name] = component.state_dict() if component is not None else None
-        self._journal.append("barrier", t=now, state=state)
+        self._journal.barrier(now, state)
         every = self._journal.spec.snapshot_every
         if every > 0 and self._barriers % every == 0:
             # The snapshot seals the segment holding this barrier record,
             # so a crash honored at this very tick would otherwise leave
-            # no barrier in the replayable suffix — embed the state.
+            # no barrier, and the next delta no base — embed the state.
             self._journal.snapshot({**self._snapshot_state(now), "barrier": state})
 
     def _snapshot_state(self, now: float) -> dict:
@@ -440,7 +440,6 @@ class DyflowOrchestrator(RuntimeCore):
         server_tracer, decision_tracer = self.server.tracer, self.decision.tracer
         self.server.tracer = NULL_TRACER
         self.decision.tracer = NULL_TRACER
-        last_barrier = None
         try:
             for rec in js.records:
                 kind = rec["kind"]
@@ -452,20 +451,13 @@ class DyflowOrchestrator(RuntimeCore):
                         self.decision.on_task_restart(rec["task"])
                 elif kind == "barrier":
                     self.decision.tick(rec["t"])
-                    last_barrier = rec
                 elif kind in ("plan", "plan-done"):
                     plans[rec["plan"]["plan_id"]] = ActionPlan.from_dict(rec["plan"])
         finally:
             self.server.tracer = server_tracer
             self.decision.tracer = decision_tracer
-        if last_barrier is not None:
-            b = last_barrier["state"]
-        elif snap.get("barrier") is not None:
-            # The crash was honored at a snapshot-aligned barrier: its
-            # record was sealed into the compacted segment, so the suffix
-            # holds no barrier — the snapshot embeds that tick's state.
-            b = snap["barrier"]
-        else:
+        b = js.barrier_state
+        if b is None:
             raise JournalError(
                 f"journal {journal_dir!r} holds no barrier record; nothing to resume"
             )
@@ -484,7 +476,7 @@ class DyflowOrchestrator(RuntimeCore):
 
         # Take over the journal (claims the next fencing epoch) and keep
         # the snapshot cadence aligned with the uninterrupted run.
-        self._reopen_journal(journal_dir)
+        self._reopen_journal(journal_dir, js)
         self.actuation.journal = self._journal
         self.actuation.abort_requested = False
         every = self._journal.spec.snapshot_every

@@ -285,7 +285,7 @@ class ThreadedDyflow(RuntimeCore):
             if spec.total_steps is not None and next_steps.get(name, 0) >= spec.total_steps:
                 self._completed_tasks.add(name)
         self._incarnations = {t: i + 1 for t, i in incarnations.items()}
-        self._reopen_journal(journal_dir)
+        self._reopen_journal(journal_dir, state)
         return self
 
     # -- task control ---------------------------------------------------------------

@@ -6,9 +6,11 @@ written before a rename or a dropped key could not be resumed, so the
 keys — as the bytes on disk carry them — are pinned here to literals
 captured on the tree before the table existed: once for a plain
 Gray-Scott run (every optional subsystem off, so its key is present and
-``null``) and once with every subsystem on.  The one deliberate change
-since: the ``profiler`` key left with the in-core profiler; a barrier
-that still carries it must keep resuming (last test).
+``null``) and once with every subsystem on.  Two deliberate changes
+since: the ``profiler`` key left with the in-core profiler, and only the
+first barrier of a writer epoch carries the state in full (the rest are
+deltas against it).  A journal from before either change — every
+barrier full, ``profiler`` present — must keep resuming (last test).
 """
 
 import glob
@@ -56,7 +58,11 @@ def first_barrier_state(journal_dir: str, everything: bool) -> list[tuple[str, o
     engine.run(until=0)
     launcher = Savanna(engine, build_workflow(config), job.allocation, rng=RngRegistry(3))
     xml = gray_scott_xml("summit")
-    options = RuntimeOptions(journal=JournalSpec(dir=journal_dir, fsync="off"))
+    # No snapshot in these 21 ticks: compaction would delete the segment
+    # holding the epoch's first — the only full — barrier record.
+    options = RuntimeOptions(
+        journal=JournalSpec(dir=journal_dir, fsync="off", snapshot_every=1000)
+    )
     if everything:
         xml = xml.replace("</dyflow>", EVERY_SUBSYSTEM + "\n</dyflow>")
         options = options.override(
@@ -90,17 +96,17 @@ def test_barrier_state_keys_are_pinned(tmp_path, everything):
         assert [key for key, _ in dict(state)["fabric"]] == FABRIC_KEYS
 
 
-def test_a_barrier_that_still_carries_the_profiler_key_resumes(tmp_path, monkeypatch):
-    """Journals written while the table had a ``profiler`` row hold
-    ``"profiler": null`` in every barrier; they must stay resumable."""
-    append = Journal.append
+def test_a_journal_of_full_state_barriers_resumes(tmp_path, monkeypatch):
+    """The layout before delta barriers: every barrier record carries the
+    whole state (``"profiler": null`` included, from the days the table
+    had that row) and the snapshot embeds the same.  A full record simply
+    restarts the fold, so such journals stay resumable."""
 
-    def append_like_the_old_table(self, kind, **payload):
-        if kind == "barrier":
-            payload["state"] = {**payload["state"], "profiler": None}
-        return append(self, kind, **payload)
+    def barrier_like_the_old_writer(self, t, state):
+        self._barrier = {**state, "profiler": None}  # what snapshot() embeds
+        return self.append("barrier", t=t, state=self._barrier)
 
-    monkeypatch.setattr(Journal, "append", append_like_the_old_table)
+    monkeypatch.setattr(Journal, "barrier", barrier_like_the_old_writer)
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
     ref = run_gray_scott_experiment(crash_times=(300.0,), ignore_crash_requests=True)
     res = run_gray_scott_experiment(journal=spec, crash_times=(300.0,))
