@@ -181,7 +181,11 @@ class TaskContext:
 
     # -- resilience hooks ----------------------------------------------------------
     def heartbeat(self) -> None:
-        """Report liveness (called by the app at each completed step)."""
+        """Report liveness at a completed step.
+
+        For custom app loops; :meth:`IterativeApp.run` reads
+        ``heartbeat_cb`` once per incarnation and calls it directly.
+        """
         if self.heartbeat_cb is not None:
             self.heartbeat_cb(self.engine.now)
 
@@ -334,6 +338,12 @@ class IterativeApp:
         # The resilience layer may override the checkpoint cadence via
         # task parameters (the XML <resilience><checkpoint> knob).
         checkpoint_every = int(ctx.params.get("checkpoint-every", self.checkpoint_every))
+        # Fixed for the life of one incarnation, read once: the loop below
+        # runs once per simulated application step.
+        total_steps, run_steps = self.total_steps, self.run_steps
+        publish_every, output_every = self.publish_every, self.output_every
+        on_step, heartbeat_cb = self.on_step, ctx.heartbeat_cb
+        coupling, task = ctx.coupling, ctx.task
         try:
             while True:
                 if ctx.hang_injected:
@@ -342,9 +352,9 @@ class IterativeApp:
                     # Only a (kill) interrupt gets the task out of here.
                     yield eng.timeout(ctx.poll_interval)
                     continue
-                if self.total_steps is not None and step >= self.total_steps:
+                if total_steps is not None and step >= total_steps:
                     break
-                if self.run_steps is not None and steps_this_run >= self.run_steps:
+                if run_steps is not None and steps_this_run >= run_steps:
                     break
                 # 1. acquire one step of input from every tight parent
                 consumed: dict[str, int] = {}
@@ -356,9 +366,10 @@ class IterativeApp:
                     consumed[parent] = record.step
                 if input_eos:
                     break
-                reconfigured = ctx.drain_control()
-                if reconfigured:
-                    ctx.note("last_reconfig", dict(reconfigured))
+                if ctx.control:
+                    reconfigured = ctx.drain_control()
+                    if reconfigured:
+                        ctx.note("last_reconfig", dict(reconfigured))
                 if steps_this_run == 0:
                     # TAU times main-loop iterations: the first iteration
                     # starts once input is connected, not at process spawn
@@ -369,20 +380,21 @@ class IterativeApp:
                 dt = self.step_time(ctx, step)
                 graceful_stop = yield from self._compute(ctx, dt)
                 # 3. end-of-step bookkeeping (runs even when stopping)
-                if self.publish_every and (step + 1) % self.publish_every == 0:
+                if publish_every and (step + 1) % publish_every == 0:
                     yield from self._publish(ctx, out_ch, step, skip_flow_control=graceful_stop)
                 for parent, in_step in consumed.items():
-                    ctx.coupling.mark_consumed(parent, ctx.task, in_step)
-                if self.output_every and (step + 1) % self.output_every == 0:
+                    coupling.mark_consumed(parent, task, in_step)
+                if output_every and (step + 1) % output_every == 0:
                     self.write_output(ctx, step)
                 if checkpoint_every and (step + 1) % checkpoint_every == 0:
                     ctx.save_checkpoint(step + 1)
-                looptime = eng.now - last_complete
-                last_complete = eng.now
-                self._emit_pace(ctx, profiler, step, looptime)
-                ctx.heartbeat()
-                if self.on_step is not None:
-                    self.on_step(ctx, step)
+                now = eng.now
+                self._emit_pace(ctx, profiler, step, now - last_complete)
+                last_complete = now
+                if heartbeat_cb is not None:
+                    heartbeat_cb(now)
+                if on_step is not None:
+                    on_step(ctx, step)
                 step += 1
                 steps_this_run += 1
                 if graceful_stop:
@@ -470,14 +482,12 @@ class IterativeApp:
         nranks = min(ctx.nprocs, self.profile_ranks) if self.profile_ranks else ctx.nprocs
         jitter = self.rank_jitter
         if jitter > 0 and nranks > 1:
-            factors = 1.0 + jitter * ctx.rng.random(nranks)
+            factors = (1.0 + jitter * ctx.rng.random(nranks)).tolist()
         else:
-            factors = np.ones(nranks)
-        loop_times = {rank: looptime * float(factors[rank]) for rank in range(nranks)}
+            factors = [1.0] * nranks
+        loop_times = {rank: looptime * f for rank, f in enumerate(factors)}
         extra_vars = None
         if self.memory_mb_per_rank > 0:
             base = self.memory_mb_per_rank + self.memory_growth_mb_per_step * step
-            extra_vars = {
-                "rss_mb": {rank: base * float(factors[rank]) for rank in range(nranks)}
-            }
+            extra_vars = {"rss_mb": {rank: base * f for rank, f in enumerate(factors)}}
         profiler.emit_step(ctx.engine.now, step, loop_times, extra_vars=extra_vars)

@@ -29,42 +29,42 @@ class CouplingRegistry:
         """
         check_positive(max_inflight, "max_inflight")
         self.max_inflight = int(max_inflight)
-        # (producer, consumer) -> last step index the consumer completed
-        self._consumed: dict[tuple[str, str], int] = {}
+        # producer -> {consumer: last step index the consumer completed}
+        self._consumed: dict[str, dict[str, int]] = {}
         self._produced: dict[str, int] = {}  # producer -> last published step
 
     # -- consumer lifecycle ------------------------------------------------------
     def register_consumer(self, producer: str, consumer: str) -> None:
         """Consumer (re)connects; it is caught up to the current frontier."""
-        self._consumed[(producer, consumer)] = self._produced.get(producer, -1)
+        self._consumed.setdefault(producer, {})[consumer] = self._produced.get(producer, -1)
 
     def deregister_consumer(self, producer: str, consumer: str) -> None:
-        self._consumed.pop((producer, consumer), None)
+        self._consumed.get(producer, {}).pop(consumer, None)
 
     def deregister_everywhere(self, consumer: str) -> None:
         """Remove *consumer* from every coupling (it stopped)."""
-        for key in [k for k in self._consumed if k[1] == consumer]:
-            del self._consumed[key]
+        for consumers in self._consumed.values():
+            consumers.pop(consumer, None)
 
     def active_consumers(self, producer: str) -> list[str]:
-        return sorted(c for (p, c) in self._consumed if p == producer)
+        return sorted(self._consumed.get(producer, ()))
 
     # -- progress -----------------------------------------------------------------
     def mark_produced(self, producer: str, step: int) -> None:
         self._produced[producer] = max(self._produced.get(producer, -1), step)
 
     def mark_consumed(self, producer: str, consumer: str, step: int) -> None:
-        key = (producer, consumer)
-        if key in self._consumed:
-            self._consumed[key] = max(self._consumed[key], step)
+        consumers = self._consumed.get(producer, ())
+        if consumer in consumers:
+            consumers[consumer] = max(consumers[consumer], step)
 
     def last_produced(self, producer: str) -> int:
         return self._produced.get(producer, -1)
 
     def slowest_consumer_step(self, producer: str) -> int | None:
         """Smallest consumed step among active consumers (None if none)."""
-        steps = [s for (p, _c), s in self._consumed.items() if p == producer]
-        return min(steps) if steps else None
+        consumers = self._consumed.get(producer)
+        return min(consumers.values()) if consumers else None
 
     def can_publish(self, producer: str, step: int) -> bool:
         """May *producer* publish *step* now, or must it wait?

@@ -59,31 +59,18 @@ class TaskProfiler:
         Returns the samples published (also pushed into the channel as one
         stream step, matching TAU's one-ADIOS2-step-per-iteration output).
         """
-        samples: list[Sample] = []
-
-        def emit(var: str, per_rank: Mapping[int, float]) -> None:
-            for rank, value in sorted(per_rank.items()):
-                samples.append(
-                    Sample(
-                        time=time,
-                        workflow_id=self.workflow_id,
-                        task=self.task,
-                        rank=rank,
-                        node_id=self.rank_nodes.get(rank, ""),
-                        var=var,
-                        value=float(value),
-                        step=step,
-                    )
-                )
-
-        emit("looptime", loop_times)
+        wf, task, node_of = self.workflow_id, self.task, self.rank_nodes.get
+        per_var = [("looptime", loop_times)]
         if self.counters is not None:
             instr, cycles = self.counters.counters_for_step(loop_times)
-            emit("PAPI_TOT_INS", instr)
-            emit("PAPI_TOT_CYC", cycles)
-        for var, per_rank in (extra_vars or {}).items():
-            emit(var, per_rank)
-
+            per_var += [("PAPI_TOT_INS", instr), ("PAPI_TOT_CYC", cycles)]
+        if extra_vars:
+            per_var += extra_vars.items()
+        samples = [
+            Sample(time, wf, task, rank, node_of(rank, ""), var, float(value), step)
+            for var, per_rank in per_var
+            for rank, value in sorted(per_rank.items())
+        ]
         self.channel.put(samples, time)
         self._steps_published += 1
         return samples

@@ -31,6 +31,11 @@ class SimEvent:
     time.  Events may only be triggered once.
     """
 
+    __slots__ = (
+        "engine", "name", "callbacks", "_value", "_ok", "_pending", "_uid",
+        "cancelled", "heap_time", "heap_seq",
+    )
+
     _uids = itertools.count()
 
     def __init__(self, engine: "SimEngine", name: str = "") -> None:
@@ -116,6 +121,8 @@ class AnyOf(SimEvent):
     failed child fails the composite.
     """
 
+    __slots__ = ("_children",)
+
     def __init__(self, engine: "SimEngine", events: list[SimEvent], name: str = "any") -> None:
         super().__init__(engine, name)
         if not events:
@@ -142,6 +149,8 @@ class AllOf(SimEvent):
     Value is the list of child values in input order.  A failed child fails
     the composite immediately.
     """
+
+    __slots__ = ("_children",)
 
     def __init__(self, engine: "SimEngine", events: list[SimEvent], name: str = "all") -> None:
         super().__init__(engine, name)

@@ -22,6 +22,8 @@ class Process(SimEvent):
     processes can wait on other processes.
     """
 
+    __slots__ = ("_gen", "_waiting_on")
+
     def __init__(self, engine: "SimEngine", gen: ProcGen, name: str = "proc") -> None:
         super().__init__(engine, name)
         self._gen = gen
@@ -52,10 +54,10 @@ class Process(SimEvent):
 
     # ------------------------------------------------------------------ #
     def _resume(self, value: Any, exc: BaseException | None) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
         waiting, self._waiting_on = self._waiting_on, None
-        if waiting is not None and not waiting.triggered and exc is None:
+        if waiting is not None and waiting._ok is None and exc is None:
             # Spurious resume (event no longer relevant); ignore.
             return
         try:
@@ -73,7 +75,7 @@ class Process(SimEvent):
             self.fail(ProcessError(f"process {self.name!r} yielded non-event {target!r}"))
             return
         self._waiting_on = target
-        if target.triggered:
+        if target._ok is not None:
             self._on_event(target)
         else:
             target.callbacks.append(self._on_event)
@@ -81,7 +83,7 @@ class Process(SimEvent):
     def _on_event(self, ev: SimEvent) -> None:
         if self._waiting_on is not ev:
             return  # interrupted while waiting; stale wake-up
-        if ev.ok:
-            self._resume(ev.value, None)
+        if ev._ok:
+            self._resume(ev._value, None)
         else:
-            self._resume(None, ev.value)
+            self._resume(None, ev._value)

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One observation emitted by a data source and consumed by sensors.
+
+    An immutable tuple-backed record (no per-instance ``__dict__``): one is
+    built per rank per application step, so construction cost is step cost.
 
     Every source type in the paper — profiler streams, application ADIOS2
     output, disk scans, error-status files — reduces to a stream of these:

@@ -15,8 +15,7 @@ about Fig. 9.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import BufferOverflowError, ChannelClosedError
 from repro.util.validation import check_positive
@@ -30,9 +29,8 @@ class OverflowPolicy(enum.Enum):
     GROW = "grow"                # unbounded (testing convenience)
 
 
-@dataclass(frozen=True)
-class StreamStep:
-    """One published step: index + payload + publish time."""
+class StreamStep(NamedTuple):
+    """One published step: index + payload + publish time (immutable)."""
 
     step: int
     data: Any
@@ -85,23 +83,24 @@ class StreamChannel:
         if self.drop_filter is not None and self.drop_filter(self.name, data):
             self.dropped_in_transit += 1
             return self._next_step
-        if len(self._steps) >= self.capacity:
-            if self.policy == OverflowPolicy.ERROR:
+        steps = self._steps
+        if len(steps) >= self.capacity:
+            if self.policy is OverflowPolicy.ERROR:
                 raise BufferOverflowError(
                     f"channel {self.name!r} buffer full ({self.capacity} steps)"
                 )
-            if self.policy == OverflowPolicy.DROP_OLDEST:
-                self._steps.pop(0)
+            if self.policy is OverflowPolicy.DROP_OLDEST:
+                del steps[0]
                 self._first_retained += 1
                 self.dropped_steps += 1
             # GROW: fall through, keep everything
-        record = StreamStep(step=self._next_step, data=data, time=time)
-        self._steps.append(record)
-        self._next_step += 1
-        if self.observers:
-            for observer in self.observers:
-                observer(self, record)
-        return record.step
+        idx = self._next_step
+        record = StreamStep(idx, data, time)
+        steps.append(record)
+        self._next_step = idx + 1
+        for observer in self.observers:
+            observer(self, record)
+        return idx
 
     def close(self) -> None:
         """End of stream; readers can drain retained steps, then see EOS."""

@@ -1,6 +1,8 @@
 """Tests for the IterativeApp execution model on the sim kernel."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps import ConstantModel, CouplingRegistry, IterativeApp
 from repro.apps.base import Signal, TaskContext
@@ -213,3 +215,52 @@ class TestCoupledPipelines:
         eng.run()
         assert bctx.notes["last_step"] == 5
         assert cctx.notes["last_step"] == 5
+
+
+class RecordingProfiler:
+    def __init__(self):
+        self.calls = []
+
+    def emit_step(self, time, step, loop_times, extra_vars=None):
+        self.calls.append((time, step, loop_times, extra_vars))
+
+
+class TestEmitPaceBitIdentity:
+    """``_emit_pace`` against the array arithmetic it replaced."""
+
+    @staticmethod
+    def _emit(nprocs, jitter, looptime, memory=0.0, step=3):
+        ctx = make_ctx(SimEngine(), nprocs=nprocs)
+        app = IterativeApp(ConstantModel(1.0), rank_jitter=jitter, profile_ranks=16,
+                           memory_mb_per_rank=memory, memory_growth_mb_per_step=0.5)
+        prof = RecordingProfiler()
+        app._emit_pace(ctx, prof, step, looptime)
+        (_time, _step, loop_times, extra_vars), = prof.calls
+        return ctx, loop_times, extra_vars
+
+    @given(st.integers(2, 40), st.floats(1e-6, 0.5), st.floats(0.0, 1e4),
+           st.sampled_from([0.0, 512.0]))
+    def test_jitter_draws_the_same_stream_and_the_same_floats(self, nprocs, jitter, looptime,
+                                                               memory):
+        ctx, loop_times, extra_vars = self._emit(nprocs, jitter, looptime, memory)
+        nranks = min(nprocs, 16)
+        ref_rng = make_ctx(SimEngine(), nprocs=nprocs).rng
+        factors = 1.0 + jitter * ref_rng.random(nranks)
+        assert ctx.rng.bit_generator.state == ref_rng.bit_generator.state
+        want = {rank: looptime * float(factors[rank]) for rank in range(nranks)}
+        assert repr(loop_times) == repr(want)
+        if memory:
+            base = memory + 0.5 * 3
+            assert repr(extra_vars) == repr(
+                {"rss_mb": {rank: base * float(factors[rank]) for rank in range(nranks)}})
+        else:
+            assert extra_vars is None
+
+    @given(st.sampled_from([(1, 0.02), (8, 0.0), (8, -1.0), (1, 0.0)]), st.floats(0.0, 1e4))
+    def test_no_jitter_or_one_rank_draws_nothing(self, shape, looptime):
+        nprocs, jitter = shape
+        ctx, loop_times, extra_vars = self._emit(nprocs, jitter, looptime, memory=512.0)
+        assert ctx.rng.bit_generator.state == make_ctx(SimEngine(), nprocs=nprocs).rng \
+            .bit_generator.state
+        assert repr(loop_times) == repr({rank: looptime * 1.0 for rank in range(nprocs)})
+        assert repr(extra_vars) == repr({"rss_mb": {rank: 513.5 for rank in range(nprocs)}})

@@ -70,7 +70,7 @@ ops = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(ops, max_size=40))
 def test_cursor_poll_equals_full_rescan(script):
     fs = SimFilesystem()

@@ -4,10 +4,12 @@ Count-based (never wall-clock) checks that the launch -> Monitor ->
 Decision path visits only what an event concerns: a task start reaches
 that task's bindings, an idle sensor round reads no stream, a tick
 evaluates only policies with something to assess, a DISKSCAN poll looks
-at the files created since the last one.  Each count is what a scan over
-all N entries would get wrong.
+at the files created since the last one, a publishing step reads its own
+producer's consumers.  Each count is what a scan over all N entries would
+get wrong.
 """
 
+from repro.apps import CouplingRegistry
 from repro.cluster.machine import MachinePerf
 from repro.core import (
     ActionType,
@@ -180,6 +182,62 @@ class TestDiskScanPoll:
         assert examined == [0, k + 1]
         assert src.poll(3.0) == [] and examined == [0, k + 1, 0]
         assert scans == []
+
+
+class ReadCountingDict(dict):
+    """A dict that counts the entries handed out by a walk over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.reads += 1
+            yield key
+
+    def keys(self):
+        return list(self)
+
+    def values(self):
+        return [self[key] for key in self]
+
+    def items(self):
+        return [(key, self[key]) for key in self]
+
+
+class TestCouplingPublish:
+    def _registry(self) -> tuple[CouplingRegistry, ReadCountingDict]:
+        reg = CouplingRegistry(max_inflight=2)
+        for i in range(N):
+            reg.register_consumer(f"P{i}", f"C{i}")  # N unrelated couplings
+        reg.register_consumer("P7", "D7")
+        table = reg._consumed = ReadCountingDict(
+            (producer, ReadCountingDict(consumers))
+            for producer, consumers in reg._consumed.items()
+        )
+        return reg, table
+
+    @staticmethod
+    def _reads(table: ReadCountingDict) -> int:
+        return table.reads + sum(consumers.reads for consumers in dict.values(table))
+
+    def test_can_publish_reads_only_its_own_producers_consumers(self):
+        reg, table = self._registry()
+        reg.mark_consumed("P7", "C7", 4)
+        reg.mark_consumed("P7", "D7", 9)
+        assert reg.can_publish("P7", 6) and not reg.can_publish("P7", 7)
+        assert self._reads(table) == 2 * 2  # C7 and D7, once per call
+
+    def test_an_uncoupled_producer_reads_nothing(self):
+        reg, table = self._registry()
+        assert reg.can_publish("nobody", 10 ** 6)
+        assert reg.active_consumers("nobody") == []
+        assert self._reads(table) == 0
+
+    def test_active_consumers_is_sorted_and_local(self):
+        reg, table = self._registry()
+        reg.register_consumer("P7", "A7")
+        assert reg.active_consumers("P7") == ["A7", "C7", "D7"]
+        assert self._reads(table) == 3
 
 
 def policy(policy_id: str, window: int) -> PolicySpec:

@@ -70,7 +70,7 @@ def build_world():
 
 
 class TestArbitrationProperties:
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=25,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(batches(), min_size=1, max_size=6))
     def test_random_batches_preserve_invariants(self, rounds):
@@ -104,7 +104,7 @@ class TestArbitrationProperties:
             for entry in arb.waiting.values():
                 assert not sav.record(entry.task).is_running or True  # drained next round
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(batches())
     def test_single_batch_plan_is_executable(self, batch):
         eng, sav, arb, act = build_world()

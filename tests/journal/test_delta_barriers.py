@@ -366,7 +366,7 @@ STATES = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(STATES, STATES)
 def test_applying_the_delta_gives_the_new_state(prev, cur):
     before = canonical(prev)
@@ -376,7 +376,7 @@ def test_applying_the_delta_gives_the_new_state(prev, cur):
     assert state_delta(cur, cur) == []
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(STATES, min_size=2, max_size=8))
 def test_a_chain_of_deltas_folds_to_the_last_state(states):
     from repro.journal.delta import SignedState

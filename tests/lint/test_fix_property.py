@@ -93,7 +93,7 @@ def fixable_codes_in(text: str) -> set[str]:
     return {d.code for d in lint_xml_text(text) if d.code in FIXABLE_CODES}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(spec_documents())
 def test_fix_is_idempotent(xml):
     once = fix_xml_text(xml)
@@ -102,14 +102,14 @@ def test_fix_is_idempotent(xml):
     assert not twice.changed
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(spec_documents())
 def test_fix_preserves_parseability(xml):
     result = fix_xml_text(xml)
     parse_dyflow_xml(result.text, validate=False)  # must not raise
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(spec_documents())
 def test_fix_reaches_the_fixed_point(xml):
     result = fix_xml_text(xml)
@@ -121,7 +121,7 @@ def test_fix_reaches_the_fixed_point(xml):
         assert fixable_codes_in(xml), "a clean document was rewritten"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(spec_documents())
 def test_clean_documents_come_back_byte_identical(xml):
     if fixable_codes_in(xml):
@@ -130,7 +130,7 @@ def test_clean_documents_come_back_byte_identical(xml):
     assert result.text is xml
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.sampled_from(sorted(SPEC_DIR.glob("*.xml"), key=lambda p: p.name)))
 def test_example_specs_fix_to_the_fixed_point(path):
     text = path.read_text(encoding="utf-8")

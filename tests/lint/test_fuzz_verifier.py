@@ -26,14 +26,14 @@ def formatted(diags):
 
 
 class TestGeneratedSpecs:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dyflow_specs())
     def test_verifier_never_crashes(self, spec):
         diags = verify_spec(spec)
         assert all(d.code in CODES for d in diags)
         assert all(CODES[d.code].engine == "spec" for d in diags)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dyflow_specs())
     def test_diagnostics_are_deterministic_and_sorted(self, spec):
         first = verify_spec(spec)
@@ -41,7 +41,7 @@ class TestGeneratedSpecs:
         assert formatted(first) == formatted(second)
         assert formatted(first) == formatted(sort_diagnostics(first))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dyflow_specs())
     def test_round_trip_preserves_diagnostics(self, spec):
         """Writing and re-parsing a spec must not change its findings."""
@@ -67,7 +67,7 @@ MUTATIONS = (
 
 
 class TestMutatedDocuments:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dyflow_specs(), st.sampled_from(range(len(MUTATIONS))), st.data())
     def test_lint_survives_mutation(self, spec, which, data):
         xml = MUTATIONS[which](write_dyflow_xml(spec))
@@ -78,7 +78,7 @@ class TestMutatedDocuments:
         assert formatted(first) == formatted(second)
         assert all(d.code in CODES for d in first)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.text(max_size=200))
     def test_lint_survives_garbage(self, text):
         diags = lint_xml_text(text, filename="garbage.xml")

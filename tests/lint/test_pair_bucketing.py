@@ -109,7 +109,7 @@ def specs(draw) -> DyflowSpec:
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(specs())
 def test_bucketed_passes_match_the_all_pairs_reference(spec):
     expected_pairs = list(all_pairs(spec))
@@ -127,6 +127,8 @@ def test_generated_specs_do_exercise_the_passes():
     """The strategy is not vacuous: some example yields each code."""
     seen: set[str] = set()
 
+    # derandomize seeds from this function's source text, decorator included:
+    # editing these lines (even the redundant deadline=None) draws other specs.
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(specs())
     def collect(spec):

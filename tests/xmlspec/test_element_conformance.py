@@ -117,7 +117,7 @@ class TestElement:
         got = extract(path, parse_dyflow_xml(document(path), validate=False))
         assert got == cls(**required)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(data=st.data())
     def test_every_field_survives_write_then_parse(self, path, data):
         obj = data.draw(strategy_for(path[-1].cls))

@@ -140,7 +140,7 @@ def dyflow_specs(draw):
 
 
 class TestFixedPoint:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dyflow_specs())
     def test_one_cycle_reaches_the_fixed_point(self, spec):
         """write → parse → write reproduces the document byte for byte."""
@@ -150,7 +150,7 @@ class TestFixedPoint:
         assert xml1 == xml2
         assert parse_dyflow_xml(xml2) == spec2
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dyflow_specs())
     def test_every_section_survives_the_cycle(self, spec):
         back = parse_dyflow_xml(write_dyflow_xml(spec))
@@ -179,7 +179,7 @@ class TestFixedPoint:
         assert sorted(map(key, back.monitor_tasks), key=repr) == \
             sorted(map(key, spec.monitor_tasks), key=repr)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(params)
     def test_param_coercion_is_type_stable(self, values):
         spec = DyflowSpec(

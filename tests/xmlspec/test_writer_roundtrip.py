@@ -76,7 +76,7 @@ def dyflow_specs(draw):
 
 
 class TestRoundTrip:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(dyflow_specs())
     def test_parse_write_roundtrip(self, spec):
         text = write_dyflow_xml(spec)
