@@ -81,7 +81,6 @@ _FLAT = {
     "ConstantModel": "repro.apps",
     "PowerLawModel": "repro.apps",
     "RampModel": "repro.apps",
-    "VectorizedStepModel": "repro.apps",
     "GrayScottSolver": "repro.apps.kernels",
     "isosurface_cell_count": "repro.apps.kernels",
     "ANALYSIS_TASKS": "repro.apps.gray_scott",

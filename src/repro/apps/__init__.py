@@ -23,7 +23,6 @@ from repro.apps.scaling import (
     PowerLawModel,
     RampModel,
     StepTimeModel,
-    VectorizedStepModel,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "ConstantModel",
     "PowerLawModel",
     "RampModel",
-    "VectorizedStepModel",
 ]

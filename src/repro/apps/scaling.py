@@ -23,15 +23,6 @@ class StepTimeModel:
         """Noise-free step time on the reference machine."""
         raise NotImplementedError
 
-    def nominal_block(self, nprocs: int, steps: np.ndarray) -> np.ndarray:
-        """Noise-free step times for a whole *steps* array.
-
-        The base implementation loops; the concrete models override it
-        with closed-form vectorized math (same float operations in the
-        same order, so block and scalar values are bit-identical).
-        """
-        return np.array([self.nominal(nprocs, int(s)) for s in steps], dtype=float)
-
     def sample(self, nprocs: int, step: int, rng: np.random.Generator | None, noise_cv: float = 0.0) -> float:
         """Step time with multiplicative lognormal-ish noise of CV *noise_cv*."""
         t = self.nominal(nprocs, step)
@@ -51,9 +42,6 @@ class ConstantModel(StepTimeModel):
 
     def nominal(self, nprocs: int, step: int) -> float:
         return self.time
-
-    def nominal_block(self, nprocs: int, steps: np.ndarray) -> np.ndarray:
-        return np.full(len(steps), self.time, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -77,10 +65,6 @@ class AmdahlModel(StepTimeModel):
     def nominal(self, nprocs: int, step: int) -> float:
         check_positive(nprocs, "nprocs")
         return self.serial + self.parallel / nprocs
-
-    def nominal_block(self, nprocs: int, steps: np.ndarray) -> np.ndarray:
-        check_positive(nprocs, "nprocs")
-        return np.full(len(steps), self.serial + self.parallel / nprocs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -109,11 +93,6 @@ class RampModel(StepTimeModel):
         check_positive(nprocs, "nprocs")
         return (self.serial + self.parallel / nprocs) * (1.0 + self.growth * max(0, step))
 
-    def nominal_block(self, nprocs: int, steps: np.ndarray) -> np.ndarray:
-        check_positive(nprocs, "nprocs")
-        base = self.serial + self.parallel / nprocs
-        return base * (1.0 + self.growth * np.maximum(0, steps).astype(float))
-
 
 @dataclass(frozen=True)
 class PowerLawModel(StepTimeModel):
@@ -135,84 +114,3 @@ class PowerLawModel(StepTimeModel):
     def nominal(self, nprocs: int, step: int) -> float:
         check_positive(nprocs, "nprocs")
         return self.base * (self.ref_procs / nprocs) ** self.alpha
-
-    def nominal_block(self, nprocs: int, steps: np.ndarray) -> np.ndarray:
-        check_positive(nprocs, "nprocs")
-        return np.full(
-            len(steps), self.base * (self.ref_procs / nprocs) ** self.alpha, dtype=float
-        )
-
-
-class VectorizedStepModel(StepTimeModel):
-    """Opt-in vectorized wrapper around any :class:`StepTimeModel`.
-
-    Precomputes nominal step times per process count in numpy blocks
-    (via :meth:`StepTimeModel.nominal_block`) so hot loops pay one
-    vectorized computation per ``block`` steps instead of a Python-level
-    model call per step.  With a dedicated *rng*, noise factors are also
-    pre-drawn in vectorized blocks from that stream.
-
-    Opt-in semantics: without a dedicated *rng* the wrapper is
-    bit-identical to the wrapped model (same nominal values, noise drawn
-    draw-for-draw from the caller's generator).  With one, the noise
-    comes from the wrapper's own stream — faster, but a scenario that
-    switches an app over changes its random-draw interleaving, so it is
-    never the default.
-    """
-
-    def __init__(
-        self,
-        base: StepTimeModel,
-        block: int = 256,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        check_positive(block, "block")
-        self.base = base
-        self.block = block
-        self.rng = rng
-        self._tables: dict[int, np.ndarray] = {}  # nprocs -> nominal step times
-        self._noise: np.ndarray | None = None
-        self._noise_pos = 0
-        self._noise_cv: float | None = None
-
-    def _table(self, nprocs: int, step: int) -> np.ndarray:
-        table = self._tables.get(nprocs)
-        if table is None or step >= len(table):
-            hi = -((step + 1) // -self.block) * self.block  # ceil to block multiple
-            table = self.base.nominal_block(nprocs, np.arange(max(hi, self.block)))
-            self._tables[nprocs] = table
-        return table
-
-    def nominal(self, nprocs: int, step: int) -> float:
-        return float(self._table(nprocs, step)[step])
-
-    def nominal_block(self, nprocs: int, steps: np.ndarray) -> np.ndarray:
-        if len(steps) == 0:
-            return np.empty(0, dtype=float)
-        return self._table(nprocs, int(np.max(steps)))[steps]
-
-    def _noise_factor(self, rng: np.random.Generator | None, noise_cv: float) -> float:
-        if self.rng is None:
-            # No dedicated stream: match the scalar path draw-for-draw.
-            if rng is None:
-                return 1.0
-            return float(max(0.05, 1.0 + rng.normal(0.0, noise_cv)))
-        if (
-            self._noise is None
-            or self._noise_pos >= len(self._noise)
-            or self._noise_cv != noise_cv
-        ):
-            self._noise = np.maximum(
-                0.05, 1.0 + self.rng.normal(0.0, noise_cv, size=self.block)
-            )
-            self._noise_pos = 0
-            self._noise_cv = noise_cv
-        factor = float(self._noise[self._noise_pos])
-        self._noise_pos += 1
-        return factor
-
-    def sample(self, nprocs: int, step: int, rng: np.random.Generator | None, noise_cv: float = 0.0) -> float:
-        t = self.nominal(nprocs, step)
-        if noise_cv > 0:
-            t *= self._noise_factor(rng, noise_cv)
-        return t

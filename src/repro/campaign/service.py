@@ -50,6 +50,7 @@ from repro.observability.spec import ObservabilitySpec, SloSpec
 from repro.observability.watch import WatchStream
 from repro.resilience.spec import QuarantineSpec
 from repro.sim.rng import RngRegistry
+from repro.telemetry.metrics import instrument_stat
 
 #: Subdirectory of the journal root holding campaign-level (not
 #: per-tenant) durable state: the fleet WAL, the watch stream, and
@@ -538,36 +539,15 @@ class CampaignService:
             if self.fleet is not None:
                 self.fleet.ingest_alert(tenant_id, alert)
 
-    def _fleet_metric(self, tenant_id: str, metric: str, stat: str) -> float | None:
-        """Resolve one tenant-scoped SLO input from the fleet registry."""
-        assert self.fleet is not None
-        inst = self.fleet.registry(tenant_id).lookup(metric)
-        if inst is None:
-            return None
-        if stat == "value":
-            return float(inst.value)
-        # The remaining stats are histogram-only; a counter/gauge under a
-        # histogram stat reads as "not yet observable" rather than erroring.
-        count = getattr(inst, "count", None)
-        if count is None:
-            return None
-        if stat == "count":
-            return float(count)
-        if count == 0:
-            return None
-        if stat in ("p50", "p95", "p99"):
-            return float(inst.percentile(float(stat[1:])))
-        return float(getattr(inst, stat))
-
     def _evaluate_fleet_slos(self, tenant_id: str) -> None:
         """Run the spec's tenant-scoped objectives after an executed cell."""
         for evaluator in self._fleet_slo.get(tenant_id, ()):
             slo = evaluator.spec
-            value = self._fleet_metric(tenant_id, slo.metric, slo.stat)
+            assert self.fleet is not None
+            value = instrument_stat(self.fleet.registry(tenant_id).lookup(slo.metric), slo.stat)
             alert = evaluator.evaluate(self._now, value)
             if alert is None:
                 continue
-            assert self.fleet is not None
             ordinal = sum(
                 1 for a in self.fleet.alerts(tenant_id) if a.source == alert.source
             )

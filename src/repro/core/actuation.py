@@ -14,6 +14,7 @@ from typing import Callable
 from repro.cluster.resource_manager import place_cores
 from repro.core.lowlevel import ActionPlan, DegradationReport, LowLevelOp
 from repro.errors import ActuationError, AllocationError, LaunchError
+from repro.journal.ledger import AppliedOpsLedger
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.wms.launcher import Savanna
 
@@ -37,9 +38,6 @@ class ActuationStage:
         self.tracer: Tracer = NULL_TRACER
         self.journal = None  # Journal | None, attached by the orchestrator
         self.abort_requested = False
-
-    def set_tracer(self, tracer: Tracer) -> None:
-        self.tracer = tracer
 
     # -- journal bracket ---------------------------------------------------------
     def _journal_issue(self, plan: ActionPlan, op: LowLevelOp) -> None:
@@ -72,73 +70,7 @@ class ActuationStage:
         :class:`~repro.core.lowlevel.DegradationReport` is attached to
         the plan.  Calls ``on_done(plan)`` at the end.
         """
-        tracer = self.tracer
-        plan.execution_start = self.launcher.engine.now
-        plan_span = (
-            tracer.start_span(
-                "actuation.plan", "actuation", parent=None,
-                plan=plan.plan_id, ops=len(plan.ops),
-            )
-            if tracer.enabled
-            else None
-        )
-        plan_failures: list[tuple[LowLevelOp, str]] = []
-        for op in plan.ordered_ops():
-            if self.abort_requested:
-                return plan  # orchestrator died between ops; resume_plan finishes
-            self._journal_issue(plan, op)
-            if self.abort_requested:
-                return plan  # died after issuing but before applying
-            op.exec_start = self.launcher.engine.now
-            failed = False
-            try:
-                yield from self._run_op(op)
-            except (ActuationError, AllocationError, LaunchError) as err:
-                failed = True
-                self.failed_ops.append((plan.plan_id, f"{op.describe()}: {err}"))
-                plan_failures.append((op, str(err)))
-                self.launcher.trace.point(
-                    self.launcher.engine.now,
-                    f"op-failed:{op.task}",
-                    category="failure",
-                    plan=plan.plan_id,
-                    op=op.describe(),
-                    error=str(err),
-                )
-            finally:
-                op.exec_end = self.launcher.engine.now
-            self._journal_complete(plan, op, failed=failed)
-            if plan_span is not None:
-                tracer.add_span(
-                    f"op.{op.op}", "actuation",
-                    start=op.exec_start, end=op.exec_end, parent=plan_span,
-                    task=op.task, reason=op.reason,
-                )
-        if plan_failures:
-            self._compensate(plan, plan_failures)
-            if tracer.enabled:
-                tracer.metrics.counter("actuation.degraded_plans").inc()
-                tracer.metrics.counter("actuation.failed_ops").inc(len(plan_failures))
-        plan.execution_end = self.launcher.engine.now
-        if plan_span is not None:
-            tracer.end_span(plan_span, failed_ops=len(plan_failures))
-            metrics = tracer.metrics
-            # Per-stage response-time breakdown (paper §4.6): queueing in
-            # Arbitration's handoff, then the execution itself (dominated
-            # by graceful stops), then the full event-to-response time.
-            metrics.histogram("stage.arbitration.latency").observe(
-                max(0.0, plan.execution_start - plan.created)
-            )
-            metrics.histogram("stage.actuation.latency").observe(
-                plan.execution_end - plan.execution_start
-            )
-            metrics.histogram("plan.response").observe(
-                plan.execution_end - plan.created
-            )
-        self.executed_plans.append(plan)
-        if on_done is not None:
-            on_done(plan)
-        return plan
+        return (yield from self._run_plan(plan, AppliedOpsLedger(), on_done))
 
     def resume_plan(self, plan: ActionPlan, ledger, on_done: Callable[[ActionPlan], None] | None = None):
         """Generator: finish a plan interrupted by an orchestrator crash.
@@ -160,29 +92,44 @@ class ActuationStage:
 
         Skips leave ``category="journal"`` trace points (excluded from
         scenario fingerprints) so the exactly-once property is auditable.
+        Everything else is :meth:`execute`'s: the same loop runs both, so a
+        resumed plan honours ``abort_requested`` and records its spans and
+        response-time samples (from the resume on, for the ops it ran).
         """
+        return (yield from self._run_plan(plan, ledger, on_done))
+
+    def _effect_landed(self, op: LowLevelOp, ledger) -> bool:
+        """Did an op that was issued but never completed take effect?"""
+        rec = self.launcher.records.get(op.task)
+        if op.op == "start_task":
+            before = (ledger.issued_record(op.op_key) or {}).get("incarnation_before")
+            return before is not None and rec is not None and rec.incarnations > int(before)
+        if op.op == "stop_task":
+            return rec is None or not rec.is_active
+        return False
+
+    def _run_plan(self, plan: ActionPlan, ledger, on_done: Callable[[ActionPlan], None] | None):
+        """The one op loop; for a fresh plan every op is ``unseen`` in *ledger*."""
         tracer = self.tracer
         launcher = self.launcher
         if plan.execution_start is None:
             plan.execution_start = launcher.engine.now
+        plan_span = (
+            tracer.start_span(
+                "actuation.plan", "actuation", parent=None,
+                plan=plan.plan_id, ops=len(plan.ops),
+            )
+            if tracer.enabled
+            else None
+        )
         plan_failures: list[tuple[LowLevelOp, str]] = []
         for op in plan.ordered_ops():
+            if self.abort_requested:
+                return plan  # orchestrator died between ops; resume_plan finishes
             status = ledger.status(op.op_key)
             if status == "completed":
                 continue
-            skip = False
-            if status == "issued":
-                if op.op == "start_task":
-                    issued = ledger.issued_record(op.op_key) or {}
-                    before = issued.get("incarnation_before")
-                    rec = launcher.records.get(op.task)
-                    if before is not None and rec is not None and rec.incarnations > int(before):
-                        skip = True
-                elif op.op == "stop_task":
-                    rec = launcher.records.get(op.task)
-                    if rec is None or not rec.is_active:
-                        skip = True
-            if skip:
+            if status == "issued" and self._effect_landed(op, ledger):
                 self._journal_complete(plan, op, failed=False, reconciled=True)
                 launcher.trace.point(
                     launcher.engine.now,
@@ -194,6 +141,8 @@ class ActuationStage:
                 continue
             if status == "unseen":
                 self._journal_issue(plan, op)
+            if self.abort_requested:
+                return plan  # died after issuing but before applying
             op.exec_start = launcher.engine.now
             failed = False
             try:
@@ -213,12 +162,33 @@ class ActuationStage:
             finally:
                 op.exec_end = launcher.engine.now
             self._journal_complete(plan, op, failed=failed)
+            if plan_span is not None:
+                tracer.add_span(
+                    f"op.{op.op}", "actuation",
+                    start=op.exec_start, end=op.exec_end, parent=plan_span,
+                    task=op.task, reason=op.reason,
+                )
         if plan_failures:
             self._compensate(plan, plan_failures)
             if tracer.enabled:
                 tracer.metrics.counter("actuation.degraded_plans").inc()
                 tracer.metrics.counter("actuation.failed_ops").inc(len(plan_failures))
         plan.execution_end = launcher.engine.now
+        if plan_span is not None:
+            tracer.end_span(plan_span, failed_ops=len(plan_failures))
+            metrics = tracer.metrics
+            # Per-stage response-time breakdown (paper §4.6): queueing in
+            # Arbitration's handoff, then the execution itself (dominated
+            # by graceful stops), then the full event-to-response time.
+            metrics.histogram("stage.arbitration.latency").observe(
+                max(0.0, plan.execution_start - plan.created)
+            )
+            metrics.histogram("stage.actuation.latency").observe(
+                plan.execution_end - plan.execution_start
+            )
+            metrics.histogram("plan.response").observe(
+                plan.execution_end - plan.created
+            )
         self.executed_plans.append(plan)
         if on_done is not None:
             on_done(plan)

@@ -204,9 +204,6 @@ class ArbitrationStage:
         self._in_flight: ActionPlan | None = None
         self.tracer: Tracer = NULL_TRACER
 
-    def set_tracer(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-
     # -- lifecycle --------------------------------------------------------------
     def begin(self, now: float) -> None:
         """Experiment started: open the warmup gate."""

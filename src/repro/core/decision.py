@@ -47,9 +47,6 @@ class DecisionStage:
         self.suggestions_gated = 0
         self.tracer: Tracer = NULL_TRACER
 
-    def set_tracer(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-
     # -- configuration ------------------------------------------------------------
     def add_policy(self, spec: PolicySpec) -> None:
         if spec.policy_id in self._specs:

@@ -29,7 +29,7 @@ from repro.observability.slo import EwmaDetector, HealthAlert, SloEvaluator
 from repro.observability.snapshot import MetricsSnapshotter
 from repro.observability.spec import ObservabilitySpec
 from repro.staging.serialization import Sample
-from repro.telemetry.metrics import Counter, Gauge, LatencyHistogram
+from repro.telemetry.metrics import instrument_stat
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 #: Pseudo-task identity health streams are published under.  It is not a
@@ -179,24 +179,7 @@ class HealthEngine:
         """Current value of ``metric.stat``, or None when unobservable."""
         if stat == "value" and metric in aggregates:
             return float(aggregates[metric])
-        inst = self.registry.lookup(metric)
-        if inst is None:
-            return None
-        if isinstance(inst, LatencyHistogram):
-            if stat == "count":
-                return float(inst.count)
-            if inst.count == 0 or stat == "value":
-                return None
-            if stat == "min":
-                return inst.min
-            if stat == "max":
-                return inst.max
-            if stat == "mean":
-                return inst.mean
-            return inst.percentile(float(stat[1:]))
-        if isinstance(inst, (Counter, Gauge)) and stat == "value":
-            return float(inst.value)
-        return None
+        return instrument_stat(self.registry.lookup(metric), stat)
 
     # -- queries -------------------------------------------------------------------
     def firing_count(self) -> int:

@@ -98,7 +98,7 @@ class RuntimeCore:
         self.decision = DecisionStage()
         self.server = MonitorServer(on_updates=self.decision.ingest, record_history=record_history)
         self.server.set_tracer(tracer, clock=self.now)
-        self.decision.set_tracer(tracer)
+        self.decision.tracer = tracer
         self._sensors: dict[str, SensorSpec] = {}
         # Observability: the health engine evaluates SLOs/anomalies every
         # round and publishes the results back into the Monitor stage via

@@ -74,8 +74,8 @@ class DyflowOrchestrator(RuntimeCore):
             core_quota=core_quota,
         )
         self.actuation = ActuationStage(launcher)
-        self.arbitration.set_tracer(self.tracer)
-        self.actuation.set_tracer(self.tracer)
+        self.arbitration.tracer = self.tracer
+        self.actuation.tracer = self.tracer
         self._running = False
         self._stop_when: Callable[[], bool] | None = None
         launcher.subscribe_start(self._on_task_start)

@@ -186,6 +186,23 @@ class LatencyHistogram:
             self.max = max(self.max, float(state["max"]))
 
 
+def instrument_stat(inst: Counter | Gauge | LatencyHistogram | None, stat: str) -> float | None:
+    """Current *stat* of *inst* as an SLO input, or None when unobservable:
+    no instrument, ``value`` of a histogram, a histogram stat of a counter
+    or gauge, or anything but ``count`` of an empty histogram."""
+    if isinstance(inst, LatencyHistogram):
+        if stat == "count":
+            return float(inst.count)
+        if inst.count == 0 or stat == "value":
+            return None
+        if stat in ("min", "max", "mean"):
+            return float(getattr(inst, stat))
+        return inst.percentile(float(stat[1:]))
+    if isinstance(inst, (Counter, Gauge)) and stat == "value":
+        return float(inst.value)
+    return None
+
+
 class MetricsRegistry:
     """Name → instrument, created on first use."""
 

@@ -11,95 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _esc
 from typing import Any
 
 # One reused encoder instance: json.dumps() rebuilds the encoder (and its
 # markers/buffers) on every call; at 10k-task scale the journal serializes
 # tens of thousands of envelopes per run.
 _ENC = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-_INF = float("inf")
-
-# Pre-tokenized field table for the sensor-update hot path: the update
-# dicts produced by MetricUpdate.to_dict() always carry exactly these
-# keys, so the canonical (sort_keys) serialization can be assembled from
-# constant fragments instead of a generic dict walk.  Kept in canonical
-# sorted order; the tokens embed the quoting and separators.
-_UPDATE_FIELDS = (
-    "granularity", "key", "sensor_id", "step", "task",
-    "time", "value", "var", "workflow_id",
-)
-_UPDATE_TOKENS = tuple(
-    ("{" if i == 0 else ",") + f'"{name}":' for i, name in enumerate(_UPDATE_FIELDS)
-)
-_UPDATE_KEYSET = frozenset(_UPDATE_FIELDS)
-
-
-class _CodecStats:
-    """Envelope-codec cache effectiveness counters.
-
-    Purely observational (read through :func:`codec_stats`); they never
-    influence encoding.
-    """
-
-    __slots__ = ("encode_hits", "encode_misses")
-
-    def __init__(self) -> None:
-        self.encode_hits = 0
-        self.encode_misses = 0
-
-
-_CODEC_STATS = _CodecStats()
-
-
-def codec_stats() -> dict[str, int]:
-    """Current envelope-codec cache counters (hits = memoized to_json)."""
-    return {
-        "encode_hits": _CODEC_STATS.encode_hits,
-        "encode_misses": _CODEC_STATS.encode_misses,
-    }
-
-
-def _scalar(value: Any) -> str:
-    """Canonical JSON for one scalar/primitive (matches json.dumps)."""
-    if isinstance(value, str):
-        return _esc(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        # float.__repr__ matches json.dumps for finite values; inf/nan
-        # need the encoder's Infinity/NaN spellings.
-        return repr(value) if value == value and value not in (_INF, -_INF) else _ENC.encode(value)
-    if isinstance(value, int):
-        return str(value)
-    return _ENC.encode(value)
-
-
-def _encode_update(d: dict[str, Any], parts: list[str]) -> bool:
-    """Append the canonical encoding of one update dict to *parts*.
-
-    Returns False (leaving *parts* for the caller to truncate) when the
-    dict does not match the pre-tokenized field table.
-    """
-    if len(d) != len(_UPDATE_FIELDS) or d.keys() != _UPDATE_KEYSET:
-        return False
-    for token, name in zip(_UPDATE_TOKENS, _UPDATE_FIELDS):
-        parts.append(token)
-        value = d[name]
-        if name == "key":
-            # MetricUpdate.to_dict() emits the group key as a list of
-            # scalars; anything else is not the hot-path shape.
-            if not isinstance(value, list):
-                return False
-            parts.append("[" + ",".join(_scalar(v) for v in value) + "]")
-        else:
-            parts.append(_scalar(value))
-    parts.append("}")
-    return True
 
 
 @dataclass(frozen=True)
@@ -128,44 +45,17 @@ class Envelope:
     def to_json(self) -> str:
         """Serialize to the canonical compact JSON string (memoized).
 
-        Sensor-update payloads take a pre-tokenized fast path that
-        assembles the same bytes ``json.dumps(..., sort_keys=True)``
-        would produce without walking generic dicts; everything else
-        goes through one shared :class:`json.JSONEncoder`.
+        The bytes are those of ``json.dumps(..., sort_keys=True,
+        separators=(",", ":"))``, from one shared :class:`json.JSONEncoder`.
         """
         cached = getattr(self, "_json_cache", None)
         if cached is not None:
-            _CODEC_STATS.encode_hits += 1
             return cached
-        _CODEC_STATS.encode_misses += 1
         text = self._encode()
         object.__setattr__(self, "_json_cache", text)
         return text
 
     def _encode(self) -> str:
-        payload = self.payload
-        updates = payload.get("updates") if len(payload) == 1 else None
-        if isinstance(updates, list):
-            parts = [
-                '{"kind":', _esc(self.kind),
-                ',"payload":{"updates":[',
-            ]
-            n = len(parts)
-            ok = True
-            for i, d in enumerate(updates):
-                if i:
-                    parts.append(",")
-                if not isinstance(d, dict) or not _encode_update(d, parts):
-                    ok = False
-                    break
-            if ok:
-                # Canonical key order: kind < payload < sender < seq < time.
-                parts.append(
-                    f']}},"sender":{_esc(self.sender)},"seq":{self.seq},'
-                    f'"time":{_scalar(self.time)}}}'
-                )
-                return "".join(parts)
-            del parts[n:]
         return _ENC.encode(
             {
                 "kind": self.kind,

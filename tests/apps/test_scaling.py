@@ -5,20 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.apps import (
-    AmdahlModel,
-    ConstantModel,
-    PowerLawModel,
-    RampModel,
-    VectorizedStepModel,
-)
-
-MODELS = [
-    ConstantModel(26.0),
-    AmdahlModel(serial=18.0, parallel=440.0),
-    RampModel(serial=5.0, parallel=120.0, growth=0.02),
-    PowerLawModel(base=10.0, ref_procs=100, alpha=0.7),
-]
+from repro.apps import AmdahlModel, ConstantModel, PowerLawModel, RampModel
 
 
 class TestConstantModel:
@@ -68,6 +55,15 @@ class TestPowerLawModel:
         assert m.nominal(400, 0) == pytest.approx(5.0)
 
 
+class TestRampModel:
+    def test_work_grows_linearly_with_the_step(self):
+        m = RampModel(serial=5.0, parallel=120.0, growth=0.02)
+        base = AmdahlModel(serial=5.0, parallel=120.0).nominal(16, 0)
+        assert m.nominal(16, 0) == base
+        assert m.nominal(16, 50) == pytest.approx(base * 2.0)
+        assert m.nominal(16, -3) == base  # steps before 0 do not shrink the work
+
+
 class TestNoise:
     def test_no_rng_is_deterministic(self):
         m = ConstantModel(10.0)
@@ -88,99 +84,3 @@ class TestNoise:
         m = ConstantModel(10.0)
         samples = [m.sample(4, i, rng, noise_cv=0.03) for i in range(2000)]
         assert np.mean(samples) == pytest.approx(10.0, rel=0.01)
-
-
-class TestNominalBlock:
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-    def test_block_matches_scalar_loop(self, model):
-        steps = np.arange(0, 300, 7)
-        block = model.nominal_block(16, steps)
-        scalar = [model.nominal(16, int(s)) for s in steps]
-        # Bit-identical, not approx: the vectorized wrapper's opt-in
-        # contract is that precomputed tables never perturb a scenario.
-        assert list(block) == scalar
-
-    def test_base_class_fallback_loops(self):
-        from repro.apps.scaling import StepTimeModel
-
-        got = StepTimeModel.nominal_block(ConstantModel(3.0), 16, np.arange(5))
-        assert list(got) == [3.0] * 5
-
-
-class TestVectorizedStepModel:
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-    def test_nominal_parity_with_base(self, model):
-        vec = VectorizedStepModel(model, block=16)
-        for nprocs in (1, 16, 300):
-            for step in (0, 1, 15, 16, 17, 255, 1000):
-                assert vec.nominal(nprocs, step) == model.nominal(nprocs, step)
-
-    def test_nominal_block_parity_with_base(self):
-        model = RampModel(serial=5.0, parallel=120.0, growth=0.02)
-        vec = VectorizedStepModel(model, block=8)
-        steps = np.array([0, 3, 9, 40, 2, 40])
-        assert list(vec.nominal_block(16, steps)) == list(model.nominal_block(16, steps))
-        assert list(vec.nominal_block(16, np.empty(0, dtype=int))) == []
-
-    def test_table_grows_in_block_multiples(self):
-        vec = VectorizedStepModel(ConstantModel(1.0), block=32)
-        vec.nominal(4, 0)
-        assert len(vec._tables[4]) == 32
-        vec.nominal(4, 31)
-        assert len(vec._tables[4]) == 32
-        vec.nominal(4, 32)
-        assert len(vec._tables[4]) == 64
-        vec.nominal(4, 100)
-        assert len(vec._tables[4]) == 128
-
-    def test_shared_rng_sampling_is_draw_for_draw_identical(self):
-        # Without a dedicated rng, the wrapper must consume the caller's
-        # generator exactly like the base model: same draws, same values.
-        model = AmdahlModel(serial=18.0, parallel=440.0)
-        vec = VectorizedStepModel(model, block=16)
-        rng_a = np.random.default_rng(42)
-        rng_b = np.random.default_rng(42)
-        for step in range(100):
-            assert vec.sample(20, step, rng_a, noise_cv=0.1) == model.sample(
-                20, step, rng_b, noise_cv=0.1
-            )
-        # Both generators advanced identically.
-        assert rng_a.normal() == rng_b.normal()
-
-    def test_dedicated_rng_leaves_caller_stream_untouched(self):
-        vec = VectorizedStepModel(
-            ConstantModel(10.0), block=8, rng=np.random.default_rng(7)
-        )
-        caller = np.random.default_rng(3)
-        before = caller.bit_generator.state
-        samples = [vec.sample(4, i, caller, noise_cv=0.2) for i in range(20)]
-        assert caller.bit_generator.state == before
-        assert all(s > 0 for s in samples)
-        assert len(set(samples)) > 1  # noise actually applied
-
-    def test_dedicated_rng_is_reproducible(self):
-        def mk():
-            return VectorizedStepModel(
-                ConstantModel(10.0), block=8, rng=np.random.default_rng(7)
-            )
-
-        a, b = mk(), mk()
-        draws_a = [a.sample(4, i, None, noise_cv=0.2) for i in range(20)]
-        draws_b = [b.sample(4, i, None, noise_cv=0.2) for i in range(20)]
-        assert draws_a == draws_b
-
-    def test_dedicated_rng_redraws_block_on_cv_change(self):
-        vec = VectorizedStepModel(
-            ConstantModel(10.0), block=4, rng=np.random.default_rng(7)
-        )
-        vec.sample(4, 0, None, noise_cv=0.2)
-        assert vec._noise_cv == 0.2
-        vec.sample(4, 1, None, noise_cv=0.5)
-        assert vec._noise_cv == 0.5
-        assert vec._noise_pos == 1
-
-    def test_zero_cv_skips_noise(self):
-        vec = VectorizedStepModel(
-            ConstantModel(10.0), block=8, rng=np.random.default_rng(7)
-        )
-        assert vec.sample(4, 0, None, noise_cv=0.0) == 10.0

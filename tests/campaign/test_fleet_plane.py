@@ -215,6 +215,24 @@ class TestFleetPlaneGates:
                 observability=ObservabilitySpec(slos=(bad,), fleet=FleetSpec()),
             )
 
+    def test_value_stat_of_a_histogram_is_unobservable_not_a_crash(self):
+        """Regression: ``stat="value"`` on a tenant-scoped histogram metric
+        passes spec validation; the service used to read ``inst.value`` off
+        the LatencyHistogram and die with AttributeError mid-campaign.
+        HealthEngine answers the same question with None; both now share
+        ``repro.telemetry.metrics.instrument_stat``."""
+        slo = SloSpec(metric="fleet.cell.latency", stat="value", op="LT",
+                      threshold=10.0, tenant="bob")
+        svc = CampaignService(
+            make_spec(), run_cell=fake_run,
+            observability=ObservabilitySpec(slos=(slo,), fleet=FleetSpec()),
+        )
+        svc.submit(TenantCell("bob", wf_factory))
+        records = svc.run_pending()
+        assert [r["status"] for r in records] == ["completed"]
+        # Unobservable input: the objective never transitions.
+        assert not any(e["kind"] == "slo-transition" for e in svc.watch())
+
     def test_in_memory_watch_without_journal_root(self):
         svc = CampaignService(
             make_spec(), run_cell=fake_run,

@@ -9,9 +9,19 @@ sequence numbers aligned without ever crashing.
 """
 
 
-from repro.journal import JournalSpec, read_journal, scenario_fingerprint
-from repro.runtime import DyflowOrchestrator
+from repro.core.actuation import ActuationStage
+from repro.core.lowlevel import PHASE_ACQUIRE, ActionPlan, LowLevelOp
 from repro.experiments import run_gray_scott_experiment
+from repro.journal import (
+    AppliedOpsLedger,
+    Journal,
+    JournalSpec,
+    read_journal,
+    scenario_fingerprint,
+)
+from repro.runtime import DyflowOrchestrator
+from repro.telemetry import TelemetrySpec
+from tests.resilience.conftest import flaky_app_factory, make_sim, make_task
 
 CHAOS_XML = """
   <resilience>
@@ -131,3 +141,99 @@ class TestHardCrashExactlyOnce:
         assert all(p.execution_end is not None for p in res.plans)
         gs = res.launcher.record("GrayScott")
         assert not gs.is_active and gs.incarnations > 0
+
+    def test_second_hard_crash_inside_the_resumed_plan(self, tmp_path, monkeypatch):
+        # Die mid-plan, resume, die again while the *resumed* plan is
+        # launching a task, resume again.  ``resume_plan`` and ``execute``
+        # share one loop, so the resumed plan honours the second abort and
+        # leaves the same telemetry a plan that never crashed does.
+        monkeypatch.setattr(
+            DyflowOrchestrator, "request_crash", DyflowOrchestrator.hard_crash
+        )
+        ref = run_gray_scott_experiment()
+        plan0 = ref.plans[0]
+        t1 = (plan0.execution_start + plan0.execution_end) / 2.0
+        once = run_gray_scott_experiment(
+            journal=jspec(tmp_path / "once"), crash_times=(t1,)
+        )
+        # The first start op the resumed plan ran: the second crash falls
+        # inside its launch delay, after the launcher counted the launch.
+        start = next(
+            op for op in once.plans[0].ordered_ops()
+            if op.op == "start_task" and op.exec_start is not None
+        )
+        assert start.exec_start >= t1
+        t2 = (start.exec_start + start.exec_end) / 2.0
+
+        # Collect the op bracket as it is written: snapshots compact the
+        # early segments away before the run ends.
+        ops_journaled = []
+        append = Journal.append
+
+        def recording_append(journal, kind, **payload):
+            seq = append(journal, kind, **payload)  # raises for a dead controller
+            if kind in ("op-issued", "op-completed"):
+                ops_journaled.append((kind, payload["op_key"]))
+            return seq
+
+        monkeypatch.setattr(Journal, "append", recording_append)
+        spec = jspec(tmp_path / "twice")
+        res = run_gray_scott_experiment(
+            journal=spec, crash_times=(t1, t2), telemetry=TelemetrySpec(enabled=True)
+        )
+        assert res.meta["crashes"] == [t1, t2]
+        assert read_journal(spec.dir).epoch == 3
+
+        # Exactly-once: nothing was launched twice, the interrupted launch
+        # was recognised by its effect, and the ledger closed every op once.
+        incarnations = {k: r.incarnations for k, r in res.launcher.records.items()}
+        assert incarnations == {k: r.incarnations for k, r in ref.launcher.records.items()}
+        skipped = res.trace.points_for(label=f"op-skipped:{start.task}")
+        assert [p.time for p in skipped] == [t2]
+        assert skipped[0].category == "journal" and skipped[0].meta["plan"] == plan0.plan_id
+        completed = [key for kind, key in ops_journaled if kind == "op-completed"]
+        issued = {key for kind, key in ops_journaled if kind == "op-issued"}
+        assert len(completed) == len(set(completed)), "an op completed twice"
+        assert set(completed) == issued == {
+            op.op_key for p in res.plans for op in p.ordered_ops()
+        }
+        res.launcher.rm.check_invariants()
+        assert all(p.execution_end is not None for p in res.plans)
+
+        # Telemetry: every plan — the twice-resumed one too — has one
+        # plan.response sample and one finished actuation.plan span whose
+        # children are the ops that life ran.
+        tracer = res.tracer
+        assert tracer.metrics.lookup("plan.response").count == len(res.plans)
+        assert tracer.metrics.lookup("stage.actuation.latency").count == len(res.plans)
+        finished = {s.attrs["plan"]: s for s in tracer.finished_spans(name="actuation.plan")}
+        assert sorted(finished) == sorted(p.plan_id for p in res.plans)
+        last_life = finished[plan0.plan_id]
+        assert last_life.start == t2
+        children = tracer.children_of(last_life)
+        assert children and all(c.name.startswith("op.") for c in children)
+        assert start.task not in [c.attrs["task"] for c in children]  # skipped, not re-run
+
+    def test_an_aborted_stage_applies_nothing_on_either_entry_point(self):
+        # ``abort_requested`` is the controller process being dead: neither
+        # a fresh nor a resumed plan may touch the launcher after it.
+        for entry in ("execute", "resume_plan"):
+            eng, _m, sav = make_sim(
+                [make_task("B", flaky_app_factory(fail_incarnations=0, total_steps=5),
+                           autostart=False)],
+            )
+            sav.launch_workflow()
+            eng.run(until=1.0)
+            plan = ActionPlan(
+                plan_id="p1", workflow_id="W", created=eng.now, trigger_time=eng.now,
+                ops=[LowLevelOp("start_task", "B", PHASE_ACQUIRE,
+                                resources=sav.rm.plan_placement(8))],
+            )
+            act = ActuationStage(sav)
+            act.abort_requested = True
+            done = []
+            args = (plan,) if entry == "execute" else (plan, AppliedOpsLedger())
+            eng.run_process(getattr(act, entry)(*args, on_done=done.append))
+            eng.run()
+            assert sav.record("B").incarnations == 0, entry
+            assert not done and plan.execution_end is None and not act.executed_plans

@@ -8,6 +8,7 @@ from repro.telemetry.metrics import (
     LatencyHistogram,
     MetricsRegistry,
     NullMetrics,
+    instrument_stat,
 )
 
 
@@ -95,3 +96,30 @@ def test_null_metrics_discards_everything():
     assert null.counter("c").value == 0.0
     assert null.histogram("h").count == 0
     assert null.counter("x") is null.histogram("y")  # shared singleton
+
+
+def test_instrument_stat_is_none_when_unobservable():
+    reg = MetricsRegistry()
+    reg.counter("c").inc(3)
+    reg.gauge("g").set(7)
+    h = reg.histogram("h")
+    assert instrument_stat(None, "value") is None
+    assert instrument_stat(reg.lookup("c"), "value") == 3.0
+    assert instrument_stat(reg.lookup("g"), "value") == 7.0
+    # A histogram stat asked of a counter/gauge, and the reverse.
+    assert instrument_stat(reg.lookup("c"), "p95") is None
+    assert instrument_stat(reg.lookup("g"), "count") is None
+    assert instrument_stat(h, "value") is None
+    # Empty histogram: only the count is observable.
+    assert instrument_stat(h, "count") == 0.0
+    for stat in ("min", "max", "mean", "p50", "p95", "p99"):
+        assert instrument_stat(h, stat) is None
+    h.observe(2.0)
+    h.observe(4.0)
+    assert instrument_stat(h, "value") is None
+    assert instrument_stat(h, "count") == 2.0
+    assert instrument_stat(h, "min") == 2.0
+    assert instrument_stat(h, "max") == 4.0
+    assert instrument_stat(h, "mean") == 3.0
+    assert instrument_stat(h, "p50") == h.p50
+    assert instrument_stat(h, "p99") == h.p99

@@ -102,7 +102,6 @@ API_SURFACE = [
     "ThreadedDyflow",
     "TraceSpan",
     "Tracer",
-    "VectorizedStepModel",
     "VerificationError",
     "WatchStream",
     "WatchdogSpec",

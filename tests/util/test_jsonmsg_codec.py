@@ -1,11 +1,13 @@
-"""The cached envelope codec must be byte-identical to the canonical one.
+"""The envelope codec must be byte-identical to the canonical one.
 
-``Envelope.to_json`` has a pre-tokenized fast path for sensor-update
-payloads (``{"updates": [...]}``) plus a memo of the encoded string and
-an advisory decoded-objects cache.  Every byte it emits must match
+``Envelope.to_json`` encodes through one shared ``json.JSONEncoder`` and
+keeps a memo of the encoded string plus an advisory decoded-objects
+cache.  Every byte it emits must match
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` exactly —
 the journal hashes these strings, so a single byte of drift silently
-breaks crash-resume fingerprints.
+breaks crash-resume fingerprints.  Sensor-update payloads
+(``{"updates": [...]}``) are the shape the journal carries, so they get
+the most cases.
 """
 
 import json
@@ -46,7 +48,7 @@ update_dict = st.fixed_dictionaries({
 })
 
 
-class TestFastPathByteEquality:
+class TestByteEquality:
     @given(st.lists(update_dict, max_size=5), st.text(max_size=20),
            st.integers(0, 10**9), st.floats(0, 1e9, allow_nan=False))
     def test_update_payloads(self, updates, sender, seq, time):
@@ -55,7 +57,7 @@ class TestFastPathByteEquality:
         assert env.to_json() == canonical(env)
 
     @given(st.dictionaries(st.text(max_size=10), scalar, max_size=4))
-    def test_arbitrary_payloads_fall_back(self, payload):
+    def test_arbitrary_payloads(self, payload):
         env = Envelope(kind="k", sender="s", seq=0, time=0.0, payload=payload)
         assert env.to_json() == canonical(env)
 
@@ -70,12 +72,11 @@ class TestFastPathByteEquality:
                                                  "workflow_id": "W"}]})
             assert env.to_json() == canonical(env)
 
-    def test_extra_or_missing_fields_fall_back(self):
-        # A dict that is not exactly the update field table must take the
-        # canonical path, still byte-identical.
+    def test_extra_or_missing_update_fields(self):
+        # Update dicts that are not exactly MetricUpdate.to_dict()'s shape.
         for d in (
             {"task": "T"},
-            # a non-list key is not the hot-path shape
+            # a non-list key
             {"granularity": "g", "key": "k", "sensor_id": "s", "step": 0,
              "task": "T", "time": 0.0, "value": 1.0, "var": None,
              "workflow_id": "W"},
