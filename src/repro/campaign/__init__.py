@@ -39,11 +39,6 @@ _EXPORTS = {
     "SupervisedExecutor": "repro.campaign.executor",
     "CellOutcome": "repro.campaign.executor",
     "CellFailure": "repro.campaign.executor",
-    # worker-side telemetry handoff
-    "worker_registry": "repro.campaign.workertel",
-    "flush_worker_telemetry": "repro.campaign.workertel",
-    "merge_worker_telemetry": "repro.campaign.workertel",
-    "read_worker_telemetry": "repro.campaign.workertel",
     # the service
     "CampaignService": "repro.campaign.service",
     "TenantCell": "repro.campaign.service",

@@ -37,11 +37,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.campaign import workertel
 from repro.campaign.spec import ExecutorSpec
 from repro.errors import ReproError
 from repro.sim.rng import RngRegistry
-from repro.telemetry.metrics import MetricsRegistry
 
 #: Supervisor poll period between worker checks, seconds.
 _POLL = 0.005
@@ -75,41 +73,20 @@ class CellOutcome:
         return self.status == POISONED
 
 
-def _worker_main(fn, payload, kill: bool, conn, telemetry=None) -> None:
+def _worker_main(fn, payload, kill: bool, conn) -> None:
     """Worker-process entry: run one attempt, report through the pipe."""
     if kill:
         # Injected worker-kill fault: die the way a real crashed worker
         # does — no exception, no result, just a SIGKILLed process.
         os.kill(os.getpid(), signal.SIGKILL)
-    # The fork inherited a copy of the parent's ambient registry; drop it
-    # so this attempt records only its own telemetry.
-    workertel.reset_worker_registry()
     try:
         result = fn(payload)
     except Exception as err:  # noqa: BLE001 - any cell error is a failed attempt
-        _flush_telemetry(telemetry)
         conn.send(("error", f"{type(err).__name__}: {err}"))
     else:
-        _flush_telemetry(telemetry)
         conn.send(("ok", result))
     finally:
         conn.close()
-
-
-def _flush_telemetry(telemetry: tuple[str, str] | None) -> None:
-    """Publish the worker's ambient registry before the result message.
-
-    Ordering matters: the parent merges on receipt of the result, so the
-    flush must be durable (atomic rename) before ``conn.send``.  Flush
-    errors are swallowed — losing telemetry must never fail the attempt.
-    """
-    if telemetry is None:
-        return
-    root, cell_id = telemetry
-    try:
-        workertel.flush_worker_telemetry(root, cell_id)
-    except OSError:
-        pass
 
 
 @dataclass
@@ -135,30 +112,11 @@ class _CellState:
 class SupervisedExecutor:
     """Run a batch of cells to completion under crash supervision."""
 
-    def __init__(
-        self,
-        spec: ExecutorSpec,
-        rng: RngRegistry | None = None,
-        telemetry_root: str | None = None,
-    ) -> None:
+    def __init__(self, spec: ExecutorSpec, rng: RngRegistry | None = None) -> None:
         spec.validate()
         self.spec = spec
         self.rng = rng if rng is not None else RngRegistry(0)
         self.respawns = 0
-        # Worker-side telemetry handoff (repro.campaign.workertel): with a
-        # root set, forked workers flush their ambient registry per cell
-        # and the supervisor folds each cell's flush into worker_metrics.
-        self.telemetry_root = telemetry_root
-        if telemetry_root is not None:
-            os.makedirs(telemetry_root, exist_ok=True)
-        self.worker_metrics = MetricsRegistry()
-
-    def _merge_telemetry(self, cell_id: str) -> None:
-        """Fold a finished cell's flushed telemetry into worker_metrics."""
-        if self.telemetry_root is not None:
-            workertel.merge_worker_telemetry(
-                self.telemetry_root, cell_id, self.worker_metrics
-            )
 
     # -- deterministic schedules -------------------------------------------------
     def backoff(self, cell_id: str, attempt: int) -> float:
@@ -199,11 +157,6 @@ class SupervisedExecutor:
     # -- serial mode (deterministic, in-process) -----------------------------------
     def _run_serial(self, cell_id: str, payload: Any, fn) -> CellOutcome:
         out = CellOutcome(cell_id=cell_id, status=POISONED)
-        # In-process equivalent of the worker flush/merge: each attempt
-        # "flushes" by snapshotting the ambient registry (last recording
-        # attempt wins, like retries overwriting the per-cell file), and
-        # the snapshot merges once at the terminal outcome.
-        flushed: dict[str, Any] | None = None
         for attempt in range(self.spec.max_attempts):
             out.attempts = attempt + 1
             if self._chaos_kill(cell_id):
@@ -212,29 +165,17 @@ class SupervisedExecutor:
                     backoff=self.backoff(cell_id, attempt),
                 ))
                 continue
-            # Fresh ambient registry per attempt, mirroring the forked
-            # worker's entry reset.
-            workertel.reset_worker_registry()
             try:
                 result = fn(payload)
             except Exception as err:  # noqa: BLE001 - counted and retried
-                reg = workertel.peek_worker_registry()
-                if reg is not None:
-                    flushed = reg.state_dict()
                 out.failures.append(CellFailure(
                     attempt + 1, "error", f"{type(err).__name__}: {err}",
                     backoff=self.backoff(cell_id, attempt),
                 ))
                 continue
-            reg = workertel.peek_worker_registry()
-            if reg is not None:
-                flushed = reg.state_dict()
             out.status = COMPLETED
             out.result = result
             break
-        workertel.reset_worker_registry()
-        if flushed is not None:
-            self.worker_metrics.merge_state(flushed)
         return out
 
     # -- supervised mode (worker processes) ----------------------------------------
@@ -250,13 +191,7 @@ class SupervisedExecutor:
         def spawn(state: _CellState) -> None:
             kill = self._chaos_kill(state.cell_id)
             parent, child = ctx.Pipe(duplex=False)
-            telemetry = (
-                (self.telemetry_root, state.cell_id)
-                if self.telemetry_root is not None else None
-            )
-            proc = ctx.Process(
-                target=_worker_main, args=(fn, state.payload, kill, child, telemetry)
-            )
+            proc = ctx.Process(target=_worker_main, args=(fn, state.payload, kill, child))
             proc.start()
             child.close()
             if state.attempts > 0:
@@ -274,7 +209,6 @@ class SupervisedExecutor:
                     cell_id=state.cell_id, status=POISONED,
                     attempts=attempt, failures=state.failures,
                 )
-                self._merge_telemetry(state.cell_id)
                 return
             delay = self.backoff(state.cell_id, attempt - 1)
             state.failures.append(CellFailure(attempt, kind, detail, backoff=delay))
@@ -313,7 +247,6 @@ class SupervisedExecutor:
                             cell_id=cid, status=COMPLETED, result=value,
                             attempts=state.attempts, failures=state.failures,
                         )
-                        self._merge_telemetry(cid)
                     else:
                         fail(state, "error", value)
                     continue

@@ -327,6 +327,7 @@ class CampaignService:
     def _fleet_state(self) -> dict[str, Any]:
         assert self.fleet is not None
         return {
+            "now": self._now,
             "fleet": self.fleet.state_dict(),
             "breaker": self.breaker.state_dict(),
             "slo": {tid: self._slo[tid].state_dict() for tid in sorted(self._slo)},
@@ -348,26 +349,23 @@ class CampaignService:
         rebuild from the per-tenant ledgers alone — the logical clock,
         breaker windows, SLO evaluator streaks, alert lists, and the
         fleet rollup registries — so rollups and watch streams come back
-        bit-identical.
+        bit-identical.  It is the orchestrator's ``barrier`` record: full
+        for a writer's first, then a delta against the one before.
         """
         journal = self._fleet_wal.journal
         if journal is None:
             return
-        journal.append("fleet-barrier", t=self._now, state=self._fleet_state())
+        journal.barrier(self._now, self._fleet_state())
         journal.sync()
         if self._watch is not None:
             self._watch.sync()
 
     def _restore_fleet_barrier(self) -> None:
-        barrier: dict[str, Any] | None = None
-        for rec in self._fleet_wal.records:
-            if rec["kind"] == "fleet-barrier":
-                barrier = rec
-        if barrier is None:
+        state = self._fleet_wal.barrier_state
+        if state is None:
             return
         assert self.fleet is not None
-        state = barrier["state"]
-        self._now = float(barrier["t"])
+        self._now = float(state["now"])
         self.fleet.load_state_dict(state["fleet"])
         self.breaker.load_state_dict(state["breaker"])
         for tid, ev_state in state.get("slo", {}).items():
@@ -517,7 +515,7 @@ class CampaignService:
             return record(COMPLETED, outcome.result, attempts=outcome.attempts)
         state.poisoned += 1
         if self.fleet is not None:
-            self.fleet.record_cell(tid, 0.0, status="poisoned",
+            self.fleet.record_cell(tid, None, status="poisoned",
                                    failures=len(outcome.failures))
         self._evaluate_fleet_slos(tid)
         self._emit("cell-poison", f"cell-poison:{cell_id}",

@@ -57,9 +57,10 @@ class AppliedOpsLedger:
 class ResumableJournal:
     """A journal directory as a resuming writer sees it: read once, then claimed.
 
-    Construction reads what a predecessor left (:attr:`records`; empty for
-    a fresh directory) — the one place outside this package's internals
-    that asks whether a directory already holds segments.  :meth:`open`
+    Construction reads what a predecessor left (:attr:`records` and
+    :attr:`barrier_state`; empty for a fresh directory) — the one place
+    outside this package's internals that asks whether a directory
+    already holds segments.  :meth:`open`
     claims it — ``Journal.reopen`` with the state already read, else
     ``Journal.open`` plus a ``meta`` record carrying *meta* — and releases
     what was read.  Without an enabled *spec* nothing is read or written.
@@ -74,6 +75,11 @@ class ResumableJournal:
     @property
     def records(self) -> list[dict]:
         return self._state.records if self._state is not None else []
+
+    @property
+    def barrier_state(self) -> dict | None:
+        """The last barrier's state as the predecessor left it, if any."""
+        return self._state.barrier_state if self._state is not None else None
 
     def _read(self) -> JournalState | None:
         directory = self.spec.dir if self.spec is not None else ""

@@ -10,7 +10,10 @@ kinds split into three groups:
              ``task-restart`` (sensor/window resets on task restart),
              ``barrier`` (a Decision tick; also carries the controller
              state — in full, or as a delta against the barrier before
-             it — that is restored when it is the last before a crash).
+             it — that is restored when it is the last before a crash;
+             the campaign fleet plane writes the same record after every
+             executed cell, its state being the fleet rollup, breaker,
+             SLO evaluators and logical clock).
 
 *restored*   records whose payload is state, applied wholesale:
              ``plan`` / ``plan-done`` (ActionPlan creation + execution
@@ -46,7 +49,6 @@ RECORD_KINDS = (
     "cell-started",  # tenant service: one cell began on its partition
     "cell-completed",  # tenant service: cell finished (carries its result)
     "cell-poisoned",   # tenant service: cell quarantined after max attempts
-    "fleet-barrier",   # campaign fleet plane: clock + rollup/breaker/SLO state
 )
 
 _KIND_SET = frozenset(RECORD_KINDS)

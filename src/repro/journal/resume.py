@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import JournalError
 from repro.journal.delta import apply_delta
+from repro.journal.records import RECORD_KINDS
 from repro.journal.snapshot import SnapshotStore
 from repro.journal.wal import current_epoch, list_segment_indices, read_segment, segment_path
 
@@ -65,6 +66,10 @@ def read_journal(directory: str) -> JournalState:
         if epoch < max_epoch_seen:
             continue  # stale writer's unfenced tail
         max_epoch_seen = max(max_epoch_seen, epoch)
+        if rec.get("kind") not in RECORD_KINDS:
+            # Written by another version of this package (e.g. a fleet WAL's
+            # ``fleet-barrier``): resuming around it would drop its state.
+            raise JournalError(f"record seq {seq} has unknown kind {rec.get('kind')!r}")
         records.append(rec)
 
     next_segment = (segments[-1] + 1) if segments else start_segment

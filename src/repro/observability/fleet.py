@@ -51,21 +51,23 @@ class FleetHealthEngine:
     def record_cell(
         self,
         tenant_id: str,
-        latency: float,
+        latency: float | None,
         *,
         status: str = "completed",
         failures: int = 0,
     ) -> None:
         """Fold one finished cell into the tenant's rollup.
 
-        *latency* is the cell's simulated makespan; *status* is the
-        executor outcome (``completed`` / ``poisoned``); *failures* is
-        the number of failed attempts the supervisor absorbed.
+        *latency* is the cell's simulated makespan, ``None`` for a cell
+        that never finished (a poisoned cell leaves no latency sample);
+        *status* is the executor outcome (``completed`` / ``poisoned``);
+        *failures* is the number of failed attempts the supervisor absorbed.
         """
         if status not in ("completed", "poisoned"):
             raise ObservabilityError(f"unknown cell status {status!r}")
         reg = self.registry(tenant_id)
-        reg.histogram("fleet.cell.latency").observe(latency)
+        if latency is not None:
+            reg.histogram("fleet.cell.latency").observe(latency)
         reg.counter(f"fleet.cell.{status}").inc()
         if failures:
             reg.counter("fleet.cell.failures").inc(failures)

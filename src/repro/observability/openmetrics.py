@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import accumulate
 from typing import Any
 
 from repro.errors import ObservabilityError
@@ -81,40 +82,68 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def render_openmetrics(registry: MetricsRegistry, prefix: str = "dyflow_") -> str:
-    """The registry as OpenMetrics text, ending in ``# EOF``."""
+def _render_families(registries: dict[str, MetricsRegistry], label: str, prefix: str) -> str:
+    """The one family loop: same-named instruments across *registries* are
+    one family, each sample tagged ``label="<key>"`` (untagged without *label*)."""
+    counters: dict[str, list[tuple[str, str, Any]]] = {}
+    gauges: dict[str, list[tuple[str, str, Any]]] = {}
+    hists: dict[str, list[tuple[str, str, Any]]] = {}
+    for key in sorted(registries):
+        reg = registries[key]
+        # A sample's whole label set, and the opening of one that goes on.
+        only, lead = "", "{"
+        if label:
+            tag = f'{label}="{escape_label_value(key)}"'
+            only, lead = f"{{{tag}}}", f"{{{tag},"
+        for c in reg.counters():
+            counters.setdefault(c.name, []).append((only, lead, c))
+        for g in reg.gauges():
+            gauges.setdefault(g.name, []).append((only, lead, g))
+        for h in reg.histograms():
+            hists.setdefault(h.name, []).append((only, lead, h))
+
     lines: list[str] = []
-    for counter in registry.counters():
-        name = sanitize_metric_name(counter.name, prefix)
+    for cname in sorted(counters):
+        name = sanitize_metric_name(cname, prefix)
         lines.append(f"# TYPE {name} counter")
-        lines.append(f"# HELP {name} Counter {counter.name}")
-        lines.append(f"{name}_total {_fmt(counter.value)}")
-    for gauge in registry.gauges():
-        name = sanitize_metric_name(gauge.name, prefix)
+        lines.append(f"# HELP {name} Counter {cname}")
+        for only, _, c in counters[cname]:
+            lines.append(f"{name}_total{only} {_fmt(c.value)}")
+    for gname in sorted(gauges):
+        name = sanitize_metric_name(gname, prefix)
         lines.append(f"# TYPE {name} gauge")
-        lines.append(f"# HELP {name} Gauge {gauge.name}")
-        lines.append(f"{name} {_fmt(gauge.value)}")
-    for hist in registry.histograms():
-        name = sanitize_metric_name(hist.name, prefix)
+        lines.append(f"# HELP {name} Gauge {gname}")
+        for only, _, g in gauges[gname]:
+            lines.append(f"{name}{only} {_fmt(g.value)}")
+    for hname in sorted(hists):
+        name = sanitize_metric_name(hname, prefix)
         lines.append(f"# TYPE {name} histogram")
-        lines.append(f"# HELP {name} Histogram {hist.name}")
-        cumulative = 0
-        for bound, count in zip(hist.bounds, hist.counts):
-            cumulative += count
-            lines.append(f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
-        lines.append(f'{name}_bucket{{le="+Inf"}} {hist.count}')
-        lines.append(f"{name}_count {hist.count}")
-        lines.append(f"{name}_sum {_fmt(hist.total)}")
-        if hist.count > 0:
+        lines.append(f"# HELP {name} Histogram {hname}")
+        quantile_lines: list[str] = []
+        for only, lead, h in hists[hname]:
+            # counts has one overflow slot past bounds: the +Inf bucket.
+            for bound, seen in zip((*h.bounds, math.inf), accumulate(h.counts)):
+                lines.append(f'{name}_bucket{lead}le="{_fmt(bound)}"}} {seen}')
+            lines.append(f"{name}_count{only} {h.count}")
+            lines.append(f"{name}_sum{only} {_fmt(h.total)}")
+            if h.count > 0:
+                for q, _plabel in _QUANTILES:
+                    quantile_lines.append(
+                        f'{name}_quantile{lead}quantile="{_fmt(q)}"}} '
+                        f"{_fmt(h.percentile(q * 100.0))}"
+                    )
+        if quantile_lines:
             qname = f"{name}_quantile"
             lines.append(f"# TYPE {qname} gauge")
-            lines.append(f"# HELP {qname} Interpolated quantiles of {hist.name}")
-            for q, _label in _QUANTILES:
-                lines.append(
-                    f'{qname}{{quantile="{_fmt(q)}"}} {_fmt(hist.percentile(q * 100.0))}'
-                )
+            lines.append(f"# HELP {qname} Interpolated quantiles of {hname}")
+            lines.extend(quantile_lines)
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
+
+
+def render_openmetrics(registry: MetricsRegistry, prefix: str = "dyflow_") -> str:
+    """The registry as OpenMetrics text, ending in ``# EOF``."""
+    return _render_families({"": registry}, "", prefix)
 
 
 def write_openmetrics(path: str, registry: MetricsRegistry, prefix: str = "dyflow_") -> str:
@@ -139,62 +168,7 @@ def render_labeled_openmetrics(
     """
     if not _LABEL_NAME_RE.match(label):
         raise ObservabilityError(f"bad label name {label!r}")
-    counters: dict[str, list[tuple[str, Any]]] = {}
-    gauges: dict[str, list[tuple[str, Any]]] = {}
-    hists: dict[str, list[tuple[str, Any]]] = {}
-    for key in sorted(registries):
-        reg = registries[key]
-        for c in reg.counters():
-            counters.setdefault(c.name, []).append((key, c))
-        for g in reg.gauges():
-            gauges.setdefault(g.name, []).append((key, g))
-        for h in reg.histograms():
-            hists.setdefault(h.name, []).append((key, h))
-
-    lines: list[str] = []
-    for cname in sorted(counters):
-        name = sanitize_metric_name(cname, prefix)
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"# HELP {name} Counter {cname}")
-        for key, c in counters[cname]:
-            tag = escape_label_value(key)
-            lines.append(f'{name}_total{{{label}="{tag}"}} {_fmt(c.value)}')
-    for gname in sorted(gauges):
-        name = sanitize_metric_name(gname, prefix)
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"# HELP {name} Gauge {gname}")
-        for key, g in gauges[gname]:
-            tag = escape_label_value(key)
-            lines.append(f'{name}{{{label}="{tag}"}} {_fmt(g.value)}')
-    for hname in sorted(hists):
-        name = sanitize_metric_name(hname, prefix)
-        lines.append(f"# TYPE {name} histogram")
-        lines.append(f"# HELP {name} Histogram {hname}")
-        quantile_lines: list[str] = []
-        for key, h in hists[hname]:
-            tag = escape_label_value(key)
-            cumulative = 0
-            for bound, count in zip(h.bounds, h.counts):
-                cumulative += count
-                lines.append(
-                    f'{name}_bucket{{{label}="{tag}",le="{_fmt(bound)}"}} {cumulative}'
-                )
-            lines.append(f'{name}_bucket{{{label}="{tag}",le="+Inf"}} {h.count}')
-            lines.append(f'{name}_count{{{label}="{tag}"}} {h.count}')
-            lines.append(f'{name}_sum{{{label}="{tag}"}} {_fmt(h.total)}')
-            if h.count > 0:
-                for q, _plabel in _QUANTILES:
-                    quantile_lines.append(
-                        f'{name}_quantile{{{label}="{tag}",quantile="{_fmt(q)}"}} '
-                        f"{_fmt(h.percentile(q * 100.0))}"
-                    )
-        if quantile_lines:
-            qname = f"{name}_quantile"
-            lines.append(f"# TYPE {qname} gauge")
-            lines.append(f"# HELP {qname} Interpolated quantiles of {hname}")
-            lines.extend(quantile_lines)
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+    return _render_families(registries, label, prefix)
 
 
 def _parse_value(text: str, where: str) -> float:

@@ -72,18 +72,15 @@ class WatchStream:
     def _load(self, path: str, repair: bool = True) -> None:
         if not os.path.exists(path):
             return
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
-        committed = raw
-        if raw and not raw.endswith("\n"):
-            # Torn tail from a crash mid-append: drop the partial line
-            # and (when reopening for append) truncate the file back to
-            # the committed prefix.
-            committed = raw[: raw.rfind("\n") + 1] if "\n" in raw else ""
-            if repair:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(committed)
-        for line in committed.splitlines():
+        # Everything up to the last newline is committed; a torn tail from
+        # a crash mid-append is dropped and (when reopening for append) cut
+        # off in place, so the committed prefix is never rewritten.
+        committed = raw[: raw.rfind(b"\n") + 1]
+        if repair and len(committed) < len(raw):
+            os.truncate(path, len(committed))
+        for line in committed.decode("utf-8").splitlines():
             if not line:
                 continue
             try:

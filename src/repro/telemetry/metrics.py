@@ -278,8 +278,8 @@ class MetricsRegistry:
         """Fold a serialized registry into this one.
 
         Counters add, gauges take the incoming value (last write wins),
-        histograms merge bucket-by-bucket.  Used to fold worker-side
-        telemetry and fleet rollup state back into a live registry.
+        histograms merge bucket-by-bucket.  :meth:`load_state_dict` is
+        this onto an empty registry (how fleet rollup state is restored).
         """
         for name, value in state.get("counters", {}).items():
             self.counter(name).inc(float(value))

@@ -18,7 +18,10 @@ from repro.campaign import (
     TenantSpec,
     TenantsSpec,
 )
-from repro.errors import ReproError
+from repro.errors import JournalError, ReproError
+from repro.journal import read_journal
+from repro.journal.delta import apply_delta
+from repro.journal.wal import encode_record, read_segment, segment_path
 from repro.observability import (
     EVENT_KINDS,
     FleetSpec,
@@ -130,6 +133,52 @@ class TestFleetPlane:
         assert crashed_bytes == control_bytes
         assert resumed.fleet.rollup() == control.fleet.rollup()
         assert not any(e["kind"] == "reject" for e in resumed.watch())
+
+    def test_crash_after_every_cell_resumes_identical(self, tmp_path):
+        """The supervisor dies after each executed cell in turn (and twice
+        in a row, the second life ending before or after its first barrier):
+        the fleet barrier chain — one full record per writer epoch, deltas
+        after it — restores the same plane every time."""
+        control = self.campaign(tmp_path / "control")
+        control_bytes = (
+            tmp_path / "control" / "__fleet__" / "watch.jsonl").read_bytes()
+        executed = sum(not r["replayed"] for r in control.results)
+        assert executed == 6
+        crashes = [(k,) for k in range(1, executed)] + [(2, 1), (3, 0), (1, 0, 2)]
+        for lives in crashes:
+            root = tmp_path / "crash-after-{}".format("-".join(map(str, lives)))
+            for stop_after in lives:
+                self.make_service(root).run_pending(stop_after=stop_after)
+            resumed = self.make_service(root)
+            resumed.run_pending()
+            assert (root / "__fleet__" / "watch.jsonl").read_bytes() == control_bytes, lives
+            assert resumed.fleet.rollup() == control.fleet.rollup(), lives
+            assert resumed.breaker.state_dict() == control.breaker.state_dict(), lives
+            assert resumed.now == control.now, lives
+            barriers = [r for r in read_journal(str(root / "__fleet__" / "wal")).records
+                        if r["kind"] == "barrier"]
+            assert len(barriers) == executed, lives
+            # Full where a writer epoch starts, a delta everywhere else.
+            full_at = {sum(lives[:i]) for i in range(len(lives) + 1)} - {executed}
+            assert [i for i, r in enumerate(barriers) if "state" in r] == sorted(full_at), lives
+
+    def test_pre_change_fleet_wal_is_refused(self, tmp_path):
+        """A fleet WAL written before the fleet plane moved onto the one
+        barrier protocol holds ``fleet-barrier`` records.  Resuming around
+        them would silently reset the breaker and the rollups: refuse."""
+        self.make_service(tmp_path).run_pending(stop_after=2)
+        segment = segment_path(str(tmp_path / "__fleet__" / "wal"), 0)
+        state, lines = None, []
+        for rec in read_segment(segment):
+            if rec["kind"] == "barrier":  # rewrite it the way it used to be written
+                state = apply_delta(state, rec.pop("delta")) if "delta" in rec else rec["state"]
+                rec.update(kind="fleet-barrier", state=state)
+            lines.append(encode_record(rec))
+        assert sum('"kind":"fleet-barrier"' in line for line in lines) == 2
+        with open(segment, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        with pytest.raises(JournalError, match="fleet-barrier"):
+            self.make_service(tmp_path)
 
     def test_live_resubmit_after_cooldown_still_admitted(self, tmp_path):
         """The resume bypass must not leak into live operation: a cell

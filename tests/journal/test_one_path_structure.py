@@ -1,18 +1,25 @@
-"""One path per job from envelope to op.
+"""One path per job from envelope to op, and from fleet state to WAL.
 
 AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
-second copy of the actuation op loop or a second step-time sampling path
-fails here by name.
+second copy of the actuation op loop, a second step-time sampling path, a
+second barrier protocol, a second OpenMetrics renderer or a telemetry
+handoff with no reader fails here by name.
 """
 
 import ast
+import re
 
+from repro.journal import RECORD_KINDS
 from tests.journal.test_ledger_structure import identifiers, modules, modules_where
 
 GONE = {
     "_encode_update", "_UPDATE_TOKENS", "codec_stats",
     "VectorizedStepModel", "nominal_block",
+    # the worker-telemetry handoff nothing fed or read
+    "workertel", "worker_registry", "telemetry_root", "worker_metrics",
+    "flush_worker_telemetry", "merge_worker_telemetry", "read_worker_telemetry",
+    "_merge_telemetry", "_flush_telemetry",
 }
 
 
@@ -39,9 +46,12 @@ def test_no_removed_fast_path_identifier_remains():
         # `repro.api` map) spell names as strings.
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return node.value in GONE
+        if isinstance(node, ast.arg):
+            return node.arg in GONE
         return bool(GONE & set(identifiers(node)))
 
     assert modules_where(names_one) == []
+    assert "campaign/workertel.py" not in modules()
 
 
 def test_actuation_has_one_op_loop_and_one_failure_handler():
@@ -91,3 +101,76 @@ def test_step_times_are_sampled_in_one_place():
         for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "sample"
     ]
     assert owners == ["StepTimeModel"]
+
+
+def test_barriers_are_written_and_folded_in_one_place():
+    """``Journal.barrier`` writes them, ``read_journal`` folds them — for the
+    orchestrator and for the campaign fleet plane alike."""
+    assert "fleet-barrier" not in RECORD_KINDS
+
+    def appends_a_barrier(node):
+        return (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "append" and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in ("barrier", "fleet-barrier")
+        )
+
+    assert modules_where(appends_a_barrier) == ["journal/journal.py"]
+    writers = {
+        module for module, tree in modules().items() for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "barrier"
+    }
+    assert writers == {"campaign/service.py", "runtime/sim_driver.py"}
+    # The fold: only read_journal applies a delta, and only the ledger and
+    # the runtime hand its result on.
+    assert modules_where(lambda n: "apply_delta" in identifiers(n)) == [
+        "journal/delta.py", "journal/resume.py",
+    ]
+    # No reader picks barrier records out of a record list by hand.
+    def compares_a_kind_to_barrier(node):
+        return (
+            isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
+            and any(
+                isinstance(c, ast.Constant) and c.value in ("barrier", "fleet-barrier")
+                for c in [node.left, *node.comparators]
+            )
+        )
+
+    assert modules_where(compares_a_kind_to_barrier) == [
+        "journal/resume.py", "runtime/sim_driver.py",  # the driver replays decision ticks
+    ]
+
+
+def skeletons(tree):
+    """Every f-string of *tree* with its ``{...}`` fields blanked to ``{}``."""
+    return [
+        "".join(
+            part.value if isinstance(part, ast.Constant) else "{}" for part in node.values
+        )
+        for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+    ]
+
+
+def test_openmetrics_line_formats_exist_once():
+    """Both renderers go through one family loop, so each sample-line
+    template is spelled once (the parser's suffix tables are not f-strings)."""
+    tree = modules()["observability/openmetrics.py"]
+    templates = skeletons(tree)
+    for pattern in (
+        r"# TYPE \{\} histogram", r"# TYPE \{\} counter", r"\{\}_total\{\} \{\}",
+        r'\{\}_bucket\{\}le="\{\}"\} \{\}', r"\{\}_count\{\} \{\}", r"\{\}_sum\{\} \{\}",
+        r'\{\}_quantile\{\}quantile="\{\}"\} \{\}',
+    ):
+        assert len([t for t in templates if re.fullmatch(pattern, t)]) == 1, pattern
+    loops = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn) if isinstance(n, ast.Call)
+        and ast.unparse(n.func).endswith((".counters", ".gauges", ".histograms"))
+    ]
+    assert set(loops) == {"_render_families"}
+    for name in ("render_openmetrics", "render_labeled_openmetrics"):
+        (fn,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+        calls = {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+        assert "_render_families" in calls, name

@@ -181,7 +181,10 @@ PINNED = {
         ("meta", ["tenant"]),
         CELL_STARTED, CELL_COMPLETED, CELL_STARTED, CELL_POISONED, CELL_STARTED, CELL_COMPLETED,
     ],
-    "__fleet__/wal": [("meta", ["scope"])] + [("fleet-barrier", ["state", "t"])] * 6,
+    # The fleet plane journals through Journal.barrier: full once, then deltas.
+    "__fleet__/wal": (
+        [("meta", ["scope"]), ("barrier", ["state", "t"])] + [("barrier", ["delta", "t"])] * 5
+    ),
 }
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.campaign import CampaignService, ExecutorSpec, TenantCell, TenantSpec, TenantsSpec
 from repro.errors import ObservabilityError
-from repro.observability import parse_openmetrics
+from repro.observability import ObservabilitySpec, parse_openmetrics
 from repro.observability.fleet import FleetHealthEngine
 from repro.observability.slo import HealthAlert
 from repro.observability.spec import FleetSpec
@@ -88,3 +89,46 @@ class TestPersistence:
         restored.record_cell("alice", 8.0)
         eng.record_cell("alice", 8.0)
         assert restored.rollup() == eng.rollup()
+
+
+class TestPoisonedCellsLeaveNoLatencySample:
+    """Regression: the service recorded a poisoned cell as a 0.0 s latency
+    sample, so a tenant's ``fleet.cell.latency`` got *healthier* the more
+    cells it poisoned and the rollup counted cells that never ran."""
+
+    def test_engine_counts_the_poison_but_not_a_latency(self):
+        eng = FleetHealthEngine()
+        for _ in range(3):
+            eng.record_cell("alice", 100.0)
+        before = eng.rollup()["tenants"]["alice"]["latency"]
+        for _ in range(3):
+            eng.record_cell("alice", None, status="poisoned", failures=2)
+        alice = eng.rollup()["tenants"]["alice"]
+        assert alice["latency"] == before and before["count"] == 3
+        assert alice["poisoned"] == 3.0 and alice["failures"] == 6.0
+
+    def test_service_poisons_do_not_drag_the_tenant_latency_down(self):
+        def run_cell(cell, lease):
+            if cell.params["poison"]:
+                raise RuntimeError("never finishes")
+            return {"makespan": 100.0}
+
+        svc = CampaignService(
+            TenantsSpec(
+                nodes=4, cores_per_node=4, tenants=(TenantSpec("alice"),),
+                executor=ExecutorSpec(max_attempts=1, backoff_base=0.0, jitter=0.0),
+            ),
+            run_cell=run_cell,
+            observability=ObservabilitySpec(fleet=FleetSpec()),
+        )
+        for i in range(6):
+            svc.submit(TenantCell(
+                "alice", lambda **_: None, params={"i": i, "poison": i >= 3}
+            ))
+        records = svc.run_pending()
+        assert [r["status"] for r in records] == ["completed"] * 3 + ["poisoned"] * 3
+        alice = svc.fleet.rollup()["tenants"]["alice"]
+        assert alice["completed"] == 3.0 and alice["poisoned"] == 3.0
+        assert alice["latency"]["count"] == 3
+        assert alice["latency"]["mean"] == 100.0
+        assert alice["latency"]["p50"] > 50.0

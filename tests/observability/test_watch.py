@@ -81,6 +81,42 @@ class TestDurability:
             "admit", "cell-start",
         ]
 
+    def test_torn_tail_repair_never_rewrites_the_committed_prefix(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: the repair used to reopen the stream with mode "w"
+        and write the committed prefix back, unsynced — a crash inside that
+        window lost every committed event, which resume's admission replay
+        reads.  A crash injected at the first write-mode open must leave
+        them readable; the repair truncates in place instead."""
+        path = str(tmp_path / "watch.jsonl")
+        ws = WatchStream(path)
+        ws.emit("admit", "admit:c0", 0.0, tenant="a")
+        ws.emit("cell-complete", "cell-complete:c0", 1.0, tenant="a")
+        ws.close()
+        committed = open(path, "rb").read()
+        with open(path, "ab") as fh:
+            fh.write(b'{"seq":2,"kind":"cell-start","key":"cell-sta')
+
+        real_open = open
+
+        def crash_on_write_open(file, mode="r", *args, **kwargs):
+            if file == path and "w" in mode:
+                real_open(file, mode, *args, **kwargs).close()  # the truncation lands
+                raise OSError("crash inside the repair window")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", crash_on_write_open)
+        try:
+            WatchStream(path).close()
+        except OSError:
+            pass
+        monkeypatch.undo()
+        assert [e["key"] for e in read_watch_stream(path)] == [
+            "admit:c0", "cell-complete:c0",
+        ]
+        assert open(path, "rb").read() == committed
+
     def test_read_watch_stream_never_writes(self, tmp_path):
         path = str(tmp_path / "watch.jsonl")
         ws = WatchStream(path)
