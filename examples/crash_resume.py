@@ -13,7 +13,8 @@ bit-identical :func:`~repro.api.scenario_fingerprint`: recovery is
 Run:  python examples/crash_resume.py [journal-dir] [events-jsonl]
 
 With an *events-jsonl* path the crashed run records telemetry and
-appends its JSONL event log there, ready for the report CLI::
+writes its JSONL event log there (replacing any earlier run's), ready
+for the report CLI::
 
     python -m repro.observability.report events.jsonl --require-critical-path
 """

@@ -131,7 +131,6 @@ _FLAT = {
     "NullTracer": "repro.telemetry",
     "TraceSpan": "repro.telemetry",
     "MetricsRegistry": "repro.telemetry",
-    "JsonlEventLog": "repro.telemetry",
     "build_tracer": "repro.telemetry",
     "to_chrome_trace": "repro.telemetry",
     "write_chrome_trace": "repro.telemetry",
@@ -145,12 +144,10 @@ _FLAT = {
     "SpanView": "repro.observability",
     "critical_path": "repro.observability",
     "bottlenecks": "repro.observability",
-    "utilization_from_launcher": "repro.observability",
     "utilization_from_events": "repro.observability",
     "render_openmetrics": "repro.observability",
     "parse_openmetrics": "repro.observability",
     "write_openmetrics": "repro.observability",
-    "report_from_run": "repro.observability",
     "report_from_jsonl": "repro.observability",
     "render_markdown": "repro.observability",
     "write_report": "repro.observability",

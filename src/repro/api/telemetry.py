@@ -1,7 +1,6 @@
 """``repro.api.telemetry`` — tracing, metrics, and trace export."""
 
 from repro.telemetry import (
-    JsonlEventLog,
     MetricsRegistry,
     NullTracer,
     TelemetrySpec,
@@ -18,7 +17,6 @@ __all__ = [
     "NullTracer",
     "TraceSpan",
     "MetricsRegistry",
-    "JsonlEventLog",
     "build_tracer",
     "to_chrome_trace",
     "write_chrome_trace",

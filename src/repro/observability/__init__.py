@@ -32,7 +32,6 @@ from repro.observability.report import (
     render_json,
     render_markdown,
     report_from_jsonl,
-    report_from_run,
     write_report,
 )
 from repro.observability.slo import EwmaDetector, HealthAlert, SloEvaluator
@@ -46,7 +45,6 @@ from repro.observability.utilization import (
     UtilizationReport,
     build_utilization,
     utilization_from_events,
-    utilization_from_launcher,
 )
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "NodeUtilization",
     "UtilizationReport",
     "build_utilization",
-    "utilization_from_launcher",
     "utilization_from_events",
     # openmetrics
     "render_openmetrics",
@@ -97,7 +94,6 @@ __all__ = [
     # snapshots & reports
     "MetricsSnapshotter",
     "build_report",
-    "report_from_run",
     "report_from_jsonl",
     "render_markdown",
     "render_json",

@@ -24,7 +24,7 @@ from repro.telemetry.tracer import TraceSpan
 
 @dataclass(frozen=True)
 class SpanView:
-    """The analysis-relevant slice of a span (tracer- or JSONL-sourced)."""
+    """The analysis-relevant slice of a span (a tracer record or its JSONL line)."""
 
     name: str
     category: str
@@ -41,7 +41,8 @@ class SpanView:
     def from_span(cls, span: TraceSpan) -> "SpanView":
         return cls(
             name=span.name, category=span.category, span_id=span.span_id,
-            parent_id=span.parent_id, start=span.start, end=float(span.end),  # type: ignore[arg-type]
+            parent_id=span.parent_id, start=float(span.start),
+            end=float(span.end),  # type: ignore[arg-type]
         )
 
     @classmethod

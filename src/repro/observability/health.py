@@ -90,9 +90,7 @@ class HealthEngine:
         self.slo_evaluators = [SloEvaluator(s) for s in spec.slos]
         self.anomaly_detectors = [EwmaDetector(a) for a in spec.anomalies]
         self.alerts: list[HealthAlert] = []
-        self.snapshotter = MetricsSnapshotter(
-            self.registry, self.tracer.log, spec.snapshot_every
-        )
+        self.snapshotter = MetricsSnapshotter(self.tracer, spec.snapshot_every)
         self.evaluations = 0
         self._next_eval = 0.0
         self._sources: list[HealthSensorSource] = []

@@ -1,8 +1,9 @@
 """Run reports: one document summarizing what a run did and why.
 
-:func:`report_from_run` builds the report from live objects (tracer,
-launcher, health engine); :func:`report_from_jsonl` rebuilds the same
-shape from a run's JSONL event log, which is what the CLI does::
+:func:`report_from_jsonl` builds the report from a run's records — the
+runtime passes its tracer's (:meth:`~repro.telemetry.tracer.Tracer.records`)
+at finalize, the CLI the lines of the JSONL file those records were
+flushed to, and both get the same document::
 
     python -m repro.observability.report run.jsonl -o report.md --json report.json
 
@@ -28,11 +29,8 @@ from repro.observability.analysis import (
     slowest_spans,
 )
 from repro.observability.slo import HealthAlert
-from repro.observability.utilization import (
-    UtilizationReport,
-    utilization_from_events,
-    utilization_from_launcher,
-)
+from repro.observability.utilization import UtilizationReport, utilization_from_events
+from repro.telemetry.tracer import TraceSpan
 
 REPORT_SCHEMA = "dyflow-run-report/1"
 
@@ -113,48 +111,31 @@ def build_report(
     return report
 
 
-def report_from_run(
-    tracer,
-    launcher=None,
-    alerts: Iterable[HealthAlert] = (),
-    top_n: int = 5,
-    end: float | None = None,
-    meta: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Build the report from live run objects."""
-    views = [SpanView.from_span(s) for s in tracer.spans if s.end is not None]
-    util = None
-    if launcher is not None:
-        util = utilization_from_launcher(launcher, end=end)
-    return build_report(
-        views,
-        utilization=util,
-        alerts=alerts,
-        metrics=tracer.metrics.snapshot() if tracer.enabled else {},
-        top_n=top_n,
-        meta=meta,
-    )
-
-
 def report_from_jsonl(
-    records: Iterable[Mapping[str, Any]],
+    records: Iterable[TraceSpan | Mapping[str, Any]],
     top_n: int = 5,
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Rebuild the report from a run's JSONL records."""
-    records = list(records)
-    views = [SpanView.from_record(r) for r in records
-             if r.get("kind") == "span" and r.get("end") is not None]
-    alerts = [
-        HealthAlert.from_dict(r["attrs"])
-        for r in records
-        if r.get("kind") == "point" and r.get("name") == "health.alert"
-    ]
-    has_wms = any(
-        r.get("kind") == "point" and r.get("name") == "run.allocation" for r in records
-    )
-    util = utilization_from_events(records) if has_wms else None
-    snapshots = [r for r in records if r.get("kind") == "metrics"]
+    """Build the report from a run's records, in emission order.
+
+    A span is a :class:`TraceSpan` (read by reference) or its JSONL line;
+    both give the same :class:`SpanView`.  The utilization horizon is the
+    latest non-span record, the metrics the last ``metrics`` record.
+    """
+    views: list[SpanView] = []
+    events: list[Mapping[str, Any]] = []
+    for r in records:
+        if isinstance(r, TraceSpan):
+            views.append(SpanView.from_span(r))
+        elif r.get("kind") != "span":
+            events.append(r)
+        elif r.get("end") is not None:
+            views.append(SpanView.from_record(r))
+    points = [r for r in events if r.get("kind") == "point"]
+    alerts = [HealthAlert.from_dict(r["attrs"]) for r in points if r.get("name") == "health.alert"]
+    has_wms = any(r.get("name") == "run.allocation" for r in points)
+    util = utilization_from_events(events) if has_wms else None
+    snapshots = [r for r in events if r.get("kind") == "metrics"]
     metrics = snapshots[-1]["metrics"] if snapshots else {}
     return build_report(
         views, utilization=util, alerts=alerts, metrics=metrics,

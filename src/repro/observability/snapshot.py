@@ -1,8 +1,8 @@
-"""Periodic metrics snapshots into the JSONL event log.
+"""Periodic metrics snapshots into the run's record.
 
-The :class:`MetricsSnapshotter` emits the full
+The :class:`MetricsSnapshotter` appends the full
 :class:`~repro.telemetry.metrics.MetricsRegistry` snapshot as a
-``kind="metrics"`` JSONL record on a fixed runtime-clock cadence — sim
+``kind="metrics"`` tracer record on a fixed runtime-clock cadence — sim
 seconds under the simulated driver, wall seconds under the threaded one.
 The next-due time is part of the crash-recovery state so a resumed run
 snapshots at exactly the instants the uninterrupted run would have.
@@ -12,37 +12,29 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.events import JsonlEventLog
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.tracer import Tracer
 
 _EPS = 1e-9
 
 
 class MetricsSnapshotter:
-    """Emit registry snapshots every ``every`` runtime seconds."""
+    """Record registry snapshots every ``every`` runtime seconds."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        log: JsonlEventLog | None,
-        every: float,
-    ) -> None:
-        self.registry = registry
-        self.log = log
+    def __init__(self, tracer: Tracer, every: float) -> None:
+        self.tracer = tracer
         self.every = float(every)
         self._next = 0.0
         self.emitted = 0
 
     @property
     def enabled(self) -> bool:
-        return self.every > 0.0 and self.log is not None
+        return self.every > 0.0 and self.tracer.enabled
 
     def maybe_snapshot(self, now: float) -> bool:
         """Emit a snapshot if one is due; returns whether one was emitted."""
         if not self.enabled or now + _EPS < self._next:
             return False
-        assert self.log is not None
-        self.log.emit("metrics", now, seq=self.emitted, metrics=self.registry.snapshot())
+        self.tracer.record("metrics", now, seq=self.emitted, metrics=self.tracer.metrics.snapshot())
         self.emitted += 1
         while self._next <= now + _EPS:
             self._next += self.every

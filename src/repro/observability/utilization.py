@@ -2,12 +2,11 @@
 
 Reconstructs what every allocated node was doing over the run —
 busy (cores assigned to running task instances), idle, or quarantined —
-from either the live :class:`~repro.wms.launcher.Savanna` object or from
-the JSONL point events the launcher emits (``wms.task-running`` /
-``wms.task-end`` / ``run.allocation`` / ``run.quarantine-history``), so
-the report CLI can rebuild the exact same timelines from a log file
-alone (the SIM-SITU premise: evaluation needs reconstructable
-per-resource timelines).
+from the point records the launcher and the sim driver emit
+(``wms.task-running`` / ``wms.task-end`` / ``run.allocation`` /
+``run.quarantine-history``), live or from the run's JSONL log alone (the
+SIM-SITU premise: evaluation needs reconstructable per-resource
+timelines).
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ def build_utilization(
     end: float | None = None,
     quarantine_history: Iterable[Any] = (),
 ) -> UtilizationReport:
-    """Assemble the report from explicit inputs (both front-ends call this)."""
+    """Assemble the report from explicit inputs."""
     segments = list(segments)
     if end is None:
         end = max((s.end for s in segments), default=start)
@@ -170,37 +169,17 @@ def build_utilization(
     )
 
 
-def utilization_from_launcher(launcher, start: float = 0.0, end: float | None = None) -> UtilizationReport:
-    """Live path: read instances, allocation, and quarantine off Savanna."""
-    if end is None:
-        end = launcher.engine.now
-    node_cores = {n.node_id: n.cores for n in launcher.allocation.nodes}
-    segments: list[BusySegment] = []
-    for name, rec in sorted(launcher.records.items()):
-        for inst in rec.history:
-            if inst.start_time is None:
-                continue  # never reached RUNNING
-            seg_end = inst.end_time if inst.end_time is not None else end
-            for node_id, cores in inst.resources.items():
-                segments.append(
-                    BusySegment(node_id=node_id, cores=cores,
-                                start=inst.start_time, end=seg_end, task=name)
-                )
-    history = launcher.quarantine.history if launcher.quarantine is not None else ()
-    return build_utilization(node_cores, segments, start=start, end=end,
-                             quarantine_history=history)
-
-
 def utilization_from_events(
     records: Iterable[Mapping[str, Any]],
     start: float = 0.0,
     end: float | None = None,
 ) -> UtilizationReport:
-    """Offline path: rebuild the same report from JSONL point records.
+    """Build the report from a run's event records.
 
     Consumes ``run.allocation`` (node → cores), ``wms.task-running`` /
     ``wms.task-end`` pairs (matched by instance id; an unmatched running
-    task is clamped to the horizon), and ``run.quarantine-history``.
+    task is clamped to the horizon), and ``run.quarantine-history``.  The
+    horizon defaults to the latest non-span record.
     """
     node_cores: dict[str, int] = {}
     open_runs: dict[str, tuple[str, float, dict[str, int]]] = {}
@@ -208,9 +187,11 @@ def utilization_from_events(
     history: list[tuple[float, str, str]] = []
     max_time = start
     for rec in records:
-        if rec.get("kind") != "point":
+        kind = rec.get("kind")
+        if kind != "span":
+            max_time = max(max_time, float(rec.get("time", start)))
+        if kind != "point":
             continue
-        max_time = max(max_time, float(rec.get("time", start)))
         name = rec.get("name")
         attrs = rec.get("attrs", {}) or {}
         if name == "run.allocation":

@@ -65,10 +65,11 @@ class NodeQuarantine:
         if until is None:
             return False
         if t >= until:
-            # Cooldown elapsed: release lazily and clear the blame record.
+            # Cooldown elapsed: release lazily, stamped at the cooldown's
+            # end rather than at this query, and clear the blame record.
             del self._until[node_id]
             self._failures.pop(node_id, None)
-            self.history.append(QuarantineEvent(t, node_id, "released"))
+            self.history.append(QuarantineEvent(until, node_id, "released"))
             return False
         return True
 

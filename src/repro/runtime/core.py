@@ -22,7 +22,7 @@ from repro.core.sensors.sources import make_source
 from repro.errors import DyflowError, JournalError
 from repro.fabric import DegradedModeController, FabricLink
 from repro.journal import Journal, JournalSpec
-from repro.observability import HealthEngine, report_from_run, write_openmetrics, write_report
+from repro.observability import HealthEngine, report_from_jsonl, write_openmetrics, write_report
 from repro.resilience.spec import ResilienceSpec
 from repro.runtime.options import RuntimeOptions
 from repro.sim.rng import RngRegistry
@@ -61,9 +61,7 @@ class FabricState:
 class RuntimeCore:
     """Control-plane wiring shared by both drivers."""
 
-    #: Simulated launcher (node utilization in the run report) and
-    #: arbitration rules; the threaded driver has neither.
-    launcher = None
+    #: Arbitration rules; the threaded driver has none.
     rules: ArbitrationRules | None = None
 
     def __init__(
@@ -232,11 +230,14 @@ class RuntimeCore:
 
     # -- end-of-run outputs -----------------------------------------------------------
     def finalize_telemetry(self) -> None:
-        """Flush the JSONL log and write the Chrome trace and observability
-        exports (OpenMetrics, run report), if configured."""
+        """Record a final metrics snapshot, flush the JSONL log, and write
+        the Chrome trace and observability exports, if configured.  The
+        run report is built from the tracer's records, as the report CLI
+        builds it from the flushed log."""
         if self._telemetry_finalized or not self.tracer.enabled:
             return
         self._telemetry_finalized = True
+        self.tracer.record("metrics", self.now(), metrics=self.tracer.metrics.snapshot())
         self.tracer.flush()
         if self.telemetry is not None and self.telemetry.chrome_trace_path is not None:
             write_chrome_trace(self.telemetry.chrome_trace_path, self.tracer)
@@ -246,12 +247,7 @@ class RuntimeCore:
         if spec.openmetrics_path is not None:
             write_openmetrics(spec.openmetrics_path, self.tracer.metrics)
         if spec.analysis and (spec.report_path is not None or spec.report_json_path is not None):
-            report = report_from_run(
-                self.tracer,
-                launcher=self.launcher,
-                alerts=self.health.alerts if self.health is not None else (),
-                top_n=spec.top_n,
-                end=self.now(),
-                meta={"workflow": self.workflow_id},
+            report = report_from_jsonl(
+                self.tracer.records(), top_n=spec.top_n, meta={"workflow": self.workflow_id}
             )
             write_report(report, path=spec.report_path, json_path=spec.report_json_path)

@@ -190,9 +190,11 @@ class DyflowOrchestrator(RuntimeCore):
     def finalize_telemetry(self) -> None:
         """Write the end-of-run exports, with the quarantine history first."""
         q = self.launcher.quarantine
-        if not self._telemetry_finalized and q is not None and q.history:
-            # Lazy release means there is no event site for releases; the
-            # end-of-run dump lets the report CLI rebuild the intervals.
+        if self.tracer.enabled and not self._telemetry_finalized and q is not None and q.history:
+            # Lazy release means there is no event site for releases: release
+            # every expired node now, then dump the history so the report
+            # can rebuild the intervals.
+            q.active(self.engine.now)
             self.tracer.point(
                 "run.quarantine-history", "wms",
                 events=[[e.time, e.node_id, e.kind] for e in q.history],

@@ -11,7 +11,6 @@ per-stage latency histograms behind ``benchmarks/bench_stage_latency.py``.
 """
 
 from repro.telemetry.config import TelemetrySpec, build_tracer
-from repro.telemetry.events import JsonlEventLog
 from repro.telemetry.export import chrome_trace_events, to_chrome_trace, write_chrome_trace
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -34,7 +33,6 @@ __all__ = [
     "Gauge",
     "LatencyHistogram",
     "DEFAULT_BUCKETS",
-    "JsonlEventLog",
     "TelemetrySpec",
     "build_tracer",
     "chrome_trace_events",

@@ -5,7 +5,7 @@ a frozen dataclass consumed identically by the simulated and threaded
 runtimes, and by the ``<telemetry>`` XML element
 (see ``docs/xml-reference.md``).  :func:`build_tracer` turns a spec into
 the right tracer — a recording :class:`~repro.telemetry.tracer.Tracer`
-with the configured sinks, or the shared
+with the configured JSONL path, or the shared
 :data:`~repro.telemetry.tracer.NULL_TRACER` when disabled.
 """
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import TelemetryError
-from repro.telemetry.events import JsonlEventLog
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.xmlfield import attr, check_fields
 
@@ -27,8 +26,8 @@ class TelemetrySpec:
     Attributes:
         enabled: master switch; disabled runs use the NullTracer.
         sample: fraction of root spans kept (deterministic stride).
-        jsonl_path: if set, spans/events are appended there as JSONL on
-            :meth:`Tracer.flush`.
+        jsonl_path: if set, :meth:`Tracer.flush` writes the run's records
+            there as JSONL.
         chrome_trace_path: if set, runtimes write a Chrome
             ``trace_event`` JSON file there when the run finishes.
     """
@@ -54,5 +53,4 @@ def build_tracer(
     if spec is None or not spec.enabled:
         return NULL_TRACER
     spec.validate()
-    log = JsonlEventLog(spec.jsonl_path) if spec.jsonl_path is not None else None
-    return Tracer(clock=clock, sample=spec.sample, log=log)
+    return Tracer(clock=clock, sample=spec.sample, path=spec.jsonl_path)

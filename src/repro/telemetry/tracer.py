@@ -12,10 +12,15 @@ holds; :class:`NullTracer` is the disabled twin whose every operation is
 a shared no-op, so instrumentation left in place costs near-zero when
 telemetry is off.  Components default to the module-level
 :data:`NULL_TRACER` and never need a None check.
+
+The tracer also keeps the run's one record list — finished spans (by
+reference), ``point`` and ``metrics`` events, in emission order — which
+:meth:`Tracer.flush` writes as JSONL and the run report reads.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -111,8 +116,7 @@ class Tracer:
             so traced runs replay identically.  Children of an unsampled
             root are dropped with it; metrics are always recorded.
         metrics: registry for derived metrics (created if omitted).
-        log: optional :class:`~repro.telemetry.events.JsonlEventLog`;
-            every finished span and point event is appended to it.
+        path: JSONL file :meth:`flush` writes the run's records to.
     """
 
     enabled = True
@@ -122,7 +126,7 @@ class Tracer:
         clock: Callable[[], float] | None = None,
         sample: float = 1.0,
         metrics: MetricsRegistry | None = None,
-        log=None,
+        path: str | None = None,
     ) -> None:
         if not 0.0 < sample <= 1.0:
             raise TelemetryError(f"sample must be in (0, 1], got {sample}")
@@ -130,8 +134,11 @@ class Tracer:
         self.clock = clock if clock is not None else (lambda: time.perf_counter() - self._epoch)
         self.sample = float(sample)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.log = log
+        self.path = path
         self._spans: list[TraceSpan] = []
+        # Finished spans and event dicts, in emission order.
+        self._records: list[TraceSpan | dict[str, Any]] = []
+        self._flushed: int | None = None  # records written to path so far
         self._next_id = 0
         self._roots_seen = 0
         self._roots_kept = 0
@@ -205,8 +212,7 @@ class Tracer:
         if attrs:
             span.attrs.update(attrs)
         self.metrics.histogram(f"span.{span.name}").observe(span.duration)
-        if self.log is not None:
-            self.log.emit("span", span.end, **span.to_dict())
+        self._records.append(span)
 
     def add_span(
         self,
@@ -246,16 +252,18 @@ class Tracer:
             )
             self._spans.append(span)
         self.metrics.histogram(f"span.{name}").observe(span.duration)
-        if self.log is not None:
-            self.log.emit("span", end, **span.to_dict())
+        self._records.append(span)
         return span
 
     def point(self, name: str, category: str = "event", **attrs: Any) -> None:
         """Record an instantaneous annotated event."""
         now = self.clock()
         self.metrics.counter(f"event.{name}").inc()
-        if self.log is not None:
-            self.log.emit("point", now, name=name, category=category, attrs=attrs)
+        self.record("point", now, name=name, category=category, attrs=attrs)
+
+    def record(self, kind: str, time: float, **fields: Any) -> None:
+        """Append one event record; ``kind`` and ``time`` lead every line."""
+        self._records.append({"kind": kind, "time": time, **fields})
 
     def _keep_root(self) -> bool:
         """Deterministic stride sampling over root spans."""
@@ -289,10 +297,28 @@ class Tracer:
     def children_of(self, span: TraceSpan) -> list[TraceSpan]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
+    def records(self) -> list[TraceSpan | dict[str, Any]]:
+        """The run's records in emission order; spans are the live objects."""
+        return list(self._records)
+
     def flush(self) -> None:
-        """Flush the attached JSONL log (if any) to its path."""
-        if self.log is not None:
-            self.log.flush()
+        """Write the records not yet written to ``path`` as JSONL lines.
+
+        The first flush replaces the file, so a reused path holds one
+        run; later flushes append.  No-op without a path.
+        """
+        if self.path is None:
+            return
+        with self._lock:
+            done = self._flushed
+            pending = self._records[done or 0:]
+            self._flushed = (done or 0) + len(pending)
+        with open(self.path, "a" if done is not None else "w", encoding="utf-8") as fh:
+            for record in pending:
+                if isinstance(record, TraceSpan):
+                    record = {"kind": "span", "time": record.end, **record.to_dict()}
+                fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True, default=str))
+                fh.write("\n")
 
 
 class _NullSpanContext:
@@ -324,7 +350,6 @@ class NullTracer(Tracer):
         self.clock = lambda: 0.0
         self.sample = 1.0
         self.metrics = NullMetrics()
-        self.log = None
 
     def span(self, name: str, category: str = "span", **attrs: Any) -> _NullSpanContext:  # type: ignore[override]
         return _NULL_CTX
@@ -354,6 +379,12 @@ class NullTracer(Tracer):
 
     def point(self, name: str, category: str = "event", **attrs: Any) -> None:
         pass
+
+    def record(self, kind: str, time: float, **fields: Any) -> None:
+        pass
+
+    def records(self) -> list[TraceSpan | dict[str, Any]]:
+        return []
 
     def current_span(self) -> TraceSpan | None:
         return None

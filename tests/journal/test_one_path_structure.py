@@ -1,10 +1,12 @@
-"""One path per job from envelope to op, and from fleet state to WAL.
+"""One path per job from envelope to op, from fleet state to WAL, and
+from a run's records to its report.
 
 AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
 second copy of the actuation op loop, a second step-time sampling path, a
-second barrier protocol, a second OpenMetrics renderer or a telemetry
-handoff with no reader fails here by name.
+second barrier protocol, a second OpenMetrics renderer, a telemetry
+handoff with no reader, a second run-record store or a second report
+path fails here by name.
 """
 
 import ast
@@ -20,6 +22,8 @@ GONE = {
     "workertel", "worker_registry", "telemetry_root", "worker_metrics",
     "flush_worker_telemetry", "merge_worker_telemetry", "read_worker_telemetry",
     "_merge_telemetry", "_flush_telemetry",
+    # the second run-record store and the live-object report path
+    "JsonlEventLog", "report_from_run", "utilization_from_launcher",
 }
 
 
@@ -52,6 +56,7 @@ def test_no_removed_fast_path_identifier_remains():
 
     assert modules_where(names_one) == []
     assert "campaign/workertel.py" not in modules()
+    assert "telemetry/events.py" not in modules()
 
 
 def test_actuation_has_one_op_loop_and_one_failure_handler():
@@ -174,3 +179,84 @@ def test_openmetrics_line_formats_exist_once():
         (fn,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
         calls = {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
         assert "_render_families" in calls, name
+
+
+def functions(tree):
+    return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
+def calls_in(func):
+    return {ast.unparse(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)}
+
+
+def tracer_class():
+    (cls,) = [
+        n for n in ast.walk(modules()["telemetry/tracer.py"])
+        if isinstance(n, ast.ClassDef) and n.name == "Tracer"
+    ]
+    return cls
+
+
+def test_the_tracer_holds_the_one_run_record():
+    """Spans, points and metrics snapshots land in ``Tracer._records`` and
+    nowhere else; the snapshotter records through the tracer."""
+    tracer = tracer_class()
+    appends = {
+        (fn.name, ast.unparse(n.func.value))
+        for fn in tracer.body if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "append" and ast.unparse(n.func.value) != "self._stack()"
+    }
+    assert {fn for fn, target in appends if target == "self._records"} == {
+        "end_span", "add_span", "record",
+    }
+    # ``_spans`` is the start-order index (open spans too), not a second record.
+    assert {target for _fn, target in appends} == {"self._records", "self._spans"}
+    assert "self.record" in calls_in(functions(tracer)["point"])
+    snapshot = functions(modules()["observability/snapshot.py"])["maybe_snapshot"]
+    assert "self.tracer.record" in calls_in(snapshot)
+
+
+def test_a_record_becomes_a_jsonl_line_in_one_place():
+    def renders_a_line(node):  # compact JSON: one object per line
+        return (
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+            and any(k.arg == "separators" for k in node.keywords)
+        )
+
+    owners = [
+        module for module in modules_where(renders_a_line)
+        if module.startswith(("telemetry/", "observability/"))
+    ]
+    # watch.py is the campaign's durable stream, not a run's record.
+    assert owners == ["observability/watch.py", "telemetry/tracer.py"]
+    flush = functions(tracer_class())["flush"]
+    assert [n for n in ast.walk(flush) if renders_a_line(n)]
+    assert len([n for n in ast.walk(modules()["telemetry/tracer.py"]) if renders_a_line(n)]) == 1
+
+    def spells_a_span_line(node):
+        return isinstance(node, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value == "kind"
+            and isinstance(v, ast.Constant) and v.value == "span"
+            for k, v in zip(node.keys, node.values)
+        )
+
+    assert modules_where(spells_a_span_line) == ["telemetry/tracer.py"]
+
+
+def test_the_runtime_builds_its_report_the_way_the_cli_does():
+    report = modules()["observability/report.py"]
+    builders = {c for c in calls_in(functions(report)["main"]) if c.startswith("report_from")}
+    assert builders == {"report_from_jsonl"}
+
+    def builds_a_report(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).startswith(
+            ("report_from", "build_report", "utilization_from", "build_utilization")
+        )
+
+    runtime_calls = {
+        ast.unparse(n.func) for module, tree in modules().items()
+        if module.startswith("runtime/") for n in ast.walk(tree) if builds_a_report(n)
+    }
+    assert runtime_calls == builders

@@ -11,12 +11,15 @@ from repro.observability import (
     SloSpec,
 )
 from repro.observability.snapshot import MetricsSnapshotter
-from repro.telemetry import Tracer
-from repro.telemetry.events import JsonlEventLog
+from repro.telemetry import NULL_TRACER, Tracer
 
 
-def make_engine(spec=None, aggregates=None, clock=None, log=None):
-    tracer = Tracer(clock=clock or (lambda: 0.0), log=log)
+def records_of(tracer, kind):
+    return [r for r in tracer.records() if isinstance(r, dict) and r["kind"] == kind]
+
+
+def make_engine(spec=None, aggregates=None, clock=None):
+    tracer = Tracer(clock=clock or (lambda: 0.0))
     spec = spec or ObservabilitySpec(
         eval_every=5.0,
         slos=(SloSpec(metric="plan.response", stat="p95", op="LT", threshold=10.0),),
@@ -51,8 +54,7 @@ class TestCadence:
 
 class TestAlerting:
     def test_slo_violation_fires_and_lands_everywhere(self):
-        log = JsonlEventLog()
-        engine, tracer = make_engine(log=log)
+        engine, tracer = make_engine()
         tracer.metrics.histogram("plan.response").observe(50.0)
         alerts = engine.tick(0.0)
         assert len(alerts) == 1 and alerts[0].kind == "firing"
@@ -60,7 +62,7 @@ class TestAlerting:
         assert engine.firing_count() == 1
         assert engine.firing_sources() == ["slo:plan.response.p95"]
         # The transition is also a JSONL trace point and a gauge.
-        points = [r for r in log.records(kind="point") if r["name"] == "health.alert"]
+        points = [r for r in records_of(tracer, "point") if r["name"] == "health.alert"]
         assert len(points) == 1
         assert points[0]["attrs"]["kind"] == "firing"
         assert tracer.metrics.gauge("health.firing").value == 1.0
@@ -180,30 +182,27 @@ class TestCrashState:
 
 class TestSnapshotter:
     def test_disabled_without_cadence_or_log(self):
-        log = JsonlEventLog()
-        reg = Tracer(clock=lambda: 0.0).metrics
-        assert not MetricsSnapshotter(reg, None, 5.0).enabled
-        assert not MetricsSnapshotter(reg, log, 0.0).enabled
-        assert MetricsSnapshotter(reg, log, 5.0).enabled
+        tracer = Tracer(clock=lambda: 0.0)  # no JSONL path needed
+        assert not MetricsSnapshotter(NULL_TRACER, 5.0).enabled
+        assert not MetricsSnapshotter(tracer, 0.0).enabled
+        assert MetricsSnapshotter(tracer, 5.0).enabled
 
     def test_emits_on_cadence_with_sequence_numbers(self):
-        log = JsonlEventLog()
-        tracer = Tracer(clock=lambda: 0.0, log=log)
+        tracer = Tracer(clock=lambda: 0.0)
         tracer.metrics.counter("plans.created").inc()
-        snap = MetricsSnapshotter(tracer.metrics, log, 10.0)
+        snap = MetricsSnapshotter(tracer, 10.0)
         assert snap.maybe_snapshot(0.0)
         assert not snap.maybe_snapshot(3.0)
         assert snap.maybe_snapshot(10.0)
-        records = log.records(kind="metrics")
+        records = records_of(tracer, "metrics")
         assert [r["seq"] for r in records] == [0, 1]
         assert records[0]["metrics"]["plans.created"]["value"] == 1.0
 
     def test_state_round_trip_preserves_the_schedule(self):
-        log = JsonlEventLog()
-        reg = Tracer(clock=lambda: 0.0).metrics
-        snap = MetricsSnapshotter(reg, log, 10.0)
+        tracer = Tracer(clock=lambda: 0.0)
+        snap = MetricsSnapshotter(tracer, 10.0)
         snap.maybe_snapshot(0.0)
-        clone = MetricsSnapshotter(reg, log, 10.0)
+        clone = MetricsSnapshotter(tracer, 10.0)
         clone.load_state_dict(snap.state_dict())
         assert not clone.maybe_snapshot(5.0)  # next is still t=10
         assert clone.maybe_snapshot(10.0)

@@ -1,17 +1,24 @@
-"""Run reports: assembly, rendering, and the ``report`` CLI."""
+"""Run reports: assembly, rendering, the ``report`` CLI, and one report path."""
 
 import json
 
+import pytest
+
+from repro.experiments import run_gray_scott_experiment
+from repro.journal import JournalSpec
+from repro.observability import AnomalySpec, ObservabilitySpec, SloSpec
 from repro.observability.analysis import SpanView
 from repro.observability.report import (
     REPORT_SCHEMA,
     build_report,
     main,
+    read_jsonl,
     render_json,
     render_markdown,
     report_from_jsonl,
 )
 from repro.observability.slo import HealthAlert
+from repro.telemetry import TelemetrySpec
 
 
 def span_record(name, span_id, start, end, parent=None, category="loop"):
@@ -159,3 +166,75 @@ class TestCli:
         doc = json.loads(buf.getvalue())
         assert len(doc["slow_spans"]) == 2
         assert len(doc["bottlenecks"]) == 2
+
+
+# perfbench's gs_full_stack configuration: chaos fabric, SLO + anomaly
+# detector, a WAL journal and two controller crashes, one in the partition.
+CHAOS_XML = """
+  <resilience>
+    <network latency="0.2" jitter="0.1" drop-prob="0.10" dup-prob="0.05"
+             reorder-prob="0.05" ack-timeout="2.0" max-retransmits="5"
+             ingress-capacity="64" drain-per-tick="32"
+             stale-after="60.0" degrade-after="3" recover-after="3">
+      <partition start="600.0" duration="30.0"/>
+    </network>
+  </resilience>"""
+QUARANTINE_XML = """
+  <resilience>
+    <retry max-retries="3"/>
+    <quarantine failures="1" window="600" cooldown="400"/>
+    <faults node-mtbf="600" node-repair-time="300" task-crash-mtbf="2000"/>
+  </resilience>"""
+
+
+class TestOneReportPath:
+    """The report a runtime writes at finalize is the report the CLI rebuilds
+    from the JSONL log that same finalize flushed — byte for byte."""
+
+    RUNS = {
+        "plain": dict(seed=1),
+        "full-stack": dict(
+            seed=1, xml_extra=CHAOS_XML, crash_times=(300.0, 615.0),
+            slos=(SloSpec(metric="plan.response", stat="p95", op="LT", threshold=60.0),),
+            anomalies=(AnomalySpec(metric="stage.monitor.latency", stat="p95",
+                                   window=20, z=4.0),),
+        ),
+        "quarantine": dict(seed=4, xml_extra=QUARANTINE_XML),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(RUNS))
+    def run(self, request, tmp_path_factory):
+        kw = dict(self.RUNS[request.param])
+        base = tmp_path_factory.mktemp(request.param)
+        if "crash_times" in kw:
+            kw["journal"] = JournalSpec(dir=str(base / "wal"), fsync="off")
+        obs = ObservabilitySpec(
+            eval_every=5.0, slos=kw.pop("slos", ()), anomalies=kw.pop("anomalies", ()),
+            report_path=str(base / "report.md"), report_json_path=str(base / "report.json"),
+        )
+        result = run_gray_scott_experiment(
+            "summit", telemetry=TelemetrySpec(jsonl_path=str(base / "events.jsonl")),
+            observability=obs, **kw,
+        )
+        return request.param, result, base
+
+    def test_finalize_report_equals_the_cli_rebuild(self, run):
+        name, result, base = run
+        if name == "full-stack":
+            assert result.meta["crashes"] == [300.0, 615.0]
+        rebuilt = report_from_jsonl(
+            read_jsonl(str(base / "events.jsonl")),
+            meta={"workflow": result.launcher.workflow.workflow_id},
+        )
+        assert (base / "report.md").read_text() == render_markdown(rebuilt)
+        assert (base / "report.json").read_text() == render_json(rebuilt)
+        assert rebuilt["metrics"] and rebuilt["utilization"] is not None
+
+    def test_the_log_ends_with_the_finalize_metrics_record(self, run):
+        _name, result, base = run
+        records = read_jsonl(str(base / "events.jsonl"))
+        assert records[-1]["kind"] == "metrics"
+        assert records[-1]["time"] == json.loads((base / "report.json").read_text())[
+            "utilization"]["end"]
+        assert sum(r["kind"] == "point" and r["name"] == "run.allocation"
+                   for r in records) == 1

@@ -55,6 +55,17 @@ class TestNodeQuarantineUnit:
         clock.t = 45.0  # past the first cooldown, within the re-armed one
         assert q.is_quarantined("n0")
 
+    def test_release_is_stamped_at_the_cooldown_end_not_the_query(self):
+        clock = FakeClock()
+        q = NodeQuarantine(QuarantineSpec(failures=1, window=600.0, cooldown=400.0), clock)
+        clock.t = 10.0
+        assert q.record_failure("n0")
+        clock.t = 1000.0  # nothing asked between the cooldown's end and now
+        assert not q.is_quarantined("n0")
+        assert [(e.time, e.kind) for e in q.history] == [
+            (10.0, "quarantined"), (410.0, "released"),
+        ]
+
     def test_blamed_counts_within_window(self):
         clock = FakeClock()
         q = NodeQuarantine(QuarantineSpec(failures=5, window=10.0, cooldown=30.0), clock)
@@ -210,3 +221,39 @@ class TestQuarantineMidRetryArbitration:
         assert rec.incarnations >= 2
         latest = rec.current if rec.current is not None else rec.history[-1]
         assert not (set(latest.resources.node_ids) & quarantined)
+
+
+class TestQuarantinedSecondsInTheReport:
+    """The report's ``quarantined_seconds`` is a property of the run: how
+    often something happens to query the quarantine must not move it."""
+
+    XML = """
+  <resilience>
+    <retry max-retries="3"/>
+    <quarantine failures="1" window="600" cooldown="400"/>
+    <faults node-mtbf="600" node-repair-time="300" task-crash-mtbf="2000"/>
+  </resilience>"""
+
+    def quarantined(self, tmp_path, eval_every):
+        import json
+
+        from repro.experiments import run_gray_scott_experiment
+        from repro.journal import scenario_fingerprint
+        from repro.observability import ObservabilitySpec
+        from repro.telemetry import TelemetrySpec
+
+        path = tmp_path / f"report-{eval_every}.json"
+        result = run_gray_scott_experiment(
+            "summit", seed=4, xml_extra=self.XML, telemetry=TelemetrySpec(),
+            # The health engine reads the quarantine on every evaluation.
+            observability=ObservabilitySpec(eval_every=eval_every, report_json_path=str(path)),
+        )
+        nodes = json.loads(path.read_text())["utilization"]["nodes"]
+        return {n["node"]: n["quarantined_seconds"] for n in nodes}, scenario_fingerprint(result)
+
+    def test_quarantined_seconds_do_not_depend_on_query_times(self, tmp_path):
+        often, often_fp = self.quarantined(tmp_path, eval_every=1.0)
+        rarely, rarely_fp = self.quarantined(tmp_path, eval_every=1e5)  # once, at t=0
+        assert often_fp == rarely_fp  # same placements, same run
+        assert sum(often.values()) > 400.0  # the seed trips the breaker
+        assert often == rarely

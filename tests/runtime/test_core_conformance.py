@@ -134,7 +134,7 @@ class TestConformance:
 RUNTIME_DIR = pathlib.Path(repro.runtime.__file__).parent
 WIRED_ONCE = (
     "HealthEngine", "FabricLink", "DegradedModeController", "build_tracer", "make_source",
-    "write_openmetrics", "write_chrome_trace", "report_from_run",
+    "write_openmetrics", "write_chrome_trace", "report_from_jsonl",
 )
 BOOTSTRAP_API = ("add_sensor", "monitor_task", "add_policy", "apply_policy")
 

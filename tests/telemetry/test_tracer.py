@@ -1,11 +1,12 @@
-"""Tracer spans: nesting, sampling, dual clocks, and the null twin."""
+"""Tracer spans: nesting, sampling, dual clocks, the run's records, and the null twin."""
+
+import json
 
 import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
     NULL_TRACER,
-    JsonlEventLog,
     NullTracer,
     TelemetrySpec,
     Tracer,
@@ -117,13 +118,12 @@ def test_invalid_sample_rejected():
 
 
 def test_point_events_count_and_log():
-    log = JsonlEventLog()
     clock = FakeClock()
-    tracer = Tracer(clock=clock, log=log)
+    tracer = Tracer(clock=clock)  # points are kept with no JSONL path too
     clock.now = 3.0
     tracer.point("node_failure", "failure", node="n4")
     assert tracer.metrics.counter("event.node_failure").value == 1.0
-    [record] = log.records("point")
+    [record] = [r for r in tracer.records() if isinstance(r, dict) and r["kind"] == "point"]
     assert record["time"] == 3.0
     assert record["attrs"] == {"node": "n4"}
 
@@ -142,8 +142,7 @@ def test_finished_spans_sorted_by_start():
 
 def test_jsonl_log_flush_to_file(tmp_path):
     path = str(tmp_path / "events.jsonl")
-    log = JsonlEventLog(path)
-    tracer = Tracer(clock=FakeClock(), log=log)
+    tracer = Tracer(clock=FakeClock(), path=path)
     with tracer.span("tick"):
         pass
     tracer.flush()
@@ -186,3 +185,56 @@ def test_default_clock_is_relative_wall_time():
         pass
     assert span.start >= 0.0
     assert span.duration >= 0.0
+
+
+def read_lines(path):
+    return [json.loads(ln) for ln in open(path, encoding="utf-8").read().splitlines() if ln]
+
+
+def test_records_hold_spans_by_reference_in_emission_order():
+    clock = FakeClock()
+    tracer = Tracer(clock=clock)
+    with tracer.span("outer") as outer:
+        clock.now = 1.0
+        tracer.point("p", "event", k=1)
+        with tracer.span("inner") as inner:
+            clock.now = 2.0
+    tracer.record("metrics", 2.0, metrics={})
+    point, first, second, metrics = tracer.records()
+    assert point == {"kind": "point", "time": 1.0, "name": "p",
+                     "category": "event", "attrs": {"k": 1}}
+    assert first is inner and second is outer  # closing order, not start order
+    assert metrics == {"kind": "metrics", "time": 2.0, "metrics": {}}
+
+
+def test_a_flushed_span_line_is_its_to_dict_under_kind_and_time(tmp_path):
+    path = str(tmp_path / "events.jsonl")
+    clock = FakeClock()
+    tracer = Tracer(clock=clock, path=path)
+    span = tracer.start_span("job", "wms", task="A")
+    clock.now = 4.0
+    tracer.end_span(span)
+    tracer.flush()
+    [line] = read_lines(path)
+    assert line == {"kind": "span", "time": 4.0, **span.to_dict()}
+
+
+def test_a_reused_jsonl_path_holds_one_run(tmp_path):
+    # The first flush replaces the file; a second run into the same path
+    # must not append to the first (its report would count both runs).
+    path = str(tmp_path / "events.jsonl")
+    for _run in range(2):
+        tracer = build_tracer(TelemetrySpec(jsonl_path=path), clock=FakeClock())
+        tracer.point("run.allocation", "wms", nodes={"n1": 4})
+        tracer.flush()
+    assert [r["name"] for r in read_lines(path)] == ["run.allocation"]
+    # ... while later flushes of one tracer append what is new.
+    tracer.point("wms.task-end", "wms")
+    tracer.flush()
+    assert [r["name"] for r in read_lines(path)] == ["run.allocation", "wms.task-end"]
+
+
+def test_null_tracer_records_nothing():
+    NULL_TRACER.record("metrics", 1.0, metrics={})
+    NULL_TRACER.point("p")
+    assert NULL_TRACER.records() == []

@@ -60,7 +60,6 @@ API_SURFACE = [
     "Journal",
     "JournalSpec",
     "JournalState",
-    "JsonlEventLog",
     "LAMMPS_XML",
     "LinkOverride",
     "LiveTaskSpec",
@@ -129,7 +128,6 @@ API_SURFACE = [
     "render_openmetrics",
     "render_sarif",
     "report_from_jsonl",
-    "report_from_run",
     "run_gray_scott_experiment",
     "run_lammps_experiment",
     "run_preflight",
@@ -140,7 +138,6 @@ API_SURFACE = [
     "summit",
     "to_chrome_trace",
     "utilization_from_events",
-    "utilization_from_launcher",
     "verify_spec",
     "write_chrome_trace",
     "write_dyflow_xml",
@@ -158,7 +155,7 @@ SUBFACADES = {
     ],
     "telemetry": [
         "TelemetrySpec", "Tracer", "NullTracer", "TraceSpan",
-        "MetricsRegistry", "JsonlEventLog", "build_tracer",
+        "MetricsRegistry", "build_tracer",
         "to_chrome_trace", "write_chrome_trace",
     ],
     "fault": [
