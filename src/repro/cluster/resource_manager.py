@@ -74,12 +74,13 @@ class ResourceManager:
         # owner's set (O(owners x nodes) per call made task launch
         # quadratic at 10k tasks).
         self._per_node: dict[str, int] = {}
-        #: Bumped on every assignment mutation; Arbitration keys its
-        #: placement-feasibility cache on it (plus node health and
-        #: quarantine state, which change outside this class).
+        #: Bumped on every assignment mutation that moves a core; the
+        #: first component of :meth:`placement_epoch`.
         self.version = 0
 
     def _account(self, rs: ResourceSet, sign: int) -> None:
+        if not rs:
+            return  # nothing moved: placement answers are unchanged
         self.version += 1
         per_node = self._per_node
         for node_id, n in rs.as_dict().items():
@@ -115,7 +116,17 @@ class ResourceManager:
         })
 
     def free_cores(self) -> int:
-        return self.free().total_cores
+        """``free().total_cores`` without building the set.
+
+        Arbitration asks it on every idle tick that has a waiting queue.
+        """
+        used = self._per_node
+        up = NodeState.UP
+        total = 0
+        for n in self.allocation.nodes:
+            if n.state is up:
+                total += n.cores - used.get(n.node_id, 0)
+        return total
 
     def healthy_node_ids(self) -> set[str]:
         return {n.node_id for n in self.allocation.healthy_nodes()}
@@ -131,6 +142,21 @@ class ResourceManager:
     def excluded_nodes(self) -> set[str]:
         """Nodes the circuit breaker currently bars from placement."""
         return self.quarantine.active() if self.quarantine is not None else set()
+
+    def placement_epoch(self) -> tuple:
+        """Everything a placement answer depends on, as one comparable key.
+
+        The assignment version, every node's health state and the set the
+        circuit breaker bars: two equal epochs give every request shape
+        the same answer.  Health and quarantine change outside this class,
+        so they are read live; reading the quarantine releases cooldowns
+        that have elapsed (:meth:`NodeQuarantine.active`).
+        """
+        return (
+            self.version,
+            tuple([n.state for n in self.allocation.nodes]),
+            frozenset(self.excluded_nodes()),
+        )
 
     # -- placement --------------------------------------------------------------
     def plan_placement(

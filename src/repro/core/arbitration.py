@@ -54,14 +54,13 @@ class _FeasibilityCache:
 
     A request shape ``(ncores, per_node_limit)`` that could not be placed
     against the *live* resource state stays infeasible until that state
-    changes — so ticks that re-try a parked waiting queue against a full
-    machine skip the per-node scan entirely.  The epoch key captures
-    everything placement feasibility depends on: the resource manager's
-    assignment version, every node's health state, and the quarantine
-    set (time-based cooldowns expire outside any mutation hook).  Only
-    *pristine* shadows (no plan-local releases/takes yet) may consult or
-    feed the cache; once a plan mutates its scratch free-set the shapes
-    no longer describe the live machine.
+    changes, i.e. until :meth:`ResourceManager.placement_epoch` moves.
+    Within one epoch it answers repeat lookups — the acquire pass and the
+    line-16 drain both try each waiting entry, and several entries may
+    share one shape — without the per-node scan.  Only *pristine* shadows (no plan-local
+    releases/takes yet) may consult or feed the cache; once a plan
+    mutates its scratch free-set the shapes no longer describe the live
+    machine.
     """
 
     def __init__(self) -> None:
@@ -102,6 +101,7 @@ class _Shadow:
     def __init__(
         self,
         launcher: Savanna,
+        epoch: tuple,
         cache: _FeasibilityCache | None = None,
         core_quota: int | None = None,
     ) -> None:
@@ -116,16 +116,12 @@ class _Shadow:
         # Quarantined nodes are excluded exactly like unhealthy ones:
         # Arbitration "ensures the exclusion of problematic resources".
         # Constant within one plan build (simulated time does not advance),
-        # so hoisted out of place().
-        self.excluded = launcher.rm.excluded_nodes()
+        # so read once, from the epoch the caller took.
+        self.excluded = epoch[2]
         self.pristine = True
         self.cache = cache
         if cache is not None:
-            cache.sync((
-                launcher.rm.version,
-                tuple(n.state.value for n in self.nodes),
-                frozenset(self.excluded),
-            ))
+            cache.sync(epoch)
 
     def holds(self, task: str) -> bool:
         return task in self.assigned
@@ -198,6 +194,13 @@ class ArbitrationStage:
         self.waiting: dict[str, WaitingEntry] = {}
         self.plans: list[ActionPlan] = []
         self._feasibility = _FeasibilityCache()
+        # ``(epoch, waiting entries)`` of the last tick that tried every
+        # waiting entry against the live state and placed nothing.
+        # Derived state, so not journaled: after a resume the first idle
+        # tick builds one shadow and finds the same answer.
+        self._idle_key: tuple | None = None
+        #: Waiting-only ticks skipped because ``_idle_key`` still held.
+        self.waiting_unchanged = 0
         self.discarded_batches = 0
         self._ids = IdGenerator()
         self._gate_until: float | None = None
@@ -242,6 +245,7 @@ class ArbitrationStage:
             "arbitration.arbitrate", "arbitration", suggestions=len(suggestions)
         )
         gated_before = self.discarded_batches
+        unchanged_before = self.waiting_unchanged
         plan = self._arbitrate(suggestions, now)
         metrics = tracer.metrics
         if plan is not None:
@@ -254,6 +258,10 @@ class ArbitrationStage:
             metrics.counter("arbitration.gated_batches").inc(
                 self.discarded_batches - gated_before
             )
+        if self.waiting_unchanged > unchanged_before:
+            # Not retried because nothing it depends on changed — as
+            # opposed to retried and still infeasible.
+            metrics.counter("arbitration.waiting_unchanged").inc()
         metrics.gauge("arbitration.waiting").set(len(self.waiting))
         tracer.end_span(
             span,
@@ -269,7 +277,15 @@ class ArbitrationStage:
             return None
         filtered = self._resolve_conflicts(suggestions)
         filtered = self._drop_noops(filtered)
-        if not filtered and not self._drainable(now):
+        rm = self.launcher.rm
+        # With no suggestion only the waiting queue could act, and only on
+        # free cores (line 16).  Free cores are tested before the epoch is
+        # taken: reading the epoch may release elapsed quarantines.
+        if not filtered and (not self.waiting or rm.free_cores() == 0):
+            return None
+        epoch = rm.placement_epoch()
+        if not filtered and self._retry_would_repeat(epoch):
+            self.waiting_unchanged += 1
             return None
 
         plan = ActionPlan(
@@ -280,7 +296,7 @@ class ArbitrationStage:
             trigger_time=min((s.trigger_time for s in filtered), default=now),
         )
         shadow = _Shadow(
-            self.launcher, cache=self._feasibility, core_quota=self.core_quota
+            self.launcher, epoch, cache=self._feasibility, core_quota=self.core_quota
         )
         stop_targets: set[str] = set()   # tasks the plan stops (for good)
         start_targets: set[str] = set()  # tasks the plan (re)starts
@@ -381,6 +397,11 @@ class ArbitrationStage:
         self._drain_waiting(plan, shadow, start_targets, stop_targets, now)
 
         if not plan.ops:
+            if shadow.pristine:
+                # Every waiting entry was just tried against the live state
+                # and none fits: until the epoch or the queue changes, a
+                # waiting-only retry would fail the same way.
+                self._idle_key = (epoch, tuple(self.waiting.values()))
             return None
         plan.plan_id = self._ids.next("plan")
         plan.assign_op_keys()
@@ -624,9 +645,19 @@ class ArbitrationStage:
                 reason=reason,
             )
 
-    def _drainable(self, now: float) -> bool:
-        """Could the waiting queue plausibly make progress?"""
-        return bool(self.waiting) and self.launcher.rm.free_cores() > 0
+    def _retry_would_repeat(self, epoch: tuple) -> bool:
+        """Would retrying the waiting queue fail exactly as it last did?
+
+        An entry's placement depends only on the epoch and on its own
+        shape; entries are compared as objects, so a task re-queued with
+        another shape misses.  The one other effect of a retry — dropping
+        an entry whose task another path (a launcher retry) has started —
+        is not in the key, so such an entry forces the retry.
+        """
+        if (epoch, tuple(self.waiting.values())) != self._idle_key:
+            return False
+        record = self.launcher.record
+        return not any(record(task).is_active for task in self.waiting)
 
     def _try_start_waiting(
         self,
@@ -719,6 +750,7 @@ class ArbitrationStage:
             )
             for task, e in state.get("waiting", {}).items()
         }
+        self._idle_key = None
         self.discarded_batches = int(state.get("discarded_batches", 0))
         gate = state.get("gate_until")
         self._gate_until = float(gate) if gate is not None else None

@@ -115,6 +115,21 @@ class TestAssignReleaseGrowShrink:
         _m, rm = make_rm(1)
         assert rm.release_if_held("ghost").total_cores == 0
 
+    def test_noop_release_keeps_the_placement_epoch(self):
+        """A task whose cores a node failure already stripped still exits
+        through ``release_if_held``; nothing moves, so nothing that keys
+        on the epoch may be invalidated."""
+        m, rm = make_rm(2)
+        rm.assign("gone", 10)  # node 0 only
+        m.nodes[0].fail()
+        rm.on_node_failure("summit0000")
+        epoch = rm.placement_epoch()
+        assert rm.release_if_held("gone").total_cores == 0
+        assert rm.release_if_held("ghost").total_cores == 0
+        assert rm.placement_epoch() == epoch
+        rm.assign("a", 5)
+        assert rm.placement_epoch() != epoch
+
     def test_assign_set_must_be_free(self):
         _m, rm = make_rm(1)
         rm.assign("a", 40)
@@ -176,9 +191,9 @@ class TestConservationProperty:
     @given(op_sequences())
     def test_invariant_after_arbitrary_ops(self, ops):
         """assigned + free == healthy capacity after any legal op mix, and
-        the incrementally kept per-node totals behind ``free()`` agree
-        with a recomputation — across node failure, recovery and
-        quarantine too."""
+        the incrementally kept per-node totals behind ``free()`` and
+        ``free_cores()`` agree with a recomputation — across node
+        failure, recovery and quarantine too."""
         m = summit(3)
         alloc = Allocation("a0", m, m.nodes, walltime_limit=1e9)
         clock = [0.0]
@@ -215,6 +230,7 @@ class TestConservationProperty:
             rm.check_invariants()
             free = rm.free()
             assert free == recomputed_free(rm)
+            assert rm.free_cores() == free.total_cores
             assert rm.assigned_total().total_cores + free.total_cores == alloc.total_cores
             open_nodes = set(free.node_ids) - rm.excluded_nodes()
             if open_nodes:

@@ -123,7 +123,7 @@ class TestQuarantineEndToEnd:
         eng.run(until=2.0)
         victim_node = sorted(sav.rm.healthy_node_ids())[0]
         sav.quarantine.record_failure(victim_node)
-        shadow = _Shadow(sav)
+        shadow = _Shadow(sav, sav.rm.placement_epoch())
         rs = shadow.place(8, None)
         assert victim_node not in rs.node_ids
 
