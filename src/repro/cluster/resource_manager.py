@@ -293,20 +293,9 @@ class ResourceManager:
                 self._account(ResourceSet({node_id: lost}), -1)
         return sorted(affected)
 
-    # -- crash recovery ----------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Owner → per-node core map (journal snapshot audit)."""
+        """Owner → per-node core map."""
         return {owner: rs.as_dict() for owner, rs in sorted(self._assigned.items())}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._assigned = {
-            owner: ResourceSet({n: int(c) for n, c in cores.items()})
-            for owner, cores in state.items()
-        }
-        self._per_node = {}
-        self.version += 1  # even an empty snapshot invalidates feasibility memos
-        for rs in self._assigned.values():
-            self._account(rs, +1)
 
     # -- invariants ------------------------------------------------------------------
     def check_invariants(self) -> None:

@@ -8,7 +8,6 @@ from repro.journal.journal import Journal
 from repro.journal.ledger import AppliedOpsLedger, ResumableJournal, RunLedger
 from repro.journal.records import RECORD_KINDS, make_record
 from repro.journal.resume import JournalState, read_journal, scenario_fingerprint
-from repro.journal.snapshot import SnapshotStore
 from repro.journal.spec import FSYNC_MODES, JournalSpec
 from repro.journal.wal import WalWriter, claim_epoch, current_epoch, read_segment
 
@@ -21,7 +20,6 @@ __all__ = [
     "RECORD_KINDS",
     "ResumableJournal",
     "RunLedger",
-    "SnapshotStore",
     "WalWriter",
     "claim_epoch",
     "current_epoch",

@@ -21,7 +21,7 @@ from repro.errors import JournalError
 from repro.journal.delta import SignedState
 from repro.journal.records import make_record
 from repro.journal.resume import read_journal
-from repro.journal.snapshot import SnapshotStore
+from repro.journal.snapshot import write_snapshot
 from repro.journal.spec import JournalSpec
 from repro.journal.wal import WalWriter, claim_epoch, list_segment_indices
 
@@ -52,7 +52,6 @@ class Journal:
             fsync=spec.fsync,
             batch_every=spec.batch_every,
         )
-        self._store = SnapshotStore(spec.dir)
         self._seq = _start_seq
         self._snapshot_index = _snapshot_index
         self._fsyncs_seen = 0
@@ -61,15 +60,21 @@ class Journal:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def open(cls, spec: JournalSpec, metrics=None) -> "Journal":
-        """Start a fresh journal; the directory must hold no WAL segments."""
+    def open(cls, spec: JournalSpec, metrics=None, **meta) -> "Journal":
+        """Start a fresh journal; the directory must hold no WAL segments.
+
+        Its first record is ``meta``: the caller's identity fields *meta*
+        plus the spec, which ``reopen`` reuses.
+        """
         os.makedirs(spec.dir, exist_ok=True)
         if list_segment_indices(spec.dir):
             raise JournalError(
                 f"journal dir {spec.dir!r} already holds WAL segments; "
                 "use Journal.reopen() to recover it"
             )
-        return cls(spec, metrics=metrics)
+        journal = cls(spec, metrics=metrics)
+        journal.append("meta", journal_spec=asdict(spec), **meta)
+        return journal
 
     @classmethod
     def reopen(
@@ -79,8 +84,8 @@ class Journal:
 
         Appends resume in a *new* segment — never after a possibly-torn
         tail — and the sequence counter continues past the last durable
-        record.  The persisted spec (from the latest snapshot or
-        meta/resume record) is reused unless *spec* overrides it; *state*
+        record.  The persisted spec (from the latest snapshot or the
+        ``meta`` / ``resume`` record) is reused unless *spec* overrides it; *state*
         is the directory's ``JournalState`` when the caller already read it.
         """
         js = state if state is not None else read_journal(directory)
@@ -116,11 +121,15 @@ class Journal:
             self.metrics.histogram("journal.append.latency").observe(
                 _time.perf_counter() - t0  # lint: ignore[DY501]
             )
-            new_syncs = self._writer.fsync_count - self._fsyncs_seen
-            if new_syncs:
-                self.metrics.counter("journal.fsync.count").inc(new_syncs)
-                self._fsyncs_seen = self._writer.fsync_count
+            self._count_fsyncs()
         return self._seq
+
+    def _count_fsyncs(self) -> None:
+        """Add the writer's fsyncs since the last call to ``journal.fsync.count``."""
+        new_syncs = self._writer.fsync_count - self._fsyncs_seen
+        if new_syncs:
+            self.metrics.counter("journal.fsync.count").inc(new_syncs)
+            self._fsyncs_seen = self._writer.fsync_count
 
     def barrier(self, t: float, state: dict) -> int:
         """Journal one control-loop barrier at time *t*: *state* in full for
@@ -141,9 +150,9 @@ class Journal:
 
         Returns the snapshot index.  The snapshot covers every record up
         to the current sequence number; older segments and snapshots are
-        deleted once the checkpoint pointer has moved.  That deletes the
-        last barrier's record, the base of the next delta: *state* carries
-        it as ``barrier``, or the next barrier is written in full.
+        deleted once it is durable.  That deletes the last barrier's
+        record, the base of the next delta: *state* carries it as
+        ``barrier``, or the next barrier is written in full.
         """
         if self._closed:
             raise JournalError("snapshot on closed journal")
@@ -152,18 +161,13 @@ class Journal:
         index = self._snapshot_index
         self._snapshot_index += 1
         segment_after = self._writer.rotate()
-        full = dict(state)
-        full["journal_spec"] = asdict(self.spec)
-        size = self._store.write(index, full, segment_after=segment_after, seq=self._seq)
-        self.append("snapshot-ref", index=index, bytes=size)
+        full = {**state, "journal_spec": asdict(self.spec)}
+        size = write_snapshot(self.spec.dir, index, full, segment_after, self._seq)
         if self.metrics is not None:
             self.metrics.histogram(
                 "journal.snapshot.bytes", buckets=SNAPSHOT_BYTE_BUCKETS
             ).observe(size)
-            new_syncs = self._writer.fsync_count - self._fsyncs_seen
-            if new_syncs:
-                self.metrics.counter("journal.fsync.count").inc(new_syncs)
-                self._fsyncs_seen = self._writer.fsync_count
+            self._count_fsyncs()
         return index
 
     def sync(self) -> None:

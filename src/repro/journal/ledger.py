@@ -62,7 +62,7 @@ class ResumableJournal:
     outside this package's internals that asks whether a directory
     already holds segments.  :meth:`open`
     claims it — ``Journal.reopen`` with the state already read, else
-    ``Journal.open`` plus a ``meta`` record carrying *meta* — and releases
+    ``Journal.open``, whose ``meta`` record carries *meta* — and releases
     what was read.  Without an enabled *spec* nothing is read or written.
     """
 
@@ -96,8 +96,7 @@ class ResumableJournal:
             if state is not None:
                 self.journal = Journal.reopen(self.spec.dir, spec=self.spec, state=state)
             else:
-                self.journal = Journal.open(self.spec)
-                self.journal.append("meta", **self._meta)
+                self.journal = Journal.open(self.spec, **self._meta)
         return self.journal
 
     def close(self) -> None:

@@ -17,20 +17,23 @@ kinds split into three groups:
 
 *restored*   records whose payload is state, applied wholesale:
              ``plan`` / ``plan-done`` (ActionPlan creation + execution
-             patch), ``snapshot-ref`` (pointer to a snapshot file).
+             patch).
 
-*bookkeeping* ``meta``, ``resume``, ``crash``, ``op-issued`` /
+*bookkeeping* ``meta`` (the journal's first record: run identity and
+             the spec), ``resume``, ``crash``, ``op-issued`` /
              ``op-completed`` (the idempotent-actuation ledger),
              ``task-checkpoint`` (threaded-runtime step progress, used
              to restart live mini-apps without redoing work), and the
              campaign ledger's ``run-*`` / ``cell-*`` bracket, written
              only by :class:`~repro.journal.ledger.RunLedger`.
+
+``snapshot-ref`` is read, and skipped, only in older journals.
 """
 
 from __future__ import annotations
 
 RECORD_KINDS = (
-    "meta",          # journal/run identity: workflow id, config fingerprint
+    "meta",          # journal/run identity: workflow id, journal spec
     "resume",        # a new epoch took over this journal
     "obs",           # monitor envelope delivered to the server
     "task-restart",  # task (re)started: sensor epochs / history windows reset
@@ -40,7 +43,7 @@ RECORD_KINDS = (
     "plan-done",     # actuation finished a plan (execution-time patch)
     "op-issued",     # actuation is about to apply one op (idempotency key)
     "op-completed",  # that op took effect
-    "snapshot-ref",  # compaction point: snapshot file + first seq it covers
+    "snapshot-ref",  # older journals: snapshot index + size
     "crash",         # controller stopped at this barrier (orchestrator_crash)
     "run-started",   # campaign: one run began
     "run-completed", # campaign: one run finished (carries its result summary)

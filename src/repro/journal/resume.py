@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from repro.errors import JournalError
 from repro.journal.delta import apply_delta
 from repro.journal.records import RECORD_KINDS
-from repro.journal.snapshot import SnapshotStore
+from repro.journal.snapshot import load_latest_snapshot
 from repro.journal.wal import current_epoch, list_segment_indices, read_segment, segment_path
 
 
@@ -21,7 +21,6 @@ class JournalState:
     directory: str
     epoch: int
     snapshot_state: dict | None = None
-    snapshot_meta: dict | None = None
     records: list[dict] = field(default_factory=list)
     last_seq: int = 0
     next_segment: int = 0
@@ -39,8 +38,7 @@ def read_journal(directory: str) -> JournalState:
     """
     if not os.path.isdir(directory):
         raise JournalError(f"journal dir {directory!r} does not exist")
-    store = SnapshotStore(directory)
-    framed = store.load_latest()
+    framed = load_latest_snapshot(directory)
     snapshot_seq = framed["seq"] if framed else 0
     start_segment = framed["segment_after"] if framed else 0
 
@@ -89,9 +87,6 @@ def read_journal(directory: str) -> JournalState:
         directory=directory,
         epoch=current_epoch(directory),
         snapshot_state=framed["state"] if framed else None,
-        snapshot_meta=(
-            {k: framed[k] for k in ("index", "segment_after", "seq")} if framed else None
-        ),
         records=records,
         last_seq=records[-1]["seq"] if records else snapshot_seq,
         next_segment=next_segment,

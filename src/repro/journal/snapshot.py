@@ -1,26 +1,28 @@
-"""Snapshot store: periodic compaction points for the WAL.
+"""Snapshot files: periodic compaction points for the WAL.
 
-A snapshot is the full runtime state at one barrier, written as a single
-CRC-framed JSON line.  The ``CHECKPOINT`` pointer file names the latest
-durable snapshot and the WAL segment that starts after it; recovery loads
-the snapshot and replays only that segment onward.  Older segments and
-snapshots are deleted (compaction) once the pointer has moved past them.
+A snapshot is the runtime state at one barrier, written as a single
+CRC-framed JSON line whose frame also carries ``index``,
+``segment_after`` (the first WAL segment that postdates it) and ``seq``
+(the last record it covers).  It is written through a temp file, an
+fsync and a rename, so a ``snapshot-NNNNNN.json`` is always complete and
+the highest-index one is the checkpoint: recovery loads it and replays
+only the segments from ``segment_after`` on.  Writing one deletes the
+older segments and snapshots behind it (compaction).
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.errors import JournalError
 from repro.journal.wal import (
+    SEGMENT_PREFIX,
+    SEGMENT_SUFFIX,
     _decode_line,
     encode_record,
-    list_segment_indices,
-    segment_path,
+    file_index,
 )
 
-CHECKPOINT_FILE = "CHECKPOINT"
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".json"
 
@@ -29,76 +31,46 @@ def snapshot_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"{SNAPSHOT_PREFIX}{index:06d}{SNAPSHOT_SUFFIX}")
 
 
-class SnapshotStore:
-    """Writes snapshots + the checkpoint pointer, and compacts behind them."""
+def write_snapshot(directory: str, index: int, state: dict, segment_after: int, seq: int) -> int:
+    """Persist snapshot *index*, then compact behind it; returns its size in bytes.
 
-    def __init__(self, directory: str, compact: bool = True) -> None:
-        self.directory = directory
-        self.compact = compact
+    *segment_after* is the WAL segment whose records postdate this
+    snapshot; *seq* is the last record sequence number it covers.
+    """
+    line = encode_record(
+        {"index": index, "segment_after": segment_after, "seq": seq, "state": state}
+    )
+    path = snapshot_path(directory, index)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(line)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    for name in os.listdir(directory):
+        segment = file_index(name, SEGMENT_PREFIX, SEGMENT_SUFFIX)
+        snapshot = file_index(name, SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX)
+        if (segment is not None and segment < segment_after) or (
+            snapshot is not None and snapshot < index
+        ):
+            os.unlink(os.path.join(directory, name))
+    return len(line)
 
-    # -- writing ------------------------------------------------------------
-    def write(self, index: int, state: dict, segment_after: int, seq: int) -> int:
-        """Persist snapshot *index*; returns its size in bytes.
 
-        *segment_after* is the WAL segment whose records postdate this
-        snapshot; *seq* is the last record sequence number it covers.
-        """
-        framed = {"index": index, "segment_after": segment_after, "seq": seq,
-                  "state": state}
-        line = encode_record(framed)
-        path = snapshot_path(self.directory, index)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        self._write_pointer({"snapshot": index, "segment": segment_after, "seq": seq})
-        if self.compact:
-            self._compact(index, segment_after)
-        return len(line)
+def load_latest_snapshot(directory: str) -> dict | None:
+    """The newest snapshot's framed payload, or None when there is none.
 
-    def _write_pointer(self, pointer: dict) -> None:
-        path = os.path.join(self.directory, CHECKPOINT_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(pointer, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
-    def _compact(self, snapshot_index: int, segment_after: int) -> None:
-        for idx in list_segment_indices(self.directory):
-            if idx < segment_after:
-                os.unlink(segment_path(self.directory, idx))
-        for name in os.listdir(self.directory):
-            if name.startswith(SNAPSHOT_PREFIX) and name.endswith(SNAPSHOT_SUFFIX):
-                body = name[len(SNAPSHOT_PREFIX) : -len(SNAPSHOT_SUFFIX)]
-                try:
-                    idx = int(body)
-                except ValueError:
-                    continue
-                if idx < snapshot_index:
-                    os.unlink(os.path.join(self.directory, name))
-
-    # -- reading ------------------------------------------------------------
-    def pointer(self) -> dict | None:
-        path = os.path.join(self.directory, CHECKPOINT_FILE)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return None
-
-    def load_latest(self) -> dict | None:
-        """The latest durable snapshot's framed payload, or None."""
-        pointer = self.pointer()
-        if pointer is None:
-            return None
-        path = snapshot_path(self.directory, pointer["snapshot"])
-        with open(path, encoding="utf-8") as fh:
-            line = fh.readline().strip()
-        framed = _decode_line(line)
-        if framed is None:
-            raise JournalError(f"corrupt snapshot file {path}")
-        return framed
+    A damaged newest snapshot raises rather than falling back to an older
+    one: the segments that older one needs may already be compacted.
+    """
+    indices = (file_index(n, SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX) for n in os.listdir(directory))
+    newest = max((i for i in indices if i is not None), default=None)
+    if newest is None:
+        return None
+    path = snapshot_path(directory, newest)
+    # A flipped high bit is not UTF-8: decode it to U+FFFD, which fails the CRC.
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        framed = _decode_line(fh.readline().strip())
+    if framed is None:
+        raise JournalError(f"corrupt snapshot file {path}")
+    return framed

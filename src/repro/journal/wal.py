@@ -2,9 +2,10 @@
 
 On-disk layout of a journal directory::
 
-    EPOCH             current writer epoch (fencing token, ASCII int)
-    wal-000000.jsonl  segment 0 (rotated at every snapshot)
-    wal-000001.jsonl  ...
+    EPOCH                 current writer epoch (fencing token, ASCII int)
+    wal-000000.jsonl      segment 0 (rotated at every snapshot)
+    wal-000001.jsonl      ...
+    snapshot-000000.json  the newest snapshot (see ``snapshot.py``)
 
 Each line is ``<crc32 hex8> <compact json>``; the CRC covers the JSON
 bytes.  A torn final line (partial write at crash) is tolerated and
@@ -35,17 +36,20 @@ def segment_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"{SEGMENT_PREFIX}{index:06d}{SEGMENT_SUFFIX}")
 
 
+def file_index(name: str, prefix: str, suffix: str) -> int | None:
+    """The index in a ``<prefix>NNNNNN<suffix>`` file name, or None."""
+    if name.startswith(prefix) and name.endswith(suffix):
+        try:
+            return int(name[len(prefix) : -len(suffix)])
+        except ValueError:
+            return None
+    return None
+
+
 def list_segment_indices(directory: str) -> list[int]:
     """Sorted indices of the WAL segments present in *directory*."""
-    out = []
-    for name in os.listdir(directory):
-        if name.startswith(SEGMENT_PREFIX) and name.endswith(SEGMENT_SUFFIX):
-            body = name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)]
-            try:
-                out.append(int(body))
-            except ValueError:
-                continue
-    return sorted(out)
+    indices = (file_index(n, SEGMENT_PREFIX, SEGMENT_SUFFIX) for n in os.listdir(directory))
+    return sorted(i for i in indices if i is not None)
 
 
 def current_epoch(directory: str) -> int:

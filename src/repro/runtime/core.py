@@ -212,12 +212,11 @@ class RuntimeCore:
         self.decision.set_degraded(self.degrade.degraded)
 
     # -- journal ------------------------------------------------------------------
-    def _open_journal(self) -> bool:
-        """Open the configured journal if none is open; True if it did."""
-        if self._journal is not None or self._journal_spec is None:
-            return False
-        self._journal = Journal.open(self._journal_spec, metrics=self.tracer.metrics)
-        return True
+    def _open_journal(self, **meta) -> None:
+        """Open the configured journal, its ``meta`` record carrying *meta*,
+        unless one is already open."""
+        if self._journal is None and self._journal_spec is not None:
+            self._journal = Journal.open(self._journal_spec, self.tracer.metrics, **meta)
 
     def _reopen_journal(self, journal_dir: str, state) -> None:
         """Take over the journal whose *state* was resumed from (next fencing epoch)."""

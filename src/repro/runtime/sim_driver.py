@@ -164,15 +164,10 @@ class DyflowOrchestrator(RuntimeCore):
             preflight_orchestrator(self, self.preflight)
         self._running = True
         self._stop_when = stop_when
-        self._open_journal()
-        if self._journal is not None:
-            self._journal.append(
-                "meta",
-                t=self.engine.now,
-                workflow=self.workflow_id,
-                poll_interval=self.poll_interval,
-            )
-            self.actuation.journal = self._journal
+        self._open_journal(
+            t=self.engine.now, workflow=self.workflow_id, poll_interval=self.poll_interval
+        )
+        self.actuation.journal = self._journal
         self.tracer.point(
             "run.allocation", "wms",
             nodes={n.node_id: n.cores for n in self.launcher.allocation.nodes},
@@ -357,17 +352,12 @@ class DyflowOrchestrator(RuntimeCore):
             self._journal.snapshot({**self._snapshot_state(now), "barrier": state})
 
     def _snapshot_state(self, now: float) -> dict:
-        q = self.launcher.quarantine
+        """What ``resume_from`` loads wholesale; the launcher survives a crash."""
         return {
             "t": now,
             "server": self.server.state_dict(),
             "decision": self.decision.state_dict(),
             "plans": [p.to_dict() for p in self.arbitration.plans],
-            "launcher": {
-                "rm": self.launcher.rm.state_dict(),
-                "quarantine": q.state_dict() if q is not None else None,
-                "retries": self.launcher.retry_audit(),
-            },
         }
 
     # -- crash + resume ----------------------------------------------------------------

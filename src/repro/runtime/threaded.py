@@ -210,10 +210,7 @@ class ThreadedDyflow(RuntimeCore):
             from repro.lint.preflight import preflight_threaded
 
             preflight_threaded(self, self.preflight)
-        if self._open_journal():
-            self._journal.append(
-                "meta", workflow=self.workflow_id, tasks=sorted(self.specs)
-            )
+        self._open_journal(workflow=self.workflow_id, tasks=sorted(self.specs))
         self._gate_until = self.now() + self.warmup
         for name, spec in self.specs.items():
             if name in self._completed_tasks:

@@ -129,24 +129,6 @@ class Savanna:
         if cb in self._end_listeners:
             self._end_listeners.remove(cb)
 
-    # -- crash recovery -----------------------------------------------------------
-    def retry_audit(self) -> dict:
-        """Retry budgets and incarnation counters (journal snapshot audit).
-
-        The launcher survives an orchestrator crash in-process, so this
-        state is never *restored* from a journal — it is recorded so a
-        post-mortem (and the exactly-once effect probes) can compare the
-        journaled view against the live runtime.
-        """
-        return {
-            name: {
-                "incarnations": rec.incarnations,
-                "retries_used": rec.retries_used,
-                "retry_exhausted": rec.retry_exhausted,
-            }
-            for name, rec in sorted(self.records.items())
-        }
-
     # -- queries ------------------------------------------------------------------
     def record(self, name: str) -> TaskRecord:
         rec = self.records.get(name)

@@ -8,9 +8,16 @@ them (``ignore_crash_requests=True``), which keeps the event-queue
 sequence numbers aligned without ever crashing.
 """
 
+import json
+import os
+import shutil
+from dataclasses import asdict
+
+import pytest
 
 from repro.core.actuation import ActuationStage
 from repro.core.lowlevel import PHASE_ACQUIRE, ActionPlan, LowLevelOp
+from repro.errors import JournalError
 from repro.experiments import run_gray_scott_experiment
 from repro.journal import (
     AppliedOpsLedger,
@@ -19,9 +26,14 @@ from repro.journal import (
     read_journal,
     scenario_fingerprint,
 )
+from repro.journal import journal as journal_module
+from repro.journal.snapshot import load_latest_snapshot, snapshot_path, write_snapshot
+from repro.journal.wal import list_segment_indices, read_segment, segment_path
 from repro.runtime import DyflowOrchestrator
 from repro.telemetry import TelemetrySpec
-from tests.resilience.conftest import flaky_app_factory, make_sim, make_task
+from tests.journal.test_crash_sweep import run as run_full_stack
+from tests.journal.test_journal import damage_file
+from tests.resilience.conftest import flaky_app_factory, make_sim, make_task, steady_app_factory
 
 CHAOS_XML = """
   <resilience>
@@ -88,6 +100,111 @@ class TestBarrierCrashResume:
         assert read_journal(spec.dir).snapshot_state["barrier"] is not None
 
 
+def every_record(journal_dir) -> list[dict]:
+    """Every record of every segment on disk, before the reader filters any."""
+    return [
+        rec for idx in list_segment_indices(str(journal_dir))
+        for rec in read_segment(segment_path(str(journal_dir), idx))
+    ]
+
+
+class TestSnapshotFiles:
+    """The newest ``snapshot-NNNNNN.json`` is the checkpoint: no pointer
+    file, no ``snapshot-ref`` record, nothing recovery does not read."""
+
+    def test_a_full_stack_run_leaves_the_wal_and_one_snapshot(self, tmp_path):
+        journal_dir = tmp_path / "wal"
+        res = run_full_stack(journal_dir, crash_times=(300.0, 615.0))
+        assert res.meta["crashes"] == [300.0, 615.0]
+        names = os.listdir(journal_dir)
+        snapshots = [n for n in names if n.startswith("snapshot-") and n.endswith(".json")]
+        segments = [n for n in names if n.startswith("wal-") and n.endswith(".jsonl")]
+        assert len(snapshots) == 1 and segments
+        assert sorted(names) == sorted(["EPOCH", *snapshots, *segments])
+        assert "snapshot-ref" not in {r["kind"] for r in every_record(journal_dir)}
+        assert set(load_latest_snapshot(str(journal_dir))["state"]) == {
+            "t", "server", "decision", "plans", "barrier", "journal_spec",
+        }
+
+    def test_interrupted_compactions_resume_to_the_reference(self, tmp_path, monkeypatch):
+        sealed = {"after": 0}  # the first segment the previous snapshot did not cover
+
+        def compaction_interrupted(directory, index, state, segment_after, seq):
+            """As if every writer died between the rename and the deletes:
+            the previous snapshot and its segments survive each compaction."""
+            paths = [snapshot_path(directory, index - 1)] + [
+                segment_path(directory, i) for i in range(sealed["after"], segment_after)
+            ]
+            older = {}
+            for path in filter(os.path.exists, paths):
+                with open(path, "rb") as fh:
+                    older[path] = fh.read()
+            size = write_snapshot(directory, index, state, segment_after, seq)
+            for path, data in older.items():
+                with open(path, "wb") as fh:
+                    fh.write(data)
+            sealed["after"] = segment_after
+            return size
+
+        monkeypatch.setattr(journal_module, "write_snapshot", compaction_interrupted)
+        crash_times = (300.0, 700.0)
+        ref = run_gray_scott_experiment(crash_times=crash_times, ignore_crash_requests=True)
+        spec = jspec(tmp_path, snapshot_every=5)
+        res = run_gray_scott_experiment(journal=spec, crash_times=crash_times)
+        assert res.meta["crashes"] == list(crash_times)
+        newest = load_latest_snapshot(spec.dir)
+        assert os.path.exists(snapshot_path(spec.dir, newest["index"] - 1))
+        assert list_segment_indices(spec.dir)[0] < newest["segment_after"]
+        assert scenario_fingerprint(res) == scenario_fingerprint(ref)
+
+    def test_a_journal_in_the_pointer_layout_resumes(self, tmp_path, monkeypatch):
+        """The writer before this layout: a ``CHECKPOINT`` pointer beside each
+        snapshot, a ``snapshot-ref`` record after it, and a ``launcher``
+        audit section in it.  Such a directory still reads and resumes."""
+        snapshot = Journal.snapshot
+
+        def snapshot_like_the_pointer_writer(journal, state):
+            audit = {"rm": {}, "quarantine": None, "retries": {}}
+            index = snapshot(journal, {**state, "launcher": audit})
+            framed = load_latest_snapshot(journal.spec.dir)
+            pointer = {"snapshot": index, "segment": framed["segment_after"], "seq": framed["seq"]}
+            with open(os.path.join(journal.spec.dir, "CHECKPOINT"), "w", encoding="utf-8") as fh:
+                json.dump(pointer, fh)
+            journal.append("snapshot-ref", index=index, bytes=len(json.dumps(framed)))
+            return index
+
+        monkeypatch.setattr(Journal, "snapshot", snapshot_like_the_pointer_writer)
+        crash_times = (300.0, 707.0)
+        ref = run_gray_scott_experiment(crash_times=crash_times, ignore_crash_requests=True)
+        spec = jspec(tmp_path)
+        res = run_gray_scott_experiment(journal=spec, crash_times=crash_times)
+        assert res.meta["crashes"] == list(crash_times)
+        assert os.path.exists(os.path.join(spec.dir, "CHECKPOINT"))
+        assert "snapshot-ref" in {r["kind"] for r in every_record(spec.dir)}
+        assert scenario_fingerprint(res) == scenario_fingerprint(ref)
+
+    def test_a_damaged_newest_snapshot_refuses_to_resume(self, tmp_path):
+        spec = jspec(tmp_path / "crashed", snapshot_every=5)
+        run_gray_scott_experiment(journal=spec, crash_times=(300.0,), resume_on_crash=False)
+        newest = load_latest_snapshot(spec.dir)["index"]
+        for damage in ("bit-flip", "high-bit-flip", "truncated", "empty"):
+            copy = str(tmp_path / damage)
+            shutil.copytree(spec.dir, copy)
+            damage_file(snapshot_path(copy, newest), damage)
+            _eng, _m, sav = make_sim([make_task("B", steady_app_factory())])
+            with pytest.raises(JournalError, match="corrupt snapshot file"):
+                DyflowOrchestrator(sav).resume_from(copy)
+
+    def test_a_resume_before_any_snapshot_keeps_the_spec(self, tmp_path):
+        # Fewer barriers than snapshot_every: only the meta record holds the spec.
+        spec = jspec(tmp_path, snapshot_every=10_000)
+        res = run_gray_scott_experiment(journal=spec, crash_times=(300.0,))
+        assert res.meta["crashes"] == [300.0]
+        assert not [n for n in os.listdir(spec.dir) if n.startswith("snapshot-")]
+        resumes = [r for r in read_journal(spec.dir).records if r["kind"] == "resume"]
+        assert [r["journal_spec"] for r in resumes] == [asdict(spec)]
+
+
 class TestChaosCrashResume:
     def test_stochastic_orchestrator_crashes_resume_bit_identical(self, tmp_path):
         kw = dict(seed=3, xml_extra=CHAOS_XML)
@@ -120,15 +237,7 @@ class TestHardCrashExactlyOnce:
         if state.snapshot_state is not None:
             # The post-resume journal may have compacted; the exactly-once
             # check needs the full op history, so read every segment raw.
-            import os
-
-            from repro.journal.wal import list_segment_indices, read_segment
-
-            records = []
-            for idx in list_segment_indices(spec.dir):
-                records.extend(
-                    read_segment(os.path.join(spec.dir, f"wal-{idx:06d}.jsonl"))
-                )
+            records = every_record(spec.dir)
         completed = [r["op_key"] for r in records if r["kind"] == "op-completed"]
         issued = {r["op_key"] for r in records if r["kind"] == "op-issued"}
         assert len(completed) == len(set(completed)), "an op completed twice"

@@ -5,8 +5,8 @@ AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
 second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a second OpenMetrics renderer, a telemetry
-handoff with no reader, a second run-record store or a second report
-path fails here by name.
+handoff with no reader, a second run-record store, a second report path
+or a second snapshot pointer fails here by name.
 """
 
 import ast
@@ -24,6 +24,8 @@ GONE = {
     "_merge_telemetry", "_flush_telemetry",
     # the second run-record store and the live-object report path
     "JsonlEventLog", "report_from_run", "utilization_from_launcher",
+    # the snapshot pointer file and the snapshot sections no recovery read
+    "SnapshotStore", "CHECKPOINT_FILE", "snapshot_meta", "retry_audit",
 }
 
 
@@ -146,6 +148,39 @@ def test_barriers_are_written_and_folded_in_one_place():
     assert modules_where(compares_a_kind_to_barrier) == [
         "journal/resume.py", "runtime/sim_driver.py",  # the driver replays decision ticks
     ]
+
+
+def appends_kind(kind):
+    def appends(node):
+        return (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "append" and node.args
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == kind
+        )
+
+    return appends
+
+
+def test_a_snapshot_is_one_file_and_nothing_points_at_it():
+    """``journal/snapshot.py`` writes and finds snapshot files; no record
+    refers to one, and no launcher-side state is restored from one."""
+    assert modules_where(appends_kind("snapshot-ref")) == []
+    assert "snapshot-ref" in RECORD_KINDS  # older journals still read
+    assert modules_where(lambda n: "snapshot_path" in identifiers(n)) == ["journal/snapshot.py"]
+    assert modules_where(
+        lambda n: {"write_snapshot", "load_latest_snapshot"} & set(identifiers(n))
+    ) == ["journal/journal.py", "journal/resume.py", "journal/snapshot.py"]
+    (rm,) = [
+        n for n in ast.walk(modules()["cluster/resource_manager.py"])
+        if isinstance(n, ast.ClassDef) and n.name == "ResourceManager"
+    ]
+    assert "load_state_dict" not in {f.name for f in rm.body if isinstance(f, ast.FunctionDef)}
+
+
+def test_the_journal_writes_its_own_meta_record():
+    """``Journal.open`` writes ``meta`` with the spec; its callers hand it
+    their identity fields instead of appending a second one."""
+    assert modules_where(appends_kind("meta")) == ["journal/journal.py"]
 
 
 def skeletons(tree):

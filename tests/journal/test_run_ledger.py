@@ -159,7 +159,8 @@ def test_crash_anywhere_then_resume_matches_the_uninterrupted_run(make, tmp_path
         assert client.watch() == reference.watch(), k
 
 
-# Captured at the parent of the commit that introduced RunLedger.
+# Captured at the parent of the commit that introduced RunLedger; the meta
+# record has carried the journal spec since Journal.open writes it.
 RUN_STARTED = ("run-started", ["params", "run_id"])
 RUN_FAILED = ("run-failed", ["attempt", "error", "run_id"])
 RUN_COMPLETED = ("run-completed", ["result", "run_id"])
@@ -169,22 +170,23 @@ CELL_COMPLETED = ("cell-completed", ["cell_id", "result"])
 CELL_POISONED = ("cell-poisoned", ["cell_id", "failures"])
 PINNED = {
     "campaign": [
-        ("meta", ["campaign", "size"]),
+        ("meta", ["campaign", "journal_spec", "size"]),
         RUN_STARTED, RUN_COMPLETED,
         RUN_STARTED, RUN_FAILED, RUN_FAILED, RUN_POISONED,
         RUN_STARTED, RUN_COMPLETED,
         RUN_STARTED, RUN_FAILED, RUN_COMPLETED,
         RUN_STARTED, RUN_COMPLETED,
     ],
-    "a": [("meta", ["tenant"])] + [CELL_STARTED, CELL_COMPLETED] * 3,
+    "a": [("meta", ["journal_spec", "tenant"])] + [CELL_STARTED, CELL_COMPLETED] * 3,
     "b": [
-        ("meta", ["tenant"]),
+        ("meta", ["journal_spec", "tenant"]),
         CELL_STARTED, CELL_COMPLETED, CELL_STARTED, CELL_POISONED, CELL_STARTED, CELL_COMPLETED,
     ],
     # The fleet plane journals through Journal.barrier: full once, then deltas.
-    "__fleet__/wal": (
-        [("meta", ["scope"]), ("barrier", ["state", "t"])] + [("barrier", ["delta", "t"])] * 5
-    ),
+    "__fleet__/wal": [
+        ("meta", ["journal_spec", "scope"]), ("barrier", ["state", "t"]),
+        *[("barrier", ["delta", "t"])] * 5,
+    ],
 }
 
 

@@ -96,3 +96,18 @@ def test_epoch_advances_per_takeover(tmp_path):
     second.start()
     second.stop()
     assert read_journal(spec.dir).epoch == 2
+
+
+def test_a_resumed_runner_keeps_the_journal_spec(tmp_path):
+    # The threaded runtime never snapshots: the meta record holds the spec.
+    spec = JournalSpec(dir=str(tmp_path / "wal"), fsync="off", batch_every=7,
+                       snapshot_every=1000)
+    runner = make_runner([], journal=spec)
+    runner.start()
+    assert runner.wait_until_done(timeout=15.0)
+    runner.stop()
+    second = make_runner([], journal=None)
+    second.resume_from(spec.dir)
+    second.start()
+    second.stop()
+    assert second._journal.spec == spec
