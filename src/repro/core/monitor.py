@@ -55,10 +55,16 @@ class MonitorClient:
         self.client_id = client_id
         self.perf = perf
         # Creation order is the order of collect() and of the journaled
-        # cursor list; the two maps below are derived from it at bind
+        # cursor list; the indexes below are derived from it at bind
         # time and never journaled.
         self._bindings: list[MonitorTaskBinding] = []
-        self._by_task: dict[str, list[MonitorTaskBinding]] = {}
+        self._by_task: dict[str, list[int]] = {}
+        # Indices of the bindings that may have data: marked at bind,
+        # restart and restore, and by a publish on a watched stream (in
+        # the threaded driver publish and collect() share hub_lock).
+        # Unwatched bindings are polled every round.
+        self._wake: set[int] = set()
+        self._unwatched: list[int] = []
         # sensor id -> (spec of its first binding, largest read lag)
         self._sensors: dict[str, tuple[SensorSpec, float]] = {}
         self._seq = SequenceTracker()
@@ -67,8 +73,12 @@ class MonitorClient:
     def add_binding(self, instance: SensorInstance) -> MonitorTaskBinding:
         sensor_id = instance.spec.sensor_id
         binding = MonitorTaskBinding(instance, instance.task, sensor_id)
+        index = len(self._bindings)
         self._bindings.append(binding)
-        self._by_task.setdefault(binding.task, []).append(binding)
+        self._by_task.setdefault(binding.task, []).append(index)
+        if not instance.source.watch(self._wake, index):
+            self._unwatched.append(index)
+        self._wake.add(index)  # the first poll connects
         spec, lag = self._sensors.get(sensor_id, (instance.spec, 0.0))
         self._sensors[sensor_id] = (spec, max(lag, instance.source.read_lag(self.perf)))
         return binding
@@ -80,8 +90,9 @@ class MonitorClient:
     # -- lifecycle ----------------------------------------------------------------
     def on_task_restart(self, task: str) -> None:
         """Reset connections of every sensor watching *task* (§2.1)."""
-        for b in self._by_task.get(task, ()):
-            b.instance.reconnect()
+        for i in self._by_task.get(task, ()):
+            self._bindings[i].instance.reconnect()
+            self._wake.add(i)
 
     # -- crash recovery ------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -103,23 +114,38 @@ class MonitorClient:
             )
         for binding, cursor in zip(self._bindings, cursors):
             binding.instance.source.restore_cursor(cursor)
+        self._wake.update(range(len(self._bindings)))
 
     # -- collection ------------------------------------------------------------------
     def collect(self, now: float) -> list[tuple[float, Envelope]]:
-        """Run every sensor; return ``(read_lag, envelope)`` pairs.
+        """Run the sensors that may have data; return ``(read_lag, envelope)`` pairs.
 
-        One envelope is emitted per sensor per round (collecting the
-        updates of all its task bindings).  Joined sensors are resolved
-        within the round: a sensor with a ``join`` spec pairs its updates
-        with the partner sensor's from the same round, matched on
-        (granularity, key, step).
+        A round polls the bindings marked since the last one plus every
+        unwatched binding, in creation order; a binding left out would
+        have returned nothing.  See :meth:`_envelopes` for the packing.
         """
+        wake = self._wake
+        due = sorted(wake.union(self._unwatched))
+        wake.clear()
+        bindings = self._bindings
         round_updates: dict[str, list[MetricUpdate]] = {}
-        for b in self._bindings:
+        for i in due:
+            b = bindings[i]
             ups = b.instance.poll(now)
             if ups:
                 round_updates.setdefault(b.sensor_id, []).extend(ups)
+        return self._envelopes(round_updates, now)
 
+    def _envelopes(
+        self, round_updates: dict[str, list[MetricUpdate]], now: float
+    ) -> list[tuple[float, Envelope]]:
+        """One envelope per sensor with updates this round.
+
+        Each collects the updates of all the sensor's task bindings.
+        Joined sensors are resolved within the round: a sensor with a
+        ``join`` spec pairs its updates with the partner sensor's from
+        the same round, matched on (granularity, key, step).
+        """
         out: list[tuple[float, Envelope]] = []
         for sensor_id, ups in round_updates.items():
             spec, lag = self._sensors[sensor_id]

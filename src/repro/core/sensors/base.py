@@ -112,7 +112,10 @@ class SensorInstance:
             groups: dict[tuple, list[Sample]] = {}
             for s in samples:
                 groups.setdefault((group_key(gb.granularity, s), s.step, s.time), []).append(s)
-            for (key, step, time), members in sorted(groups.items(), key=lambda kv: (kv[0][2], kv[0][1])):
+            items = groups.items()
+            if len(groups) > 1:
+                items = sorted(items, key=lambda kv: (kv[0][2], kv[0][1]))
+            for (key, step, time), members in items:
                 values = [preprocess_value(self.spec.preprocess, m.value) for m in members]
                 updates.append(
                     MetricUpdate(

@@ -42,6 +42,8 @@ PREPROCESS: dict[str, Preprocess] = {
 def preprocess_value(op: str | None, value: Any) -> float:
     """Distill *value* with *op* (None = expect a scalar)."""
     if op is None:
+        if isinstance(value, (int, float)):
+            return float(value)  # what the array path returns, without the array
         return _identity(value)
     fn = PREPROCESS.get(op.upper())
     if fn is None:

@@ -9,9 +9,11 @@ The implementation supports the paper's source types:
 * ``ERRORSTATUS`` — exit statuses saved by Savanna when tasks end.
 
 Each adapter exposes ``poll(now) -> list[Sample]`` (new observations
-since the previous poll), ``reconnect()`` for task restarts, and
+since the previous poll), ``reconnect()`` for task restarts,
 ``read_lag(perf)`` — the per-source read latency the cost analysis in
-§4.6 measured (≈0.2 s for a file variable, ≈0.5 s for streamed TAU data).
+§4.6 measured (≈0.2 s for a file variable, ≈0.5 s for streamed TAU data)
+— and ``watch(wake, token)``, by which a stream source asks to be polled
+only after its channel published.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ class DataSource:
 
     def reconnect(self) -> None:
         """Re-establish connections after the monitored task restarted."""
+
+    def watch(self, wake: set[int], token: int) -> bool:
+        """Ask to have *token* added to *wake* whenever new data arrives.
+
+        True promises that a connected source's poll returns nothing
+        unless *token* was added since that poll; the caller then marks
+        the source itself when it binds, reconnects or restores it.
+        False (the default): poll this source every round.
+        """
+        return False
 
     def read_lag(self, perf: MachinePerf) -> float:
         """Seconds between data availability and the metric reaching DYFLOW."""
@@ -74,13 +86,29 @@ class StreamSource(DataSource):
         self.task = task
         self.var = var
         self._reader: StreamReader | None = None
+        self._wake: set[int] | None = None
+        self._token = 0
+
+    def watch(self, wake: set[int], token: int) -> bool:
+        self._wake = wake
+        self._token = token
+        if self._reader is not None:
+            self._reader.watch(wake, token)
+        return True
 
     def _ensure_reader(self) -> StreamReader:
         if self._reader is None:
             channel = self.hub.channel(self.channel_name)
-            self._reader = channel.open_reader(f"monitor:{self.task}")
-            self._reader.seek_latest()
+            reader = self._reader = channel.open_reader(f"monitor:{self.task}")
+            reader.seek_latest()
+            if self._wake is not None:
+                reader.watch(self._wake, self._token)
         return self._reader
+
+    def _disconnect(self) -> None:
+        if self._reader is not None:
+            self._reader.unwatch()
+            self._reader = None
 
     def poll(self, now: float) -> list[Sample]:
         reader = self._reader
@@ -123,7 +151,7 @@ class StreamSource(DataSource):
         Eager (not lazy) so that data published between the reconnect and
         the next poll is observed rather than skipped.
         """
-        self._reader = None
+        self._disconnect()
         self._ensure_reader()
 
     def read_lag(self, perf: MachinePerf) -> float:
@@ -140,7 +168,7 @@ class StreamSource(DataSource):
 
     def restore_cursor(self, state: dict) -> None:
         if not state.get("connected"):
-            self._reader = None
+            self._disconnect()
             return
         reader = self._ensure_reader()
         reader._cursor = int(state["cursor"])

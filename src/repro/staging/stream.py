@@ -10,6 +10,10 @@ Readers keep independent cursors, can connect late (they start from the
 oldest retained step), and can be reset when a task restarts — losing
 "timestep information when the tasks reset" exactly as the paper notes
 about Fig. 9.
+
+A reader can also ask to be told about new steps (:meth:`StreamReader.watch`):
+each publish adds the reader's integer token to a set its owner holds, so
+a Monitor round polls only the streams that advanced.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ class StreamChannel:
         self._first_retained = 0  # step index of _steps[0]
         self._next_step = 0
         self._closed = False
-        self._readers: list[StreamReader] = []
+        # Readers that asked to be woken by a publish; the channel keeps
+        # no other reference to its readers.
+        self._watchers: list[StreamReader] = []
         self.dropped_steps = 0
         # Fault-injection hook (chaos engine): called per put(); returning
         # True loses the write in transit — the step never reaches the
@@ -98,6 +104,8 @@ class StreamChannel:
         record = StreamStep(idx, data, time)
         steps.append(record)
         self._next_step = idx + 1
+        for reader in self._watchers:
+            reader._wake.add(reader._token)
         for observer in self.observers:
             observer(self, record)
         return idx
@@ -112,9 +120,7 @@ class StreamChannel:
 
     # -- reader side ---------------------------------------------------------------
     def open_reader(self, name: str = "reader") -> "StreamReader":
-        reader = StreamReader(self, name)
-        self._readers.append(reader)
-        return reader
+        return StreamReader(self, name)
 
     def _retained_range(self) -> tuple[int, int]:
         """Half-open step-index range currently in the buffer."""
@@ -136,11 +142,26 @@ class StreamReader:
         lo, _hi = channel._retained_range()
         self._cursor = lo
         self.missed_steps = 0
+        self._wake: set[int] | None = None
+        self._token = 0
 
     @property
     def cursor(self) -> int:
         """Index of the next step this reader will consume."""
         return self._cursor
+
+    def watch(self, wake: set[int], token: int) -> None:
+        """Have every later publish on the channel add *token* to *wake*."""
+        self._wake = wake
+        self._token = token
+        if self not in self.channel._watchers:
+            self.channel._watchers.append(self)
+
+    def unwatch(self) -> None:
+        """Stop being woken; the channel drops its reference to this reader."""
+        if self in self.channel._watchers:
+            self.channel._watchers.remove(self)
+        self._wake = None
 
     def try_next(self) -> StreamStep | None:
         """Return the next retained step, or None if none is available.

@@ -1,5 +1,7 @@
 """Tests for the Monitor client/server stages."""
 
+import weakref
+
 import pytest
 
 from repro.cluster.machine import MachinePerf
@@ -95,6 +97,22 @@ class TestMonitorClient:
         client.on_task_restart("A")
         assert inst.source._reader is not None
         assert inst.source._reader is not reader_before
+
+    def test_restarts_leave_one_reader_on_the_channel(self):
+        """The channel used to keep every reader ever opened on it."""
+        hub = DataHub()
+        client = MonitorClient("c0", MachinePerf())
+        pace = SensorSpec("PACE", "TAUADIOS2", (GroupBySpec("task", "MAX"),))
+        inst = bind(client, hub, pace, "A", "ch", var="looptime")
+        client.collect(0.0)
+        first = weakref.ref(inst.source._reader)
+        for _ in range(5):
+            client.on_task_restart("A")
+        channel = hub.channel("ch")
+        assert channel._watchers == [inst.source._reader]
+        assert first() is None
+        inst.source.restore_cursor({"connected": False})
+        assert channel._watchers == []
 
 
 class TestMonitorServer:

@@ -2,7 +2,7 @@
 
 Count-based (never wall-clock) checks that the launch -> Monitor ->
 Decision path visits only what an event concerns: a task start reaches
-that task's bindings, an idle sensor round reads no stream, a tick
+that task's bindings, an idle sensor round polls no watched binding, a tick
 evaluates only policies with something to assess, a DISKSCAN poll looks
 at the files created since the last one, a publishing step reads its own
 producer's consumers, an idle Arbitration tick re-examines its waiting
@@ -10,6 +10,7 @@ queue only when the answer could differ.  Each count is what a scan over
 all N entries — or a retry on every tick — would get wrong.
 """
 
+import numpy as np
 import pytest
 
 from repro.apps import CouplingRegistry
@@ -24,13 +25,22 @@ from repro.core import (
 )
 from repro.core.arbitration import _Shadow
 from repro.core.policy import PolicyRuntime
-from repro.core.sensors import DiskScanSource, SensorInstance, SensorSpec, StreamSource
+from repro.core.sensors import (
+    DiskScanSource,
+    ErrorStatusSource,
+    SensorInstance,
+    SensorSpec,
+    StreamSource,
+)
+from repro.core.sensors.preprocess import preprocess_value
 from repro.core.sensors.sources import DataSource
+from repro.errors import SensorError
 from repro.experiments import (
     run_gray_scott_experiment,
     run_lammps_experiment,
     run_xgc_experiment,
 )
+from repro.experiments.synthetic import run_synthetic_experiment
 from repro.staging import DataHub, Sample, SimFilesystem
 from repro.staging.stream import StreamReader
 
@@ -143,20 +153,94 @@ class TestIdleCollect:
         assert client.collect(2.0) == []
         assert drains == []
 
+    @staticmethod
+    def _publish(hub, task, value, time=1.0):
+        hub.channel(f"tau-W-{task}").put(
+            [Sample(time=time, workflow_id="W", task=task, rank=0, node_id="n0",
+                    var="looptime", value=value, step=0)],
+            time,
+        )
+
     def test_a_published_step_is_the_only_read(self, monkeypatch):
         hub = DataHub()
         client = self._client(hub)
         client.collect(0.0)
         drains = count_calls(monkeypatch, StreamReader, "drain")
-        hub.channel("tau-W-T7").put(
-            [Sample(time=1.0, workflow_id="W", task="T7", rank=0, node_id="n0",
-                    var="looptime", value=2.5, step=0)],
-            1.0,
-        )
+        polls = count_calls(monkeypatch, SensorInstance, "poll")
+        self._publish(hub, "T7", 2.5)
         out = client.collect(1.0)
         assert [r.name for r in drains] == ["monitor:T7"]
+        assert [inst.task for inst in polls] == ["T7"]
         (_lag, env), = out
         assert [(u["task"], u["value"]) for u in env.payload["updates"]] == [("T7", 2.5)]
+
+    def test_an_idle_round_polls_only_the_unwatched_bindings(self, monkeypatch):
+        hub = DataHub()
+        client = self._client(hub)
+        status = ErrorStatusSource(hub.filesystem, "status/W/T0", "W", "T0")
+        client.add_binding(SensorInstance(STATUS, "W", "T0", status))
+        client.collect(0.0)
+        polls = count_calls(monkeypatch, SensorInstance, "poll")
+        assert client.collect(1.0) == []
+        assert [inst.source for inst in polls] == [status]
+
+    def test_a_restart_wakes_only_that_tasks_bindings(self, monkeypatch):
+        hub = DataHub()
+        client = self._client(hub)
+        loop = StreamSource(hub, "tau-W-T7", "W", "T7")  # a second sensor on T7's stream
+        client.add_binding(SensorInstance(SensorSpec("LOOP", "TAUADIOS2"), "W", "T7", loop))
+        client.collect(0.0)
+        polls = count_calls(monkeypatch, SensorInstance, "poll")
+        client.on_task_restart("T7")
+        assert client.collect(1.0) == []
+        assert [(inst.task, inst.spec.sensor_id) for inst in polls] == [
+            ("T7", "PACE"), ("T7", "LOOP"),
+        ]
+        del polls[:]
+        assert client.collect(2.0) == [] and polls == []
+
+    def test_a_float_sample_never_builds_an_array(self, monkeypatch):
+        arrays: list = []
+        asarray = np.asarray
+
+        def spy(*args, **kwargs):
+            arrays.append(args)
+            return asarray(*args, **kwargs)
+
+        monkeypatch.setattr(np, "asarray", spy)
+        hub = DataHub()
+        client = self._client(hub, n=10)
+        client.collect(0.0)
+        self._publish(hub, "T3", 2.5)
+        assert len(client.collect(1.0)) == 1
+        assert arrays == []
+        self._publish(hub, "T3", np.array(2.5), time=2.0)  # a 0-d array still takes it
+        assert len(client.collect(2.0)) == 1
+        assert len(arrays) == 1
+
+    def test_a_synthetic_run_polls_at_most_updates_plus_two_per_binding(self, monkeypatch):
+        """The first poll connects and each task start reconnects: two
+        polls per binding beyond the ones that carry data."""
+        polls = count_calls(monkeypatch, SensorInstance, "poll")
+        tasks = 60
+        result = run_synthetic_experiment(tasks)
+        updates = result.meta["updates_seen"]
+        assert updates == tasks * 8
+        assert len(polls) <= updates + 2 * tasks
+
+
+@pytest.mark.parametrize("value", [3, -7, 2 ** 62 + 1, 2.5, -0.0, True, False,
+                                   np.float64(1.25), np.array(4.5)])
+def test_the_scalar_path_equals_the_array_path(value):
+    got = preprocess_value(None, value)
+    want = float(np.asarray(value, dtype=float))
+    assert type(got) is float and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("value", [[1.0, 2.0], np.array([1.0])])
+def test_a_non_scalar_still_raises(value):
+    with pytest.raises(SensorError):
+        preprocess_value(None, value)
 
 
 class TestDiskScanPoll:

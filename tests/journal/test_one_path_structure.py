@@ -5,8 +5,9 @@ AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
 second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a second OpenMetrics renderer, a telemetry
-handoff with no reader, a second run-record store, a second report path
-or a second snapshot pointer fails here by name.
+handoff with no reader, a second run-record store, a second report path,
+a second snapshot pointer or a Monitor round that polls every binding
+fails here by name.
 """
 
 import ast
@@ -295,3 +296,22 @@ def test_the_runtime_builds_its_report_the_way_the_cli_does():
         if module.startswith("runtime/") for n in ast.walk(tree) if builds_a_report(n)
     }
     assert runtime_calls == builders
+
+
+def test_a_monitor_round_polls_only_what_changed():
+    """``MonitorClient.collect`` walks the woken bindings, not all of them,
+    and a stream channel keeps no list of every reader it opened."""
+    (collect,) = [
+        n for n in ast.walk(modules()["core/monitor.py"])
+        if isinstance(n, ast.FunctionDef) and n.name == "collect"
+    ]
+    walked = [
+        {name for sub in ast.walk(n.iter) for name in identifiers(sub)}
+        for n in ast.walk(collect) if isinstance(n, (ast.For, ast.comprehension))
+    ]
+    assert walked and not [w for w in walked if w & {"_bindings", "bindings", "range"}]
+    (channel,) = [
+        n for n in ast.walk(modules()["staging/stream.py"])
+        if isinstance(n, ast.ClassDef) and n.name == "StreamChannel"
+    ]
+    assert "_readers" not in {name for n in ast.walk(channel) for name in identifiers(n)}

@@ -108,6 +108,39 @@ class TestCloseReopen:
         assert r.try_next().data == 5  # strictly new data flows
 
 
+class TestWatch:
+    def test_a_publish_adds_each_watching_readers_token(self):
+        ch = StreamChannel("c")
+        wake: set[int] = set()
+        ch.open_reader("a").watch(wake, 3)
+        ch.open_reader("b").watch(wake, 5)
+        ch.open_reader("quiet")  # not watching: nothing to add
+        assert wake == set()
+        ch.put("x", 0.0)
+        assert wake == {3, 5}
+
+    def test_a_write_lost_in_transit_wakes_nobody(self):
+        ch = StreamChannel("c")
+        ch.drop_filter = lambda _name, _data: True
+        wake: set[int] = set()
+        ch.open_reader().watch(wake, 0)
+        ch.put("x", 0.0)
+        assert wake == set() and ch.next_step == 0
+
+    def test_unwatch_drops_the_channels_reference(self):
+        ch = StreamChannel("c")
+        wake: set[int] = set()
+        r = ch.open_reader()
+        r.watch(wake, 0)
+        r.watch(wake, 0)  # idempotent
+        assert ch._watchers == [r]
+        r.unwatch()
+        r.unwatch()
+        ch.put("x", 0.0)
+        assert ch._watchers == [] and wake == set()
+        assert r.try_next().data == "x"  # still a reader, just not woken
+
+
 class TestStreamProperties:
     @given(st.integers(1, 8), st.integers(0, 40))
     def test_reader_never_sees_duplicates_or_regressions(self, capacity, nputs):
