@@ -1,9 +1,10 @@
-"""Shared fixtures and reporting helpers for the reproduction benchmarks.
+"""Reporting helpers for the benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures.  The
-measured series/rows are printed (run pytest with ``-s`` to see them)
-and attached to the benchmark's ``extra_info`` so the JSON output
-carries the paper-vs-measured comparison.  Each bench also writes a
+The paper's tables, figures and ablations are not here: each claim is a
+row of ``repro.experiments.report`` (``python examples/reproduce_all.py``).
+What remains measures the implementation itself — wall-time
+micro-benches, overhead gates and fault sweeps.  Measured rows are
+printed (run pytest with ``-s`` to see them), and each bench writes a
 machine-readable ``BENCH_<name>.json`` artifact via :func:`write_bench`
 with the uniform schema ``{"name", "config", "metrics": {...}}`` so CI
 and the comparison scripts can collect every result the same way.
@@ -20,14 +21,6 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Mapping
-
-import pytest
-
-from repro.experiments import (
-    run_gray_scott_experiment,
-    run_lammps_experiment,
-    run_xgc_experiment,
-)
 
 
 def write_bench(
@@ -50,52 +43,6 @@ def write_bench(
         fh.write("\n")
     print("BENCH " + json.dumps(payload, sort_keys=True, default=str))
     return payload
-
-
-# Scenario runs are deterministic; cache them per session so every bench
-# that reads a figure's data shares one run.
-_CACHE: dict = {}
-
-
-def cached(key, fn):
-    if key not in _CACHE:
-        _CACHE[key] = fn()
-    return _CACHE[key]
-
-
-@pytest.fixture(scope="session")
-def xgc_summit():
-    return cached("xgc-summit", lambda: run_xgc_experiment("summit", use_dyflow=True))
-
-
-@pytest.fixture(scope="session")
-def xgc_summit_baseline():
-    return cached("xgc-summit-base", lambda: run_xgc_experiment("summit", use_dyflow=False))
-
-
-@pytest.fixture(scope="session")
-def xgc_dt2():
-    return cached("xgc-dt2", lambda: run_xgc_experiment("deepthought2", use_dyflow=True))
-
-
-@pytest.fixture(scope="session")
-def gs_summit():
-    return cached("gs-summit", lambda: run_gray_scott_experiment("summit", use_dyflow=True))
-
-
-@pytest.fixture(scope="session")
-def gs_dt2():
-    return cached("gs-dt2", lambda: run_gray_scott_experiment("deepthought2", use_dyflow=True))
-
-
-@pytest.fixture(scope="session")
-def lammps_summit():
-    return cached("lammps-summit", lambda: run_lammps_experiment("summit", use_dyflow=True))
-
-
-@pytest.fixture(scope="session")
-def lammps_dt2():
-    return cached("lammps-dt2", lambda: run_lammps_experiment("deepthought2", use_dyflow=True))
 
 
 def emit(title: str, lines: list[str]) -> str:

@@ -58,9 +58,6 @@ class CouplingRegistry:
         if consumer in consumers:
             consumers[consumer] = max(consumers[consumer], step)
 
-    def last_produced(self, producer: str) -> int:
-        return self._produced.get(producer, -1)
-
     def slowest_consumer_step(self, producer: str) -> int | None:
         """Smallest consumed step among active consumers (None if none)."""
         consumers = self._consumed.get(producer)

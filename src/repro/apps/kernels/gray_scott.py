@@ -95,7 +95,3 @@ class GrayScottSolver:
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of both fields, for analyses / staging."""
         return {"u": self.u.copy(), "v": self.v.copy()}
-
-    def total_mass(self) -> tuple[float, float]:
-        """Conserved-ish diagnostics (bounded by the clip limits)."""
-        return float(self.u.sum()), float(self.v.sum())

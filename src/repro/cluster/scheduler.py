@@ -223,7 +223,3 @@ class BatchScheduler:
     @property
     def pending_jobs(self) -> list[BatchJob]:
         return list(self._queue)
-
-    @property
-    def running_jobs(self) -> list[BatchJob]:
-        return list(self._running.values())

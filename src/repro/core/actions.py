@@ -26,15 +26,6 @@ class ActionType(enum.Enum):
     # running task in place, no restart, no resource movement.
     RECONFIG = "RECONFIG"
 
-    @property
-    def acquires_resources(self) -> bool:
-        """Does this action need cores beyond what its target holds?"""
-        return self in (ActionType.ADDCPU, ActionType.START, ActionType.SWITCH)
-
-    @property
-    def releases_resources(self) -> bool:
-        return self in (ActionType.RMCPU, ActionType.STOP)
-
 
 # Conflicting action pairs on the same task are resolved by policy
 # priority (paper: STOP-START, STOP-RESTART, RMCPU-ADDCPU).

@@ -15,7 +15,6 @@ from repro.core.events import MetricUpdate
 from repro.core.policy import PolicyApplication, PolicyRuntime, PolicySpec
 from repro.errors import PolicyError
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.util.jsonmsg import Envelope, SequenceTracker
 
 # Actions that survive degraded mode: failure recovery must proceed even
 # on stale data, but performance tuning (resizing, variant switches,
@@ -38,7 +37,6 @@ class DecisionStage:
         # ingest from O(updates x runtimes) into O(updates) — the
         # dominant cost at 10k-task scale.
         self._route: dict[tuple, tuple[dict, list]] | None = None
-        self._seq = SequenceTracker()
         self.updates_seen = 0
         self.updates_matched = 0
         # Staleness-aware degraded mode (set by the fabric's
@@ -166,33 +164,6 @@ class DecisionStage:
                 self.tracer.metrics.counter("decision.suggestions_gated").inc(gated)
         return kept
 
-    def tick_envelope(self, now: float) -> Envelope | None:
-        """Like :meth:`tick` but packaged as the single JSON message the
-        Decision module sends to Arbitration."""
-        suggestions = self.tick(now)
-        if not suggestions:
-            return None
-        return self._seq.stamp(
-            "decision",
-            "decision-stage",
-            now,
-            {
-                "suggestions": [
-                    {
-                        "policy_id": s.policy_id,
-                        "action": s.action.value,
-                        "target": s.target,
-                        "workflow_id": s.workflow_id,
-                        "assess_task": s.assess_task,
-                        "params": s.params,
-                        "trigger_time": s.trigger_time,
-                        "metric_value": s.metric_value,
-                    }
-                    for s in suggestions
-                ]
-            },
-        )
-
     def on_task_restart(self, task: str) -> None:
         """Clear windowed history of policies assessing a restarted task.
 
@@ -212,7 +183,6 @@ class DecisionStage:
     def state_dict(self) -> dict:
         """Runtime state keyed by creation index (configuration-stable)."""
         return {
-            "seq": self._seq.state_dict(),
             "updates_seen": self.updates_seen,
             "updates_matched": self.updates_matched,
             "degraded": self.degraded,
@@ -229,7 +199,6 @@ class DecisionStage:
                 f"{len(runtimes)} journaled policy runtimes for "
                 f"{len(self._runtimes)} configured — configuration drift"
             )
-        self._seq.load_state_dict(state["seq"])
         self.updates_seen = int(state["updates_seen"])
         self.updates_matched = int(state["updates_matched"])
         self.degraded = bool(state.get("degraded", False))

@@ -198,13 +198,6 @@ class ActionPlan:
         )
         return min(1.0, stop_time / total)
 
-    @property
-    def event_to_response(self) -> float:
-        """Triggering event to actuation completion (includes decision lag)."""
-        if self.execution_end is None:
-            raise ValueError(f"plan {self.plan_id} not yet executed")
-        return self.execution_end - self.trigger_time
-
     def describe(self) -> str:
         lines = [f"plan {self.plan_id} @ {self.created:.2f}s (trigger {self.trigger_time:.2f}s)"]
         lines.extend(f"  {op.describe()}" for op in self.ordered_ops())

@@ -217,9 +217,6 @@ class MonitorServer:
         self.shed_health = 0
         self.ingest_staleness = LatencyHistogram("monitor.ingest.staleness")
 
-    def set_sink(self, on_updates: Callable[[list[MetricUpdate]], None]) -> None:
-        self._on_updates = on_updates
-
     # -- fabric mode ---------------------------------------------------------------
     def configure_fabric(self, network: "NetworkSpec") -> None:
         """Put the server behind a :class:`~repro.fabric.link.FabricLink`.

@@ -3,8 +3,8 @@
 Each scenario module builds the workflow, applies the paper's XML
 orchestration specification, runs it on the simulated cluster, and
 returns a :class:`ScenarioResult` with the Gantt trace, executed plans,
-response times and metric history — everything the benchmark harness
-needs to regenerate the paper's tables and figures.
+response times and metric history.  ``repro.experiments.report`` turns
+those results into one paper-vs-measured row per claim of §4.
 """
 
 from repro.experiments.results import ScenarioResult

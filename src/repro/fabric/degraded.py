@@ -30,7 +30,6 @@ class DegradedModeController:
         self._fresh_streak = 0
         self.entered = 0
         self.exited = 0
-        self.alerts: list[HealthAlert] = []
 
     def tick(self, now: float, last_seen: dict[str, float]) -> list[HealthAlert]:
         """Evaluate once; returns the alerts this evaluation transitioned."""
@@ -74,7 +73,6 @@ class DegradedModeController:
                     severity="warning", value=age, threshold=net.stale_after,
                     message=f"monitor data fresh again ({age:.1f}s old)",
                 ))
-        self.alerts.extend(new)
         return new
 
     # -- crash recovery --------------------------------------------------------------
@@ -86,7 +84,6 @@ class DegradedModeController:
             "fresh_streak": self._fresh_streak,
             "entered": self.entered,
             "exited": self.exited,
-            "alerts": [a.to_dict() for a in self.alerts],
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -96,4 +93,3 @@ class DegradedModeController:
         self._fresh_streak = int(state["fresh_streak"])
         self.entered = int(state["entered"])
         self.exited = int(state["exited"])
-        self.alerts = [HealthAlert.from_dict(d) for d in state.get("alerts", [])]

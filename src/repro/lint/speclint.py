@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.actions import ActionType, actions_conflict
 from repro.core.policy import PolicyApplication, PolicySpec
@@ -833,7 +833,3 @@ def lint_xml_text(
             for d in diags
         ]
     return diags
-
-
-def count_at_or_above(diags: Iterable[Diagnostic], floor: Severity) -> int:
-    return sum(1 for d in diags if d.severity >= floor)

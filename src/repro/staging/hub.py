@@ -99,9 +99,6 @@ class DataHub:
                 self.tracer.metrics.counter("staging.stores").inc()
         return st
 
-    def has_store(self, name: str) -> bool:
-        return name in self._stores
-
     def get_store(self, name: str) -> VariableStore:
         st = self._stores.get(name)
         if st is None:

@@ -125,10 +125,6 @@ class Savanna:
         if cb in self._start_listeners:
             self._start_listeners.remove(cb)
 
-    def unsubscribe_end(self, cb: TaskListener) -> None:
-        if cb in self._end_listeners:
-            self._end_listeners.remove(cb)
-
     # -- queries ------------------------------------------------------------------
     def record(self, name: str) -> TaskRecord:
         rec = self.records.get(name)
@@ -138,9 +134,6 @@ class Savanna:
 
     def running_tasks(self) -> list[str]:
         return [name for name, rec in self.records.items() if rec.is_running]
-
-    def active_tasks(self) -> list[str]:
-        return [name for name, rec in self.records.items() if rec.is_active]
 
     def all_idle(self) -> bool:
         """True when no task instance is launching, running, or stopping."""

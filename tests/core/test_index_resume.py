@@ -112,7 +112,7 @@ DECISION_STATE = (
     '"window": [60.0]}, '
     '{"fired": 0, "last_eval": null, "last_time": 0.0, "pending": [], "window": []}, '
     '{"fired": 1, "last_eval": 5.0, "last_time": 1.0, "pending": [], "window": [50.0]}], '
-    '"seq": {}, "suggestions_gated": 0, "updates_matched": 4, "updates_seen": 3}'
+    '"suggestions_gated": 0, "updates_matched": 4, "updates_seen": 3}'
 )
 
 
@@ -120,6 +120,10 @@ def test_state_dicts_are_what_the_parent_commit_journaled():
     _hub, client = recorded_monitor_run()
     assert canon(client.state_dict()) == MONITOR_STATE
     assert canon(recorded_decision_run().state_dict()) == DECISION_STATE
+    # Older journals carry the retired sequence tracker's empty "seq" key.
+    older = make_stage()
+    older.load_state_dict({**json.loads(DECISION_STATE), "seq": {}})
+    assert canon(older.state_dict()) == DECISION_STATE
 
 
 def test_client_resumes_with_a_step_published_after_its_last_poll():

@@ -149,18 +149,6 @@ class TestDecisionStage:
         with pytest.raises(PolicyError):
             stage.apply_policy(app())
 
-    def test_tick_envelope_packages_batch(self):
-        stage = self.make_stage()
-        stage.ingest([update(value=50.0)])
-        env = stage.tick_envelope(5.0)
-        assert env is not None and env.kind == "decision"
-        s = env.payload["suggestions"][0]
-        assert s["action"] == "ADDCPU" and s["target"] == "Iso"
-
-    def test_tick_envelope_none_when_quiet(self):
-        stage = self.make_stage()
-        assert stage.tick_envelope(5.0) is None
-
     def test_on_task_restart_clears_windowed_only(self):
         stage = DecisionStage()
         stage.add_policy(spec(policy_id="WINDOWED", history_window=5))

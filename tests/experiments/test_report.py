@@ -1,8 +1,41 @@
-"""Tests for the paper-vs-measured report generator."""
+"""Tests for the paper-vs-measured report generator.
+
+EXPERIMENTS.md embeds ``format_report(build_report())`` verbatim between
+``<!-- BEGIN generated: claims -->`` and ``<!-- END generated: claims -->``;
+``test_experiments_md_holds_the_generated_table`` keeps the committed
+copy in step with the code.
+"""
+
+import pathlib
 
 import pytest
 
+import repro.experiments.report as report_mod
 from repro.experiments.report import Report, build_report, format_report
+
+DOC = pathlib.Path(__file__).parents[2] / "EXPERIMENTS.md"
+SCENARIOS = (
+    "run_xgc_experiment", "run_gray_scott_experiment", "run_lammps_experiment",
+    "run_cost_analysis",
+)
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    """Both machines, as EXPERIMENTS.md shows it, with every scenario call."""
+    calls = []
+
+    def recording(name, scenario):
+        def run(machine, **kwargs):
+            calls.append((name, machine, tuple(sorted(kwargs.items()))))
+            return scenario(machine, **kwargs)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in SCENARIOS:
+            mp.setattr(report_mod, name, recording(name, getattr(report_mod, name)))
+        report = build_report()
+    return report, calls
 
 
 class TestReportContainer:
@@ -28,16 +61,42 @@ class TestReportContainer:
 
 class TestBuildReport:
     @pytest.fixture(scope="class")
-    def summit_report(self):
-        return build_report(machines=("summit",))
+    def summit_rows(self, full_report):
+        return [r for r in full_report[0].rows if r.machine == "summit"]
 
-    def test_all_summit_shapes_reproduce(self, summit_report):
-        assert summit_report.all_ok, format_report(summit_report)
+    def test_all_summit_shapes_reproduce(self, summit_rows):
+        assert all(r.ok for r in summit_rows), [r for r in summit_rows if not r.ok]
 
-    def test_covers_all_experiments(self, summit_report):
-        experiments = {r.experiment for r in summit_report.rows}
-        assert experiments == {"xgc (§4.3)", "gray-scott (§4.4)", "lammps (§4.5)", "cost (§4.6)"}
+    def test_covers_all_experiments(self, summit_rows):
+        experiments = {r.experiment for r in summit_rows}
+        assert experiments == {
+            "Table 1 (§4.3)", "Fig. 6 (§4.3)",
+            "Table 2 (§4.4)", "Fig. 1 (§4.4)", "Fig. 8 (§4.4)", "Fig. 9 (§4.4)",
+            "Table 3 (§4.5)", "Fig. 11 (§4.5)",
+            "cost (§4.6)", "ablation", "extension (§6)",
+        }
 
-    def test_checkpoint_row_present(self, summit_report):
-        rows = [r for r in summit_report.rows if "checkpoint" in r.quantity]
+    def test_checkpoint_row_present(self, summit_rows):
+        rows = [r for r in summit_rows if "checkpoint" in r.quantity]
         assert rows and rows[0].measured == "412"
+
+    def test_each_distinct_run_happens_once(self, full_report):
+        _report, calls = full_report
+        assert len(calls) == len(set(calls))
+        # The Gray-Scott Summit run feeds Figs. 1, 8, 9 and the ablations.
+        assert calls.count(
+            ("run_gray_scott_experiment", "summit", (("use_dyflow", True),))
+        ) == 1
+
+
+def test_experiments_md_holds_the_generated_table(full_report):
+    report, _calls = full_report
+    assert report.all_ok, format_report(report)
+    block = (
+        "<!-- BEGIN generated: claims -->\n```text\n"
+        f"{format_report(report)}\n"
+        "```\n<!-- END generated: claims -->"
+    )
+    assert block in DOC.read_text(encoding="utf-8"), (
+        f"EXPERIMENTS.md is stale; replace its claims block with:\n\n{block}\n"
+    )

@@ -83,11 +83,11 @@ class TestStateDict:
         c.tick(11.0, {"T": 0.0})
         c.tick(12.0, {"T": 0.0})
         state = c.state_dict()
+        assert "alerts" not in state
         fresh = controller(partitions=(PartitionWindow(10.0, 5.0),))
-        fresh.load_state_dict(state)
+        fresh.load_state_dict({**state, "alerts": []})  # as older journals wrote it
         assert fresh.degraded and fresh.partition
         assert fresh.entered == 1
-        assert [a.to_dict() for a in fresh.alerts] == [a.to_dict() for a in c.alerts]
         # Streaks restored: one fresh tick is not enough to recover.
         fresh.tick(13.0, {"T": 12.5})
         assert fresh.degraded

@@ -6,11 +6,12 @@ AST walks over ``src/repro`` with the helpers of
 second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a second run-record store, a second report path,
-a second snapshot pointer or a Monitor round that polls every binding
-fails here by name.
+a second snapshot pointer, a Monitor round that polls every binding or a
+paper claim written outside the report fails here by name.
 """
 
 import ast
+import pathlib
 import re
 
 from repro.journal import RECORD_KINDS
@@ -27,7 +28,23 @@ GONE = {
     "JsonlEventLog", "report_from_run", "utilization_from_launcher",
     # the snapshot pointer file and the snapshot sections no recovery read
     "SnapshotStore", "CHECKPOINT_FILE", "snapshot_meta", "retry_audit",
+    # helpers nothing called, and the Decision stage's unsent envelope
+    "unsubscribe_end", "active_tasks", "running_jobs", "has_store", "set_sink",
+    "acquires_resources", "releases_resources", "event_to_response",
+    "count_at_or_above", "last_produced", "total_mass", "tick_envelope",
 }
+
+BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
+#: The figure, table and ablation scripts whose claims are report rows now.
+PAPER_SCRIPTS = [
+    "bench_fig1_throughput.py", "bench_fig6_xgc_gantt.py", "bench_fig8_gs_gantt.py",
+    "bench_fig9_gs_pace.py", "bench_fig11_lammps_failure.py",
+    "bench_table1_xgc_config.py", "bench_table2_gs_config.py",
+    "bench_table3_lammps_config.py", "bench_sec46_cost_analysis.py",
+    "bench_ablation_graceful.py", "bench_ablation_history.py",
+    "bench_ablation_predictive.py", "bench_ablation_reconfig.py",
+    "bench_ablation_settle.py", "bench_ablation_victims.py",
+]
 
 
 def actuation_stage():
@@ -315,3 +332,18 @@ def test_a_monitor_round_polls_only_what_changed():
         if isinstance(n, ast.ClassDef) and n.name == "StreamChannel"
     ]
     assert "_readers" not in {name for n in ast.walk(channel) for name in identifiers(n)}
+
+
+def test_a_paper_claim_is_written_once_as_a_report_row():
+    """Every claim of the paper's §4 is a row of ``repro.experiments.report``
+    (which EXPERIMENTS.md embeds); no bench script restates one."""
+    assert [name for name in PAPER_SCRIPTS if (BENCHMARKS / name).exists()] == []
+    paper_constants = [
+        f"{path.name}:{target.id}"
+        for path in sorted(BENCHMARKS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("PAPER")
+    ]
+    assert paper_constants == []

@@ -55,15 +55,27 @@ class TestExamples:
         assert "RESUME OK" in out
 
     def test_reproduce_all_summit_only(self, capsys, monkeypatch):
-        # Full reproduce_all runs both machines (~15 s); patch to Summit only.
-        import repro.experiments.report as report_mod
+        # The full report runs both machines; patch to Summit only.  The
+        # example imports from repro.api, which caches a resolved name,
+        # so the patch goes there.
+        from repro import api
 
-        original = report_mod.build_report
-        monkeypatch.setattr(
-            report_mod, "build_report", lambda: original(machines=("summit",))
-        )
+        original = api.build_report
+        monkeypatch.setattr(api, "build_report", lambda: original(machines=("summit",)))
         out = run_example("reproduce_all.py", capsys=capsys)
         assert "ALL SHAPES REPRODUCED" in out
+
+    def test_reproduce_all_exits_1_when_a_claim_is_off(self, capsys, monkeypatch):
+        from repro import api
+        from repro.experiments.report import Report
+
+        off = Report()
+        off.add("Fig. 8 (§4.4)", "summit", "adjustments", "2", "0", False)
+        monkeypatch.setattr(api, "build_report", lambda: off)
+        with pytest.raises(SystemExit) as exc:
+            run_example("reproduce_all.py", capsys=capsys)
+        assert exc.value.code == 1
+        assert "1 COMPARISONS OFF" in capsys.readouterr().out
 
     @pytest.mark.slow
     def test_live_gray_scott(self, capsys):
