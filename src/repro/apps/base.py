@@ -35,6 +35,7 @@ from repro.profiler.counters import CounterModel
 from repro.profiler.instrument import TaskProfiler
 from repro.sim.engine import SimEngine
 from repro.sim.events import Interrupt
+from repro.sim.rng import RngRegistry
 from repro.staging.hub import DataHub
 from repro.staging.stream import StreamReader
 
@@ -88,14 +89,17 @@ class AppExit(Exception):
 class TaskContext:
     """Everything a running task instance can see of its environment.
 
-    Built by the launcher for each task incarnation.
+    Built by the launcher for each task incarnation.  The incarnation's
+    random stream is ``rngs.stream(rng_name)``, created on first draw: an
+    app that never draws never builds one.
     """
 
     engine: SimEngine
     hub: DataHub
     coupling: CouplingRegistry
     perf: MachinePerf
-    rng: np.random.Generator
+    rngs: RngRegistry
+    rng_name: str
     workflow_id: str
     task: str
     incarnation: int
@@ -114,6 +118,11 @@ class TaskContext:
     # flips hang_injected to freeze the app without killing it.
     heartbeat_cb: Callable[[float], None] | None = None
     hang_injected: bool = False
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """This incarnation's random stream; the first read creates it."""
+        return self.rngs.stream(self.rng_name)
 
     # -- naming conventions shared with the Monitor stage -----------------------
     def profiler_channel_name(self, task: str | None = None) -> str:
@@ -229,6 +238,8 @@ class IterativeApp:
         noise_cv: coefficient of variation of step-time noise.
         rank_jitter: per-rank relative spread of reported loop times (the
             MAX group-by reduction needs rank-level variation to matter).
+        profile_ranks: ranks whose loop times are emitted each step, the
+            first ``profile_ranks`` of the task's ranks; 0 = every rank.
         close_output_on_complete: close the data channel when total_steps
             is reached so downstream consumers see end-of-stream.
         on_step: optional hook ``f(ctx, step)`` called after each step.
@@ -300,8 +311,11 @@ class IterativeApp:
         ``step-scale`` in the task parameters rescales the work per step —
         the hook RECONFIG uses for in-place pace control (e.g. the science
         code lowering its analysis resolution instead of being restarted).
+        Without noise there is no draw, so the stream is not touched.
         """
-        t = self.step_model.sample(ctx.nprocs, step, ctx.rng, self.noise_cv)
+        noise_cv = self.noise_cv
+        rng = ctx.rng if noise_cv > 0 else None
+        t = self.step_model.sample(ctx.nprocs, step, rng, noise_cv)
         scale = float(ctx.params.get("step-scale", 1.0))
         return t * scale / ctx.perf.speed_factor
 
@@ -481,13 +495,15 @@ class IterativeApp:
         """
         nranks = min(ctx.nprocs, self.profile_ranks) if self.profile_ranks else ctx.nprocs
         jitter = self.rank_jitter
+        factors = None
         if jitter > 0 and nranks > 1:
             factors = (1.0 + jitter * ctx.rng.random(nranks)).tolist()
-        else:
-            factors = [1.0] * nranks
-        loop_times = {rank: looptime * f for rank, f in enumerate(factors)}
+        # Rank r's values sit at index r: the profiler needs no rank keys
+        # and no sort.  Without jitter every factor is 1.0.
+        loop_times = [looptime * f for f in factors] if factors else [looptime * 1.0] * nranks
         extra_vars = None
         if self.memory_mb_per_rank > 0:
             base = self.memory_mb_per_rank + self.memory_growth_mb_per_step * step
-            extra_vars = {"rss_mb": {rank: base * f for rank, f in enumerate(factors)}}
-        profiler.emit_step(ctx.engine.now, step, loop_times, extra_vars=extra_vars)
+            rss = [base * f for f in factors] if factors else [base * 1.0] * nranks
+            extra_vars = {"rss_mb": rss}
+        profiler.emit_ranked(ctx.engine.now, step, loop_times, extra_vars)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.profiler.counters import CounterModel
 from repro.staging.serialization import Sample
@@ -30,12 +30,12 @@ class TaskProfiler:
         self.task = task
         self.channel = channel
         self.rank_nodes = dict(rank_nodes)
+        # Rank r's node at index r (gaps are ""), built once per incarnation;
+        # a rank outside it falls back to the mapping.
+        top = max(self.rank_nodes, default=-1)
+        self._nodes = [self.rank_nodes.get(rank, "") for rank in range(top + 1)]
         self.counters = counters
         self._steps_published = 0
-
-    @property
-    def nranks(self) -> int:
-        return len(self.rank_nodes)
 
     @property
     def steps_published(self) -> int:
@@ -59,17 +59,47 @@ class TaskProfiler:
         Returns the samples published (also pushed into the channel as one
         stream step, matching TAU's one-ADIOS2-step-per-iteration output).
         """
-        wf, task, node_of = self.workflow_id, self.task, self.rank_nodes.get
         per_var = [("looptime", loop_times)]
         if self.counters is not None:
             instr, cycles = self.counters.counters_for_step(loop_times)
             per_var += [("PAPI_TOT_INS", instr), ("PAPI_TOT_CYC", cycles)]
         if extra_vars:
             per_var += extra_vars.items()
+        ordered = [(var, sorted(per_rank.items())) for var, per_rank in per_var]
+        return self._publish(time, step, ordered)
+
+    def emit_ranked(
+        self,
+        time: float,
+        step: int,
+        loop_times: Sequence[float],
+        extra_vars: Mapping[str, Sequence[float]] | None = None,
+    ) -> list[Sample]:
+        """:meth:`emit_step` for values already in rank order.
+
+        Entry *r* of ``loop_times`` and of each ``extra_vars`` list is rank
+        *r*'s value, so nothing is keyed by rank and nothing is sorted.
+        """
+        per_var = [("looptime", enumerate(loop_times))]
+        if self.counters is not None:
+            instr, cycles = self.counters.counters_for_step(dict(enumerate(loop_times)))
+            per_var += [("PAPI_TOT_INS", instr.items()), ("PAPI_TOT_CYC", cycles.items())]
+        if extra_vars:
+            per_var += [(var, enumerate(values)) for var, values in extra_vars.items()]
+        return self._publish(time, step, per_var)
+
+    def _publish(
+        self, time: float, step: int, per_var: list[tuple[str, Iterable[tuple[int, float]]]]
+    ) -> list[Sample]:
+        """Build one step's samples from ``(var, (rank, value) pairs in rank
+        order)``, push them as one stream step and return them."""
+        wf, task, nodes, node_of = self.workflow_id, self.task, self._nodes, self.rank_nodes.get
+        n = len(nodes)
         samples = [
-            Sample(time, wf, task, rank, node_of(rank, ""), var, float(value), step)
-            for var, per_rank in per_var
-            for rank, value in sorted(per_rank.items())
+            Sample(time, wf, task, rank, nodes[rank] if 0 <= rank < n else node_of(rank, ""),
+                   var, float(value), step)
+            for var, pairs in per_var
+            for rank, value in pairs
         ]
         self.channel.put(samples, time)
         self._steps_published += 1

@@ -263,7 +263,8 @@ class Savanna:
             hub=self.hub,
             coupling=self.coupling,
             perf=self.perf,
-            rng=self.rng.stream(f"task:{instance.instance_id}"),
+            rngs=self.rng,
+            rng_name=f"task:{instance.instance_id}",
             workflow_id=self.workflow.workflow_id,
             task=instance.task,
             incarnation=instance.incarnation,

@@ -1,14 +1,16 @@
 """Tests for the IterativeApp execution model on the sim kernel."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import ConstantModel, CouplingRegistry, IterativeApp
 from repro.apps.base import Signal, TaskContext
+from repro.cluster import Allocation, summit
 from repro.cluster.machine import MachinePerf
 from repro.sim import RngRegistry, SimEngine
 from repro.staging import DataHub
+from repro.wms import Savanna, TaskSpec, WorkflowSpec
 
 
 def make_ctx(engine, hub=None, coupling=None, task="T", nprocs=4, incarnation=0,
@@ -18,7 +20,8 @@ def make_ctx(engine, hub=None, coupling=None, task="T", nprocs=4, incarnation=0,
         hub=hub if hub is not None else DataHub(),
         coupling=coupling if coupling is not None else CouplingRegistry(),
         perf=perf if perf is not None else MachinePerf(),
-        rng=RngRegistry(0).stream(f"t:{task}:{incarnation}"),
+        rngs=RngRegistry(0),
+        rng_name=f"t:{task}:{incarnation}",
         workflow_id="WF",
         task=task,
         incarnation=incarnation,
@@ -218,11 +221,15 @@ class TestCoupledPipelines:
 
 
 class RecordingProfiler:
+    """Records ``emit_ranked`` calls, each rank-ordered list as {rank: value}."""
+
     def __init__(self):
         self.calls = []
 
-    def emit_step(self, time, step, loop_times, extra_vars=None):
-        self.calls.append((time, step, loop_times, extra_vars))
+    def emit_ranked(self, time, step, loop_times, extra_vars=None):
+        if extra_vars is not None:
+            extra_vars = {var: dict(enumerate(values)) for var, values in extra_vars.items()}
+        self.calls.append((time, step, dict(enumerate(loop_times)), extra_vars))
 
 
 class TestEmitPaceBitIdentity:
@@ -264,3 +271,104 @@ class TestEmitPaceBitIdentity:
             .bit_generator.state
         assert repr(loop_times) == repr({rank: looptime * 1.0 for rank in range(nprocs)})
         assert repr(extra_vars) == repr({"rss_mb": {rank: 513.5 for rank in range(nprocs)}})
+
+
+class DrawLog(IterativeApp):
+    """Logs each step time and each emitted loop-time list under the
+    incarnation's stream name."""
+
+    def __init__(self, log, **kwargs):
+        super().__init__(ConstantModel(2.0), total_steps=6, profile_ranks=16, **kwargs)
+        self.log = log
+
+    def step_time(self, ctx, step):
+        dt = super().step_time(ctx, step)
+        self.log.setdefault(ctx.rng_name, []).append(("step", dt))
+        return dt
+
+    def _emit_pace(self, ctx, profiler, step, looptime):
+        tap = RecordingProfiler()
+        super()._emit_pace(ctx, tap, step, looptime)
+        (_time, _step, loop_times, _extra), = tap.calls
+        self.log.setdefault(ctx.rng_name, []).append(("pace", looptime, loop_times))
+
+
+class TestLazyTaskRng:
+    """A task incarnation's stream is created by its first draw, holds the
+    floats its name seeds whatever order streams are created in, and does
+    not exist when the incarnation never draws."""
+
+    @staticmethod
+    def _replay(events, seed, name, noise_cv, nprocs, jitter, speed):
+        ref = RngRegistry(seed).stream(name)
+        drew = False
+        nranks = min(nprocs, 16)
+        for event in events:
+            if event[0] == "step":
+                t = 2.0
+                if noise_cv > 0:
+                    t *= float(max(0.05, 1.0 + ref.normal(0.0, noise_cv)))
+                    drew = True
+                assert event[1] == t * 1.0 / speed
+            else:
+                _kind, looptime, loop_times = event
+                if jitter > 0 and nranks > 1:
+                    factors = 1.0 + jitter * ref.random(nranks)
+                    want = {rank: looptime * float(factors[rank]) for rank in range(nranks)}
+                    drew = True
+                else:
+                    want = {rank: looptime * 1.0 for rank in range(nranks)}
+                assert repr(loop_times) == repr(want)
+        return ref, drew
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.tuples(st.sampled_from([0.0, 0.03]), st.integers(1, 40), st.booleans()),
+                 min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 15.0), st.booleans()),
+                 min_size=1, max_size=8),
+        st.integers(0, 2 ** 32),
+    )
+    def test_draws_match_the_named_stream_and_idle_incarnations_build_none(
+        self, shapes, ops, seed
+    ):
+        log: dict = {}
+        tasks = [
+            TaskSpec(f"T{i}", lambda noise=noise, jit=jit: DrawLog(
+                log, noise_cv=noise, rank_jitter=0.02 if jit else 0.0),
+                nprocs=nprocs, autostart=False)
+            for i, (noise, nprocs, jit) in enumerate(shapes)
+        ]
+        eng = SimEngine()
+        machine = summit(4)
+        sav = Savanna(eng, WorkflowSpec("W", tasks, []),
+                      Allocation("a0", machine, machine.nodes, walltime_limit=1e9),
+                      rng=RngRegistry(seed))
+
+        def driver():
+            # Starts and restarts in the drawn order; a start on an active
+            # task stops it first (gracefully or not).
+            for idx, wait, graceful in ops:
+                yield eng.timeout(wait)
+                k = idx % len(shapes)
+                if sav.record(f"T{k}").is_active:
+                    yield from sav.stop_task(f"T{k}", graceful=graceful)
+                yield from sav.start_task_with_resources(
+                    f"T{k}", sav.rm.plan_placement(shapes[k][1]))
+
+        eng.process(driver())
+        eng.run()
+
+        streams = sav.rng.state_dict()["streams"]
+        names, drawn = set(), set()
+        for i, (noise, nprocs, jit) in enumerate(shapes):
+            for inst in sav.record(f"T{i}").history:
+                name = f"task:{inst.instance_id}"
+                names.add(name)
+                ref, drew = self._replay(log.get(name, []), seed, name, noise, nprocs,
+                                         0.02 if jit else 0.0, machine.perf.speed_factor)
+                if drew:
+                    drawn.add(name)
+                    assert streams[name] == ref.bit_generator.state
+        assert set(log) <= names
+        assert {key for key in streams if key.startswith("task:")} == drawn

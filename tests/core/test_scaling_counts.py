@@ -6,14 +6,17 @@ that task's bindings, an idle sensor round polls no watched binding, a tick
 evaluates only policies with something to assess, a DISKSCAN poll looks
 at the files created since the last one, a publishing step reads its own
 producer's consumers, an idle Arbitration tick re-examines its waiting
-queue only when the answer could differ.  Each count is what a scan over
-all N entries — or a retry on every tick — would get wrong.
+queue only when the answer could differ, a task start builds no random
+stream its task never draws from, and a single-rank step builds one sample.
+Each count is what a scan over all N entries — or a retry on every tick, or
+a per-task object nothing uses — would get wrong.
 """
 
 import numpy as np
 import pytest
 
-from repro.apps import CouplingRegistry
+from repro.apps import CouplingRegistry, IterativeApp
+from repro.apps import base as app_base
 from repro.cluster.machine import MachinePerf
 from repro.core import (
     ActionType,
@@ -40,7 +43,8 @@ from repro.experiments import (
     run_lammps_experiment,
     run_xgc_experiment,
 )
-from repro.experiments.synthetic import run_synthetic_experiment
+from repro.experiments.synthetic import SyntheticConfig, run_synthetic_experiment
+from repro.profiler import instrument
 from repro.staging import DataHub, Sample, SimFilesystem
 from repro.staging.stream import StreamReader
 
@@ -331,6 +335,46 @@ class TestCouplingPublish:
         reg.register_consumer("P7", "A7")
         assert reg.active_consumers("P7") == ["A7", "C7", "D7"]
         assert self._reads(table) == 3
+
+
+class TestTaskStartAndStep:
+    """The synthetic tasks draw nothing (no step noise, no rank jitter, one
+    rank): a start owes them no RNG stream, and a step owes them one
+    ``Sample`` and no sort."""
+
+    def test_no_stream_per_start_and_one_sample_per_step(self, monkeypatch):
+        default_rng, streams = np.random.default_rng, []
+
+        def spy_rng(*args, **kwargs):
+            streams.append(args)
+            return default_rng(*args, **kwargs)
+
+        built: list = []
+
+        def spy_sample(*args, **kwargs):
+            built.append(args)
+            return Sample(*args, **kwargs)
+
+        sorts: list = []
+
+        def spy_sorted(*args, **kwargs):
+            sorts.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy_rng)
+        monkeypatch.setattr(instrument, "Sample", spy_sample)
+        for module in (app_base, instrument):  # the _emit_pace path
+            monkeypatch.setattr(module, "sorted", spy_sorted, raising=False)
+        steps = count_calls(monkeypatch, IterativeApp, "_emit_pace")
+
+        result = run_synthetic_experiment(N)
+
+        assert len(steps) == N * SyntheticConfig().total_steps
+        assert len(built) == len(steps)
+        assert sorts == []
+        assert streams == []
+        assert not any(name.startswith("task:")
+                       for name in result.launcher.rng.state_dict()["streams"])
 
 
 def policy(policy_id: str, window: int) -> PolicySpec:

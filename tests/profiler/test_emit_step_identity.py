@@ -1,4 +1,5 @@
-"""``TaskProfiler.emit_step`` against the implementation it replaced.
+"""``TaskProfiler.emit_step`` and ``emit_ranked`` against the implementation
+they replaced.
 
 The per-call closure that appended keyword-constructed samples is kept
 here, test-only, as the reference: same samples in the same order, same
@@ -72,3 +73,28 @@ def test_emit_step_equals_the_reference(calls, counters):
     assert new.channel._steps == ref.channel._steps
     assert new.channel._retained_range() == ref.channel._retained_range()
     assert new.channel.dropped_steps == ref.channel.dropped_steps
+
+
+# Rank-ordered lists: entry r is rank r's value (ranks 3, 4, 6, 7 again
+# have no node); the extra lists may be shorter or longer than loop_times.
+ranked = st.lists(values, max_size=8)
+ranked_steps = st.lists(
+    st.tuples(st.floats(0, 1e6), st.integers(-1, 10 ** 6), ranked,
+              st.none() | st.dictionaries(st.sampled_from(["rss_mb", "looptime", "x"]),
+                                          ranked, max_size=3)),
+    min_size=1, max_size=6,
+)
+
+
+@given(ranked_steps, st.none() | st.just(CounterModel(clock_ghz=2.0)))
+def test_emit_ranked_equals_the_reference_on_the_same_values_keyed_by_rank(calls, counters):
+    new, ref = _profiler(counters), _profiler(counters)
+    for time, step, loop_times, extra_vars in calls:
+        got = new.emit_ranked(time, step, loop_times, extra_vars=extra_vars)
+        keyed = None if extra_vars is None else {
+            var: dict(enumerate(per_rank)) for var, per_rank in extra_vars.items()}
+        want = reference_emit_step(ref, time, step, dict(enumerate(loop_times)), keyed)
+        assert got == want and repr(got) == repr(want)
+        assert all(type(s) is Sample for s in got)
+    assert new.steps_published == ref.steps_published
+    assert new.channel._steps == ref.channel._steps
