@@ -1,9 +1,12 @@
 """Reporting helpers for the benchmarks.
 
 The paper's tables, figures and ablations are not here: each claim is a
-row of ``repro.experiments.report`` (``python examples/reproduce_all.py``).
-What remains measures the implementation itself — wall-time
-micro-benches, overhead gates and fault sweeps.  Measured rows are
+row of ``repro.experiments.report`` (``python examples/reproduce_all.py``),
+and that an absent optional layer does no work is counted in tier-1
+(``tests/runtime/test_absent_layers.py``).  What remains are the four
+benches CI runs: core throughput against its committed budget, the
+fabric fault sweep, the multi-tenant campaign and the fleet plane's
+cost.  Measured rows are
 printed (run pytest with ``-s`` to see them), and each bench writes a
 machine-readable ``BENCH_<name>.json`` artifact via :func:`write_bench`
 with the uniform schema ``{"name", "config", "metrics": {...}}`` so CI

@@ -49,7 +49,7 @@ def main(journal_dir: str | None = None, events_path: str | None = None) -> None
     print(f"crash run (controller dies at {CRASH_TIMES[0]:.0f}s and "
           f"{CRASH_TIMES[1]:.0f}s, journal in {journal_dir})...")
     telemetry = (
-        TelemetrySpec(enabled=True, jsonl_path=events_path)
+        TelemetrySpec(jsonl_path=events_path)
         if events_path is not None else None
     )
     res = run_gray_scott_experiment(

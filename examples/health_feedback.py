@@ -72,7 +72,7 @@ def build(seed: int = 1):
     )
     orch = DyflowOrchestrator(
         launcher, warmup=40.0, settle=40.0, record_history=True,
-        options=RuntimeOptions(telemetry=TelemetrySpec(enabled=True),
+        options=RuntimeOptions(telemetry=TelemetrySpec(),
                                observability=observability),
     )
 

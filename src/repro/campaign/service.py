@@ -177,16 +177,11 @@ class CampaignService:
             tid: [] for tid in self.registry.ids()
         }
         # Fleet observability plane (repro.observability.fleet / .watch):
-        # active only when the spec asks for it, so the disabled path
-        # costs a couple of None checks per cell.
+        # present only with a <fleet> section; without one a cell costs
+        # a couple of None checks.
         self.observability = observability
         fleet_spec = None
-        if (
-            observability is not None
-            and observability.enabled
-            and observability.fleet is not None
-            and observability.fleet.enabled
-        ):
+        if observability is not None and observability.fleet is not None:
             observability.validate()
             fleet_spec = observability.fleet
         self.fleet: FleetHealthEngine | None = None

@@ -1,11 +1,12 @@
 """Programmatic paper-vs-measured report over all §4 experiments.
 
 Every claim of the paper's evaluation that this repo checks is one row
-here: Tables 1–3, Figs. 1, 6, 8, 9 and 11, the §4.6 cost analysis, the
-ablations of the design choices (DESIGN.md §4) and the two §6
-extensions.  ``build_report()`` runs every experiment on both machine
-models — each distinct scenario call once, however many rows read it —
-and returns the rows; ``format_report()`` renders them as the table
+here: Tables 1–3, Figs. 1, 6, 8, 9 and 11, the §4.6 cost analysis with
+the per-stage latency histograms, the ablations of the design choices
+(DESIGN.md §4), the two §6 extensions and a resilience sweep.
+``build_report()`` runs every experiment on both machine models — each
+distinct scenario call once, however many rows read it — and returns
+the rows; ``format_report()`` renders them as the table
 EXPERIMENTS.md embeds verbatim (``tests/experiments/test_report.py``
 holds the two equal).  Printed by ``examples/reproduce_all.py``.
 """
@@ -34,9 +35,19 @@ from repro.experiments.cost_analysis import run_cost_analysis
 from repro.experiments.grayscott_scenario import THRESHOLDS, run_gray_scott_experiment
 from repro.experiments.lammps_scenario import run_lammps_experiment
 from repro.experiments.xgc_scenario import run_xgc_experiment
+from repro.resilience import (
+    ChaosEngine,
+    CheckpointSpec,
+    FaultModelSpec,
+    QuarantineSpec,
+    ResilienceSpec,
+    RetryPolicy,
+    WatchdogSpec,
+)
 from repro.runtime import DyflowOrchestrator
 from repro.sim import RngRegistry, SimEngine
-from repro.wms import CouplingType, DependencySpec, Savanna, TaskSpec, WorkflowSpec
+from repro.telemetry import TelemetrySpec
+from repro.wms import CouplingType, DependencySpec, Savanna, TaskSpec, TaskState, WorkflowSpec
 
 
 @dataclass
@@ -280,6 +291,19 @@ def _cost(report: Report, machine: str, run: Run) -> None:
         cost.stop_share > 0.9)
     row("plan formulation time", "low", *_below(cost.plan_time, 0.5))
 
+    # The per-stage latency histograms the telemetry layer fills.
+    metrics = run(run_gray_scott_experiment, machine, use_dyflow=True,
+                  telemetry=TelemetrySpec()).tracer.metrics
+    stages = {s: metrics.histogram(f"stage.{s}.latency")
+              for s in ("monitor", "decision", "arbitration", "actuation")}
+    row("stage latency: observations", "every stage observed",
+        "/".join(str(h.count) for h in stages.values()),
+        all(h.count > 0 and 0.0 <= h.p50 <= h.p95 for h in stages.values()))
+    monitor, actuation = stages["monitor"], stages["actuation"]
+    row("stage latency: monitor p95", "sub-second", *_below(monitor.p95, 1.0))
+    row("stage latency: actuation vs monitor p50", "actuation dominates",
+        f"{actuation.p50:.1f}s > {monitor.p50:.1f}s", actuation.p50 > monitor.p50)
+
 
 def _predictive_run(policy: PolicySpec) -> tuple[float, float]:
     """Run a ramping workload under one policy.
@@ -339,6 +363,56 @@ def _reconfig_run(action: ActionType, params: dict):
     }
 
 
+#: The recovery stack every resilience-sweep run carries.
+_SWEEP_RESILIENCE = ResilienceSpec(
+    retry=RetryPolicy(max_retries=200, backoff_base=2.0, backoff_factor=2.0,
+                      backoff_max=60.0, jitter=0.25),
+    watchdog=WatchdogSpec(heartbeat_timeout=120.0, poll=10.0),
+    quarantine=QuarantineSpec(failures=5, window=3600.0, cooldown=600.0),
+    checkpoint=CheckpointSpec(every=20, resume=True),
+)
+
+
+def _sweep_run(task_crash_mtbf: float, ntasks: int = 4, nprocs: int = 8,
+               steps: int = 300, horizon: float = 50_000.0) -> dict:
+    """Four tasks under injected task crashes (MTBF 0 = none) and nodes
+    failing eight times as rarely; returns faults, restarts, whether every
+    task finished, and completed steps per core-hour."""
+    eng = SimEngine()
+    m = summit(6)
+    alloc = Allocation("a0", m, m.nodes, walltime_limit=horizon)
+    tasks = [TaskSpec(f"T{i}", lambda: IterativeApp(ConstantModel(1.0), total_steps=steps),
+                      nprocs=nprocs) for i in range(ntasks)]
+    sav = Savanna(eng, WorkflowSpec("SWEEP", tasks, []), alloc,
+                  rng=RngRegistry(42), resilience=_SWEEP_RESILIENCE)
+    chaos = None
+    if task_crash_mtbf > 0:
+        chaos = ChaosEngine(sav, FaultModelSpec(task_crash_mtbf=task_crash_mtbf,
+                                                node_mtbf=8 * task_crash_mtbf,
+                                                node_repair_time=300.0))
+        chaos.start()
+    sav.launch_workflow()
+    records = [sav.record(t.name) for t in tasks]
+
+    def finished() -> list[bool]:
+        return [r.current is not None and r.current.state == TaskState.COMPLETED
+                for r in records]
+
+    # Slices, so injection stops once the work is done.
+    while eng.now < horizon and not all(finished()):
+        eng.run(until=min(eng.now + 100.0, horizon))
+    if chaos is not None:
+        chaos.stop()
+    done = finished()
+    makespan = max(r.current.end_time for r in records) if all(done) else horizon
+    return {
+        "faults": len(chaos.history) if chaos is not None else 0,
+        "restarts": sum(r.incarnations - 1 for r in records),
+        "all_done": all(done),
+        "steps_per_core_hour": sum(done) * steps / (ntasks * nprocs * makespan / 3600.0),
+    }
+
+
 def _ablations(report: Report, machine: str, run: Run) -> None:
     """The design choices of DESIGN.md §4, each switched off (Summit only)."""
     if machine != "summit":
@@ -373,7 +447,8 @@ def _ablations(report: Report, machine: str, run: Run) -> None:
 
 
 def _extensions(report: Report, machine: str, run: Run) -> None:
-    """The two §6 future-work extensions, on their own small workflows."""
+    """The two §6 future-work extensions and a resilience sweep, on their
+    own small workflows."""
     if machine != "summit":
         return
     row = functools.partial(report.add, "extension (§6)", machine)
@@ -400,6 +475,18 @@ def _extensions(report: Report, machine: str, run: Run) -> None:
         f"{reconfig['response']:.2f}s < {factor} × {restart['response']:.2f}s",
         reconfig["response"] < factor * restart["response"])
     row("RECONFIG final step", "60", str(reconfig["final_step"]), reconfig["final_step"] == 60)
+
+    # Resilience sweep: useful throughput vs injected task-crash MTBF.
+    sweep = [_sweep_run(mtbf) for mtbf in (0.0, 1000.0, 250.0, 60.0)]
+    base, heavy = sweep[0], sweep[-1]
+    row("resilience sweep: runs finished", "every MTBF, by checkpoint-restart",
+        f"{sum(r['all_done'] for r in sweep)}/{len(sweep)}", all(r["all_done"] for r in sweep))
+    row("resilience sweep: faults, restarts", "none uninjected; some at MTBF 60 s",
+        f"{base['faults']}, {base['restarts']} → {heavy['faults']}, {heavy['restarts']}",
+        base["faults"] == base["restarts"] == 0 and heavy["faults"] > 0 and heavy["restarts"] > 0)
+    row("resilience sweep: steps/core-hour", "decays with the failure rate",
+        f"{heavy['steps_per_core_hour']:.1f} < {base['steps_per_core_hour']:.1f}",
+        heavy["steps_per_core_hour"] < base["steps_per_core_hour"])
 
 
 #: One section per paper item, in the paper's order.

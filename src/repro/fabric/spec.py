@@ -109,7 +109,6 @@ class NetworkSpec:
         enter/leave degraded mode.
     """
 
-    enabled: bool = attr(True)
     latency: float = attr(0.0, ge=0)
     jitter: float = attr(0.0, ge=0)
     drop_prob: float = attr(0.0, ge=0, lt=1)

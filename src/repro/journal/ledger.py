@@ -63,11 +63,11 @@ class ResumableJournal:
     already holds segments.  :meth:`open`
     claims it — ``Journal.reopen`` with the state already read, else
     ``Journal.open``, whose ``meta`` record carries *meta* — and releases
-    what was read.  Without an enabled *spec* nothing is read or written.
+    what was read.  Without a *spec* nothing is read or written.
     """
 
     def __init__(self, spec: JournalSpec | None, **meta: Any) -> None:
-        self.spec = spec if spec is not None and spec.enabled else None
+        self.spec = spec
         self._meta = meta
         self._state = self._read()
         self.journal: Journal | None = None

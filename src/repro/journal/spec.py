@@ -12,7 +12,7 @@ FSYNC_MODES = ("off", "always", "batch")
 
 @dataclass(frozen=True)
 class JournalSpec:
-    """How (and whether) the control loop journals its state.
+    """How the control loop journals its state; no spec, no journal.
 
     ``fsync`` trades durability for throughput: ``always`` syncs after
     every record, ``batch`` after every ``batch_every`` records (and on
@@ -21,7 +21,6 @@ class JournalSpec:
     """
 
     dir: str = attr("journal", nonempty=True)
-    enabled: bool = attr(True)
     fsync: str = attr("batch", choices=FSYNC_MODES)
     batch_every: int = attr(64, ge=1)
     snapshot_every: int = attr(20, ge=1)

@@ -187,7 +187,6 @@ CODES: dict[str, CodeInfo] = {
         _spec("DY402", "watchdog poll exceeds the heartbeat timeout", Severity.WARNING),
         _spec("DY403", "journal configuration out of range"),
         _spec("DY404", "SLO/anomaly configuration out of range"),
-        _spec("DY405", "telemetry sample fraction out of range"),
         _spec("DY406", "quarantine cooldown shorter than its window", Severity.WARNING),
         _spec("DY407", "resilience configuration out of range"),
         _spec("DY408", "network drops messages but the retransmit budget is zero",

@@ -13,8 +13,7 @@ to repair defects whose fix is provably behavior-preserving:
   fixer re-proves full coverage before touching anything — a partial
   overlap is reported but left alone);
 * **parameter-range clamping** — DY401 raises ``backoff-max`` to
-  ``backoff-base`` (the runtime clamps every delay there anyway) and
-  DY405 clamps a telemetry ``sample`` above 1.0 back to 1.0.
+  ``backoff-base`` (the runtime clamps every delay there anyway).
 
 Fixes cascade deterministically — deleting a dead application (DY112)
 strands its policy (DY109), which strands its sensor (DY108) — so the
@@ -34,9 +33,7 @@ from repro.xmlspec.model import DyflowSpec
 
 #: Codes the engine knows how to repair.  Everything else is reported
 #: untouched — a fix we cannot prove safe is not a fix.
-FIXABLE_CODES = frozenset(
-    {"DY108", "DY109", "DY112", "DY301", "DY401", "DY405"}
-)
+FIXABLE_CODES = frozenset({"DY108", "DY109", "DY112", "DY301", "DY401"})
 
 #: Cascade depth bound.  Each round fixes at least one construct, and a
 #: document has finitely many, so this is a defensive backstop only.
@@ -208,10 +205,6 @@ def _apply_round(spec: DyflowSpec, diags: list[Diagnostic]) -> list[Diagnostic]:
             hint = _fix_backoff_cap(spec)
             if hint is not None:
                 fixed.append(d.with_fix(hint))
-        elif d.code == "DY405":
-            hint = _fix_telemetry_sample(spec)
-            if hint is not None:
-                fixed.append(d.with_fix(hint))
 
     for idx in sorted(set(drop_apps), reverse=True):
         del spec.applications[idx]
@@ -281,14 +274,4 @@ def _fix_backoff_cap(spec: DyflowSpec) -> FixHint | None:
     return FixHint(
         f"raise retry backoff-max to backoff-base {retry.backoff_base!r} "
         "(the runtime clamps every delay there anyway)",
-    )
-
-
-def _fix_telemetry_sample(spec: DyflowSpec) -> FixHint | None:
-    tel = spec.telemetry
-    if tel is None or not tel.sample > 1.0:
-        return None  # sample <= 0 has no faithful mechanical clamp
-    spec.telemetry = replace(tel, sample=1.0)
-    return FixHint(
-        f"clamp telemetry sample {tel.sample!r} to 1.0 (keep every span)",
     )

@@ -650,7 +650,6 @@ def _conflict(spec, app_a, pol_a, app_b, pol_b, ia, ib, shared) -> list[Diagnost
 # -- DY4xx: parameter ranges -------------------------------------------------- #
 _RANGE_CODES = {
     "resilience": "DY407",
-    "telemetry": "DY405",
     "journal": "DY403",
     "observability": "DY404",
     "tenants": "DY407",
@@ -704,7 +703,7 @@ def _check_parameter_ranges(spec: DyflowSpec) -> list[Diagnostic]:
                 xml_path="resilience/quarantine",
             ))
         net = res.network
-        if net is not None and net.enabled and net.max_retransmits == 0:
+        if net is not None and net.max_retransmits == 0:
             # Effective drop rate per link: the base profile or any override.
             lossy = net.drop_prob > 0 or any(
                 lo.drop_prob is not None and lo.drop_prob > 0 for lo in net.links
@@ -717,7 +716,7 @@ def _check_parameter_ranges(spec: DyflowSpec) -> list[Diagnostic]:
                     "for good and never retransmitted",
                     xml_path="resilience/network",
                 ))
-        if net is not None and net.enabled and res.watchdog is not None:
+        if net is not None and res.watchdog is not None:
             timeout = res.watchdog.heartbeat_timeout
             for i, w in enumerate(net.partitions):
                 if w.duration > timeout > 0:

@@ -134,8 +134,6 @@ class HealthEngine:
     # -- evaluation ----------------------------------------------------------------
     def tick(self, now: float) -> list[HealthAlert]:
         """Run due work for this orchestrator tick; returns new alerts."""
-        if not self.spec.enabled:
-            return []
         self._trim_feed()
         self.snapshotter.maybe_snapshot(now)
         if now + _EPS < self._next_eval:

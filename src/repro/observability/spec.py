@@ -111,17 +111,15 @@ class FleetSpec:
     and :meth:`~repro.campaign.service.CampaignService.watch`.
 
     Attributes:
-        enabled: master switch for the fleet plane.
         openmetrics_path: if set, fleet rollups are rendered there as
             tenant-labeled OpenMetrics families at campaign finalize.
         top_k: how many noisy tenants the rollup ranks.
-        watch_path: if set, the campaign's watch stream is mirrored to
-            this JSONL file (otherwise it lives under the journal root).
+        watch_path: if set, the campaign's watch stream is written to
+            this JSONL file instead of under the journal root.
         flight_recorder: ring-buffer capacity (events) for the crash /
             poison-quarantine flight recorder; 0 disables it.
     """
 
-    enabled: bool = attr(True)
     openmetrics_path: str | None = attr(None)
     top_k: int = attr(3, ge=1)
     watch_path: str | None = attr(None)
@@ -135,8 +133,10 @@ class FleetSpec:
 class ObservabilitySpec:
     """What to analyze, watch, and export.
 
+    A run without a spec has no health engine and writes none of these
+    outputs; the exports need a telemetry spec, whose tracer they read.
+
     Attributes:
-        enabled: master switch; a disabled spec costs nothing at runtime.
         eval_every: health-evaluation cadence in runtime seconds
             (simulated seconds under the sim driver, wall seconds under
             the threaded driver).
@@ -147,8 +147,6 @@ class ObservabilitySpec:
         report_path: if set, a markdown run report is written there when
             the run finishes.
         report_json_path: if set, the same report as JSON.
-        analysis: run critical-path/utilization analysis at finalize
-            (the report exporters need it; benchmarks gate its cost).
         top_n: how many bottleneck/slow-span rows reports carry.
         slos: declarative objectives evaluated every ``eval_every``.
         anomalies: EWMA/z-score detectors evaluated on the same cadence.
@@ -156,13 +154,11 @@ class ObservabilitySpec:
             watch stream, flight recorder); ``None`` means no fleet plane.
     """
 
-    enabled: bool = attr(True)
     eval_every: float = attr(5.0, gt=0)
     snapshot_every: float = attr(0.0, ge=0)
     openmetrics_path: str | None = attr(None, holder="openmetrics", name="path")
     report_path: str | None = attr(None, holder="report", name="path")
     report_json_path: str | None = attr(None, holder="report", name="json-path")
-    analysis: bool = attr(True)
     top_n: int = attr(5, ge=1)
     slos: tuple[SloSpec, ...] = children(SloSpec, "slo")
     anomalies: tuple[AnomalySpec, ...] = children(AnomalySpec, "anomaly")

@@ -92,6 +92,15 @@ class RuntimeCore:
             tracer = build_tracer(opts.telemetry, clock=self.now)
         self.tracer = tracer
         self._telemetry_finalized = False
+        self.observability = opts.observability
+        if self.observability is not None and not tracer.enabled:
+            # Every observability output reads the tracer's records.
+            for name in ("report_path", "report_json_path", "openmetrics_path", "snapshot_every"):
+                if getattr(self.observability, name):
+                    raise DyflowError(
+                        f"observability {name} needs a <telemetry> section "
+                        "(pass options=RuntimeOptions(telemetry=TelemetrySpec(...)))"
+                    )
         self.clients = [MonitorClient(cid, perf) for cid in client_ids]
         self.decision = DecisionStage()
         self.server = MonitorServer(on_updates=self.decision.ingest, record_history=record_history)
@@ -101,9 +110,8 @@ class RuntimeCore:
         # Observability: the health engine evaluates SLOs/anomalies every
         # round and publishes the results back into the Monitor stage via
         # HEALTH sensor sources (see docs/observability.md).
-        self.observability = opts.observability
         self.health: HealthEngine | None = None
-        if self.observability is not None and self.observability.enabled:
+        if self.observability is not None:
             self.health = HealthEngine(
                 self.observability,
                 tracer=tracer,
@@ -115,8 +123,6 @@ class RuntimeCore:
         # server's bounded ingress queue, and are drained once per round;
         # ingest staleness drives the Decision stage's degraded mode.
         self.network = resilience.network if resilience is not None else None
-        if self.network is not None and not self.network.enabled:
-            self.network = None
         self.links: dict[str, FabricLink] = {}
         self.degrade: DegradedModeController | None = None
         self.fabric: FabricState | None = None
@@ -135,8 +141,7 @@ class RuntimeCore:
         if isinstance(journal, Journal):
             self._journal = journal
         elif isinstance(journal, JournalSpec):
-            if journal.enabled:
-                self._journal_spec = journal
+            self._journal_spec = journal
         elif journal is not None:
             raise DyflowError(f"journal must be a Journal or JournalSpec, got {journal!r}")
 
@@ -164,7 +169,7 @@ class RuntimeCore:
             if self.health is None:
                 raise DyflowError(
                     f"sensor {sensor_id!r} uses a HEALTH source but the orchestrator "
-                    "has no enabled ObservabilitySpec "
+                    "has no ObservabilitySpec "
                     "(pass options=RuntimeOptions(observability=...))"
                 )
             source: object = self.health.bind_source(var)
@@ -241,11 +246,11 @@ class RuntimeCore:
         if self.telemetry is not None and self.telemetry.chrome_trace_path is not None:
             write_chrome_trace(self.telemetry.chrome_trace_path, self.tracer)
         spec = self.observability
-        if spec is None or not spec.enabled:
+        if spec is None:
             return
         if spec.openmetrics_path is not None:
             write_openmetrics(spec.openmetrics_path, self.tracer.metrics)
-        if spec.analysis and (spec.report_path is not None or spec.report_json_path is not None):
+        if spec.report_path is not None or spec.report_json_path is not None:
             report = report_from_jsonl(
                 self.tracer.records(), top_n=spec.top_n, meta={"workflow": self.workflow_id}
             )

@@ -7,7 +7,8 @@ own control loop.  One :class:`Tracer` (or the zero-cost
 Arbitration planning, Actuation execution, the Savanna launcher, and the
 staging hub; its spans export to Chrome ``trace_event`` JSON
 (chrome://tracing / Perfetto) and its metrics registry carries the
-per-stage latency histograms behind ``benchmarks/bench_stage_latency.py``.
+per-stage latency histograms the §4.6 rows of
+:mod:`repro.experiments.report` read.
 """
 
 from repro.telemetry.config import TelemetrySpec, build_tracer

@@ -6,7 +6,7 @@ runtimes, and by the ``<telemetry>`` XML element
 (see ``docs/xml-reference.md``).  :func:`build_tracer` turns a spec into
 the right tracer — a recording :class:`~repro.telemetry.tracer.Tracer`
 with the configured JSONL path, or the shared
-:data:`~repro.telemetry.tracer.NULL_TRACER` when disabled.
+:data:`~repro.telemetry.tracer.NULL_TRACER` when there is no spec.
 """
 
 from __future__ import annotations
@@ -23,17 +23,15 @@ from repro.util.xmlfield import attr, check_fields
 class TelemetrySpec:
     """What to record and where to ship it.
 
+    A run without a spec uses the NullTracer.
+
     Attributes:
-        enabled: master switch; disabled runs use the NullTracer.
-        sample: fraction of root spans kept (deterministic stride).
         jsonl_path: if set, :meth:`Tracer.flush` writes the run's records
             there as JSONL.
         chrome_trace_path: if set, runtimes write a Chrome
             ``trace_event`` JSON file there when the run finishes.
     """
 
-    enabled: bool = attr(True)
-    sample: float = attr(1.0, gt=0, le=1)
     jsonl_path: str | None = attr(None, holder="jsonl", name="path")
     chrome_trace_path: str | None = attr(None, holder="chrome-trace", name="path")
 
@@ -47,10 +45,10 @@ def build_tracer(
 ) -> Tracer:
     """Build the tracer a runtime should use for *spec*.
 
-    ``None`` or a disabled spec yields the shared NullTracer, so callers
-    can wire telemetry unconditionally.
+    ``None`` yields the shared NullTracer, so callers can wire telemetry
+    unconditionally.
     """
-    if spec is None or not spec.enabled:
+    if spec is None:
         return NULL_TRACER
     spec.validate()
-    return Tracer(clock=clock, sample=spec.sample, path=spec.jsonl_path)
+    return Tracer(clock=clock, path=spec.jsonl_path)

@@ -8,9 +8,9 @@ so a plan execution contains its per-op child spans and a service tick
 contains its stage spans.
 
 :class:`Tracer` is the recording object every instrumented component
-holds; :class:`NullTracer` is the disabled twin whose every operation is
-a shared no-op, so instrumentation left in place costs near-zero when
-telemetry is off.  Components default to the module-level
+holds; :class:`NullTracer` is the twin a run without telemetry gets,
+whose every operation is a shared no-op, so instrumentation left in
+place costs near-zero.  Components default to the module-level
 :data:`NULL_TRACER` and never need a None check.
 
 The tracer also keeps the run's one record list — finished spans (by
@@ -80,7 +80,7 @@ class TraceSpan:
         }
 
 
-# Sentinel for spans dropped by sampling (and everything under them).
+# The span the NullTracer hands out: already closed, so end_span ignores it.
 _DROPPED = TraceSpan(
     name="<dropped>", category="dropped", span_id=-1, parent_id=None,
     start=0.0, wall_start=0.0, end=0.0, wall_end=0.0,
@@ -111,10 +111,6 @@ class Tracer:
     Args:
         clock: runtime clock (e.g. ``lambda: engine.now``).  Defaults to
             wall seconds since tracer creation.
-        sample: fraction of *root* spans to record, in (0, 1].  Sampling
-            is a deterministic stride (every ``1/sample``-th root span),
-            so traced runs replay identically.  Children of an unsampled
-            root are dropped with it; metrics are always recorded.
         metrics: registry for derived metrics (created if omitted).
         path: JSONL file :meth:`flush` writes the run's records to.
     """
@@ -124,15 +120,11 @@ class Tracer:
     def __init__(
         self,
         clock: Callable[[], float] | None = None,
-        sample: float = 1.0,
         metrics: MetricsRegistry | None = None,
         path: str | None = None,
     ) -> None:
-        if not 0.0 < sample <= 1.0:
-            raise TelemetryError(f"sample must be in (0, 1], got {sample}")
         self._epoch = time.perf_counter()
         self.clock = clock if clock is not None else (lambda: time.perf_counter() - self._epoch)
-        self.sample = float(sample)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.path = path
         self._spans: list[TraceSpan] = []
@@ -140,8 +132,6 @@ class Tracer:
         self._records: list[TraceSpan | dict[str, Any]] = []
         self._flushed: int | None = None  # records written to path so far
         self._next_id = 0
-        self._roots_seen = 0
-        self._roots_kept = 0
         self._lock = threading.Lock()
         self._stacks = threading.local()
 
@@ -184,10 +174,6 @@ class Tracer:
         """
         if parent is None:
             parent = self.current_span()
-        if parent is _DROPPED:
-            return _DROPPED
-        if parent is None and not self._keep_root():
-            return _DROPPED
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
@@ -205,7 +191,7 @@ class Tracer:
 
     def end_span(self, span: TraceSpan, **attrs: Any) -> None:
         """Close *span*, stamping both clocks and recording its latency."""
-        if span is _DROPPED or span.end is not None:
+        if span.end is not None:
             return
         span.end = self.clock()
         span.wall_end = time.perf_counter()
@@ -231,10 +217,6 @@ class Tracer:
         """
         if parent is None:
             parent = self.current_span()
-        if parent is _DROPPED:
-            return _DROPPED
-        if parent is None and not self._keep_root():
-            return _DROPPED
         wall = time.perf_counter()
         with self._lock:
             span_id = self._next_id
@@ -264,15 +246,6 @@ class Tracer:
     def record(self, kind: str, time: float, **fields: Any) -> None:
         """Append one event record; ``kind`` and ``time`` lead every line."""
         self._records.append({"kind": kind, "time": time, **fields})
-
-    def _keep_root(self) -> bool:
-        """Deterministic stride sampling over root spans."""
-        self._roots_seen += 1
-        target = int(self._roots_seen * self.sample + 1e-9)
-        if target > self._roots_kept:
-            self._roots_kept += 1
-            return True
-        return False
 
     # -- queries -----------------------------------------------------------------------
     @property
@@ -337,18 +310,17 @@ _NULL_CTX = _NullSpanContext()
 
 
 class NullTracer(Tracer):
-    """Disabled tracer: every operation is a shared no-op.
+    """The tracer of a run without telemetry: every operation is a shared no-op.
 
     Instrumented code paths keep their tracer calls; with a NullTracer
-    each call is a constant-time method on shared singletons, so a run
-    with telemetry off pays only attribute lookups.
+    each call is a constant-time method on shared singletons, so such a
+    run pays only attribute lookups.
     """
 
     enabled = False
 
     def __init__(self) -> None:
         self.clock = lambda: 0.0
-        self.sample = 1.0
         self.metrics = NullMetrics()
 
     def span(self, name: str, category: str = "span", **attrs: Any) -> _NullSpanContext:  # type: ignore[override]

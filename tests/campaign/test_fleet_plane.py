@@ -251,9 +251,9 @@ class TestFleetPlaneGates:
     def test_disabled_observability_disables_the_plane(self):
         svc = CampaignService(
             make_spec(), run_cell=fake_run,
-            observability=ObservabilitySpec(enabled=False, fleet=FleetSpec()),
+            observability=ObservabilitySpec(),  # no <fleet> section
         )
-        assert svc.fleet is None
+        assert svc.fleet is None and svc.watch_path is None
 
     def test_unknown_tenant_slo_is_a_hard_error(self):
         bad = SloSpec(metric="fleet.cell.latency", stat="p95", op="LT",

@@ -50,6 +50,18 @@ def make_world(
     return eng, sav, arb
 
 
+def make_fanout(n=12):
+    """One 64-process simulation feeding *n* tightly coupled 16-process analyses."""
+    ana = [f"Ana{i}" for i in range(n)]
+    eng, sav, arb = make_world(
+        tasks=(("Sim", 64, True), *((a, 16, True) for a in ana)),
+        deps=[DependencySpec(a, "Sim", CouplingType.TIGHT) for a in ana],
+        num_nodes=8,
+        priorities={"Sim": 0, **{a: i + 1 for i, a in enumerate(ana)}},
+    )
+    return eng, arb, ana
+
+
 class TestGating:
     def test_warmup_discards(self):
         eng, sav, arb = make_world(warmup=120.0)
@@ -99,6 +111,15 @@ class TestConflictResolution:
         plan = arb.arbitrate([s, s, s], now=5.0)
         starts = [o for o in plan.ops if o.op == "start_task"]
         assert len(starts) == 1
+
+    def test_resolution_never_grows_the_batch(self):
+        # ADDCPU, RMCPU and STOP on every analysis: one action per target survives.
+        _eng, arb, ana = make_fanout()
+        batch = [suggestion(policy=f"P-{action.value}", action=action, target=a)
+                 for a in ana for action in (ActionType.ADDCPU, ActionType.RMCPU, ActionType.STOP)]
+        resolved = arb._resolve_conflicts(list(batch))
+        assert len(resolved) == len(ana) < len(batch)
+        assert sorted(s.target for s in resolved) == sorted(ana)
 
 
 class TestNoopDropping:
@@ -176,6 +197,13 @@ class TestResourceProtocol:
         plan = arb.arbitrate([suggestion(action=ActionType.RESTART, target="A")], now=7.0)
         start = [o for o in plan.ordered_ops() if o.op == "start_task"][0]
         assert start.resources.total_cores == 10
+
+    def test_growing_every_analysis_yields_a_plan_with_ops(self):
+        eng, arb, ana = make_fanout()
+        plan = arb.arbitrate(
+            [suggestion(policy="INC", target=a, params={"adjust-by": 8}) for a in ana], now=eng.now
+        )
+        assert plan is not None and plan.ops
 
     def test_plan_never_exceeds_allocation(self):
         eng, sav, arb = make_world(

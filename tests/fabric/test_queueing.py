@@ -58,7 +58,8 @@ class TestThreadedFabricWiring:
         assert not runner.server.fabric_enabled
 
     def test_disabled_network_ignored(self):
-        runner = self.make_runner(NetworkSpec(enabled=False))
+        # A <resilience> section without <network> installs no fabric.
+        runner = self.make_runner(options=RuntimeOptions(resilience=ResilienceSpec()))
         assert runner.network is None and runner.links == {}
 
     def test_queue_capacity_exposed_via_shed_counter(self):

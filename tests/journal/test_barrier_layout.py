@@ -66,8 +66,8 @@ def first_barrier_state(journal_dir: str, everything: bool) -> list[tuple[str, o
     if everything:
         xml = xml.replace("</dyflow>", EVERY_SUBSYSTEM + "\n</dyflow>")
         options = options.override(
-            telemetry=TelemetrySpec(enabled=True),
-            observability=ObservabilitySpec(enabled=True),
+            telemetry=TelemetrySpec(),
+            observability=ObservabilitySpec(),
         )
     spec = parse_dyflow_xml(xml)
     orch = configure_orchestrator(

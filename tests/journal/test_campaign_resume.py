@@ -66,14 +66,6 @@ def test_without_journal_everything_just_runs(tmp_path):
     assert all(not r["replayed"] for r in results)
 
 
-def test_disabled_journal_spec_is_ignored(tmp_path):
-    spec = JournalSpec(dir=str(tmp_path / "campaign"), enabled=False)
-    calls = []
-    CampaignRunner(make_campaign(), make_execute(calls), journal=spec).run()
-    assert len(calls) == 5
-    assert not (tmp_path / "campaign").exists()
-
-
 class TestPoisonedRuns:
     """A deterministically-failing cell is quarantined, not fatal."""
 

@@ -288,7 +288,7 @@ class TestHardCrashExactlyOnce:
         monkeypatch.setattr(Journal, "append", recording_append)
         spec = jspec(tmp_path / "twice")
         res = run_gray_scott_experiment(
-            journal=spec, crash_times=(t1, t2), telemetry=TelemetrySpec(enabled=True)
+            journal=spec, crash_times=(t1, t2), telemetry=TelemetrySpec()
         )
         assert res.meta["crashes"] == [t1, t2]
         assert read_journal(spec.dir).epoch == 3

@@ -84,8 +84,8 @@ class Recording:
         try:
             self.result = run_gray_scott_experiment(
                 seed=3,
-                telemetry=TelemetrySpec(enabled=True),
-                observability=ObservabilitySpec(enabled=True),
+                telemetry=TelemetrySpec(),
+                observability=ObservabilitySpec(),
                 journal=JournalSpec(dir=journal_dir, fsync="off", snapshot_every=snapshot_every),
                 crash_times=CRASH_TIMES,
                 xml_extra=EVERY_SUBSYSTEM,
@@ -118,8 +118,8 @@ def recorded(tmp_path_factory):
 @pytest.fixture(scope="module")
 def reference_fingerprint():
     return scenario_fingerprint(run_gray_scott_experiment(
-        seed=3, telemetry=TelemetrySpec(enabled=True),
-        observability=ObservabilitySpec(enabled=True), xml_extra=EVERY_SUBSYSTEM,
+        seed=3, telemetry=TelemetrySpec(),
+        observability=ObservabilitySpec(), xml_extra=EVERY_SUBSYSTEM,
     ))
 
 

@@ -32,6 +32,8 @@ GONE = {
     "unsubscribe_end", "active_tasks", "running_jobs", "has_store", "set_sink",
     "acquires_resources", "releases_resources", "event_to_response",
     "count_at_or_above", "last_produced", "total_mass", "tick_envelope",
+    # the tracer's root-span stride and its lint auto-fix
+    "_keep_root", "_roots_seen", "_roots_kept", "_fix_telemetry_sample",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"

@@ -72,9 +72,6 @@ def spec_documents(draw) -> str:
 
     extra = ""
     if draw(st.booleans()):
-        sample = draw(st.sampled_from(("0.5", "1.0", "2.0", "8.0")))
-        extra += f'<telemetry sample="{sample}"/>'
-    if draw(st.booleans()):
         base = draw(st.sampled_from(("1.0", "2.0", "4.0")))
         cap = draw(st.sampled_from(("0.5", "1.0", "60.0")))
         extra += (

@@ -117,20 +117,6 @@ class TestParamClamps:
         retry = parse_dyflow_xml(result.text).resilience.retry
         assert retry.backoff_max == retry.backoff_base == 4.0
 
-    def test_dy405_clamps_oversample_to_one(self):
-        xml = CLEAN.replace("</dyflow>", '<telemetry sample="2.0"/></dyflow>')
-        result = fix_xml_text(xml)
-        assert {d.code for d in result.fixed} == {"DY405"}
-        assert parse_dyflow_xml(result.text).telemetry.sample == 1.0
-
-    def test_dy405_nonpositive_sample_is_not_fixed(self):
-        # sample <= 0 has no faithful mechanical clamp: the author's
-        # intent (off? typo?) is unknowable.
-        xml = CLEAN.replace("</dyflow>", '<telemetry sample="0.0"/></dyflow>')
-        result = fix_xml_text(xml)
-        assert result.text is xml
-        assert "DY405" in {d.code for d in result.remaining}
-
 
 # --------------------------------------------------------------------------- #
 # the guarantees
@@ -146,8 +132,7 @@ class TestGuarantees:
         dirty = DEMO_SPEC.read_text(encoding="utf-8")
         result = fix_xml_text(dirty)
         fixed_codes = {d.code for d in result.fixed}
-        assert fixed_codes == {"DY108", "DY109", "DY112", "DY301",
-                               "DY401", "DY405"}
+        assert fixed_codes == {"DY108", "DY109", "DY112", "DY301", "DY401"}
         assert not fixable_findings(result.text)
 
     def test_fix_is_idempotent(self):

@@ -470,15 +470,6 @@ CORPUS = {
             )
         ),
     ),
-    "DY405": dict(
-        loc="telemetry",
-        trigger=lambda: codes_of(
-            CLEAN.replace("</dyflow>", '<telemetry sample="2.0"/></dyflow>')
-        ),
-        clean=lambda: codes_of(
-            CLEAN.replace("</dyflow>", '<telemetry sample="0.5"/></dyflow>')
-        ),
-    ),
     "DY406": dict(
         loc="resilience/quarantine",
         trigger=lambda: codes_of(

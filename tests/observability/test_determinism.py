@@ -34,7 +34,7 @@ def run(tmp_dir=None, **kw):
         openmetrics_path=str(tmp_dir / "metrics.prom"),
     ) if tmp_dir is not None else obs_spec()
     return run_gray_scott_experiment("summit", use_dyflow=True,
-                                     telemetry=TelemetrySpec(enabled=True),
+                                     telemetry=TelemetrySpec(),
                                      observability=spec, **kw)
 
 

@@ -46,11 +46,6 @@ class TestCadence:
         engine.tick(44.9)
         assert engine.evaluations == 2  # next due at 45
 
-    def test_disabled_spec_is_inert(self):
-        engine, _ = make_engine(spec=ObservabilitySpec(enabled=False))
-        assert engine.tick(0.0) == []
-        assert engine.evaluations == 0
-
 
 class TestAlerting:
     def test_slo_violation_fires_and_lands_everywhere(self):

@@ -50,7 +50,7 @@ DRIVERS = pytest.mark.parametrize("make", [sim_driver, threaded_driver], ids=["s
 def full_options(tmp_path, name):
     return RuntimeOptions(
         resilience=ResilienceSpec(network=NetworkSpec(latency=0.1, ack_timeout=1.0)),
-        observability=ObservabilitySpec(enabled=True),
+        observability=ObservabilitySpec(),
         journal=JournalSpec(dir=str(tmp_path / name), fsync="off"),
     )
 

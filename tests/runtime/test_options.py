@@ -9,6 +9,7 @@ import pytest
 
 from repro.apps import ConstantModel, IterativeApp
 from repro.cluster import Allocation, summit
+from repro.errors import DyflowError
 from repro.journal import JournalSpec
 from repro.observability import ObservabilitySpec
 from repro.resilience import ResilienceSpec, RetryPolicy
@@ -50,9 +51,9 @@ class TestRuntimeOptions:
 
     def test_from_spec_lifts_runtime_sections(self):
         spec = DyflowSpec(
-            telemetry=TelemetrySpec(enabled=True),
-            journal=JournalSpec(enabled=False),
-            observability=ObservabilitySpec(enabled=False),
+            telemetry=TelemetrySpec(),
+            journal=JournalSpec(),
+            observability=ObservabilitySpec(),
             resilience=ResilienceSpec(retry=RetryPolicy(max_retries=2)),
         )
         opts = RuntimeOptions.from_spec(spec)
@@ -66,7 +67,7 @@ class TestRuntimeOptions:
 class TestOrchestratorOptions:
     def test_options_accepted_end_to_end(self):
         eng, sav = make_launcher()
-        opts = RuntimeOptions(telemetry=TelemetrySpec(enabled=True), preflight="warn")
+        opts = RuntimeOptions(telemetry=TelemetrySpec(), preflight="warn")
         orch = DyflowOrchestrator(sav, options=opts)
         assert orch.options is opts
         assert orch.telemetry is opts.telemetry
@@ -95,6 +96,23 @@ class TestOrchestratorOptions:
         eng, sav = make_launcher()
         with pytest.raises(TypeError, match=kwarg):
             DyflowOrchestrator(sav, **{kwarg: value})
+
+    @pytest.mark.parametrize("output, value", [
+        ("report_path", "report.md"),
+        ("report_json_path", "report.json"),
+        ("openmetrics_path", "metrics.prom"),
+        ("snapshot_every", 60.0),
+    ])
+    def test_observability_output_without_telemetry_is_an_error(self, output, value):
+        # Every observability output reads the tracer; with no telemetry
+        # it would be silently dropped.
+        observability = ObservabilitySpec(**{output: value})
+        eng, sav = make_launcher()
+        with pytest.raises(DyflowError, match=f"{output} needs a <telemetry> section"):
+            DyflowOrchestrator(sav, options=RuntimeOptions(observability=observability))
+        eng, sav = make_launcher()
+        DyflowOrchestrator(sav, options=RuntimeOptions(
+            telemetry=TelemetrySpec(), observability=observability))
 
 
 class TestThreadedOptions:

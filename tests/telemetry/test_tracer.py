@@ -88,33 +88,11 @@ def test_add_span_records_pre_timed_interval():
     assert tracer.metrics.histogram("span.op.stop").count == 1
 
 
-def test_stride_sampling_keeps_exact_fraction_of_roots():
-    tracer = Tracer(clock=FakeClock(), sample=0.25)
-    kept = 0
-    for _ in range(100):
-        with tracer.span("root") as span:
-            child = tracer.start_span("child")
-            tracer.end_span(child)
-        if span is not _DROPPED:
-            kept += 1
-    assert kept == 25
-    # Children of dropped roots are dropped with them.
-    assert len(tracer.finished_spans("child")) == 25
-
-
-def test_sampling_never_drops_metrics():
-    # Metric recording happens in the instrumented call sites, not the
-    # tracer; but end_span on a dropped span must simply no-op.
-    tracer = Tracer(clock=FakeClock(), sample=0.5)
+def test_end_span_ignores_the_null_span():
+    tracer = Tracer(clock=FakeClock())
     tracer.end_span(_DROPPED, extra=1)
     assert _DROPPED.attrs == {}  # the shared sentinel is never mutated
-
-
-def test_invalid_sample_rejected():
-    with pytest.raises(TelemetryError):
-        Tracer(sample=0.0)
-    with pytest.raises(TelemetryError):
-        Tracer(sample=1.5)
+    assert tracer.records() == []
 
 
 def test_point_events_count_and_log():
@@ -169,14 +147,11 @@ def test_null_tracer_is_inert():
 
 def test_build_tracer_from_spec():
     assert build_tracer(None) is NULL_TRACER
-    assert build_tracer(TelemetrySpec(enabled=False)) is NULL_TRACER
     clock = FakeClock()
-    tracer = build_tracer(TelemetrySpec(sample=0.5), clock=clock)
+    tracer = build_tracer(TelemetrySpec(jsonl_path="run.jsonl"), clock=clock)
     assert tracer.enabled
-    assert tracer.sample == 0.5
+    assert tracer.path == "run.jsonl"
     assert tracer.clock is clock
-    with pytest.raises(TelemetryError):
-        build_tracer(TelemetrySpec(sample=2.0))
 
 
 def test_default_clock_is_relative_wall_time():

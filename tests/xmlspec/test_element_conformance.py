@@ -17,7 +17,6 @@ from repro.errors import (
     ObservabilityError,
     ReproError,
     ResilienceError,
-    TelemetryError,
     XmlSpecError,
 )
 from repro.lint import verify_spec
@@ -29,7 +28,6 @@ from tests.xmlspec.strategies import required_attrs, strategy_for
 # What a range violation below each section raises, and lints as.
 SECTION_CONTRACT = {
     "resilience": (ResilienceError, "DY407"),
-    "telemetry": (TelemetryError, "DY405"),
     "journal": (JournalError, "DY403"),
     "observability": (ObservabilityError, "DY404"),
     "tenants": (ReproError, "DY407"),

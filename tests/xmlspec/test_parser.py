@@ -221,6 +221,21 @@ class TestValidation:
         with pytest.raises(XmlSpecError, match=r"unexpected <history> attribute 'windw' \(known"):
             parse_dyflow_xml(xml, validate=False)
 
+    @pytest.mark.parametrize("element, attribute, fragment", [
+        ("telemetry", "enabled", '<telemetry enabled="false"/>'),
+        ("telemetry", "sample", '<telemetry sample="0.5"/>'),
+        ("observability", "enabled", '<observability enabled="false"/>'),
+        ("observability", "analysis", '<observability analysis="false"/>'),
+        ("fleet", "enabled", '<observability><fleet enabled="false"/></observability>'),
+        ("journal", "enabled", '<journal enabled="false"/>'),
+        ("network", "enabled", '<resilience><network enabled="false"/></resilience>'),
+    ], ids=["telemetry-enabled", "telemetry-sample", "observability-enabled",
+            "observability-analysis", "fleet-enabled", "journal-enabled", "network-enabled"])
+    def test_a_section_has_no_off_switch(self, element, attribute, fragment):
+        # A section is in effect because it is declared; leave it out to turn it off.
+        with pytest.raises(XmlSpecError, match=f"unexpected <{element}> attribute '{attribute}'"):
+            parse_dyflow_xml(f"<dyflow>{fragment}</dyflow>", validate=False)
+
     def test_param_coercion(self):
         spec = parse_dyflow_xml(f"<dyflow>{FIG3}{FIG4}</dyflow>")
         assert spec.applications[0].action_params["adjust-by"] == 20  # int, not str

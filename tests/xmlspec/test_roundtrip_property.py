@@ -240,16 +240,15 @@ def test_full_document_with_all_elements_round_trips():
                 links=(LinkOverride("c1", latency=1.0, drop_prob=0.3),),
             ),
         ),
-        telemetry=TelemetrySpec(enabled=True, sample=0.5,
-                                jsonl_path="run/events.jsonl",
+        telemetry=TelemetrySpec(jsonl_path="run/events.jsonl",
                                 chrome_trace_path="run/trace.json"),
-        journal=JournalSpec(dir="run/journal", enabled=True, fsync="batch",
+        journal=JournalSpec(dir="run/journal", fsync="batch",
                             batch_every=32, snapshot_every=10),
         observability=ObservabilitySpec(
-            enabled=True, eval_every=5.0, snapshot_every=60.0,
+            eval_every=5.0, snapshot_every=60.0,
             openmetrics_path="run/metrics.prom",
             report_path="run/report.md", report_json_path="run/report.json",
-            analysis=True, top_n=7,
+            top_n=7,
             slos=(
                 SloSpec(metric="plan.response", stat="p95", op="LT",
                         threshold=60.0, severity="warning",
