@@ -390,12 +390,23 @@ class IterativeApp:
                     # — launch/connection cost must not pollute the PACE
                     # metric with a one-off spike.
                     last_complete = max(last_complete, eng.now - ctx.poll_interval)
-                # 2. compute the step (graceful-interrupt aware)
+                # 2. compute the step; a signal lands in the except branch
                 dt = self.step_time(ctx, step)
-                graceful_stop = yield from self._compute(ctx, dt)
+                t0 = eng.now
+                try:
+                    yield eng.timeout(dt)
+                except Interrupt as i:
+                    yield from self._finish_interrupted_step(ctx, i.cause, dt - (eng.now - t0))
+                    graceful_stop = True
                 # 3. end-of-step bookkeeping (runs even when stopping)
                 if publish_every and (step + 1) % publish_every == 0:
-                    yield from self._publish(ctx, out_ch, step, skip_flow_control=graceful_stop)
+                    # Coupling backpressure: wait while the slowest consumer
+                    # is max_inflight steps behind — unless stopping, when
+                    # the step lands in the staging buffer regardless.
+                    if not graceful_stop:
+                        while not coupling.can_publish(task, out_ch.next_step):
+                            yield eng.timeout(ctx.poll_interval)
+                    self._put_step(ctx, out_ch, step)
                 for parent, in_step in consumed.items():
                     coupling.mark_consumed(parent, task, in_step)
                 if output_every and (step + 1) % output_every == 0:
@@ -447,40 +458,30 @@ class IterativeApp:
                 return None
             yield ctx.engine.timeout(ctx.poll_interval)
 
-    def _compute(self, ctx: TaskContext, dt: float):
-        """Run the step's compute; returns True if a graceful stop arrived.
+    def _finish_interrupted_step(self, ctx: TaskContext, cause: Any, remaining: float):
+        """Finish a step whose compute a signal interrupted.
 
-        A ``term`` signal mid-compute lets the step finish (the dominant
-        cost in the paper's response times); a second signal or a ``kill``
-        aborts immediately.
+        A ``term`` lets the step run its *remaining* seconds (the dominant
+        cost in the paper's response times); a ``kill``, or a second
+        signal while finishing, aborts immediately via :class:`_HardKill`.
         """
-        t0 = ctx.engine.now
-        try:
-            yield ctx.engine.timeout(dt)
-            return False
-        except Interrupt as i:
-            sig = _as_signal(i.cause)
-            if sig.kind == "kill":
-                raise _HardKill(sig.code) from None
-            remaining = dt - (ctx.engine.now - t0)
-            if remaining > 0:
-                try:
-                    yield ctx.engine.timeout(remaining)
-                except Interrupt as i2:
-                    sig2 = _as_signal(i2.cause)
-                    raise _HardKill(sig2.code if sig2.kind == "kill" else 143) from None
-            return True
+        sig = _as_signal(cause)
+        if sig.kind == "kill":
+            raise _HardKill(sig.code) from None
+        if remaining > 0:
+            try:
+                yield ctx.engine.timeout(remaining)
+            except Interrupt as i2:
+                sig2 = _as_signal(i2.cause)
+                raise _HardKill(sig2.code if sig2.kind == "kill" else 143) from None
 
-    def _publish(self, ctx: TaskContext, out_ch, step: int, skip_flow_control: bool):
-        """Publish the step's data under coupling backpressure.
+    def _put_step(self, ctx: TaskContext, out_ch: "StreamChannel", step: int) -> None:
+        """Publish the step's data and record it as produced.
 
         Coupling bookkeeping uses *channel* step indices (which keep
         counting across task restarts) so producers and consumers agree on
         progress even after one side resets its own step counter.
         """
-        if not skip_flow_control:
-            while not ctx.coupling.can_publish(ctx.task, out_ch.next_step):
-                yield ctx.engine.timeout(ctx.poll_interval)
         if out_ch.closed:
             out_ch.reopen()
         idx = out_ch.put({"task": ctx.task, "step": step}, ctx.engine.now)

@@ -399,7 +399,7 @@ class CampaignService:
             self.journal_root, FLEET_DIR, f"flight-{cell_id}.json"
         )
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
         return path
 
     # -- the dispatch loop -----------------------------------------------------------

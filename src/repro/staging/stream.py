@@ -54,8 +54,11 @@ class StreamChannel:
         self.name = name
         self.capacity = int(capacity)
         self.policy = policy
-        self._steps: list[StreamStep] = []
-        self._first_retained = 0  # step index of _steps[0]
+        # The retained steps, as two parallel lists: a StreamStep is built
+        # only when a reader reads one (or an observer is told of one).
+        self._payloads: list[Any] = []
+        self._times: list[float] = []
+        self._first_retained = 0  # step index of _payloads[0]
         self._next_step = 0
         self._closed = False
         # Readers that asked to be woken by a publish; the channel keeps
@@ -89,25 +92,28 @@ class StreamChannel:
         if self.drop_filter is not None and self.drop_filter(self.name, data):
             self.dropped_in_transit += 1
             return self._next_step
-        steps = self._steps
-        if len(steps) >= self.capacity:
+        payloads, times = self._payloads, self._times
+        if len(payloads) >= self.capacity:
             if self.policy is OverflowPolicy.ERROR:
                 raise BufferOverflowError(
                     f"channel {self.name!r} buffer full ({self.capacity} steps)"
                 )
             if self.policy is OverflowPolicy.DROP_OLDEST:
-                del steps[0]
+                del payloads[0]
+                del times[0]
                 self._first_retained += 1
                 self.dropped_steps += 1
             # GROW: fall through, keep everything
         idx = self._next_step
-        record = StreamStep(idx, data, time)
-        steps.append(record)
+        payloads.append(data)
+        times.append(time)
         self._next_step = idx + 1
         for reader in self._watchers:
             reader._wake.add(reader._token)
-        for observer in self.observers:
-            observer(self, record)
+        if self.observers:
+            record = StreamStep(idx, data, time)
+            for observer in self.observers:
+                observer(self, record)
         return idx
 
     def close(self) -> None:
@@ -127,10 +133,11 @@ class StreamChannel:
         return self._first_retained, self._next_step
 
     def _get(self, step: int) -> StreamStep | None:
-        lo, hi = self._retained_range()
-        if step < lo or step >= hi:
+        lo = self._first_retained
+        if step < lo or step >= self._next_step:
             return None
-        return self._steps[step - lo]
+        i = step - lo
+        return StreamStep(step, self._payloads[i], self._times[i])
 
 
 class StreamReader:

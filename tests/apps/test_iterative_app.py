@@ -174,6 +174,37 @@ class TestSignals:
         assert proc.value == 0
         assert ctx.notes["last_step"] == 0
 
+    @pytest.mark.parametrize("signal, code", [(Signal.term(), 0), (Signal.kill(137), 137)])
+    def test_signal_while_blocked_on_backpressure_publishes_nothing(self, signal, code):
+        """A producer parked behind a slow tight consumer has computed its
+        step but not published it: a signal there leaves it unpublished."""
+        eng = SimEngine()
+        hub = DataHub()
+        coupling = CouplingRegistry(max_inflight=2)
+        pctx = make_ctx(eng, hub=hub, coupling=coupling, task="P")
+        cctx = make_ctx(eng, hub=hub, coupling=coupling, task="C", tight_parents=["P"])
+        producer = eng.process(IterativeApp(ConstantModel(1.0), total_steps=100).run(pctx))
+        eng.process(IterativeApp(ConstantModel(50.0)).run(cctx))
+        out_ch = hub.channel("data-WF-P")
+        at_signal = {}
+
+        def deliver():
+            # Steps 0 and 1 are out; step 2 finished computing at t=3 and
+            # waits for the consumer, busy with step 0 until about t=51.
+            assert not coupling.can_publish("P", out_ch.next_step)
+            at_signal.update(next_step=out_ch.next_step, produced=coupling._produced["P"])
+            producer.interrupt(signal)
+
+        eng.call_after(10.0, deliver)
+        exit_time = []
+        producer.callbacks.append(lambda _ev: exit_time.append(eng.now))
+        eng.run(until=30.0)
+        assert producer.value == code
+        assert exit_time == [pytest.approx(10.0)]
+        assert at_signal == {"next_step": 2, "produced": 1}
+        assert out_ch.next_step == 2 and coupling._produced["P"] == 1
+        assert pctx.notes["last_step"] == 2  # the computed step 2 is not counted
+
 
 class TestCoupledPipelines:
     def test_consumer_paced_by_producer(self):

@@ -7,16 +7,19 @@ evaluates only policies with something to assess, a DISKSCAN poll looks
 at the files created since the last one, a publishing step reads its own
 producer's consumers, an idle Arbitration tick re-examines its waiting
 queue only when the answer could differ, a task start builds no random
-stream its task never draws from, and a single-rank step builds one sample.
-Each count is what a scan over all N entries — or a retry on every tick, or
-a per-task object nothing uses — would get wrong.
+stream its task never draws from, a single-rank step builds one sample, and
+an unsignalled, unblocked step runs no sub-generator and builds no
+``StreamStep`` that no reader reads.  Each count is what a scan over all N
+entries — or a retry on every tick, or a per-task object nothing uses —
+would get wrong.
 """
 
 import numpy as np
 import pytest
 
-from repro.apps import CouplingRegistry, IterativeApp
+from repro.apps import ConstantModel, CouplingRegistry, IterativeApp
 from repro.apps import base as app_base
+from repro.campaign import CampaignService, TenantCell, TenantSpec, TenantsSpec
 from repro.cluster.machine import MachinePerf
 from repro.core import (
     ActionType,
@@ -45,8 +48,9 @@ from repro.experiments import (
 )
 from repro.experiments.synthetic import SyntheticConfig, run_synthetic_experiment
 from repro.profiler import instrument
-from repro.staging import DataHub, Sample, SimFilesystem
-from repro.staging.stream import StreamReader
+from repro.staging import DataHub, Sample, SimFilesystem, stream
+from repro.staging.stream import StreamChannel, StreamReader, StreamStep
+from repro.wms import TaskSpec, WorkflowSpec
 
 N = 500
 PACE = SensorSpec("PACE", "TAUADIOS2")
@@ -337,10 +341,29 @@ class TestCouplingPublish:
         assert self._reads(table) == 3
 
 
+def cell_workflow(steps: int) -> WorkflowSpec:
+    """A campaign cell: eight independent one-rank tasks."""
+    return WorkflowSpec(f"cell-{steps}", [
+        TaskSpec(f"T{k}", lambda: IterativeApp(ConstantModel(1.0), total_steps=steps), nprocs=1)
+        for k in range(8)])
+
+
+CELL_STEPS = 20
+
+
+def run_campaign_cell() -> None:
+    svc = CampaignService(TenantsSpec(nodes=1, cores_per_node=8, tenants=(TenantSpec("a"),)))
+    svc.submit(TenantCell("a", cell_workflow, params={"steps": CELL_STEPS}, nprocs=8))
+    [record] = svc.run_pending()
+    assert record["status"] == "completed"
+
+
 class TestTaskStartAndStep:
     """The synthetic tasks draw nothing (no step noise, no rank jitter, one
     rank): a start owes them no RNG stream, and a step owes them one
-    ``Sample`` and no sort."""
+    ``Sample`` and no sort.  An unsignalled step that is not held back
+    runs no sub-generator, and a published step becomes a ``StreamStep``
+    only when a reader reads it."""
 
     def test_no_stream_per_start_and_one_sample_per_step(self, monkeypatch):
         default_rng, streams = np.random.default_rng, []
@@ -375,6 +398,51 @@ class TestTaskStartAndStep:
         assert streams == []
         assert not any(name.startswith("task:")
                        for name in result.launcher.rng.state_dict()["streams"])
+
+    @pytest.mark.parametrize("run, steps", [
+        (lambda: run_synthetic_experiment(N), N * SyntheticConfig().total_steps),
+        (run_campaign_cell, 8 * CELL_STEPS),
+    ], ids=["synthetic", "campaign_cell"])
+    def test_a_step_builds_no_sub_generator_and_no_unread_stream_step(
+        self, monkeypatch, run, steps
+    ):
+        built: list[bool] = []  # one entry per StreamStep: built inside put?
+        in_put: list = []
+
+        def spy_stream_step(*args, **kwargs):
+            built.append(bool(in_put))
+            return StreamStep(*args, **kwargs)
+
+        put, try_next = StreamChannel.put, StreamReader.try_next
+
+        def spy_put(channel, data, time):
+            assert not channel.observers  # no telemetry in either run
+            in_put.append(channel)
+            try:
+                return put(channel, data, time)
+            finally:
+                in_put.pop()
+
+        returned: list = []
+
+        def spy_try_next(reader):
+            record = try_next(reader)
+            if record is not None:
+                returned.append(record)
+            return record
+
+        monkeypatch.setattr(stream, "StreamStep", spy_stream_step)
+        monkeypatch.setattr(StreamChannel, "put", spy_put)
+        monkeypatch.setattr(StreamReader, "try_next", spy_try_next)
+        interrupted = count_calls(monkeypatch, IterativeApp, "_finish_interrupted_step")
+        emitted = count_calls(monkeypatch, IterativeApp, "_emit_pace")
+
+        run()
+
+        assert len(emitted) == steps
+        assert interrupted == []
+        assert built.count(True) == 0  # put builds nothing nobody reads
+        assert len(built) == len(returned)  # one per record a reader got
 
 
 def policy(policy_id: str, window: int) -> PolicySpec:

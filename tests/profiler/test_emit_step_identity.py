@@ -70,7 +70,7 @@ def test_emit_step_equals_the_reference(calls, counters):
         assert got == want and repr(got) == repr(want)  # repr: -0.0, int vs float
         assert all(type(s) is Sample for s in got)
     assert new.steps_published == ref.steps_published
-    assert new.channel._steps == ref.channel._steps
+    assert new.channel.open_reader().drain() == ref.channel.open_reader().drain()
     assert new.channel._retained_range() == ref.channel._retained_range()
     assert new.channel.dropped_steps == ref.channel.dropped_steps
 
@@ -97,4 +97,4 @@ def test_emit_ranked_equals_the_reference_on_the_same_values_keyed_by_rank(calls
         assert got == want and repr(got) == repr(want)
         assert all(type(s) is Sample for s in got)
     assert new.steps_published == ref.steps_published
-    assert new.channel._steps == ref.channel._steps
+    assert new.channel.open_reader().drain() == ref.channel.open_reader().drain()

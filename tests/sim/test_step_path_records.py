@@ -1,7 +1,8 @@
 """Structure guard for the records built on every simulated application step.
 
-One step constructs a timeout event, a ``Sample`` per rank and two
-``StreamStep`` records, so a per-instance ``__dict__`` on any of them is
+One step constructs a timeout event and a ``Sample`` per rank, and every
+published step a reader reads (or an observer is told of) becomes a
+``StreamStep`` record, so a per-instance ``__dict__`` on any of them is
 paid 100 000+ times per scenario.  These checks fail when one comes back,
 and pin the construction surface the rest of the repo relies on.
 """
