@@ -80,3 +80,63 @@ class SuggestedAction:
     def __post_init__(self) -> None:
         # params is part of a frozen dataclass; freeze content by copy.
         object.__setattr__(self, "params", dict(self.params))
+
+
+class Reason(str, enum.Enum):
+    """Why a suggestion did or did not act (each one Decision emits ends in
+    one of the first eleven; a SWITCH in its start half's), why a waiting
+    retry was skipped, and why an op no policy asked for was planned.
+    Renders and hashes as its value: a journaled string is the same key."""
+
+    GRANTED = "granted"
+    SUPERSEDED = "superseded"  # lost a priority conflict, or repeats one
+    NO_OP = "no-op"
+    CONFLICTS_WITH_PLAN = "conflicts-with-plan"
+    DEPENDENCY_RESTART = "dependency-restart"
+    PARKED = "parked"  # queued: no resources, quota included
+    DISCARDED_GROWTH = "discarded-growth"
+    GATED_WARMUP = "gated-warmup"
+    GATED_SETTLE = "gated-settle"
+    GATED_IN_FLIGHT = "gated-in-flight"
+    GATED_DEGRADED = "gated-degraded"
+    WAITING_UNCHANGED = "waiting-unchanged"
+    VICTIM = "victim"
+    DEPENDENCY = "dependency"
+    WAITING_QUEUE = "waiting-queue"
+
+    __hash__ = str.__hash__
+    __str__ = str.__str__  # the value, as a plain str; format() uses it too
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """How one suggestion ended."""
+
+    policy_id: str
+    action: ActionType
+    target: str
+    reason: Reason
+
+
+#: Why ``plan.discarded`` says a refused suggestion did not act.
+_REFUSALS = {
+    Reason.CONFLICTS_WITH_PLAN: "conflicts with plan",
+    Reason.DEPENDENCY_RESTART: "dependency restart",
+    Reason.PARKED: "queued, no resources",
+    Reason.DISCARDED_GROWTH: "no resources, no victim",
+}
+
+
+def render_outcome(policy_id: str, action: str, target: str, reason=Reason.GRANTED) -> str:
+    """A ``plan.accepted`` (granted) or ``plan.discarded`` line."""
+    line = f"{policy_id}:{action}:{target}"
+    return line if reason is Reason.GRANTED else f"{line} ({_REFUSALS[reason]})"
+
+
+def tally(counts: dict[str, int], reason: Reason, tracer) -> None:
+    """Count *reason* in a stage's dict (keyed by value) and in the
+    ``outcome.<reason>`` counter."""
+    key = str(reason)
+    counts[key] = counts.get(key, 0) + 1
+    if tracer.enabled:
+        tracer.metrics.counter("outcome." + key).inc()

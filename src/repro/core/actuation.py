@@ -34,7 +34,6 @@ class ActuationStage:
     def __init__(self, launcher: Savanna) -> None:
         self.launcher = launcher
         self.executed_plans: list[ActionPlan] = []
-        self.failed_ops: list[tuple[str, str]] = []  # (plan_id, op description)
         self.tracer: Tracer = NULL_TRACER
         self.journal = None  # Journal | None, attached by the orchestrator
         self.abort_requested = False
@@ -149,7 +148,6 @@ class ActuationStage:
                 yield from self._run_op(op)
             except (ActuationError, AllocationError, LaunchError) as err:
                 failed = True
-                self.failed_ops.append((plan.plan_id, f"{op.describe()}: {err}"))
                 plan_failures.append((op, str(err)))
                 launcher.trace.point(
                     launcher.engine.now,

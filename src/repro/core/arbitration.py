@@ -18,6 +18,7 @@ plan of low-level operations:
 The stage also implements the two time gates from §4.4: a *warmup*
 window at experiment start and a *settle* window after every executed
 plan, during which suggestions are discarded.
+Every suggestion of a batch ends in exactly one :class:`Outcome`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from typing import Any
 
 from repro.cluster.allocation import ResourceSet
 from repro.cluster.resource_manager import place_cores
-from repro.core.actions import ActionType, SuggestedAction, actions_conflict
+from repro.core.actions import (
+    ActionType, Outcome, Reason, SuggestedAction, actions_conflict, render_outcome, tally,
+)
 from repro.core.lowlevel import PHASE_ACQUIRE, PHASE_RELEASE, ActionPlan, LowLevelOp
 from repro.core.rules import ArbitrationRules
 from repro.errors import AllocationError
@@ -199,9 +202,10 @@ class ArbitrationStage:
         # Derived state, so not journaled: after a resume the first idle
         # tick builds one shadow and finds the same answer.
         self._idle_key: tuple | None = None
-        #: Waiting-only ticks skipped because ``_idle_key`` still held.
-        self.waiting_unchanged = 0
-        self.discarded_batches = 0
+        #: The last batch's outcomes, one per suggestion.
+        self.outcomes: list[Outcome] = []
+        #: Per-reason totals of every batch, waiting-unchanged ticks included.
+        self.outcome_counts: dict[str, int] = {}
         self._ids = IdGenerator()
         self._gate_until: float | None = None
         self._in_flight: ActionPlan | None = None
@@ -218,19 +222,20 @@ class ArbitrationStage:
         self._in_flight = None
         self._gate_until = now + self.settle
 
-    @property
-    def in_flight(self) -> ActionPlan | None:
-        return self._in_flight
-
     def memo_stats(self) -> dict[str, int]:
         """Placement-memo effectiveness (``perfbench`` reads it per tick)."""
         return {"hits": self._feasibility.hits, "misses": self._feasibility.misses}
 
-    def gated(self, now: float) -> bool:
-        """True while suggestions must be discarded (warmup/settle/in-flight)."""
+    def gated(self, now: float) -> Reason | None:
+        """The gate discarding suggestions at *now*, if one is shut.  Which
+        one is derived, so it costs no journaled state."""
         if self._in_flight is not None:
-            return True
-        return self._gate_until is not None and now < self._gate_until
+            return Reason.GATED_IN_FLIGHT
+        if self._gate_until is None or now >= self._gate_until:
+            return None
+        if any(p.execution_end is not None for p in reversed(self.plans)):
+            return Reason.GATED_SETTLE
+        return Reason.GATED_WARMUP
 
     # -- the protocol --------------------------------------------------------------
     def arbitrate(self, suggestions: list[SuggestedAction], now: float) -> ActionPlan | None:
@@ -241,39 +246,31 @@ class ArbitrationStage:
         tracer = self.tracer
         if not tracer.enabled:
             return self._arbitrate(suggestions, now)
-        span = tracer.start_span(
-            "arbitration.arbitrate", "arbitration", suggestions=len(suggestions)
-        )
-        gated_before = self.discarded_batches
-        unchanged_before = self.waiting_unchanged
+        span = tracer.start_span("arbitration.arbitrate", "arbitration", suggestions=len(suggestions))
         plan = self._arbitrate(suggestions, now)
         metrics = tracer.metrics
         if plan is not None:
             metrics.counter("arbitration.plans").inc()
-            metrics.counter("arbitration.grants").inc(len(plan.accepted))
-            metrics.counter("arbitration.denials").inc(len(plan.discarded))
             if plan.victims:
                 metrics.counter("arbitration.victims").inc(len(plan.victims))
-        if self.discarded_batches > gated_before:
-            metrics.counter("arbitration.gated_batches").inc(
-                self.discarded_batches - gated_before
-            )
-        if self.waiting_unchanged > unchanged_before:
-            # Not retried because nothing it depends on changed — as
-            # opposed to retried and still infeasible.
-            metrics.counter("arbitration.waiting_unchanged").inc()
         metrics.gauge("arbitration.waiting").set(len(self.waiting))
-        tracer.end_span(
-            span,
-            plan=plan.plan_id if plan is not None else None,
-            ops=len(plan.ops) if plan is not None else 0,
-        )
+        tracer.end_span(span, plan=plan.plan_id if plan else None, ops=len(plan.ops) if plan else 0)
         return plan
 
+    def _end(self, s: SuggestedAction, reason: Reason, plan: ActionPlan | None = None) -> None:
+        """*s* ends in *reason*: its one outcome, counted, and its line in *plan*."""
+        self.outcomes.append(Outcome(s.policy_id, s.action, s.target, reason))
+        tally(self.outcome_counts, reason, self.tracer)
+        if plan is not None:
+            line = render_outcome(s.policy_id, s.action.value, s.target, reason)
+            (plan.accepted if reason is Reason.GRANTED else plan.discarded).append(line)
+
     def _arbitrate(self, suggestions: list[SuggestedAction], now: float) -> ActionPlan | None:
-        if self.gated(now):
-            if suggestions:
-                self.discarded_batches += 1
+        self.outcomes = []
+        gate = self.gated(now)
+        if gate is not None:
+            for s in suggestions:
+                self._end(s, gate)
             return None
         filtered = self._resolve_conflicts(suggestions)
         filtered = self._drop_noops(filtered)
@@ -285,7 +282,9 @@ class ArbitrationStage:
             return None
         epoch = rm.placement_epoch()
         if not filtered and self._retry_would_repeat(epoch):
-            self.waiting_unchanged += 1
+            # Not retried because nothing it depends on changed — as
+            # opposed to retried and still infeasible.
+            tally(self.outcome_counts, Reason.WAITING_UNCHANGED, self.tracer)
             return None
 
         plan = ActionPlan(
@@ -312,12 +311,13 @@ class ArbitrationStage:
                 self.waiting.pop(s.target, None)
                 self._plan_stop(plan, shadow, s.target, reason=s.policy_id, graceful=True)
                 stop_targets.add(s.target)
-                plan.accepted.append(f"{s.policy_id}:STOP:{s.target}")
+                self._end(s, Reason.GRANTED, plan)
             elif s.action == ActionType.SWITCH and s.assess_task:
                 if self.launcher.record(s.assess_task).is_active:
                     self._plan_stop(plan, shadow, s.assess_task, reason=s.policy_id, graceful=True)
                     stop_targets.add(s.assess_task)
-                    plan.accepted.append(f"{s.policy_id}:SWITCH-STOP:{s.assess_task}")
+                    # The stop half; the start half below is the outcome.
+                    plan.accepted.append(render_outcome(s.policy_id, "SWITCH-STOP", s.assess_task))
 
         # In-place reconfigurations (§6 extension): no resource movement,
         # no dependent restarts — the whole point of the finer-grained op.
@@ -326,7 +326,7 @@ class ArbitrationStage:
             if s.action != ActionType.RECONFIG:
                 continue
             if s.target in stop_targets or s.target in reconfig_targets:
-                plan.discarded.append(f"{s.policy_id}:RECONFIG:{s.target} (conflicts with plan)")
+                self._end(s, Reason.CONFLICTS_WITH_PLAN, plan)
                 continue
             plan.ops.append(
                 LowLevelOp(
@@ -338,7 +338,7 @@ class ArbitrationStage:
                 )
             )
             reconfig_targets.add(s.target)
-            plan.accepted.append(f"{s.policy_id}:RECONFIG:{s.target}")
+            self._end(s, Reason.GRANTED, plan)
 
         # Acquiring / restarting actions plus waiting-queue entries, in one
         # pass ordered by task priority; at equal priority a waiting task
@@ -359,17 +359,17 @@ class ArbitrationStage:
                 continue
             s = item
             if s.target in stop_targets or s.target in start_targets:
-                plan.discarded.append(f"{s.policy_id}:{s.action.value}:{s.target} (conflicts with plan)")
+                self._end(s, Reason.CONFLICTS_WITH_PLAN, plan)
                 continue
             if s.target in dependents and s.action in (ActionType.ADDCPU, ActionType.RMCPU):
                 # The dependency-driven restart supersedes resizing (§4.4:
                 # Rendering is restarted, not grown, when Isosurface grows).
-                plan.discarded.append(f"{s.policy_id}:{s.action.value}:{s.target} (dependency restart)")
+                self._end(s, Reason.DEPENDENCY_RESTART, plan)
                 continue
-            ok = self._plan_acquire(plan, shadow, s, stop_targets, start_targets, now)
-            if ok:
+            reason = self._plan_acquire(plan, shadow, s, stop_targets, start_targets, now)
+            if reason is Reason.GRANTED:
                 start_targets.add(s.target)
-                plan.accepted.append(f"{s.policy_id}:{s.action.value}:{s.target}")
+            self._end(s, reason, plan)
 
         # Dependent restarts for every disturbed parent now in the plan.
         for dep in sorted(dependents, key=lambda d: (self.rules.task_priority(d), d)):
@@ -382,14 +382,14 @@ class ArbitrationStage:
                 continue
             current = shadow.assigned.get(dep, ResourceSet.empty())
             nprocs = current.total_cores
-            self._plan_stop(plan, shadow, dep, reason="dependency", graceful=True)
+            self._plan_stop(plan, shadow, dep, reason=Reason.DEPENDENCY, graceful=True)
             try:
                 rs = shadow.place(nprocs, None)
             except AllocationError:
-                self._enqueue_waiting(dep, nprocs, None, {}, None, now, "dependency")
+                self._enqueue_waiting(dep, nprocs, None, {}, None, now, reason=Reason.DEPENDENCY)
                 continue
             shadow.take(dep, rs)
-            self._plan_start(plan, dep, rs, None, {}, reason="dependency")
+            self._plan_start(plan, dep, rs, None, {}, reason=Reason.DEPENDENCY)
             start_targets.add(dep)
 
         # Line 16 second chance: this plan's stops may have freed cores for
@@ -418,6 +418,7 @@ class ArbitrationStage:
         for s in suggestions:
             key = (s.policy_id, s.action, s.target)
             if key in seen:
+                self._end(s, Reason.SUPERSEDED)
                 continue
             seen.add(key)
             by_target.setdefault(s.target, []).append(s)
@@ -427,7 +428,8 @@ class ArbitrationStage:
             kept: list[SuggestedAction] = []
             for s in group:
                 if any(actions_conflict(s.action, k.action) for k in kept):
-                    continue  # lower-priority conflicting action deferred
+                    self._end(s, Reason.SUPERSEDED)  # lower priority, conflicting
+                    continue
                 kept.append(s)
             out.extend(kept)
         return out
@@ -441,18 +443,17 @@ class ArbitrationStage:
                 if s.target in self.waiting:
                     # Refresh the waiting entry's parameters.
                     self.waiting[s.target].params.update(s.params)
-                continue
-            if s.action == ActionType.STOP and not rec.is_active:
+            elif s.action == ActionType.STOP and not rec.is_active:
                 # Nothing to stop — but a STOP still cancels a queued START
                 # for the same task (conflict resolution reaches T_waiting).
                 self.waiting.pop(s.target, None)
-                continue
-            if (
-                s.action in (ActionType.ADDCPU, ActionType.RMCPU, ActionType.RECONFIG)
-                and not rec.is_running
+            elif (
+                s.action not in (ActionType.ADDCPU, ActionType.RMCPU, ActionType.RECONFIG)
+                or rec.is_running
             ):
+                out.append(s)
                 continue
-            out.append(s)
+            self._end(s, Reason.NO_OP)
         return out
 
     # -- dependency analysis ------------------------------------------------------------
@@ -514,8 +515,8 @@ class ArbitrationStage:
         stop_targets: set[str],
         start_targets: set[str],
         now: float,
-    ) -> bool:
-        """Plan one acquiring/restarting action; may pick victims (lines 6–15)."""
+    ) -> Reason:
+        """Plan one acquiring action, maybe with victims (lines 6–15); returns how *s* ends."""
         spec = self.launcher.record(s.target).spec
         running = self.launcher.record(s.target).is_running
         current = shadow.assigned.get(s.target, ResourceSet.empty())
@@ -562,23 +563,18 @@ class ArbitrationStage:
                         shadow.take(s.target, released)
                     if s.action in (ActionType.START, ActionType.RESTART, ActionType.SWITCH) and not running:
                         self._enqueue_waiting(
-                            s.target, nprocs, per_node, s.params, user_script, now, s.policy_id
+                            s.target, nprocs, per_node, s.params, user_script, now,
+                            reason=s.policy_id,
                         )
-                        plan.discarded.append(
-                            f"{s.policy_id}:{s.action.value}:{s.target} (queued, no resources)"
-                        )
-                    else:
-                        plan.discarded.append(
-                            f"{s.policy_id}:{s.action.value}:{s.target} (no resources, no victim)"
-                        )
-                    return False
+                        return Reason.PARKED
+                    return Reason.DISCARDED_GROWTH
                 self._victimize(plan, shadow, victim, stop_targets, now)
 
         if running:
             self._plan_stop(plan, shadow, s.target, reason=s.policy_id, graceful=True)
         shadow.take(s.target, rs)
         self._plan_start(plan, s.target, rs, user_script, s.params, reason=s.policy_id)
-        return True
+        return Reason.GRANTED
 
     def _pick_victim(
         self,
@@ -615,12 +611,13 @@ class ArbitrationStage:
         ]
         for name in group:
             held = shadow.assigned.get(name, ResourceSet.empty()).total_cores
-            self._plan_stop(plan, shadow, name, reason="victim", graceful=True)
+            self._plan_stop(plan, shadow, name, reason=Reason.VICTIM, graceful=True)
             stop_targets.add(name)
             plan.victims.append(name)
             spec = self.launcher.record(name).spec
             self._enqueue_waiting(
-                name, held or spec.nprocs, spec.procs_per_node, {}, None, now, "victim"
+                name, held or spec.nprocs, spec.procs_per_node, {}, None, now,
+                reason=Reason.VICTIM,
             )
 
     # -- waiting queue ---------------------------------------------------------------------
@@ -689,7 +686,9 @@ class ArbitrationStage:
             or entry.params.get("restart-script")
             or entry.params.get("start-script")
         )
-        self._plan_start(plan, entry.task, rs, user_script, entry.params, reason="waiting-queue")
+        self._plan_start(
+            plan, entry.task, rs, user_script, entry.params, reason=Reason.WAITING_QUEUE
+        )
         start_targets.add(entry.task)
         self.waiting.pop(entry.task, None)
         return True
@@ -727,11 +726,11 @@ class ArbitrationStage:
                     "params": dict(e.params),
                     "user_script": e.user_script,
                     "enqueued": e.enqueued,
-                    "reason": e.reason,
+                    "reason": str(e.reason),
                 }
                 for task, e in self.waiting.items()
             },
-            "discarded_batches": self.discarded_batches,
+            "outcome_counts": dict(self.outcome_counts),
             "gate_until": self._gate_until,
             "in_flight": self._in_flight.plan_id if self._in_flight else None,
             "ids": self._ids.state_dict(),
@@ -751,7 +750,7 @@ class ArbitrationStage:
             for task, e in state.get("waiting", {}).items()
         }
         self._idle_key = None
-        self.discarded_batches = int(state.get("discarded_batches", 0))
+        self.outcome_counts = dict(state.get("outcome_counts", {}))
         gate = state.get("gate_until")
         self._gate_until = float(gate) if gate is not None else None
         self._ids.load_state_dict(state.get("ids", {}))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.actions import ActionType, SuggestedAction
+from repro.core.actions import ActionType, Outcome, Reason, SuggestedAction, tally
 from repro.core.events import MetricUpdate
 from repro.core.policy import PolicyApplication, PolicyRuntime, PolicySpec
 from repro.errors import PolicyError
@@ -42,7 +42,10 @@ class DecisionStage:
         # Staleness-aware degraded mode (set by the fabric's
         # DegradedModeController through the driver).
         self.degraded = False
-        self.suggestions_gated = 0
+        #: Suggestions the last :meth:`gate` held back, one outcome each.
+        self.outcomes: list[Outcome] = []
+        #: Per-reason totals of every :meth:`gate` call.
+        self.outcome_counts: dict[str, int] = {}
         self.tracer: Tracer = NULL_TRACER
 
     # -- configuration ------------------------------------------------------------
@@ -154,14 +157,16 @@ class DecisionStage:
         policy-runtime state, so replayed ticks stay bit-identical
         regardless of the historical degraded flag.
         """
+        self.outcomes = []
         if not self.degraded or not suggestions:
             return suggestions
-        kept = [s for s in suggestions if s.action in ESSENTIAL_ACTIONS]
-        gated = len(suggestions) - len(kept)
-        if gated:
-            self.suggestions_gated += gated
-            if self.tracer.enabled:
-                self.tracer.metrics.counter("decision.suggestions_gated").inc(gated)
+        kept = []
+        for s in suggestions:
+            if s.action in ESSENTIAL_ACTIONS:
+                kept.append(s)
+                continue
+            self.outcomes.append(Outcome(s.policy_id, s.action, s.target, Reason.GATED_DEGRADED))
+            tally(self.outcome_counts, Reason.GATED_DEGRADED, self.tracer)
         return kept
 
     def on_task_restart(self, task: str) -> None:
@@ -186,7 +191,7 @@ class DecisionStage:
             "updates_seen": self.updates_seen,
             "updates_matched": self.updates_matched,
             "degraded": self.degraded,
-            "suggestions_gated": self.suggestions_gated,
+            "outcome_counts": dict(self.outcome_counts),
             "runtimes": [rt.state_dict() for rt in self._runtimes],
         }
 
@@ -202,6 +207,6 @@ class DecisionStage:
         self.updates_seen = int(state["updates_seen"])
         self.updates_matched = int(state["updates_matched"])
         self.degraded = bool(state.get("degraded", False))
-        self.suggestions_gated = int(state.get("suggestions_gated", 0))
+        self.outcome_counts = dict(state.get("outcome_counts", {}))
         for rt, rt_state in zip(self._runtimes, runtimes):
             rt.load_state_dict(rt_state)

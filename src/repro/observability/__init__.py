@@ -35,7 +35,6 @@ from repro.observability.report import (
     write_report,
 )
 from repro.observability.slo import EwmaDetector, HealthAlert, SloEvaluator
-from repro.observability.snapshot import MetricsSnapshotter
 from repro.observability.spec import AnomalySpec, FleetSpec, ObservabilitySpec, SloSpec
 from repro.observability.store import RunRecord, RunStore, flatten_metrics, load_record
 from repro.observability.watch import EVENT_KINDS, WatchStream, read_watch_stream
@@ -91,8 +90,7 @@ __all__ = [
     "HealthEngine",
     "HealthSensorSource",
     "HEALTH_TASK",
-    # snapshots & reports
-    "MetricsSnapshotter",
+    # reports
     "build_report",
     "report_from_jsonl",
     "render_markdown",

@@ -14,7 +14,7 @@ framework itself).
 
 Determinism: evaluation happens on the runtime clock at a fixed cadence
 over sim-time metrics, and the engine's full state (evaluator streaks,
-EWMA windows, feed cursor base, snapshot schedule, alert history) is
+EWMA windows, feed cursor base, alert history) is
 journaled at every barrier — a crash-resumed run emits exactly the
 alerts the uninterrupted run would, with no double-firing on WAL replay.
 """
@@ -26,7 +26,6 @@ from typing import Any, Callable, Mapping
 from repro.core.sensors.sources import DataSource
 from repro.errors import ObservabilityError
 from repro.observability.slo import EwmaDetector, HealthAlert, SloEvaluator
-from repro.observability.snapshot import MetricsSnapshotter
 from repro.observability.spec import ObservabilitySpec
 from repro.staging.serialization import Sample
 from repro.telemetry.metrics import instrument_stat
@@ -90,7 +89,6 @@ class HealthEngine:
         self.slo_evaluators = [SloEvaluator(s) for s in spec.slos]
         self.anomaly_detectors = [EwmaDetector(a) for a in spec.anomalies]
         self.alerts: list[HealthAlert] = []
-        self.snapshotter = MetricsSnapshotter(self.tracer, spec.snapshot_every)
         self.evaluations = 0
         self._next_eval = 0.0
         self._sources: list[HealthSensorSource] = []
@@ -135,7 +133,6 @@ class HealthEngine:
     def tick(self, now: float) -> list[HealthAlert]:
         """Run due work for this orchestrator tick; returns new alerts."""
         self._trim_feed()
-        self.snapshotter.maybe_snapshot(now)
         if now + _EPS < self._next_eval:
             return []
         while self._next_eval <= now + _EPS:
@@ -196,7 +193,6 @@ class HealthEngine:
             "slos": [ev.state_dict() for ev in self.slo_evaluators],
             "anomalies": [det.state_dict() for det in self.anomaly_detectors],
             "alerts": [a.to_dict() for a in self.alerts],
-            "snapshot": self.snapshotter.state_dict(),
             "feed_base": self._base,
             "feed": [
                 {"time": s.time, "var": s.var, "value": s.value, "step": s.step}
@@ -220,7 +216,6 @@ class HealthEngine:
         for det, s in zip(self.anomaly_detectors, anomalies):
             det.load_state_dict(s)
         self.alerts = [HealthAlert.from_dict(d) for d in state.get("alerts", [])]
-        self.snapshotter.load_state_dict(state.get("snapshot", {}))
         self._base = int(state.get("feed_base", 0))
         self._feed = [
             Sample(

@@ -140,8 +140,6 @@ class ObservabilitySpec:
         eval_every: health-evaluation cadence in runtime seconds
             (simulated seconds under the sim driver, wall seconds under
             the threaded driver).
-        snapshot_every: metrics-snapshot cadence in runtime seconds
-            (0 disables the :class:`MetricsSnapshotter`).
         openmetrics_path: if set, the runtime renders the final
             :class:`MetricsRegistry` there in OpenMetrics text format.
         report_path: if set, a markdown run report is written there when
@@ -155,7 +153,6 @@ class ObservabilitySpec:
     """
 
     eval_every: float = attr(5.0, gt=0)
-    snapshot_every: float = attr(0.0, ge=0)
     openmetrics_path: str | None = attr(None, holder="openmetrics", name="path")
     report_path: str | None = attr(None, holder="report", name="path")
     report_json_path: str | None = attr(None, holder="report", name="json-path")

@@ -95,7 +95,7 @@ class RuntimeCore:
         self.observability = opts.observability
         if self.observability is not None and not tracer.enabled:
             # Every observability output reads the tracer's records.
-            for name in ("report_path", "report_json_path", "openmetrics_path", "snapshot_every"):
+            for name in ("report_path", "report_json_path", "openmetrics_path"):
                 if getattr(self.observability, name):
                     raise DyflowError(
                         f"observability {name} needs a <telemetry> section "

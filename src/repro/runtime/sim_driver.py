@@ -114,14 +114,9 @@ class DyflowOrchestrator(RuntimeCore):
         self._inflight_deliveries: dict[
             int, tuple[float, Envelope, object, str, str | None]
         ] = {}
-        #: Aggregate same-deliver-time envelopes registered within one
-        #: tick into a single engine event (members run consecutively in
-        #: registration order — exactly the order separate events with
-        #: consecutive seqs would have popped).  False only in the
-        #: batched-vs-per-sample equivalence suite, as its reference.
-        self.batch_deliveries = True
-        # deliver-at -> (shared event, [dids]); non-None only while the
-        # tick's collect phase is registering deliveries.
+        # deliver-at -> (shared event, [dids]) while a tick's collect phase
+        # registers envelopes: same-time deliveries share one engine event,
+        # run in the order separate events with consecutive seqs would pop.
         self._batch_slots: dict[float, tuple[object, list[int]]] | None = None
 
     def now(self) -> float:
@@ -212,7 +207,7 @@ class DyflowOrchestrator(RuntimeCore):
         # client->server transport); with a fabric configured each
         # envelope additionally crosses its client's FabricLink (drop /
         # dup / reorder / partition faults, ack-based retransmits).
-        self._batch_slots = {} if self.batch_deliveries else None
+        self._batch_slots = {}
         try:
             for client in self.clients:
                 link = self.links.get(client.client_id)

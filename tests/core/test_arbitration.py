@@ -1,10 +1,12 @@
 """Tests for the Arbitration stage (Algorithm 1)."""
 
+import json
+from collections import Counter
 
 from repro.apps import ConstantModel, IterativeApp
 from repro.cluster import Allocation, summit
 from repro.core import ActionType, ArbitrationRules, ArbitrationStage, SuggestedAction
-from repro.core.actions import actions_conflict
+from repro.core.actions import Outcome, Reason, actions_conflict
 from repro.sim import SimEngine
 from repro.wms import CouplingType, DependencySpec, Savanna, TaskSpec, WorkflowSpec
 
@@ -66,7 +68,8 @@ class TestGating:
     def test_warmup_discards(self):
         eng, sav, arb = make_world(warmup=120.0)
         assert arb.arbitrate([suggestion()], now=eng.now) is None
-        assert arb.discarded_batches == 1
+        assert arb.outcomes == [Outcome("P", ActionType.ADDCPU, "B", Reason.GATED_WARMUP)]
+        assert arb.outcome_counts == {Reason.GATED_WARMUP: 1}
 
     def test_settle_after_execution(self):
         eng, sav, arb = make_world(settle=60.0)
@@ -392,3 +395,119 @@ class TestTenancyQuota:
         assert [o.op for o in ops] == ["stop_task", "start_task"]
         assert [o.task for o in ops] == ["A", "B"]
         assert "B" not in arb.waiting
+
+
+def reasons(arb):
+    return [(o.policy_id, o.action, o.target, o.reason) for o in arb.outcomes]
+
+
+class TestOutcomes:
+    """Every suggestion ends in exactly one outcome, and the plan's
+    accepted/discarded lines are rendered from it."""
+
+    def test_reason_renders_as_its_value(self):
+        r = Reason.GATED_IN_FLIGHT
+        assert (str(r), f"{r}", f"{r:>16}", json.dumps({r: r})) == (
+            "gated-in-flight", "gated-in-flight", " gated-in-flight",
+            '{"gated-in-flight": "gated-in-flight"}',
+        )
+        assert {r: 1}["gated-in-flight"] == 1  # a journaled str is the same key
+        assert [c.value for c in (Reason.VICTIM, Reason.DEPENDENCY, Reason.WAITING_QUEUE)] == [
+            "victim", "dependency", "waiting-queue",
+        ]
+
+    def test_each_gate_names_itself(self):
+        eng, sav, arb = make_world(warmup=10.0, settle=60.0)
+        arb.arbitrate([suggestion(), suggestion(target="C")], now=5.0)
+        assert [o.reason for o in arb.outcomes] == [Reason.GATED_WARMUP] * 2
+        plan = arb.arbitrate([suggestion(params={"adjust-by": 2})], now=11.0)
+        arb.arbitrate([suggestion(target="C")], now=12.0)
+        assert [o.reason for o in arb.outcomes] == [Reason.GATED_IN_FLIGHT]
+        arb.on_plan_executed(plan, now=13.0)
+        arb.arbitrate([suggestion(target="C")], now=14.0)
+        assert [o.reason for o in arb.outcomes] == [Reason.GATED_SETTLE]
+        arb.arbitrate([], now=15.0)
+        assert arb.outcomes == []
+        assert arb.outcome_counts == {
+            Reason.GATED_WARMUP: 2, Reason.GRANTED: 1,
+            Reason.GATED_IN_FLIGHT: 1, Reason.GATED_SETTLE: 1,
+        }
+
+    def test_superseded_and_no_op(self):
+        eng, sav, arb = make_world(
+            tasks=(("A", 10, True), ("B", 10, True), ("C", 10, False)),
+            policy_priorities={"HIGH": 0, "LOW": 1},
+        )
+        plan = arb.arbitrate([
+            suggestion(policy="LOW", action=ActionType.ADDCPU, target="B"),
+            suggestion(policy="HIGH", action=ActionType.STOP, target="B"),
+            suggestion(policy="HIGH", action=ActionType.STOP, target="B"),
+            suggestion(policy="HIGH", action=ActionType.START, target="A"),
+            suggestion(policy="HIGH", action=ActionType.STOP, target="C"),
+        ], now=5.0)
+        assert Counter(reasons(arb)) == Counter([
+            ("HIGH", ActionType.STOP, "B", Reason.SUPERSEDED),  # the repeat
+            ("LOW", ActionType.ADDCPU, "B", Reason.SUPERSEDED),
+            ("HIGH", ActionType.START, "A", Reason.NO_OP),
+            ("HIGH", ActionType.STOP, "C", Reason.NO_OP),
+            ("HIGH", ActionType.STOP, "B", Reason.GRANTED),
+        ])
+        assert plan.accepted == ["HIGH:STOP:B"] and plan.discarded == []
+
+    def test_refusals_render_as_before(self):
+        eng, sav, arb = make_world(
+            tasks=(("A", 21, True), ("B", 21, True), ("C", 10, False)),
+            priorities={"A": 0, "B": 0, "C": 0},
+        )
+        plan = arb.arbitrate([
+            suggestion(action=ActionType.STOP, target="A"),
+            suggestion(action=ActionType.RECONFIG, target="B"),
+            suggestion(policy="Q", action=ActionType.RECONFIG, target="B"),
+            suggestion(target="B", params={"adjust-by": 30}),
+            suggestion(action=ActionType.START, target="C", params={"nprocs": 40}),
+        ], now=5.0)
+        assert plan.accepted == ["P:STOP:A", "P:RECONFIG:B"]
+        assert plan.discarded == [
+            "Q:RECONFIG:B (conflicts with plan)",
+            "P:ADDCPU:B (no resources, no victim)",
+            "P:START:C (queued, no resources)",
+        ]
+        assert [o.reason for o in arb.outcomes] == [
+            Reason.GRANTED, Reason.GRANTED, Reason.CONFLICTS_WITH_PLAN,
+            Reason.DISCARDED_GROWTH, Reason.PARKED,
+        ]
+
+    def test_switch_ends_in_its_start_half(self):
+        eng, sav, arb = make_world(tasks=(("A", 10, True), ("B", 10, False)))
+        plan = arb.arbitrate(
+            [suggestion(action=ActionType.SWITCH, target="B", assess="A")], now=5.0
+        )
+        assert plan.accepted == ["P:SWITCH-STOP:A", "P:SWITCH:B"]
+        assert reasons(arb) == [("P", ActionType.SWITCH, "B", Reason.GRANTED)]
+
+    def test_a_parked_suggestion_with_no_plan_keeps_its_outcome(self):
+        eng, sav, arb = make_world(tasks=(("A", 10, True), ("B", 10, False)), core_quota=15)
+        assert arb.arbitrate([suggestion(action=ActionType.START, target="B")], now=5.0) is None
+        assert reasons(arb) == [("P", ActionType.START, "B", Reason.PARKED)]
+        assert "B" in arb.waiting
+
+    def test_dependency_restart_is_an_outcome(self):
+        eng, sav, arb = TestDependentActions().make_chain()
+        arb.arbitrate([
+            suggestion(target="Iso", params={"adjust-by": 4}),
+            suggestion(target="Render", params={"adjust-by": 4}, policy="P2"),
+        ], now=5.0)
+        assert ("P2", ActionType.ADDCPU, "Render", Reason.DEPENDENCY_RESTART) in reasons(arb)
+        assert len(arb.outcomes) == 2
+
+    def test_counts_round_trip_and_an_older_state_loads(self):
+        eng, sav, arb = make_world(warmup=120.0)
+        arb.arbitrate([suggestion()], now=eng.now)
+        state = arb.state_dict()
+        assert state["outcome_counts"] == {"gated-warmup": 1}
+        _, _, fresh = make_world()
+        fresh.load_state_dict(json.loads(json.dumps(state)))
+        assert fresh.outcome_counts == {Reason.GATED_WARMUP: 1}
+        del state["outcome_counts"]
+        fresh.load_state_dict(state)
+        assert fresh.outcome_counts == {}

@@ -10,7 +10,8 @@ recovery, quarantine trips, clock advances past the cooldown, idle
 ticks — and clears the second stack's memos before every call.  After
 every step the two must agree on the plan, the waiting queue, the
 quarantine history and the assignment, and both must hold the resource
-manager's invariants.
+manager's invariants.  Every suggestion of every call must end in
+exactly one outcome, and a granted one must be in the plan it built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.cluster import Allocation, ResourceManager, summit
 from repro.core import ActionType, ArbitrationRules, ArbitrationStage, SuggestedAction
 from repro.core import arbitration
+from repro.core.actions import Reason, render_outcome
 from repro.errors import AllocationError
 from repro.resilience import NodeQuarantine, QuarantineSpec
 from repro.telemetry.tracer import Tracer
@@ -119,6 +121,7 @@ class WakeOnChange(RuleBasedStateMachine):
         self.memo = Stack(self.clock)
         self.fresh = Stack(self.clock)
         self.stacks = (self.memo, self.fresh)
+        self.last: tuple[list[SuggestedAction], list] = ([], [None, None])
 
     def arbitrate(self, suggestions: list[SuggestedAction]) -> None:
         now = self.clock[0]
@@ -127,6 +130,7 @@ class WakeOnChange(RuleBasedStateMachine):
         self.fresh.arb._idle_key = None
         self.fresh.arb._feasibility = arbitration._FeasibilityCache()
         plans = [stack.arb.arbitrate(suggestions, now) for stack in self.stacks]
+        self.last = (suggestions, plans)
         got, want = (p.to_dict() if p is not None else None for p in plans)
         assert got == want
         for stack, plan in zip(self.stacks, plans):
@@ -208,6 +212,18 @@ class WakeOnChange(RuleBasedStateMachine):
 
     # -- after every step ----------------------------------------------------------
     @invariant()
+    def every_suggestion_ends_in_one_outcome(self):
+        suggestions, plans = self.last
+        for stack, plan in zip(self.stacks, plans):
+            assert len(stack.arb.outcomes) == len(suggestions)
+            granted = [
+                render_outcome(o.policy_id, o.action.value, o.target, o.reason)
+                for o in stack.arb.outcomes if o.reason is Reason.GRANTED
+            ]
+            if granted:
+                assert plan is not None and set(granted) <= set(plan.accepted)
+
+    @invariant()
     def stacks_agree(self):
         assert self.memo.observable() == self.fresh.observable()
         for stack in self.stacks:
@@ -253,7 +269,9 @@ class TestWakeOnChangeExamples:
         built = self.shadows(monkeypatch)
         for t in (1.0, 2.0, 3.0):
             assert stack.arb.arbitrate([], t) is None
-        assert built == [] and stack.arb.waiting_unchanged == 3
+        assert built == [] and stack.arb.outcome_counts == {
+            Reason.PARKED: 1, Reason.WAITING_UNCHANGED: 3,
+        }
 
     def test_a_traced_run_counts_the_skipped_retries(self):
         stack = self.park()
@@ -261,7 +279,7 @@ class TestWakeOnChangeExamples:
         stack.arb.arbitrate([], 1.0)
         stack.finish("T0")  # five cores back: the retry places T3
         stack.arb.arbitrate([], 2.0)
-        assert tracer.metrics.counter("arbitration.waiting_unchanged").value == 1
+        assert tracer.metrics.counter("outcome.waiting-unchanged").value == 1
         assert tracer.metrics.counter("arbitration.plans").value == 1
 
     def test_a_release_wakes_the_queue(self, monkeypatch):
@@ -306,4 +324,5 @@ class TestWakeOnChangeExamples:
         stack = self.park()
         stack.records["T3"].state = RUNNING  # no core moved: the epoch holds
         assert stack.arb.arbitrate([], 1.0) is None
-        assert stack.arb.waiting == {} and stack.arb.waiting_unchanged == 0
+        assert stack.arb.waiting == {}
+        assert Reason.WAITING_UNCHANGED not in stack.arb.outcome_counts

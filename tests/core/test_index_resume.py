@@ -99,6 +99,8 @@ def recorded_decision_run() -> DecisionStage:
 
 
 # -- what the parent commit journaled for the same runs ------------------------ #
+# (Decision's per-reason ``outcome_counts`` has since replaced its
+# ``suggestions_gated`` counter.)
 MONITOR_STATE = (
     '{"cursors": [{"connected": true, "cursor": 1, "missed": 0}, '
     '{"connected": true, "cursor": 1, "missed": 0}, '
@@ -106,13 +108,13 @@ MONITOR_STATE = (
     '"seq": {"c0/PACE": 1}}'
 )
 DECISION_STATE = (
-    '{"degraded": false, "runtimes": ['
+    '{"degraded": false, "outcome_counts": {}, "runtimes": ['
     '{"fired": 1, "last_eval": 5.0, "last_time": 1.0, "pending": [], "window": [50.0]}, '
     '{"fired": 1, "last_eval": 5.0, "last_time": 6.0, "pending": [[60.0, 6.0]], '
     '"window": [60.0]}, '
     '{"fired": 0, "last_eval": null, "last_time": 0.0, "pending": [], "window": []}, '
     '{"fired": 1, "last_eval": 5.0, "last_time": 1.0, "pending": [], "window": [50.0]}], '
-    '"suggestions_gated": 0, "updates_matched": 4, "updates_seen": 3}'
+    '"updates_matched": 4, "updates_seen": 3}'
 )
 
 
@@ -120,9 +122,12 @@ def test_state_dicts_are_what_the_parent_commit_journaled():
     _hub, client = recorded_monitor_run()
     assert canon(client.state_dict()) == MONITOR_STATE
     assert canon(recorded_decision_run().state_dict()) == DECISION_STATE
-    # Older journals carry the retired sequence tracker's empty "seq" key.
+    # Older journals carry the retired sequence tracker's empty "seq" key,
+    # and a "suggestions_gated" count where "outcome_counts" is now.
+    state = json.loads(DECISION_STATE)
+    del state["outcome_counts"]
     older = make_stage()
-    older.load_state_dict({**json.loads(DECISION_STATE), "seq": {}})
+    older.load_state_dict({**state, "seq": {}, "suggestions_gated": 0})
     assert canon(older.state_dict()) == DECISION_STATE
 
 

@@ -1,6 +1,6 @@
 """DegradedModeController hysteresis and DecisionStage gating."""
 
-from repro.core.actions import ActionType, SuggestedAction
+from repro.core.actions import ActionType, Reason, SuggestedAction
 from repro.core.decision import DecisionStage
 from repro.fabric import DegradedModeController, NetworkSpec, PartitionWindow
 from repro.fabric.spec import HEALTH_TASK
@@ -102,7 +102,8 @@ class TestDecisionGate:
     def test_passthrough_when_healthy(self):
         d = DecisionStage()
         batch = self.all_actions()
-        assert d.gate(batch) == batch and d.suggestions_gated == 0
+        assert d.gate(batch) == batch
+        assert d.outcomes == [] and d.outcome_counts == {}
 
     def test_degraded_keeps_only_essential(self):
         d = DecisionStage()
@@ -111,7 +112,10 @@ class TestDecisionGate:
         assert [s.action for s in kept] == [
             ActionType.STOP, ActionType.RESTART, ActionType.START
         ]
-        assert d.suggestions_gated == 2
+        assert [(o.action, o.reason) for o in d.outcomes] == [
+            (ActionType.ADDCPU, Reason.GATED_DEGRADED), (ActionType.RMCPU, Reason.GATED_DEGRADED)
+        ]
+        assert d.outcome_counts == {Reason.GATED_DEGRADED: 2}
 
     def test_gate_state_round_trips(self):
         d = DecisionStage()
@@ -120,4 +124,7 @@ class TestDecisionGate:
         state = d.state_dict()
         fresh = DecisionStage()
         fresh.load_state_dict(state)
-        assert fresh.degraded and fresh.suggestions_gated == 2
+        assert fresh.degraded and fresh.outcome_counts == {Reason.GATED_DEGRADED: 2}
+        del state["outcome_counts"]  # an older journal
+        fresh.load_state_dict(state)
+        assert fresh.outcome_counts == {}

@@ -3,6 +3,7 @@
 Hypothesis drives random action batches through Arbitration + Actuation
 against a live workflow and checks after every executed plan that:
 
+* every suggestion of a batch ends in exactly one outcome,
 * resource-manager bookkeeping stays conserved (assigned + free == capacity),
 * ordered plans release before they acquire,
 * the planned reassignment never exceeds the allocation,
@@ -78,6 +79,7 @@ class TestArbitrationProperties:
         capacity = sav.allocation.total_cores
         for batch in rounds:
             plan = arb.arbitrate(batch, now=eng.now)
+            assert len(arb.outcomes) == len(batch)
             if plan is not None:
                 # Structural invariants of the plan itself.
                 phases = [op.phase for op in plan.ordered_ops()]
@@ -117,7 +119,8 @@ class TestArbitrationProperties:
         assert done and done[0].execution_end is not None
         # Every start op either ran or was recorded as a failed op.
         started = {op.task for op in plan.ops if op.op == "start_task"}
-        failures = {d for _pid, d in act.failed_ops}
+        report = done[0].degradation
+        failures = set(report.failed_ops) if report is not None else set()
         for task in started:
             rec = sav.record(task)
             assert rec.incarnations >= 1 or any(task in f for f in failures)

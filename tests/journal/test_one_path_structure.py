@@ -6,8 +6,9 @@ AST walks over ``src/repro`` with the helpers of
 second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a second run-record store, a second report path,
-a second snapshot pointer, a Monitor round that polls every binding or a
-paper claim written outside the report fails here by name.
+a second snapshot pointer, a Monitor round that polls every binding, a
+paper claim written outside the report, or a suggestion that ends without
+a reason fails here by name.
 """
 
 import ast
@@ -34,6 +35,12 @@ GONE = {
     "count_at_or_above", "last_produced", "total_mass", "tick_envelope",
     # the tracer's root-span stride and its lint auto-fix
     "_keep_root", "_roots_seen", "_roots_kept", "_fix_telemetry_sample",
+    # the metrics snapshotter nothing read, and the hidden per-sample delivery knob
+    "MetricsSnapshotter", "snapshotter", "maybe_snapshot", "batch_deliveries",
+    # the ad-hoc "why" counters the Reason count replaced, and their metrics
+    "discarded_batches", "waiting_unchanged", "suggestions_gated",
+    "arbitration.grants", "arbitration.denials", "arbitration.gated_batches",
+    "arbitration.waiting_unchanged", "decision.suggestions_gated",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
@@ -79,6 +86,7 @@ def test_no_removed_fast_path_identifier_remains():
     assert modules_where(names_one) == []
     assert "campaign/workertel.py" not in modules()
     assert "telemetry/events.py" not in modules()
+    assert "observability/snapshot.py" not in modules()
 
 
 def test_actuation_has_one_op_loop_and_one_failure_handler():
@@ -254,7 +262,7 @@ def tracer_class():
 
 def test_the_tracer_holds_the_one_run_record():
     """Spans, points and metrics snapshots land in ``Tracer._records`` and
-    nowhere else; the snapshotter records through the tracer."""
+    nowhere else."""
     tracer = tracer_class()
     appends = {
         (fn.name, ast.unparse(n.func.value))
@@ -269,8 +277,6 @@ def test_the_tracer_holds_the_one_run_record():
     # ``_spans`` is the start-order index (open spans too), not a second record.
     assert {target for _fn, target in appends} == {"self._records", "self._spans"}
     assert "self.record" in calls_in(functions(tracer)["point"])
-    snapshot = functions(modules()["observability/snapshot.py"])["maybe_snapshot"]
-    assert "self.tracer.record" in calls_in(snapshot)
 
 
 def test_a_record_becomes_a_jsonl_line_in_one_place():
@@ -349,3 +355,39 @@ def test_a_paper_claim_is_written_once_as_a_report_row():
         if isinstance(target, ast.Name) and target.id.startswith("PAPER")
     ]
     assert paper_constants == []
+
+
+
+def test_a_suggestion_ends_in_one_reason_rendered_in_one_place():
+    """A plan line ``P:ACTION:T`` is spelled once, in ``render_outcome``;
+    every op and waiting entry Arbitration plans names a ``Reason`` or the
+    asking policy; ``outcome.<reason>`` is counted in one place; and a
+    failed op is recorded once, on the plan."""
+    tree = modules()["core/arbitration.py"]
+
+    def spells_a_plan_line(node):  # the ":" or ":ACTION:" between two fields
+        return isinstance(node, ast.JoinedStr) and any(
+            isinstance(v, ast.Constant) and v.value[:1] == v.value[-1:] == ":"
+            for v in node.values
+        )
+
+    renderers = {
+        (module, name) for module in ("core/actions.py", "core/arbitration.py")
+        for name, fn in functions(modules()[module]).items()
+        if any(spells_a_plan_line(n) for n in ast.walk(fn))
+    }
+    assert renderers == {("core/actions.py", "render_outcome")}
+    reasons = {
+        ast.unparse(k.value) for n in ast.walk(tree) if isinstance(n, ast.Call)
+        for k in n.keywords if k.arg == "reason"
+    }
+    passed_on = {"reason", "e.get('reason', '')"}  # a parameter, a journaled value
+    assert {r for r in reasons - passed_on if not r.startswith("Reason.")} == {"s.policy_id"}
+
+    def names_an_outcome_metric(node):
+        return isinstance(node, ast.Constant) and node.value == "outcome."
+
+    assert modules_where(names_an_outcome_metric) == ["core/actions.py"]
+    assert "self.failed_ops" not in {
+        ast.unparse(n) for n in ast.walk(actuation_stage()) if isinstance(n, ast.Attribute)
+    }

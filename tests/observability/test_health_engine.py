@@ -10,8 +10,7 @@ from repro.observability import (
     ObservabilitySpec,
     SloSpec,
 )
-from repro.observability.snapshot import MetricsSnapshotter
-from repro.telemetry import NULL_TRACER, Tracer
+from repro.telemetry import Tracer
 
 
 def records_of(tracer, kind):
@@ -174,31 +173,10 @@ class TestCrashState:
         with pytest.raises(ObservabilityError, match="does not match"):
             other.load_state_dict(engine.state_dict())
 
-
-class TestSnapshotter:
-    def test_disabled_without_cadence_or_log(self):
-        tracer = Tracer(clock=lambda: 0.0)  # no JSONL path needed
-        assert not MetricsSnapshotter(NULL_TRACER, 5.0).enabled
-        assert not MetricsSnapshotter(tracer, 0.0).enabled
-        assert MetricsSnapshotter(tracer, 5.0).enabled
-
-    def test_emits_on_cadence_with_sequence_numbers(self):
-        tracer = Tracer(clock=lambda: 0.0)
-        tracer.metrics.counter("plans.created").inc()
-        snap = MetricsSnapshotter(tracer, 10.0)
-        assert snap.maybe_snapshot(0.0)
-        assert not snap.maybe_snapshot(3.0)
-        assert snap.maybe_snapshot(10.0)
-        records = records_of(tracer, "metrics")
-        assert [r["seq"] for r in records] == [0, 1]
-        assert records[0]["metrics"]["plans.created"]["value"] == 1.0
-
-    def test_state_round_trip_preserves_the_schedule(self):
-        tracer = Tracer(clock=lambda: 0.0)
-        snap = MetricsSnapshotter(tracer, 10.0)
-        snap.maybe_snapshot(0.0)
-        clone = MetricsSnapshotter(tracer, 10.0)
-        clone.load_state_dict(snap.state_dict())
-        assert not clone.maybe_snapshot(5.0)  # next is still t=10
-        assert clone.maybe_snapshot(10.0)
-        assert clone.emitted == 2
+    def test_an_older_state_with_a_snapshot_schedule_loads(self):
+        engine, _ = make_engine(spec=self.spec())
+        engine.tick(0.0)
+        state = engine.state_dict()
+        clone, _ = make_engine(spec=self.spec())
+        clone.load_state_dict({**state, "snapshot": {"next": 10.0, "emitted": 1}})
+        assert clone.state_dict() == state and "snapshot" not in state

@@ -35,9 +35,8 @@ class TestDegradation:
         eng.run()
         # The bad op degraded; the good op still ran to completion.
         assert sav.record("B").current.state == TaskState.COMPLETED
-        assert act.failed_ops and act.failed_ops[0][0] == "p1"
         report = plan.degradation
-        assert report is not None and report.degraded
+        assert report is not None and report.degraded and report.plan_id == "p1"
         assert len(report.failed_ops) == 1
         assert "ghost" in report.failed_ops[0]
         assert report.compensations == []  # nothing was booked for the reconfig
@@ -92,7 +91,6 @@ class TestDegradation:
         eng.run_process(act.execute(plan))
         eng.run()
         assert plan.degradation is None
-        assert act.failed_ops == []
         assert sav.record("B").current.state == TaskState.COMPLETED
 
     def test_degradation_report_describe(self):

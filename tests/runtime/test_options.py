@@ -101,7 +101,6 @@ class TestOrchestratorOptions:
         ("report_path", "report.md"),
         ("report_json_path", "report.json"),
         ("openmetrics_path", "metrics.prom"),
-        ("snapshot_every", 60.0),
     ])
     def test_observability_output_without_telemetry_is_an_error(self, output, value):
         # Every observability output reads the tracer; with no telemetry

@@ -226,11 +226,13 @@ class TestValidation:
         ("telemetry", "sample", '<telemetry sample="0.5"/>'),
         ("observability", "enabled", '<observability enabled="false"/>'),
         ("observability", "analysis", '<observability analysis="false"/>'),
+        ("observability", "snapshot-every", '<observability snapshot-every="60"/>'),
         ("fleet", "enabled", '<observability><fleet enabled="false"/></observability>'),
         ("journal", "enabled", '<journal enabled="false"/>'),
         ("network", "enabled", '<resilience><network enabled="false"/></resilience>'),
     ], ids=["telemetry-enabled", "telemetry-sample", "observability-enabled",
-            "observability-analysis", "fleet-enabled", "journal-enabled", "network-enabled"])
+            "observability-analysis", "observability-snapshot-every", "fleet-enabled",
+            "journal-enabled", "network-enabled"])
     def test_a_section_has_no_off_switch(self, element, attribute, fragment):
         # A section is in effect because it is declared; leave it out to turn it off.
         with pytest.raises(XmlSpecError, match=f"unexpected <{element}> attribute '{attribute}'"):

@@ -245,7 +245,7 @@ def test_full_document_with_all_elements_round_trips():
         journal=JournalSpec(dir="run/journal", fsync="batch",
                             batch_every=32, snapshot_every=10),
         observability=ObservabilitySpec(
-            eval_every=5.0, snapshot_every=60.0,
+            eval_every=5.0,
             openmetrics_path="run/metrics.prom",
             report_path="run/report.md", report_json_path="run/report.json",
             top_n=7,
