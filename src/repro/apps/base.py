@@ -373,7 +373,11 @@ class IterativeApp:
                 # 1. acquire one step of input from every tight parent
                 consumed: dict[str, int] = {}
                 for parent, reader in readers.items():
-                    record = yield from self._await_input(ctx, reader)
+                    # Staged input (or EOS) is read inline; only a step
+                    # that has to wait enters the polling sub-generator.
+                    record = reader.try_next()
+                    if record is None and not reader.at_eos():
+                        record = yield from self._await_input(ctx, reader)
                     if record is None:
                         input_eos = True
                         break
@@ -449,14 +453,15 @@ class IterativeApp:
 
     # -- loop pieces ---------------------------------------------------------------------
     def _await_input(self, ctx: TaskContext, reader: StreamReader):
-        """Poll the parent stream until a step arrives (or EOS / signal)."""
+        """Re-poll the parent stream after a failed check, every
+        ``poll_interval``, until a step arrives (or EOS / signal)."""
         while True:
+            yield ctx.engine.timeout(ctx.poll_interval)
             record = reader.try_next()
             if record is not None:
                 return record
             if reader.at_eos():
                 return None
-            yield ctx.engine.timeout(ctx.poll_interval)
 
     def _finish_interrupted_step(self, ctx: TaskContext, cause: Any, remaining: float):
         """Finish a step whose compute a signal interrupted.

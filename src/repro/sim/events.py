@@ -39,6 +39,8 @@ class SimEvent:
     _uids = itertools.count()
 
     def __init__(self, engine: "SimEngine", name: str = "") -> None:
+        # SimEngine.timeout sets these same slots without calling this
+        # method (the hot path of every sleep): keep the two in step.
         self.engine = engine
         self.name = name
         self.callbacks: list[Callable[["SimEvent"], None]] | None = []
@@ -103,11 +105,6 @@ class SimEvent:
         self._ok = ok
         self._value = value
         self.engine._schedule_event(self)
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks or ():
-            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending" if self._ok is None else ("ok" if self._ok else "failed")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.errors import ProcessError
 from repro.sim.events import Interrupt, SimEvent
@@ -22,15 +22,17 @@ class Process(SimEvent):
     processes can wait on other processes.
     """
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen", "_waiting_on", "_on_wake")
 
     def __init__(self, engine: "SimEngine", gen: ProcGen, name: str = "proc") -> None:
         super().__init__(engine, name)
         self._gen = gen
-        self._waiting_on: SimEvent | None = None
+        # Bound once: every wait appends this same callback.
+        self._on_wake: Callable[[SimEvent], None] | None = self._wake
         # Kick the process off at the current time.
         start = SimEvent(engine, f"{name}:start")
-        start.callbacks.append(lambda _ev: self._resume(None, None))
+        start.callbacks.append(self._on_wake)
+        self._waiting_on: SimEvent | None = start
         start.succeed()
 
     @property
@@ -46,25 +48,33 @@ class Process(SimEvent):
         """
         if self.triggered:
             return
-        # Detach from whatever the process was waiting on so a later
-        # trigger of that event does not resume us twice.
         wake = SimEvent(self.engine, f"{self.name}:interrupt")
-        wake.callbacks.append(lambda _ev: self._resume(None, Interrupt(cause)))
-        wake.succeed()
+        wake.callbacks.append(self._interrupted)
+        wake.fail(Interrupt(cause))
 
     # ------------------------------------------------------------------ #
-    def _resume(self, value: Any, exc: BaseException | None) -> None:
-        if self._ok is not None:
-            return
-        waiting, self._waiting_on = self._waiting_on, None
-        if waiting is not None and waiting._ok is None and exc is None:
-            # Spurious resume (event no longer relevant); ignore.
-            return
+    def _trigger(self, ok: bool, value: Any) -> None:
+        # Finished: drop the bound callback, so the process is not a cycle.
+        self._on_wake = None
+        super()._trigger(ok, value)
+
+    def _interrupted(self, wake: SimEvent) -> None:
+        # Detach from whatever the process was waiting on, so a later
+        # trigger of that event is a stale wake-up, and resume with the
+        # interrupt instead.
+        self._waiting_on = wake
+        self._wake(wake)
+
+    def _wake(self, ev: SimEvent) -> None:
+        """Resume the generator with *ev*'s outcome: the one resume routine."""
+        if self._waiting_on is not ev or self._ok is not None:
+            return  # interrupted while waiting (stale wake-up), or finished
+        self._waiting_on = None
         try:
-            if exc is not None:
-                target = self._gen.throw(exc)
+            if ev._ok:
+                target = self._gen.send(ev._value)
             else:
-                target = self._gen.send(value)
+                target = self._gen.throw(ev._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -76,14 +86,6 @@ class Process(SimEvent):
             return
         self._waiting_on = target
         if target._ok is not None:
-            self._on_event(target)
+            self._wake(target)
         else:
-            target.callbacks.append(self._on_event)
-
-    def _on_event(self, ev: SimEvent) -> None:
-        if self._waiting_on is not ev:
-            return  # interrupted while waiting; stale wake-up
-        if ev._ok:
-            self._resume(ev._value, None)
-        else:
-            self._resume(None, ev._value)
+            target.callbacks.append(self._on_wake)

@@ -9,16 +9,21 @@ producer's consumers, an idle Arbitration tick re-examines its waiting
 queue only when the answer could differ, a task start builds no random
 stream its task never draws from, a single-rank step builds one sample, and
 an unsignalled, unblocked step runs no sub-generator and builds no
-``StreamStep`` that no reader reads.  Each count is what a scan over all N
-entries — or a retry on every tick, or a per-task object nothing uses —
-would get wrong.
+``StreamStep`` that no reader reads, a consumer whose input is staged
+never enters the input wait, and a sleep costs one heap entry and one
+resume.  Each count is what a scan over all N entries — or a retry on
+every tick, or a per-task object nothing uses — would get wrong.
 """
+
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.apps import ConstantModel, CouplingRegistry, IterativeApp
 from repro.apps import base as app_base
+from repro.apps.base import TaskContext
 from repro.campaign import CampaignService, TenantCell, TenantSpec, TenantsSpec
 from repro.cluster.machine import MachinePerf
 from repro.core import (
@@ -48,6 +53,7 @@ from repro.experiments import (
 )
 from repro.experiments.synthetic import SyntheticConfig, run_synthetic_experiment
 from repro.profiler import instrument
+from repro.sim import RngRegistry, SimEngine
 from repro.staging import DataHub, Sample, SimFilesystem, stream
 from repro.staging.stream import StreamChannel, StreamReader, StreamStep
 from repro.wms import TaskSpec, WorkflowSpec
@@ -358,6 +364,14 @@ def run_campaign_cell() -> None:
     assert record["status"] == "completed"
 
 
+def task_ctx(eng, hub, coupling, task, tight_parents=()) -> TaskContext:
+    return TaskContext(
+        engine=eng, hub=hub, coupling=coupling, perf=MachinePerf(), rngs=RngRegistry(0),
+        rng_name=f"t:{task}", workflow_id="WF", task=task, incarnation=0, nprocs=1,
+        rank_nodes={0: "n0"}, tight_parents=list(tight_parents),
+    )
+
+
 class TestTaskStartAndStep:
     """The synthetic tasks draw nothing (no step noise, no rank jitter, one
     rank): a start owes them no RNG stream, and a step owes them one
@@ -443,6 +457,79 @@ class TestTaskStartAndStep:
         assert interrupted == []
         assert built.count(True) == 0  # put builds nothing nobody reads
         assert len(built) == len(returned)  # one per record a reader got
+
+    def test_a_consumer_whose_input_is_staged_never_enters_the_wait(self, monkeypatch):
+        waits = count_calls(monkeypatch, IterativeApp, "_await_input")
+        eng, hub, coupling = SimEngine(), DataHub(), CouplingRegistry()
+        producer = eng.process(
+            IterativeApp(ConstantModel(1.0), total_steps=5).run(task_ctx(eng, hub, coupling, "P"))
+        )
+        eng.run()  # all five steps staged, then end of stream
+        cctx = task_ctx(eng, hub, coupling, "C", tight_parents=["P"])
+        consumer = eng.process(IterativeApp(ConstantModel(1.0)).run(cctx))
+        eng.run()
+        assert producer.value == consumer.value == 0
+        assert cctx.notes["last_step"] == 5 and cctx.notes["completed"]
+        assert waits == []
+
+    def test_a_waiting_consumer_re_polls_every_poll_interval_from_its_first_check(
+        self, monkeypatch
+    ):
+        waits = count_calls(monkeypatch, IterativeApp, "_await_input")
+        eng, hub, coupling = SimEngine(), DataHub(), CouplingRegistry()
+        checks: list[float] = []
+        try_next = StreamReader.try_next
+
+        def spy_try_next(reader):
+            checks.append(eng.now)
+            return try_next(reader)
+
+        monkeypatch.setattr(StreamReader, "try_next", spy_try_next)
+        cctx = task_ctx(eng, hub, coupling, "C", tight_parents=["P"])
+        eng.run(until=0.1)
+        eng.process(IterativeApp(ConstantModel(1.0), total_steps=1).run(cctx))
+        eng.call_at(0.7, lambda: hub.channel("data-WF-P").put({"step": 0}, eng.now))
+        eng.call_at(0.8, hub.channel("data-WF-P").close)
+        eng.run()
+        assert checks == [0.1, 0.1 + 0.25, 0.1 + 0.25 + 0.25, 0.1 + 0.25 + 0.25 + 0.25]
+        assert len(waits) == 1 and cctx.notes["last_step"] == 1
+
+
+class TestSleep:
+    """A sleep is one heap entry and one resume: the process body, the
+    ``timeout`` call that pushes the entry, and the routine that resumes
+    the generator when it pops — no event constructor, no queue-slot
+    object, no callback trampoline."""
+
+    @staticmethod
+    def _python_calls(sleeps: int) -> Counter:
+        eng = SimEngine()
+
+        def sleeper():
+            for _ in range(sleeps):
+                yield eng.timeout(1.0)
+
+        eng.process(sleeper())
+        calls: Counter = Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                code = frame.f_code
+                calls[code.co_filename, code.co_firstlineno, code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            eng.run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_a_sleep_costs_at_most_three_python_calls(self):
+        # The difference of two runs cancels the start and finish of the process.
+        per_sleep = self._python_calls(2000)
+        per_sleep.subtract(self._python_calls(1000))
+        per_sleep = +per_sleep
+        assert sum(per_sleep.values()) <= 3 * 1000, per_sleep
 
 
 def policy(policy_id: str, window: int) -> PolicySpec:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimTimeError
-from repro.sim import SimEngine
+from repro.sim import SimEngine, SimEvent
 
 
 class TestScheduling:
@@ -18,6 +18,12 @@ class TestScheduling:
         eng.call_after(2.0, lambda: fired.append(eng.now))
         eng.run()
         assert fired == [2.0]
+
+    def test_a_timeout_sets_every_slot_the_event_constructor_sets(self):
+        # timeout() builds its event without SimEvent.__init__.
+        ev = SimEngine().timeout(1.0, "v")
+        assert [n for n in SimEvent.__slots__ if not hasattr(ev, n)] == []
+        assert (ev.name, ev.callbacks, ev.triggered, ev.cancelled) == ("timeout", [], False, False)
 
     def test_negative_timeout_rejected(self):
         eng = SimEngine()
@@ -47,6 +53,18 @@ class TestScheduling:
         assert end == 5.0 and eng.now == 5.0 and fired == []
         eng.run()
         assert fired == ["late"]
+
+    def test_run_until_stops_at_the_first_live_event_past_until(self):
+        # A cancelled head entry is skipped; the live one behind it is
+        # still checked against `until` before it runs.
+        eng = SimEngine()
+        fired = []
+        a = eng.call_at(1.0, lambda: fired.append("a"))
+        eng.call_at(5.0, lambda: fired.append("b"))
+        a.cancel()
+        assert eng.run(until=2.0) == 2.0
+        assert fired == [] and eng.events_executed == 0
+        assert eng.run() == 5.0 and fired == ["b"]
 
     def test_run_until_advances_clock_even_without_events(self):
         eng = SimEngine()
