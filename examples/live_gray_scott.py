@@ -13,7 +13,9 @@ Two live behaviours are demonstrated:
 * **Failure recovery (§4.5 live)** — the analysis crashes mid-run (an
   injected software failure); Savanna-style status records carry the
   exit code to the STATUS sensor, and RESTART_ON_FAILURE brings the
-  analysis back while the solver keeps running.
+  analysis back while the solver keeps running.  The restart is planned
+  and actuated by the same Arbitration and Actuation stages the
+  simulator runs, through a live launcher.
 
 Run:  python examples/live_gray_scott.py   (takes ~15 wall seconds)
 """
@@ -91,11 +93,15 @@ def main() -> None:
     runner.stop()
 
     print(f"\nall tasks finished: {finished}; solver advanced {solver.step_count} PDE steps")
-    print(f"isosurface analysis ran {runner._incarnations.get('Isosurface', 0)} incarnations "
-          f"(1 crash + 1 DYFLOW restart expected)")
-    print("\nactions DYFLOW applied:")
-    for t, action in runner.applied_actions:
-        print(f"  t={t:6.1f}s  {action}")
+    print(f"isosurface analysis ran {runner.launcher.record('Isosurface').incarnations} "
+          "incarnations (1 crash + 1 DYFLOW restart expected)")
+    # Arbitration ends every suggestion in one Outcome, as on the simulator.
+    print("\nhow DYFLOW's suggestions ended:")
+    for reason, count in sorted(runner.arbitration.outcome_counts.items()):
+        print(f"  {reason:>18}: {count}")
+    for plan in runner.arbitration.plans:
+        print(f"  {plan.plan_id} granted {', '.join(plan.accepted)} "
+              f"(response {plan.response_time:.2f} s)")
     status = runner.hub.filesystem.read("status/LIVE-GS/Isosurface")
     print("\nexit-status records the STATUS sensor observed:")
     for record in status:

@@ -2,9 +2,10 @@
 
 Low-level operations "serve as a plugin to any static service that
 interacts directly with the cluster resource manager and launches
-workflow tasks" — here the Savanna launcher.  Execution is sequential in
-plan order (releases before acquires), which is also why graceful
-terminations dominate measured response times.
+workflow tasks" — the simulated Savanna launcher or the wall-clock live
+one, reached only through :class:`~repro.wms.launcher.LauncherCore`.
+Execution is sequential in plan order (releases before acquires), which
+is also why graceful terminations dominate measured response times.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.core.lowlevel import ActionPlan, DegradationReport, LowLevelOp
 from repro.errors import ActuationError, AllocationError, LaunchError
 from repro.journal.ledger import AppliedOpsLedger
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.wms.launcher import Savanna
+from repro.wms.launcher import LauncherCore
 
 
 class ActuationStage:
@@ -31,7 +32,7 @@ class ActuationStage:
     boundary without running ``on_done``.
     """
 
-    def __init__(self, launcher: Savanna) -> None:
+    def __init__(self, launcher: LauncherCore) -> None:
         self.launcher = launcher
         self.executed_plans: list[ActionPlan] = []
         self.tracer: Tracer = NULL_TRACER
@@ -44,8 +45,7 @@ class ActuationStage:
             return
         payload = {"plan": plan.plan_id, "op_key": op.op_key, "op": op.op, "task": op.task}
         if op.op == "start_task":
-            rec = self.launcher.records.get(op.task)
-            payload["incarnation_before"] = rec.incarnations if rec is not None else 0
+            payload["incarnation_before"] = self.launcher.record(op.task).incarnations
         self.journal.append("op-issued", **payload)
 
     def _journal_complete(
@@ -99,12 +99,12 @@ class ActuationStage:
 
     def _effect_landed(self, op: LowLevelOp, ledger) -> bool:
         """Did an op that was issued but never completed take effect?"""
-        rec = self.launcher.records.get(op.task)
+        rec = self.launcher.record(op.task)
         if op.op == "start_task":
             before = (ledger.issued_record(op.op_key) or {}).get("incarnation_before")
-            return before is not None and rec is not None and rec.incarnations > int(before)
+            return before is not None and rec.incarnations > int(before)
         if op.op == "stop_task":
-            return rec is None or not rec.is_active
+            return not rec.is_active
         return False
 
     def _run_plan(self, plan: ActionPlan, ledger, on_done: Callable[[ActionPlan], None] | None):
@@ -112,7 +112,7 @@ class ActuationStage:
         tracer = self.tracer
         launcher = self.launcher
         if plan.execution_start is None:
-            plan.execution_start = launcher.engine.now
+            plan.execution_start = launcher.now()
         plan_span = (
             tracer.start_span(
                 "actuation.plan", "actuation", parent=None,
@@ -131,7 +131,7 @@ class ActuationStage:
             if status == "issued" and self._effect_landed(op, ledger):
                 self._journal_complete(plan, op, failed=False, reconciled=True)
                 launcher.trace.point(
-                    launcher.engine.now,
+                    launcher.now(),
                     f"op-skipped:{op.task}",
                     category="journal",
                     plan=plan.plan_id,
@@ -142,7 +142,7 @@ class ActuationStage:
                 self._journal_issue(plan, op)
             if self.abort_requested:
                 return plan  # died after issuing but before applying
-            op.exec_start = launcher.engine.now
+            op.exec_start = launcher.now()
             failed = False
             try:
                 yield from self._run_op(op)
@@ -150,7 +150,7 @@ class ActuationStage:
                 failed = True
                 plan_failures.append((op, str(err)))
                 launcher.trace.point(
-                    launcher.engine.now,
+                    launcher.now(),
                     f"op-failed:{op.task}",
                     category="failure",
                     plan=plan.plan_id,
@@ -158,7 +158,7 @@ class ActuationStage:
                     error=str(err),
                 )
             finally:
-                op.exec_end = launcher.engine.now
+                op.exec_end = launcher.now()
             self._journal_complete(plan, op, failed=failed)
             if plan_span is not None:
                 tracer.add_span(
@@ -171,7 +171,7 @@ class ActuationStage:
             if tracer.enabled:
                 tracer.metrics.counter("actuation.degraded_plans").inc()
                 tracer.metrics.counter("actuation.failed_ops").inc(len(plan_failures))
-        plan.execution_end = launcher.engine.now
+        plan.execution_end = launcher.now()
         if plan_span is not None:
             tracer.end_span(plan_span, failed_ops=len(plan_failures))
             metrics = tracer.metrics
@@ -198,8 +198,7 @@ class ActuationStage:
         for op, _err in failures:
             if op.op != "start_task":
                 continue
-            rec = self.launcher.records.get(op.task)
-            if rec is not None and rec.is_active:
+            if self.launcher.record(op.task).is_active:
                 continue  # the task came up after all; nothing to unwind
             released = self.launcher.rm.release_if_held(op.task)
             if released:
@@ -208,12 +207,12 @@ class ActuationStage:
                 )
         plan.degradation = DegradationReport(
             plan_id=plan.plan_id,
-            time=self.launcher.engine.now,
+            time=self.launcher.now(),
             failed_ops=[f"{op.describe()}: {err}" for op, err in failures],
             compensations=compensations,
         )
         self.launcher.trace.point(
-            self.launcher.engine.now,
+            self.launcher.now(),
             f"plan-degraded:{plan.plan_id}",
             category="failure",
             failed=len(failures),
@@ -241,7 +240,7 @@ class ActuationStage:
                 # the free pool): re-place the same core count now.
                 resources = place_cores(
                     launcher.rm.free(),
-                    launcher.allocation.nodes,
+                    launcher.rm.allocation.nodes,
                     op.resources.total_cores,
                     exclude_nodes=launcher.rm.excluded_nodes(),
                 )

@@ -36,7 +36,7 @@ from repro.core.rules import ArbitrationRules
 from repro.errors import AllocationError
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.ids import IdGenerator
-from repro.wms.launcher import Savanna
+from repro.wms.launcher import LauncherCore
 
 
 @dataclass
@@ -103,18 +103,17 @@ class _Shadow:
 
     def __init__(
         self,
-        launcher: Savanna,
+        launcher: LauncherCore,
         epoch: tuple,
         cache: _FeasibilityCache | None = None,
         core_quota: int | None = None,
     ) -> None:
-        self.launcher = launcher
+        rm = self.rm = launcher.rm
         self.core_quota = core_quota
-        self.nodes = launcher.allocation.nodes
-        self.free = launcher.rm.free()
+        self.nodes = rm.allocation.nodes
+        self.free = rm.free()
         self.assigned: dict[str, ResourceSet] = {
-            name: launcher.rm.assignment(name)
-            for name in launcher.rm.owners()
+            name: rm.assignment(name) for name in rm.owners()
         }
         # Quarantined nodes are excluded exactly like unhealthy ones:
         # Arbitration "ensures the exclusion of problematic resources".
@@ -132,8 +131,7 @@ class _Shadow:
     def release(self, task: str) -> ResourceSet:
         self.pristine = False
         rs = self.assigned.pop(task, ResourceSet.empty())
-        healthy = {n.node_id for n in self.launcher.allocation.healthy_nodes()}
-        self.free = self.free.union(rs.restrict_to(healthy))
+        self.free = self.free.union(rs.restrict_to(self.rm.healthy_node_ids()))
         return rs
 
     def place(self, ncores: int, per_node_limit: int | None) -> ResourceSet:
@@ -173,7 +171,7 @@ class ArbitrationStage:
 
     def __init__(
         self,
-        launcher: Savanna,
+        launcher: LauncherCore,
         rules: ArbitrationRules,
         warmup: float = 120.0,
         settle: float = 120.0,
@@ -264,6 +262,12 @@ class ArbitrationStage:
         if plan is not None:
             line = render_outcome(s.policy_id, s.action.value, s.target, reason)
             (plan.accepted if reason is Reason.GRANTED else plan.discarded).append(line)
+
+    def supersede(self, suggestions) -> None:
+        """End a batch that newer ones superseded before it was arbitrated
+        (a bounded hand-off queue shed it)."""
+        for s in suggestions:
+            self._end(s, Reason.SUPERSEDED)
 
     def _arbitrate(self, suggestions: list[SuggestedAction], now: float) -> ActionPlan | None:
         self.outcomes = []

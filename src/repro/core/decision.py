@@ -126,10 +126,7 @@ class DecisionStage:
         runtimes, answerable = self._runtimes, self._answerable
         for index in sorted(answerable):  # creation order, as suggestions must be
             rt = runtimes[index]
-            # Unmark before reading: a value the threaded runtime's
-            # monitor thread appends after this line marks the runtime
-            # again, so it is never left pending and unmarked.
-            answerable.discard(index)
+            answerable.discard(index)  # re-marked below while it can still answer
             suggestions.extend(rt.evaluate(now))
             if rt.can_answer():
                 answerable.add(index)

@@ -61,7 +61,7 @@ class MonitorClient:
         self._by_task: dict[str, list[int]] = {}
         # Indices of the bindings that may have data: marked at bind,
         # restart and restore, and by a publish on a watched stream (in
-        # the threaded driver publish and collect() share hub_lock).
+        # the threaded driver publish and collect() share one lock).
         # Unwatched bindings are polled every round.
         self._wake: set[int] = set()
         self._unwatched: list[int] = []

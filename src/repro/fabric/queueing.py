@@ -5,6 +5,7 @@ Arbitration hand-off: a slow consumer can no longer grow the suggestion
 backlog without bound.  When full, the *oldest* item is shed — newer
 suggestions supersede older ones for the same policies, so freshness
 beats completeness here — and the shed count is kept for telemetry.
+``put`` hands the shed item back, so its owner can end it.
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ class BoundedShedQueue:
         self._cond = threading.Condition()
         self.shed = 0
 
-    def put(self, item: Any) -> None:
+    def put(self, item: Any) -> Any:
+        """Append *item*; returns the item shed to make room, if one was."""
+        shed = None
         with self._cond:
             if self.capacity and len(self._items) >= self.capacity:
-                self._items.popleft()
+                shed = self._items.popleft()
                 self.shed += 1
             self._items.append(item)
             self._cond.notify()
+        return shed
 
     def get(self, timeout: float | None = None) -> Any:
         with self._cond:

@@ -84,14 +84,14 @@ def spec_from_runtime(rt) -> DyflowSpec:
         for client in rt.clients
         for binding in client.bindings
     ]
-    rules = {}
-    if rt.rules is not None:
-        rules[rt.workflow_id] = RuleSpec(
+    rules = {
+        rt.workflow_id: RuleSpec(
             workflow_id=rt.workflow_id,
             task_priorities=dict(rt.rules.task_priorities),
             policy_priorities=dict(rt.rules.policy_priorities),
             dependencies=list(rt.rules.dependencies),
         )
+    }
     return DyflowSpec(
         sensors=dict(rt._sensors),
         monitor_tasks=monitor_tasks,
@@ -114,7 +114,3 @@ def preflight_orchestrator(orch, mode: str) -> list[Diagnostic]:
         workflow=orch.launcher.workflow,
     )
 
-
-def preflight_threaded(run, mode: str) -> list[Diagnostic]:
-    """Verify a configured threaded runtime before the first task starts."""
-    return run_preflight(mode, spec_from_runtime(run), workflow=set(run.specs))

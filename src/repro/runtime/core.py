@@ -1,19 +1,22 @@
 """The one Bootstrap both drivers share (paper §3, Fig. 2).
 
 :class:`RuntimeCore` wires options, tracer, Monitor clients and server,
-Decision, health engine, Monitor fabric and journal once, and carries the
-bootstrap API, the per-round fabric helpers and the end-of-run exports.
-A driver adds what depends on its clock, provides ``now()`` and
-``_health_aggregates()``, and sets what they read before calling
-``RuntimeCore.__init__``.  A new subsystem is constructed here.
+Decision, Arbitration, Actuation, health engine, Monitor fabric and
+journal once over a launcher (:class:`~repro.wms.launcher.LauncherCore`:
+the simulated Savanna or the wall-clock live one), and carries the
+bootstrap API, the task-restart hooks, the per-round fabric helpers and
+the end-of-run exports.  A driver adds only how its clock runs the
+stages.  A new subsystem is constructed here.
 """
 
 from __future__ import annotations
 
-from typing import Container, Sequence
+from typing import Sequence
 
-from repro.cluster.machine import MachinePerf
+from repro.core.actuation import ActuationStage
+from repro.core.arbitration import ArbitrationStage
 from repro.core.decision import DecisionStage
+from repro.core.lowlevel import ActionPlan
 from repro.core.monitor import MonitorClient, MonitorServer
 from repro.core.policy import PolicyApplication, PolicySpec
 from repro.core.rules import ArbitrationRules
@@ -23,13 +26,11 @@ from repro.errors import DyflowError, JournalError
 from repro.fabric import DegradedModeController, FabricLink
 from repro.journal import Journal, JournalSpec
 from repro.observability import HealthEngine, report_from_jsonl, write_openmetrics, write_report
-from repro.resilience.spec import ResilienceSpec
 from repro.runtime.options import RuntimeOptions
-from repro.sim.rng import RngRegistry
-from repro.staging.hub import DataHub
 from repro.telemetry import build_tracer, write_chrome_trace
 from repro.telemetry.tracer import Tracer
 from repro.util.jsonmsg import Envelope
+from repro.wms.launcher import LauncherCore
 
 
 class FabricState:
@@ -61,32 +62,26 @@ class FabricState:
 class RuntimeCore:
     """Control-plane wiring shared by both drivers."""
 
-    #: Arbitration rules; the threaded driver has none.
-    rules: ArbitrationRules | None = None
-
     def __init__(
         self,
         options: RuntimeOptions | None,
         *,
-        workflow_id: str,
-        tasks: Container[str],
-        hub: DataHub,
-        perf: MachinePerf,
-        rng: RngRegistry,
-        resilience: ResilienceSpec | None,
+        launcher: LauncherCore,
+        rules: ArbitrationRules,
         client_ids: Sequence[str],
         record_history: bool,
         tracer: Tracer | None,
+        **arbitration,
     ) -> None:
         from repro.lint.preflight import check_mode
 
         opts = options if options is not None else RuntimeOptions()
         self.options = opts
         self.preflight = check_mode(opts.preflight)
-        self.workflow_id = workflow_id
-        self.hub = hub
-        self._tasks = tasks
-        self.resilience = resilience
+        self.launcher = launcher
+        self.workflow_id = launcher.workflow_id
+        self.hub = launcher.hub
+        self.resilience = resilience = launcher.resilience
         self.telemetry = opts.telemetry
         if tracer is None:
             tracer = build_tracer(opts.telemetry, clock=self.now)
@@ -101,7 +96,7 @@ class RuntimeCore:
                         f"observability {name} needs a <telemetry> section "
                         "(pass options=RuntimeOptions(telemetry=TelemetrySpec(...)))"
                     )
-        self.clients = [MonitorClient(cid, perf) for cid in client_ids]
+        self.clients = [MonitorClient(cid, launcher.perf) for cid in client_ids]
         self.decision = DecisionStage()
         self.server = MonitorServer(on_updates=self.decision.ingest, record_history=record_history)
         self.server.set_tracer(tracer, clock=self.now)
@@ -115,7 +110,7 @@ class RuntimeCore:
             self.health = HealthEngine(
                 self.observability,
                 tracer=tracer,
-                workflow_id=workflow_id,
+                workflow_id=self.workflow_id,
                 aggregates=self._health_aggregates,
             )
         # Monitor fabric: each client's envelopes cross a FabricLink
@@ -129,7 +124,9 @@ class RuntimeCore:
         if self.network is not None:
             self.network.validate()
             for c in self.clients:
-                self.links[c.client_id] = FabricLink(c.client_id, self.network, rng, tracer=tracer)
+                self.links[c.client_id] = FabricLink(
+                    c.client_id, self.network, launcher.rng, tracer=tracer
+                )
             self.server.configure_fabric(self.network)
             self.degrade = DegradedModeController(self.network)
             self.fabric = FabricState(self)
@@ -144,6 +141,29 @@ class RuntimeCore:
             self._journal_spec = journal
         elif journal is not None:
             raise DyflowError(f"journal must be a Journal or JournalSpec, got {journal!r}")
+        launcher.attach_tracer(tracer)
+        self.rules = rules
+        self.arbitration = ArbitrationStage(launcher, rules, **arbitration)
+        self.actuation = ActuationStage(launcher)
+        self.arbitration.tracer = tracer
+        self.actuation.tracer = tracer
+        self._running = False
+        launcher.subscribe_start(self._on_task_start)
+
+    def now(self) -> float:
+        return self.launcher.now()
+
+    def _health_aggregates(self) -> dict[str, float]:
+        """Runtime-level health aggregates published every evaluation."""
+        rm, q = self.launcher.rm, self.launcher.quarantine
+        total = sum(n.cores for n in rm.allocation.nodes)
+        assigned = rm.assigned_total().total_cores
+        return {
+            "cluster.total_cores": float(total),
+            "cluster.assigned_cores": float(assigned),
+            "cluster.utilization": assigned / total if total else 0.0,
+            "quarantine.count": float(len(q.active(self.now()))) if q is not None else 0.0,
+        }
 
     # -- bootstrap configuration ---------------------------------------------------
     def add_sensor(self, spec: SensorSpec) -> None:
@@ -174,7 +194,7 @@ class RuntimeCore:
                 )
             source: object = self.health.bind_source(var)
         else:
-            if task not in self._tasks:
+            if task not in self.launcher.records:
                 raise DyflowError(f"monitor-task references unknown task {task!r}")
             source = make_source(
                 spec.source_type, self.hub, self.workflow_id, task,
@@ -191,6 +211,28 @@ class RuntimeCore:
 
     def apply_policy(self, application: PolicyApplication) -> None:
         self.decision.apply_policy(application)
+
+    # -- launcher and Actuation callbacks --------------------------------------------
+    def _on_task_start(self, instance) -> None:
+        """A task (re)started: reset monitor connections, epochs, windows."""
+        if self._journal is not None and not self._journal.closed and self._running:
+            self._journal.append(
+                "task-restart", task=instance.task, incarnation=instance.incarnation
+            )
+        for client in self.clients:
+            client.on_task_restart(instance.task)
+        self.server.on_task_restart(instance.task)
+        if instance.incarnation > 0:
+            self.decision.on_task_restart(instance.task)
+
+    def _on_plan_done(self, plan: ActionPlan) -> None:
+        if self._journal is not None and not self._journal.closed:
+            self._journal.append("plan-done", plan=plan.to_dict())
+        self.arbitration.on_plan_executed(plan, self.now())
+        self.launcher.trace.add_span(
+            "DYFLOW", plan.plan_id, plan.execution_start, plan.execution_end,
+            category="adjust", response=plan.response_time,
+        )
 
     # -- one round of the Monitor fabric ---------------------------------------------
     def _offer(self, env: Envelope, link: FabricLink | None, now: float) -> float | None:

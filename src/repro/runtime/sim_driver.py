@@ -20,8 +20,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from repro.core.arbitration import ArbitrationStage
-from repro.core.actuation import ActuationStage
 from repro.core.lowlevel import ActionPlan
 from repro.core.rules import ArbitrationRules
 from repro.errors import DyflowError, JournalError
@@ -56,29 +54,16 @@ class DyflowOrchestrator(RuntimeCore):
     ) -> None:
         if options is not None and options.resilience is not None:
             launcher.configure_resilience(options.resilience)
-        self.launcher = launcher
         self.engine = launcher.engine
         super().__init__(
-            options, workflow_id=launcher.workflow.workflow_id, tasks=launcher.workflow.tasks,
-            hub=launcher.hub, perf=launcher.perf, rng=launcher.rng,
-            resilience=launcher.resilience,
+            options, launcher=launcher,
+            rules=rules if rules is not None else ArbitrationRules.from_workflow(launcher.workflow),
             client_ids=[f"client-{i}" for i in range(max(1, num_clients))],
-            record_history=record_history, tracer=tracer,
+            record_history=record_history, tracer=tracer, warmup=warmup, settle=settle,
+            allow_victims=allow_victims, graceful_stops=graceful_stops, core_quota=core_quota,
         )
-        self.rules = rules if rules is not None else ArbitrationRules.from_workflow(launcher.workflow)
         self.poll_interval = poll_interval
-        launcher.attach_tracer(self.tracer)
-        self.arbitration = ArbitrationStage(
-            launcher, self.rules, warmup=warmup, settle=settle,
-            allow_victims=allow_victims, graceful_stops=graceful_stops,
-            core_quota=core_quota,
-        )
-        self.actuation = ActuationStage(launcher)
-        self.arbitration.tracer = self.tracer
-        self.actuation.tracer = self.tracer
-        self._running = False
         self._stop_when: Callable[[], bool] | None = None
-        launcher.subscribe_start(self._on_task_start)
         # Resilience wiring: the orchestrator owns the watchdog (it needs
         # the Monitor server's last-seen times) and the chaos engine (it
         # needs to sit on the client->server delivery path).
@@ -119,28 +104,12 @@ class DyflowOrchestrator(RuntimeCore):
         # run in the order separate events with consecutive seqs would pop.
         self._batch_slots: dict[float, tuple[object, list[int]]] | None = None
 
-    def now(self) -> float:
-        return self.engine.now
-
     def _each(self, hook: str) -> None:
         """Call *hook* on every configured subsystem that defines it."""
         for component in self._components.values():
             fn = getattr(component, hook, None)
             if fn is not None:
                 fn()
-
-    def _health_aggregates(self) -> dict[str, float]:
-        """Runtime-level health aggregates published every evaluation."""
-        now = self.engine.now
-        total = sum(n.cores for n in self.launcher.allocation.nodes)
-        assigned = self.launcher.rm.assigned_total().total_cores
-        q = self.launcher.quarantine
-        return {
-            "cluster.total_cores": float(total),
-            "cluster.assigned_cores": float(assigned),
-            "cluster.utilization": assigned / total if total else 0.0,
-            "quarantine.count": float(len(q.active(now))) if q is not None else 0.0,
-        }
 
     # -- service ----------------------------------------------------------------------
     def start(self, stop_when: Callable[[], bool] | None = None) -> None:
@@ -500,28 +469,6 @@ class DyflowOrchestrator(RuntimeCore):
                 name=f"actuation-resume:{inflight_plan.plan_id}",
             )
         return self
-
-    # -- plan bookkeeping --------------------------------------------------------------
-    def _on_plan_done(self, plan: ActionPlan) -> None:
-        if self._journal is not None and not self._journal.closed:
-            self._journal.append("plan-done", plan=plan.to_dict())
-        self.arbitration.on_plan_executed(plan, self.engine.now)
-        self.launcher.trace.add_span(
-            "DYFLOW", plan.plan_id, plan.execution_start, plan.execution_end,
-            category="adjust", response=plan.response_time,
-        )
-
-    def _on_task_start(self, instance) -> None:
-        """A task (re)started: reset monitor connections, epochs, windows."""
-        if self._journal is not None and not self._journal.closed and self._running:
-            self._journal.append(
-                "task-restart", task=instance.task, incarnation=instance.incarnation
-            )
-        for client in self.clients:
-            client.on_task_restart(instance.task)
-        self.server.on_task_restart(instance.task)
-        if instance.incarnation > 0:
-            self.decision.on_task_restart(instance.task)
 
     # -- results --------------------------------------------------------------------------
     @property

@@ -10,13 +10,14 @@ the low-level operations DYFLOW's Actuation stage invokes
 
 Operations that take time (launching, signalling, waiting for graceful
 termination) are generators meant to be driven from a simulated process
-via ``yield from``.
+via ``yield from``.  What does not depend on the clock — records,
+listeners, exit bookkeeping, blame and retry — is :class:`LauncherCore`,
+which the wall-clock :class:`~repro.wms.live.LiveLauncher` shares.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
-
 
 from repro.apps.base import Signal, TaskContext
 from repro.apps.coupling import CouplingRegistry
@@ -31,7 +32,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.staging.hub import DataHub
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.wms.spec import WorkflowSpec
+from repro.wms.spec import TaskSpec, WorkflowSpec
 from repro.wms.task import TaskInstance, TaskRecord, TaskState
 
 TaskListener = Callable[[TaskInstance], None]
@@ -41,36 +42,28 @@ TaskListener = Callable[[TaskInstance], None]
 _DELIBERATE_KILLS = ("orchestrated", "walltime")
 
 
-class Savanna:
-    """Workflow runtime over one allocation."""
+class LauncherCore:
+    """What the control plane reads of a launcher, on any clock.
 
-    def __init__(
-        self,
-        engine: SimEngine,
-        workflow: WorkflowSpec,
-        allocation: Allocation,
-        hub: DataHub | None = None,
-        trace: TraceRecorder | None = None,
-        rng: RngRegistry | None = None,
-        coupling: CouplingRegistry | None = None,
-        poll_interval: float = 0.25,
-        counters: CounterModel | None = None,
-        resilience: ResilienceSpec | None = None,
-    ) -> None:
-        self.engine = engine
-        self.workflow = workflow
-        self.allocation = allocation
-        self.machine = allocation.machine
+    Arbitration and Actuation reach a launcher only through :meth:`now`,
+    :meth:`record`, the resource manager ``rm`` (whose ``allocation`` is
+    the node inventory), the Gantt ``trace`` and the plugin ops every
+    launcher defines.  This class also holds what no clock changes:
+    listeners, exit bookkeeping, node blame and retry.  A launcher adds
+    ``now``, ``_call_after(delay, fn, name)`` and ``_spawn(op, name)``.
+    """
+
+    def __init__(self, workflow_id: str, tasks: dict[str, TaskSpec], allocation: Allocation,
+                 hub: DataHub | None, trace: TraceRecorder | None, rng: RngRegistry | None,
+                 resilience: ResilienceSpec | None) -> None:
+        self.workflow_id = workflow_id
         self.perf = allocation.machine.perf
         self.hub = hub if hub is not None else DataHub()
         self.trace = trace if trace is not None else TraceRecorder()
         self.rng = rng if rng is not None else RngRegistry(0)
-        self.coupling = coupling if coupling is not None else CouplingRegistry()
-        self.poll_interval = poll_interval
-        self.counters = counters
         self.rm = ResourceManager(allocation)
         self.records: dict[str, TaskRecord] = {
-            name: TaskRecord(spec=spec) for name, spec in workflow.tasks.items()
+            name: TaskRecord(spec=spec) for name, spec in tasks.items()
         }
         self._start_listeners: list[TaskListener] = []
         self._end_listeners: list[TaskListener] = []
@@ -103,7 +96,7 @@ class Savanna:
         self.retry_policy = spec.retry if spec is not None else None
         self.checkpoint_spec = spec.checkpoint if spec is not None else None
         if spec is not None and spec.quarantine is not None:
-            self.quarantine = NodeQuarantine(spec.quarantine, clock=lambda: self.engine.now)
+            self.quarantine = NodeQuarantine(spec.quarantine, clock=self.now)
         else:
             self.quarantine = None
         self.rm.quarantine = self.quarantine
@@ -132,16 +125,154 @@ class Savanna:
             raise LaunchError(f"unknown task {name!r}")
         return rec
 
+    def get_resource_status(self) -> dict[str, str]:
+        """Plugin op: per-node health, as the scheduler reports it."""
+        return self.rm.node_status()
+
+    # -- exit path ------------------------------------------------------------------------
+    def _finalize(self, instance: TaskInstance, exit_code: int, state: TaskState) -> None:
+        now = self.now()
+        instance.exit_code = exit_code
+        instance.end_time = now
+        if instance.state != state:
+            instance.transition(state)
+        self.rm.release_if_held(instance.task)
+        # Savanna saves the exit status where the STATUS sensor reads it (§4.5).
+        self.hub.filesystem.append_record(
+            f"status/{self.workflow_id}/{instance.task}",
+            {"code": exit_code, "time": now, "incarnation": instance.incarnation, "rank": 0,
+             "state": state.value},
+            mtime=now,
+        )
+        try:
+            self.trace.close_span(
+                instance.task, instance.instance_id, now,
+                exit_code=exit_code, state=state.value,
+            )
+            self.tracer.point(
+                "wms.task-end", "wms",
+                task=instance.task, instance=instance.instance_id,
+                incarnation=instance.incarnation, state=state.value,
+            )
+        except ValueError:
+            pass  # stopped during launch: span was never opened
+        if state == TaskState.COMPLETED:
+            rec = self.record(instance.task)
+            rec.retries_used = 0
+            rec.retry_exhausted = False
+        elif state == TaskState.FAILED:
+            self._on_task_failure(instance)
+        for cb in self._end_listeners:
+            cb(instance)
+
+    # -- recovery: blame + retry/backoff ---------------------------------------------------
+    def _on_task_failure(self, instance: TaskInstance) -> None:
+        """A task instance died with a nonzero code: blame and maybe retry.
+
+        Deliberate kills (orchestrated stops, walltime) are not faults.
+        Node-failure deaths already blamed the dead node inside
+        :meth:`handle_node_failure`, so the surviving nodes of the
+        instance are NOT blamed here — only genuinely task-level faults
+        (app crash, watchdog kill, chaos kill) count against every node
+        the instance ran on.
+        """
+        cause = instance.kill_cause
+        if cause in _DELIBERATE_KILLS:
+            return
+        if self.quarantine is not None and cause != "node-failure":
+            for node_id in instance.resources.node_ids:
+                if self.quarantine.record_failure(node_id):
+                    self.trace.point(
+                        self.now(), f"quarantine:{node_id}", category="failure"
+                    )
+        if self.retry_policy is not None:
+            self._schedule_retry(instance.task)
+
+    def _schedule_retry(self, name: str) -> None:
+        """Book a relaunch of *name* after an exponential-backoff delay."""
+        rec = self.record(name)
+        assert self.retry_policy is not None
+        if self.retry_policy.exhausted(rec.retries_used):
+            if not rec.retry_exhausted:
+                rec.retry_exhausted = True
+                self.trace.point(
+                    self.now(), f"retry-exhausted:{name}", category="failure",
+                    retries=rec.retries_used,
+                )
+            return
+        attempt = rec.retries_used
+        rec.retries_used += 1
+        delay = self.retry_policy.delay(attempt, self.rng.stream("resilience:backoff"))
+        self.trace.point(
+            self.now(), f"retry-scheduled:{name}", category="failure",
+            attempt=attempt + 1, delay=delay,
+        )
+        self._call_after(delay, lambda: self._retry_launch(name), f"retry:{name}")
+
+    def _retry_launch(self, name: str) -> None:
+        """Relaunch *name* on freshly placed cores (quarantine-aware)."""
+        rec = self.record(name)
+        if rec.is_active or rec.retry_exhausted:
+            return  # something else already resurrected or gave up on it
+        last = rec.history[-1] if rec.history else None
+        ncores = last.nprocs if last is not None else rec.spec.nprocs
+        try:
+            resources = self.rm.assign(name, ncores, rec.spec.procs_per_node)
+        except AllocationError:
+            try:
+                resources = self.rm.assign(name, ncores)  # packed fallback
+            except AllocationError:
+                # No room right now (quarantine may shrink the pool):
+                # burn another retry slot and wait out a longer backoff.
+                self._schedule_retry(name)
+                return
+        self._spawn(
+            self.start_task_with_resources(name, resources, preassigned=True), f"retry:{name}"
+        )
+
+
+class Savanna(LauncherCore):
+    """Workflow runtime over one allocation."""
+
+    def __init__(
+        self,
+        engine: SimEngine,
+        workflow: WorkflowSpec,
+        allocation: Allocation,
+        hub: DataHub | None = None,
+        trace: TraceRecorder | None = None,
+        rng: RngRegistry | None = None,
+        coupling: CouplingRegistry | None = None,
+        poll_interval: float = 0.25,
+        counters: CounterModel | None = None,
+        resilience: ResilienceSpec | None = None,
+    ) -> None:
+        self.engine = engine
+        self.workflow = workflow
+        self.allocation = allocation
+        self.machine = allocation.machine
+        self.coupling = coupling if coupling is not None else CouplingRegistry()
+        self.poll_interval = poll_interval
+        self.counters = counters
+        super().__init__(
+            workflow.workflow_id, workflow.tasks, allocation, hub, trace, rng, resilience
+        )
+
+    def now(self) -> float:
+        return self.engine.now
+
+    def _call_after(self, delay: float, fn: Callable[[], None], name: str) -> None:
+        self.engine.call_after(delay, fn, name=name)
+
+    def _spawn(self, op, name: str) -> None:
+        self.engine.process(op, name=name)
+
     def running_tasks(self) -> list[str]:
         return [name for name, rec in self.records.items() if rec.is_running]
 
     def all_idle(self) -> bool:
         """True when no task instance is launching, running, or stopping."""
         return not any(rec.is_active for rec in self.records.values())
-
-    def get_resource_status(self) -> dict[str, str]:
-        """Plugin op: per-node health, as the scheduler reports it."""
-        return self.rm.node_status()
 
     # -- workflow start --------------------------------------------------------------
     def launch_workflow(self) -> None:
@@ -438,107 +569,5 @@ class Savanna:
         self._finalize(instance, exit_code=code, state=state)
 
     def _finalize(self, instance: TaskInstance, exit_code: int, state: TaskState) -> None:
-        instance.exit_code = exit_code
-        instance.end_time = self.engine.now
-        if instance.state != state:
-            instance.transition(state)
-        self.rm.release_if_held(instance.task)
         self.coupling.deregister_everywhere(instance.task)
-        # Savanna saves the exit status where the STATUS sensor reads it (§4.5).
-        self.hub.filesystem.append_record(
-            f"status/{self.workflow.workflow_id}/{instance.task}",
-            {
-                "code": exit_code,
-                "time": self.engine.now,
-                "incarnation": instance.incarnation,
-                "rank": 0,
-                "state": state.value,
-            },
-            mtime=self.engine.now,
-        )
-        try:
-            self.trace.close_span(
-                instance.task, instance.instance_id, self.engine.now,
-                exit_code=exit_code, state=state.value,
-            )
-            self.tracer.point(
-                "wms.task-end", "wms",
-                task=instance.task, instance=instance.instance_id,
-                incarnation=instance.incarnation, state=state.value,
-            )
-        except ValueError:
-            pass  # stopped during launch: span was never opened
-        if state == TaskState.COMPLETED:
-            rec = self.record(instance.task)
-            rec.retries_used = 0
-            rec.retry_exhausted = False
-        elif state == TaskState.FAILED:
-            self._on_task_failure(instance)
-        for cb in self._end_listeners:
-            cb(instance)
-
-    # -- recovery: blame + retry/backoff ---------------------------------------------------
-    def _on_task_failure(self, instance: TaskInstance) -> None:
-        """A task instance died with a nonzero code: blame and maybe retry.
-
-        Deliberate kills (orchestrated stops, walltime) are not faults.
-        Node-failure deaths already blamed the dead node inside
-        :meth:`handle_node_failure`, so the surviving nodes of the
-        instance are NOT blamed here — only genuinely task-level faults
-        (app crash, watchdog kill, chaos kill) count against every node
-        the instance ran on.
-        """
-        cause = instance.kill_cause
-        if cause in _DELIBERATE_KILLS:
-            return
-        if self.quarantine is not None and cause != "node-failure":
-            for node_id in instance.resources.node_ids:
-                if self.quarantine.record_failure(node_id):
-                    self.trace.point(
-                        self.engine.now, f"quarantine:{node_id}", category="failure"
-                    )
-        if self.retry_policy is not None:
-            self._schedule_retry(instance.task)
-
-    def _schedule_retry(self, name: str) -> None:
-        """Book a relaunch of *name* after an exponential-backoff delay."""
-        rec = self.record(name)
-        assert self.retry_policy is not None
-        if self.retry_policy.exhausted(rec.retries_used):
-            if not rec.retry_exhausted:
-                rec.retry_exhausted = True
-                self.trace.point(
-                    self.engine.now, f"retry-exhausted:{name}", category="failure",
-                    retries=rec.retries_used,
-                )
-            return
-        attempt = rec.retries_used
-        rec.retries_used += 1
-        delay = self.retry_policy.delay(attempt, self.rng.stream("resilience:backoff"))
-        self.trace.point(
-            self.engine.now, f"retry-scheduled:{name}", category="failure",
-            attempt=attempt + 1, delay=delay,
-        )
-        self.engine.call_after(delay, lambda: self._retry_launch(name), name=f"retry:{name}")
-
-    def _retry_launch(self, name: str) -> None:
-        """Relaunch *name* on freshly placed cores (quarantine-aware)."""
-        rec = self.record(name)
-        if rec.is_active or rec.retry_exhausted:
-            return  # something else already resurrected or gave up on it
-        last = rec.history[-1] if rec.history else None
-        ncores = last.nprocs if last is not None else rec.spec.nprocs
-        try:
-            resources = self.rm.assign(name, ncores, rec.spec.procs_per_node)
-        except AllocationError:
-            try:
-                resources = self.rm.assign(name, ncores)  # packed fallback
-            except AllocationError:
-                # No room right now (quarantine may shrink the pool):
-                # burn another retry slot and wait out a longer backoff.
-                self._schedule_retry(name)
-                return
-        self.engine.process(
-            self.start_task_with_resources(name, resources, preassigned=True),
-            name=f"retry:{name}",
-        )
+        super()._finalize(instance, exit_code, state)

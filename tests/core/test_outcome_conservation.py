@@ -4,15 +4,22 @@ Over a whole run, the per-reason counts of the Decision stage (its
 degraded-mode gate) and of the Arbitration stage, less the
 ``waiting-unchanged`` ticks that answer no suggestion, add up to the
 suggestions ``DecisionStage.tick`` returned: on the Gray-Scott paper
-scenario on both machines, and on a fabric run that spends time in
-degraded mode.
+scenario on both machines, on a fabric run that spends time in
+degraded mode, and on a threaded run, whose bounded hand-off queue sheds
+batches Arbitration never saw.
 """
+
+import time
 
 import pytest
 
-from repro.core import ArbitrationStage, DecisionStage
+from repro.core import (
+    ActionType, ArbitrationStage, DecisionStage, GroupBySpec, PolicyApplication, PolicySpec,
+    SensorSpec,
+)
 from repro.core.actions import Reason
 from repro.experiments.grayscott_scenario import run_gray_scott_experiment
+from repro.runtime import LiveTaskSpec, ThreadedDyflow
 from tests.experiments.test_fingerprint_regression import CHAOS_XML
 
 
@@ -61,3 +68,42 @@ def test_a_degraded_fabric_run_accounts_for_every_suggestion(monkeypatch):
     emitted, counts = conserved_run(monkeypatch, seed=3, xml_extra=CHAOS_XML)
     assert counts.get(Reason.GATED_DEGRADED)
     assert ended(counts) == emitted
+
+
+def test_a_threaded_run_accounts_for_every_suggestion(monkeypatch):
+    emitted = []
+    tick = DecisionStage.tick
+
+    def counting_tick(self, now):
+        out = tick(self, now)
+        emitted.extend(out)
+        return out
+
+    monkeypatch.setattr(DecisionStage, "tick", counting_tick)
+    runner = ThreadedDyflow(
+        "LIVE", [LiveTaskSpec("T", lambda s, w: time.sleep(0.02), total_steps=30)],
+        poll_interval=0.02, warmup=0.1, settle=0.1, max_workers_total=3, queue_capacity=1,
+    )
+    runner.add_sensor(SensorSpec("PACE", "TAUADIOS2", (GroupBySpec("task", "MAX"),)))
+    runner.monitor_task("T", "PACE")
+    runner.add_policy(PolicySpec("INC", "PACE", "GT", 0.0, ActionType.ADDCPU, frequency=0.0))
+    runner.apply_policy(PolicyApplication("INC", "LIVE", ("T",), assess_task="T"))
+    runner.start()
+    try:
+        assert runner.wait_until_done(timeout=30.0)
+        # Once every step is ingested nothing more is suggested; wait for
+        # the queue to drain and the count to hold still.
+        deadline, last = time.monotonic() + 10.0, None
+        while (len(runner._queue) or last != len(emitted)) and time.monotonic() < deadline:
+            last = len(emitted)
+            time.sleep(0.2)
+    finally:
+        runner.stop()
+    assert len(runner._queue) == 0
+    counts: dict[str, int] = {}
+    for stage in (runner.decision, runner.arbitration):
+        for reason, n in stage.outcome_counts.items():
+            counts[reason] = counts.get(reason, 0) + n
+    assert counts.get(Reason.GRANTED) == 2  # 1 -> 2 -> 3 workers, the node's cores
+    assert counts.get(Reason.DISCARDED_GROWTH)
+    assert emitted and ended(counts) == len(emitted)

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.core import GroupBySpec, SensorSpec
+from repro.core import ActionType, GroupBySpec, SensorSpec, SuggestedAction
+from repro.core.actions import Reason
 from repro.fabric import BoundedShedQueue, NetworkSpec
 from repro.resilience import ResilienceSpec
 from repro.runtime import RuntimeOptions
@@ -27,8 +28,7 @@ class TestBoundedShedQueue:
 
     def test_sheds_oldest_when_full(self):
         q = BoundedShedQueue(2)
-        for i in range(4):
-            q.put(i)
+        assert [q.put(i) for i in range(4)] == [None, None, 0, 1]  # hands back what it shed
         assert q.shed == 2 and len(q) == 2
         assert q.get(timeout=0.1) == 2  # 0 and 1 were shed, oldest first
 
@@ -64,10 +64,18 @@ class TestThreadedFabricWiring:
 
     def test_queue_capacity_exposed_via_shed_counter(self):
         runner = self.make_runner(queue_capacity=2)
-        assert runner.suggestions_shed == 0
-        for i in range(4):
-            runner._queue.put([i])
-        assert runner.suggestions_shed == 2
+        assert runner._queue.shed == 0
+        batches = [
+            [SuggestedAction(f"P{i}", ActionType.ADDCPU, "T", "LIVE") for _ in range(i + 1)]
+            for i in range(4)
+        ]
+        for batch in batches:
+            runner._hand_off(batch)
+        assert runner._queue.shed == 2
+        # Each suggestion of a shed batch ends in one outcome: superseded.
+        assert runner.arbitration.outcome_counts == {Reason.SUPERSEDED: 1 + 2}
+        assert [o.policy_id for o in runner.arbitration.outcomes] == ["P0", "P1", "P1"]
+        assert [runner._queue.get(timeout=0.1) for _ in range(2)] == batches[2:]
 
     def test_live_run_through_lossy_fabric(self):
         # Monitor traffic survives a lossy wall-clock link end to end:

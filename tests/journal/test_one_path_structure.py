@@ -43,6 +43,14 @@ GONE = {
     "arbitration.waiting_unchanged", "decision.suggestions_gated",
     # the engine's slot-indexed queue and its second copy of the event loop
     "_Slot", "SimEngine.step",
+    # the threaded driver's own Arbitration, Actuation, retry, watchdog and records
+    "ThreadedDyflow._apply", "_maybe_retry", "_retry_start", "_incarnations", "_instances",
+    "ThreadedDyflow.nworkers", "applied_actions", "watchdog_kills", "ThreadedDyflow._watchdog_loop",
+    "_start_task", "_stop_task", "_on_instance_exit", "_journal_append", "_retries_used",
+    "_completed_tasks", "_resume_steps", "watchdog_spec", "hub_lock", "_journal_lock",
+    "_state_lock", "last_progress", "ThreadedDyflow._health_aggregates",
+    "DyflowOrchestrator._health_aggregates", "DyflowOrchestrator._on_task_start",
+    "DyflowOrchestrator._on_plan_done", "tasks.running", "workers.total", "retries.exhausted",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"

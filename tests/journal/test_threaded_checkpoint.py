@@ -63,7 +63,7 @@ def test_restart_resumes_at_the_journaled_step(tmp_path):
     assert second_steps[-1] == TOTAL_STEPS - 1
     assert second_steps == list(range(resume_at, TOTAL_STEPS))
     # Incarnation numbering continued past the journaled first life.
-    assert second._incarnations["T"] == 2
+    assert second.launcher.record("T").incarnations == 2
 
 
 def test_completed_tasks_are_not_relaunched(tmp_path):
@@ -78,11 +78,11 @@ def test_completed_tasks_are_not_relaunched(tmp_path):
     again = []
     third = make_runner(again, journal=None)
     third.resume_from(spec.dir)
-    assert "T" in third._completed_tasks
     third.start()
     assert third.wait_until_done(timeout=5.0)
     third.stop()
     assert again == []  # nothing re-ran
+    assert third.launcher.record("T").current is None  # not even launched
 
 
 def test_epoch_advances_per_takeover(tmp_path):

@@ -1,4 +1,6 @@
-"""Wall-clock mirror of the recovery layer: threaded retry and watchdog."""
+"""The recovery layer on wall-clock time: the live launcher's retry and
+watchdog, read from its task records and Gantt trace points like the
+simulated launcher's."""
 
 import time
 
@@ -20,20 +22,17 @@ def make_runner(tasks, resilience):
 
 
 def status_records(runner, name):
-    with runner.hub_lock:
+    with runner.lock:
         path = f"status/{runner.workflow_id}/{name}"
         if not runner.hub.filesystem.exists(path):
             return []
         return list(runner.hub.filesystem.read(path))
 
 
-def wait_for(pred, timeout=10.0):
-    deadline = time.perf_counter() + timeout
-    while time.perf_counter() < deadline:
-        if pred():
-            return True
-        time.sleep(0.05)
-    return False
+def failure_points(runner, kind):
+    """``(label, meta)`` of the launcher's *kind* trace points, e.g. ``retry-scheduled``."""
+    return [(p.label, p.meta) for p in runner.launcher.trace.points_for(category="failure")
+            if p.label.startswith(kind + ":")]
 
 
 class TestThreadedRetry:
@@ -49,15 +48,14 @@ class TestThreadedRetry:
         runner = make_runner([LiveTaskSpec("T", flaky, total_steps=5)],
                              ResilienceSpec(retry=fast_retry()))
         runner.start()
-        # wait_until_done() can fire in the gap between the crash and the
-        # backoff timer; poll the status records for the clean exit instead.
-        assert wait_for(lambda: any(r["code"] == 0 for r in status_records(runner, "T")))
+        # A pending retry is not done: this returns after the relaunch.
+        assert runner.wait_until_done(timeout=10.0)
         runner.stop()
         records = status_records(runner, "T")
         assert [r["code"] for r in records] == [1, 0]
         assert [r["incarnation"] for r in records] == [0, 1]
-        assert len(runner.retries) == 1
-        assert runner.retries[0][1] == "T" and runner.retries[0][2] == 1
+        ((label, meta),) = failure_points(runner, "retry-scheduled")
+        assert label == "retry-scheduled:T" and meta["attempt"] == 1
 
     def test_retry_budget_exhaustion(self):
         def always_boom(_step, _w):
@@ -66,8 +64,12 @@ class TestThreadedRetry:
         runner = make_runner([LiveTaskSpec("T", always_boom, total_steps=5)],
                              ResilienceSpec(retry=fast_retry(max_retries=2)))
         runner.start()
-        assert wait_for(lambda: "T" in runner.retry_exhausted)
+        assert runner.wait_until_done(timeout=10.0)
         runner.stop()
+        assert runner.launcher.record("T").retry_exhausted
+        assert [label for label, _ in failure_points(runner, "retry-exhausted")] == [
+            "retry-exhausted:T"
+        ]
         records = status_records(runner, "T")
         assert len(records) == 3  # original + 2 retries
         assert all(r["code"] == 1 for r in records)
@@ -83,7 +85,7 @@ class TestThreadedRetry:
         runner.stop()
         records = status_records(runner, "T")
         assert [r["code"] for r in records] == [1]
-        assert runner.retries == []
+        assert failure_points(runner, "retry-scheduled") == []
 
 
 class TestThreadedWatchdog:
@@ -104,13 +106,18 @@ class TestThreadedWatchdog:
             ),
         )
         runner.start()
-        assert wait_for(lambda: any(r["code"] == 0 for r in status_records(runner, "T")))
-        assert runner.watchdog_kills and runner.watchdog_kills[0][1] == "T"
-        # Let the abandoned thread wake up and write its exit record too.
-        assert wait_for(lambda: any(r["code"] == 142 for r in status_records(runner, "T")))
+        assert runner.wait_until_done(timeout=10.0)
         runner.stop()
-        codes = sorted(r["code"] for r in status_records(runner, "T"))
-        assert codes == [0, 142]
+        assert [label for label, _ in failure_points(runner, "watchdog-kill")] == [
+            "watchdog-kill:T"
+        ]
+        # The hung thread was abandoned with the kill code, and its late
+        # exit ignored; the retry path brought up the replacement.
+        codes = [r["code"] for r in status_records(runner, "T")]
+        assert codes == [142, 0]
+        assert [label for label, _ in failure_points(runner, "retry-scheduled")] == [
+            "retry-scheduled:T"
+        ]
 
     def test_healthy_tasks_not_killed(self):
         runner = make_runner(
@@ -120,5 +127,5 @@ class TestThreadedWatchdog:
         runner.start()
         assert runner.wait_until_done(timeout=10.0)
         runner.stop()
-        assert runner.watchdog_kills == []
+        assert failure_points(runner, "watchdog-kill") == []
         assert status_records(runner, "T")[-1]["code"] == 0

@@ -6,17 +6,20 @@ spec, the same error messages and the same client/link layout — the
 copies had drifted (the threaded ``monitor_task`` took no ``info_source``,
 so a FILEREAD/DISKSCAN sensor could not be bound there at all).
 *Wired once*: an AST walk over ``src/repro/runtime`` finds each subsystem
-constructor, each export writer and the journal-argument resolution in
-exactly one module, so a re-duplicated constructor fails here by name.
+constructor — the Arbitration and Actuation stages included — each export
+writer and the journal-argument resolution in exactly one module, no
+driver acts on a high-level action itself, and ``RetryPolicy.delay`` is
+drawn in one place in ``src/repro``, so a re-duplicated constructor, a
+second policy engine or a second retry path fails here by name.
 """
 
 import ast
-import dataclasses
 import functools
 import pathlib
 
 import pytest
 
+import repro
 import repro.runtime
 from repro.apps import ConstantModel, IterativeApp
 from repro.cluster import Allocation, summit
@@ -71,9 +74,8 @@ class TestConformance:
         bootstrap(sim)
         bootstrap(live)
         sim_spec, live_spec = spec_from_runtime(sim), spec_from_runtime(live)
-        # Only the simulated driver has an Arbitration stage, hence rules.
-        assert set(sim_spec.rules) == {"W"} and live_spec.rules == {}
-        assert dataclasses.replace(sim_spec, rules={}) == live_spec
+        assert set(sim_spec.rules) == {"W"}
+        assert sim_spec == live_spec
         assert live_spec.resilience is options.resilience
         assert live_spec.journal is options.journal
         assert [(m.task, m.sensor_id) for m in live_spec.monitor_tasks] == [
@@ -135,6 +137,7 @@ RUNTIME_DIR = pathlib.Path(repro.runtime.__file__).parent
 WIRED_ONCE = (
     "HealthEngine", "FabricLink", "DegradedModeController", "build_tracer", "make_source",
     "write_openmetrics", "write_chrome_trace", "report_from_jsonl",
+    "ArbitrationStage", "ActuationStage",
 )
 BOOTSTRAP_API = ("add_sensor", "monitor_task", "add_policy", "apply_policy")
 
@@ -189,3 +192,28 @@ def test_bootstrap_method_is_defined_once(method):
         if isinstance(node, ast.FunctionDef) and node.name == method
     ]
     assert definitions == ["core.py"]
+
+
+def test_no_driver_acts_on_a_high_level_action():
+    """Only Arbitration maps ``ActionType`` members to ops; a driver that
+    names one is a second policy engine."""
+    named = sorted(
+        f"{module}:{ast.unparse(node)}"
+        for module, tree in runtime_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "ActionType"
+    )
+    assert named == []
+
+
+def test_a_retry_delay_is_drawn_in_one_place():
+    src = pathlib.Path(repro.__file__).parent
+    calls = sorted(
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "delay"
+    )
+    assert calls == ["wms/launcher.py"]

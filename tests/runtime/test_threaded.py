@@ -1,7 +1,9 @@
 """Tests for the wall-clock threaded driver (real tasks, real time).
 
 These run actual threads with sub-second workloads; they are the slowest
-tests in the suite but each stays under a few wall seconds.
+tests in the suite but each stays under a few wall seconds.  What the
+control plane did is read from the same records the simulator keeps:
+Arbitration's outcomes and plans, and the launcher's task records.
 """
 
 import sys
@@ -18,7 +20,10 @@ from repro.core import (
     SensorSpec,
     SuggestedAction,
 )
+from repro.core.actions import Reason
 from repro.errors import DyflowError
+from repro.resilience import ResilienceSpec, RetryPolicy
+from repro.runtime import RuntimeOptions
 from repro.runtime.threaded import LiveTaskSpec, ThreadedDyflow
 
 
@@ -26,6 +31,11 @@ def make_runner(tasks, **kw):
     defaults = dict(poll_interval=0.05, warmup=0.2, settle=0.2)
     defaults.update(kw)
     return ThreadedDyflow("LIVE", tasks, **defaults)
+
+
+def granted(runner, line):
+    """Did a plan grant *line* (``POLICY:ACTION:TASK``)?"""
+    return any(line in plan.accepted for plan in runner.arbitration.plans)
 
 
 class TestLiveExecution:
@@ -73,15 +83,16 @@ class TestLiveActions:
         crashed = {"done": False}
 
         def flaky(step, _w):
-            if step == 2 and not crashed["done"]:
+            # Crash once, after the 0.2 s warmup: a suggestion inside it is gated.
+            if step == 8 and not crashed["done"]:
                 crashed["done"] = True
                 raise RuntimeError("injected")
-            time.sleep(0.02)
+            time.sleep(0.05)
 
         # A long-lived companion keeps the run alive across the restart
         # gate (as the solver does in the live example).
         runner = make_runner([
-            LiveTaskSpec("T", flaky, total_steps=6),
+            LiveTaskSpec("T", flaky, total_steps=10),
             LiveTaskSpec("BG", lambda s, w: time.sleep(0.05), total_steps=30),
         ])
         runner.add_sensor(SensorSpec("STATUS", "ERRORSTATUS", (GroupBySpec("task", "FIRST"),)))
@@ -96,8 +107,8 @@ class TestLiveActions:
         runner.start()
         assert runner.wait_until_done(timeout=15.0)
         runner.stop()
-        assert runner._incarnations["T"] == 2
-        assert any("RESTART:T" in a for _t, a in runner.applied_actions)
+        assert runner.launcher.record("T").incarnations == 2
+        assert granted(runner, "RESTART_ON_FAILURE:RESTART:T")
         codes = [r["code"] for r in runner.hub.filesystem.read("status/LIVE/T")]
         assert codes == [1, 0]
 
@@ -126,7 +137,7 @@ class TestLiveActions:
         time.sleep(2.0)
         runner.stop()
         assert max(seen_workers) >= 3  # at least one ADDCPU applied
-        assert any("ADDCPU:T" in a for _t, a in runner.applied_actions)
+        assert granted(runner, "INC:ADDCPU:T")
 
     def test_warmup_gates_actions(self):
         def boom_once(step, _w):
@@ -144,18 +155,24 @@ class TestLiveActions:
         runner.start()
         time.sleep(1.0)
         runner.stop()
-        assert runner.applied_actions == []  # gated by the long warmup
+        # The crash's one RESTART suggestion is discarded, not deferred.
+        assert runner.arbitration.outcome_counts == {Reason.GATED_WARMUP: 1}
+        assert runner.arbitration.plans == []
 
 
 def test_addcpu_while_other_tasks_exit():
-    """ADDCPU under ``max_workers_total`` totals the *other* tasks' workers
-    while their threads remove themselves from the instance table.
+    """ADDCPU suggestions stream through Arbitration and Actuation while
+    hundreds of task threads exit on their own.
 
-    Outside the state lock that read raised ``RuntimeError: dictionary
-    changed size during iteration``, which killed the daemon arbitration
-    thread and dropped every later suggestion.
+    Arbitration totals the node's free cores while exits release them.
+    Before the exit path and Arbitration shared one lock, that read raised
+    ``RuntimeError: dictionary changed size during iteration``, which
+    killed the daemon arbitration thread and dropped every later
+    suggestion.  The node holds exactly the initial composition, so ``T``
+    grows only into cores the exits freed, and never past the node.
     """
     grow = SuggestedAction("P", ActionType.ADDCPU, "T", "LIVE", params={"adjust-by": 1})
+    cores = 402
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -167,23 +184,76 @@ def test_addcpu_while_other_tasks_exit():
             ]
             runner = make_runner(
                 [LiveTaskSpec("T", lambda s, w: time.sleep(0.001), nworkers=2)] + short,
-                max_workers_total=2,
+                max_workers_total=cores, warmup=0.0, settle=0.0,
             )
+            rm = runner.launcher.rm
             overlapped = 0
             runner.start()
+            arbitration_thread = runner._threads[-1]
             try:
                 threading.Timer(0.05, go.set).start()
                 deadline = time.monotonic() + 60.0
-                while (runner._health_aggregates()["tasks.running"] > 1
+                while (any(runner.launcher.record(t.name).is_active for t in short)
                        and time.monotonic() < deadline):
-                    runner._apply([grow])
+                    with runner.lock:
+                        runner._hand_off([grow])
+                        rm.check_invariants()  # raises on an oversubscribed node
                     overlapped += go.is_set()
+                    time.sleep(0.001)
                 assert time.monotonic() < deadline, "short tasks never finished"
                 assert overlapped > 1  # suggestions kept coming while tasks exited
-                assert runner.nworkers("T") == 2  # the cap held: T was never grown
+                time.sleep(0.2)  # let the last suggestions land
+                assert arbitration_thread.is_alive()
             finally:
                 go.set()
                 runner.stop()
-            assert runner.applied_actions == []
+            rm.check_invariants()
+            t_cores = [i.nprocs for i in runner.launcher.record("T").all_instances()]
+            assert max(t_cores) > 2 and max(t_cores) <= cores  # grew into freed cores
+            assert runner.arbitration.outcome_counts.get(Reason.GRANTED)
     finally:
         sys.setswitchinterval(interval)
+
+
+class TestRestartHooks:
+    def test_a_restart_clears_a_windowed_policy(self):
+        """A restarted task runs at a new size: its windowed policy must not
+        average the old incarnation's pace with the new one's."""
+        restarted, release = threading.Event(), threading.Event()
+        lives = []
+
+        def work(step, _w):
+            if step == 0:
+                lives.append(step)
+            if len(lives) == 2:  # the second incarnation: publish nothing yet
+                restarted.set()
+                release.wait(10.0)
+            elif step == 3:
+                deadline = time.monotonic() + 10.0
+                while len(window()) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)  # both window slots hold this life's pace
+                raise RuntimeError("crash")
+            time.sleep(0.01)
+
+        retry = RetryPolicy(max_retries=1, backoff_base=0.05, jitter=0.0)
+        runner = make_runner([LiveTaskSpec("T", work, total_steps=6)],
+                             options=RuntimeOptions(resilience=ResilienceSpec(retry=retry)))
+        runner.add_sensor(SensorSpec("PACE", "TAUADIOS2", (GroupBySpec("task", "MAX"),)))
+        runner.monitor_task("T", "PACE")
+        runner.add_policy(PolicySpec("SLOW", "PACE", "GT", 1e9, ActionType.ADDCPU,
+                                     history_window=2, frequency=0.05))
+        runner.apply_policy(PolicyApplication("SLOW", "LIVE", ("T",), assess_task="T"))
+        (policy,) = runner.decision.runtimes
+
+        def window():
+            return policy.state_dict()["window"]
+
+        runner.start()
+        try:
+            assert restarted.wait(10.0)
+            time.sleep(0.2)  # several monitor and decision rounds
+            assert window() == []
+        finally:
+            release.set()
+            runner.stop()
+        assert lives == [0, 0]
