@@ -25,10 +25,8 @@ Reading the JSON: one row per scenario size under ``metrics.sizes``;
 wall-second, launch included), ``events_per_sec`` the raw engine rate,
 ``envelopes_per_sec`` the monitor-fabric delivery rate.
 ``metrics.calibration_events_per_sec`` is the machine-speed yardstick
-used by ``--check``.  ``metrics.events_per_sec_10k_over_1k`` (present when
-both sizes ran) is the flat-per-event-cost figure: 1.0 means an event
-costs the same at 10k tasks as at 1k; ROADMAP item 1 wants >= 0.5.  Raw
-counters ride along so rates can be recomputed.  See docs/performance.md.
+used by ``--check``.  Raw counters ride along so rates can be
+recomputed.  See docs/performance.md.
 """
 
 from __future__ import annotations
@@ -94,16 +92,10 @@ def measure(num_tasks: int, repeats: int = 1) -> dict:
 
 
 def run_suite(sizes=FULL_SIZES, repeats: int = 1) -> dict:
-    metrics = {
+    return {
         "calibration_events_per_sec": calibrate(),
         "sizes": {str(n): measure(n, repeats=repeats) for n in sizes},
     }
-    rows = metrics["sizes"]
-    if "1000" in rows and "10000" in rows:
-        metrics["events_per_sec_10k_over_1k"] = round(
-            rows["10000"]["events_per_sec"] / rows["1000"]["events_per_sec"], 3
-        )
-    return metrics
 
 
 def check_regression(metrics: dict, committed_path: str) -> list[str]:
@@ -169,8 +161,6 @@ def main(argv=None) -> int:
             f"{row['events_per_sec']:>10} events/s {row['envelopes_per_sec']:>8} envelopes/s "
             f"({row['wall_seconds']}s wall)"
         )
-    if "events_per_sec_10k_over_1k" in metrics:
-        print(f"events/s at 10k over 1k: {metrics['events_per_sec_10k_over_1k']}")
     if not args.no_write:
         _write(metrics, args.repeats)
     if args.check:

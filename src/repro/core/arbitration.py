@@ -271,6 +271,8 @@ class ArbitrationStage:
 
     def _arbitrate(self, suggestions: list[SuggestedAction], now: float) -> ActionPlan | None:
         self.outcomes = []
+        if not suggestions and not self.waiting:
+            return None  # nothing to gate, resolve or place
         gate = self.gated(now)
         if gate is not None:
             for s in suggestions:

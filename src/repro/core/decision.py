@@ -8,6 +8,8 @@ and sent as a single JSON message to the Arbitration module" (paper §3).
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Iterable
 
 from repro.core.actions import ActionType, Outcome, Reason, SuggestedAction, tally
@@ -28,10 +30,15 @@ class DecisionStage:
     def __init__(self) -> None:
         self._specs: dict[str, PolicySpec] = {}
         self._runtimes: list[PolicyRuntime] = []
-        # Creation indices of the runtimes with something to assess; each
-        # runtime keeps its own membership current (PolicyRuntime.track),
-        # so tick() never visits an idle policy.
+        # Creation indices of the runtimes with something to assess that
+        # are not parked; each runtime keeps its own membership current
+        # (PolicyRuntime.track), so tick() never visits an idle policy.
         self._answerable: set[int] = set()
+        # frequency -> heap of (bucket, index): runtimes that can answer
+        # but are not due before frequency bucket ``bucket``.  An entry
+        # whose runtime's ``bucket`` differs is stale.  Derived state,
+        # never journaled.
+        self._parked: dict[float, list[tuple[int, int]]] = {}
         # Routing index: (sensor, granularity, workflow) -> (by-task map,
         # wildcard list).  Rebuilt lazily after apply_policy; turns
         # ingest from O(updates x runtimes) into O(updates) — the
@@ -124,12 +131,21 @@ class DecisionStage:
         span = tracer.start_span("decision.tick", "decision") if tracer.enabled else None
         suggestions: list[SuggestedAction] = []
         runtimes, answerable = self._runtimes, self._answerable
+        for freq, heap in self._parked.items():
+            turned = math.floor(now / freq)  # PolicyRuntime.due's arithmetic
+            if heap and heap[0][0] <= turned:
+                self._release(heap, turned)
         for index in sorted(answerable):  # creation order, as suggestions must be
             rt = runtimes[index]
-            answerable.discard(index)  # re-marked below while it can still answer
             suggestions.extend(rt.evaluate(now))
-            if rt.can_answer():
-                answerable.add(index)
+            if not rt.can_answer():
+                answerable.discard(index)
+                continue
+            bucket = rt.next_bucket()
+            if bucket is not None:  # not due again before that bucket turns
+                rt.bucket = bucket
+                heapq.heappush(self._parked.setdefault(rt.spec.frequency, []), (bucket, index))
+                answerable.discard(index)
         if span is not None:
             tracer.end_span(span, suggestions=len(suggestions))
             if suggestions:
@@ -141,6 +157,19 @@ class DecisionStage:
                 for s in suggestions:
                     hist.observe(max(0.0, now - s.trigger_time))
         return suggestions
+
+    def _release(self, heap: list[tuple[int, int]], turned: int) -> None:
+        """Unpark the runtimes in *heap* whose bucket is ``<= turned``; those
+        that can still answer are visited by this tick."""
+        runtimes, answerable = self._runtimes, self._answerable
+        while heap and heap[0][0] <= turned:
+            bucket, index = heapq.heappop(heap)
+            rt = runtimes[index]
+            if rt.bucket != bucket:
+                continue  # stale: the runtime reloaded its state since
+            rt.bucket = None
+            if rt.can_answer():
+                answerable.add(index)
 
     def set_degraded(self, active: bool) -> None:
         """Toggle degraded mode (monitor data stale — see repro.fabric)."""
@@ -205,5 +234,6 @@ class DecisionStage:
         self.updates_matched = int(state["updates_matched"])
         self.degraded = bool(state.get("degraded", False))
         self.outcome_counts = dict(state.get("outcome_counts", {}))
+        self._parked = {}  # each runtime unparks as it loads
         for rt, rt_state in zip(self._runtimes, runtimes):
             rt.load_state_dict(rt_state)

@@ -60,11 +60,10 @@ class MonitorClient:
         self._bindings: list[MonitorTaskBinding] = []
         self._by_task: dict[str, list[int]] = {}
         # Indices of the bindings that may have data: marked at bind,
-        # restart and restore, and by a publish on a watched stream (in
-        # the threaded driver publish and collect() share one lock).
-        # Unwatched bindings are polled every round.
+        # restart and restore, and by each source's watch when its data
+        # changes (in the threaded driver those writes and collect()
+        # share one lock).
         self._wake: set[int] = set()
-        self._unwatched: list[int] = []
         # sensor id -> (spec of its first binding, largest read lag)
         self._sensors: dict[str, tuple[SensorSpec, float]] = {}
         self._seq = SequenceTracker()
@@ -76,8 +75,7 @@ class MonitorClient:
         index = len(self._bindings)
         self._bindings.append(binding)
         self._by_task.setdefault(binding.task, []).append(index)
-        if not instance.source.watch(self._wake, index):
-            self._unwatched.append(index)
+        instance.source.watch(self._wake, index)
         self._wake.add(index)  # the first poll connects
         spec, lag = self._sensors.get(sensor_id, (instance.spec, 0.0))
         self._sensors[sensor_id] = (spec, max(lag, instance.source.read_lag(self.perf)))
@@ -120,20 +118,31 @@ class MonitorClient:
     def collect(self, now: float) -> list[tuple[float, Envelope]]:
         """Run the sensors that may have data; return ``(read_lag, envelope)`` pairs.
 
-        A round polls the bindings marked since the last one plus every
-        unwatched binding, in creation order; a binding left out would
-        have returned nothing.  See :meth:`_envelopes` for the packing.
+        A round polls only the bindings marked since the last one, in
+        creation order: every source wakes its binding when its data
+        changes, so a binding left out would have returned nothing.  A
+        round with nothing marked returns at once.  A poll that raises
+        leaves itself and the bindings after it marked for the next
+        round.  See :meth:`_envelopes` for the packing.
         """
         wake = self._wake
-        due = sorted(wake.union(self._unwatched))
+        if not wake:
+            return []
+        due = sorted(wake)
         wake.clear()
         bindings = self._bindings
         round_updates: dict[str, list[MetricUpdate]] = {}
-        for i in due:
-            b = bindings[i]
-            ups = b.instance.poll(now)
-            if ups:
-                round_updates.setdefault(b.sensor_id, []).extend(ups)
+        polled = 0
+        try:
+            for i in due:
+                b = bindings[i]
+                ups = b.instance.poll(now)
+                polled += 1
+                if ups:
+                    round_updates.setdefault(b.sensor_id, []).extend(ups)
+        except Exception:
+            wake.update(due[polled:])
+            raise
         return self._envelopes(round_updates, now)
 
     def _envelopes(

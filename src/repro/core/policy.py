@@ -121,13 +121,16 @@ class PolicyRuntime:
         self._last_time = 0.0
         self.fired = 0
         # Set by track(): the owning stage's set of runtime indices that
-        # can answer, and this runtime's index in it.  Derived from the
-        # state above, never journaled.
+        # can answer, and this runtime's index in it.  ``bucket`` is the
+        # frequency bucket the stage parked this runtime until (None: not
+        # parked).  Derived from the state above, never journaled.
         self._answerable: set[int] | None = None
         self._index = -1
+        self.bucket: int | None = None
 
     def track(self, index: int, answerable: set[int]) -> None:
-        """Keep *index* in *answerable* exactly while :meth:`can_answer` holds.
+        """Keep *index* in *answerable* while :meth:`can_answer` holds and
+        the runtime is not parked.
 
         A Decision stage evaluates only the runtimes in that set, so a
         tick costs nothing for policies with no data to assess.
@@ -138,7 +141,7 @@ class PolicyRuntime:
 
     def _retrack(self) -> None:
         if self._answerable is not None:
-            if self.can_answer():
+            if self.can_answer() and self.bucket is None:
                 self._answerable.add(self._index)
             else:
                 self._answerable.discard(self._index)
@@ -171,7 +174,8 @@ class PolicyRuntime:
         self._pending.append((u.value, u.time))
         if u.time > self._last_time:
             self._last_time = u.time
-        if self._answerable is not None:
+        if self._answerable is not None and self.bucket is None:
+            # A parked runtime stays parked: new data does not make it due.
             self._answerable.add(self._index)
 
     # -- evaluation -----------------------------------------------------------
@@ -190,6 +194,14 @@ class PolicyRuntime:
         if freq <= 0:
             return True
         return math.floor(now / freq) > math.floor(self._last_eval / freq)
+
+    def next_bucket(self) -> int | None:
+        """The first frequency bucket ``floor(now / f)`` at which
+        :meth:`due` holds again, or None when it holds at every time."""
+        freq = self.spec.frequency
+        if self._last_eval is None or freq <= 0:
+            return None
+        return math.floor(self._last_eval / freq) + 1
 
     def can_answer(self) -> bool:
         """Would a due :meth:`evaluate` assess anything?
@@ -285,4 +297,5 @@ class PolicyRuntime:
         self._last_eval = float(last_eval) if last_eval is not None else None
         self._last_time = float(state.get("last_time", 0.0))
         self.fired = int(state.get("fired", 0))
+        self.bucket = None  # last_eval moved: any parking is void
         self._retrack()

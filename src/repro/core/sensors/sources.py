@@ -12,8 +12,9 @@ Each adapter exposes ``poll(now) -> list[Sample]`` (new observations
 since the previous poll), ``reconnect()`` for task restarts,
 ``read_lag(perf)`` — the per-source read latency the cost analysis in
 §4.6 measured (≈0.2 s for a file variable, ≈0.5 s for streamed TAU data)
-— and ``watch(wake, token)``, by which a stream source asks to be polled
-only after its channel published.
+— and ``watch(wake, token)``, by which a source asks to be polled only
+after its data changed: a stream after its channel published, a file
+source after its file (or, for DISKSCAN, a matching creation) changed.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ class DataSource:
     def reconnect(self) -> None:
         """Re-establish connections after the monitored task restarted."""
 
-    def watch(self, wake: set[int], token: int) -> bool:
-        """Ask to have *token* added to *wake* whenever new data arrives.
+    def watch(self, wake: set[int], token: int) -> None:
+        """Have *token* added to *wake* whenever new data may have arrived.
 
-        True promises that a connected source's poll returns nothing
-        unless *token* was added since that poll; the caller then marks
-        the source itself when it binds, reconnects or restores it.
-        False (the default): poll this source every round.
+        Every source implements it.  The promise: a connected source's
+        poll returns nothing, and changes nothing, unless *token* was
+        added since that poll.  The caller marks the source itself when
+        it binds, reconnects or restores it.
         """
-        return False
+        raise NotImplementedError
 
     def read_lag(self, perf: MachinePerf) -> float:
         """Seconds between data availability and the metric reaching DYFLOW."""
@@ -89,12 +90,11 @@ class StreamSource(DataSource):
         self._wake: set[int] | None = None
         self._token = 0
 
-    def watch(self, wake: set[int], token: int) -> bool:
+    def watch(self, wake: set[int], token: int) -> None:
         self._wake = wake
         self._token = token
         if self._reader is not None:
             self._reader.watch(wake, token)
-        return True
 
     def _ensure_reader(self) -> StreamReader:
         if self._reader is None:
@@ -212,6 +212,10 @@ class DiskScanSource(DataSource):
         self._matches = re.compile(fnmatch.translate(pattern)).match
         self._pos = 0
 
+    def watch(self, wake: set[int], token: int) -> None:
+        # A poll reports only matching creations: nothing else can wake it.
+        self.fs.watch_creations(self._matches, wake, token)
+
     def _value_of(self, entry) -> float:
         if self.value_fn is not None:
             return float(self.value_fn(entry))
@@ -285,6 +289,9 @@ class FileReadSource(DataSource):
         self.var = var
         self._last_mtime: float | None = None
 
+    def watch(self, wake: set[int], token: int) -> None:
+        self.fs.watch_path(self.path, wake, token)
+
     def poll(self, now: float) -> list[Sample]:
         if not self.fs.exists(self.path):
             return []
@@ -333,6 +340,9 @@ class ErrorStatusSource(DataSource):
         self.workflow_id = workflow_id
         self.task = task
         self._consumed = 0
+
+    def watch(self, wake: set[int], token: int) -> None:
+        self.fs.watch_path(self.path, wake, token)
 
     def poll(self, now: float) -> list[Sample]:
         if not self.fs.exists(self.path):

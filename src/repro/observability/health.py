@@ -51,6 +51,13 @@ class HealthSensorSource(DataSource):
         self.engine = engine
         self.var = var
         self._cursor = 0
+        self._wake: set[int] | None = None
+        self._token = 0
+
+    def watch(self, wake: set[int], token: int) -> None:
+        # The engine wakes every bound source on each publish.
+        self._wake = wake
+        self._token = token
 
     def poll(self, now: float) -> list[Sample]:
         samples, self._cursor = self.engine.read_feed(self._cursor)
@@ -128,6 +135,9 @@ class HealthEngine:
                 step=self.evaluations,
             )
         )
+        for source in self._sources:
+            if source._wake is not None:
+                source._wake.add(source._token)
 
     # -- evaluation ----------------------------------------------------------------
     def tick(self, now: float) -> list[HealthAlert]:

@@ -298,6 +298,8 @@ class DyflowOrchestrator(RuntimeCore):
         state = {
             "arbitration": self.arbitration.state_dict(),
             "clients": [c.state_dict() for c in self.clients],
+            # gate() is not replayed, so its counts ride in every barrier.
+            "decision_outcomes": dict(self.decision.outcome_counts),
             "inflight": [
                 {"at": at, "seq": ev.heap_seq, "env": env.to_json(),
                  "kind": kind, "link": link}
@@ -418,6 +420,8 @@ class DyflowOrchestrator(RuntimeCore):
                 f"journal {journal_dir!r} holds no barrier record; nothing to resume"
             )
         self.arbitration.load_state_dict(b["arbitration"], plans=list(plans.values()))
+        if "decision_outcomes" in b:  # absent from journals written before it
+            self.decision.outcome_counts = dict(b["decision_outcomes"])
         self.actuation.executed_plans = [p for p in plans.values() if p.execution_end is not None]
         client_states = b.get("clients", [])
         if len(client_states) != len(self.clients):

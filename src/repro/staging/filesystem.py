@@ -1,9 +1,10 @@
 """Simulated shared parallel filesystem.
 
-Provides exactly what the DISKSCAN and ERRORSTATUS source types need:
-files with contents and modification times, glob scanning, a creation
-log readers follow with an integer position, and atomic appearance (a
-file exists only once fully written).  Paths are plain ``/``-separated
+Provides exactly what the DISKSCAN, FILEREAD and ERRORSTATUS source
+types need: files with contents and modification times, glob scanning, a
+creation log readers follow with an integer position, watches that wake
+a reader when what it reads changed, and atomic appearance (a file
+exists only once fully written).  Paths are plain ``/``-separated
 strings; there is no permission model.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import StoreError
 
@@ -37,15 +38,37 @@ class SimFilesystem:
     what is on disk.  ``_files`` cannot serve that: a dict's insertion
     order has no O(1) slice and shifts under :meth:`remove`.
 
-    There is no lock.  Readers may run beside writers (the threaded
-    runtime's monitor thread polls while app threads write); two threads
-    writing the *same* path at once are not supported, here as in
-    :meth:`append_record`.
+    A watch adds a token to a wake set (a Monitor client's): a path
+    watch on every :meth:`write`, :meth:`append_record` and :meth:`remove`
+    of its path, a creation watch on every creation of a path its
+    pattern matches.
+
+    There is no lock.  Readers may run beside writers; a write that can
+    fire a watch must hold the lock its reader's collect holds (the
+    threaded runtime's exit statuses are written under the launcher's
+    lock).  Two threads writing the *same* path at once are not
+    supported, here as in :meth:`append_record`.
     """
 
     def __init__(self) -> None:
         self._files: dict[str, FileEntry] = {}
         self._created: list[str] = []
+        self._path_watches: dict[str, list[tuple[set[int], int]]] = {}
+        self._creation_watches: list[tuple[Callable[[str], Any], set[int], int]] = []
+
+    # -- watches ---------------------------------------------------------------
+    def watch_path(self, path: str, wake: set[int], token: int) -> None:
+        """Add *token* to *wake* whenever *path* is written, appended to or removed."""
+        self._path_watches.setdefault(path, []).append((wake, token))
+
+    def watch_creations(self, match: Callable[[str], Any], wake: set[int], token: int) -> None:
+        """Add *token* to *wake* whenever a path for which ``match(path)``
+        is true comes to exist."""
+        self._creation_watches.append((match, wake, token))
+
+    def _changed(self, path: str) -> None:
+        for wake, token in self._path_watches.get(path, ()):
+            wake.add(token)
 
     # -- writes ----------------------------------------------------------------
     def write(self, path: str, data: Any, mtime: float, size: int = 0, **meta: Any) -> FileEntry:
@@ -62,6 +85,10 @@ class SimFilesystem:
         self._files[path] = entry
         if created:
             self._created.append(path)
+            for match, wake, token in self._creation_watches:
+                if match(path):
+                    wake.add(token)
+        self._changed(path)
         return entry
 
     def append_record(self, path: str, record: Any, mtime: float) -> FileEntry:
@@ -73,12 +100,14 @@ class SimFilesystem:
             raise StoreError(f"{path} is not an appendable record file")
         entry.data.append(record)
         entry.mtime = mtime
+        self._changed(path)
         return entry
 
     def remove(self, path: str) -> None:
         if path not in self._files:
             raise StoreError(f"no such file: {path}")
         del self._files[path]
+        self._changed(path)
 
     # -- reads -----------------------------------------------------------------
     def exists(self, path: str) -> bool:

@@ -6,7 +6,14 @@ import pytest
 
 from repro.cluster.machine import MachinePerf
 from repro.core import MonitorClient, MonitorServer
-from repro.core.sensors import GroupBySpec, JoinSpec, SensorInstance, SensorSpec, StreamSource
+from repro.core.sensors import (
+    DiskScanSource,
+    GroupBySpec,
+    JoinSpec,
+    SensorInstance,
+    SensorSpec,
+    StreamSource,
+)
 from repro.errors import SensorError
 from repro.staging import DataHub, Sample
 from repro.util import Envelope
@@ -25,6 +32,22 @@ def bind(client, hub, sensor_spec, task, channel, var=None):
 
 
 class TestMonitorClient:
+    def test_a_poll_that_raises_is_polled_again_next_round(self):
+        """Replacing the bad file is no creation, so nothing would wake
+        the scan: the failed round leaves it marked instead."""
+        hub = DataHub()
+        fs = hub.filesystem
+        client = MonitorClient("c0", MachinePerf())
+        scan = DiskScanSource(fs, "out/T.*", "W", "T")
+        client.add_binding(SensorInstance(SensorSpec("SCAN", "DISKSCAN"), "W", "T", scan))
+        client.collect(0.0)
+        fs.write("out/T.0", None, 1.0)  # no step to report
+        with pytest.raises(SensorError):
+            client.collect(1.0)
+        fs.write("out/T.0", None, 1.5, step=0)
+        [(_lag, env)] = client.collect(2.0)
+        assert [u["value"] for u in env.payload["updates"]] == [1.0]
+
     def test_collect_emits_one_envelope_per_sensor(self):
         hub = DataHub()
         client = MonitorClient("c0", MachinePerf())

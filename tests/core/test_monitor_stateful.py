@@ -1,15 +1,20 @@
 """Model-based check: a Monitor round that polls only the woken bindings
 delivers exactly what polling every binding would.
 
-Two identical hubs, each with a ``MonitorClient`` over stream and
-ERRORSTATUS bindings.  The reference client's round is the loop below,
-which polls every binding in creation order, as the Monitor did before
-it collected on change.  Rules publish on bound and unbound channels,
-append exit statuses, restart tasks, bind late, collect, and move each
-side's state into a fresh client through ``state_dict`` /
-``load_state_dict``, or rewind the live client to its state before the
-last round.  Every round must produce the same envelopes byte for byte,
-and after every step both sides must hold the same cursors.
+Two identical hubs and health engines, each with a ``MonitorClient``
+over stream, ERRORSTATUS, FILEREAD, DISKSCAN and HEALTH bindings.  The
+reference client's round is the loop below, which polls every binding in
+creation order, as the Monitor did before it collected on change.  Rules
+publish on bound and unbound channels, append, rewrite and remove exit
+statuses, create, replace and remove read and scanned files (matching a
+bound pattern or not), publish health samples, restart tasks, bind late,
+collect, and move each side's state into a fresh client through
+``state_dict`` / ``load_state_dict``, or rewind the live client to its
+state before the last round.  Every round must produce the same
+envelopes byte for byte, and after every step both sides must hold the
+same cursors.  A DISKSCAN position is the one exception: a woken scan
+moves it only when a matching file was created, so the two sides are
+held to the same unreported matching files behind it instead.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.cluster.machine import MachinePerf
 from repro.core import MonitorClient
 from repro.core.sensors import (
+    DiskScanSource,
     ErrorStatusSource,
+    FileReadSource,
     GroupBySpec,
     JoinSpec,
     SensorInstance,
     SensorSpec,
     StreamSource,
 )
+from repro.observability import HealthEngine, ObservabilitySpec
 from repro.staging import DataHub, Sample
 
 TASKS = ("A", "B", "C")
@@ -39,7 +47,10 @@ PACE = SensorSpec(
 )
 LOOP = SensorSpec("LOOP", "TAUADIOS2", join=JoinSpec("PACE", "SUB"))
 STATUS = SensorSpec("STATUS", "ERRORSTATUS")
-SENSORS = {s.sensor_id: s for s in (PACE, LOOP, STATUS)}
+READ = SensorSpec("READ", "FILEREAD")
+SCAN = SensorSpec("SCAN", "DISKSCAN")
+HEALTH = SensorSpec("HEALTH", "HEALTH")
+SENSORS = {s.sensor_id: s for s in (PACE, LOOP, STATUS, READ, SCAN, HEALTH)}
 
 
 class PollEveryBinding(MonitorClient):
@@ -64,13 +75,25 @@ class Side:
     def __init__(self, cls: type[MonitorClient]) -> None:
         self.cls = cls
         self.hub = DataHub()
+        self.load = 0.0
+        self.health = HealthEngine(
+            ObservabilitySpec(eval_every=1.0), workflow_id="W",
+            aggregates=lambda: {"load": self.load, "other": -self.load},
+        )
         self.recipes: list[tuple[str, str]] = []
         self.client = cls("c0", MachinePerf())
         self.saved: tuple[int, dict] | None = None
 
     def _bind(self, client: MonitorClient, sensor_id: str, task: str) -> None:
+        fs = self.hub.filesystem
         if sensor_id == "STATUS":
-            source = ErrorStatusSource(self.hub.filesystem, f"status/W/{task}", "W", task)
+            source = ErrorStatusSource(fs, f"status/W/{task}", "W", task)
+        elif sensor_id == "READ":
+            source = FileReadSource(fs, f"io/{task}.json", "W", task, "err")
+        elif sensor_id == "SCAN":
+            source = DiskScanSource(fs, f"out/{task}.out.*", "W", task)
+        elif sensor_id == "HEALTH":
+            source = self.health.bind_source("load" if task == "A" else None)
         else:
             var = "looptime" if sensor_id == "PACE" else None
             source = StreamSource(self.hub, channel_name(task), "W", task, var=var)
@@ -96,7 +119,14 @@ class Side:
         self.client.load_state_dict(self.saved[1])
 
     def cursors(self) -> str:
-        return json.dumps(self.client.state_dict(), sort_keys=True)
+        state = self.client.state_dict()
+        fs = self.hub.filesystem
+        for i, b in enumerate(self.client.bindings):
+            source = b.instance.source
+            if isinstance(source, DiskScanSource):
+                created, _end = fs.created_since(state["cursors"][i]["pos"])
+                state["cursors"][i] = [e.path for e in created if source._matches(e.path)]
+        return json.dumps(state, sort_keys=True)
 
 
 values = st.one_of(
@@ -123,6 +153,8 @@ class CollectOnChange(RuleBasedStateMachine):
             self.bind_late("PACE", task)
         for task in TASKS[:2]:
             self.bind_late("STATUS", task)
+        for sensor_id in ("READ", "SCAN", "HEALTH"):
+            self.bind_late(sensor_id, "A")
 
     def publish(self, channel: str, task: str, batch, as_dict: bool) -> None:
         step = self.steps.get(channel, 0)
@@ -152,6 +184,42 @@ class CollectOnChange(RuleBasedStateMachine):
             side.hub.filesystem.append_record(
                 f"status/W/{task}", {"code": code, "time": self.now, "rank": 0}, mtime=self.now
             )
+
+    @rule(task=st.sampled_from(TASKS), records=st.integers(0, 2))
+    def rewrite_status(self, task, records):
+        for side in self.sides:
+            side.hub.filesystem.write(
+                f"status/W/{task}",
+                [{"code": 3, "time": self.now, "rank": 0}] * records, mtime=self.now,
+            )
+
+    @rule(task=st.sampled_from(LATE_TASKS), err=st.integers(-2, 2))
+    def write_read_file(self, task, err):
+        for side in self.sides:
+            side.hub.filesystem.write(f"io/{task}.json", {"err": err}, mtime=self.now)
+
+    @rule(task=st.sampled_from(LATE_TASKS + ("nobody",)), step=st.integers(0, 3))
+    def write_output(self, task, step):
+        """Create or replace an output file; 'nobody' matches no pattern."""
+        for side in self.sides:
+            side.hub.filesystem.write(f"out/{task}.out.{step}", None, self.now, step=step)
+
+    @rule(data=st.data())
+    def remove_file(self, data):
+        paths = [e.path for e in self.woken.hub.filesystem.scan("*")]
+        if not paths:
+            return
+        path = data.draw(st.sampled_from(paths))
+        for side in self.sides:
+            side.hub.filesystem.remove(path)
+
+    @rule(load=st.integers(0, 3))
+    def health_tick(self, load):
+        """Publishes once per runtime second: a second call at the same
+        time evaluates nothing."""
+        for side in self.sides:
+            side.load = float(load)
+            side.health.tick(self.now)
 
     @rule(task=st.sampled_from(LATE_TASKS))
     def restart(self, task):

@@ -2,8 +2,9 @@
 
 Count-based (never wall-clock) checks that the launch -> Monitor ->
 Decision path visits only what an event concerns: a task start reaches
-that task's bindings, an idle sensor round polls no watched binding, a tick
-evaluates only policies with something to assess, a DISKSCAN poll looks
+that task's bindings, an idle sensor round polls nothing, a tick
+evaluates only policies with something to assess and only when they are
+due, an idle service tick costs the same whatever N, a DISKSCAN poll looks
 at the files created since the last one, a publishing step reads its own
 producer's consumers, an idle Arbitration tick re-examines its waiting
 queue only when the answer could differ, a task start builds no random
@@ -25,6 +26,7 @@ from repro.apps import ConstantModel, CouplingRegistry, IterativeApp
 from repro.apps import base as app_base
 from repro.apps.base import TaskContext
 from repro.campaign import CampaignService, TenantCell, TenantSpec, TenantsSpec
+from repro.cluster import Allocation, summit
 from repro.cluster.machine import MachinePerf
 from repro.core import (
     ActionType,
@@ -39,6 +41,7 @@ from repro.core.policy import PolicyRuntime
 from repro.core.sensors import (
     DiskScanSource,
     ErrorStatusSource,
+    FileReadSource,
     SensorInstance,
     SensorSpec,
     StreamSource,
@@ -53,10 +56,11 @@ from repro.experiments import (
 )
 from repro.experiments.synthetic import SyntheticConfig, run_synthetic_experiment
 from repro.profiler import instrument
+from repro.runtime import DyflowOrchestrator
 from repro.sim import RngRegistry, SimEngine
 from repro.staging import DataHub, Sample, SimFilesystem, stream
 from repro.staging.stream import StreamChannel, StreamReader, StreamStep
-from repro.wms import TaskSpec, WorkflowSpec
+from repro.wms import Savanna, TaskSpec, WorkflowSpec
 
 N = 500
 PACE = SensorSpec("PACE", "TAUADIOS2")
@@ -66,6 +70,9 @@ STATUS = SensorSpec("STATUS", "ERRORSTATUS")
 class SpySource(DataSource):
     def __init__(self) -> None:
         self.reconnects = 0
+
+    def watch(self, wake, token) -> None:
+        pass  # never has data, so never wakes
 
     def poll(self, now):
         return []
@@ -188,15 +195,30 @@ class TestIdleCollect:
         (_lag, env), = out
         assert [(u["task"], u["value"]) for u in env.payload["updates"]] == [("T7", 2.5)]
 
-    def test_an_idle_round_polls_only_the_unwatched_bindings(self, monkeypatch):
+    def test_an_idle_round_polls_nothing(self, monkeypatch):
+        """Streams, exit statuses, a read file and a disk scan: with no
+        change since the last round, the round polls none of them, and an
+        unrelated file write wakes none of them."""
         hub = DataHub()
         client = self._client(hub)
-        status = ErrorStatusSource(hub.filesystem, "status/W/T0", "W", "T0")
+        fs = hub.filesystem
+        status = ErrorStatusSource(fs, "status/W/T0", "W", "T0")
         client.add_binding(SensorInstance(STATUS, "W", "T0", status))
+        fs.write("io/T1.json", {"err": 0.5}, mtime=0.0)
+        read = FileReadSource(fs, "io/T1.json", "W", "T1", "err")
+        client.add_binding(SensorInstance(SensorSpec("ERR", "FILEREAD"), "W", "T1", read))
+        scan = DiskScanSource(fs, "out/T2.out.*", "W", "T2")
+        client.add_binding(SensorInstance(SensorSpec("SCAN", "DISKSCAN"), "W", "T2", scan))
         client.collect(0.0)
         polls = count_calls(monkeypatch, SensorInstance, "poll")
+        fs.write("out/T3.out.0", None, 1.0, step=0)  # matches no bound pattern
         assert client.collect(1.0) == []
-        assert [inst.source for inst in polls] == [status]
+        assert polls == []
+
+        fs.append_record("status/W/T0", {"code": 1, "time": 1.5}, mtime=1.5)
+        fs.write("out/T2.out.0", None, 1.5, step=0)
+        assert len(client.collect(2.0)) == 2
+        assert [inst.source for inst in polls] == [status, scan]
 
     def test_a_restart_wakes_only_that_tasks_bindings(self, monkeypatch):
         hub = DataHub()
@@ -588,6 +610,60 @@ class TestTick:
         stage.on_task_restart("T7")  # history cleared: nothing left to assess
         del evaluated[:]
         assert stage.tick(20.0) == [] and evaluated == []
+
+
+class TestIdleTick:
+    """A service tick with no new data, no policy due and an empty waiting
+    queue makes the same Python calls whatever the number of policies and
+    file sensors: the Monitor round finds nothing woken, no frequency
+    bucket turned for the parked policies, and Arbitration has nothing to
+    arbitrate.  Polling the file sensors every round, or asking every
+    policy with history whether it is due, would grow with N."""
+
+    @staticmethod
+    def _idle_tick_calls(n: int) -> Counter:
+        machine = summit(2)
+        alloc = Allocation("a0", machine, machine.nodes, walltime_limit=1e9)
+        task = TaskSpec("T", lambda: IterativeApp(ConstantModel(1.0), total_steps=4), nprocs=2)
+        engine = SimEngine()
+        launcher = Savanna(engine, WorkflowSpec("W", [task], []), alloc, rng=RngRegistry(1))
+        orch = DyflowOrchestrator(launcher)  # the workflow is never launched
+        fs = launcher.hub.filesystem
+        orch.add_sensor(SensorSpec("OUT", "DISKSCAN"))
+        orch.add_sensor(SensorSpec("STATUS", "ERRORSTATUS"))
+        for i in range(n):
+            fs.write(f"io/{i}.json", {"err": 1.0}, mtime=0.0)
+            orch.add_sensor(SensorSpec(f"ERR{i}", "FILEREAD"))
+            orch.monitor_task("T", f"ERR{i}", info_source=f"io/{i}.json", var="err")
+            orch.monitor_task("T", "STATUS", info_source=f"status/{i}")
+            if i % 10 == 0:  # each first scan reads the whole creation log
+                orch.monitor_task("T", "OUT", info_source=f"out/{i}.*")
+            # Windowed: after its first evaluation it can always answer.
+            orch.add_policy(PolicySpec(f"P{i}", f"ERR{i}", "GT", 1e9, ActionType.ADDCPU,
+                                       history_window=3, frequency=5.0))
+            orch.apply_policy(PolicyApplication(f"P{i}", "W", ("T",), assess_task="T"))
+        orch.start()
+        engine.run(until=2.5)  # read at 0, delivered at 0.2, evaluated at 1
+        assert sum(rt.fired for rt in orch.decision.runtimes) == 0
+        assert all(rt.can_answer() for rt in orch.decision.runtimes)
+        calls: Counter = Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                code = frame.f_code
+                calls[code.co_filename, code.co_firstlineno, code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            engine.run(until=3.5)  # the tick at 3: next bucket turns at 5
+        finally:
+            sys.setprofile(None)
+        assert orch.ticks == 4
+        return calls
+
+    def test_an_idle_tick_costs_the_same_for_10_and_1000_policies(self):
+        small, large = self._idle_tick_calls(10), self._idle_tick_calls(1000)
+        assert large == small, large - small
 
 
 PAPER_RUNS = {

@@ -1,9 +1,14 @@
 """DegradedModeController hysteresis and DecisionStage gating."""
 
+import os
+
 from repro.core.actions import ActionType, Reason, SuggestedAction
 from repro.core.decision import DecisionStage
+from repro.experiments.grayscott_scenario import run_gray_scott_experiment
 from repro.fabric import DegradedModeController, NetworkSpec, PartitionWindow
 from repro.fabric.spec import HEALTH_TASK
+from repro.journal import JournalSpec
+from tests.experiments.test_fingerprint_regression import CHAOS_XML
 
 
 def controller(**kw) -> DegradedModeController:
@@ -128,3 +133,26 @@ class TestDecisionGate:
         del state["outcome_counts"]  # an older journal
         fresh.load_state_dict(state)
         assert fresh.outcome_counts == {}
+
+    def test_a_resumed_run_keeps_every_gated_count(self, monkeypatch, tmp_path):
+        """gate() is not replayed on resume, so its counts come back from
+        the last barrier: a run that crashes twice between snapshots ends
+        with a count of every suggestion its live ticks gated."""
+        stages: list[DecisionStage] = []
+        gated = [0]
+        gate = DecisionStage.gate
+
+        def spy(self, suggestions):
+            kept = gate(self, suggestions)
+            stages.append(self)
+            gated[0] += len(suggestions) - len(kept)
+            return kept
+
+        monkeypatch.setattr(DecisionStage, "gate", spy)
+        result = run_gray_scott_experiment(
+            "summit", seed=3, xml_extra=CHAOS_XML, crash_times=(900.0, 1900.0),
+            journal=JournalSpec(dir=os.path.join(tmp_path, "wal")),
+        )
+        assert result.meta["crashes"] == [900.0, 1900.0]
+        assert len({id(stage) for stage in stages}) == 3
+        assert gated[0] and stages[-1].outcome_counts == {Reason.GATED_DEGRADED: gated[0]}

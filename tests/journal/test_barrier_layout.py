@@ -6,11 +6,13 @@ written before a rename or a dropped key could not be resumed, so the
 keys — as the bytes on disk carry them — are pinned here to literals
 captured on the tree before the table existed: once for a plain
 Gray-Scott run (every optional subsystem off, so its key is present and
-``null``) and once with every subsystem on.  Two deliberate changes
-since: the ``profiler`` key left with the in-core profiler, and only the
+``null``) and once with every subsystem on.  Three deliberate changes
+since: the ``profiler`` key left with the in-core profiler, only the
 first barrier of a writer epoch carries the state in full (the rest are
-deltas against it).  A journal from before either change — every
-barrier full, ``profiler`` present — must keep resuming (last test).
+deltas against it), and ``decision_outcomes`` carries the Decision
+gate's per-reason counts, which replay cannot rebuild.  A journal from
+before these changes — every barrier full, ``profiler`` present, no
+``decision_outcomes`` — must keep resuming (last test).
 """
 
 import glob
@@ -31,7 +33,7 @@ from repro.wms import Savanna
 from repro.xmlspec import configure_orchestrator, parse_dyflow_xml
 
 STATE_KEYS = [
-    "arbitration", "chaos", "clients", "fabric", "health",
+    "arbitration", "chaos", "clients", "decision_outcomes", "fabric", "health",
     "inflight", "next_tick", "watchdog",
 ]
 OPTIONAL = ["chaos", "fabric", "health", "watchdog"]
@@ -99,11 +101,13 @@ def test_barrier_state_keys_are_pinned(tmp_path, everything):
 def test_a_journal_of_full_state_barriers_resumes(tmp_path, monkeypatch):
     """The layout before delta barriers: every barrier record carries the
     whole state (``"profiler": null`` included, from the days the table
-    had that row) and the snapshot embeds the same.  A full record simply
-    restarts the fold, so such journals stay resumable."""
+    had that row, and no ``decision_outcomes``) and the snapshot embeds
+    the same.  A full record simply restarts the fold, so such journals
+    stay resumable."""
 
     def barrier_like_the_old_writer(self, t, state):
-        self._barrier = {**state, "profiler": None}  # what snapshot() embeds
+        old = {k: v for k, v in state.items() if k != "decision_outcomes"}
+        self._barrier = {**old, "profiler": None}  # what snapshot() embeds
         return self.append("barrier", t=t, state=self._barrier)
 
     monkeypatch.setattr(Journal, "barrier", barrier_like_the_old_writer)
@@ -113,4 +117,5 @@ def test_a_journal_of_full_state_barriers_resumes(tmp_path, monkeypatch):
     assert res.meta["crashes"] == [300.0]
     barriers = [r for r in read_journal(spec.dir).records if r["kind"] == "barrier"]
     assert barriers and all(b["state"]["profiler"] is None for b in barriers)
+    assert not any("decision_outcomes" in b["state"] for b in barriers)
     assert scenario_fingerprint(res) == scenario_fingerprint(ref)

@@ -72,6 +72,64 @@ class TestLiveExecution:
         values = [u.value for u in runner.server.history if u.task == "T"]
         assert values and all(0.04 < v < 0.5 for v in values)
 
+    def test_an_exit_status_is_collected_in_the_next_monitor_round(self):
+        """The status write wakes the ERRORSTATUS binding under the
+        launcher's lock, which every Monitor round holds: the first round
+        after the write reads the record."""
+        runner = make_runner([LiveTaskSpec("T", lambda s, w: None, total_steps=3)])
+        runner.add_sensor(SensorSpec("STATUS", "ERRORSTATUS"))
+        runner.monitor_task("T", "STATUS")
+        client, fs = runner.clients[0], runner.hub.filesystem
+        rounds: list[list[str]] = []  # per Monitor round: its envelopes' senders
+        writes: list[tuple[int, bool]] = []  # per status write: rounds before, lock held
+        collect, append_record = client.collect, fs.append_record
+
+        def spy_collect(now):
+            out = collect(now)
+            rounds.append([env.sender for _lag, env in out])
+            return out
+
+        def spy_append_record(path, record, mtime):
+            writes.append((len(rounds), runner.lock._is_owned()))
+            return append_record(path, record, mtime)
+
+        client.collect, fs.append_record = spy_collect, spy_append_record
+        runner.start()
+        try:
+            assert runner.wait_until_done(timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            while len(rounds) <= writes[0][0] and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            runner.stop()
+        [(before, locked)] = writes
+        assert locked
+        assert rounds[before] == ["live-client/STATUS"]
+        assert [u.value for u in runner.server.history if u.sensor_id == "STATUS"] == [0.0]
+
+    def test_no_exit_status_is_lost_under_thread_churn(self):
+        """Eight tasks on two cores exit while the Monitor thread collects,
+        with the interpreter switching threads every 10 µs: each status
+        write wakes its binding, and each record is read exactly once."""
+        names = [f"T{i}" for i in range(8)]
+        runner = make_runner([LiveTaskSpec(n, lambda s, w: None, total_steps=2 + i)
+                              for i, n in enumerate(names)], poll_interval=0.01)
+        runner.add_sensor(SensorSpec("STATUS", "ERRORSTATUS"))
+        for name in names:
+            runner.monitor_task(name, "STATUS")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner.start()
+            assert runner.wait_until_done(timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            while len(runner.server.history) < len(names) and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            sys.setswitchinterval(interval)
+            runner.stop()
+        assert sorted(u.task for u in runner.server.history) == names
+
     def test_duplicate_task_names_rejected(self):
         with pytest.raises(DyflowError):
             make_runner([LiveTaskSpec("T", lambda s, w: None),
