@@ -208,14 +208,18 @@ class ArbitrationStage:
         self._gate_until: float | None = None
         self._in_flight: ActionPlan | None = None
         self.tracer: Tracer = NULL_TRACER
+        #: Bumped by every call that may change ``state_dict``.
+        self.revision = 0
 
     # -- lifecycle --------------------------------------------------------------
     def begin(self, now: float) -> None:
         """Experiment started: open the warmup gate."""
+        self.revision += 1
         self._gate_until = now + self.warmup
 
     def on_plan_executed(self, plan: ActionPlan, now: float) -> None:
         """Actuation finished: start the settle-down window."""
+        self.revision += 1
         plan.execution_end = now
         self._in_flight = None
         self._gate_until = now + self.settle
@@ -266,6 +270,7 @@ class ArbitrationStage:
     def supersede(self, suggestions) -> None:
         """End a batch that newer ones superseded before it was arbitrated
         (a bounded hand-off queue shed it)."""
+        self.revision += 1
         for s in suggestions:
             self._end(s, Reason.SUPERSEDED)
 
@@ -273,6 +278,8 @@ class ArbitrationStage:
         self.outcomes = []
         if not suggestions and not self.waiting:
             return None  # nothing to gate, resolve or place
+        if suggestions:
+            self.revision += 1  # each one ends in an outcome, may edit the queue
         gate = self.gated(now)
         if gate is not None:
             for s in suggestions:
@@ -286,6 +293,7 @@ class ArbitrationStage:
         # taken: reading the epoch may release elapsed quarantines.
         if not filtered and (not self.waiting or rm.free_cores() == 0):
             return None
+        self.revision += 1  # a retry is tallied, or a plan built
         epoch = rm.placement_epoch()
         if not filtered and self._retry_would_repeat(epoch):
             # Not retried because nothing it depends on changed — as
@@ -743,6 +751,7 @@ class ArbitrationStage:
         }
 
     def load_state_dict(self, state: dict, plans: list[ActionPlan] | None = None) -> None:
+        self.revision += 1
         self.waiting = {
             task: WaitingEntry(
                 task=e["task"],

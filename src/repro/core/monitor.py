@@ -67,11 +67,15 @@ class MonitorClient:
         # sensor id -> (spec of its first binding, largest read lag)
         self._sensors: dict[str, tuple[SensorSpec, float]] = {}
         self._seq = SequenceTracker()
+        #: Bumped by every call that may change ``state_dict``: bind,
+        #: restart, restore, and a round that polls.
+        self.revision = 0
 
     # -- configuration -----------------------------------------------------------
     def add_binding(self, instance: SensorInstance) -> MonitorTaskBinding:
         sensor_id = instance.spec.sensor_id
         binding = MonitorTaskBinding(instance, instance.task, sensor_id)
+        self.revision += 1
         index = len(self._bindings)
         self._bindings.append(binding)
         self._by_task.setdefault(binding.task, []).append(index)
@@ -81,6 +85,12 @@ class MonitorClient:
         self._sensors[sensor_id] = (spec, max(lag, instance.source.read_lag(self.perf)))
         return binding
 
+    def unwatch(self) -> None:
+        """No source wakes this client any more: its controller died, and
+        a resumed one binds its own."""
+        for b in self._bindings:
+            b.instance.source.unwatch(self._wake)
+
     @property
     def bindings(self) -> list[MonitorTaskBinding]:
         return list(self._bindings)
@@ -89,6 +99,7 @@ class MonitorClient:
     def on_task_restart(self, task: str) -> None:
         """Reset connections of every sensor watching *task* (§2.1)."""
         for i in self._by_task.get(task, ()):
+            self.revision += 1
             self._bindings[i].instance.reconnect()
             self._wake.add(i)
 
@@ -101,6 +112,7 @@ class MonitorClient:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self.revision += 1
         self._seq.load_state_dict(state["seq"])
         cursors = state.get("cursors", [])
         if len(cursors) != len(self._bindings):
@@ -128,6 +140,7 @@ class MonitorClient:
         wake = self._wake
         if not wake:
             return []
+        self.revision += 1
         due = sorted(wake)
         wake.clear()
         bindings = self._bindings

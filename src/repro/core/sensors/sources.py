@@ -52,6 +52,10 @@ class DataSource:
         """
         raise NotImplementedError
 
+    def unwatch(self, wake: set[int]) -> None:
+        """Stop adding to *wake*: its client is gone (a crashed controller)."""
+        raise NotImplementedError
+
     def read_lag(self, perf: MachinePerf) -> float:
         """Seconds between data availability and the metric reaching DYFLOW."""
         return perf.file_read_lag
@@ -95,6 +99,11 @@ class StreamSource(DataSource):
         self._token = token
         if self._reader is not None:
             self._reader.watch(wake, token)
+
+    def unwatch(self, wake: set[int]) -> None:
+        self._wake = None
+        if self._reader is not None:
+            self._reader.unwatch()
 
     def _ensure_reader(self) -> StreamReader:
         if self._reader is None:
@@ -216,6 +225,9 @@ class DiskScanSource(DataSource):
         # A poll reports only matching creations: nothing else can wake it.
         self.fs.watch_creations(self._matches, wake, token)
 
+    def unwatch(self, wake: set[int]) -> None:
+        self.fs.unwatch(wake)
+
     def _value_of(self, entry) -> float:
         if self.value_fn is not None:
             return float(self.value_fn(entry))
@@ -292,6 +304,9 @@ class FileReadSource(DataSource):
     def watch(self, wake: set[int], token: int) -> None:
         self.fs.watch_path(self.path, wake, token)
 
+    def unwatch(self, wake: set[int]) -> None:
+        self.fs.unwatch(wake)
+
     def poll(self, now: float) -> list[Sample]:
         if not self.fs.exists(self.path):
             return []
@@ -343,6 +358,9 @@ class ErrorStatusSource(DataSource):
 
     def watch(self, wake: set[int], token: int) -> None:
         self.fs.watch_path(self.path, wake, token)
+
+    def unwatch(self, wake: set[int]) -> None:
+        self.fs.unwatch(wake)
 
     def poll(self, now: float) -> list[Sample]:
         if not self.fs.exists(self.path):

@@ -10,6 +10,9 @@ the threaded one).  All randomness comes from named
 :class:`~repro.sim.rng.RngRegistry` streams, so chaos runs replay
 bit-identically, and the full in-flight state (send buffer, breaker,
 RNG positions) round-trips ``state_dict()`` for the crash journal.
+``revision`` moves whenever that state may have, so a barrier rebuilds
+the state only when it moved: every method that changes it bumps it,
+except ``_u`` and ``_rto``, which only the bumping methods call.
 
 Reliability protocol: every data copy the server *admits* is acked;
 unacked envelopes are retransmitted on an exponential-backoff schedule
@@ -63,6 +66,7 @@ class FabricLink:
         self.rng = rng
         self.tracer = tracer
         self.streams = fabric_streams(link_id)
+        self.revision = 0
         # (sender, seq) -> _Buffered, insertion-ordered for eviction.
         self._buffer: dict[tuple[str, int], _Buffered] = {}
         self._breaker_failures = 0
@@ -108,6 +112,7 @@ class FabricLink:
     # -- transit -----------------------------------------------------------------
     def _transit(self, env: Envelope, depart: float) -> list[tuple[float, Envelope]]:
         """Put one envelope on the wire; return its (deliver_at, copy) list."""
+        self.revision += 1
         self.transmitted += 1
         if self.network.partition_active(depart, self.link_id):
             self.partition_dropped += 1
@@ -139,6 +144,7 @@ class FabricLink:
         client at ``now + lag`` (preserving the un-fabric'd delivery
         semantics), network delay on top.
         """
+        self.revision += 1
         if self.breaker_open(now):
             self.breaker_shed += 1
             self._count("breaker_shed")
@@ -166,6 +172,7 @@ class FabricLink:
             return []
         out: list[tuple[float, Envelope]] = []
         for key in [k for k, b in self._buffer.items() if b.next_retry <= now]:
+            self.revision += 1
             buffered = self._buffer[key]
             if buffered.attempts >= self.network.max_retransmits:
                 del self._buffer[key]
@@ -185,6 +192,7 @@ class FabricLink:
         entry = self._buffer.pop((sender, seq), None)
         if entry is None:
             return False  # duplicate/late ack, or the entry was evicted
+        self.revision += 1
         self.acked += 1
         self._count("acked")
         self._breaker_failures = 0
@@ -194,6 +202,7 @@ class FabricLink:
         """Schedule the server->client ack; ``None`` if the ack is lost."""
         if self.network.max_retransmits == 0:
             return None  # fire-and-forget mode: nothing listens for acks
+        self.revision += 1
         if self.network.partition_active(now, self.link_id):
             self.ack_dropped += 1
             self._count("ack_dropped")
@@ -208,6 +217,7 @@ class FabricLink:
     def _breaker_failure(self, now: float) -> None:
         if self.network.breaker_failures <= 0:
             return
+        self.revision += 1
         self._breaker_failures += 1
         if self._breaker_failures >= self.network.breaker_failures:
             self.breaker_open_until = now + self.network.breaker_reset
@@ -235,6 +245,7 @@ class FabricLink:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self.revision += 1
         self._buffer = {}
         for item in state["buffer"]:
             env = Envelope.from_json(item["env"])

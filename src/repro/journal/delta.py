@@ -7,11 +7,19 @@ anything else — scalar, list, ``None``, a dict whose keys came or went —
 is replaced wholesale, so removal and ``null`` need no sentinel.  The
 writer keeps only *signatures* of the previous state: bytes cannot alias
 live containers, and they tell ``1`` from ``1.0`` from ``True``.
+
+A caller that knows a subtree did not change since the last delta may
+*vouch* for its path: the diff keeps that path's old signature and
+serialises nothing under it, and the dicts above it are walked into
+without being signed.  Identity alone proves nothing — a component may
+mutate the object it returned — so vouching is the caller's word, given
+by :class:`UnitCache` from a unit's revision.
 """
 
 from __future__ import annotations
 
 import marshal
+from typing import Callable
 
 from repro.errors import JournalError
 
@@ -39,26 +47,84 @@ class SignedState:
     def __init__(self, state) -> None:
         self._root = {None: _signed(state)}
 
-    def delta(self, state) -> list:
+    def delta(self, state, unchanged=()) -> list:
+        """What changed since the last state; each path in *unchanged* (a
+        non-empty tuple of keys from the root) is vouched equal to its
+        last value."""
         out: list = []
-        _diff(self._root, None, state, [], out)
+        _diff(self._root, None, state, [], out, _trie(unchanged))
         return out
 
 
-def _diff(signed: dict, key, value, path: list, out: list) -> None:
+def _trie(paths) -> dict | None:
+    """The vouched paths as nested dicts, ``True`` at each vouched key."""
+    trie: dict = {}
+    for path in paths:
+        node = trie
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+            if node is True:
+                break  # an ancestor is vouched already
+        else:
+            node[path[-1]] = True
+    return trie or None
+
+
+def _diff(signed: dict, key, value, path: list, out: list, vouched=None) -> None:
     """Bring ``signed[key]`` up to *value*, appending what changed to *out*.
     A dict that changed loses its signature, so the next diff walks straight
-    in; it is signed again the first time nothing under it changes."""
+    in; it is signed again the first time nothing under it changes.
+    *vouched* is the part of the vouched-path trie at *path* (``_trie``)."""
+    if vouched is True:
+        return  # unchanged by the caller's word: the old signature stands
     node = signed[key]
     if type(node) is list and type(value) is dict and node[1].keys() == value.keys():
-        if node[0] is None or node[0] != _signature(value):
+        # Signing a dict above a vouched path would serialise that path:
+        # walk in unsigned, and keep the old signature if nothing changed.
+        if vouched is not None or node[0] is None or node[0] != _signature(value):
             before = len(out)
             for name, child in value.items():
-                _diff(node[1], name, child, path + [name], out)
-            node[0] = _signature(value) if len(out) == before else None
+                _diff(node[1], name, child, path + [name], out, vouched and vouched.get(name))
+            if len(out) != before:
+                node[0] = None
+            elif vouched is None:
+                node[0] = _signature(value)
     elif node is None or node != _signature(value):
         out.append([path, value])
         signed[key] = _signed(value)
+
+
+class UnitCache:
+    """The last barrier's state of each revisioned unit, by path.
+
+    A unit keeps an int ``revision`` that every change to its journaled
+    state bumps.  :meth:`get` hands over the object it built last time
+    while the revision has not moved, and records the path for
+    ``Journal.barrier`` to vouch for (:meth:`take_unchanged`).  Consult a
+    cache only to build barriers, every barrier, and each path for one
+    unit: it vouches against the state it handed over last.  An empty
+    cache builds everything.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict[tuple, tuple[object, object]] = {}  # path -> (revision, state)
+        self._unchanged: list[tuple] = []
+
+    def get(self, path: tuple, revision, build: Callable[[], object]):
+        """The state at *path*: the last one built if *revision* is the
+        one it was built at, else ``build()``."""
+        hit = self._built.get(path)
+        if hit is not None and hit[0] == revision:
+            self._unchanged.append(path)
+            return hit[1]
+        state = build()
+        self._built[path] = (revision, state)
+        return state
+
+    def take_unchanged(self) -> list[tuple]:
+        """The paths vouched since the last call."""
+        paths, self._unchanged = self._unchanged, []
+        return paths
 
 
 def state_delta(prev, cur) -> list:

@@ -131,16 +131,18 @@ class Journal:
             self.metrics.counter("journal.fsync.count").inc(new_syncs)
             self._fsyncs_seen = self._writer.fsync_count
 
-    def barrier(self, t: float, state: dict) -> int:
+    def barrier(self, t: float, state: dict, unchanged=()) -> int:
         """Journal one control-loop barrier at time *t*: *state* in full for
         the first barrier of a writer epoch, afterwards only its delta
-        against the barrier before it."""
+        against the barrier before it.  Each path in *unchanged* (a tuple
+        of keys) is vouched equal to its value at the barrier before, and
+        is not compared (``SignedState.delta``)."""
         if self._barrier is None:
             seq = self.append("barrier", t=t, state=state)
             self._barrier = SignedState(state)
             return seq
         try:
-            return self.append("barrier", t=t, delta=self._barrier.delta(state))
+            return self.append("barrier", t=t, delta=self._barrier.delta(state, unchanged))
         except BaseException:
             self._barrier = None  # the signatures moved on and the WAL did not
             raise

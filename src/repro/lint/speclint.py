@@ -28,6 +28,7 @@ from repro.core.actions import ActionType, actions_conflict
 from repro.core.policy import PolicyApplication, PolicySpec
 from repro.errors import ReproError
 from repro.lint.diagnostics import Diagnostic, Severity, make, sort_diagnostics
+from repro.util.validation import find_cycle
 from repro.util.xmlfield import xml_fields
 from repro.xmlspec.model import DyflowSpec
 
@@ -495,7 +496,7 @@ def _check_rule_cycles(spec: DyflowSpec) -> list[Diagnostic]:
         edges: dict[str, list[str]] = {}
         for dep in rule.dependencies:
             edges.setdefault(dep.parent, []).append(dep.task)
-        cycle = _find_cycle(edges)
+        cycle = find_cycle(edges)
         if cycle is not None:
             out.append(make(
                 "DY204",
@@ -505,35 +506,6 @@ def _check_rule_cycles(spec: DyflowSpec) -> list[Diagnostic]:
                 xml_path=_rule_path(rule.workflow_id),
             ))
     return out
-
-
-def _find_cycle(edges: dict[str, list[str]]) -> list[str] | None:
-    """First cycle in deterministic (sorted) DFS order, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in sorted(edges.get(node, [])):
-            c = color.get(nxt, WHITE)
-            if c == GRAY:
-                return stack[stack.index(nxt):] + [nxt]
-            if c == WHITE:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(edges):
-        if color.get(node, WHITE) == WHITE:
-            found = visit(node)
-            if found is not None:
-                return found
-    return None
 
 
 # -- DY301/302/303: policy interaction analysis ----------------------------- #

@@ -17,6 +17,9 @@ over sim-time metrics, and the engine's full state (evaluator streaks,
 EWMA windows, feed cursor base, alert history) is
 journaled at every barrier — a crash-resumed run emits exactly the
 alerts the uninterrupted run would, with no double-firing on WAL replay.
+``HealthEngine.revision`` moves with that state: an evaluating tick, a
+trim that drops feed entries, a publish, an alert and a restore bump it,
+and :meth:`HealthEngine.add_alert` is the one way into the alert history.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ class HealthSensorSource(DataSource):
         # The engine wakes every bound source on each publish.
         self._wake = wake
         self._token = token
+
+    def unwatch(self, wake: set[int]) -> None:
+        self._wake = None
 
     def poll(self, now: float) -> list[Sample]:
         samples, self._cursor = self.engine.read_feed(self._cursor)
@@ -101,6 +107,7 @@ class HealthEngine:
         self._sources: list[HealthSensorSource] = []
         self._feed: list[Sample] = []
         self._base = 0  # absolute index of _feed[0]
+        self.revision = 0
 
     # -- sensor plumbing ---------------------------------------------------------
     def bind_source(self, var: str | None = None) -> HealthSensorSource:
@@ -122,12 +129,14 @@ class HealthEngine:
         low = min(s._cursor for s in self._sources)
         drop = low - self._base
         if drop > 0:
+            self.revision += 1
             del self._feed[:drop]
             self._base = low
 
     def _publish(self, now: float, var: str, value: float) -> None:
         if not self._sources:
             return
+        self.revision += 1
         self._feed.append(
             Sample(
                 time=now, workflow_id=self.workflow_id, task=HEALTH_TASK,
@@ -145,6 +154,7 @@ class HealthEngine:
         self._trim_feed()
         if now + _EPS < self._next_eval:
             return []
+        self.revision += 1
         while self._next_eval <= now + _EPS:
             self._next_eval += self.spec.eval_every
         return self._evaluate(now)
@@ -169,7 +179,7 @@ class HealthEngine:
                 new_alerts.append(alert)
             self._publish(now, f"alert.anomaly.{det.spec.key}", 1.0 if det.firing else 0.0)
         for alert in new_alerts:
-            self.alerts.append(alert)
+            self.add_alert(alert)
             self.tracer.point("health.alert", "health", **alert.to_dict())
         if self.tracer.enabled:
             self.registry.gauge("health.firing").set(float(self.firing_count()))
@@ -183,6 +193,11 @@ class HealthEngine:
         if stat == "value" and metric in aggregates:
             return float(aggregates[metric])
         return instrument_stat(self.registry.lookup(metric), stat)
+
+    def add_alert(self, alert: HealthAlert) -> None:
+        """Append *alert* to the journaled alert history."""
+        self.revision += 1
+        self.alerts.append(alert)
 
     # -- queries -------------------------------------------------------------------
     def firing_count(self) -> int:
@@ -219,6 +234,7 @@ class HealthEngine:
                 f"({len(slos)} slos for {len(self.slo_evaluators)}, "
                 f"{len(anomalies)} anomaly detectors for {len(self.anomaly_detectors)})"
             )
+        self.revision += 1
         self._next_eval = float(state.get("next_eval", 0.0))
         self.evaluations = int(state.get("evaluations", 0))
         for ev, s in zip(self.slo_evaluators, slos):

@@ -87,12 +87,15 @@ class ChaosEngine:
         # kind -> (stage, SimEvent): the one pending callback per class.
         # stage "arm" = draw-then-schedule bootstrap, "fire" = injection.
         self._pending: dict[str, tuple[str, object]] = {}
+        #: Bumped by every call that may change ``state_dict``.
+        self.revision = 0
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
         """Arm one injection chain per enabled fault class."""
         if self._running:
             return
+        self.revision += 1
         self._running = True
         if self.model.node_mtbf > 0:
             self._set_pending("node-crash", "arm", 0.0)
@@ -110,6 +113,7 @@ class ChaosEngine:
 
     def stop(self) -> None:
         """Stop injecting; pending events become no-ops when they fire."""
+        self.revision += 1
         self._running = False
 
     # -- scheduling ---------------------------------------------------------------
@@ -123,18 +127,28 @@ class ChaosEngine:
         return getattr(self, names[0] if stage == "arm" else names[1])
 
     def _set_pending(self, kind: str, stage: str, delay: float) -> None:
+        self.revision += 1
         ev = self.engine.call_after(delay, self._stage_fn(kind, stage), name=f"chaos:{kind}")
         self._pending[kind] = (stage, ev)
 
     def _arm(self, kind: str, delay: float) -> None:
         """Schedule the next fire of *kind* after an already-drawn delay."""
+        self.revision += 1
         ev = self.engine.call_after(delay, self._stage_fn(kind, "fire"), name=f"chaos:{kind}")
         self._pending[kind] = ("fire", ev)
 
+    def _halted(self, kind: str) -> bool:
+        """Whether injection is stopped; if so, *kind*'s pending event
+        has fired as a no-op and is forgotten."""
+        if self._running:
+            return False
+        self.revision += 1
+        self._pending.pop(kind, None)
+        return True
+
     # -- injection chains ---------------------------------------------------------
     def _arm_node_crash(self) -> None:
-        if not self._running:
-            self._pending.pop("node-crash", None)
+        if self._halted("node-crash"):
             return
         self._arm(
             "node-crash",
@@ -142,8 +156,7 @@ class ChaosEngine:
         )
 
     def _fire_node_crash(self) -> None:
-        if not self._running:
-            self._pending.pop("node-crash", None)
+        if self._halted("node-crash"):
             return
         pick = self.rng.stream("chaos:node-pick")
         up = sorted(n.node_id for n in self.launcher.allocation.nodes if n.is_up)
@@ -158,15 +171,13 @@ class ChaosEngine:
         self._arm_node_crash()
 
     def _arm_task_crash(self) -> None:
-        if not self._running:
-            self._pending.pop("task-crash", None)
+        if self._halted("task-crash"):
             return
         times = self.rng.stream("chaos:task-crash")
         self._arm("task-crash", float(times.exponential(self.model.task_crash_mtbf)))
 
     def _fire_task_crash(self) -> None:
-        if not self._running:
-            self._pending.pop("task-crash", None)
+        if self._halted("task-crash"):
             return
         pick = self.rng.stream("chaos:task-pick")
         running = sorted(self.launcher.running_tasks())
@@ -180,15 +191,13 @@ class ChaosEngine:
         self._arm_task_crash()
 
     def _arm_task_hang(self) -> None:
-        if not self._running:
-            self._pending.pop("task-hang", None)
+        if self._halted("task-hang"):
             return
         times = self.rng.stream("chaos:task-hang")
         self._arm("task-hang", float(times.exponential(self.model.task_hang_mtbf)))
 
     def _fire_task_hang(self) -> None:
-        if not self._running:
-            self._pending.pop("task-hang", None)
+        if self._halted("task-hang"):
             return
         pick = self.rng.stream("chaos:hang-pick")
         candidates = sorted(
@@ -204,15 +213,13 @@ class ChaosEngine:
         self._arm_task_hang()
 
     def _arm_orch_crash(self) -> None:
-        if not self._running:
-            self._pending.pop("orch-crash", None)
+        if self._halted("orch-crash"):
             return
         times = self.rng.stream("chaos:orch-crash")
         self._arm("orch-crash", float(times.exponential(self.model.orch_crash_mtbf)))
 
     def _fire_orch_crash(self) -> None:
-        if not self._running:
-            self._pending.pop("orch-crash", None)
+        if self._halted("orch-crash"):
             return
         # Record first, then arm the *next* crash, then ask the controller
         # to die: the trace point, the RNG draws, and the pending event are
@@ -230,6 +237,7 @@ class ChaosEngine:
     def _drop_staged_step(self, channel_name: str, _data) -> bool:
         if not self._running:
             return False
+        self.revision += 1
         if float(self.rng.stream("chaos:stage-drop").random()) >= self.model.stage_drop_prob:
             return False
         self._record("stage-drop", channel_name)
@@ -240,6 +248,7 @@ class ChaosEngine:
         """Decide whether to drop one Monitor client→server envelope."""
         if self.model.msg_drop_prob <= 0:
             return False
+        self.revision += 1
         if float(self.rng.stream("chaos:msg-drop").random()) >= self.model.msg_drop_prob:
             return False
         self.dropped_envelopes += 1
@@ -250,6 +259,7 @@ class ChaosEngine:
     def suspend(self) -> None:
         """Orchestrator crash: cancel pending injections without firing,
         and let go of the dead controller."""
+        self.revision += 1
         for _stage, ev in self._pending.values():
             ev.cancel()
         self.orchestrator = None
@@ -276,6 +286,7 @@ class ChaosEngine:
         (no redraw), at the journaled ``(time, seq)`` heap slots, so the
         post-resume fault sequence is the uninterrupted run's.
         """
+        self.revision += 1
         self._running = bool(state.get("running", False))
         self.dropped_envelopes = int(state.get("dropped_envelopes", 0))
         self.history = [
@@ -303,6 +314,7 @@ class ChaosEngine:
 
     # -- bookkeeping -------------------------------------------------------------
     def _record(self, kind: str, target: str) -> None:
+        self.revision += 1
         self.history.append(FaultEvent(self.engine.now, kind, target))
         self.launcher.trace.point(
             self.engine.now, f"chaos:{kind}:{target}", category="failure"

@@ -55,21 +55,26 @@ class HeartbeatWatchdog:
         self.kills: list[WatchdogKill] = []
         self._running = False
         self._event = None  # pending poll's SimEvent
+        #: Bumped by every call that may change ``state_dict``.
+        self.revision = 0
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
         """Begin the poll chain (first scan at the current time)."""
         if self._running:
             return
+        self.revision += 1
         self._running = True
         self._event = self.launcher.engine.call_after(0.0, self._tick, name="watchdog")
 
     def stop(self) -> None:
+        self.revision += 1
         self._running = False
 
     # -- crash recovery -----------------------------------------------------------
     def suspend(self) -> None:
         """Orchestrator crash: drop the pending poll without firing it."""
+        self.revision += 1
         if self._event is not None:
             self._event.cancel()
             self._event = None
@@ -91,6 +96,7 @@ class HeartbeatWatchdog:
         so it fires in the same order relative to every other event as it
         would have in an uninterrupted run.
         """
+        self.revision += 1
         self.kills = [
             WatchdogKill(float(t), task, float(hb)) for t, task, hb in state.get("kills", [])
         ]
@@ -114,6 +120,7 @@ class HeartbeatWatchdog:
         return last if last is not None else self.launcher.engine.now
 
     def _tick(self) -> None:
+        self.revision += 1
         if not self._running:
             self._event = None
             return

@@ -25,6 +25,7 @@ from repro.core.sensors.sources import make_source
 from repro.errors import DyflowError, JournalError
 from repro.fabric import DegradedModeController, FabricLink
 from repro.journal import Journal, JournalSpec
+from repro.journal.delta import UnitCache
 from repro.observability import HealthEngine, report_from_jsonl, write_openmetrics, write_report
 from repro.runtime.options import RuntimeOptions
 from repro.telemetry import build_tracer, write_chrome_trace
@@ -39,10 +40,17 @@ class FabricState:
     def __init__(self, runtime: "RuntimeCore") -> None:
         self._rt = runtime
 
-    def state_dict(self) -> dict:
+    def state_dict(self, units: UnitCache | None = None) -> dict:
+        """Each link is a revisioned unit of *units* (a barrier's cache;
+        none builds every link); the server's queue and degraded mode are
+        rebuilt."""
         rt = self._rt
+        units = units if units is not None else UnitCache()
         return {
-            "links": {lid: ln.state_dict() for lid, ln in rt.links.items()},
+            "links": {
+                lid: units.get(("fabric", "links", lid), ln.revision, ln.state_dict)
+                for lid, ln in rt.links.items()
+            },
             "server": rt.server.fabric_state_dict(),
             "degraded": rt.degrade.state_dict(),
         }
@@ -254,7 +262,7 @@ class RuntimeCore:
             self._receive(env)
         for alert in self.degrade.tick(now, self.server.last_seen):
             if self.health is not None:
-                self.health.alerts.append(alert)
+                self.health.add_alert(alert)
             self.tracer.point("health.alert", "health", **alert.to_dict())
         self.decision.set_degraded(self.degrade.degraded)
 

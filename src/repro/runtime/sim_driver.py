@@ -24,8 +24,9 @@ from repro.core.lowlevel import ActionPlan
 from repro.core.rules import ArbitrationRules
 from repro.errors import DyflowError, JournalError
 from repro.journal import AppliedOpsLedger, read_journal
+from repro.journal.delta import UnitCache
 from repro.resilience import ChaosEngine, HeartbeatWatchdog
-from repro.runtime.core import RuntimeCore
+from repro.runtime.core import FabricState, RuntimeCore
 from repro.runtime.options import RuntimeOptions
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.jsonmsg import Envelope
@@ -91,6 +92,7 @@ class DyflowOrchestrator(RuntimeCore):
         self._crash_requested = False
         self._tick_event = None
         self._barriers = 0
+        self._units = UnitCache()  # the barriers' revisioned units
         #: Control-loop iterations executed (throughput telemetry).
         self.ticks = 0
         self._delivery_ids = itertools.count()
@@ -294,10 +296,30 @@ class DyflowOrchestrator(RuntimeCore):
         if self._journal is None:
             return
         self._barriers += 1
+        state = self._barrier_state(self._units)
+        self._journal.barrier(now, state, unchanged=self._units.take_unchanged())
+        every = self._journal.spec.snapshot_every
+        if every > 0 and self._barriers % every == 0:
+            # The snapshot seals the segment holding this barrier record,
+            # so a crash honored at this very tick would otherwise leave
+            # no barrier, and the next delta no base — embed the state.
+            self._journal.snapshot({**self._snapshot_state(now), "barrier": state})
+
+    def _barrier_state(self, units: UnitCache) -> dict:
+        """The controller state a barrier journals.  Arbitration, the
+        clients, the links and the optional components are revisioned
+        units taken from *units* (an empty cache builds them all); the
+        small entries that move every tick are rebuilt."""
         tick_ev = self._tick_event
+        clients = self.clients
         state = {
-            "arbitration": self.arbitration.state_dict(),
-            "clients": [c.state_dict() for c in self.clients],
+            "arbitration": units.get(
+                ("arbitration",), self.arbitration.revision, self.arbitration.state_dict
+            ),
+            "clients": units.get(
+                ("clients",), tuple(c.revision for c in clients),
+                lambda: [c.state_dict() for c in clients],
+            ),
             # gate() is not replayed, so its counts ride in every barrier.
             "decision_outcomes": dict(self.decision.outcome_counts),
             "inflight": [
@@ -308,14 +330,13 @@ class DyflowOrchestrator(RuntimeCore):
             "next_tick": {"at": tick_ev.heap_time, "seq": tick_ev.heap_seq},
         }
         for name, component in self._components.items():
-            state[name] = component.state_dict() if component is not None else None
-        self._journal.barrier(now, state)
-        every = self._journal.spec.snapshot_every
-        if every > 0 and self._barriers % every == 0:
-            # The snapshot seals the segment holding this barrier record,
-            # so a crash honored at this very tick would otherwise leave
-            # no barrier, and the next delta no base — embed the state.
-            self._journal.snapshot({**self._snapshot_state(now), "barrier": state})
+            if component is None:
+                state[name] = None
+            elif isinstance(component, FabricState):
+                state[name] = component.state_dict(units)
+            else:
+                state[name] = units.get((name,), component.revision, component.state_dict)
+        return state
 
     def _snapshot_state(self, now: float) -> dict:
         """What ``resume_from`` loads wholesale; the launcher survives a crash."""
@@ -366,6 +387,8 @@ class DyflowOrchestrator(RuntimeCore):
             ev.cancel()
         self._inflight_deliveries = {}
         self._each("suspend")
+        for client in self.clients:
+            client.unwatch()
         self.launcher.unsubscribe_start(self._on_task_start)
         if self.on_crash is not None:
             self.on_crash(self)

@@ -66,6 +66,16 @@ class SimFilesystem:
         is true comes to exist."""
         self._creation_watches.append((match, wake, token))
 
+    def unwatch(self, wake: set[int]) -> None:
+        """Drop every path and creation watch that adds to *wake*."""
+        for path, watches in list(self._path_watches.items()):
+            kept = [w for w in watches if w[0] is not wake]
+            if kept:
+                self._path_watches[path] = kept
+            else:
+                del self._path_watches[path]
+        self._creation_watches = [w for w in self._creation_watches if w[1] is not wake]
+
     def _changed(self, path: str) -> None:
         for wake, token in self._path_watches.get(path, ()):
             wake.add(token)

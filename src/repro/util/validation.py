@@ -24,6 +24,30 @@ def check_in(value: Any, options: Collection[Any], name: str) -> None:
         raise ValueError(f"{name} must be one of {sorted(map(str, options))}, got {value!r}")
 
 
+def find_cycle(edges: dict[str, list[str]]) -> list[str] | None:
+    """The first cycle of the graph *edges* (node -> the nodes its edges
+    lead to) in sorted depth-first order, as ``[n0, n1, ..., n0]``, or
+    None.  Iterative: a chain of any length fits the stack."""
+    done: set[str] = set()
+    for root in sorted(edges):
+        if root in done:
+            continue
+        path, on_path, stack = [root], {root}, [iter(sorted(edges[root]))]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                on_path.discard(path[-1])
+                done.add(path.pop())
+            elif node in on_path:
+                return path[path.index(node):] + [node]
+            elif node not in done:
+                path.append(node)
+                on_path.add(node)
+                stack.append(iter(sorted(edges.get(node, ()))))
+    return None
+
+
 def check_type(value: Any, types: type | tuple[type, ...], name: str) -> None:
     """Raise ``TypeError`` unless ``isinstance(value, types)``."""
     if not isinstance(value, types):

@@ -13,11 +13,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import networkx as nx
-
 from repro.apps.base import IterativeApp
 from repro.errors import WorkflowSpecError
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, find_cycle
 
 
 class CouplingType(enum.Enum):
@@ -100,14 +98,14 @@ class WorkflowSpec:
                     )
             if dep.task == dep.parent:
                 raise WorkflowSpecError(f"task {dep.task!r} cannot depend on itself")
-        g = nx.DiGraph()
-        g.add_nodes_from(self.tasks)
-        g.add_edges_from(
-            (d.parent, d.task) for d in self.dependencies if d.type == CouplingType.TIGHT
-        )
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise WorkflowSpecError(f"tight dependencies form a cycle: {cycle}")
+        tight: dict[str, list[str]] = {}
+        for d in self.dependencies:
+            if d.type == CouplingType.TIGHT:
+                tight.setdefault(d.parent, []).append(d.task)
+        cycle = find_cycle(tight)
+        if cycle is not None:
+            edges = list(zip(cycle, cycle[1:]))
+            raise WorkflowSpecError(f"tight dependencies form a cycle: {edges}")
 
     # -- queries -----------------------------------------------------------------
     def task(self, name: str) -> TaskSpec:

@@ -12,9 +12,13 @@ every step the two must agree on the plan, the waiting queue, the
 quarantine history and the assignment, and both must hold the resource
 manager's invariants.  Every suggestion of every call must end in
 exactly one outcome, and a granted one must be in the plan it built.
+And a step that moves an arbiter's journaled state moves its
+``revision``: a barrier hands that state over while the revision stands.
 """
 
 from __future__ import annotations
+
+import json
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -122,6 +126,11 @@ class WakeOnChange(RuleBasedStateMachine):
         self.fresh = Stack(self.clock)
         self.stacks = (self.memo, self.fresh)
         self.last: tuple[list[SuggestedAction], list] = ([], [None, None])
+        self.journaled = [self._journaled(stack) for stack in self.stacks]
+
+    @staticmethod
+    def _journaled(stack) -> tuple[str, int]:
+        return json.dumps(stack.arb.state_dict(), sort_keys=True), stack.arb.revision
 
     def arbitrate(self, suggestions: list[SuggestedAction]) -> None:
         now = self.clock[0]
@@ -222,6 +231,13 @@ class WakeOnChange(RuleBasedStateMachine):
             ]
             if granted:
                 assert plan is not None and set(granted) <= set(plan.accepted)
+
+    @invariant()
+    def a_moved_state_moved_the_revision(self):
+        for i, stack in enumerate(self.stacks):
+            (before, revision), now = self.journaled[i], self._journaled(stack)
+            assert now[0] == before or now[1] != revision, "state moved, revision did not"
+            self.journaled[i] = now
 
     @invariant()
     def stacks_agree(self):

@@ -11,9 +11,11 @@ queue only when the answer could differ, a task start builds no random
 stream its task never draws from, a single-rank step builds one sample, and
 an unsignalled, unblocked step runs no sub-generator and builds no
 ``StreamStep`` that no reader reads, a consumer whose input is staged
-never enters the input wait, and a sleep costs one heap entry and one
-resume.  Each count is what a scan over all N entries — or a retry on
-every tick, or a per-task object nothing uses — would get wrong.
+never enters the input wait, a sleep costs one heap entry and one
+resume, and a barrier where only the next tick moved signs the same
+bytes whatever the alert history holds.  Each count is what a scan over
+all N entries — or a retry on every tick, or a per-task object nothing
+uses — would get wrong.
 """
 
 import sys
@@ -49,6 +51,12 @@ from repro.core.sensors import (
 from repro.core.sensors.preprocess import preprocess_value
 from repro.core.sensors.sources import DataSource
 from repro.errors import SensorError
+from repro.fabric import FabricLink, NetworkSpec
+from repro.journal import JournalSpec, read_journal
+from repro.journal import delta as delta_module
+from repro.observability import HealthEngine, ObservabilitySpec
+from repro.observability.slo import HealthAlert
+from repro.resilience import ResilienceSpec
 from repro.experiments import (
     run_gray_scott_experiment,
     run_lammps_experiment,
@@ -56,7 +64,7 @@ from repro.experiments import (
 )
 from repro.experiments.synthetic import SyntheticConfig, run_synthetic_experiment
 from repro.profiler import instrument
-from repro.runtime import DyflowOrchestrator
+from repro.runtime import DyflowOrchestrator, RuntimeOptions
 from repro.sim import RngRegistry, SimEngine
 from repro.staging import DataHub, Sample, SimFilesystem, stream
 from repro.staging.stream import StreamChannel, StreamReader, StreamStep
@@ -73,6 +81,9 @@ class SpySource(DataSource):
 
     def watch(self, wake, token) -> None:
         pass  # never has data, so never wakes
+
+    def unwatch(self, wake) -> None:
+        pass
 
     def poll(self, now):
         return []
@@ -664,6 +675,57 @@ class TestIdleTick:
     def test_an_idle_tick_costs_the_same_for_10_and_1000_policies(self):
         small, large = self._idle_tick_calls(10), self._idle_tick_calls(1000)
         assert large == small, large - small
+
+
+class TestBarrier:
+    """A barrier where only ``next_tick`` moved hands every revisioned unit
+    over unchanged: it signs the same bytes with 10 and with 1 000 health
+    alerts and builds no link state.  Signing the whole controller state
+    every tick grows with the alert history, that is with the run."""
+
+    @staticmethod
+    def _quiet_barrier(tmp_path, alerts: int) -> tuple[list[int], int, int, list]:
+        machine = summit(2)
+        alloc = Allocation("a0", machine, machine.nodes, walltime_limit=1e9)
+        task = TaskSpec("T", lambda: IterativeApp(ConstantModel(1.0), total_steps=4), nprocs=2)
+        engine = SimEngine()
+        launcher = Savanna(engine, WorkflowSpec("W", [task], []), alloc, rng=RngRegistry(1))
+        journal = JournalSpec(dir=str(tmp_path / f"journal-{alerts}"), fsync="off")
+        orch = DyflowOrchestrator(launcher, options=RuntimeOptions(
+            journal=journal,
+            observability=ObservabilitySpec(eval_every=1e6),  # evaluates at 0 only
+            resilience=ResilienceSpec(network=NetworkSpec()),  # one link, never stale
+        ))
+        orch.start()  # the workflow is never launched: no data, no plan
+        engine.run(until=0.5)
+        state = orch.health.state_dict()
+        state["alerts"] = [
+            HealthAlert(float(i), "slo:x.p95", "firing", "warning", 1.0, 0.0, "").to_dict()
+            for i in range(alerts)
+        ]
+        orch.health.load_state_dict(state)
+        engine.run(until=1.5)  # the barrier at 1 journals the history
+        signed: list[int] = []
+        signature = delta_module._signature
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                delta_module, "_signature",
+                lambda v: signed.append(len(signature(v))) or signature(v),
+            )
+            links = count_calls(patch, FabricLink, "state_dict")
+            healths = count_calls(patch, HealthEngine, "state_dict")
+            engine.run(until=2.5)  # the barrier at 2
+        assert orch.ticks == 3
+        orch.stop()
+        barrier = [r for r in read_journal(journal.dir).records if r["kind"] == "barrier"][-1]
+        return signed, len(links), len(healths), [path for path, _ in barrier["delta"]]
+
+    def test_a_quiet_barrier_signs_the_same_for_10_and_1000_alerts(self, tmp_path):
+        small = self._quiet_barrier(tmp_path, 10)
+        large = self._quiet_barrier(tmp_path, 1000)
+        assert small[3] == large[3] == [["next_tick", "at"], ["next_tick", "seq"]]
+        assert small[0] == large[0]  # the same calls, each of the same size
+        assert small[1:3] == large[1:3] == (0, 0)  # no link or health state built
 
 
 PAPER_RUNS = {

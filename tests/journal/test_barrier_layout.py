@@ -105,7 +105,7 @@ def test_a_journal_of_full_state_barriers_resumes(tmp_path, monkeypatch):
     the same.  A full record simply restarts the fold, so such journals
     stay resumable."""
 
-    def barrier_like_the_old_writer(self, t, state):
+    def barrier_like_the_old_writer(self, t, state, unchanged=()):
         old = {k: v for k, v in state.items() if k != "decision_outcomes"}
         self._barrier = {**old, "profiler": None}  # what snapshot() embeds
         return self.append("barrier", t=t, state=self._barrier)

@@ -60,6 +60,16 @@ class TestBarrierCrashResume:
         assert not ref.meta["crashes"]
         assert res.makespan == ref.makespan
         assert scenario_fingerprint(res) == scenario_fingerprint(ref)
+        # A dead controller's Monitor clients wake nothing: each watched
+        # channel keeps one reader, the live controller's, as in the reference.
+        hub = res.launcher.hub
+        watched = {n: len(hub.get_channel(n)._watchers) for n in hub.channels()}
+        assert {n: w for n, w in watched.items() if w} == {
+            f"tau-GS-WORKFLOW-{t}": 1 for t in ("FFT", "Isosurface", "PDF_Calc", "Rendering")
+        }
+        fs = hub.filesystem
+        assert all(len(w) == 1 for w in fs._path_watches.values())
+        assert len(fs._creation_watches) == len(ref.launcher.hub.filesystem._creation_watches)
 
     def test_resume_bookkeeping(self, tmp_path):
         spec = jspec(tmp_path)

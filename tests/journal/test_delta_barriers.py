@@ -5,7 +5,10 @@ full; every other one carries what changed since the barrier before it,
 and ``read_journal`` folds the chain.  The oracle here is the state the
 driver handed to ``Journal.barrier`` at each tick: folding the WAL up to
 that tick must give the same *canonical JSON text* — text, not ``==``, so
-``1`` against ``1.0`` and a base aliased to live state both show.
+``1`` against ``1.0`` and a base aliased to live state both show.  And
+the handed-over state must itself be the controller's: at every tick it
+is compared with one built from scratch, so a unit handed over from the
+barrier cache after a change that bumped no revision shows.
 """
 
 import json
@@ -21,7 +24,7 @@ from repro.errors import JournalError
 from repro.experiments import run_gray_scott_experiment
 from repro.journal import Journal, JournalSpec, read_journal, scenario_fingerprint
 from repro.journal import journal as journal_module
-from repro.journal.delta import apply_delta, state_delta
+from repro.journal.delta import UnitCache, apply_delta, state_delta
 from repro.journal.wal import encode_record, list_segment_indices, segment_path
 from repro.observability import ObservabilitySpec
 from repro.runtime import sim_driver, threaded
@@ -47,8 +50,15 @@ class Recording:
         self.handed: dict[float, str] = {}  # barrier time -> canonical state
         self.records: list[tuple[int, str, int]] = []  # (epoch, "state"|"delta", bytes)
         self.checked = {"barrier": 0, "snapshot": 0}
+        self.fresh: str | None = None  # the state this tick, built uncached
+        self.fresh_checked = 0
         barrier, snapshot, append = Journal.barrier, Journal.snapshot, Journal.append
+        barrier_state = sim_driver.DyflowOrchestrator._barrier_state
         recording = self
+
+        def fresh_barrier_state(orch, units):
+            recording.fresh = canonical(barrier_state(orch, UnitCache()))
+            return barrier_state(orch, units)
 
         def fold_equals_handed(journal, t, after):
             if t >= check_until:
@@ -58,9 +68,11 @@ class Recording:
             assert canonical(folded) == recording.handed[t], f"fold differs at t={t}"
             recording.checked[after] += 1
 
-        def checked_barrier(journal, t, state):
+        def checked_barrier(journal, t, state, unchanged=()):
             recording.handed[t] = canonical(state)
-            seq = barrier(journal, t, state)
+            assert recording.handed[t] == recording.fresh, f"a stale unit at t={t}"
+            recording.fresh_checked += 1
+            seq = barrier(journal, t, state, unchanged)
             fold_equals_handed(journal, t, "barrier")
             return seq
 
@@ -78,6 +90,7 @@ class Recording:
 
         patch = pytest.MonkeyPatch()
         patch.setattr(Journal, "barrier", checked_barrier)
+        patch.setattr(sim_driver.DyflowOrchestrator, "_barrier_state", fresh_barrier_state)
         patch.setattr(Journal, "snapshot", checked_snapshot)
         patch.setattr(Journal, "append", sized_append)
         patch.setattr(os, "fsync", lambda fd: None)  # snapshots sync whatever the spec says
@@ -133,7 +146,7 @@ def test_the_wal_folds_to_the_handed_over_state_at_every_tick(
     rec = recorded(snapshot_every)
     assert rec.result.meta["crashes"] == list(CRASH_TIMES)
     barriers = len(rec.records)
-    assert barriers > 1500
+    assert barriers > 1500 and rec.fresh_checked == barriers
     checked = CHECK_UNTIL.get(snapshot_every, barriers)  # one tick a second from t=0
     assert rec.checked == {"barrier": checked, "snapshot": checked // snapshot_every}
     # The first barrier of each of the three writer epochs is full, no other.
@@ -385,6 +398,59 @@ def test_a_chain_of_deltas_folds_to_the_last_state(states):
     for state in states[1:]:
         folded = apply_delta(folded, json.loads(json.dumps(signed.delta(state))))
         assert canonical(folded) == canonical(state)
+
+
+def dict_paths(state, path=()):
+    """Every key path from the root of *state* to a value under dicts only."""
+    if type(state) is dict:
+        for key, child in state.items():
+            yield path + (key,)
+            yield from dict_paths(child, path + (key,))
+
+
+def value_at(state, path):
+    for key in path:
+        if type(state) is not dict or key not in state:
+            return None
+        state = state[key]
+    return canonical(state)
+
+
+@settings(max_examples=60)
+@given(st.lists(STATES, min_size=2, max_size=8), st.data())
+def test_a_chain_with_vouched_paths_folds_to_the_last_state(states, data):
+    """Vouching for any set of paths whose values did not change gives a
+    delta that folds to the new state, as the unvouched one does."""
+    from repro.journal.delta import SignedState
+
+    signed, folded, prev = SignedState(states[0]), states[0], states[0]
+    for state in states[1:]:
+        same = [p for p in dict_paths(state) if value_at(prev, p) == value_at(state, p)]
+        vouched = data.draw(st.lists(st.sampled_from(same), unique=True)) if same else []
+        folded = apply_delta(folded, json.loads(json.dumps(signed.delta(state, vouched))))
+        assert canonical(folded) == canonical(state)
+        prev = state
+
+
+def test_a_vouched_path_is_neither_compared_nor_signed(monkeypatch):
+    from repro.journal import delta
+    from repro.journal.delta import SignedState
+
+    alerts = {"alerts": [{"t": float(i)} for i in range(1000)]}
+    signed = SignedState({"health": alerts, "tick": {"at": 0.0}})
+    sizes: list[int] = []
+    signature = delta._signature
+    monkeypatch.setattr(
+        delta, "_signature", lambda v: sizes.append(len(signature(v))) or signature(v)
+    )
+    assert signed.delta({"health": alerts, "tick": {"at": 1.0}}, [("health",)]) == [
+        [["tick", "at"], 1.0]
+    ]
+    assert sizes and max(sizes) < 100  # the tick only: no root, no alert list
+    # Unvouched, the same call signs the alerts.
+    sizes.clear()
+    assert signed.delta({"health": alerts, "tick": {"at": 2.0}}) == [[["tick", "at"], 2.0]]
+    assert max(sizes) > 10_000
 
 
 def test_a_dict_whose_keys_came_or_went_is_replaced_whole():

@@ -7,8 +7,9 @@ second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a second run-record store, a second report path,
 a second snapshot pointer, a Monitor round that polls every binding, a
-paper claim written outside the report, or a suggestion that ends without
-a reason fails here by name.
+health alert written from outside the engine, a paper claim written
+outside the report, or a suggestion that ends without a reason fails
+here by name.
 """
 
 import ast
@@ -353,6 +354,47 @@ def test_a_monitor_round_polls_only_what_changed():
         if isinstance(n, ast.ClassDef) and n.name == "StreamChannel"
     ]
     assert "_readers" not in {name for n in ast.walk(channel) for name in identifiers(n)}
+
+
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def mutates_alerts(node):
+    """The ``<owner>.alerts`` expression *node* mutates, or None."""
+    def alerts(target):
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return target if isinstance(target, ast.Attribute) and target.attr == "alerts" else None
+
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return alerts(node.func.value) if node.func.attr in MUTATORS else None
+    targets = {
+        ast.Assign: lambda n: n.targets, ast.AugAssign: lambda n: [n.target],
+        ast.AnnAssign: lambda n: [n.target], ast.Delete: lambda n: n.targets,
+    }.get(type(node), lambda n: [])(node)
+    return next(filter(None, map(alerts, targets)), None)
+
+
+def test_the_health_alert_history_changes_only_inside_the_engine():
+    """``HealthEngine.alerts`` is journaled by revision: a write from
+    outside ``observability/health.py`` would bump none, and a barrier
+    would hand over the history as it was.  Other modules go through
+    ``HealthEngine.add_alert``; an ``alerts`` of their own is ``self``'s."""
+    foreign = sorted(
+        f"{module}: {ast.unparse(owner)}"
+        for module, tree in modules().items() if module != "observability/health.py"
+        for n in ast.walk(tree) if (owner := mutates_alerts(n)) is not None
+        and ast.unparse(owner.value) != "self"
+    )
+    assert foreign == []
+    engine = {
+        name: fn for name, fn in functions(modules()["observability/health.py"]).items()
+        if any(mutates_alerts(n) is not None for n in ast.walk(fn))
+    }
+    assert set(engine) == {"__init__", "add_alert", "load_state_dict"}
+    assert "revision" in {
+        name for n in ast.walk(engine["add_alert"]) for name in identifiers(n)
+    }
 
 
 def test_a_paper_claim_is_written_once_as_a_report_row():

@@ -87,6 +87,19 @@ class TestSimFilesystem:
         with pytest.raises(StoreError):
             fs.remove("f")
 
+    def test_unwatch_drops_one_wake_sets_path_and_creation_watches(self):
+        fs = SimFilesystem()
+        dead, live = set(), set()
+        for wake in (dead, live):
+            fs.watch_path("status", wake, 1)
+            fs.watch_creations(lambda path: path.startswith("out/"), wake, 2)
+        fs.unwatch(dead)
+        fs.append_record("status", {"code": 0}, mtime=1.0)
+        fs.write("out/0", {}, mtime=1.0)
+        assert (dead, live) == (set(), {1, 2})
+        fs.unwatch(live)
+        assert fs._path_watches == {} and fs._creation_watches == []
+
     def test_listdir(self):
         fs = SimFilesystem()
         fs.write("d/a", 1, mtime=0.0)

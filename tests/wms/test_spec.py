@@ -1,5 +1,10 @@
 """Tests for workflow specifications."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps import ConstantModel, IterativeApp
@@ -48,6 +53,41 @@ class TestWorkflowSpec:
                 [ts("a"), ts("b")],
                 [DependencySpec("a", "b"), DependencySpec("b", "a")],
             )
+
+    def test_a_tight_three_cycle_names_its_edges(self):
+        edges = r"\[\('a', 'b'\), \('b', 'c'\), \('c', 'a'\)\]"
+        with pytest.raises(WorkflowSpecError, match=edges):
+            WorkflowSpec(
+                "w",
+                [ts("a"), ts("b"), ts("c")],
+                [DependencySpec("b", "a"), DependencySpec("c", "b"), DependencySpec("a", "c")],
+            )
+
+    def test_a_cycle_that_avoids_the_first_task_is_found_without_it(self):
+        with pytest.raises(WorkflowSpecError, match=r"cycle: \[\('b', 'c'\), \('c', 'b'\)\]$"):
+            WorkflowSpec(
+                "w",
+                [ts("a"), ts("b"), ts("c")],
+                [DependencySpec("b", "a"), DependencySpec("c", "b"), DependencySpec("b", "c")],
+            )
+
+    def test_a_tight_diamond_is_accepted(self):
+        wf = WorkflowSpec(
+            "w",
+            [ts("a"), ts("b"), ts("c"), ts("d")],
+            [DependencySpec("b", "a"), DependencySpec("c", "a"),
+             DependencySpec("d", "b"), DependencySpec("d", "c")],
+        )
+        assert wf.transitive_tight_dependents("a") == ["b", "c", "d"]
+
+    def test_importing_the_api_loads_no_graph_library(self):
+        code = "import sys, repro.api; print('networkx' in sys.modules)"
+        src = str(pathlib.Path(__file__).parents[2] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_loose_cycle_allowed(self):
         """The XGC1/XGCa alternation is a loose mutual dependency."""
