@@ -99,7 +99,7 @@ def main() -> None:
     print("\nhow DYFLOW's suggestions ended:")
     for reason, count in sorted(runner.arbitration.outcome_counts.items()):
         print(f"  {reason:>18}: {count}")
-    for plan in runner.arbitration.plans:
+    for plan in runner.plans:
         print(f"  {plan.plan_id} granted {', '.join(plan.accepted)} "
               f"(response {plan.response_time:.2f} s)")
     status = runner.hub.filesystem.read("status/LIVE-GS/Isosurface")

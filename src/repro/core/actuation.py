@@ -34,7 +34,6 @@ class ActuationStage:
 
     def __init__(self, launcher: LauncherCore) -> None:
         self.launcher = launcher
-        self.executed_plans: list[ActionPlan] = []
         self.tracer: Tracer = NULL_TRACER
         self.journal = None  # Journal | None, attached by the orchestrator
         self.abort_requested = False
@@ -187,7 +186,6 @@ class ActuationStage:
             metrics.histogram("plan.response").observe(
                 plan.execution_end - plan.created
             )
-        self.executed_plans.append(plan)
         if on_done is not None:
             on_done(plan)
         return plan

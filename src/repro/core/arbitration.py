@@ -193,7 +193,6 @@ class ArbitrationStage:
         # reduce" this way, at the cost of losing the in-flight step.
         self.graceful_stops = graceful_stops
         self.waiting: dict[str, WaitingEntry] = {}
-        self.plans: list[ActionPlan] = []
         self._feasibility = _FeasibilityCache()
         # ``(epoch, waiting entries)`` of the last tick that tried every
         # waiting entry against the live state and placed nothing.
@@ -207,6 +206,9 @@ class ArbitrationStage:
         self._ids = IdGenerator()
         self._gate_until: float | None = None
         self._in_flight: ActionPlan | None = None
+        # A plan has executed: a shut gate is the settle window, not the
+        # warmup.  The plans themselves are run output (``launcher.output``).
+        self._executed = False
         self.tracer: Tracer = NULL_TRACER
         #: Bumped by every call that may change ``state_dict``.
         self.revision = 0
@@ -222,6 +224,7 @@ class ArbitrationStage:
         self.revision += 1
         plan.execution_end = now
         self._in_flight = None
+        self._executed = True
         self._gate_until = now + self.settle
 
     def memo_stats(self) -> dict[str, int]:
@@ -235,7 +238,7 @@ class ArbitrationStage:
             return Reason.GATED_IN_FLIGHT
         if self._gate_until is None or now >= self._gate_until:
             return None
-        if any(p.execution_end is not None for p in reversed(self.plans)):
+        if self._executed:
             return Reason.GATED_SETTLE
         return Reason.GATED_WARMUP
 
@@ -421,7 +424,7 @@ class ArbitrationStage:
         plan.assign_op_keys()
         plan.reassignment = dict(shadow.assigned)
         self._in_flight = plan
-        self.plans.append(plan)
+        self.launcher.output.plans.append(plan)
         return plan
 
     # -- stage 1: conflict resolution -------------------------------------------------
@@ -726,10 +729,10 @@ class ArbitrationStage:
     def state_dict(self) -> dict:
         """Gates, waiting queue, and id counters; plans travel separately.
 
-        The plans list is reconstructed from the journal's ``plan`` /
-        ``plan-done`` records (it can grow without bound, so it is not
-        copied into every barrier); ``in_flight`` is stored by plan id
-        and resolved by :meth:`load_state_dict` once the list is back.
+        The plans are the launcher's run output, which outlives the
+        controller; a resume upserts the journal's ``plan`` / ``plan-done``
+        records into it.  ``in_flight`` is stored by plan id and resolved
+        there by :meth:`load_state_dict`.
         """
         return {
             "waiting": {
@@ -750,7 +753,7 @@ class ArbitrationStage:
             "ids": self._ids.state_dict(),
         }
 
-    def load_state_dict(self, state: dict, plans: list[ActionPlan] | None = None) -> None:
+    def load_state_dict(self, state: dict) -> None:
         self.revision += 1
         self.waiting = {
             task: WaitingEntry(
@@ -769,12 +772,12 @@ class ArbitrationStage:
         gate = state.get("gate_until")
         self._gate_until = float(gate) if gate is not None else None
         self._ids.load_state_dict(state.get("ids", {}))
-        if plans is not None:
-            self.plans = list(plans)
+        plans = self.launcher.output.plans
+        self._executed = any(p.execution_end is not None for p in plans)
         in_flight_id = state.get("in_flight")
         self._in_flight = None
         if in_flight_id is not None:
-            for plan in self.plans:
+            for plan in reversed(plans):
                 if plan.plan_id == in_flight_id:
                     self._in_flight = plan
                     break
@@ -782,5 +785,5 @@ class ArbitrationStage:
                 from repro.errors import JournalError
 
                 raise JournalError(
-                    f"in-flight plan {in_flight_id!r} missing from journaled plans"
+                    f"in-flight plan {in_flight_id!r} missing from the run's plans"
                 )

@@ -218,13 +218,17 @@ class MonitorServer:
         self,
         on_updates: Callable[[list[MetricUpdate]], None] | None = None,
         record_history: bool = False,
+        history: list[MetricUpdate] | None = None,
     ) -> None:
         self._filter: OutOfOrderFilter | DedupFilter = OutOfOrderFilter()
         self._on_updates = on_updates
         self.received = 0
         self.forwarded = 0
         self.record_history = record_history
-        self.history: list[MetricUpdate] = []
+        #: Accepted updates, appended while ``record_history`` is set: run
+        #: output (a runtime passes its launcher's ``output.history``), so
+        #: it is neither journaled nor restored with the server's state.
+        self.history: list[MetricUpdate] = history if history is not None else []
         # Per-task time of the freshest accepted update — the watchdog's
         # transport-level liveness signal (a hung app stops producing).
         self.last_seen: dict[str, float] = {}
@@ -406,13 +410,12 @@ class MonitorServer:
         self.shed_health = int(state["shed_health"])
 
     def state_dict(self) -> dict:
-        """Full server state; history included only when recorded."""
+        """The filter, counters and last-seen times; never the history."""
         state = {
             "filter": self._filter.state_dict(),
             "received": self.received,
             "forwarded": self.forwarded,
             "last_seen": dict(self.last_seen),
-            "history": [u.to_dict() for u in self.history] if self.record_history else [],
         }
         if self.fabric_enabled:
             state["fabric"] = self.fabric_state_dict()
@@ -423,6 +426,5 @@ class MonitorServer:
         self.received = int(state["received"])
         self.forwarded = int(state["forwarded"])
         self.last_seen = {k: float(v) for k, v in state["last_seen"].items()}
-        self.history = [MetricUpdate.from_dict(d) for d in state.get("history", [])]
         if self.fabric_enabled and state.get("fabric") is not None:
             self.load_fabric_state(state["fabric"])

@@ -106,7 +106,10 @@ class RuntimeCore:
                     )
         self.clients = [MonitorClient(cid, launcher.perf) for cid in client_ids]
         self.decision = DecisionStage()
-        self.server = MonitorServer(on_updates=self.decision.ingest, record_history=record_history)
+        self.server = MonitorServer(
+            on_updates=self.decision.ingest, record_history=record_history,
+            history=launcher.output.history,
+        )
         self.server.set_tracer(tracer, clock=self.now)
         self.decision.tracer = tracer
         self._sensors: dict[str, SensorSpec] = {}
@@ -160,6 +163,11 @@ class RuntimeCore:
 
     def now(self) -> float:
         return self.launcher.now()
+
+    @property
+    def plans(self) -> list[ActionPlan]:
+        """Every plan built, in creation order: a copy of the run output."""
+        return list(self.launcher.output.plans)
 
     def _health_aggregates(self) -> dict[str, float]:
         """Runtime-level health aggregates published every evaluation."""

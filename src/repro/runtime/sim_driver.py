@@ -339,12 +339,16 @@ class DyflowOrchestrator(RuntimeCore):
         return state
 
     def _snapshot_state(self, now: float) -> dict:
-        """What ``resume_from`` loads wholesale; the launcher survives a crash."""
+        """What ``resume_from`` loads wholesale: controller state only.  The
+        metric history and the finished plans are the launcher's run
+        output, which survives a crash; ``plans`` holds the unfinished
+        plan, if one is in flight, for ``resume_plan`` to finish."""
+        in_flight = self.arbitration._in_flight
         return {
             "t": now,
             "server": self.server.state_dict(),
             "decision": self.decision.state_dict(),
-            "plans": [p.to_dict() for p in self.arbitration.plans],
+            "plans": [in_flight.to_dict()] if in_flight is not None else [],
         }
 
     # -- crash + resume ----------------------------------------------------------------
@@ -404,7 +408,10 @@ class DyflowOrchestrator(RuntimeCore):
         upserts), the last barrier's controller state is applied
         wholesale, and every pending controller event is re-registered at
         its journaled heap slot.  An unfinished plan is completed
-        exactly-once through the op ledger.
+        exactly-once through the op ledger.  The launcher's run output
+        (metric history, plans) survived the crash: replay adds nothing
+        to the history, and each journaled plan replaces the one with its
+        id, so the in-flight plan finished is the journaled one.
         """
         if self._running:
             raise DyflowError("orchestrator already running")
@@ -413,14 +420,19 @@ class DyflowOrchestrator(RuntimeCore):
         if snap:
             self.server.load_state_dict(snap["server"])
             self.decision.load_state_dict(snap["decision"])
-        # plan id -> latest journaled version, in first-seen order.
-        plans = {d["plan_id"]: ActionPlan.from_dict(d) for d in snap.get("plans", [])}
+        output = self.launcher.output
+        for d in snap.get("plans", []):
+            if d.get("execution_end") is None:  # a finished one is already output
+                output.upsert_plan(ActionPlan.from_dict(d))
 
-        # Replay with telemetry muted: the tracer survived the crash and
-        # already holds the pre-crash spans — replay rebuilds state only.
+        # Replay with telemetry and the history muted: the tracer and the
+        # run output survived the crash and already hold what the
+        # replayed records produced — replay rebuilds state only.
         server_tracer, decision_tracer = self.server.tracer, self.decision.tracer
+        recording = self.server.record_history
         self.server.tracer = NULL_TRACER
         self.decision.tracer = NULL_TRACER
+        self.server.record_history = False
         try:
             for rec in js.records:
                 kind = rec["kind"]
@@ -433,19 +445,19 @@ class DyflowOrchestrator(RuntimeCore):
                 elif kind == "barrier":
                     self.decision.tick(rec["t"])
                 elif kind in ("plan", "plan-done"):
-                    plans[rec["plan"]["plan_id"]] = ActionPlan.from_dict(rec["plan"])
+                    output.upsert_plan(ActionPlan.from_dict(rec["plan"]))
         finally:
             self.server.tracer = server_tracer
             self.decision.tracer = decision_tracer
+            self.server.record_history = recording
         b = js.barrier_state
         if b is None:
             raise JournalError(
                 f"journal {journal_dir!r} holds no barrier record; nothing to resume"
             )
-        self.arbitration.load_state_dict(b["arbitration"], plans=list(plans.values()))
+        self.arbitration.load_state_dict(b["arbitration"])
         if "decision_outcomes" in b:  # absent from journals written before it
             self.decision.outcome_counts = dict(b["decision_outcomes"])
-        self.actuation.executed_plans = [p for p in plans.values() if p.execution_end is not None]
         client_states = b.get("clients", [])
         if len(client_states) != len(self.clients):
             raise JournalError(
@@ -498,14 +510,10 @@ class DyflowOrchestrator(RuntimeCore):
         return self
 
     # -- results --------------------------------------------------------------------------
-    @property
-    def plans(self) -> list[ActionPlan]:
-        return list(self.arbitration.plans)
-
     def response_times(self) -> list[tuple[str, float]]:
         """(plan id, response seconds) for every executed plan."""
         return [
             (p.plan_id, p.response_time)
-            for p in self.arbitration.plans
+            for p in self.launcher.output.plans
             if p.execution_end is not None
         ]

@@ -17,7 +17,8 @@ which the wall-clock :class:`~repro.wms.live.LiveLauncher` shares.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.apps.base import Signal, TaskContext
 from repro.apps.coupling import CouplingRegistry
@@ -35,6 +36,10 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.wms.spec import TaskSpec, WorkflowSpec
 from repro.wms.task import TaskInstance, TaskRecord, TaskState
 
+if TYPE_CHECKING:
+    from repro.core.events import MetricUpdate
+    from repro.core.lowlevel import ActionPlan
+
 TaskListener = Callable[[TaskInstance], None]
 
 # Kill causes that are deliberate orchestration, not faults: they never
@@ -42,15 +47,41 @@ TaskListener = Callable[[TaskInstance], None]
 _DELIBERATE_KILLS = ("orchestrated", "walltime")
 
 
+@dataclass
+class RunOutput:
+    """What a run hands its readers, beside the Gantt ``trace``.
+
+    ``history`` holds the Monitor server's accepted updates (when it
+    records them) and ``plans`` every plan Arbitration built, in creation
+    order.  Both are output, not controller state: they live on the
+    launcher, so they survive a controller crash as ``trace`` does, a
+    resumed controller appends to the same lists, and no snapshot
+    carries them.
+    """
+
+    history: list[MetricUpdate] = field(default_factory=list)
+    plans: list[ActionPlan] = field(default_factory=list)
+
+    def upsert_plan(self, plan: ActionPlan) -> None:
+        """Put *plan* in the place of the plan with its id, or append it."""
+        plans = self.plans
+        for i in range(len(plans) - 1, -1, -1):
+            if plans[i].plan_id == plan.plan_id:
+                plans[i] = plan
+                return
+        plans.append(plan)
+
+
 class LauncherCore:
     """What the control plane reads of a launcher, on any clock.
 
     Arbitration and Actuation reach a launcher only through :meth:`now`,
     :meth:`record`, the resource manager ``rm`` (whose ``allocation`` is
-    the node inventory), the Gantt ``trace`` and the plugin ops every
-    launcher defines.  This class also holds what no clock changes:
-    listeners, exit bookkeeping, node blame and retry.  A launcher adds
-    ``now``, ``_call_after(delay, fn, name)`` and ``_spawn(op, name)``.
+    the node inventory), the Gantt ``trace``, the run ``output`` and the
+    plugin ops every launcher defines.  This class also holds what no
+    clock changes: listeners, exit bookkeeping, node blame and retry.  A
+    launcher adds ``now``, ``_call_after(delay, fn, name)`` and
+    ``_spawn(op, name)``.
     """
 
     def __init__(self, workflow_id: str, tasks: dict[str, TaskSpec], allocation: Allocation,
@@ -60,6 +91,7 @@ class LauncherCore:
         self.perf = allocation.machine.perf
         self.hub = hub if hub is not None else DataHub()
         self.trace = trace if trace is not None else TraceRecorder()
+        self.output = RunOutput()
         self.rng = rng if rng is not None else RngRegistry(0)
         self.rm = ResourceManager(allocation)
         self.records: dict[str, TaskRecord] = {

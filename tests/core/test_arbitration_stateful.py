@@ -32,6 +32,7 @@ from repro.errors import AllocationError
 from repro.resilience import NodeQuarantine, QuarantineSpec
 from repro.telemetry.tracer import Tracer
 from repro.wms import CouplingType, DependencySpec
+from repro.wms.launcher import RunOutput
 
 NODES = 3
 CORES = 4  # twelve cores: three mid-size tasks fill the machine
@@ -76,6 +77,7 @@ class Stack:
         )
         self.rm = ResourceManager(self.allocation, quarantine=self.quarantine)
         self.records = {name: Record(Spec(*shape)) for name, shape in TASKS.items()}
+        self.output = RunOutput()
         rules = ArbitrationRules(
             workflow_id="W",
             task_priorities={name: i for i, name in enumerate(TASKS)},

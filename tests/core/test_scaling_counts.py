@@ -12,12 +12,14 @@ stream its task never draws from, a single-rank step builds one sample, and
 an unsignalled, unblocked step runs no sub-generator and builds no
 ``StreamStep`` that no reader reads, a consumer whose input is staged
 never enters the input wait, a sleep costs one heap entry and one
-resume, and a barrier where only the next tick moved signs the same
-bytes whatever the alert history holds.  Each count is what a scan over
-all N entries — or a retry on every tick, or a per-task object nothing
-uses — would get wrong.
+resume, a barrier where only the next tick moved signs the same bytes
+whatever the alert history holds, and a snapshot's server and plan
+entries are the same whatever the run has produced.  Each count is what
+a scan over all N entries — or a retry on every tick, or a per-task
+object nothing uses — would get wrong.
 """
 
+import json
 import sys
 from collections import Counter
 
@@ -755,3 +757,52 @@ class TestWaitingQueueRetry:
         result = PAPER_RUNS[scenario](machine, seed=1)
         assert len(result.plans) == plans
         assert len(shadows) <= 2 * plans
+
+
+def shape(value):
+    """*value* with every number written as 0: counters and clock readings
+    grow in digits, not in count."""
+    if isinstance(value, dict):
+        return {k: shape(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [shape(v) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return 0
+    return value
+
+
+class TestSnapshot:
+    """A snapshot holds controller state, not the run's output: its
+    ``server`` and ``plans`` entries are the same after 100 ticks as after
+    1 000, though the metric history and the finished plans grow every
+    few ticks.  Re-encoding them in every snapshot made the snapshots'
+    total bytes grow with the square of the run."""
+
+    def test_server_and_plans_encode_alike_after_100_and_1000_ticks(self, tmp_path):
+        machine = summit(1)
+        alloc = Allocation("a0", machine, machine.nodes, walltime_limit=1e9)
+        task = TaskSpec("T", lambda: IterativeApp(ConstantModel(1.0), total_steps=10_000), nprocs=2)
+        engine = SimEngine()
+        launcher = Savanna(engine, WorkflowSpec("W", [task], []), alloc, rng=RngRegistry(1))
+        journal = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
+        orch = DyflowOrchestrator(launcher, warmup=0.0, settle=5.0, record_history=True,
+                                  options=RuntimeOptions(journal=journal))
+        orch.add_sensor(SensorSpec("V", "FILEREAD"))
+        orch.monitor_task("T", "V", info_source="io/v.json", var="v")
+        # Every evaluation suggests an in-place reconfiguration: one short plan each.
+        orch.add_policy(PolicySpec("P", "V", "GT", -1.0, ActionType.RECONFIG, frequency=10.0))
+        orch.apply_policy(PolicyApplication("P", "W", ("T",), assess_task="T"))
+        orch.start()
+        launcher.launch_workflow()
+        fs = launcher.hub.filesystem
+        entries = {}
+        for tick in range(1000):
+            fs.write("io/v.json", {"v": float(tick)}, mtime=float(tick))
+            engine.run(until=tick + 0.5)
+            if orch.ticks in (100, 1000):
+                state = orch._snapshot_state(engine.now)
+                entries[orch.ticks] = [state["server"], state["plans"]]
+        orch.stop()
+        assert len(orch.server.history) > 900 and len(orch.plans) > 80
+        small, large = (json.dumps(shape(entries[n])) for n in (100, 1000))
+        assert len(small) == len(large), (len(small), len(large))

@@ -237,6 +237,18 @@ class TestHardCrashExactlyOnce:
         monkeypatch.setattr(
             DyflowOrchestrator, "request_crash", DyflowOrchestrator.hard_crash
         )
+        started, resumed = [], []
+        execute, resume_plan = ActuationStage.execute, ActuationStage.resume_plan
+        monkeypatch.setattr(
+            ActuationStage, "execute",
+            lambda stage, plan, on_done=None: started.append(plan) or execute(stage, plan, on_done),
+        )
+        monkeypatch.setattr(
+            ActuationStage, "resume_plan",
+            lambda stage, plan, ledger, on_done=None: (
+                resumed.append(plan) or resume_plan(stage, plan, ledger, on_done)
+            ),
+        )
         spec = jspec(tmp_path, fsync="always")
         res = run_gray_scott_experiment(journal=spec, crash_times=(t_mid,))
         assert res.meta["crashes"] == [t_mid]
@@ -260,6 +272,21 @@ class TestHardCrashExactlyOnce:
         assert all(p.execution_end is not None for p in res.plans)
         gs = res.launcher.record("GrayScott")
         assert not gs.is_active and gs.incarnations > 0
+
+        # The run output outlived the controller and holds each result once:
+        # every plan id once, the journaled in-flight plan that resume
+        # finished in place of the dead controller's object, and no
+        # replayed observation added to the history a second time.
+        output = res.launcher.output
+        ids = [p.plan_id for p in output.plans]
+        assert len(ids) == len(set(ids)) == len(ref.plans)
+        (finished,) = resumed
+        (interrupted,) = [p for p in started if p.plan_id == plan0.plan_id]
+        assert finished.plan_id == plan0.plan_id and finished.execution_end is not None
+        assert output.plans[ids.index(plan0.plan_id)] is finished
+        assert finished is not interrupted
+        assert res.metric_history is output.history
+        assert len(output.history) == len(ref.metric_history)
 
     def test_second_hard_crash_inside_the_resumed_plan(self, tmp_path, monkeypatch):
         # Die mid-plan, resume, die again while the *resumed* plan is
@@ -355,4 +382,5 @@ class TestHardCrashExactlyOnce:
             eng.run_process(getattr(act, entry)(*args, on_done=done.append))
             eng.run()
             assert sav.record("B").incarnations == 0, entry
-            assert not done and plan.execution_end is None and not act.executed_plans
+            assert not done and plan.execution_end is None
+            assert not [p for p in sav.output.plans if p.execution_end is not None]

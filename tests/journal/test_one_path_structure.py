@@ -6,7 +6,7 @@ AST walks over ``src/repro`` with the helpers of
 second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a second run-record store, a second report path,
-a second snapshot pointer, a Monitor round that polls every binding, a
+a second snapshot pointer, a snapshot that carries run output, a Monitor round that polls every binding, a
 health alert written from outside the engine, a paper claim written
 outside the report, or a suggestion that ends without a reason fails
 here by name.
@@ -52,6 +52,8 @@ GONE = {
     "_state_lock", "last_progress", "ThreadedDyflow._health_aggregates",
     "DyflowOrchestrator._health_aggregates", "DyflowOrchestrator._on_task_start",
     "DyflowOrchestrator._on_plan_done", "tasks.running", "workers.total", "retries.exhausted",
+    # the finished-plans list Actuation kept and nothing read
+    "executed_plans",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
@@ -217,6 +219,38 @@ def test_a_snapshot_is_one_file_and_nothing_points_at_it():
         if isinstance(n, ast.ClassDef) and n.name == "ResourceManager"
     ]
     assert "load_state_dict" not in {f.name for f in rm.body if isinstance(f, ast.FunctionDef)}
+
+
+def test_a_snapshot_carries_no_run_output():
+    """The metric history and the finished plans are the launcher's run
+    output, which survives a crash: the snapshot and the server state it
+    journals neither carry nor restore them, so a snapshot's size follows
+    the controller, not the length of the run."""
+    def method(module, cls_name, name):
+        (cls,) = [
+            n for n in ast.walk(modules()[module])
+            if isinstance(n, ast.ClassDef) and n.name == cls_name
+        ]
+        return functions(cls)[name]
+
+    readers = {
+        "_snapshot_state": method("runtime/sim_driver.py", "DyflowOrchestrator", "_snapshot_state"),
+        "MonitorServer.state_dict": method("core/monitor.py", "MonitorServer", "state_dict"),
+        "MonitorServer.load_state_dict": method(
+            "core/monitor.py", "MonitorServer", "load_state_dict"
+        ),
+    }
+    carried = {
+        name: sorted(
+            {ref for n in ast.walk(fn) for ref in identifiers(n)} & {"history", "output"}
+            | {
+                ast.unparse(n) for n in ast.walk(fn)
+                if isinstance(n, ast.Attribute) and n.attr == "plans"
+            }
+        )
+        for name, fn in readers.items()
+    }
+    assert carried == {name: [] for name in readers}
 
 
 def test_the_journal_writes_its_own_meta_record():

@@ -35,7 +35,7 @@ def make_runner(tasks, **kw):
 
 def granted(runner, line):
     """Did a plan grant *line* (``POLICY:ACTION:TASK``)?"""
-    return any(line in plan.accepted for plan in runner.arbitration.plans)
+    return any(line in plan.accepted for plan in runner.plans)
 
 
 class TestLiveExecution:
@@ -215,7 +215,7 @@ class TestLiveActions:
         runner.stop()
         # The crash's one RESTART suggestion is discarded, not deferred.
         assert runner.arbitration.outcome_counts == {Reason.GATED_WARMUP: 1}
-        assert runner.arbitration.plans == []
+        assert runner.plans == []
 
 
 def test_addcpu_while_other_tasks_exit():
