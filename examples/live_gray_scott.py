@@ -34,6 +34,7 @@ from repro.api import (
     PolicySpec,
     SensorSpec,
     ThreadedDyflow,
+    reason_counts,
 )
 
 GRID = (256, 256)
@@ -95,9 +96,9 @@ def main() -> None:
     print(f"\nall tasks finished: {finished}; solver advanced {solver.step_count} PDE steps")
     print(f"isosurface analysis ran {runner.launcher.record('Isosurface').incarnations} "
           "incarnations (1 crash + 1 DYFLOW restart expected)")
-    # Arbitration ends every suggestion in one Outcome, as on the simulator.
+    # Every suggestion ends in one Outcome in the run log, as on the simulator.
     print("\nhow DYFLOW's suggestions ended:")
-    for reason, count in sorted(runner.arbitration.outcome_counts.items()):
+    for reason, count in sorted(reason_counts(runner.launcher.log).items()):
         print(f"  {reason:>18}: {count}")
     for plan in runner.plans:
         print(f"  {plan.plan_id} granted {', '.join(plan.accepted)} "

@@ -92,6 +92,7 @@ _FLAT = {
     "PolicyApplication": "repro.core",
     "ActionType": "repro.core",
     "SuggestedAction": "repro.core",
+    "reason_counts": "repro.core",
     "MetricUpdate": "repro.core",
     "ActionPlan": "repro.core",
     "DyflowOrchestrator": "repro.runtime",

@@ -7,7 +7,7 @@ through sensors, policies, and rules — either directly with the classes
 here or through the XML interface in :mod:`repro.xmlspec`.
 """
 
-from repro.core.actions import ActionType, SuggestedAction
+from repro.core.actions import ActionType, SuggestedAction, reason_counts
 from repro.core.events import MetricUpdate
 from repro.core.sensors import (
     GroupBySpec,
@@ -27,6 +27,7 @@ from repro.core.monitor import MonitorClient, MonitorServer, MonitorTaskBinding
 __all__ = [
     "ActionType",
     "SuggestedAction",
+    "reason_counts",
     "MetricUpdate",
     "SensorSpec",
     "SensorInstance",

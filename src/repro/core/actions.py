@@ -110,12 +110,27 @@ class Reason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Outcome:
-    """How one suggestion ended."""
+    """How one suggestion ended, at ``time``: a run-log record.
+
+    ``plan_id`` names the plan it landed in (granted, or a refusal line
+    of a plan that was built); ``trigger`` is when the data that fired
+    the policy was produced.
+    """
 
     policy_id: str
     action: ActionType
     target: str
     reason: Reason
+    time: float = 0.0
+    plan_id: str | None = None
+    trigger: float | None = None
+
+    def to_record(self) -> dict[str, Any]:
+        return {
+            "kind": "outcome", "time": self.time, "policy_id": self.policy_id,
+            "action": self.action.value, "target": self.target, "reason": self.reason.value,
+            "plan_id": self.plan_id, "trigger": self.trigger,
+        }
 
 
 #: Why ``plan.discarded`` says a refused suggestion did not act.
@@ -133,10 +148,21 @@ def render_outcome(policy_id: str, action: str, target: str, reason=Reason.GRANT
     return line if reason is Reason.GRANTED else f"{line} ({_REFUSALS[reason]})"
 
 
-def tally(counts: dict[str, int], reason: Reason, tracer) -> None:
-    """Count *reason* in a stage's dict (keyed by value) and in the
-    ``outcome.<reason>`` counter."""
-    key = str(reason)
-    counts[key] = counts.get(key, 0) + 1
+def tally(log, outcome: Outcome, tracer) -> None:
+    """Record *outcome* in the run *log* and count its reason."""
+    log.append(outcome)
+    count_reason(outcome.reason, tracer)
+
+
+def count_reason(reason: Reason, tracer) -> None:
+    """Count *reason* in the ``outcome.<reason>`` counter."""
     if tracer.enabled:
-        tracer.metrics.counter("outcome." + key).inc()
+        tracer.metrics.counter("outcome." + reason.value).inc()
+
+
+def reason_counts(log) -> dict[str, int]:
+    """Per-reason totals of the outcomes in *log*, keyed by value."""
+    counts: dict[str, int] = {}
+    for o in log.of_type(Outcome):
+        counts[o.reason] = counts.get(o.reason, 0) + 1
+    return counts

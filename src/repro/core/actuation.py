@@ -129,7 +129,7 @@ class ActuationStage:
                 continue
             if status == "issued" and self._effect_landed(op, ledger):
                 self._journal_complete(plan, op, failed=False, reconciled=True)
-                launcher.trace.point(
+                launcher.log.point(
                     launcher.now(),
                     f"op-skipped:{op.task}",
                     category="journal",
@@ -148,7 +148,7 @@ class ActuationStage:
             except (ActuationError, AllocationError, LaunchError) as err:
                 failed = True
                 plan_failures.append((op, str(err)))
-                launcher.trace.point(
+                launcher.log.point(
                     launcher.now(),
                     f"op-failed:{op.task}",
                     category="failure",
@@ -209,7 +209,7 @@ class ActuationStage:
             failed_ops=[f"{op.describe()}: {err}" for op, err in failures],
             compensations=compensations,
         )
-        self.launcher.trace.point(
+        self.launcher.log.point(
             self.launcher.now(),
             f"plan-degraded:{plan.plan_id}",
             category="failure",

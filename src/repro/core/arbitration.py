@@ -29,7 +29,8 @@ from typing import Any
 from repro.cluster.allocation import ResourceSet
 from repro.cluster.resource_manager import place_cores
 from repro.core.actions import (
-    ActionType, Outcome, Reason, SuggestedAction, actions_conflict, render_outcome, tally,
+    ActionType, Outcome, Reason, SuggestedAction, actions_conflict, count_reason,
+    render_outcome, tally,
 )
 from repro.core.lowlevel import PHASE_ACQUIRE, PHASE_RELEASE, ActionPlan, LowLevelOp
 from repro.core.rules import ArbitrationRules
@@ -199,10 +200,11 @@ class ArbitrationStage:
         # Derived state, so not journaled: after a resume the first idle
         # tick builds one shadow and finds the same answer.
         self._idle_key: tuple | None = None
-        #: The last batch's outcomes, one per suggestion.
+        #: The last batch's outcomes, one per suggestion; every outcome
+        #: also goes to the launcher's run log.
         self.outcomes: list[Outcome] = []
-        #: Per-reason totals of every batch, waiting-unchanged ticks included.
-        self.outcome_counts: dict[str, int] = {}
+        # (suggestion, reason, landed in the plan) ended during this call.
+        self._ended: list[tuple[SuggestedAction, Reason, bool]] = []
         self._ids = IdGenerator()
         self._gate_until: float | None = None
         self._in_flight: ActionPlan | None = None
@@ -250,9 +252,12 @@ class ArbitrationStage:
         """
         tracer = self.tracer
         if not tracer.enabled:
-            return self._arbitrate(suggestions, now)
+            plan = self._arbitrate(suggestions, now)
+            return self._publish(plan, now) if self._ended else plan
         span = tracer.start_span("arbitration.arbitrate", "arbitration", suggestions=len(suggestions))
         plan = self._arbitrate(suggestions, now)
+        if self._ended:
+            self._publish(plan, now)
         metrics = tracer.metrics
         if plan is not None:
             metrics.counter("arbitration.plans").inc()
@@ -263,9 +268,9 @@ class ArbitrationStage:
         return plan
 
     def _end(self, s: SuggestedAction, reason: Reason, plan: ActionPlan | None = None) -> None:
-        """*s* ends in *reason*: its one outcome, counted, and its line in *plan*."""
-        self.outcomes.append(Outcome(s.policy_id, s.action, s.target, reason))
-        tally(self.outcome_counts, reason, self.tracer)
+        """*s* ends in *reason*: its one outcome (logged by :meth:`_publish`)
+        and its line in *plan*."""
+        self._ended.append((s, reason, plan is not None))
         if plan is not None:
             line = render_outcome(s.policy_id, s.action.value, s.target, reason)
             (plan.accepted if reason is Reason.GRANTED else plan.discarded).append(line)
@@ -276,6 +281,21 @@ class ArbitrationStage:
         self.revision += 1
         for s in suggestions:
             self._end(s, Reason.SUPERSEDED)
+        self._publish(None, self.launcher.now())
+
+    def _publish(self, plan: ActionPlan | None, now: float) -> ActionPlan | None:
+        """Log the outcomes this call ended, each with the id of the *plan*
+        it landed in, once the plan has its id (or was dropped)."""
+        plan_id = plan.plan_id if plan is not None else None
+        self.outcomes = [
+            Outcome(s.policy_id, s.action, s.target, reason, now,
+                    plan_id if landed else None, s.trigger_time)
+            for s, reason, landed in self._ended
+        ]
+        self._ended = []
+        for outcome in self.outcomes:
+            tally(self.launcher.log, outcome, self.tracer)
+        return plan
 
     def _arbitrate(self, suggestions: list[SuggestedAction], now: float) -> ActionPlan | None:
         self.outcomes = []
@@ -296,12 +316,14 @@ class ArbitrationStage:
         # taken: reading the epoch may release elapsed quarantines.
         if not filtered and (not self.waiting or rm.free_cores() == 0):
             return None
-        self.revision += 1  # a retry is tallied, or a plan built
+        self.revision += 1  # a retry is skipped, or a plan built
         epoch = rm.placement_epoch()
         if not filtered and self._retry_would_repeat(epoch):
             # Not retried because nothing it depends on changed — as
-            # opposed to retried and still infeasible.
-            tally(self.outcome_counts, Reason.WAITING_UNCHANGED, self.tracer)
+            # opposed to retried and still infeasible.  It answers no
+            # suggestion, so it is counted, not logged: an idle tick adds
+            # nothing to the run log.
+            count_reason(Reason.WAITING_UNCHANGED, self.tracer)
             return None
 
         plan = ActionPlan(
@@ -747,7 +769,6 @@ class ArbitrationStage:
                 }
                 for task, e in self.waiting.items()
             },
-            "outcome_counts": dict(self.outcome_counts),
             "gate_until": self._gate_until,
             "in_flight": self._in_flight.plan_id if self._in_flight else None,
             "ids": self._ids.state_dict(),
@@ -768,7 +789,6 @@ class ArbitrationStage:
             for task, e in state.get("waiting", {}).items()
         }
         self._idle_key = None
-        self.outcome_counts = dict(state.get("outcome_counts", {}))
         gate = state.get("gate_until")
         self._gate_until = float(gate) if gate is not None else None
         self._ids.load_state_dict(state.get("ids", {}))

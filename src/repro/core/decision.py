@@ -16,6 +16,7 @@ from repro.core.actions import ActionType, Outcome, Reason, SuggestedAction, tal
 from repro.core.events import MetricUpdate
 from repro.core.policy import PolicyApplication, PolicyRuntime, PolicySpec
 from repro.errors import PolicyError
+from repro.sim.trace import RunLog
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 # Actions that survive degraded mode: failure recovery must proceed even
@@ -27,7 +28,7 @@ ESSENTIAL_ACTIONS = frozenset({ActionType.STOP, ActionType.START, ActionType.RES
 class DecisionStage:
     """Holds policy runtimes, ingests updates, emits suggestion batches."""
 
-    def __init__(self) -> None:
+    def __init__(self, log: RunLog | None = None) -> None:
         self._specs: dict[str, PolicySpec] = {}
         self._runtimes: list[PolicyRuntime] = []
         # Creation indices of the runtimes with something to assess that
@@ -51,8 +52,8 @@ class DecisionStage:
         self.degraded = False
         #: Suggestions the last :meth:`gate` held back, one outcome each.
         self.outcomes: list[Outcome] = []
-        #: Per-reason totals of every :meth:`gate` call.
-        self.outcome_counts: dict[str, int] = {}
+        #: The run log every outcome goes to (a runtime passes its launcher's).
+        self.log = log if log is not None else RunLog()
         self.tracer: Tracer = NULL_TRACER
 
     # -- configuration ------------------------------------------------------------
@@ -175,8 +176,8 @@ class DecisionStage:
         """Toggle degraded mode (monitor data stale — see repro.fabric)."""
         self.degraded = bool(active)
 
-    def gate(self, suggestions: list[SuggestedAction]) -> list[SuggestedAction]:
-        """Apply degraded-mode gating to one tick's suggestion batch.
+    def gate(self, suggestions: list[SuggestedAction], now: float) -> list[SuggestedAction]:
+        """Apply degraded-mode gating to one tick's suggestion batch at *now*.
 
         Called by the live driver *after* :meth:`tick`, never during WAL
         replay: gating filters only the emitted batch and touches no
@@ -191,8 +192,10 @@ class DecisionStage:
             if s.action in ESSENTIAL_ACTIONS:
                 kept.append(s)
                 continue
-            self.outcomes.append(Outcome(s.policy_id, s.action, s.target, Reason.GATED_DEGRADED))
-            tally(self.outcome_counts, Reason.GATED_DEGRADED, self.tracer)
+            outcome = Outcome(s.policy_id, s.action, s.target, Reason.GATED_DEGRADED, now,
+                              trigger=s.trigger_time)
+            self.outcomes.append(outcome)
+            tally(self.log, outcome, self.tracer)
         return kept
 
     def on_task_restart(self, task: str) -> None:
@@ -217,7 +220,6 @@ class DecisionStage:
             "updates_seen": self.updates_seen,
             "updates_matched": self.updates_matched,
             "degraded": self.degraded,
-            "outcome_counts": dict(self.outcome_counts),
             "runtimes": [rt.state_dict() for rt in self._runtimes],
         }
 
@@ -233,7 +235,6 @@ class DecisionStage:
         self.updates_seen = int(state["updates_seen"])
         self.updates_matched = int(state["updates_matched"])
         self.degraded = bool(state.get("degraded", False))
-        self.outcome_counts = dict(state.get("outcome_counts", {}))
         self._parked = {}  # each runtime unparks as it loads
         for rt, rt_state in zip(self._runtimes, runtimes):
             rt.load_state_dict(rt_state)

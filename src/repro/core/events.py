@@ -48,6 +48,9 @@ class MetricUpdate:
             "var": self.var,
         }
 
+    def to_record(self) -> dict[str, Any]:
+        return {"kind": "update", **self.to_dict()}
+
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "MetricUpdate":
         return cls(

@@ -22,6 +22,7 @@ from repro.cluster.machine import MachinePerf
 from repro.core.events import MetricUpdate
 from repro.core.sensors.base import SensorInstance, SensorSpec
 from repro.errors import SensorError
+from repro.sim.trace import RunLog
 from repro.telemetry.metrics import LatencyHistogram
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.jsonmsg import DedupFilter, Envelope, OutOfOrderFilter, SequenceTracker
@@ -218,17 +219,17 @@ class MonitorServer:
         self,
         on_updates: Callable[[list[MetricUpdate]], None] | None = None,
         record_history: bool = False,
-        history: list[MetricUpdate] | None = None,
+        log: RunLog | None = None,
     ) -> None:
         self._filter: OutOfOrderFilter | DedupFilter = OutOfOrderFilter()
         self._on_updates = on_updates
         self.received = 0
         self.forwarded = 0
         self.record_history = record_history
-        #: Accepted updates, appended while ``record_history`` is set: run
-        #: output (a runtime passes its launcher's ``output.history``), so
-        #: it is neither journaled nor restored with the server's state.
-        self.history: list[MetricUpdate] = history if history is not None else []
+        #: The run log accepted updates go to while ``record_history`` is
+        #: set (a runtime passes its launcher's): run output, so neither
+        #: journaled nor restored with the server's state.
+        self.log = log if log is not None else RunLog()
         # Per-task time of the freshest accepted update — the watchdog's
         # transport-level liveness signal (a hung app stops producing).
         self.last_seen: dict[str, float] = {}
@@ -256,6 +257,11 @@ class MonitorServer:
             raise SensorError("configure_fabric must run before the first envelope")
         self._network = network
         self._filter = DedupFilter()
+
+    @property
+    def history(self) -> list[MetricUpdate]:
+        """The accepted updates the run log holds, in arrival order."""
+        return self.log.of_type(MetricUpdate)
 
     @property
     def fabric_enabled(self) -> bool:
@@ -355,7 +361,7 @@ class MonitorServer:
             if prev is None or envelope.time > prev:
                 self.last_seen[u.task] = envelope.time
         if self.record_history:
-            self.history.extend(updates)
+            self.log.extend(updates)
         if self.tracer.enabled:
             metrics = self.tracer.metrics
             metrics.counter("monitor.envelopes").inc()

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import RunLog
 
 
 def render_gantt(
-    trace: TraceRecorder,
+    trace: RunLog,
     width: int = 100,
     categories: tuple[str, ...] = ("task",),
     adjust_category: str = "adjust",
@@ -49,7 +49,7 @@ def render_gantt(
     return "\n".join(lines)
 
 
-def timeline_events(trace: TraceRecorder, category: str | None = None) -> list[str]:
+def timeline_events(trace: RunLog, category: str | None = None) -> list[str]:
     """Human-readable point-event log, time-ordered."""
     return [
         f"t={p.time:9.2f}s  {p.label}" for p in trace.points_for(category=category)

@@ -35,6 +35,7 @@ from repro.experiments.cost_analysis import run_cost_analysis
 from repro.experiments.grayscott_scenario import THRESHOLDS, run_gray_scott_experiment
 from repro.experiments.lammps_scenario import run_lammps_experiment
 from repro.experiments.xgc_scenario import run_xgc_experiment
+from repro.observability.explain import explain, plan_ops
 from repro.resilience import (
     ChaosEngine,
     CheckpointSpec,
@@ -83,6 +84,13 @@ class Report:
 Run = Callable[..., Any]
 
 
+def _why(result, task: str, at: float) -> dict[str, Any]:
+    """``explain``'s chain for *task* at *at*, read from the run's log alone."""
+    chain = explain(result.launcher.log.records(), task, at)
+    assert chain is not None, f"no plan acted on {task} by {at}s"
+    return chain
+
+
 def _below(value: float, bound: float) -> tuple[str, bool]:
     """A measured time and its bound, rendered and checked from one number."""
     return f"{value:.2f}s < {bound:g}s", value < bound
@@ -116,6 +124,13 @@ def _fig6(report: Report, machine: str, run: Run) -> None:
         len(xgca_starts) == 3)
     row("slowest XGCa start response", "0.1–0.2 s" if machine == "summit" else "0.2–0.8 s",
         *_below(max(xgca_starts, default=0.0), 1.0))
+    switch = [p for p in res.plans if any(":SWITCH-STOP:" in a for a in p.accepted)]
+    why = _why(res, "XGCA", switch[0].created)
+    update, outcome = why["update"], why["outcome"]
+    row("why XGCa stopped (explain)", "SWITCH after global step 374",
+        f"{outcome['policy_id']} on step {update['value']:.0f}",
+        update["value"] == 374 and outcome["action"] == "SWITCH"
+        and why["stopped"] is not None and ("start", "XGC1") in plan_ops(why["plan"]))
     row("final global step", "502", str(progress), 500 < progress < 506)
     row("XGC1-only overhead", "≈25%", f"{100 * (ratio - 1):.0f}%", 1.15 < ratio < 1.45)
     if machine != "summit":
@@ -199,6 +214,15 @@ def _fig8(report: Report, machine: str, run: Run) -> None:
         lo, hi = 40, 150
         row("adjustment response", "87 s", f"{response:.0f}s in ({lo}, {hi})",
             lo < response < hi)
+    whys = [_why(res, "Isosurface", p.created) for p in plans]
+    sizes = [whys[0]["stopped"]["meta"]["nprocs"]] + [w["started"]["meta"]["nprocs"]
+                                                      for w in whys]
+    rendering = sum(_why(res, "Rendering", p.created)["started"] is not None for p in plans)
+    expected = [20, 40, 60] if machine == "summit" else [20, 60]
+    row("why Isosurface grew (explain)", f"{'→'.join(map(str, expected))}, Rendering restarted",
+        f"{'→'.join(map(str, sizes))}, Rendering ×{rendering}",
+        sizes == expected and rendering == len(plans)
+        and all(w["outcome"]["reason"] == "granted" for w in whys))
     row("finishes inside limit", "yes", f"{res.makespan:.0f}s < {limit:.0f}s",
         res.makespan < limit)
     overtime = static.makespan / limit - 1
@@ -264,6 +288,13 @@ def _fig11(report: Report, machine: str, run: Run) -> None:
     failed = res.meta["failed_node"]
     on_failed = [op.resources.cores_on(failed) for op in plan.ops if op.op == "start_task"]
     row("restart cores on the failed node", "0", str(sum(on_failed)), not any(on_failed))
+    resumed = _why(res, "LAMMPS", plan.created)["started"]
+    first = resumed["notes"]["first_step"]
+    on_failed_node = resumed["nodes"].get(failed, 0)
+    row("why LAMMPS resumed (explain)",
+        "step 412, off the failed node" if machine == "summit" else "checkpoint, off the node",
+        f"step {first}, {on_failed_node} cores on {failed}",
+        (first == 412 if machine == "summit" else first > 0) and on_failed_node == 0)
     row("restart response", "≈0.2 s" if machine == "summit" else "≈0.4 s",
         *_below(plan.response_time, 2.0))
     if machine == "summit":

@@ -7,7 +7,7 @@ from typing import Any
 
 from repro.core.events import MetricUpdate
 from repro.core.lowlevel import ActionPlan
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import RunLog
 from repro.telemetry import NullTracer, Tracer
 from repro.wms.launcher import Savanna
 
@@ -20,7 +20,7 @@ class ScenarioResult:
     machine: str
     use_dyflow: bool
     makespan: float
-    trace: TraceRecorder
+    trace: RunLog
     plans: list[ActionPlan] = field(default_factory=list)
     metric_history: list[MetricUpdate] = field(default_factory=list)
     launcher: Savanna | None = None

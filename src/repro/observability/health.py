@@ -4,7 +4,7 @@ The engine runs on the orchestrator's tick, at the spec's evaluation
 cadence: it resolves every SLO/anomaly metric against the run's
 :class:`~repro.telemetry.metrics.MetricsRegistry` and the runtime's
 aggregate provider (utilization, quarantine count, ...), advances the
-evaluators, records :class:`HealthAlert` transitions, and *publishes*
+evaluators, logs :class:`HealthAlert` transitions, and *publishes*
 the whole picture — aggregates, objective values, and alert states — as
 ordinary :class:`~repro.staging.serialization.Sample` streams that a
 :class:`HealthSensorSource` delivers into the Monitor stage.  User
@@ -13,13 +13,14 @@ application metrics (the paper's §2.1 sensor abstraction, pointed at the
 framework itself).
 
 Determinism: evaluation happens on the runtime clock at a fixed cadence
-over sim-time metrics, and the engine's full state (evaluator streaks,
-EWMA windows, feed cursor base, alert history) is
-journaled at every barrier — a crash-resumed run emits exactly the
-alerts the uninterrupted run would, with no double-firing on WAL replay.
-``HealthEngine.revision`` moves with that state: an evaluating tick, a
-trim that drops feed entries, a publish, an alert and a restore bump it,
-and :meth:`HealthEngine.add_alert` is the one way into the alert history.
+over sim-time metrics, and the engine's evaluator state (streaks, EWMA
+windows, feed cursor base) is journaled at every barrier — a
+crash-resumed run emits exactly the alerts the uninterrupted run would,
+with no double-firing on WAL replay.  ``HealthEngine.revision`` moves
+with that state: an evaluating tick, a trim that drops feed entries, a
+publish and a restore bump it.  The alert history is not engine state:
+:func:`log_alert` appends each alert to the run log, which outlives a
+controller crash, and ``HealthEngine.alerts`` is a view of that log.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.core.sensors.sources import DataSource
 from repro.errors import ObservabilityError
 from repro.observability.slo import EwmaDetector, HealthAlert, SloEvaluator
 from repro.observability.spec import ObservabilitySpec
+from repro.sim.trace import RunLog
 from repro.staging.serialization import Sample
 from repro.telemetry.metrics import instrument_stat
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -40,6 +42,12 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 HEALTH_TASK = "__dyflow__"
 
 _EPS = 1e-9
+
+
+def log_alert(log: RunLog, tracer: Tracer, alert: HealthAlert) -> None:
+    """Record *alert*: once, in the run log (counted in ``event.health.alert``)."""
+    log.append(alert)
+    tracer.count("health.alert")
 
 
 class HealthSensorSource(DataSource):
@@ -92,6 +100,7 @@ class HealthEngine:
         tracer: Tracer | None = None,
         workflow_id: str = "",
         aggregates: Callable[[], Mapping[str, float]] | None = None,
+        log: RunLog | None = None,
     ) -> None:
         spec.validate()
         self.spec = spec
@@ -101,7 +110,7 @@ class HealthEngine:
         self.aggregates = aggregates
         self.slo_evaluators = [SloEvaluator(s) for s in spec.slos]
         self.anomaly_detectors = [EwmaDetector(a) for a in spec.anomalies]
-        self.alerts: list[HealthAlert] = []
+        self.log = log if log is not None else RunLog()
         self.evaluations = 0
         self._next_eval = 0.0
         self._sources: list[HealthSensorSource] = []
@@ -179,8 +188,7 @@ class HealthEngine:
                 new_alerts.append(alert)
             self._publish(now, f"alert.anomaly.{det.spec.key}", 1.0 if det.firing else 0.0)
         for alert in new_alerts:
-            self.add_alert(alert)
-            self.tracer.point("health.alert", "health", **alert.to_dict())
+            log_alert(self.log, self.tracer, alert)
         if self.tracer.enabled:
             self.registry.gauge("health.firing").set(float(self.firing_count()))
         self.evaluations += 1
@@ -194,12 +202,12 @@ class HealthEngine:
             return float(aggregates[metric])
         return instrument_stat(self.registry.lookup(metric), stat)
 
-    def add_alert(self, alert: HealthAlert) -> None:
-        """Append *alert* to the journaled alert history."""
-        self.revision += 1
-        self.alerts.append(alert)
-
     # -- queries -------------------------------------------------------------------
+    @property
+    def alerts(self) -> list[HealthAlert]:
+        """Every alert of the run, the runtime's degraded-mode ones too."""
+        return self.log.of_type(HealthAlert)
+
     def firing_count(self) -> int:
         return sum(ev.firing for ev in self.slo_evaluators) + sum(
             det.firing for det in self.anomaly_detectors
@@ -217,7 +225,6 @@ class HealthEngine:
             "evaluations": self.evaluations,
             "slos": [ev.state_dict() for ev in self.slo_evaluators],
             "anomalies": [det.state_dict() for det in self.anomaly_detectors],
-            "alerts": [a.to_dict() for a in self.alerts],
             "feed_base": self._base,
             "feed": [
                 {"time": s.time, "var": s.var, "value": s.value, "step": s.step}
@@ -241,7 +248,7 @@ class HealthEngine:
             ev.load_state_dict(s)
         for det, s in zip(self.anomaly_detectors, anomalies):
             det.load_state_dict(s)
-        self.alerts = [HealthAlert.from_dict(d) for d in state.get("alerts", [])]
+        # An older journal's "alerts" are already in the surviving run log.
         self._base = int(state.get("feed_base", 0))
         self._feed = [
             Sample(

@@ -1,9 +1,9 @@
 """Run reports: one document summarizing what a run did and why.
 
 :func:`report_from_jsonl` builds the report from a run's records — the
-runtime passes its tracer's (:meth:`~repro.telemetry.tracer.Tracer.records`)
-at finalize, the CLI the lines of the JSONL file those records were
-flushed to, and both get the same document::
+runtime passes its run log's (:class:`~repro.sim.trace.RunLog`) at
+finalize, the CLI the lines of the JSONL file that log was flushed to,
+and both get the same document::
 
     python -m repro.observability.report run.jsonl -o report.md --json report.json
 
@@ -30,6 +30,7 @@ from repro.observability.analysis import (
 )
 from repro.observability.slo import HealthAlert
 from repro.observability.utilization import UtilizationReport, utilization_from_events
+from repro.sim.trace import as_record
 from repro.telemetry.tracer import TraceSpan
 
 REPORT_SCHEMA = "dyflow-run-report/1"
@@ -112,28 +113,30 @@ def build_report(
 
 
 def report_from_jsonl(
-    records: Iterable[TraceSpan | Mapping[str, Any]],
+    records: Iterable[Any],
     top_n: int = 5,
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Build the report from a run's records, in emission order.
+    """Build the report from a run's log records, in append order.
 
-    A span is a :class:`TraceSpan` (read by reference) or its JSONL line;
-    both give the same :class:`SpanView`.  The utilization horizon is the
-    latest non-span record, the metrics the last ``metrics`` record.
+    A record is a log object or its JSONL line; a :class:`TraceSpan` is
+    read by reference, and both forms give the same :class:`SpanView`.
+    The utilization horizon is the latest record that is not a span, the
+    metrics the last ``metrics`` record.
     """
     views: list[SpanView] = []
     events: list[Mapping[str, Any]] = []
     for r in records:
         if isinstance(r, TraceSpan):
             views.append(SpanView.from_span(r))
-        elif r.get("kind") != "span":
+            continue
+        r = as_record(r)
+        if r.get("kind") != "span":
             events.append(r)
         elif r.get("end") is not None:
             views.append(SpanView.from_record(r))
-    points = [r for r in events if r.get("kind") == "point"]
-    alerts = [HealthAlert.from_dict(r["attrs"]) for r in points if r.get("name") == "health.alert"]
-    has_wms = any(r.get("name") == "run.allocation" for r in points)
+    alerts = [HealthAlert.from_dict(r["alert"]) for r in events if r.get("kind") == "alert"]
+    has_wms = any(r.get("name") == "run.allocation" for r in events if r.get("kind") == "point")
     util = utilization_from_events(events) if has_wms else None
     snapshots = [r for r in events if r.get("kind") == "metrics"]
     metrics = snapshots[-1]["metrics"] if snapshots else {}

@@ -54,6 +54,11 @@ class HealthAlert:
             "message": self.message,
         }
 
+    def to_record(self) -> dict[str, Any]:
+        """The run-log line; the alert's own ``kind`` (firing/clearing) is
+        inside, under ``alert``."""
+        return {"kind": "alert", "time": self.time, "alert": self.to_dict()}
+
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "HealthAlert":
         return cls(

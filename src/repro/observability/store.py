@@ -129,13 +129,13 @@ class RunStore:
     """In-memory index of run records with a small query API."""
 
     def __init__(self) -> None:
-        self._records: dict[str, RunRecord] = {}
+        self._by_id: dict[str, RunRecord] = {}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_id)
 
     def add(self, record: RunRecord) -> None:
-        self._records[record.record_id] = record
+        self._by_id[record.record_id] = record
 
     def add_file(self, path: str) -> RunRecord | None:
         record = load_record(path)
@@ -163,17 +163,17 @@ class RunStore:
     # -- queries -------------------------------------------------------
 
     def records(self) -> list[RunRecord]:
-        return [self._records[rid] for rid in sorted(self._records)]
+        return [self._by_id[rid] for rid in sorted(self._by_id)]
 
     def get(self, record_id: str) -> RunRecord:
         try:
-            return self._records[record_id]
+            return self._by_id[record_id]
         except KeyError:
             raise ObservabilityError(f"no run record {record_id!r}") from None
 
     def metric_keys(self) -> list[str]:
         keys: set[str] = set()
-        for record in self._records.values():
+        for record in self._by_id.values():
             keys.update(record.metrics)
         return sorted(keys)
 

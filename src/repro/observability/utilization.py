@@ -2,11 +2,10 @@
 
 Reconstructs what every allocated node was doing over the run —
 busy (cores assigned to running task instances), idle, or quarantined —
-from the point records the launcher and the sim driver emit
-(``wms.task-running`` / ``wms.task-end`` / ``run.allocation`` /
-``run.quarantine-history``), live or from the run's JSONL log alone (the
-SIM-SITU premise: evaluation needs reconstructable per-resource
-timelines).
+from the run log's records (the launcher's task spans with their
+placement, and the ``run.allocation`` / ``run.quarantine-history``
+points), live or from the run's JSONL log alone (the SIM-SITU premise:
+evaluation needs reconstructable per-resource timelines).
 """
 
 from __future__ import annotations
@@ -174,20 +173,24 @@ def utilization_from_events(
     start: float = 0.0,
     end: float | None = None,
 ) -> UtilizationReport:
-    """Build the report from a run's event records.
+    """Build the report from a run's log records (JSONL form).
 
-    Consumes ``run.allocation`` (node → cores), ``wms.task-running`` /
-    ``wms.task-end`` pairs (matched by instance id; an unmatched running
-    task is clamped to the horizon), and ``run.quarantine-history``.  The
-    horizon defaults to the latest non-span record.
+    Consumes ``run.allocation`` (node → cores), the task spans (their
+    ``nodes`` placement; a span still open is clamped to the horizon), and
+    ``run.quarantine-history``.  The horizon defaults to the latest instant
+    a record holds (a task span's end, if closed), telemetry spans aside.
     """
     node_cores: dict[str, int] = {}
-    open_runs: dict[str, tuple[str, float, dict[str, int]]] = {}
-    segments: list[BusySegment] = []
+    runs: list[Mapping[str, Any]] = []
     history: list[tuple[float, str, str]] = []
     max_time = start
     for rec in records:
         kind = rec.get("kind")
+        if kind == "gantt-span":
+            if rec.get("category") == "task" and rec.get("nodes"):
+                runs.append(rec)
+            max_time = max(max_time, float(rec["end"] if rec["end"] is not None else rec["time"]))
+            continue
         if kind != "span":
             max_time = max(max_time, float(rec.get("time", start)))
         if kind != "point":
@@ -197,31 +200,16 @@ def utilization_from_events(
         if name == "run.allocation":
             for node_id, cores in attrs.get("nodes", {}).items():
                 node_cores[node_id] = int(cores)
-        elif name == "wms.task-running":
-            open_runs[attrs["instance"]] = (
-                attrs["task"], float(rec["time"]),
-                {k: int(v) for k, v in attrs.get("nodes", {}).items()},
-            )
-        elif name == "wms.task-end":
-            entry = open_runs.pop(attrs.get("instance"), None)
-            if entry is not None:
-                task, t0, nodes = entry
-                for node_id, cores in sorted(nodes.items()):
-                    segments.append(
-                        BusySegment(node_id=node_id, cores=cores,
-                                    start=t0, end=float(rec["time"]), task=task)
-                    )
         elif name == "run.quarantine-history":
             for ev in attrs.get("events", []):
                 history.append((float(ev[0]), ev[1], ev[2]))
     if end is None:
         end = max_time
-    # Tasks still running when the log ends occupy their cores to the horizon.
-    for instance_id in sorted(open_runs):
-        task, t0, nodes = open_runs[instance_id]
-        for node_id, cores in sorted(nodes.items()):
-            segments.append(
-                BusySegment(node_id=node_id, cores=cores, start=t0, end=end, task=task)
-            )
+    segments = [
+        BusySegment(node_id=node_id, cores=int(cores), start=float(run["start"]),
+                    end=float(run["end"]) if run["end"] is not None else end,
+                    task=run["track"])
+        for run in runs for node_id, cores in sorted(run["nodes"].items())
+    ]
     return build_utilization(node_cores, segments, start=start, end=end,
                              quarantine_history=history)

@@ -78,7 +78,6 @@ class ChaosEngine:
                 lambda node, _t: launcher.handle_node_failure(node.node_id)
             )
         self.injector = injector
-        self.history: list[FaultEvent] = []
         self.dropped_envelopes = 0
         self._running = False
         # The orchestrator under chaos; orch-crash fires call its
@@ -265,7 +264,7 @@ class ChaosEngine:
         self.orchestrator = None
 
     def state_dict(self) -> dict:
-        """Pending fire slots, history, and chaos RNG stream positions."""
+        """Pending fire slots and chaos RNG stream positions."""
         pending = {}
         for kind, (stage, ev) in sorted(self._pending.items()):
             if ev.cancelled:
@@ -274,7 +273,6 @@ class ChaosEngine:
         return {
             "running": self._running,
             "pending": pending,
-            "history": [[e.time, e.kind, e.target] for e in self.history],
             "dropped_envelopes": self.dropped_envelopes,
             "rng": self.rng.state_dict(names=CHAOS_STREAMS),
         }
@@ -289,9 +287,7 @@ class ChaosEngine:
         self.revision += 1
         self._running = bool(state.get("running", False))
         self.dropped_envelopes = int(state.get("dropped_envelopes", 0))
-        self.history = [
-            FaultEvent(float(t), kind, target) for t, kind, target in state.get("history", [])
-        ]
+        # An older journal's "history" is already in the surviving run log.
         self.rng.load_state_dict(state.get("rng", {}))
         if self._running and self.model.stage_drop_prob > 0:
             # Take over the drop filters from the crashed engine's chaos
@@ -314,8 +310,15 @@ class ChaosEngine:
 
     # -- bookkeeping -------------------------------------------------------------
     def _record(self, kind: str, target: str) -> None:
-        self.revision += 1
-        self.history.append(FaultEvent(self.engine.now, kind, target))
-        self.launcher.trace.point(
+        self.launcher.log.point(
             self.engine.now, f"chaos:{kind}:{target}", category="failure"
         )
+
+    @property
+    def history(self) -> list[FaultEvent]:
+        """Every fault injected into this launcher's run: a view of the
+        ``chaos:<kind>:<target>`` points of its log."""
+        return [
+            FaultEvent(p.time, *p.label.split(":", 2)[1:])
+            for p in self.launcher.log.points if p.label.startswith("chaos:")
+        ]

@@ -134,7 +134,7 @@ class HeartbeatWatchdog:
             if now - last <= self.spec.heartbeat_timeout:
                 continue
             self.kills.append(WatchdogKill(now, name, last))
-            self.launcher.trace.point(
+            self.launcher.log.point(
                 now, f"watchdog-kill:{name}", category="failure",
                 last_heartbeat=last, timeout=self.spec.heartbeat_timeout,
             )

@@ -27,6 +27,7 @@ from repro.fabric import DegradedModeController, FabricLink
 from repro.journal import Journal, JournalSpec
 from repro.journal.delta import UnitCache
 from repro.observability import HealthEngine, report_from_jsonl, write_openmetrics, write_report
+from repro.observability.health import log_alert
 from repro.runtime.options import RuntimeOptions
 from repro.telemetry import build_tracer, write_chrome_trace
 from repro.telemetry.tracer import Tracer
@@ -97,7 +98,7 @@ class RuntimeCore:
         self._telemetry_finalized = False
         self.observability = opts.observability
         if self.observability is not None and not tracer.enabled:
-            # Every observability output reads the tracer's records.
+            # Every observability output reads the telemetry in the run log.
             for name in ("report_path", "report_json_path", "openmetrics_path"):
                 if getattr(self.observability, name):
                     raise DyflowError(
@@ -105,10 +106,9 @@ class RuntimeCore:
                         "(pass options=RuntimeOptions(telemetry=TelemetrySpec(...)))"
                     )
         self.clients = [MonitorClient(cid, launcher.perf) for cid in client_ids]
-        self.decision = DecisionStage()
+        self.decision = DecisionStage(log=launcher.log)
         self.server = MonitorServer(
-            on_updates=self.decision.ingest, record_history=record_history,
-            history=launcher.output.history,
+            on_updates=self.decision.ingest, record_history=record_history, log=launcher.log,
         )
         self.server.set_tracer(tracer, clock=self.now)
         self.decision.tracer = tracer
@@ -123,6 +123,7 @@ class RuntimeCore:
                 tracer=tracer,
                 workflow_id=self.workflow_id,
                 aggregates=self._health_aggregates,
+                log=launcher.log,
             )
         # Monitor fabric: each client's envelopes cross a FabricLink
         # (lossy transport + ack/retransmit reliability), land in the
@@ -163,6 +164,15 @@ class RuntimeCore:
 
     def now(self) -> float:
         return self.launcher.now()
+
+    def _begin(self, now: float) -> None:
+        """The run starts: record its allocation (the utilization analysis's
+        node inventory) and open Arbitration's warmup gate."""
+        self.tracer.point(
+            "run.allocation", "wms",
+            nodes={n.node_id: n.cores for n in self.launcher.rm.allocation.nodes},
+        )
+        self.arbitration.begin(now)
 
     @property
     def plans(self) -> list[ActionPlan]:
@@ -241,11 +251,19 @@ class RuntimeCore:
         if instance.incarnation > 0:
             self.decision.on_task_restart(instance.task)
 
+    def _log_plan(self, plan: ActionPlan) -> None:
+        """A plan was built: its ``plan:<id>`` point and ops, which
+        ``explain`` reads."""
+        self.launcher.log.point(
+            plan.created, f"plan:{plan.plan_id}", category="plan",
+            ops=[op.describe() for op in plan.ordered_ops()],
+        )
+
     def _on_plan_done(self, plan: ActionPlan) -> None:
         if self._journal is not None and not self._journal.closed:
             self._journal.append("plan-done", plan=plan.to_dict())
         self.arbitration.on_plan_executed(plan, self.now())
-        self.launcher.trace.add_span(
+        self.launcher.log.add_span(
             "DYFLOW", plan.plan_id, plan.execution_start, plan.execution_end,
             category="adjust", response=plan.response_time,
         )
@@ -269,9 +287,7 @@ class RuntimeCore:
             self.server.note_staleness(max(0.0, now - env.time))
             self._receive(env)
         for alert in self.degrade.tick(now, self.server.last_seen):
-            if self.health is not None:
-                self.health.add_alert(alert)
-            self.tracer.point("health.alert", "health", **alert.to_dict())
+            log_alert(self.launcher.log, self.tracer, alert)
         self.decision.set_degraded(self.degrade.degraded)
 
     # -- journal ------------------------------------------------------------------
@@ -294,8 +310,8 @@ class RuntimeCore:
     def finalize_telemetry(self) -> None:
         """Record a final metrics snapshot, flush the JSONL log, and write
         the Chrome trace and observability exports, if configured.  The
-        run report is built from the tracer's records, as the report CLI
-        builds it from the flushed log."""
+        run report is built from the run log, as the report CLI builds it
+        from the flushed file."""
         if self._telemetry_finalized or not self.tracer.enabled:
             return
         self._telemetry_finalized = True
@@ -310,6 +326,6 @@ class RuntimeCore:
             write_openmetrics(spec.openmetrics_path, self.tracer.metrics)
         if spec.report_path is not None or spec.report_json_path is not None:
             report = report_from_jsonl(
-                self.tracer.records(), top_n=spec.top_n, meta={"workflow": self.workflow_id}
+                self.launcher.log.records(), top_n=spec.top_n, meta={"workflow": self.workflow_id}
             )
             write_report(report, path=spec.report_path, json_path=spec.report_json_path)

@@ -134,11 +134,7 @@ class DyflowOrchestrator(RuntimeCore):
             t=self.engine.now, workflow=self.workflow_id, poll_interval=self.poll_interval
         )
         self.actuation.journal = self._journal
-        self.tracer.point(
-            "run.allocation", "wms",
-            nodes={n.node_id: n.cores for n in self.launcher.allocation.nodes},
-        )
-        self.arbitration.begin(self.engine.now)
+        self._begin(self.engine.now)
         self._each("start")
         self._tick_event = self.engine.call_after(0.0, self._tick, name="dyflow-service")
 
@@ -199,7 +195,7 @@ class DyflowOrchestrator(RuntimeCore):
             self._pump_ingress(now)
         # Decision: evaluate due policies on data delivered so far;
         # degraded mode gates non-essential suggestions afterwards.
-        suggestions = self.decision.gate(self.decision.tick(now))
+        suggestions = self.decision.gate(self.decision.tick(now), now)
         # Arbitration: build a plan unless gated.
         plan = self.arbitration.arbitrate(suggestions, now)
         if span_ctx is not None:
@@ -215,10 +211,7 @@ class DyflowOrchestrator(RuntimeCore):
                 self.actuation.execute(plan, on_done=self._on_plan_done),
                 name=f"actuation:{plan.plan_id}",
             )
-            self.launcher.trace.point(
-                plan.created, f"plan:{plan.plan_id}", category="plan",
-                ops=[op.describe() for op in plan.ordered_ops()],
-            )
+            self._log_plan(plan)
         if self._stop_when is not None and self._stop_when():
             self._running = False
             self._close_journal()
@@ -320,8 +313,6 @@ class DyflowOrchestrator(RuntimeCore):
                 ("clients",), tuple(c.revision for c in clients),
                 lambda: [c.state_dict() for c in clients],
             ),
-            # gate() is not replayed, so its counts ride in every barrier.
-            "decision_outcomes": dict(self.decision.outcome_counts),
             "inflight": [
                 {"at": at, "seq": ev.heap_seq, "env": env.to_json(),
                  "kind": kind, "link": link}
@@ -340,9 +331,9 @@ class DyflowOrchestrator(RuntimeCore):
 
     def _snapshot_state(self, now: float) -> dict:
         """What ``resume_from`` loads wholesale: controller state only.  The
-        metric history and the finished plans are the launcher's run
-        output, which survives a crash; ``plans`` holds the unfinished
-        plan, if one is in flight, for ``resume_plan`` to finish."""
+        run log (the metric history with it) and the finished plans are
+        on the launcher, which survives a crash; ``plans`` holds the
+        unfinished plan, if one is in flight, for ``resume_plan`` to finish."""
         in_flight = self.arbitration._in_flight
         return {
             "t": now,
@@ -383,7 +374,7 @@ class DyflowOrchestrator(RuntimeCore):
         self.crashed = True
         self._journal.append("crash", t=now)
         self._close_journal()
-        self.launcher.trace.point(now, "orchestrator-crash", category="journal")
+        self.launcher.log.point(now, "orchestrator-crash", category="journal")
         if self._tick_event is not None:
             self._tick_event.cancel()
             self._tick_event = None
@@ -408,10 +399,10 @@ class DyflowOrchestrator(RuntimeCore):
         upserts), the last barrier's controller state is applied
         wholesale, and every pending controller event is re-registered at
         its journaled heap slot.  An unfinished plan is completed
-        exactly-once through the op ledger.  The launcher's run output
-        (metric history, plans) survived the crash: replay adds nothing
-        to the history, and each journaled plan replaces the one with its
-        id, so the in-flight plan finished is the journaled one.
+        exactly-once through the op ledger.  The launcher's run log and
+        plans survived the crash: replay appends nothing to the log, and
+        each journaled plan replaces the one with its id, so the in-flight
+        plan finished is the journaled one.
         """
         if self._running:
             raise DyflowError("orchestrator already running")
@@ -425,14 +416,13 @@ class DyflowOrchestrator(RuntimeCore):
             if d.get("execution_end") is None:  # a finished one is already output
                 output.upsert_plan(ActionPlan.from_dict(d))
 
-        # Replay with telemetry and the history muted: the tracer and the
-        # run output survived the crash and already hold what the
-        # replayed records produced — replay rebuilds state only.
+        # Replay with telemetry and the run log muted: the metrics and the
+        # log survived the crash and already hold what the replayed
+        # records produced — replay rebuilds state only.
         server_tracer, decision_tracer = self.server.tracer, self.decision.tracer
-        recording = self.server.record_history
         self.server.tracer = NULL_TRACER
         self.decision.tracer = NULL_TRACER
-        self.server.record_history = False
+        self.launcher.log.muted = True
         try:
             for rec in js.records:
                 kind = rec["kind"]
@@ -449,15 +439,15 @@ class DyflowOrchestrator(RuntimeCore):
         finally:
             self.server.tracer = server_tracer
             self.decision.tracer = decision_tracer
-            self.server.record_history = recording
+            self.launcher.log.muted = False
         b = js.barrier_state
         if b is None:
             raise JournalError(
                 f"journal {journal_dir!r} holds no barrier record; nothing to resume"
             )
+        # An older journal's "decision_outcomes" (and the alert, chaos and
+        # outcome histories inside its units) are already in the run log.
         self.arbitration.load_state_dict(b["arbitration"])
-        if "decision_outcomes" in b:  # absent from journals written before it
-            self.decision.outcome_counts = dict(b["decision_outcomes"])
         client_states = b.get("clients", [])
         if len(client_states) != len(self.clients):
             raise JournalError(
@@ -494,7 +484,7 @@ class DyflowOrchestrator(RuntimeCore):
         self._tick_event = self.engine.call_at(
             float(nt["at"]), self._tick, name="dyflow-service", seq=nt.get("seq")
         )
-        self.launcher.trace.point(
+        self.launcher.log.point(
             self.engine.now, "orchestrator-resume", category="journal",
             epoch=self._journal.epoch,
         )

@@ -90,7 +90,7 @@ class ThreadedDyflow(RuntimeCore):
             run_preflight(self.preflight, spec, workflow=set(self.launcher.specs))
         self._open_journal(workflow=self.workflow_id, tasks=sorted(self.launcher.specs))
         self._running = True
-        self.arbitration.begin(self.now())
+        self._begin(self.now())
         self.launcher.launch_workflow()
         for label, target, args in (("monitor", self._every_poll, (self._monitor_round,)),
                                     ("decision", self._every_poll, (self._decision_round,)),
@@ -186,7 +186,8 @@ class ThreadedDyflow(RuntimeCore):
         self._pump_ingress(now)
 
     def _decision_round(self) -> None:
-        batch = self.decision.gate(self.decision.tick(self.now()))
+        now = self.now()
+        batch = self.decision.gate(self.decision.tick(now), now)
         if batch:
             self._hand_off(batch)
 
@@ -204,6 +205,8 @@ class ThreadedDyflow(RuntimeCore):
                 batch = []  # the waiting queue drains on an empty round too
             with self.lock:
                 plan = self.arbitration.arbitrate(batch, self.now())
+                if plan is not None:
+                    self._log_plan(plan)
             if plan is not None:
                 self._drive(self.actuation.execute(plan, on_done=self._on_plan_done))
 

@@ -18,7 +18,7 @@ from repro.sim.events import AllOf, AnyOf, Interrupt, SimEvent
 from repro.sim.engine import SimEngine
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import PointEvent, Span, TraceRecorder
+from repro.sim.trace import PointEvent, RunLog, Span
 
 __all__ = [
     "SimEngine",
@@ -28,7 +28,7 @@ __all__ = [
     "Interrupt",
     "Process",
     "RngRegistry",
-    "TraceRecorder",
+    "RunLog",
     "Span",
     "PointEvent",
 ]

@@ -13,9 +13,9 @@ whose every operation is a shared no-op, so instrumentation left in
 place costs near-zero.  Components default to the module-level
 :data:`NULL_TRACER` and never need a None check.
 
-The tracer also keeps the run's one record list — finished spans (by
-reference), ``point`` and ``metrics`` events, in emission order — which
-:meth:`Tracer.flush` writes as JSONL and the run report reads.
+The tracer writes to a :class:`~repro.sim.trace.RunLog` — the launcher's,
+once a runtime attaches it — finished spans by reference, ``point`` and
+``metrics`` events as dicts; :meth:`Tracer.flush` writes that log as JSONL.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import TelemetryError
+from repro.sim.trace import RunLog, as_record
 from repro.telemetry.metrics import MetricsRegistry, NullMetrics
 
 
@@ -79,6 +80,9 @@ class TraceSpan:
             "attrs": dict(self.attrs),
         }
 
+    def to_record(self) -> dict[str, Any]:
+        return {"kind": "span", "time": self.end, **self.to_dict()}
+
 
 # The span the NullTracer hands out: already closed, so end_span ignores it.
 _DROPPED = TraceSpan(
@@ -112,7 +116,8 @@ class Tracer:
         clock: runtime clock (e.g. ``lambda: engine.now``).  Defaults to
             wall seconds since tracer creation.
         metrics: registry for derived metrics (created if omitted).
-        path: JSONL file :meth:`flush` writes the run's records to.
+        path: JSONL file :meth:`flush` writes the run's log to.
+        log: the run log records go to (a new one if omitted).
     """
 
     enabled = True
@@ -122,15 +127,15 @@ class Tracer:
         clock: Callable[[], float] | None = None,
         metrics: MetricsRegistry | None = None,
         path: str | None = None,
+        log: RunLog | None = None,
     ) -> None:
         self._epoch = time.perf_counter()
         self.clock = clock if clock is not None else (lambda: time.perf_counter() - self._epoch)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.path = path
-        self._spans: list[TraceSpan] = []
-        # Finished spans and event dicts, in emission order.
-        self._records: list[TraceSpan | dict[str, Any]] = []
-        self._flushed: int | None = None  # records written to path so far
+        self.log = log if log is not None else RunLog()
+        self._open: dict[int, TraceSpan] = {}  # started, not yet in the log
+        self._flushed: int | None = None  # log records written to path so far
         self._next_id = 0
         self._lock = threading.Lock()
         self._stacks = threading.local()
@@ -186,19 +191,21 @@ class Tracer:
                 wall_start=time.perf_counter(),
                 attrs=dict(attrs),
             )
-            self._spans.append(span)
+            self._open[span_id] = span
         return span
 
     def end_span(self, span: TraceSpan, **attrs: Any) -> None:
         """Close *span*, stamping both clocks and recording its latency."""
         if span.end is not None:
             return
+        with self._lock:
+            self._open.pop(span.span_id, None)
         span.end = self.clock()
         span.wall_end = time.perf_counter()
         if attrs:
             span.attrs.update(attrs)
         self.metrics.histogram(f"span.{span.name}").observe(span.duration)
-        self._records.append(span)
+        self.log.append(span)
 
     def add_span(
         self,
@@ -232,26 +239,32 @@ class Tracer:
                 wall_end=wall,
                 attrs=dict(attrs),
             )
-            self._spans.append(span)
         self.metrics.histogram(f"span.{name}").observe(span.duration)
-        self._records.append(span)
+        self.log.append(span)
         return span
 
     def point(self, name: str, category: str = "event", **attrs: Any) -> None:
         """Record an instantaneous annotated event."""
         now = self.clock()
-        self.metrics.counter(f"event.{name}").inc()
+        self.count(name)
         self.record("point", now, name=name, category=category, attrs=attrs)
+
+    def count(self, name: str) -> None:
+        """Count one *name* event in ``event.<name>``: a point's counter,
+        for a fact whose record is another one in the log."""
+        self.metrics.counter(f"event.{name}").inc()
 
     def record(self, kind: str, time: float, **fields: Any) -> None:
         """Append one event record; ``kind`` and ``time`` lead every line."""
-        self._records.append({"kind": kind, "time": time, **fields})
+        self.log.append({"kind": kind, "time": time, **fields})
 
     # -- queries -----------------------------------------------------------------------
     @property
     def spans(self) -> list[TraceSpan]:
+        """Every span started, open ones too, in start order."""
         with self._lock:
-            return list(self._spans)
+            started = [*self.log.of_type(TraceSpan), *self._open.values()]
+        return sorted(started, key=lambda s: s.span_id)
 
     def finished_spans(
         self, name: str | None = None, category: str | None = None
@@ -270,12 +283,12 @@ class Tracer:
     def children_of(self, span: TraceSpan) -> list[TraceSpan]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
-    def records(self) -> list[TraceSpan | dict[str, Any]]:
-        """The run's records in emission order; spans are the live objects."""
-        return list(self._records)
+    def records(self) -> list:
+        """The log's records in append order; objects are the live ones."""
+        return self.log.records()
 
     def flush(self) -> None:
-        """Write the records not yet written to ``path`` as JSONL lines.
+        """Write the log records not yet written to ``path`` as JSONL lines.
 
         The first flush replaces the file, so a reused path holds one
         run; later flushes append.  No-op without a path.
@@ -284,13 +297,12 @@ class Tracer:
             return
         with self._lock:
             done = self._flushed
-            pending = self._records[done or 0:]
+            pending = self.log.records(done or 0)
             self._flushed = (done or 0) + len(pending)
         with open(self.path, "a" if done is not None else "w", encoding="utf-8") as fh:
             for record in pending:
-                if isinstance(record, TraceSpan):
-                    record = {"kind": "span", "time": record.end, **record.to_dict()}
-                fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True, default=str))
+                fh.write(json.dumps(as_record(record), separators=(",", ":"), sort_keys=True,
+                                    default=str))
                 fh.write("\n")
 
 
@@ -314,7 +326,8 @@ class NullTracer(Tracer):
 
     Instrumented code paths keep their tracer calls; with a NullTracer
     each call is a constant-time method on shared singletons, so such a
-    run pays only attribute lookups.
+    run pays only attribute lookups.  Its log is muted, so every view of
+    it (records, spans, a flush) is empty.
     """
 
     enabled = False
@@ -322,6 +335,11 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         self.clock = lambda: 0.0
         self.metrics = NullMetrics()
+        self.path = None
+        self.log = RunLog()
+        self.log.muted = True
+        self._open: dict[int, TraceSpan] = {}
+        self._lock = threading.Lock()
 
     def span(self, name: str, category: str = "span", **attrs: Any) -> _NullSpanContext:  # type: ignore[override]
         return _NULL_CTX
@@ -352,29 +370,14 @@ class NullTracer(Tracer):
     def point(self, name: str, category: str = "event", **attrs: Any) -> None:
         pass
 
+    def count(self, name: str) -> None:
+        pass
+
     def record(self, kind: str, time: float, **fields: Any) -> None:
         pass
 
-    def records(self) -> list[TraceSpan | dict[str, Any]]:
-        return []
-
     def current_span(self) -> TraceSpan | None:
         return None
-
-    @property
-    def spans(self) -> list[TraceSpan]:
-        return []
-
-    def finished_spans(
-        self, name: str | None = None, category: str | None = None
-    ) -> list[TraceSpan]:
-        return []
-
-    def children_of(self, span: TraceSpan) -> list[TraceSpan]:
-        return []
-
-    def flush(self) -> None:
-        pass
 
 
 #: Shared disabled tracer: the default for every instrumented component.

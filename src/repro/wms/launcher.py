@@ -30,14 +30,13 @@ from repro.resilience.quarantine import NodeQuarantine
 from repro.resilience.spec import ResilienceSpec
 from repro.sim.engine import SimEngine
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import RunLog
 from repro.staging.hub import DataHub
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.wms.spec import TaskSpec, WorkflowSpec
 from repro.wms.task import TaskInstance, TaskRecord, TaskState
 
 if TYPE_CHECKING:
-    from repro.core.events import MetricUpdate
     from repro.core.lowlevel import ActionPlan
 
 TaskListener = Callable[[TaskInstance], None]
@@ -49,17 +48,14 @@ _DELIBERATE_KILLS = ("orchestrated", "walltime")
 
 @dataclass
 class RunOutput:
-    """What a run hands its readers, beside the Gantt ``trace``.
+    """The plans a run built, beside its ``log``.
 
-    ``history`` holds the Monitor server's accepted updates (when it
-    records them) and ``plans`` every plan Arbitration built, in creation
-    order.  Both are output, not controller state: they live on the
-    launcher, so they survive a controller crash as ``trace`` does, a
-    resumed controller appends to the same lists, and no snapshot
-    carries them.
+    ``plans`` holds every plan Arbitration built, in creation order.  It
+    is output, not controller state: it lives on the launcher, so it
+    survives a controller crash as the log does, a resumed controller
+    updates the same list, and no snapshot carries it.
     """
 
-    history: list[MetricUpdate] = field(default_factory=list)
     plans: list[ActionPlan] = field(default_factory=list)
 
     def upsert_plan(self, plan: ActionPlan) -> None:
@@ -77,20 +73,21 @@ class LauncherCore:
 
     Arbitration and Actuation reach a launcher only through :meth:`now`,
     :meth:`record`, the resource manager ``rm`` (whose ``allocation`` is
-    the node inventory), the Gantt ``trace``, the run ``output`` and the
+    the node inventory), the run ``log``, the run ``output`` and the
     plugin ops every launcher defines.  This class also holds what no
-    clock changes: listeners, exit bookkeeping, node blame and retry.  A
-    launcher adds ``now``, ``_call_after(delay, fn, name)`` and
-    ``_spawn(op, name)``.
+    clock changes: listeners, the start and exit bookkeeping, node blame
+    and retry.  A launcher adds ``now``, ``_call_after(delay, fn, name)``
+    and ``_spawn(op, name)``.  The log and the output outlive any
+    controller: a crashed one's successor appends to the same ones.
     """
 
     def __init__(self, workflow_id: str, tasks: dict[str, TaskSpec], allocation: Allocation,
-                 hub: DataHub | None, trace: TraceRecorder | None, rng: RngRegistry | None,
+                 hub: DataHub | None, rng: RngRegistry | None,
                  resilience: ResilienceSpec | None) -> None:
         self.workflow_id = workflow_id
         self.perf = allocation.machine.perf
         self.hub = hub if hub is not None else DataHub()
-        self.trace = trace if trace is not None else TraceRecorder()
+        self.log = RunLog()
         self.output = RunOutput()
         self.rng = rng if rng is not None else RngRegistry(0)
         self.rm = ResourceManager(allocation)
@@ -133,9 +130,17 @@ class LauncherCore:
             self.quarantine = None
         self.rm.quarantine = self.quarantine
 
+    @property
+    def trace(self) -> RunLog:
+        """The log, read as the run's Gantt trace (``spans``, ``points``)."""
+        return self.log
+
     def attach_tracer(self, tracer: Tracer) -> None:
-        """Install the run's telemetry tracer on the launcher and its hub."""
+        """Install the run's telemetry tracer on the launcher and its hub;
+        its spans and points go to this launcher's log."""
         self.tracer = tracer
+        if tracer.enabled:
+            tracer.log = self.log
         self.hub.attach_tracer(tracer)
 
     # -- listeners (the Monitor stage subscribes here) ---------------------------
@@ -161,7 +166,20 @@ class LauncherCore:
         """Plugin op: per-node health, as the scheduler reports it."""
         return self.rm.node_status()
 
-    # -- exit path ------------------------------------------------------------------------
+    # -- start and exit path ------------------------------------------------------------
+    def _running(self, instance: TaskInstance) -> None:
+        """*instance* runs: its Gantt span opens, placement included (the
+        run's one start record, which the utilization analysis reads), and
+        the start listeners hear of it."""
+        self.log.open_span(
+            instance.task, instance.instance_id, instance.start_time, category="task",
+            resources=instance.resources,
+            nprocs=instance.resources.total_cores, incarnation=instance.incarnation,
+        )
+        self.tracer.count("wms.task-running")
+        for cb in self._start_listeners:
+            cb(instance)
+
     def _finalize(self, instance: TaskInstance, exit_code: int, state: TaskState) -> None:
         now = self.now()
         instance.exit_code = exit_code
@@ -177,15 +195,11 @@ class LauncherCore:
             mtime=now,
         )
         try:
-            self.trace.close_span(
-                instance.task, instance.instance_id, now,
+            self.log.close_span(
+                instance.task, instance.instance_id, now, notes=instance.notes,
                 exit_code=exit_code, state=state.value,
             )
-            self.tracer.point(
-                "wms.task-end", "wms",
-                task=instance.task, instance=instance.instance_id,
-                incarnation=instance.incarnation, state=state.value,
-            )
+            self.tracer.count("wms.task-end")
         except ValueError:
             pass  # stopped during launch: span was never opened
         if state == TaskState.COMPLETED:
@@ -214,7 +228,7 @@ class LauncherCore:
         if self.quarantine is not None and cause != "node-failure":
             for node_id in instance.resources.node_ids:
                 if self.quarantine.record_failure(node_id):
-                    self.trace.point(
+                    self.log.point(
                         self.now(), f"quarantine:{node_id}", category="failure"
                     )
         if self.retry_policy is not None:
@@ -227,7 +241,7 @@ class LauncherCore:
         if self.retry_policy.exhausted(rec.retries_used):
             if not rec.retry_exhausted:
                 rec.retry_exhausted = True
-                self.trace.point(
+                self.log.point(
                     self.now(), f"retry-exhausted:{name}", category="failure",
                     retries=rec.retries_used,
                 )
@@ -235,7 +249,7 @@ class LauncherCore:
         attempt = rec.retries_used
         rec.retries_used += 1
         delay = self.retry_policy.delay(attempt, self.rng.stream("resilience:backoff"))
-        self.trace.point(
+        self.log.point(
             self.now(), f"retry-scheduled:{name}", category="failure",
             attempt=attempt + 1, delay=delay,
         )
@@ -272,7 +286,6 @@ class Savanna(LauncherCore):
         workflow: WorkflowSpec,
         allocation: Allocation,
         hub: DataHub | None = None,
-        trace: TraceRecorder | None = None,
         rng: RngRegistry | None = None,
         coupling: CouplingRegistry | None = None,
         poll_interval: float = 0.25,
@@ -287,7 +300,7 @@ class Savanna(LauncherCore):
         self.poll_interval = poll_interval
         self.counters = counters
         super().__init__(
-            workflow.workflow_id, workflow.tasks, allocation, hub, trace, rng, resilience
+            workflow.workflow_id, workflow.tasks, allocation, hub, rng, resilience
         )
 
     def now(self) -> float:
@@ -383,23 +396,11 @@ class Savanna(LauncherCore):
         instance.ctx = ctx
         instance.start_time = self.engine.now
         instance.transition(TaskState.RUNNING)
-        self.trace.open_span(
-            name, instance.instance_id, self.engine.now, category="task",
-            nprocs=resources.total_cores, incarnation=instance.incarnation,
-        )
         instance.proc.callbacks.append(lambda _ev, inst=instance: self._on_proc_exit(inst))
         if launch_span is not None:
             self.tracer.end_span(launch_span, outcome="running")
             self.tracer.metrics.counter("wms.launches").inc()
-            # Placement record: the utilization analysis reconstructs
-            # per-node busy timelines from these (docs/observability.md).
-            self.tracer.point(
-                "wms.task-running", "wms",
-                task=name, instance=instance.instance_id,
-                incarnation=instance.incarnation, nodes=resources.as_dict(),
-            )
-        for cb in self._start_listeners:
-            cb(instance)
+        self._running(instance)
         return instance
 
     def _make_context(
@@ -483,7 +484,7 @@ class Savanna(LauncherCore):
         yield self.engine.timeout(self.perf.signal_latency, name=f"reconfig:{name}")
         if instance.ctx is not None and instance.state == TaskState.RUNNING:
             instance.ctx.deliver_control(params)
-            self.trace.point(self.engine.now, f"reconfig:{name}", category="action", params=params)
+            self.log.point(self.engine.now, f"reconfig:{name}", category="action", params=params)
             return True
         return False
 
@@ -563,11 +564,11 @@ class Savanna(LauncherCore):
             # A dead node is blamed immediately: should the scheduler
             # report it UP again, the cooldown still keeps it out.
             if self.quarantine.record_failure(node_id):
-                self.trace.point(
+                self.log.point(
                     self.engine.now, f"quarantine:{node_id}", category="failure"
                 )
-        self.trace.point(self.engine.now, f"node-failure:{node_id}", category="failure")
-        self.tracer.point("wms.node_failure", "failure", node=node_id, killed=len(affected))
+        self.log.point(self.engine.now, f"node-failure:{node_id}", category="failure")
+        self.tracer.count("wms.node_failure")
         return affected
 
     def handle_walltime_timeout(self) -> None:
@@ -580,7 +581,7 @@ class Savanna(LauncherCore):
                 if instance.state == TaskState.RUNNING:
                     instance.transition(TaskState.STOPPING)
                 instance.proc.interrupt(Signal.kill(140))
-        self.trace.point(self.engine.now, "walltime-timeout", category="failure")
+        self.log.point(self.engine.now, "walltime-timeout", category="failure")
 
     # -- exit path ------------------------------------------------------------------------
     def _on_proc_exit(self, instance: TaskInstance) -> None:

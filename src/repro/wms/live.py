@@ -2,7 +2,7 @@
 
 :class:`LiveLauncher` is the wall-clock counterpart of
 :class:`~repro.wms.launcher.Savanna` and shares its records, resource
-manager, trace, exit bookkeeping and retry path
+manager, log, start and exit bookkeeping and retry path
 (:class:`~repro.wms.launcher.LauncherCore`).  A task instance is a
 :class:`_LiveInstance` thread on a one-node allocation.  Its plugin ops
 are generators whose waits are wall-clock seconds, slept by the threaded
@@ -105,7 +105,7 @@ class LiveLauncher(LauncherCore):
         self._closed = threading.Event()
         # A live task's ``work`` is its behaviour model.
         tasks = {n: TaskSpec(n, s.work, s.nworkers) for n, s in specs.items()}
-        super().__init__(workflow_id, tasks, allocation, None, None, rng, resilience)
+        super().__init__(workflow_id, tasks, allocation, None, rng, resilience)
 
     def idle(self) -> bool:
         """No instance is active and no retry is pending."""
@@ -165,13 +165,8 @@ class LiveLauncher(LauncherCore):
         if channel.closed:
             channel.reopen()
         instance.ctx = _LiveInstance(self, instance, self.resume_steps.pop(name, 0))
-        self.trace.open_span(
-            name, instance.instance_id, now, category="task",
-            nprocs=resources.total_cores, incarnation=instance.incarnation,
-        )
+        self._running(instance)
         instance.ctx.start()
-        for cb in self._start_listeners:
-            cb(instance)
         return instance
 
     def stop_task(self, name: str, graceful: bool = True):
@@ -248,7 +243,7 @@ class LiveLauncher(LauncherCore):
                     last = rec.current.last_heartbeat if rec.is_running else None
                     if last is None or now - last <= spec.heartbeat_timeout:
                         continue
-                    self.trace.point(
+                    self.log.point(
                         now, f"watchdog-kill:{name}", category="failure",
                         last_heartbeat=last, timeout=spec.heartbeat_timeout,
                     )

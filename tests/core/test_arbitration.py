@@ -6,7 +6,7 @@ from collections import Counter
 from repro.apps import ConstantModel, IterativeApp
 from repro.cluster import Allocation, summit
 from repro.core import ActionType, ArbitrationRules, ArbitrationStage, SuggestedAction
-from repro.core.actions import Outcome, Reason, actions_conflict
+from repro.core.actions import Outcome, Reason, actions_conflict, reason_counts
 from repro.sim import SimEngine
 from repro.wms import CouplingType, DependencySpec, Savanna, TaskSpec, WorkflowSpec
 
@@ -67,9 +67,12 @@ def make_fanout(n=12):
 class TestGating:
     def test_warmup_discards(self):
         eng, sav, arb = make_world(warmup=120.0)
-        assert arb.arbitrate([suggestion()], now=eng.now) is None
-        assert arb.outcomes == [Outcome("P", ActionType.ADDCPU, "B", Reason.GATED_WARMUP)]
-        assert arb.outcome_counts == {Reason.GATED_WARMUP: 1}
+        assert arb.arbitrate([suggestion(t=-3.0)], now=eng.now) is None
+        assert arb.outcomes == [
+            Outcome("P", ActionType.ADDCPU, "B", Reason.GATED_WARMUP, eng.now, trigger=-3.0)
+        ]
+        assert sav.log.of_type(Outcome) == arb.outcomes
+        assert reason_counts(sav.log) == {Reason.GATED_WARMUP: 1}
 
     def test_settle_after_execution(self):
         eng, sav, arb = make_world(settle=60.0)
@@ -428,7 +431,8 @@ class TestOutcomes:
         assert [o.reason for o in arb.outcomes] == [Reason.GATED_SETTLE]
         arb.arbitrate([], now=15.0)
         assert arb.outcomes == []
-        assert arb.outcome_counts == {
+        assert [o.time for o in sav.log.of_type(Outcome)] == [5.0, 5.0, 11.0, 12.0, 14.0]
+        assert reason_counts(sav.log) == {
             Reason.GATED_WARMUP: 2, Reason.GRANTED: 1,
             Reason.GATED_IN_FLIGHT: 1, Reason.GATED_SETTLE: 1,
         }
@@ -476,6 +480,8 @@ class TestOutcomes:
             Reason.GRANTED, Reason.GRANTED, Reason.CONFLICTS_WITH_PLAN,
             Reason.DISCARDED_GROWTH, Reason.PARKED,
         ]
+        # Every one is a line of the plan, so it names the plan.
+        assert {o.plan_id for o in arb.outcomes} == {plan.plan_id}
 
     def test_switch_ends_in_its_start_half(self):
         eng, sav, arb = make_world(tasks=(("A", 10, True), ("B", 10, False)))
@@ -489,6 +495,7 @@ class TestOutcomes:
         eng, sav, arb = make_world(tasks=(("A", 10, True), ("B", 10, False)), core_quota=15)
         assert arb.arbitrate([suggestion(action=ActionType.START, target="B")], now=5.0) is None
         assert reasons(arb) == [("P", ActionType.START, "B", Reason.PARKED)]
+        assert arb.outcomes[0].plan_id is None  # the plan had no op, so no id
         assert "B" in arb.waiting
 
     def test_dependency_restart_is_an_outcome(self):
@@ -501,13 +508,15 @@ class TestOutcomes:
         assert len(arb.outcomes) == 2
 
     def test_counts_round_trip_and_an_older_state_loads(self):
+        """The counts are a view of the run log, which outlives the stage:
+        the state carries none, and an older state that did still loads."""
         eng, sav, arb = make_world(warmup=120.0)
         arb.arbitrate([suggestion()], now=eng.now)
         state = arb.state_dict()
-        assert state["outcome_counts"] == {"gated-warmup": 1}
-        _, _, fresh = make_world()
-        fresh.load_state_dict(json.loads(json.dumps(state)))
-        assert fresh.outcome_counts == {Reason.GATED_WARMUP: 1}
-        del state["outcome_counts"]
-        fresh.load_state_dict(state)
-        assert fresh.outcome_counts == {}
+        assert "outcome_counts" not in state
+        _, fresh_sav, fresh = make_world()
+        fresh.load_state_dict({**json.loads(json.dumps(state)),
+                               "outcome_counts": {"gated-warmup": 1}})
+        assert fresh.state_dict() == state
+        assert reason_counts(sav.log) == {Reason.GATED_WARMUP: 1}
+        assert reason_counts(fresh_sav.log) == {}

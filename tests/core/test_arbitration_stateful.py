@@ -27,9 +27,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.cluster import Allocation, ResourceManager, summit
 from repro.core import ActionType, ArbitrationRules, ArbitrationStage, SuggestedAction
 from repro.core import arbitration
-from repro.core.actions import Reason, render_outcome
+from repro.core.actions import Reason, reason_counts, render_outcome
 from repro.errors import AllocationError
 from repro.resilience import NodeQuarantine, QuarantineSpec
+from repro.sim import RunLog
 from repro.telemetry.tracer import Tracer
 from repro.wms import CouplingType, DependencySpec
 from repro.wms.launcher import RunOutput
@@ -78,6 +79,7 @@ class Stack:
         self.rm = ResourceManager(self.allocation, quarantine=self.quarantine)
         self.records = {name: Record(Spec(*shape)) for name, shape in TASKS.items()}
         self.output = RunOutput()
+        self.log = RunLog()
         rules = ArbitrationRules(
             workflow_id="W",
             task_priorities={name: i for i, name in enumerate(TASKS)},
@@ -287,9 +289,8 @@ class TestWakeOnChangeExamples:
         built = self.shadows(monkeypatch)
         for t in (1.0, 2.0, 3.0):
             assert stack.arb.arbitrate([], t) is None
-        assert built == [] and stack.arb.outcome_counts == {
-            Reason.PARKED: 1, Reason.WAITING_UNCHANGED: 3,
-        }
+        # The skipped retries answer no suggestion: no outcome is logged.
+        assert built == [] and reason_counts(stack.log) == {Reason.PARKED: 1}
 
     def test_a_traced_run_counts_the_skipped_retries(self):
         stack = self.park()
@@ -340,7 +341,8 @@ class TestWakeOnChangeExamples:
 
     def test_a_task_started_elsewhere_leaves_the_queue(self):
         stack = self.park()
+        stack.arb.tracer = tracer = Tracer(clock=lambda: 0.0)
         stack.records["T3"].state = RUNNING  # no core moved: the epoch holds
         assert stack.arb.arbitrate([], 1.0) is None
         assert stack.arb.waiting == {}
-        assert Reason.WAITING_UNCHANGED not in stack.arb.outcome_counts
+        assert tracer.metrics.counter("outcome.waiting-unchanged").value == 0

@@ -99,8 +99,8 @@ def recorded_decision_run() -> DecisionStage:
 
 
 # -- what the parent commit journaled for the same runs ------------------------ #
-# (Decision's per-reason ``outcome_counts`` has since replaced its
-# ``suggestions_gated`` counter.)
+# (Decision's ``suggestions_gated`` counter became per-reason
+# ``outcome_counts``, since gone too: its outcomes are in the run log.)
 MONITOR_STATE = (
     '{"cursors": [{"connected": true, "cursor": 1, "missed": 0}, '
     '{"connected": true, "cursor": 1, "missed": 0}, '
@@ -108,7 +108,7 @@ MONITOR_STATE = (
     '"seq": {"c0/PACE": 1}}'
 )
 DECISION_STATE = (
-    '{"degraded": false, "outcome_counts": {}, "runtimes": ['
+    '{"degraded": false, "runtimes": ['
     '{"fired": 1, "last_eval": 5.0, "last_time": 1.0, "pending": [], "window": [50.0]}, '
     '{"fired": 1, "last_eval": 5.0, "last_time": 6.0, "pending": [[60.0, 6.0]], '
     '"window": [60.0]}, '
@@ -123,12 +123,12 @@ def test_state_dicts_are_what_the_parent_commit_journaled():
     assert canon(client.state_dict()) == MONITOR_STATE
     assert canon(recorded_decision_run().state_dict()) == DECISION_STATE
     # Older journals carry the retired sequence tracker's empty "seq" key,
-    # and a "suggestions_gated" count where "outcome_counts" is now.
+    # and a "suggestions_gated" or "outcome_counts" count.
     state = json.loads(DECISION_STATE)
-    del state["outcome_counts"]
-    older = make_stage()
-    older.load_state_dict({**state, "seq": {}, "suggestions_gated": 0})
-    assert canon(older.state_dict()) == DECISION_STATE
+    for retired in ({"suggestions_gated": 0}, {"outcome_counts": {"gated-degraded": 2}}):
+        older = make_stage()
+        older.load_state_dict({**state, "seq": {}, **retired})
+        assert canon(older.state_dict()) == DECISION_STATE
 
 
 def test_client_resumes_with_a_step_published_after_its_last_poll():

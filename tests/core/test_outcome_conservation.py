@@ -1,9 +1,9 @@
 """End to end, every suggestion Decision emits ends in exactly one outcome.
 
-Over a whole run, the per-reason counts of the Decision stage (its
-degraded-mode gate) and of the Arbitration stage, less the
-``waiting-unchanged`` ticks that answer no suggestion, add up to the
-suggestions ``DecisionStage.tick`` returned: on the Gray-Scott paper
+Over a whole run, the outcomes in the run log — the Decision stage's
+(its degraded-mode gate) and the Arbitration stage's; a
+``waiting-unchanged`` tick answers no suggestion and is not logged — add
+up to the suggestions ``DecisionStage.tick`` returned: on the Gray-Scott paper
 scenario on both machines, on a fabric run that spends time in
 degraded mode, and on a threaded run, whose bounded hand-off queue sheds
 batches Arbitration never saw.
@@ -14,47 +14,33 @@ import time
 import pytest
 
 from repro.core import (
-    ActionType, ArbitrationStage, DecisionStage, GroupBySpec, PolicyApplication, PolicySpec,
+    ActionType, DecisionStage, GroupBySpec, PolicyApplication, PolicySpec,
     SensorSpec,
 )
-from repro.core.actions import Reason
+from repro.core.actions import Reason, reason_counts
 from repro.experiments.grayscott_scenario import run_gray_scott_experiment
 from repro.runtime import LiveTaskSpec, ThreadedDyflow
 from tests.experiments.test_fingerprint_regression import CHAOS_XML
 
 
 def conserved_run(monkeypatch, **kwargs):
-    """Run Gray-Scott; returns (suggestions emitted, summed per-reason counts)."""
+    """Run Gray-Scott; returns (suggestions emitted, per-reason outcome counts)."""
     emitted = [0]
-    stages: dict[int, object] = {}
-    tick, gate, arbitrate = DecisionStage.tick, DecisionStage.gate, ArbitrationStage.arbitrate
+    tick = DecisionStage.tick
 
     def counting_tick(self, now):
         out = tick(self, now)
         emitted[0] += len(out)
         return out
 
-    def seen_gate(self, suggestions):
-        stages[id(self)] = self
-        return gate(self, suggestions)
-
-    def seen_arbitrate(self, suggestions, now):
-        stages[id(self)] = self
-        return arbitrate(self, suggestions, now)
-
     monkeypatch.setattr(DecisionStage, "tick", counting_tick)
-    monkeypatch.setattr(DecisionStage, "gate", seen_gate)
-    monkeypatch.setattr(ArbitrationStage, "arbitrate", seen_arbitrate)
-    run_gray_scott_experiment(**kwargs)
-    counts: dict[str, int] = {}
-    for stage in stages.values():
-        for reason, n in stage.outcome_counts.items():
-            counts[reason] = counts.get(reason, 0) + n
-    return emitted[0], counts
+    result = run_gray_scott_experiment(**kwargs)
+    return emitted[0], reason_counts(result.launcher.log)
 
 
 def ended(counts):
-    return sum(n for reason, n in counts.items() if reason != Reason.WAITING_UNCHANGED)
+    assert Reason.WAITING_UNCHANGED not in counts  # counted in a metric, never logged
+    return sum(counts.values())
 
 
 @pytest.mark.parametrize("machine", ["summit", "deepthought2"])
@@ -100,10 +86,7 @@ def test_a_threaded_run_accounts_for_every_suggestion(monkeypatch):
     finally:
         runner.stop()
     assert len(runner._queue) == 0
-    counts: dict[str, int] = {}
-    for stage in (runner.decision, runner.arbitration):
-        for reason, n in stage.outcome_counts.items():
-            counts[reason] = counts.get(reason, 0) + n
+    counts = reason_counts(runner.launcher.log)
     assert counts.get(Reason.GRANTED) == 2  # 1 -> 2 -> 3 workers, the node's cores
     assert counts.get(Reason.DISCARDED_GROWTH)
     assert emitted and ended(counts) == len(emitted)

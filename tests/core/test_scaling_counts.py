@@ -56,7 +56,8 @@ from repro.errors import SensorError
 from repro.fabric import FabricLink, NetworkSpec
 from repro.journal import JournalSpec, read_journal
 from repro.journal import delta as delta_module
-from repro.observability import HealthEngine, ObservabilitySpec
+from repro.journal.delta import UnitCache
+from repro.observability import HealthEngine, ObservabilitySpec, SloSpec
 from repro.observability.slo import HealthAlert
 from repro.resilience import ResilienceSpec
 from repro.experiments import (
@@ -70,6 +71,7 @@ from repro.runtime import DyflowOrchestrator, RuntimeOptions
 from repro.sim import RngRegistry, SimEngine
 from repro.staging import DataHub, Sample, SimFilesystem, stream
 from repro.staging.stream import StreamChannel, StreamReader, StreamStep
+from repro.telemetry import TelemetrySpec
 from repro.wms import Savanna, TaskSpec, WorkflowSpec
 
 N = 500
@@ -806,3 +808,33 @@ class TestSnapshot:
         assert len(orch.server.history) > 900 and len(orch.plans) > 80
         small, large = (json.dumps(shape(entries[n])) for n in (100, 1000))
         assert len(small) == len(large), (len(small), len(large))
+
+    def test_the_health_entry_encodes_alike_after_10_and_100_alert_transitions(self, tmp_path):
+        """The alert history is the run log's, not the health engine's: the
+        barrier, and the snapshot that embeds it, carry the evaluator state
+        alone — the same bytes after 10 alert transitions as after 100."""
+        machine = summit(1)
+        alloc = Allocation("a0", machine, machine.nodes, walltime_limit=1e9)
+        task = TaskSpec("T", lambda: IterativeApp(ConstantModel(1.0), total_steps=10_000), nprocs=2)
+        engine = SimEngine()
+        launcher = Savanna(engine, WorkflowSpec("W", [task], []), alloc, rng=RngRegistry(1))
+        slo = SloSpec(metric="test.flip", stat="value", op="LT", threshold=0.5)
+        orch = DyflowOrchestrator(launcher, options=RuntimeOptions(
+            telemetry=TelemetrySpec(),
+            observability=ObservabilitySpec(eval_every=1.0, slos=(slo,)),
+            journal=JournalSpec(dir=str(tmp_path / "journal"), fsync="off"),
+        ))
+        orch.start()
+        launcher.launch_workflow()
+        flip = orch.tracer.metrics.gauge("test.flip")
+        entries = {}
+        for tick in range(1, 101):
+            flip.set(float(tick % 2))  # every evaluation fires or clears
+            engine.run(until=tick + 0.5)
+            transitions = len(orch.health.alerts)
+            if transitions in (10, 100):
+                entries.setdefault(transitions, orch._barrier_state(UnitCache())["health"])
+        orch.stop()
+        assert sorted(entries) == [10, 100]
+        small, large = (json.dumps(shape(entries[n])) for n in (10, 100))
+        assert small == large

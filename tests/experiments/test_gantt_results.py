@@ -3,11 +3,11 @@
 
 from repro.experiments.gantt import render_gantt, timeline_events
 from repro.experiments.results import ScenarioResult
-from repro.sim import TraceRecorder
+from repro.sim import RunLog
 
 
 def make_trace():
-    tr = TraceRecorder()
+    tr = RunLog()
     tr.add_span("XGC1", "XGC1#0", 0.0, 50.0)
     tr.add_span("XGCA", "XGCA#0", 50.0, 75.0)
     tr.add_span("XGC1", "XGC1#1", 75.0, 100.0)
@@ -18,7 +18,7 @@ def make_trace():
 
 class TestRenderGantt:
     def test_empty_trace(self):
-        assert render_gantt(TraceRecorder()) == "(empty trace)"
+        assert render_gantt(RunLog()) == "(empty trace)"
 
     def test_tracks_rendered_as_rows(self):
         out = render_gantt(make_trace(), width=50)

@@ -2,7 +2,7 @@
 
 import os
 
-from repro.core.actions import ActionType, Reason, SuggestedAction
+from repro.core.actions import ActionType, Outcome, Reason, SuggestedAction, reason_counts
 from repro.core.decision import DecisionStage
 from repro.experiments.grayscott_scenario import run_gray_scott_experiment
 from repro.fabric import DegradedModeController, NetworkSpec, PartitionWindow
@@ -107,43 +107,46 @@ class TestDecisionGate:
     def test_passthrough_when_healthy(self):
         d = DecisionStage()
         batch = self.all_actions()
-        assert d.gate(batch) == batch
-        assert d.outcomes == [] and d.outcome_counts == {}
+        assert d.gate(batch, 1.0) == batch
+        assert d.outcomes == [] and reason_counts(d.log) == {}
 
     def test_degraded_keeps_only_essential(self):
         d = DecisionStage()
         d.set_degraded(True)
-        kept = d.gate(self.all_actions())
+        kept = d.gate(self.all_actions(), 1.0)
         assert [s.action for s in kept] == [
             ActionType.STOP, ActionType.RESTART, ActionType.START
         ]
-        assert [(o.action, o.reason) for o in d.outcomes] == [
-            (ActionType.ADDCPU, Reason.GATED_DEGRADED), (ActionType.RMCPU, Reason.GATED_DEGRADED)
+        assert [(o.action, o.reason, o.time) for o in d.outcomes] == [
+            (ActionType.ADDCPU, Reason.GATED_DEGRADED, 1.0),
+            (ActionType.RMCPU, Reason.GATED_DEGRADED, 1.0),
         ]
-        assert d.outcome_counts == {Reason.GATED_DEGRADED: 2}
+        assert d.log.of_type(Outcome) == d.outcomes
+        assert reason_counts(d.log) == {Reason.GATED_DEGRADED: 2}
 
     def test_gate_state_round_trips(self):
         d = DecisionStage()
         d.set_degraded(True)
-        d.gate(self.all_actions())
+        d.gate(self.all_actions(), 1.0)
         state = d.state_dict()
+        assert "outcome_counts" not in state  # the outcomes are in the run log
         fresh = DecisionStage()
         fresh.load_state_dict(state)
-        assert fresh.degraded and fresh.outcome_counts == {Reason.GATED_DEGRADED: 2}
-        del state["outcome_counts"]  # an older journal
-        fresh.load_state_dict(state)
-        assert fresh.outcome_counts == {}
+        assert fresh.degraded and fresh.state_dict() == state
+        fresh.load_state_dict({**state, "outcome_counts": {"gated-degraded": 2}})  # older
+        assert fresh.state_dict() == state
 
     def test_a_resumed_run_keeps_every_gated_count(self, monkeypatch, tmp_path):
-        """gate() is not replayed on resume, so its counts come back from
-        the last barrier: a run that crashes twice between snapshots ends
-        with a count of every suggestion its live ticks gated."""
+        """gate() is not replayed on resume, and its outcomes are in the
+        run log, which outlives the controller: a run that crashes twice
+        between snapshots ends with an outcome for every suggestion its
+        live ticks gated."""
         stages: list[DecisionStage] = []
         gated = [0]
         gate = DecisionStage.gate
 
-        def spy(self, suggestions):
-            kept = gate(self, suggestions)
+        def spy(self, suggestions, now):
+            kept = gate(self, suggestions, now)
             stages.append(self)
             gated[0] += len(suggestions) - len(kept)
             return kept
@@ -155,4 +158,5 @@ class TestDecisionGate:
         )
         assert result.meta["crashes"] == [900.0, 1900.0]
         assert len({id(stage) for stage in stages}) == 3
-        assert gated[0] and stages[-1].outcome_counts == {Reason.GATED_DEGRADED: gated[0]}
+        assert gated[0] and reason_counts(result.launcher.log).get(Reason.GATED_DEGRADED) == gated[0]
+        assert stages[-1].log is result.launcher.log

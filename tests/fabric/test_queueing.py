@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core import ActionType, GroupBySpec, SensorSpec, SuggestedAction
-from repro.core.actions import Reason
+from repro.core.actions import Outcome, Reason, reason_counts
 from repro.fabric import BoundedShedQueue, NetworkSpec
 from repro.resilience import ResilienceSpec
 from repro.runtime import RuntimeOptions
@@ -73,8 +73,9 @@ class TestThreadedFabricWiring:
             runner._hand_off(batch)
         assert runner._queue.shed == 2
         # Each suggestion of a shed batch ends in one outcome: superseded.
-        assert runner.arbitration.outcome_counts == {Reason.SUPERSEDED: 1 + 2}
-        assert [o.policy_id for o in runner.arbitration.outcomes] == ["P0", "P1", "P1"]
+        outcomes = runner.launcher.log.of_type(Outcome)
+        assert reason_counts(runner.launcher.log) == {Reason.SUPERSEDED: 1 + 2}
+        assert [o.policy_id for o in outcomes] == ["P0", "P1", "P1"]
         assert [runner._queue.get(timeout=0.1) for _ in range(2)] == batches[2:]
 
     def test_live_run_through_lossy_fabric(self):

@@ -16,6 +16,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.actuation import ActuationStage
+from repro.core.events import MetricUpdate
 from repro.core.lowlevel import PHASE_ACQUIRE, ActionPlan, LowLevelOp
 from repro.errors import JournalError
 from repro.experiments import run_gray_scott_experiment
@@ -273,7 +274,7 @@ class TestHardCrashExactlyOnce:
         gs = res.launcher.record("GrayScott")
         assert not gs.is_active and gs.incarnations > 0
 
-        # The run output outlived the controller and holds each result once:
+        # The run output and log outlived the controller and hold each result once:
         # every plan id once, the journaled in-flight plan that resume
         # finished in place of the dead controller's object, and no
         # replayed observation added to the history a second time.
@@ -285,8 +286,8 @@ class TestHardCrashExactlyOnce:
         assert finished.plan_id == plan0.plan_id and finished.execution_end is not None
         assert output.plans[ids.index(plan0.plan_id)] is finished
         assert finished is not interrupted
-        assert res.metric_history is output.history
-        assert len(output.history) == len(ref.metric_history)
+        assert res.metric_history == res.launcher.log.of_type(MetricUpdate)
+        assert len(res.metric_history) == len(ref.metric_history)
 
     def test_second_hard_crash_inside_the_resumed_plan(self, tmp_path, monkeypatch):
         # Die mid-plan, resume, die again while the *resumed* plan is

@@ -5,11 +5,11 @@ AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
 second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a second OpenMetrics renderer, a telemetry
-handoff with no reader, a second run-record store, a second report path,
-a second snapshot pointer, a snapshot that carries run output, a Monitor round that polls every binding, a
-health alert written from outside the engine, a paper claim written
-outside the report, or a suggestion that ends without a reason fails
-here by name.
+handoff with no reader, a run record stored outside the run log, a
+second report path, a second snapshot pointer, a snapshot that carries
+run output, a Monitor round that polls every binding, a paper claim
+written outside the report, or a suggestion that ends without a reason
+fails here by name.
 """
 
 import ast
@@ -308,22 +308,43 @@ def tracer_class():
     return cls
 
 
-def test_the_tracer_holds_the_one_run_record():
-    """Spans, points and metrics snapshots land in ``Tracer._records`` and
-    nowhere else."""
-    tracer = tracer_class()
-    appends = {
+def class_named(module, name):
+    (cls,) = [
+        n for n in ast.walk(modules()[module]) if isinstance(n, ast.ClassDef) and n.name == name
+    ]
+    return cls
+
+
+def appends_in(cls):
+    """(method, target) of every ``<target>.append/extend(...)`` in *cls*."""
+    return {
         (fn.name, ast.unparse(n.func.value))
-        for fn in tracer.body if isinstance(fn, ast.FunctionDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
         for n in ast.walk(fn)
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-        and n.func.attr == "append" and ast.unparse(n.func.value) != "self._stack()"
+        and n.func.attr in ("append", "extend")
     }
-    assert {fn for fn, target in appends if target == "self._records"} == {
-        "end_span", "add_span", "record",
+
+
+def test_the_run_log_holds_the_one_run_record():
+    """A run record — Gantt span or point, telemetry span, point or metrics
+    snapshot, metric update, health alert, outcome — is stored by
+    ``RunLog.append``/``extend`` and nowhere else: the tracer writes to
+    its log, and the stores the log replaced are gone."""
+    retired = {"TraceRecorder", "_records", "outcome_counts", "decision_outcomes"}
+    found = {
+        f"{module}: {name}" for module, tree in modules().items()
+        for n in ast.walk(tree) for name in identifiers(n) if name in retired
     }
-    # ``_spans`` is the start-order index (open spans too), not a second record.
-    assert {target for _fn, target in appends} == {"self._records", "self._spans"}
+    assert found == set()
+    run_output = class_named("wms/launcher.py", "RunOutput")
+    assert [n.target.id for n in run_output.body if isinstance(n, ast.AnnAssign)] == ["plans"]
+    log = appends_in(class_named("sim/trace.py", "RunLog"))
+    assert {fn for fn, target in log if target == "self._entries"} == {"append", "extend"}
+    assert {fn for fn, target in log if target == "self"} == {"open_span", "add_span", "point"}
+    tracer = tracer_class()
+    stores = {(fn, target) for fn, target in appends_in(tracer) if target != "self._stack()"}
+    assert stores == {("end_span", "self.log"), ("add_span", "self.log"), ("record", "self.log")}
     assert "self.record" in calls_in(functions(tracer)["point"])
 
 
@@ -388,47 +409,6 @@ def test_a_monitor_round_polls_only_what_changed():
         if isinstance(n, ast.ClassDef) and n.name == "StreamChannel"
     ]
     assert "_readers" not in {name for n in ast.walk(channel) for name in identifiers(n)}
-
-
-MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
-
-
-def mutates_alerts(node):
-    """The ``<owner>.alerts`` expression *node* mutates, or None."""
-    def alerts(target):
-        while isinstance(target, ast.Subscript):
-            target = target.value
-        return target if isinstance(target, ast.Attribute) and target.attr == "alerts" else None
-
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return alerts(node.func.value) if node.func.attr in MUTATORS else None
-    targets = {
-        ast.Assign: lambda n: n.targets, ast.AugAssign: lambda n: [n.target],
-        ast.AnnAssign: lambda n: [n.target], ast.Delete: lambda n: n.targets,
-    }.get(type(node), lambda n: [])(node)
-    return next(filter(None, map(alerts, targets)), None)
-
-
-def test_the_health_alert_history_changes_only_inside_the_engine():
-    """``HealthEngine.alerts`` is journaled by revision: a write from
-    outside ``observability/health.py`` would bump none, and a barrier
-    would hand over the history as it was.  Other modules go through
-    ``HealthEngine.add_alert``; an ``alerts`` of their own is ``self``'s."""
-    foreign = sorted(
-        f"{module}: {ast.unparse(owner)}"
-        for module, tree in modules().items() if module != "observability/health.py"
-        for n in ast.walk(tree) if (owner := mutates_alerts(n)) is not None
-        and ast.unparse(owner.value) != "self"
-    )
-    assert foreign == []
-    engine = {
-        name: fn for name, fn in functions(modules()["observability/health.py"]).items()
-        if any(mutates_alerts(n) is not None for n in ast.walk(fn))
-    }
-    assert set(engine) == {"__init__", "add_alert", "load_state_dict"}
-    assert "revision" in {
-        name for n in ast.walk(engine["add_alert"]) for name in identifiers(n)
-    }
 
 
 def test_a_paper_claim_is_written_once_as_a_report_row():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.fabric import FabricLink, NetworkSpec, PartitionWindow
 from repro.observability import AnomalySpec, HealthEngine, ObservabilitySpec, SloSpec
+from repro.observability.health import log_alert
 from repro.observability.slo import HealthAlert
 from repro.sim.rng import RngRegistry
 from repro.telemetry import Tracer
@@ -111,7 +112,7 @@ def test_a_health_engine_bumps_its_revision_whenever_its_state_moves(calls, boun
         slos=(SloSpec(metric="plan.response", stat="p95", op="LT", threshold=1.0),),
         anomalies=(AnomalySpec(metric="loop.ticks", stat="value", min_points=2),),
     )
-    engine = HealthEngine(spec, tracer=tracer, workflow_id="WF",
+    engine = HealthEngine(spec, tracer=tracer, workflow_id="WF", log=tracer.log,
                           aggregates=lambda: {"loop.ticks": float(len(tracer.records()))})
     source = engine.bind_source() if bound else None
     tracked, saved = Tracked(engine), engine.state_dict()
@@ -125,7 +126,8 @@ def test_a_health_engine_bumps_its_revision_whenever_its_state_moves(calls, boun
         elif call == "poll" and source is not None:
             source.poll(now)
         elif call == "alert":
-            engine.add_alert(HealthAlert(now, "fabric:degraded", "firing", "warning", x, 1.0, ""))
+            alert = HealthAlert(now, "fabric:degraded", "firing", "warning", x, 1.0, "")
+            log_alert(engine.log, tracer, alert)  # the run log's, not engine state
         elif call == "save":
             saved = engine.state_dict()
         else:

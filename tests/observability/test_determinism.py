@@ -11,7 +11,9 @@ import pytest
 from repro.experiments import run_gray_scott_experiment
 from repro.journal import JournalSpec, scenario_fingerprint
 from repro.observability import AnomalySpec, ObservabilitySpec, SloSpec
+from repro.sim.trace import as_record
 from repro.telemetry import TelemetrySpec
+from repro.telemetry.tracer import TraceSpan
 
 
 def obs_spec(**kw):
@@ -91,3 +93,21 @@ class TestCrashResumeDeterminism:
         ref, res = pair
         assert res.makespan == ref.makespan
         assert scenario_fingerprint(res) == scenario_fingerprint(ref)
+
+    def test_the_run_log_is_the_reference_log_record_for_record(self, pair):
+        """Exactly once across a crash: the crashed run's log, less its
+        journal-category points and its telemetry (spans, and the metrics
+        snapshot, whose journal families only it has), is the reference's
+        — every Gantt record, metric update, alert and outcome, in order."""
+        ref, res = pair
+
+        def run_records(result):
+            return [
+                as_record(r) for r in result.launcher.log.records()
+                if not isinstance(r, TraceSpan) and getattr(r, "category", None) != "journal"
+                and not (type(r) is dict and r["kind"] == "metrics")
+            ]
+
+        kept = run_records(ref)
+        assert {r["kind"] for r in kept} >= {"outcome", "alert", "update", "gantt-span"}
+        assert run_records(res) == kept

@@ -10,6 +10,7 @@ from repro.observability import (
     ObservabilitySpec,
     SloSpec,
 )
+from repro.observability.slo import HealthAlert
 from repro.telemetry import Tracer
 
 
@@ -17,13 +18,17 @@ def records_of(tracer, kind):
     return [r for r in tracer.records() if isinstance(r, dict) and r["kind"] == kind]
 
 
-def make_engine(spec=None, aggregates=None, clock=None):
-    tracer = Tracer(clock=clock or (lambda: 0.0))
+def make_engine(spec=None, aggregates=None, clock=None, log=None):
+    """An engine whose alerts go to its tracer's run log (or to *log*: the
+    one a crashed engine's successor shares)."""
+    tracer = Tracer(clock=clock or (lambda: 0.0), log=log)
     spec = spec or ObservabilitySpec(
         eval_every=5.0,
         slos=(SloSpec(metric="plan.response", stat="p95", op="LT", threshold=10.0),),
     )
-    return HealthEngine(spec, tracer=tracer, workflow_id="WF", aggregates=aggregates), tracer
+    engine = HealthEngine(spec, tracer=tracer, workflow_id="WF", aggregates=aggregates,
+                          log=tracer.log)
+    return engine, tracer
 
 
 class TestCadence:
@@ -55,10 +60,10 @@ class TestAlerting:
         assert engine.alerts == alerts
         assert engine.firing_count() == 1
         assert engine.firing_sources() == ["slo:plan.response.p95"]
-        # The transition is also a JSONL trace point and a gauge.
-        points = [r for r in records_of(tracer, "point") if r["name"] == "health.alert"]
-        assert len(points) == 1
-        assert points[0]["attrs"]["kind"] == "firing"
+        # The transition is one run-log record, counted, and no trace point.
+        assert tracer.log.of_type(HealthAlert) == alerts
+        assert tracer.metrics.counter("event.health.alert").value == 1
+        assert records_of(tracer, "point") == []
         assert tracer.metrics.gauge("health.firing").value == 1.0
 
     def test_unobserved_metrics_never_alert(self):
@@ -145,13 +150,20 @@ class TestCrashState:
         engine.tick(0.0)
         engine.tick(5.0)
 
-        clone, _ = make_engine(spec=self.spec())
+        # The alerts are not engine state: they stay in the run log, which
+        # the clone (a crashed engine's successor) reads.
+        state = engine.state_dict()
+        assert "alerts" not in state
+        clone, _ = make_engine(spec=self.spec(), log=tracer.log)
         clone.bind_source()
-        clone.load_state_dict(engine.state_dict())
+        clone.load_state_dict(state)
         assert clone.evaluations == engine.evaluations
-        assert clone.alerts == engine.alerts
+        assert clone.alerts == engine.alerts and len(clone.alerts) == 1
         assert clone.firing_count() == engine.firing_count()
-        assert clone.state_dict() == engine.state_dict()
+        assert clone.state_dict() == state
+        # An older journal's copy of the history is ignored.
+        clone.load_state_dict({**state, "alerts": [a.to_dict() for a in engine.alerts]})
+        assert clone.state_dict() == state and len(clone.alerts) == 1
 
     def test_resumed_engine_does_not_double_fire(self):
         engine, tracer = make_engine(spec=self.spec())
@@ -159,7 +171,7 @@ class TestCrashState:
         engine.tick(0.0)
         assert len(engine.alerts) == 1
 
-        clone, clone_tracer = make_engine(spec=self.spec())
+        clone, clone_tracer = make_engine(spec=self.spec(), log=tracer.log)
         clone_tracer.metrics.histogram("plan.response").observe(50.0)
         clone.load_state_dict(engine.state_dict())
         # Replaying the same instant is a no-op (next eval is at t=5).

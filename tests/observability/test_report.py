@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+from repro.cluster.allocation import ResourceSet
+from repro.core.actions import Outcome
 from repro.experiments import run_gray_scott_experiment
 from repro.journal import JournalSpec
 from repro.observability import AnomalySpec, ObservabilitySpec, SloSpec
 from repro.observability.analysis import SpanView
+from repro.observability.explain import explain
+from repro.observability.explain import main as explain_main
 from repro.observability.report import (
     REPORT_SCHEMA,
     build_report,
@@ -18,6 +22,7 @@ from repro.observability.report import (
     report_from_jsonl,
 )
 from repro.observability.slo import HealthAlert
+from repro.sim.trace import Span
 from repro.telemetry import TelemetrySpec
 
 
@@ -45,11 +50,8 @@ def sample_records():
         {"kind": "span", "time": 0.0, "name": "open", "category": "loop",
          "span_id": 9, "parent_id": None, "start": 0.0, "end": None},
         point_record(0.0, "run.allocation", nodes={"n1": 4}),
-        point_record(0.0, "wms.task-running", instance="Sim-0", task="Sim",
-                     nodes={"n1": 4}),
-        point_record(10.0, "wms.task-end", instance="Sim-0", task="Sim"),
-        {"kind": "point", "time": 6.0, "name": "health.alert",
-         "category": "health", "attrs": alert.to_dict()},
+        Span("Sim", "Sim-0", 0.0, 10.0, resources=ResourceSet({"n1": 4})).to_record(),
+        alert.to_record(),
         {"kind": "metrics", "time": 10.0, "seq": 0,
          "metrics": {"plans.created": {"type": "counter", "value": 2.0},
                      "journal.append.latency": {"type": "histogram", "count": 7}}},
@@ -238,3 +240,26 @@ class TestOneReportPath:
             "utilization"]["end"]
         assert sum(r["kind"] == "point" and r["name"] == "run.allocation"
                    for r in records) == 1
+
+    def test_explain_walks_the_flushed_log_from_update_to_task_span(self, run, capsys):
+        """``explain`` reads the JSONL log alone: the first adjustment's
+        update, outcome, plan and the Isosurface spans it stopped and
+        started; ``--why-not`` lists every refusal the run log holds."""
+        _name, result, base = run
+        log = str(base / "events.jsonl")
+        plan = next(p for p in result.plans if any("INC_ON_PACE" in a for a in p.accepted))
+        chain = explain(read_jsonl(log), "Isosurface", plan.created)
+        outcome, update = chain["outcome"], chain["update"]
+        assert (outcome["policy_id"], outcome["reason"], outcome["plan_id"]) == (
+            "INC_ON_PACE", "granted", plan.plan_id)
+        assert (update["sensor_id"], update["task"], update["time"]) == (
+            "PACE", "Isosurface", outcome["trigger"])
+        assert chain["started"]["meta"]["nprocs"] > chain["stopped"]["meta"]["nprocs"]
+        assert explain_main([log, "--task", "Isosurface", "--at", str(plan.created)]) == 0
+        out = capsys.readouterr().out
+        assert "INC_ON_PACE:ADDCPU:Isosurface granted" in out and f"plan:{plan.plan_id}" in out
+        assert explain_main([log, "--task", "Isosurface", "--at", "1e9", "--why-not"]) == 0
+        refused = [o for o in result.launcher.log.of_type(Outcome)
+                   if o.target == "Isosurface" and o.reason != "granted"]
+        assert refused and len(capsys.readouterr().out.splitlines()) == len(refused)
+        assert explain_main([log, "--task", "Isosurface", "--at", "0"]) == 1

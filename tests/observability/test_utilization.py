@@ -1,11 +1,13 @@
 """Per-node utilization reconstruction — live inputs and JSONL events."""
 
+from repro.cluster.allocation import ResourceSet
 from repro.observability.utilization import (
     BusySegment,
     build_utilization,
     quarantine_intervals,
     utilization_from_events,
 )
+from repro.sim.trace import Span
 
 
 def seg(node, cores, start, end, task="T"):
@@ -95,15 +97,12 @@ class TestUtilizationFromEvents:
     def point(time, name, **attrs):
         return {"kind": "point", "time": time, "name": name, "attrs": attrs}
 
-    def records(self):
+    def records(self, sim_end=10.0):
+        """An allocation and two task spans, placement included."""
         return [
             self.point(0.0, "run.allocation", nodes={"n1": 4, "n2": 4}),
-            self.point(0.0, "wms.task-running",
-                       instance="Sim-0", task="Sim", nodes={"n1": 4}),
-            self.point(0.0, "wms.task-running",
-                       instance="An-0", task="Analysis", nodes={"n2": 2}),
-            self.point(5.0, "wms.task-end", instance="An-0", task="Analysis"),
-            self.point(10.0, "wms.task-end", instance="Sim-0", task="Sim"),
+            Span("Sim", "Sim-0", 0.0, sim_end, resources=ResourceSet({"n1": 4})).to_record(),
+            Span("Analysis", "An-0", 0.0, 5.0, resources=ResourceSet({"n2": 2})).to_record(),
         ]
 
     def test_rebuilds_the_same_report_as_explicit_segments(self):
@@ -116,7 +115,7 @@ class TestUtilizationFromEvents:
         assert from_events == explicit
 
     def test_unmatched_running_tasks_clamp_to_the_horizon(self):
-        records = self.records()[:-1]  # Sim never ends
+        records = self.records(sim_end=None)  # Sim never ends
         report = utilization_from_events(records, end=20.0)
         n1 = report.nodes[0]
         assert n1.busy_core_seconds == 4 * 20.0

@@ -81,9 +81,9 @@ def run_scenario(options):
         trace=launcher.trace, plans=orch.plans, metric_history=orch.server.history,
         launcher=launcher,
     )
-    # The history is run output on the launcher, not server state; the
+    # The history is in the run log on the launcher, not server state; the
     # ledger carries it from there, so the pinned digests cover it too.
-    history = [u.to_dict() for u in launcher.output.history]
+    history = [u.to_dict() for u in orch.server.history]
     ledger = {
         "state": {**orch.server.state_dict(), "history": history},
         "duplicates": orch.server.duplicates,

@@ -6,6 +6,7 @@ control plane did is read from the same records the simulator keeps:
 Arbitration's outcomes and plans, and the launcher's task records.
 """
 
+import json
 import sys
 import threading
 import time
@@ -20,11 +21,13 @@ from repro.core import (
     SensorSpec,
     SuggestedAction,
 )
-from repro.core.actions import Reason
+from repro.core.actions import Reason, reason_counts
 from repro.errors import DyflowError
+from repro.observability import ObservabilitySpec
 from repro.resilience import ResilienceSpec, RetryPolicy
 from repro.runtime import RuntimeOptions
 from repro.runtime.threaded import LiveTaskSpec, ThreadedDyflow
+from repro.telemetry import TelemetrySpec
 
 
 def make_runner(tasks, **kw):
@@ -48,6 +51,30 @@ class TestLiveExecution:
         assert steps == [0, 1, 2, 3, 4]
         status = runner.hub.filesystem.read("status/LIVE/T")
         assert status[-1]["code"] == 0
+
+    def test_a_threaded_run_report_has_utilization(self, tmp_path):
+        """A live task's start is logged as on the simulator — one Gantt
+        span with its placement — and the run's allocation is recorded, so
+        the report of a threaded run carries utilization."""
+        events, report = tmp_path / "events.jsonl", tmp_path / "report.json"
+        runner = make_runner(
+            [LiveTaskSpec("T", lambda s, w: time.sleep(0.01), total_steps=3)],
+            max_workers_total=4,
+            options=RuntimeOptions(
+                telemetry=TelemetrySpec(jsonl_path=str(events)),
+                observability=ObservabilitySpec(report_json_path=str(report)),
+            ),
+        )
+        runner.start()
+        assert runner.wait_until_done(timeout=10.0)
+        runner.stop()
+        utilization = json.loads(report.read_text())["utilization"]
+        assert utilization is not None and utilization["total_cores"] == 4
+        assert utilization["busy_core_seconds"] > 0
+        kinds = [json.loads(line)["kind"] for line in events.read_text().splitlines()]
+        assert kinds.count("gantt-span") == 1
+        (span,) = runner.launcher.log.spans_for(track="T")
+        assert span.resources.as_dict() == {"local": 1} and span.end is not None
 
     def test_crash_recorded_as_nonzero_exit(self):
         def boom(step, _w):
@@ -214,7 +241,7 @@ class TestLiveActions:
         time.sleep(1.0)
         runner.stop()
         # The crash's one RESTART suggestion is discarded, not deferred.
-        assert runner.arbitration.outcome_counts == {Reason.GATED_WARMUP: 1}
+        assert reason_counts(runner.launcher.log) == {Reason.GATED_WARMUP: 1}
         assert runner.plans == []
 
 
@@ -268,7 +295,7 @@ def test_addcpu_while_other_tasks_exit():
             rm.check_invariants()
             t_cores = [i.nprocs for i in runner.launcher.record("T").all_instances()]
             assert max(t_cores) > 2 and max(t_cores) <= cores  # grew into freed cores
-            assert runner.arbitration.outcome_counts.get(Reason.GRANTED)
+            assert reason_counts(runner.launcher.log).get(Reason.GRANTED)
     finally:
         sys.setswitchinterval(interval)
 

@@ -122,6 +122,7 @@ API_SURFACE = [
     "parse_openmetrics",
     "read_journal",
     "read_watch_stream",
+    "reason_counts",
     "render_gantt",
     "render_labeled_openmetrics",
     "render_markdown",
