@@ -242,6 +242,9 @@ class MonitorServer:
         self.offered = 0
         self.shed_sensor = 0
         self.shed_health = 0
+        #: Bumped by every call that may change ``fabric_state_dict``:
+        #: ``offer``, a ``take_ingress`` that pops, ``load_fabric_state``.
+        self.fabric_revision = 0
         self.ingest_staleness = LatencyHistogram("monitor.ingest.staleness")
 
     # -- fabric mode ---------------------------------------------------------------
@@ -295,6 +298,7 @@ class MonitorServer:
         """
         if self._network is None:
             raise SensorError("offer() requires configure_fabric()")
+        self.fabric_revision += 1
         self.offered += 1
         cap = self._network.ingress_capacity
         if cap and len(self._ingress) >= cap:
@@ -321,6 +325,9 @@ class MonitorServer:
             return []
         budget = self._network.drain_per_tick
         n = len(self._ingress) if budget == 0 else min(budget, len(self._ingress))
+        if n == 0:
+            return []
+        self.fabric_revision += 1
         return [self._ingress.popleft() for _ in range(n)]
 
     def note_staleness(self, age: float) -> None:
@@ -410,6 +417,7 @@ class MonitorServer:
         }
 
     def load_fabric_state(self, state: dict) -> None:
+        self.fabric_revision += 1
         self._ingress = deque(Envelope.from_json(s) for s in state["queue"])
         self.offered = int(state["offered"])
         self.shed_sensor = int(state["shed_sensor"])

@@ -20,7 +20,13 @@ from repro.observability.slo import HealthAlert
 
 
 class DegradedModeController:
-    """Hysteresis state machine over per-task ingest staleness."""
+    """Hysteresis state machine over per-task ingest staleness.
+
+    A streak counts consecutive stale (fresh) ticks up to
+    ``degrade_after`` (``recover_after``) and stays there: only ``>=``
+    reads it, so a steady fabric leaves the state, and ``revision``, as
+    they are.  ``revision`` moves whenever ``state_dict`` does.
+    """
 
     def __init__(self, network: NetworkSpec) -> None:
         self.network = network
@@ -30,6 +36,7 @@ class DegradedModeController:
         self._fresh_streak = 0
         self.entered = 0
         self.exited = 0
+        self.revision = 0
 
     def tick(self, now: float, last_seen: dict[str, float]) -> list[HealthAlert]:
         """Evaluate once; returns the alerts this evaluation transitioned."""
@@ -37,6 +44,7 @@ class DegradedModeController:
         part = self.network.partition_active(now)
         if part != self.partition:
             self.partition = part
+            self.revision += 1
             new.append(HealthAlert(
                 time=now, source="fabric:partition",
                 kind="firing" if part else "clearing",
@@ -51,14 +59,16 @@ class DegradedModeController:
             ages = [now - t for task, t in last_seen.items() if task != HEALTH_TASK]
             age = max(ages, default=0.0)
             if age > net.stale_after:
-                self._stale_streak += 1
-                self._fresh_streak = 0
+                streaks = (min(self._stale_streak + 1, net.degrade_after), 0)
             else:
-                self._fresh_streak += 1
-                self._stale_streak = 0
+                streaks = (0, min(self._fresh_streak + 1, net.recover_after))
+            if streaks != (self._stale_streak, self._fresh_streak):
+                self._stale_streak, self._fresh_streak = streaks
+                self.revision += 1
             if not self.degraded and self._stale_streak >= net.degrade_after:
                 self.degraded = True
                 self.entered += 1
+                self.revision += 1
                 new.append(HealthAlert(
                     time=now, source="fabric:degraded", kind="firing",
                     severity="warning", value=age, threshold=net.stale_after,
@@ -68,6 +78,7 @@ class DegradedModeController:
             elif self.degraded and self._fresh_streak >= net.recover_after:
                 self.degraded = False
                 self.exited += 1
+                self.revision += 1
                 new.append(HealthAlert(
                     time=now, source="fabric:degraded", kind="clearing",
                     severity="warning", value=age, threshold=net.stale_after,
@@ -87,6 +98,7 @@ class DegradedModeController:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self.revision += 1
         self.degraded = bool(state["degraded"])
         self.partition = bool(state["partition"])
         self._stale_streak = int(state["stale_streak"])

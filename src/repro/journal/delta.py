@@ -1,19 +1,23 @@
 """Delta barriers: what changed between two controller states.
 
 A delta is ``[[path, value], ...]``: *path* is the list of dict keys from
-the root, *value* replaces whatever sits there.  The diff descends into a
-value only while both sides are dicts with the same (string) key set;
-anything else — scalar, list, ``None``, a dict whose keys came or went —
-is replaced wholesale, so removal and ``null`` need no sentinel.  The
-writer keeps only *signatures* of the previous state: bytes cannot alias
-live containers, and they tell ``1`` from ``1.0`` from ``True``.
+the root, *value* replaces whatever sits there.  A writer learns what
+changed in one of two ways.
 
-A caller that knows a subtree did not change since the last delta may
-*vouch* for its path: the diff keeps that path's old signature and
-serialises nothing under it, and the dicts above it are walked into
-without being signed.  Identity alone proves nothing — a component may
-mutate the object it returned — so vouching is the caller's word, given
-by :class:`UnitCache` from a unit's revision.
+*Revisioned units* (:class:`UnitCache`): each unit keeps a ``revision``
+that every change to its state moves, and a delta is each unit whose
+revision moved, written whole at its path.  Nothing is compared or
+serialised to find out; a unit that did not move is not even built.
+
+*A plain state* (:class:`SignedState`): the writer keeps *signatures* of
+the previous state and diffs the next one against them.  The diff
+descends into a value only while both sides are dicts with the same
+(string) key set; anything else — scalar, list, ``None``, a dict whose
+keys came or went — is replaced wholesale, so removal and ``null`` need
+no sentinel.  Signatures are bytes: they cannot alias live containers,
+and they tell ``1`` from ``1.0`` from ``True``.
+
+Either way ``apply_delta`` folds it.
 """
 
 from __future__ import annotations
@@ -47,84 +51,70 @@ class SignedState:
     def __init__(self, state) -> None:
         self._root = {None: _signed(state)}
 
-    def delta(self, state, unchanged=()) -> list:
-        """What changed since the last state; each path in *unchanged* (a
-        non-empty tuple of keys from the root) is vouched equal to its
-        last value."""
+    def delta(self, state) -> list:
+        """What changed since the last state."""
         out: list = []
-        _diff(self._root, None, state, [], out, _trie(unchanged))
+        _diff(self._root, None, state, [], out)
         return out
 
 
-def _trie(paths) -> dict | None:
-    """The vouched paths as nested dicts, ``True`` at each vouched key."""
-    trie: dict = {}
-    for path in paths:
-        node = trie
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-            if node is True:
-                break  # an ancestor is vouched already
-        else:
-            node[path[-1]] = True
-    return trie or None
-
-
-def _diff(signed: dict, key, value, path: list, out: list, vouched=None) -> None:
+def _diff(signed: dict, key, value, path: list, out: list) -> None:
     """Bring ``signed[key]`` up to *value*, appending what changed to *out*.
     A dict that changed loses its signature, so the next diff walks straight
-    in; it is signed again the first time nothing under it changes.
-    *vouched* is the part of the vouched-path trie at *path* (``_trie``)."""
-    if vouched is True:
-        return  # unchanged by the caller's word: the old signature stands
+    in; it is signed again the first time nothing under it changes."""
     node = signed[key]
     if type(node) is list and type(value) is dict and node[1].keys() == value.keys():
-        # Signing a dict above a vouched path would serialise that path:
-        # walk in unsigned, and keep the old signature if nothing changed.
-        if vouched is not None or node[0] is None or node[0] != _signature(value):
+        if node[0] is None or node[0] != _signature(value):
             before = len(out)
             for name, child in value.items():
-                _diff(node[1], name, child, path + [name], out, vouched and vouched.get(name))
-            if len(out) != before:
-                node[0] = None
-            elif vouched is None:
-                node[0] = _signature(value)
+                _diff(node[1], name, child, path + [name], out)
+            node[0] = None if len(out) != before else _signature(value)
     elif node is None or node != _signature(value):
         out.append([path, value])
         signed[key] = _signed(value)
 
 
 class UnitCache:
-    """The last barrier's state of each revisioned unit, by path.
+    """The last state built for each revisioned unit, by path.
 
-    A unit keeps an int ``revision`` that every change to its journaled
-    state bumps.  :meth:`get` hands over the object it built last time
-    while the revision has not moved, and records the path for
-    ``Journal.barrier`` to vouch for (:meth:`take_unchanged`).  Consult a
-    cache only to build barriers, every barrier, and each path for one
-    unit: it vouches against the state it handed over last.  An empty
-    cache builds everything.
+    A unit keeps a ``revision`` that every change to its journaled state
+    moves.  :meth:`update` rebuilds a unit only when its revision is not
+    the one it was last built at, and marks its path as moved; a barrier
+    writes the moved units (:meth:`take_moved`) or, when it has no base,
+    the whole state assembled from the last builds (:meth:`state`).
+    Consult a cache only to build barriers, every barrier, each path once
+    a barrier; the set of paths is fixed by the first.  An empty cache
+    builds everything.
     """
 
     def __init__(self) -> None:
         self._built: dict[tuple, tuple[object, object]] = {}  # path -> (revision, state)
-        self._unchanged: list[tuple] = []
+        self._moved: list[tuple] = []
 
-    def get(self, path: tuple, revision, build: Callable[[], object]):
-        """The state at *path*: the last one built if *revision* is the
-        one it was built at, else ``build()``."""
+    def update(self, path: tuple, revision, build: Callable[[], object]) -> None:
+        """Keep the state at *path* if it was built at *revision*, else
+        ``build()`` it and mark *path* moved."""
         hit = self._built.get(path)
-        if hit is not None and hit[0] == revision:
-            self._unchanged.append(path)
-            return hit[1]
-        state = build()
-        self._built[path] = (revision, state)
-        return state
+        if hit is None or hit[0] != revision:
+            self._built[path] = (revision, build())
+            self._moved.append(path)
 
-    def take_unchanged(self) -> list[tuple]:
-        """The paths vouched since the last call."""
-        paths, self._unchanged = self._unchanged, []
-        return paths
+    def take_moved(self) -> list:
+        """The delta since the last call: ``[path, state]`` for each unit
+        rebuilt since, in build order."""
+        moved, self._moved = self._moved, []
+        built = self._built
+        return [[list(path), built[path][1]] for path in moved]
+
+    def state(self) -> dict:
+        """The whole state, each unit's last build nested at its path."""
+        root: dict = {}
+        for path, (_revision, state) in self._built.items():
+            node = root
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = state
+        return root
 
 
 def state_delta(prev, cur) -> list:

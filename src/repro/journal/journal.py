@@ -18,7 +18,7 @@ import time as _time
 from dataclasses import asdict
 
 from repro.errors import JournalError
-from repro.journal.delta import SignedState
+from repro.journal.delta import SignedState, UnitCache
 from repro.journal.records import make_record
 from repro.journal.resume import read_journal
 from repro.journal.snapshot import write_snapshot
@@ -56,7 +56,9 @@ class Journal:
         self._snapshot_index = _snapshot_index
         self._fsyncs_seen = 0
         self._closed = False
-        self._barrier: SignedState | None = None  # the last barrier this epoch wrote
+        # The last barrier this epoch wrote, as the next delta's base: the
+        # signatures of a plain state, or the unit cache it was taken from.
+        self._base: SignedState | UnitCache | None = None
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -131,20 +133,30 @@ class Journal:
             self.metrics.counter("journal.fsync.count").inc(new_syncs)
             self._fsyncs_seen = self._writer.fsync_count
 
-    def barrier(self, t: float, state: dict, unchanged=()) -> int:
-        """Journal one control-loop barrier at time *t*: *state* in full for
-        the first barrier of a writer epoch, afterwards only its delta
-        against the barrier before it.  Each path in *unchanged* (a tuple
-        of keys) is vouched equal to its value at the barrier before, and
-        is not compared (``SignedState.delta``)."""
-        if self._barrier is None:
+    def barrier(self, t: float, state: dict | UnitCache) -> int:
+        """Journal one control-loop barrier at time *t*: the state in full
+        for the first barrier of a writer epoch, afterwards only its delta
+        against the barrier before it.  *state* is a plain dict, diffed by
+        signature (``SignedState``), or a :class:`UnitCache` brought up to
+        date, whose delta is the units that moved since the last barrier
+        (``UnitCache.take_moved``)."""
+        units = state if isinstance(state, UnitCache) else None
+        base = self._base
+        if units is not None and base is units:
+            delta = units.take_moved()
+        elif units is None and isinstance(base, SignedState):
+            delta = base.delta(state)
+        else:
+            if units is not None:
+                units.take_moved()  # all of them are in the full state
+                state = units.state()
             seq = self.append("barrier", t=t, state=state)
-            self._barrier = SignedState(state)
+            self._base = units if units is not None else SignedState(state)
             return seq
         try:
-            return self.append("barrier", t=t, delta=self._barrier.delta(state, unchanged))
+            return self.append("barrier", t=t, delta=delta)
         except BaseException:
-            self._barrier = None  # the signatures moved on and the WAL did not
+            self._base = None  # the base moved on and the WAL did not
             raise
 
     def snapshot(self, state: dict) -> int:
@@ -159,7 +171,7 @@ class Journal:
         if self._closed:
             raise JournalError("snapshot on closed journal")
         if "barrier" not in state:
-            self._barrier = None
+            self._base = None
         index = self._snapshot_index
         self._snapshot_index += 1
         segment_after = self._writer.rotate()

@@ -41,20 +41,15 @@ class FabricState:
     def __init__(self, runtime: "RuntimeCore") -> None:
         self._rt = runtime
 
-    def state_dict(self, units: UnitCache | None = None) -> dict:
-        """Each link is a revisioned unit of *units* (a barrier's cache;
-        none builds every link); the server's queue and degraded mode are
-        rebuilt."""
+    def update_units(self, units: UnitCache) -> None:
+        """Bring the fabric's revisioned units in *units* (a barrier's
+        cache) up to date: each link, the server's ingress side and
+        degraded mode."""
         rt = self._rt
-        units = units if units is not None else UnitCache()
-        return {
-            "links": {
-                lid: units.get(("fabric", "links", lid), ln.revision, ln.state_dict)
-                for lid, ln in rt.links.items()
-            },
-            "server": rt.server.fabric_state_dict(),
-            "degraded": rt.degrade.state_dict(),
-        }
+        for lid, ln in rt.links.items():
+            units.update(("fabric", "links", lid), ln.revision, ln.state_dict)
+        units.update(("fabric", "server"), rt.server.fabric_revision, rt.server.fabric_state_dict)
+        units.update(("fabric", "degraded"), rt.degrade.revision, rt.degrade.state_dict)
 
     def load_state_dict(self, state: dict) -> None:
         rt = self._rt

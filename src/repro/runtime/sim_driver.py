@@ -33,6 +33,11 @@ from repro.util.jsonmsg import Envelope
 from repro.wms.launcher import Savanna
 
 
+def _absent() -> None:
+    """The journaled state of a subsystem that is not configured."""
+    return None
+
+
 class DyflowOrchestrator(RuntimeCore):
     """Bootstrap + service loop for one workflow on one allocation."""
 
@@ -77,9 +82,11 @@ class DyflowOrchestrator(RuntimeCore):
             self.chaos = ChaosEngine(launcher, spec.faults)
             self.chaos.orchestrator = self
         #: Optional subsystems: barrier-state key -> component (``None``
-        #: when off).  Each has ``state_dict``/``load_state_dict`` and may
-        #: define ``start``/``stop``/``suspend`` (controller crash); start,
-        #: stop, _crash, _journal_barrier and resume_from walk this table.
+        #: when off).  Each is a revisioned unit (``revision`` +
+        #: ``state_dict``; the fabric puts its own units in the barrier's
+        #: cache), has ``load_state_dict``, and may define
+        #: ``start``/``stop``/``suspend`` (controller crash); start, stop,
+        #: _crash, _barrier_units and resume_from walk this table.
         self._components: dict[str, object | None] = {
             "watchdog": self.watchdog,
             "chaos": self.chaos,
@@ -101,6 +108,7 @@ class DyflowOrchestrator(RuntimeCore):
         self._inflight_deliveries: dict[
             int, tuple[float, Envelope, object, str, str | None]
         ] = {}
+        self._inflight_revision = 0  # moves whenever the in-flight table does
         # deliver-at -> (shared event, [dids]) while a tick's collect phase
         # registers envelopes: same-time deliveries share one engine event,
         # run in the order separate events with consecutive seqs would pop.
@@ -250,9 +258,11 @@ class DyflowOrchestrator(RuntimeCore):
                 ev, dids = entry
                 dids.append(did)
             self._inflight_deliveries[did] = (at, env, ev, kind, link)
+            self._inflight_revision += 1
             return
         ev = self.engine.call_at(at, lambda: self._deliver(did), name="delivery", seq=seq)
         self._inflight_deliveries[did] = (at, env, ev, kind, link)
+        self._inflight_revision += 1
 
     def _deliver_batch(self, dids: list[int]) -> None:
         for did in dids:
@@ -262,6 +272,7 @@ class DyflowOrchestrator(RuntimeCore):
         entry = self._inflight_deliveries.pop(did, None)
         if entry is None:
             return
+        self._inflight_revision += 1
         _at, env, _ev, kind, link_id = entry
         link = self.links.get(link_id) if link_id is not None else None
         if kind == "ack":
@@ -289,45 +300,45 @@ class DyflowOrchestrator(RuntimeCore):
         if self._journal is None:
             return
         self._barriers += 1
-        state = self._barrier_state(self._units)
-        self._journal.barrier(now, state, unchanged=self._units.take_unchanged())
+        units = self._barrier_units(self._units)
+        self._journal.barrier(now, units)
         every = self._journal.spec.snapshot_every
         if every > 0 and self._barriers % every == 0:
             # The snapshot seals the segment holding this barrier record,
             # so a crash honored at this very tick would otherwise leave
             # no barrier, and the next delta no base — embed the state.
-            self._journal.snapshot({**self._snapshot_state(now), "barrier": state})
+            self._journal.snapshot({**self._snapshot_state(now), "barrier": units.state()})
 
-    def _barrier_state(self, units: UnitCache) -> dict:
-        """The controller state a barrier journals.  Arbitration, the
-        clients, the links and the optional components are revisioned
-        units taken from *units* (an empty cache builds them all); the
-        small entries that move every tick are rebuilt."""
+    def _barrier_units(self, units: UnitCache) -> UnitCache:
+        """Bring *units* up to the controller state a barrier journals:
+        every entry is a revisioned unit, rebuilt only when its revision
+        moved (an empty cache builds them all)."""
         tick_ev = self._tick_event
         clients = self.clients
-        state = {
-            "arbitration": units.get(
-                ("arbitration",), self.arbitration.revision, self.arbitration.state_dict
-            ),
-            "clients": units.get(
-                ("clients",), tuple(c.revision for c in clients),
-                lambda: [c.state_dict() for c in clients],
-            ),
-            "inflight": [
-                {"at": at, "seq": ev.heap_seq, "env": env.to_json(),
-                 "kind": kind, "link": link}
-                for at, env, ev, kind, link in self._inflight_deliveries.values()
-            ],
-            "next_tick": {"at": tick_ev.heap_time, "seq": tick_ev.heap_seq},
-        }
+        units.update(("arbitration",), self.arbitration.revision, self.arbitration.state_dict)
+        units.update(
+            ("clients",), tuple(c.revision for c in clients),
+            lambda: [c.state_dict() for c in clients],
+        )
+        units.update(("inflight",), self._inflight_revision, self._inflight_state)
+        units.update(
+            ("next_tick",), (tick_ev.heap_time, tick_ev.heap_seq),  # its heap slot
+            lambda: {"at": tick_ev.heap_time, "seq": tick_ev.heap_seq},
+        )
         for name, component in self._components.items():
             if component is None:
-                state[name] = None
+                units.update((name,), None, _absent)
             elif isinstance(component, FabricState):
-                state[name] = component.state_dict(units)
+                component.update_units(units)
             else:
-                state[name] = units.get((name,), component.revision, component.state_dict)
-        return state
+                units.update((name,), component.revision, component.state_dict)
+        return units
+
+    def _inflight_state(self) -> list[dict]:
+        return [
+            {"at": at, "seq": ev.heap_seq, "env": env.to_json(), "kind": kind, "link": link}
+            for at, env, ev, kind, link in self._inflight_deliveries.values()
+        ]
 
     def _snapshot_state(self, now: float) -> dict:
         """What ``resume_from`` loads wholesale: controller state only.  The
@@ -381,6 +392,7 @@ class DyflowOrchestrator(RuntimeCore):
         for _at, _env, ev, _kind, _link in self._inflight_deliveries.values():
             ev.cancel()
         self._inflight_deliveries = {}
+        self._inflight_revision += 1
         self._each("suspend")
         for client in self.clients:
             client.unwatch()
@@ -475,6 +487,7 @@ class DyflowOrchestrator(RuntimeCore):
         # slots; the cancelled originals are skipped by the engine, so
         # pop order matches the uninterrupted run exactly.
         self._inflight_deliveries = {}
+        self._inflight_revision += 1
         for item in b.get("inflight", []):
             self._register_delivery(
                 float(item["at"]), Envelope.from_json(item["env"]), seq=item.get("seq"),

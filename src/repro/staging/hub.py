@@ -40,7 +40,11 @@ class DataHub:
         self._channel_listeners.append(listener)
 
     def attach_tracer(self, tracer: Tracer) -> None:
-        """Install telemetry: count channels, stores, and published steps."""
+        """Install telemetry: count channels, stores, and published steps.
+        Attaching the tracer already attached (a resumed controller's) is
+        a no-op: each channel keeps one observer and is counted once."""
+        if tracer is self.tracer:
+            return
         self.tracer = tracer
         if not tracer.enabled:
             return

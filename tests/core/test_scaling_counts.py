@@ -12,8 +12,8 @@ stream its task never draws from, a single-rank step builds one sample, and
 an unsignalled, unblocked step runs no sub-generator and builds no
 ``StreamStep`` that no reader reads, a consumer whose input is staged
 never enters the input wait, a sleep costs one heap entry and one
-resume, a barrier where only the next tick moved signs the same bytes
-whatever the alert history holds, and a snapshot's server and plan
+resume, a barrier where only the next tick moved writes that unit and
+signs nothing whatever the alert history holds, and a snapshot's server and plan
 entries are the same whatever the run has produced.  Each count is what
 a scan over all N entries — or a retry on every tick, or a per-task
 object nothing uses — would get wrong.
@@ -53,11 +53,12 @@ from repro.core.sensors import (
 from repro.core.sensors.preprocess import preprocess_value
 from repro.core.sensors.sources import DataSource
 from repro.errors import SensorError
-from repro.fabric import FabricLink, NetworkSpec
+from repro.fabric import DegradedModeController, FabricLink, NetworkSpec
 from repro.journal import JournalSpec, read_journal
 from repro.journal import delta as delta_module
 from repro.journal.delta import UnitCache
 from repro.observability import HealthEngine, ObservabilitySpec, SloSpec
+from repro.observability.health import log_alert
 from repro.observability.slo import HealthAlert
 from repro.resilience import ResilienceSpec
 from repro.experiments import (
@@ -682,13 +683,13 @@ class TestIdleTick:
 
 
 class TestBarrier:
-    """A barrier where only ``next_tick`` moved hands every revisioned unit
-    over unchanged: it signs the same bytes with 10 and with 1 000 health
-    alerts and builds no link state.  Signing the whole controller state
-    every tick grows with the alert history, that is with the run."""
+    """A barrier where only ``next_tick`` moved writes that one unit and
+    signs nothing: no signature, no link, health or degraded-mode state
+    built, with 10 and with 1 000 health alerts in the run.  Finding the
+    change by signing the controller state costs 27 signatures a tick."""
 
     @staticmethod
-    def _quiet_barrier(tmp_path, alerts: int) -> tuple[list[int], int, int, list]:
+    def _quiet_barrier(tmp_path, alerts: int) -> tuple[int, int, int, int, list]:
         machine = summit(2)
         alloc = Allocation("a0", machine, machine.nodes, walltime_limit=1e9)
         task = TaskSpec("T", lambda: IterativeApp(ConstantModel(1.0), total_steps=4), nprocs=2)
@@ -698,38 +699,31 @@ class TestBarrier:
         orch = DyflowOrchestrator(launcher, options=RuntimeOptions(
             journal=journal,
             observability=ObservabilitySpec(eval_every=1e6),  # evaluates at 0 only
-            resilience=ResilienceSpec(network=NetworkSpec()),  # one link, never stale
+            # One link; degraded mode evaluates every tick and is never stale.
+            resilience=ResilienceSpec(network=NetworkSpec(stale_after=20.0)),
         ))
         orch.start()  # the workflow is never launched: no data, no plan
-        engine.run(until=0.5)
-        state = orch.health.state_dict()
-        state["alerts"] = [
-            HealthAlert(float(i), "slo:x.p95", "firing", "warning", 1.0, 0.0, "").to_dict()
-            for i in range(alerts)
-        ]
-        orch.health.load_state_dict(state)
-        engine.run(until=1.5)  # the barrier at 1 journals the history
+        for i in range(alerts):
+            alert = HealthAlert(float(i), "slo:x.p95", "firing", "warning", 1.0, 0.0, "")
+            log_alert(launcher.log, orch.tracer, alert)
+        engine.run(until=4.5)  # the fresh streak saturates by the barrier at 3
         signed: list[int] = []
-        signature = delta_module._signature
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                delta_module, "_signature",
-                lambda v: signed.append(len(signature(v))) or signature(v),
-            )
+            patch.setattr(delta_module, "_signature", lambda v: signed.append(1))
             links = count_calls(patch, FabricLink, "state_dict")
             healths = count_calls(patch, HealthEngine, "state_dict")
-            engine.run(until=2.5)  # the barrier at 2
-        assert orch.ticks == 3
+            degraded = count_calls(patch, DegradedModeController, "state_dict")
+            engine.run(until=5.5)  # the barrier at 5
+        assert orch.ticks == 6
         orch.stop()
         barrier = [r for r in read_journal(journal.dir).records if r["kind"] == "barrier"][-1]
-        return signed, len(links), len(healths), [path for path, _ in barrier["delta"]]
+        paths = [path for path, _ in barrier["delta"]]
+        return len(signed), len(links), len(healths), len(degraded), paths
 
-    def test_a_quiet_barrier_signs_the_same_for_10_and_1000_alerts(self, tmp_path):
+    def test_a_quiet_barrier_signs_nothing_whatever_the_alerts(self, tmp_path):
         small = self._quiet_barrier(tmp_path, 10)
         large = self._quiet_barrier(tmp_path, 1000)
-        assert small[3] == large[3] == [["next_tick", "at"], ["next_tick", "seq"]]
-        assert small[0] == large[0]  # the same calls, each of the same size
-        assert small[1:3] == large[1:3] == (0, 0)  # no link or health state built
+        assert small == large == (0, 0, 0, 0, [["next_tick"]])
 
 
 PAPER_RUNS = {
@@ -833,7 +827,7 @@ class TestSnapshot:
             engine.run(until=tick + 0.5)
             transitions = len(orch.health.alerts)
             if transitions in (10, 100):
-                entries.setdefault(transitions, orch._barrier_state(UnitCache())["health"])
+                entries.setdefault(transitions, orch._barrier_units(UnitCache()).state()["health"])
         orch.stop()
         assert sorted(entries) == [10, 100]
         small, large = (json.dumps(shape(entries[n])) for n in (10, 100))

@@ -2,6 +2,9 @@
 
 import os
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.actions import ActionType, Outcome, Reason, SuggestedAction, reason_counts
 from repro.core.decision import DecisionStage
 from repro.experiments.grayscott_scenario import run_gray_scott_experiment
@@ -96,6 +99,76 @@ class TestStateDict:
         # Streaks restored: one fresh tick is not enough to recover.
         fresh.tick(13.0, {"T": 12.5})
         assert fresh.degraded
+
+
+class Unsaturated:
+    """The controller's hysteresis with streaks that count on forever."""
+
+    def __init__(self, network: NetworkSpec) -> None:
+        self.network = network
+        self.degraded = self.partition = False
+        self.stale = self.fresh = self.entered = self.exited = 0
+
+    def tick(self, now: float, last_seen: dict[str, float]) -> list[tuple]:
+        net, new = self.network, []
+        part = net.partition_active(now)
+        if part != self.partition:
+            self.partition = part
+            new.append((now, "fabric:partition", "firing" if part else "clearing"))
+        ages = [now - t for t in last_seen.values()]
+        age = max(ages, default=0.0)
+        if age > net.stale_after:
+            self.stale, self.fresh = self.stale + 1, 0
+        else:
+            self.stale, self.fresh = 0, self.fresh + 1
+        if not self.degraded and self.stale >= net.degrade_after:
+            self.degraded, self.entered = True, self.entered + 1
+            new.append((now, "fabric:degraded", "firing"))
+        elif self.degraded and self.fresh >= net.recover_after:
+            self.degraded, self.exited = False, self.exited + 1
+            new.append((now, "fabric:degraded", "clearing"))
+        return new
+
+
+class TestSaturatedStreaks:
+    """Only ``>=`` reads a streak, so one that stops at ``degrade_after``
+    or ``recover_after`` decides as one that counts on — and a steady
+    fabric stops moving the journaled unit."""
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.tuples(st.floats(0.1, 4.0), st.booleans()), max_size=60),
+        st.integers(1, 4), st.integers(1, 4), st.booleans(),
+    )
+    def test_the_saturated_controller_decides_as_an_unsaturated_twin(
+        self, steps, degrade_after, recover_after, steady_stale
+    ):
+        network = NetworkSpec(
+            stale_after=5.0, degrade_after=degrade_after, recover_after=recover_after,
+            partitions=(PartitionWindow(10.0, 20.0), PartitionWindow(60.0, 5.0)),
+        )
+        real, twin = DegradedModeController(network), Unsaturated(network)
+        now = 0.0
+
+        def tick(stale: bool) -> None:
+            seen = {"T": now - 6.0 if stale else now}
+            alerts = [(a.time, a.source, a.kind) for a in real.tick(now, seen)]
+            assert alerts == twin.tick(now, seen)
+            assert (real.degraded, real.entered, real.exited) == (
+                twin.degraded, twin.entered, twin.exited)
+
+        for dt, stale in steps:
+            now += dt
+            tick(stale)
+        now = max(now, 70.0)  # past every partition window
+        for _ in range(degrade_after + recover_after + 1):
+            now += 1.0
+            tick(steady_stale)
+        revision = real.revision
+        for _ in range(10):
+            now += 1.0
+            tick(steady_stale)
+        assert real.revision == revision, "a steady fabric moved the unit"
 
 
 class TestDecisionGate:

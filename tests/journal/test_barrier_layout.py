@@ -108,13 +108,14 @@ def test_a_journal_of_full_state_barriers_resumes(tmp_path, monkeypatch):
     snapshot embeds the same.  A full record simply restarts the fold, and
     the retired keys are ignored, so such journals stay resumable."""
 
-    def barrier_like_the_old_writer(self, t, state, unchanged=()):
+    def barrier_like_the_old_writer(self, t, units):
+        state = units.state()
         arbitration = {**state["arbitration"], "outcome_counts": {"granted": 1}}
-        self._barrier = {  # what snapshot() embeds
+        state = {
             **state, "arbitration": arbitration, "decision_outcomes": {"gated-degraded": 1},
             "profiler": None,
         }
-        return self.append("barrier", t=t, state=self._barrier)
+        return self.append("barrier", t=t, state=state)
 
     monkeypatch.setattr(Journal, "barrier", barrier_like_the_old_writer)
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")

@@ -1,14 +1,17 @@
 """Delta barriers: the WAL folds to the state the controller handed over.
 
 Only the first barrier of a writer epoch carries the controller state in
-full; every other one carries what changed since the barrier before it,
-and ``read_journal`` folds the chain.  The oracle here is the state the
-driver handed to ``Journal.barrier`` at each tick: folding the WAL up to
-that tick must give the same *canonical JSON text* — text, not ``==``, so
-``1`` against ``1.0`` and a base aliased to live state both show.  And
-the handed-over state must itself be the controller's: at every tick it
-is compared with one built from scratch, so a unit handed over from the
-barrier cache after a change that bumped no revision shows.
+full; every other one carries what changed since the barrier before it —
+the orchestrator's revisioned units that moved, each written whole — and
+``read_journal`` folds the chain.  The oracle here is the state the
+driver handed to ``Journal.barrier`` at each tick (its unit cache, as a
+whole state): folding the WAL up to that tick must give the same
+*canonical JSON text* — text, not ``==``, so ``1`` against ``1.0`` and a
+base aliased to live state both show.  And the handed-over state must
+itself be the controller's: at every tick it is compared with one built
+from scratch into an empty cache, so a unit handed over from the barrier
+cache after a change that bumped no revision shows, and so does a moved
+unit the delta left out.
 """
 
 import json
@@ -53,12 +56,12 @@ class Recording:
         self.fresh: str | None = None  # the state this tick, built uncached
         self.fresh_checked = 0
         barrier, snapshot, append = Journal.barrier, Journal.snapshot, Journal.append
-        barrier_state = sim_driver.DyflowOrchestrator._barrier_state
+        barrier_units = sim_driver.DyflowOrchestrator._barrier_units
         recording = self
 
-        def fresh_barrier_state(orch, units):
-            recording.fresh = canonical(barrier_state(orch, UnitCache()))
-            return barrier_state(orch, units)
+        def fresh_barrier_units(orch, units):
+            recording.fresh = canonical(barrier_units(orch, UnitCache()).state())
+            return barrier_units(orch, units)
 
         def fold_equals_handed(journal, t, after):
             if t >= check_until:
@@ -68,11 +71,12 @@ class Recording:
             assert canonical(folded) == recording.handed[t], f"fold differs at t={t}"
             recording.checked[after] += 1
 
-        def checked_barrier(journal, t, state, unchanged=()):
-            recording.handed[t] = canonical(state)
+        def checked_barrier(journal, t, units):
+            assert isinstance(units, UnitCache), "the orchestrator hands over its units"
+            recording.handed[t] = canonical(units.state())
             assert recording.handed[t] == recording.fresh, f"a stale unit at t={t}"
             recording.fresh_checked += 1
-            seq = barrier(journal, t, state, unchanged)
+            seq = barrier(journal, t, units)
             fold_equals_handed(journal, t, "barrier")
             return seq
 
@@ -90,7 +94,7 @@ class Recording:
 
         patch = pytest.MonkeyPatch()
         patch.setattr(Journal, "barrier", checked_barrier)
-        patch.setattr(sim_driver.DyflowOrchestrator, "_barrier_state", fresh_barrier_state)
+        patch.setattr(sim_driver.DyflowOrchestrator, "_barrier_units", fresh_barrier_units)
         patch.setattr(Journal, "snapshot", checked_snapshot)
         patch.setattr(Journal, "append", sized_append)
         patch.setattr(os, "fsync", lambda fd: None)  # snapshots sync whatever the spec says
@@ -160,6 +164,19 @@ def test_the_wal_folds_to_the_handed_over_state_at_every_tick(
     assert deltas[len(deltas) // 2] < 0.10 * full
     # And the crashed run is the uncrashed run.
     assert scenario_fingerprint(rec.result) == reference_fingerprint
+
+
+def test_a_resumed_controller_instruments_each_channel_once(recorded):
+    """Each resume attaches the surviving tracer again: every channel must
+    keep one step observer and be counted once, as in an uncrashed run."""
+    rec = recorded(20)
+    assert rec.result.meta["crashes"] == list(CRASH_TIMES)
+    channels = list(rec.result.launcher.hub._channels.values())
+    assert channels
+    for channel in channels:
+        assert [f.__name__ for f in channel.observers].count("_on_put") == 1, channel.name
+    counter = rec.result.tracer.metrics.counter("staging.channels")
+    assert counter.value == len(channels)
 
 
 # --------------------------------------------------------------------------- #
@@ -400,57 +417,35 @@ def test_a_chain_of_deltas_folds_to_the_last_state(states):
         assert canonical(folded) == canonical(state)
 
 
-def dict_paths(state, path=()):
-    """Every key path from the root of *state* to a value under dicts only."""
-    if type(state) is dict:
-        for key, child in state.items():
-            yield path + (key,)
-            yield from dict_paths(child, path + (key,))
-
-
-def value_at(state, path):
-    for key in path:
-        if type(state) is not dict or key not in state:
-            return None
-        state = state[key]
-    return canonical(state)
-
-
-@settings(max_examples=60)
-@given(st.lists(STATES, min_size=2, max_size=8), st.data())
-def test_a_chain_with_vouched_paths_folds_to_the_last_state(states, data):
-    """Vouching for any set of paths whose values did not change gives a
-    delta that folds to the new state, as the unvouched one does."""
-    from repro.journal.delta import SignedState
-
-    signed, folded, prev = SignedState(states[0]), states[0], states[0]
-    for state in states[1:]:
-        same = [p for p in dict_paths(state) if value_at(prev, p) == value_at(state, p)]
-        vouched = data.draw(st.lists(st.sampled_from(same), unique=True)) if same else []
-        folded = apply_delta(folded, json.loads(json.dumps(signed.delta(state, vouched))))
-        assert canonical(folded) == canonical(state)
-        prev = state
-
-
-def test_a_vouched_path_is_neither_compared_nor_signed(monkeypatch):
+def test_a_unit_barrier_writes_the_moved_units_whole(tmp_path, monkeypatch):
+    """A delta of revisioned units is each unit whose revision moved,
+    written whole at its path; nothing is signed to find them."""
     from repro.journal import delta
-    from repro.journal.delta import SignedState
 
-    alerts = {"alerts": [{"t": float(i)} for i in range(1000)]}
-    signed = SignedState({"health": alerts, "tick": {"at": 0.0}})
-    sizes: list[int] = []
-    signature = delta._signature
-    monkeypatch.setattr(
-        delta, "_signature", lambda v: sizes.append(len(signature(v))) or signature(v)
-    )
-    assert signed.delta({"health": alerts, "tick": {"at": 1.0}}, [("health",)]) == [
-        [["tick", "at"], 1.0]
+    monkeypatch.setattr(delta, "_signature", lambda value: 1 / 0)
+    spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
+    units, alerts = UnitCache(), [{"t": float(i)} for i in range(1000)]
+
+    def refresh(revisions: dict) -> UnitCache:
+        units.update(("health",), revisions["health"], lambda: {"alerts": list(alerts)})
+        for lid in ("c0", "c1"):
+            units.update(("fabric", "links", lid), revisions[lid], lambda: {"id": lid, **revisions})
+        return units
+
+    with closing(Journal.open(spec)) as j:
+        j.barrier(0.0, refresh({"health": 0, "c0": 0, "c1": 0}))
+        j.barrier(1.0, refresh({"health": 0, "c0": 1, "c1": 0}))
+        alerts.append({"t": 1000.0})
+        j.barrier(2.0, refresh({"health": 1, "c0": 1, "c1": 0}))
+        j.barrier(3.0, refresh({"health": 1, "c0": 1, "c1": 0}))
+    first, *deltas = barrier_records(spec.dir)
+    assert sorted(first["state"]) == ["fabric", "health"] and "delta" not in first
+    assert [r["delta"] for r in deltas] == [
+        [[["fabric", "links", "c0"], {"id": "c0", "health": 0, "c0": 1, "c1": 0}]],
+        [[["health"], {"alerts": alerts}]],
+        [],
     ]
-    assert sizes and max(sizes) < 100  # the tick only: no root, no alert list
-    # Unvouched, the same call signs the alerts.
-    sizes.clear()
-    assert signed.delta({"health": alerts, "tick": {"at": 2.0}}) == [[["tick", "at"], 2.0]]
-    assert max(sizes) > 10_000
+    assert read_journal(spec.dir).barrier_state == units.state()
 
 
 def test_a_dict_whose_keys_came_or_went_is_replaced_whole():

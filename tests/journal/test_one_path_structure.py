@@ -4,7 +4,8 @@ from a run's records to its report.
 AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
 second copy of the actuation op loop, a second step-time sampling path, a
-second barrier protocol, a second OpenMetrics renderer, a telemetry
+second barrier protocol, a runtime that signs a state to find what a
+barrier writes, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a run record stored outside the run log, a
 second report path, a second snapshot pointer, a snapshot that carries
 run output, a Monitor round that polls every binding, a paper claim
@@ -54,6 +55,8 @@ GONE = {
     "DyflowOrchestrator._on_plan_done", "tasks.running", "workers.total", "retries.exhausted",
     # the finished-plans list Actuation kept and nothing read
     "executed_plans",
+    # the vouched paths of a signature diff, which unit revisions replaced
+    "take_unchanged", "_trie", "vouched", "DyflowOrchestrator._barrier_state",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
@@ -191,6 +194,21 @@ def test_barriers_are_written_and_folded_in_one_place():
 
     assert modules_where(compares_a_kind_to_barrier) == [
         "journal/resume.py", "runtime/sim_driver.py",  # the driver replays decision ticks
+    ]
+
+
+def test_the_runtime_signs_no_state():
+    """An orchestrator barrier learns what changed from unit revisions
+    alone: nothing under ``runtime/`` signs or diffs a state.  Only the
+    campaign fleet's plain state is diffed by signature."""
+    signs = {"SignedState", "marshal", "state_delta", "_signature"}
+    hits = [
+        module for module in modules_where(lambda n: bool(signs & set(identifiers(n))))
+        if module.startswith("runtime/")
+    ]
+    assert hits == []
+    assert modules_where(lambda n: "SignedState" in identifiers(n)) == [
+        "journal/delta.py", "journal/journal.py",
     ]
 
 
