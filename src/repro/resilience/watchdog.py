@@ -13,13 +13,13 @@ launcher retry or a RESTART_ON_FAILURE policy — relaunches it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.resilience.spec import WatchdogSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.monitor import MonitorServer
-    from repro.wms.launcher import Savanna
+    from repro.wms.launcher import LauncherCore
 
 
 @dataclass(frozen=True)
@@ -32,33 +32,35 @@ class WatchdogKill:
 
 
 class HeartbeatWatchdog:
-    """Polls running instances and kills the ones that stopped beating.
+    """Scans running instances and kills the ones that stopped beating.
 
-    The poll loop is a self-rescheduling engine callback (not a simulated
-    process) so a crashing orchestrator can cancel the pending poll and a
-    resumed one can re-register it at the exact journaled heap slot —
-    same-timestamp tie-breaking stays bit-identical across a crash.
+    :meth:`scan` is the one scan on both runtimes (the threaded driver
+    calls it from a stage thread).  On the event clock the poll is a
+    self-rescheduling engine callback (not a simulated process) so a
+    crashing orchestrator can cancel the pending poll and a resumed one
+    can re-register it at the exact journaled heap slot.
     """
 
-    def __init__(
-        self,
-        launcher: "Savanna",
-        spec: WatchdogSpec,
-        server: "MonitorServer | None" = None,
-        on_hang: Callable[[str, float], None] | None = None,
-    ) -> None:
+    def __init__(self, launcher: "LauncherCore", spec: WatchdogSpec,
+                 server: "MonitorServer | None" = None) -> None:
         spec.validate()
         self.launcher = launcher
         self.spec = spec
         self.server = server
-        self.on_hang = on_hang
-        self.kills: list[WatchdogKill] = []
         self._running = False
         self._event = None  # pending poll's SimEvent
         #: Bumped by every call that may change ``state_dict``.
         self.revision = 0
 
-    # -- lifecycle ---------------------------------------------------------------
+    @property
+    def kills(self) -> list[WatchdogKill]:
+        """Every kill of the run: a view of its log's ``watchdog-kill:`` points."""
+        return [
+            WatchdogKill(p.time, p.label.split(":", 1)[1], p.meta["last_heartbeat"])
+            for p in self.launcher.log.points if p.label.startswith("watchdog-kill:")
+        ]
+
+    # -- lifecycle (the event-clock poll) --------------------------------------------
     def start(self) -> None:
         """Begin the poll chain (first scan at the current time)."""
         if self._running:
@@ -86,20 +88,12 @@ class HeartbeatWatchdog:
             "running": self._running,
             "next_poll": ev.heap_time if pending else None,
             "seq": ev.heap_seq if pending else None,
-            "kills": [[k.time, k.task, k.last_heartbeat] for k in self.kills],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the kill ledger and re-register the pending poll.
-
-        The poll is pushed back at its journaled ``(time, seq)`` heap slot
-        so it fires in the same order relative to every other event as it
-        would have in an uninterrupted run.
-        """
+        """Re-register the pending poll at its journaled ``(time, seq)`` heap
+        slot (an older journal's ``kills`` is ignored: the log holds them)."""
         self.revision += 1
-        self.kills = [
-            WatchdogKill(float(t), task, float(hb)) for t, task, hb in state.get("kills", [])
-        ]
         self._running = bool(state.get("running", False))
         next_poll = state.get("next_poll")
         if self._running and next_poll is not None:
@@ -107,8 +101,8 @@ class HeartbeatWatchdog:
                 float(next_poll), self._tick, name="watchdog-poll", seq=state.get("seq")
             )
 
-    # -- internals ---------------------------------------------------------------
-    def _last_signal(self, task: str, instance) -> float:
+    # -- the scan ------------------------------------------------------------------
+    def _last_signal(self, task: str, instance, now: float) -> float:
         """Freshest evidence of life: app heartbeat, monitor update, or start."""
         last = instance.start_time if instance.start_time is not None else instance.launch_time
         if instance.last_heartbeat is not None:
@@ -117,7 +111,27 @@ class HeartbeatWatchdog:
             seen = self.server.last_seen.get(task)
             if seen is not None:
                 last = max(last, seen)
-        return last if last is not None else self.launcher.engine.now
+        return last if last is not None else now
+
+    def scan(self, now: float) -> None:
+        """Kill each running instance whose freshest signal is over the
+        timeout old, through the launcher (its retry path relaunches it)."""
+        launcher = self.launcher
+        for name, rec in launcher.records.items():
+            instance = rec.current
+            if instance is None or not rec.is_running:
+                continue
+            last = self._last_signal(name, instance, now)
+            if now - last <= self.spec.heartbeat_timeout:
+                continue
+            launcher.log.point(
+                now, f"watchdog-kill:{name}", category="failure",
+                last_heartbeat=last, timeout=self.spec.heartbeat_timeout,
+            )
+            launcher._spawn(
+                launcher.signal_kill_task(name, code=self.spec.kill_code, cause="watchdog"),
+                f"watchdog-kill:{name}",
+            )
 
     def _tick(self) -> None:
         self.revision += 1
@@ -125,25 +139,5 @@ class HeartbeatWatchdog:
             self._event = None
             return
         eng = self.launcher.engine
-        now = eng.now
-        for name, rec in self.launcher.records.items():
-            instance = rec.current
-            if instance is None or not rec.is_running:
-                continue
-            last = self._last_signal(name, instance)
-            if now - last <= self.spec.heartbeat_timeout:
-                continue
-            self.kills.append(WatchdogKill(now, name, last))
-            self.launcher.log.point(
-                now, f"watchdog-kill:{name}", category="failure",
-                last_heartbeat=last, timeout=self.spec.heartbeat_timeout,
-            )
-            eng.process(
-                self.launcher.signal_kill_task(
-                    name, code=self.spec.kill_code, cause="watchdog"
-                ),
-                name=f"watchdog-kill:{name}",
-            )
-            if self.on_hang is not None:
-                self.on_hang(name, now)
+        self.scan(eng.now)
         self._event = eng.call_after(self.spec.poll, self._tick, name="watchdog-poll")

@@ -4,9 +4,10 @@
 Decision, Arbitration, Actuation, health engine, Monitor fabric and
 journal once over a launcher (:class:`~repro.wms.launcher.LauncherCore`:
 the simulated Savanna or the wall-clock live one), and carries the
-bootstrap API, the task-restart hooks, the per-round fabric helpers and
+bootstrap API, the task-restart hooks, the per-round fabric helpers, the
+journal (barriers, snapshots and the controller half of a resume) and
 the end-of-run exports.  A driver adds only how its clock runs the
-stages.  A new subsystem is constructed here.
+stages and holds in-flight work.  A new subsystem is constructed here.
 """
 
 from __future__ import annotations
@@ -24,15 +25,21 @@ from repro.core.sensors.base import SensorInstance, SensorSpec
 from repro.core.sensors.sources import make_source
 from repro.errors import DyflowError, JournalError
 from repro.fabric import DegradedModeController, FabricLink
-from repro.journal import Journal, JournalSpec
+from repro.journal import AppliedOpsLedger, Journal, JournalSpec, JournalState, read_journal
 from repro.journal.delta import UnitCache
 from repro.observability import HealthEngine, report_from_jsonl, write_openmetrics, write_report
 from repro.observability.health import log_alert
+from repro.resilience import HeartbeatWatchdog
 from repro.runtime.options import RuntimeOptions
 from repro.telemetry import build_tracer, write_chrome_trace
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.jsonmsg import Envelope
 from repro.wms.launcher import LauncherCore
+
+
+def _absent() -> None:
+    """The journaled state of a subsystem that is not configured."""
+    return None
 
 
 class FabricState:
@@ -42,9 +49,8 @@ class FabricState:
         self._rt = runtime
 
     def update_units(self, units: UnitCache) -> None:
-        """Bring the fabric's revisioned units in *units* (a barrier's
-        cache) up to date: each link, the server's ingress side and
-        degraded mode."""
+        """Bring the fabric's units in a barrier's cache up to date: each
+        link, the server's ingress side and degraded mode."""
         rt = self._rt
         for lid, ln in rt.links.items():
             units.update(("fabric", "links", lid), ln.revision, ln.state_dict)
@@ -156,6 +162,20 @@ class RuntimeCore:
         self.actuation.tracer = tracer
         self._running = False
         launcher.subscribe_start(self._on_task_start)
+        # Hang detection: one scan, polled by each driver on its clock.
+        self.watchdog: HeartbeatWatchdog | None = None
+        if resilience is not None and resilience.watchdog is not None:
+            self.watchdog = HeartbeatWatchdog(launcher, resilience.watchdog, server=self.server)
+        #: Optional subsystems: barrier-state key -> component (``None``
+        #: when off; ``chaos`` is the sim driver's).  Each is a revisioned
+        #: unit (``revision`` + ``state_dict``; the fabric puts its own
+        #: units in the barrier's cache) with ``load_state_dict``.
+        self._components: dict[str, object | None] = {
+            "watchdog": self.watchdog, "chaos": None, "health": self.health, "fabric": self.fabric,
+        }
+        self._barriers = 0
+        self._units = UnitCache()  # the barriers' revisioned units
+        self._resumed_op = None  # the plan a resume finishes, as an op generator
 
     def now(self) -> float:
         return self.launcher.now()
@@ -247,8 +267,10 @@ class RuntimeCore:
             self.decision.on_task_restart(instance.task)
 
     def _log_plan(self, plan: ActionPlan) -> None:
-        """A plan was built: its ``plan:<id>`` point and ops, which
-        ``explain`` reads."""
+        """A plan was built: its ``plan`` record, and its ``plan:<id>``
+        point and ops, which ``explain`` reads."""
+        if self._journal is not None and not self._journal.closed:
+            self._journal.append("plan", plan=plan.to_dict())
         self.launcher.log.point(
             plan.created, f"plan:{plan.plan_id}", category="plan",
             ops=[op.describe() for op in plan.ordered_ops()],
@@ -273,6 +295,10 @@ class RuntimeCore:
         return None
 
     def _receive(self, env: Envelope) -> None:
+        # In fabric mode this is drain time, not arrival: the journal holds
+        # only what the server ingested, so replay needs no ingress queue.
+        if self._journal is not None and not self._journal.closed:
+            self._journal.append("obs", env=env.to_json())
         self.server.receive(env)
 
     def _pump_ingress(self, now: float) -> None:
@@ -291,15 +317,134 @@ class RuntimeCore:
         unless one is already open."""
         if self._journal is None and self._journal_spec is not None:
             self._journal = Journal.open(self._journal_spec, self.tracer.metrics, **meta)
-
-    def _reopen_journal(self, journal_dir: str, state) -> None:
-        """Take over the journal whose *state* was resumed from (next fencing epoch)."""
-        self._journal = Journal.reopen(journal_dir, metrics=self.tracer.metrics, state=state)
+        self.actuation.journal = self._journal
 
     def _close_journal(self) -> None:
         if self._journal is not None and not self._journal.closed:
             self._journal.sync()
             self._journal.close()
+
+    def _journal_barrier(self, now: float) -> None:
+        if self._journal is None:
+            return
+        self._barriers += 1
+        units = self._barrier_units(self._units)
+        self._journal.barrier(now, units)
+        every = self._journal.spec.snapshot_every
+        if every > 0 and self._barriers % every == 0:
+            # The snapshot seals this barrier's segment: it embeds the
+            # state, or a crash here would leave no barrier to resume from.
+            self._journal.snapshot({**self._snapshot_state(now), "barrier": units.state()})
+
+    def _barrier_units(self, units: UnitCache) -> UnitCache:
+        """Bring *units* up to the controller state a barrier journals:
+        every entry is a revisioned unit, rebuilt only when its revision
+        moved (an empty cache builds them all).  The driver's
+        ``_clock_units`` adds how its clock holds in-flight work."""
+        clients = self.clients
+        units.update(("arbitration",), self.arbitration.revision, self.arbitration.state_dict)
+        units.update(
+            ("clients",), tuple(c.revision for c in clients),
+            lambda: [c.state_dict() for c in clients],
+        )
+        self._clock_units(units)
+        for name, component in self._components.items():
+            if component is None:
+                units.update((name,), None, _absent)
+            elif isinstance(component, FabricState):
+                component.update_units(units)
+            else:
+                units.update((name,), component.revision, component.state_dict)
+        return units
+
+    def _snapshot_state(self, now: float) -> dict:
+        """What a resume loads wholesale: controller state only (the run log
+        and the finished plans are the launcher's, which survives a crash);
+        ``plans`` holds the plan in flight, if any, for ``resume_plan``."""
+        in_flight = self.arbitration._in_flight
+        return {
+            "t": now,
+            "server": self.server.state_dict(),
+            "decision": self.decision.state_dict(),
+            "plans": [in_flight.to_dict()] if in_flight is not None else [],
+        }
+
+    def _resume_controller(
+        self, journal_dir: str, barrier_required: bool = True
+    ) -> tuple[JournalState, float | None]:
+        """The controller half of a resume: load the latest snapshot, replay
+        the WAL suffix (observations, restarts, Decision ticks, plans:
+        each replaces the one with its id in the run output), apply the
+        last barrier, and take the journal over (next fencing epoch, the
+        uninterrupted run's snapshot cadence).  A plan a crash interrupted
+        becomes ``_resumed_op``, finished exactly-once through the op
+        ledger.  Returns the journal state and the time of its last
+        barrier or snapshot (``None``: neither)."""
+        js = read_journal(journal_dir)
+        b = js.barrier_state
+        if b is None and barrier_required:
+            raise JournalError(f"journal {journal_dir!r} holds no barrier record; "
+                               "nothing to resume")
+        snap = js.snapshot_state or {}
+        t = snap.get("t")
+        if snap:
+            self.server.load_state_dict(snap["server"])
+            self.decision.load_state_dict(snap["decision"])
+        output = self.launcher.output
+        for d in snap.get("plans", []):
+            if d.get("execution_end") is None:  # a finished one is already output
+                output.upsert_plan(ActionPlan.from_dict(d))
+
+        # Replay with telemetry and the run log muted: they already hold
+        # what the replayed records produced.
+        server_tracer, decision_tracer = self.server.tracer, self.decision.tracer
+        self.server.tracer = self.decision.tracer = NULL_TRACER
+        self.launcher.log.muted = True
+        replayed_barriers = 0
+        try:
+            for rec in js.records:
+                kind = rec["kind"]
+                if kind == "obs":
+                    self.server.receive(Envelope.from_json(rec["env"]))
+                elif kind == "task-restart":
+                    self.server.on_task_restart(rec["task"])
+                    if rec.get("incarnation", 0) > 0:
+                        self.decision.on_task_restart(rec["task"])
+                elif kind == "barrier":
+                    self.decision.tick(rec["t"])
+                    t = rec["t"]
+                    replayed_barriers += 1
+                elif kind in ("plan", "plan-done"):
+                    output.upsert_plan(ActionPlan.from_dict(rec["plan"]))
+        finally:
+            self.server.tracer = server_tracer
+            self.decision.tracer = decision_tracer
+            self.launcher.log.muted = False
+        if b is not None:
+            # An older journal's "decision_outcomes" and the histories in
+            # its units (alerts, faults, kills, outcomes) are in the run log.
+            self.arbitration.load_state_dict(b["arbitration"])
+            client_states = b.get("clients", [])
+            if len(client_states) != len(self.clients):
+                raise JournalError(
+                    f"{len(client_states)} journaled clients for {len(self.clients)} configured"
+                )
+            for client, cstate in zip(self.clients, client_states):
+                client.load_state_dict(cstate)
+            for name, component in self._components.items():
+                if component is not None and b.get(name) is not None:
+                    component.load_state_dict(b[name])
+
+        self._journal = Journal.reopen(journal_dir, metrics=self.tracer.metrics, state=js)
+        self.actuation.journal = self._journal
+        self.actuation.abort_requested = False
+        every = self._journal.spec.snapshot_every
+        self._barriers = js.next_snapshot * every + replayed_barriers if every > 0 else replayed_barriers
+        plan = self.arbitration._in_flight
+        if plan is not None:
+            ledger = AppliedOpsLedger.from_records(js.records)
+            self._resumed_op = self.actuation.resume_plan(plan, ledger, on_done=self._on_plan_done)
+        return js, t
 
     # -- end-of-run outputs -----------------------------------------------------------
     def finalize_telemetry(self) -> None:

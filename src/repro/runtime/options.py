@@ -1,10 +1,5 @@
-"""Consolidated runtime configuration.
-
-Both drivers historically grew one keyword argument per subsystem —
-``telemetry=``, ``observability=``, ``journal=``, ``preflight=``,
-``resilience=`` — which made their signatures drift apart and forced
-every new cross-cutting switch through two constructors.  This module
-folds them into one frozen :class:`RuntimeOptions` value accepted by
+"""Consolidated runtime configuration: one frozen :class:`RuntimeOptions`
+value carries the cross-cutting subsystem specs to
 :class:`~repro.runtime.sim_driver.DyflowOrchestrator` and
 :class:`~repro.runtime.threaded.ThreadedDyflow` alike::
 
@@ -35,9 +30,8 @@ if TYPE_CHECKING:
 class RuntimeOptions:
     """Cross-cutting subsystem switches shared by both drivers.
 
-    ``resilience`` is applied by the orchestrator through
-    ``launcher.configure_resilience`` (the launcher owns retry/quarantine
-    state); the threaded driver consumes it directly.
+    ``resilience`` reaches the launcher (which owns retry/quarantine
+    state) through ``configure_resilience`` or, live, its constructor.
     """
 
     telemetry: "TelemetrySpec | None" = None

@@ -5,14 +5,13 @@ Monitor (clients + server), Decision, Arbitration and Actuation modules;
 messages flow through (simulated) queues with realistic read lags; the
 Actuation module is a wrapper over the Savanna plugin.
 
-Crash recovery: with a :class:`~repro.journal.JournalSpec` attached, the
-control loop journals every observation, plan, op, and barrier to a
-write-ahead log.  The loop itself runs as a self-rescheduling engine
-callback so that a crash can cancel every controller-owned event (the
-next tick, in-flight envelope deliveries, watchdog polls, chaos fires)
-and :meth:`resume_from` can re-register them at their journaled
-``(time, seq)`` heap slots — the resumed run then pops events in exactly
-the order the uninterrupted run would have (see docs/crash-recovery.md).
+Crash recovery (the journal is :class:`~repro.runtime.core.RuntimeCore`'s):
+the loop runs as a self-rescheduling engine callback so that a crash
+can cancel every controller-owned event (the next tick, in-flight
+envelope deliveries, watchdog polls, chaos fires) and :meth:`resume_from`
+can re-register them at their journaled ``(time, seq)`` heap slots — the
+resumed run then pops events in exactly the order the uninterrupted run
+would have (see docs/crash-recovery.md).
 """
 
 from __future__ import annotations
@@ -20,22 +19,14 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from repro.core.lowlevel import ActionPlan
 from repro.core.rules import ArbitrationRules
-from repro.errors import DyflowError, JournalError
-from repro.journal import AppliedOpsLedger, read_journal
-from repro.journal.delta import UnitCache
-from repro.resilience import ChaosEngine, HeartbeatWatchdog
-from repro.runtime.core import FabricState, RuntimeCore
+from repro.errors import DyflowError
+from repro.resilience import ChaosEngine
+from repro.runtime.core import RuntimeCore
 from repro.runtime.options import RuntimeOptions
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.telemetry.tracer import Tracer
 from repro.util.jsonmsg import Envelope
 from repro.wms.launcher import Savanna
-
-
-def _absent() -> None:
-    """The journaled state of a subsystem that is not configured."""
-    return None
 
 
 class DyflowOrchestrator(RuntimeCore):
@@ -70,36 +61,17 @@ class DyflowOrchestrator(RuntimeCore):
         )
         self.poll_interval = poll_interval
         self._stop_when: Callable[[], bool] | None = None
-        # Resilience wiring: the orchestrator owns the watchdog (it needs
-        # the Monitor server's last-seen times) and the chaos engine (it
-        # needs to sit on the client->server delivery path).
-        self.watchdog: HeartbeatWatchdog | None = None
+        # The chaos engine sits on the client->server delivery path.
         self.chaos: ChaosEngine | None = None
         spec = self.resilience
-        if spec is not None and spec.watchdog is not None:
-            self.watchdog = HeartbeatWatchdog(launcher, spec.watchdog, server=self.server)
         if spec is not None and spec.faults is not None and spec.faults.any_enabled:
-            self.chaos = ChaosEngine(launcher, spec.faults)
+            self.chaos = self._components["chaos"] = ChaosEngine(launcher, spec.faults)
             self.chaos.orchestrator = self
-        #: Optional subsystems: barrier-state key -> component (``None``
-        #: when off).  Each is a revisioned unit (``revision`` +
-        #: ``state_dict``; the fabric puts its own units in the barrier's
-        #: cache), has ``load_state_dict``, and may define
-        #: ``start``/``stop``/``suspend`` (controller crash); start, stop,
-        #: _crash, _barrier_units and resume_from walk this table.
-        self._components: dict[str, object | None] = {
-            "watchdog": self.watchdog,
-            "chaos": self.chaos,
-            "health": self.health,
-            "fabric": self.fabric,
-        }
         self.ignore_crash_requests = ignore_crash_requests
         self.on_crash = on_crash
         self.crashed = False
         self._crash_requested = False
         self._tick_event = None
-        self._barriers = 0
-        self._units = UnitCache()  # the barriers' revisioned units
         #: Control-loop iterations executed (throughput telemetry).
         self.ticks = 0
         self._delivery_ids = itertools.count()
@@ -141,7 +113,6 @@ class DyflowOrchestrator(RuntimeCore):
         self._open_journal(
             t=self.engine.now, workflow=self.workflow_id, poll_interval=self.poll_interval
         )
-        self.actuation.journal = self._journal
         self._begin(self.engine.now)
         self._each("start")
         self._tick_event = self.engine.call_after(0.0, self._tick, name="dyflow-service")
@@ -213,8 +184,6 @@ class DyflowOrchestrator(RuntimeCore):
         if self.health is not None:
             self.health.tick(now)
         if plan is not None:
-            if self._journal is not None:
-                self._journal.append("plan", plan=plan.to_dict())
             self.engine.process(
                 self.actuation.execute(plan, on_done=self._on_plan_done),
                 name=f"actuation:{plan.plan_id}",
@@ -288,70 +257,21 @@ class DyflowOrchestrator(RuntimeCore):
         if ack_at is not None:
             self._register_delivery(ack_at, env, kind="ack", link=link_id)
 
-    def _receive(self, env: Envelope) -> None:
-        # In fabric mode this is drain time, not arrival: the journal holds
-        # only what the server ingested, so replay needs no ingress queue.
-        if self._journal is not None and not self._journal.closed:
-            self._journal.append("obs", env=env.to_json())
-        self.server.receive(env)
-
     # -- journaling --------------------------------------------------------------------
-    def _journal_barrier(self, now: float) -> None:
-        if self._journal is None:
-            return
-        self._barriers += 1
-        units = self._barrier_units(self._units)
-        self._journal.barrier(now, units)
-        every = self._journal.spec.snapshot_every
-        if every > 0 and self._barriers % every == 0:
-            # The snapshot seals the segment holding this barrier record,
-            # so a crash honored at this very tick would otherwise leave
-            # no barrier, and the next delta no base — embed the state.
-            self._journal.snapshot({**self._snapshot_state(now), "barrier": units.state()})
-
-    def _barrier_units(self, units: UnitCache) -> UnitCache:
-        """Bring *units* up to the controller state a barrier journals:
-        every entry is a revisioned unit, rebuilt only when its revision
-        moved (an empty cache builds them all)."""
+    def _clock_units(self, units) -> None:
+        """The DES heap slots: the in-flight deliveries and the next tick."""
         tick_ev = self._tick_event
-        clients = self.clients
-        units.update(("arbitration",), self.arbitration.revision, self.arbitration.state_dict)
-        units.update(
-            ("clients",), tuple(c.revision for c in clients),
-            lambda: [c.state_dict() for c in clients],
-        )
         units.update(("inflight",), self._inflight_revision, self._inflight_state)
         units.update(
             ("next_tick",), (tick_ev.heap_time, tick_ev.heap_seq),  # its heap slot
             lambda: {"at": tick_ev.heap_time, "seq": tick_ev.heap_seq},
         )
-        for name, component in self._components.items():
-            if component is None:
-                units.update((name,), None, _absent)
-            elif isinstance(component, FabricState):
-                component.update_units(units)
-            else:
-                units.update((name,), component.revision, component.state_dict)
-        return units
 
     def _inflight_state(self) -> list[dict]:
         return [
             {"at": at, "seq": ev.heap_seq, "env": env.to_json(), "kind": kind, "link": link}
             for at, env, ev, kind, link in self._inflight_deliveries.values()
         ]
-
-    def _snapshot_state(self, now: float) -> dict:
-        """What ``resume_from`` loads wholesale: controller state only.  The
-        run log (the metric history with it) and the finished plans are
-        on the launcher, which survives a crash; ``plans`` holds the
-        unfinished plan, if one is in flight, for ``resume_plan`` to finish."""
-        in_flight = self.arbitration._in_flight
-        return {
-            "t": now,
-            "server": self.server.state_dict(),
-            "decision": self.decision.state_dict(),
-            "plans": [in_flight.to_dict()] if in_flight is not None else [],
-        }
 
     # -- crash + resume ----------------------------------------------------------------
     def request_crash(self) -> None:
@@ -406,79 +326,14 @@ class DyflowOrchestrator(RuntimeCore):
         Call on a freshly constructed orchestrator carrying the same
         bootstrap configuration (sensors, policies, rules) as the crashed
         one, over the *surviving* launcher and engine, at the simulated
-        instant of the crash.  The latest snapshot is loaded, the WAL
-        suffix is replayed (observations, restarts, Decision ticks, plan
-        upserts), the last barrier's controller state is applied
-        wholesale, and every pending controller event is re-registered at
-        its journaled heap slot.  An unfinished plan is completed
-        exactly-once through the op ledger.  The launcher's run log and
-        plans survived the crash: replay appends nothing to the log, and
-        each journaled plan replaces the one with its id, so the in-flight
-        plan finished is the journaled one.
+        instant of the crash.  The controller half is
+        :meth:`~repro.runtime.core.RuntimeCore._resume_controller`; then
+        every pending controller event is re-registered at its journaled
+        heap slot, and an unfinished plan is handed to the engine.
         """
         if self._running:
             raise DyflowError("orchestrator already running")
-        js = read_journal(journal_dir)
-        snap = js.snapshot_state or {}
-        if snap:
-            self.server.load_state_dict(snap["server"])
-            self.decision.load_state_dict(snap["decision"])
-        output = self.launcher.output
-        for d in snap.get("plans", []):
-            if d.get("execution_end") is None:  # a finished one is already output
-                output.upsert_plan(ActionPlan.from_dict(d))
-
-        # Replay with telemetry and the run log muted: the metrics and the
-        # log survived the crash and already hold what the replayed
-        # records produced — replay rebuilds state only.
-        server_tracer, decision_tracer = self.server.tracer, self.decision.tracer
-        self.server.tracer = NULL_TRACER
-        self.decision.tracer = NULL_TRACER
-        self.launcher.log.muted = True
-        try:
-            for rec in js.records:
-                kind = rec["kind"]
-                if kind == "obs":
-                    self.server.receive(Envelope.from_json(rec["env"]))
-                elif kind == "task-restart":
-                    self.server.on_task_restart(rec["task"])
-                    if rec.get("incarnation", 0) > 0:
-                        self.decision.on_task_restart(rec["task"])
-                elif kind == "barrier":
-                    self.decision.tick(rec["t"])
-                elif kind in ("plan", "plan-done"):
-                    output.upsert_plan(ActionPlan.from_dict(rec["plan"]))
-        finally:
-            self.server.tracer = server_tracer
-            self.decision.tracer = decision_tracer
-            self.launcher.log.muted = False
-        b = js.barrier_state
-        if b is None:
-            raise JournalError(
-                f"journal {journal_dir!r} holds no barrier record; nothing to resume"
-            )
-        # An older journal's "decision_outcomes" (and the alert, chaos and
-        # outcome histories inside its units) are already in the run log.
-        self.arbitration.load_state_dict(b["arbitration"])
-        client_states = b.get("clients", [])
-        if len(client_states) != len(self.clients):
-            raise JournalError(
-                f"{len(client_states)} journaled clients for {len(self.clients)} configured"
-            )
-        for client, cstate in zip(self.clients, client_states):
-            client.load_state_dict(cstate)
-        for name, component in self._components.items():
-            if component is not None and b.get(name) is not None:
-                component.load_state_dict(b[name])
-
-        # Take over the journal (claims the next fencing epoch) and keep
-        # the snapshot cadence aligned with the uninterrupted run.
-        self._reopen_journal(journal_dir, js)
-        self.actuation.journal = self._journal
-        self.actuation.abort_requested = False
-        every = self._journal.spec.snapshot_every
-        replayed_barriers = sum(1 for r in js.records if r["kind"] == "barrier")
-        self._barriers = js.next_snapshot * every + replayed_barriers if every > 0 else replayed_barriers
+        b = self._resume_controller(journal_dir)[0].barrier_state
         self._running = True
         self._stop_when = stop_when
         self.crashed = False
@@ -501,15 +356,9 @@ class DyflowOrchestrator(RuntimeCore):
             self.engine.now, "orchestrator-resume", category="journal",
             epoch=self._journal.epoch,
         )
-        # A plan was mid-actuation when the controller died (hard crash):
-        # finish it exactly-once through the ledger + effect probes.
-        inflight_plan = self.arbitration._in_flight
-        if inflight_plan is not None:
-            ledger = AppliedOpsLedger.from_records(js.records)
-            self.engine.process(
-                self.actuation.resume_plan(inflight_plan, ledger, on_done=self._on_plan_done),
-                name=f"actuation-resume:{inflight_plan.plan_id}",
-            )
+        if self._resumed_op is not None:  # the plan a hard crash interrupted
+            plan_id = self.arbitration._in_flight.plan_id
+            self.engine.process(self._resumed_op, name=f"actuation-resume:{plan_id}")
         return self
 
     # -- results --------------------------------------------------------------------------

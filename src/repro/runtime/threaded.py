@@ -6,9 +6,10 @@ that with the *same* four stages the simulated driver runs (wired by
 :class:`~repro.runtime.core.RuntimeCore`), over a
 :class:`~repro.wms.live.LiveLauncher` that runs **real Python tasks**
 (e.g. the kernels in :mod:`repro.apps.kernels`) as threads on one node
-of ``max_workers_total`` cores.  Retry, node blame and the hung-thread
-watchdog are the launcher's.  This driver makes no determinism promise;
-the paper-scale experiments run on the simulated driver.
+of ``max_workers_total`` cores.  Retry and node blame are the
+launcher's; barriers, snapshots and the controller resume are
+:class:`RuntimeCore`'s.  This driver makes no determinism promise; the
+paper-scale experiments run on the simulated driver.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import time
 from repro.core.rules import ArbitrationRules
 from repro.errors import DyflowError
 from repro.fabric import BoundedShedQueue
-from repro.journal import read_journal
 from repro.runtime.core import RuntimeCore
 from repro.runtime.options import RuntimeOptions
 from repro.sim.rng import RngRegistry
 from repro.telemetry.tracer import Tracer
+from repro.util.jsonmsg import Envelope
 from repro.wms.live import LiveLauncher, LiveTaskSpec
 
 
@@ -32,10 +33,11 @@ class ThreadedDyflow(RuntimeCore):
     """Monitor/Decision/Arbitration/Actuation as wall-clock threads.
 
     The Monitor thread feeds the server; the Decision thread hands
-    suggestion batches to a bounded queue; the Arbitration thread plans
-    them every poll and actuates each plan through the live launcher
-    (Fig. 2 of the paper).  Each stage round holds the launcher's lock;
-    an op's waits do not.
+    suggestion batches to a bounded queue and writes the barrier; the
+    Arbitration thread plans them every poll and actuates each plan
+    through the live launcher (Fig. 2 of the paper).  With a watchdog a
+    fourth thread scans for hung tasks.  Each stage round holds the
+    launcher's lock; an op's waits do not.
     """
 
     def __init__(
@@ -76,7 +78,10 @@ class ThreadedDyflow(RuntimeCore):
         self._threads: list[threading.Thread] = []
         # (deliver_at, "data" | "ack", envelope) in fabric transit: the
         # wall-clock analogue of the simulated driver's event queue.
-        self._transit: list[tuple[float, str, object]] = []
+        self._transit: list[tuple[float, str, Envelope]] = []
+        self._transit_revision = 0  # moves whenever _transit may have
+        self._steps: dict[str, int] = {}  # task -> step after its last checkpoint
+        self._resumed = False
 
     def now(self) -> float:
         return time.perf_counter() - self._t0
@@ -90,11 +95,15 @@ class ThreadedDyflow(RuntimeCore):
             run_preflight(self.preflight, spec, workflow=set(self.launcher.specs))
         self._open_journal(workflow=self.workflow_id, tasks=sorted(self.launcher.specs))
         self._running = True
-        self._begin(self.now())
+        if not self._resumed:
+            self._begin(self.now())
         self.launcher.launch_workflow()
-        for label, target, args in (("monitor", self._every_poll, (self._monitor_round,)),
-                                    ("decision", self._every_poll, (self._decision_round,)),
-                                    ("arbitration", self._arbitration_loop, ())):
+        stages = [("monitor", self._every, (self.poll_interval, self._monitor_round)),
+                  ("decision", self._every, (self.poll_interval, self._decision_round)),
+                  ("arbitration", self._arbitration_loop, ())]
+        if self.watchdog is not None:
+            stages.append(("watchdog", self._every, (self.watchdog.spec.poll, self.watchdog.scan)))
+        for label, target, args in stages:
             t = threading.Thread(target=target, args=args, name=f"dyflow-{label}", daemon=True)
             t.start()
             self._threads.append(t)
@@ -125,23 +134,45 @@ class ThreadedDyflow(RuntimeCore):
     def resume_from(self, journal_dir: str) -> "ThreadedDyflow":
         """Adopt a crashed runner's journal; call before :meth:`start`.
 
-        Each mini-app relaunches at the step after its last
-        ``task-checkpoint`` (not from zero), a finished one not at all;
-        incarnations continue past the journaled ones, and the journal
-        is reopened under the next fencing epoch.
+        The controller comes back as the simulated driver's does (with no
+        barrier, the runner stopped before its first Decision round, as
+        built); the clock continues from the last barrier and :meth:`start`
+        skips the warmup.  Each mini-app relaunches at the step after its
+        last checkpoint, a finished one not at all; an unfinished plan is
+        driven first on the Arbitration thread.
         """
-        state = read_journal(journal_dir)
-        for rec in state.records:
+        js, t = self._resume_controller(journal_dir, barrier_required=False)
+        b = js.barrier_state or {}
+        for task, (next_step, incarnations) in b.get("tasks", {}).items():
+            self._steps[task] = next_step
+            self.launcher.record(task).incarnations = incarnations
+        for rec in js.records:
             if rec["kind"] in ("task-checkpoint", "task-restart"):
                 record = self.launcher.record(rec["task"])
                 record.incarnations = max(record.incarnations, int(rec["incarnation"]) + 1)
             if rec["kind"] == "task-checkpoint":
-                self.launcher.resume_steps[rec["task"]] = int(rec["next_step"])
-        self._reopen_journal(journal_dir, state)
+                self._steps[rec["task"]] = int(rec["next_step"])
+        self.launcher.resume_steps.update(self._steps)
+        self._transit = [(at, kind, Envelope.from_json(env))
+                         for at, kind, env in b.get("transit", [])]
+        if t is not None:  # a journaled controller: its warmup is behind it
+            self._t0 = time.perf_counter() - t
+            self._resumed = True
         return self
+
+    def _clock_units(self, units) -> None:
+        """The fabric copies in transit, and each task's checkpoint."""
+        units.update(
+            ("transit",), self._transit_revision,
+            lambda: [[at, kind, env.to_json()] for at, kind, env in self._transit],
+        )
+        progress = tuple((n, self._steps.get(n, 0), r.incarnations)  # small: its own revision
+                         for n, r in self.launcher.records.items())
+        units.update(("tasks",), progress, lambda: {n: [s, i] for n, s, i in progress})
 
     def _checkpoint(self, instance, next_step: int) -> None:
         """Per-step task checkpoint, so a restarted runner resumes there."""
+        self._steps[instance.task] = next_step
         if self._journal is not None and not self._journal.closed:
             self._journal.append(
                 "task-checkpoint", task=instance.task, next_step=next_step,
@@ -149,28 +180,29 @@ class ThreadedDyflow(RuntimeCore):
             )
 
     # -- stage threads ----------------------------------------------------------------
-    def _every_poll(self, round_) -> None:
+    def _every(self, interval: float, round_) -> None:
+        """Run ``round_(now)`` under the lock every *interval* seconds."""
         while not self._stop.is_set():
             with self.lock:
-                round_()
-            self._stop.wait(self.poll_interval)
+                round_(self.now())
+            self._stop.wait(interval)
 
-    def _monitor_round(self) -> None:
+    def _monitor_round(self, now: float) -> None:
         with self.tracer.span("monitor.collect", "monitor"):
-            envelopes = self.clients[0].collect(self.now())
+            envelopes = self.clients[0].collect(now)
             if self.network is None:
                 for _lag, envelope in envelopes:
-                    self.server.receive(envelope)
+                    self._receive(envelope)
             else:
-                self._pump_fabric(envelopes)
+                self._pump_fabric(envelopes, now)
         if self.health is not None:
-            self.health.tick(self.now())
+            self.health.tick(now)
 
-    def _pump_fabric(self, envelopes) -> None:
+    def _pump_fabric(self, envelopes, now: float) -> None:
         """One wall-clock pump of the lossy Monitor fabric: the copies and
         acks the link hands back wait in ``_transit`` until they are due."""
         (link,) = self.links.values()
-        now = self.now()
+        self._transit_revision += 1
         sent = [c for lag, envelope in envelopes for c in link.send(envelope, now, lag=lag)]
         self._transit += [(at, "data", env) for at, env in [*sent, *link.poll(now)]]
         due = sorted((t for t in self._transit if t[0] <= now),
@@ -185,11 +217,13 @@ class ThreadedDyflow(RuntimeCore):
                 self._transit.append((ack_at, "ack", env))
         self._pump_ingress(now)
 
-    def _decision_round(self) -> None:
-        now = self.now()
+    def _decision_round(self, now: float) -> None:
+        """One Decision round, then the barrier: a resume replays
+        ``decision.tick`` at each barrier's time, the ticks that ran."""
         batch = self.decision.gate(self.decision.tick(now), now)
         if batch:
             self._hand_off(batch)
+        self._journal_barrier(now)
 
     def _hand_off(self, batch) -> None:
         """Queue *batch* for Arbitration; a batch it sheds ends superseded."""
@@ -198,6 +232,8 @@ class ThreadedDyflow(RuntimeCore):
             self.arbitration.supersede(shed)
 
     def _arbitration_loop(self) -> None:
+        if self._resumed_op is not None:  # the plan a crash interrupted first
+            self._drive(self._resumed_op)
         while not self._stop.is_set():
             try:
                 batch = self._queue.get(timeout=self.poll_interval)

@@ -22,7 +22,7 @@ from repro.cluster.allocation import Allocation, ResourceSet
 from repro.cluster.machine import Machine
 from repro.cluster.node import Node
 from repro.errors import LaunchError
-from repro.resilience.spec import ResilienceSpec, WatchdogSpec
+from repro.resilience.spec import ResilienceSpec
 from repro.sim.rng import RngRegistry
 from repro.staging.serialization import Sample
 from repro.wms.launcher import LauncherCore
@@ -102,7 +102,7 @@ class LiveLauncher(LauncherCore):
         #: Step each task relaunches at on its next start (checkpoint resume).
         self.resume_steps: dict[str, int] = {}
         self._timers: list[threading.Timer] = []
-        self._closed = threading.Event()
+        self._closed = False
         # A live task's ``work`` is its behaviour model.
         tasks = {n: TaskSpec(n, s.work, s.nworkers) for n, s in specs.items()}
         super().__init__(workflow_id, tasks, allocation, None, rng, resilience)
@@ -121,16 +121,12 @@ class LiveLauncher(LauncherCore):
                     continue  # finished before a crash; nothing to redo
                 resources = self.rm.assign(name, spec.nworkers)
                 self._spawn(self.start_task_with_resources(name, resources, preassigned=True), name)
-        watchdog = self.resilience.watchdog if self.resilience is not None else None
-        if watchdog is not None:
-            threading.Thread(target=self._watch, args=(watchdog,), name="live-watchdog",
-                             daemon=True).start()
 
     def shutdown(self) -> list[_LiveInstance]:
-        """Cancel pending retries, stop watching, and ask every instance
-        to stop; returns their threads, to be joined without the lock."""
+        """Cancel pending retries and ask every instance to stop; returns
+        their threads, to be joined without the lock."""
         with self.lock:
-            self._closed.set()
+            self._closed = True
             for timer in self._timers:
                 timer.cancel()
             self._timers.clear()
@@ -147,7 +143,7 @@ class LiveLauncher(LauncherCore):
         waits.  A live task's ``work`` takes no script or parameters."""
         yield from ()
         rec = self.record(name)
-        if rec.is_active or self._closed.is_set():
+        if rec.is_active or self._closed:
             raise LaunchError(f"task {name!r} already active or the launcher shut down")
         if not preassigned:
             self.rm.assign_set(name, resources)
@@ -215,7 +211,7 @@ class LiveLauncher(LauncherCore):
             self._finalize(instance, code, state)
 
     def _call_after(self, delay: float, fn: Callable[[], None], name: str) -> None:
-        if self._closed.is_set():
+        if self._closed:
             return
 
         def fire() -> None:
@@ -232,19 +228,3 @@ class LiveLauncher(LauncherCore):
     def _spawn(self, op, name: str) -> None:
         for _ in op:  # a start or a kill never waits
             pass
-
-    def _watch(self, spec: WatchdogSpec) -> None:
-        """Kill an instance whose last step ended over the heartbeat
-        timeout ago; its replacement comes from the one retry path."""
-        while not self._closed.wait(spec.poll):
-            with self.lock:
-                now = self.now()
-                for name, rec in self.records.items():
-                    last = rec.current.last_heartbeat if rec.is_running else None
-                    if last is None or now - last <= spec.heartbeat_timeout:
-                        continue
-                    self.log.point(
-                        now, f"watchdog-kill:{name}", category="failure",
-                        last_heartbeat=last, timeout=spec.heartbeat_timeout,
-                    )
-                    self._spawn(self.signal_kill_task(name, spec.kill_code, "watchdog"), name)

@@ -30,7 +30,7 @@ from repro.journal import journal as journal_module
 from repro.journal.delta import UnitCache, apply_delta, state_delta
 from repro.journal.wal import encode_record, list_segment_indices, segment_path
 from repro.observability import ObservabilitySpec
-from repro.runtime import sim_driver, threaded
+from repro.runtime import core, sim_driver
 from repro.telemetry import TelemetrySpec
 
 from tests.journal.test_barrier_layout import EVERY_SUBSYSTEM
@@ -349,7 +349,7 @@ def test_a_resume_reads_the_journal_once(tmp_path, monkeypatch):
         reads.append(directory)
         return read_journal(directory)
 
-    monkeypatch.setattr(sim_driver, "read_journal", counting)
+    monkeypatch.setattr(core, "read_journal", counting)
     monkeypatch.setattr(journal_module, "read_journal", counting)
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
     result = run_gray_scott_experiment(journal=spec, crash_times=CRASH_TIMES)
@@ -369,7 +369,7 @@ def test_a_threaded_resume_reads_the_journal_once(tmp_path, monkeypatch):
         reads.append(directory)
         return read_journal(directory)
 
-    monkeypatch.setattr(threaded, "read_journal", counting)
+    monkeypatch.setattr(core, "read_journal", counting)
     monkeypatch.setattr(journal_module, "read_journal", counting)
     second = make_runner([], journal=None)
     second.resume_from(spec.dir)

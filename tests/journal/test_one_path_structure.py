@@ -4,8 +4,8 @@ from a run's records to its report.
 AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
 second copy of the actuation op loop, a second step-time sampling path, a
-second barrier protocol, a runtime that signs a state to find what a
-barrier writes, a second OpenMetrics renderer, a telemetry
+second barrier protocol, a driver with its own barrier or snapshot, a
+runtime that signs a state to find what a barrier writes, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a run record stored outside the run log, a
 second report path, a second snapshot pointer, a snapshot that carries
 run output, a Monitor round that polls every binding, a paper claim
@@ -57,6 +57,8 @@ GONE = {
     "executed_plans",
     # the vouched paths of a signature diff, which unit revisions replaced
     "take_unchanged", "_trie", "vouched", "DyflowOrchestrator._barrier_state",
+    # the live launcher's second heartbeat poller
+    "LiveLauncher._watch",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
@@ -176,7 +178,14 @@ def test_barriers_are_written_and_folded_in_one_place():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
         and n.func.attr == "barrier"
     }
-    assert writers == {"campaign/service.py", "runtime/sim_driver.py"}
+    assert writers == {"campaign/service.py", "runtime/core.py"}
+    # An orchestrator snapshot is written beside its barrier, for both runtimes.
+    snapshotters = {
+        module for module, tree in modules().items() for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "snapshot" and n.args
+    }
+    assert snapshotters == {"runtime/core.py"}
     # The fold: only read_journal applies a delta, and only the ledger and
     # the runtime hand its result on.
     assert modules_where(lambda n: "apply_delta" in identifiers(n)) == [
@@ -193,7 +202,7 @@ def test_barriers_are_written_and_folded_in_one_place():
         )
 
     assert modules_where(compares_a_kind_to_barrier) == [
-        "journal/resume.py", "runtime/sim_driver.py",  # the driver replays decision ticks
+        "journal/resume.py", "runtime/core.py",  # the resume replays decision ticks
     ]
 
 
@@ -252,7 +261,7 @@ def test_a_snapshot_carries_no_run_output():
         return functions(cls)[name]
 
     readers = {
-        "_snapshot_state": method("runtime/sim_driver.py", "DyflowOrchestrator", "_snapshot_state"),
+        "_snapshot_state": method("runtime/core.py", "RuntimeCore", "_snapshot_state"),
         "MonitorServer.state_dict": method("core/monitor.py", "MonitorServer", "state_dict"),
         "MonitorServer.load_state_dict": method(
             "core/monitor.py", "MonitorServer", "load_state_dict"

@@ -6,10 +6,12 @@ spec, the same error messages and the same client/link layout — the
 copies had drifted (the threaded ``monitor_task`` took no ``info_source``,
 so a FILEREAD/DISKSCAN sensor could not be bound there at all).
 *Wired once*: an AST walk over ``src/repro/runtime`` finds each subsystem
-constructor — the Arbitration and Actuation stages included — each export
+constructor — the Arbitration and Actuation stages and the heartbeat
+watchdog included — the barrier cache, the journal reader, each export
 writer and the journal-argument resolution in exactly one module, no
 driver acts on a high-level action itself, and ``RetryPolicy.delay`` is
 drawn in one place in ``src/repro``, so a re-duplicated constructor, a
+second heartbeat poller, a driver with its own barrier or resume, a
 second policy engine or a second retry path fails here by name.
 """
 
@@ -138,6 +140,8 @@ WIRED_ONCE = (
     "HealthEngine", "FabricLink", "DegradedModeController", "build_tracer", "make_source",
     "write_openmetrics", "write_chrome_trace", "report_from_jsonl",
     "ArbitrationStage", "ActuationStage",
+    # one heartbeat poller, one barrier cache and one resume on both runtimes
+    "HeartbeatWatchdog", "UnitCache", "read_journal",
 )
 BOOTSTRAP_API = ("add_sensor", "monitor_task", "add_policy", "apply_policy")
 
