@@ -42,8 +42,9 @@ from repro.campaign.executor import COMPLETED, POISONED, SupervisedExecutor
 from repro.campaign.registry import AdmissionController, AdmissionResult, TenantRegistry
 from repro.campaign.spec import ExecutorSpec, TenantsSpec
 from repro.campaign.statepoint import statepoint_id
-from repro.errors import ReproError
+from repro.errors import JournalError, ReproError
 from repro.journal import JournalSpec, ResumableJournal, RunLedger
+from repro.journal.delta import UnitCache
 from repro.observability.fleet import FleetHealthEngine
 from repro.observability.slo import HealthAlert, SloEvaluator
 from repro.observability.spec import ObservabilitySpec, SloSpec
@@ -187,6 +188,7 @@ class CampaignService:
         self.fleet: FleetHealthEngine | None = None
         self._watch: WatchStream | None = None
         self._fleet_slo: dict[str, list[SloEvaluator]] = {}
+        self._fleet_units = UnitCache()
         self._resume_replay = False
         # Read here (to restore the last barrier), claimed by run_pending().
         self._fleet_wal = ResumableJournal(None)
@@ -218,9 +220,16 @@ class CampaignService:
             # A watch stream reloaded with committed events means this
             # service is resuming a crashed supervisor: until it executes
             # a fresh cell (or the clock moves), submissions are replays
-            # of the pre-crash sequence, not live traffic.
-            self._resume_replay = bool(self._watch.read(0))
+            # of the pre-crash sequence, not live traffic.  The stream is
+            # the plane's history: the rollup and the alert lists are its
+            # fold, the barrier holds only the controller state.
             self._restore_fleet_barrier()
+            committed = self._watch.read(0)
+            self._resume_replay = bool(committed)
+            for event in committed:
+                self.fleet.ingest(event)
+                if event["kind"] == "alert":
+                    self.alerts[event["tenant"]].append(HealthAlert.from_dict(event["alert"]))
             self._emit("campaign-open", "campaign-open",
                        tenants=sorted(self.registry.ids()))
 
@@ -237,11 +246,11 @@ class CampaignService:
         self._resume_replay = False
 
     # -- watch stream ---------------------------------------------------------------
-    def _emit(self, kind: str, key: str, **payload: Any) -> bool:
-        """Append one watch event (idempotent by *key*); True if new."""
-        if self._watch is None:
-            return False
-        return self._watch.emit(kind, key, self._now, **payload)
+    def _emit(self, kind: str, key: str, **payload: Any) -> None:
+        """Append one watch event (idempotent by *key*) and fold it into
+        the fleet rollup if it is new: a crash/resume's re-emits count once."""
+        if self._watch is not None and self._watch.emit(kind, key, self._now, **payload):
+            self.fleet.ingest({"kind": kind, **payload})
 
     def watch(self, since: int = 0) -> list[dict[str, Any]]:
         """The typed, seekable event stream (admissions, leases, cells,
@@ -301,14 +310,10 @@ class CampaignService:
             self._emit("admit", f"admit:{cell_id}",
                        tenant=cell.tenant_id, cell_id=cell_id)
         else:
-            fresh = self._emit(
+            self._emit(
                 "reject", f"reject:{cell_id}:{result.reason}",
                 tenant=cell.tenant_id, cell_id=cell_id, reason=result.reason,
             )
-            if fresh and self.fleet is not None:
-                # Gated on the dedup so a crash/resume's re-submissions
-                # do not double-count into the rollup.
-                self.fleet.record_rejection(cell.tenant_id)
         return result
 
     # -- journals -------------------------------------------------------------------
@@ -319,51 +324,50 @@ class CampaignService:
             spec = JournalSpec(dir=os.path.join(self.journal_root, tenant_id))
         return RunLedger("cell", spec, tenant=tenant_id)
 
-    def _fleet_state(self) -> dict[str, Any]:
-        assert self.fleet is not None
-        return {
-            "now": self._now,
-            "fleet": self.fleet.state_dict(),
-            "breaker": self.breaker.state_dict(),
-            "slo": {tid: self._slo[tid].state_dict() for tid in sorted(self._slo)},
-            "fleet_slo": {
-                ev.spec.key: ev.state_dict()
-                for tid in sorted(self._fleet_slo)
-                for ev in self._fleet_slo[tid]
-            },
-            "alerts": {
-                tid: [a.to_dict() for a in self.alerts[tid]]
-                for tid in sorted(self.alerts)
-            },
-        }
-
     def _fleet_barrier(self) -> None:
         """Make the fleet plane durable after one executed cell.
 
-        The barrier carries everything the resumed service cannot
-        rebuild from the per-tenant ledgers alone — the logical clock,
-        breaker windows, SLO evaluator streaks, alert lists, and the
-        fleet rollup registries — so rollups and watch streams come back
-        bit-identical.  It is the orchestrator's ``barrier`` record: full
-        for a writer's first, then a delta against the one before.
+        The barrier carries what the resumed service can rebuild neither
+        from the per-tenant ledgers nor from the watch stream: the
+        logical clock, the breaker windows and the SLO evaluator streaks.
+        Each is a unit whose revision is the clock, which moves once
+        before every barrier; the rollup and the alert lists are folded
+        from the stream.  It is the orchestrator's ``barrier`` record:
+        full for a writer's first, then the moved units.
         """
         journal = self._fleet_wal.journal
         if journal is None:
             return
-        journal.barrier(self._now, self._fleet_state())
+        units, now = self._fleet_units, self._now
+        units.update(("now",), now, lambda: now)
+        units.update(("breaker",), now, self.breaker.state_dict)
+        units.update(("slo",), now, lambda: {
+            tid: self._slo[tid].state_dict() for tid in sorted(self._slo)
+        })
+        units.update(("fleet_slo",), now, lambda: {
+            ev.spec.key: ev.state_dict()
+            for tid in sorted(self._fleet_slo)
+            for ev in self._fleet_slo[tid]
+        })
+        journal.barrier(now, units)
         journal.sync()
-        if self._watch is not None:
-            self._watch.sync()
+        self._watch.sync()
 
     def _restore_fleet_barrier(self) -> None:
         state = self._fleet_wal.barrier_state
         if state is None:
             return
-        assert self.fleet is not None
+        if "fleet" in state:
+            # Written before the rollup became a fold of the watch stream,
+            # whose ``cell-complete`` events then carried no makespan.
+            raise JournalError(
+                f"fleet WAL {self._fleet_wal.spec.dir!r} journals the rollup under "
+                "'fleet': it predates folding the rollup from the watch stream "
+                "and cannot be resumed"
+            )
         self._now = float(state["now"])
-        self.fleet.load_state_dict(state["fleet"])
         self.breaker.load_state_dict(state["breaker"])
-        for tid, ev_state in state.get("slo", {}).items():
+        for tid, ev_state in state["slo"].items():
             if tid in self._slo:
                 self._slo[tid].load_state_dict(ev_state)
         by_key = {
@@ -371,12 +375,9 @@ class CampaignService:
             for evs in self._fleet_slo.values()
             for ev in evs
         }
-        for key, ev_state in state.get("fleet_slo", {}).items():
+        for key, ev_state in state["fleet_slo"].items():
             if key in by_key:
                 by_key[key].load_state_dict(ev_state)
-        for tid, alerts in state.get("alerts", {}).items():
-            if tid in self.alerts:
-                self.alerts[tid] = [HealthAlert.from_dict(a) for a in alerts]
 
     def _dump_flight_recorder(self, cell_id: str) -> str | None:
         """Post-mortem for a poison quarantine: recent watch events +
@@ -466,10 +467,8 @@ class CampaignService:
             # One-cell-at-a-time service: a denial here is structural
             # (request beyond quota or machine), not transient.
             state.rejected += 1
-            fresh = self._emit("lease-deny", f"lease-deny:{cell_id}",
-                               tenant=tid, cell_id=cell_id, reason=deny)
-            if fresh and self.fleet is not None:
-                self.fleet.record_rejection(tid)
+            self._emit("lease-deny", f"lease-deny:{cell_id}",
+                       tenant=tid, cell_id=cell_id, reason=deny)
             return record(f"rejected-{deny}")
         self._emit("lease-grant", f"lease-grant:{cell_id}", tenant=tid,
                    cell_id=cell_id, nodes=lease.nodes, cores=lease.cores)
@@ -490,31 +489,20 @@ class CampaignService:
                        tenant=tid, cell_id=cell_id, attempt=failure.attempt,
                        fail_kind=failure.kind)
         for trip in range(trips_before, self.breaker.trips(tid)):
-            fresh = self._emit("breaker-trip", f"breaker-trip:{tid}:{trip}",
-                               tenant=tid, trip=trip)
-            if fresh and self.fleet is not None:
-                self.fleet.record_trip(tid)
+            self._emit("breaker-trip", f"breaker-trip:{tid}:{trip}", tenant=tid, trip=trip)
         self._evaluate_health(tid)
         if outcome.status == COMPLETED:
             state.completed += 1
-            if self.fleet is not None:
-                self.fleet.record_cell(
-                    tid, float(outcome.result.get("makespan", 0.0))
-                    if isinstance(outcome.result, dict) else 0.0,
-                    status="completed", failures=len(outcome.failures),
-                )
+            result = outcome.result if isinstance(outcome.result, dict) else {}
+            self._emit("cell-complete", f"cell-complete:{cell_id}", tenant=tid, cell_id=cell_id,
+                       attempts=outcome.attempts, makespan=float(result.get("makespan", 0.0)))
             self._evaluate_fleet_slos(tid)
-            self._emit("cell-complete", f"cell-complete:{cell_id}",
-                       tenant=tid, cell_id=cell_id, attempts=outcome.attempts)
             ledger.complete(cell_id, outcome.result)
             return record(COMPLETED, outcome.result, attempts=outcome.attempts)
         state.poisoned += 1
-        if self.fleet is not None:
-            self.fleet.record_cell(tid, None, status="poisoned",
-                                   failures=len(outcome.failures))
-        self._evaluate_fleet_slos(tid)
         self._emit("cell-poison", f"cell-poison:{cell_id}",
                    tenant=tid, cell_id=cell_id, attempts=outcome.attempts)
+        self._evaluate_fleet_slos(tid)
         ledger.poison(cell_id, [[f.attempt, f.kind, f.detail] for f in outcome.failures])
         self._dump_flight_recorder(cell_id)
         return record(POISONED, attempts=outcome.attempts)
@@ -529,8 +517,6 @@ class CampaignService:
             self.alerts[tenant_id].append(alert)
             self._emit("alert", f"alert:{tenant_id}:{ordinal}",
                        tenant=tenant_id, alert=alert.to_dict())
-            if self.fleet is not None:
-                self.fleet.ingest_alert(tenant_id, alert)
 
     def _evaluate_fleet_slos(self, tenant_id: str) -> None:
         """Run the spec's tenant-scoped objectives after an executed cell."""
@@ -548,7 +534,6 @@ class CampaignService:
                 "slo-transition", f"slo:{slo.key}:{alert.kind}:{ordinal}",
                 tenant=tenant_id, alert=alert.to_dict(),
             )
-            self.fleet.ingest_alert(tenant_id, alert)
 
     # -- reporting -----------------------------------------------------------------
     def tenant_summary(self) -> dict[str, dict[str, Any]]:

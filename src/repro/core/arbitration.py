@@ -209,7 +209,9 @@ class ArbitrationStage:
         self._gate_until: float | None = None
         self._in_flight: ActionPlan | None = None
         # A plan has executed: a shut gate is the settle window, not the
-        # warmup.  The plans themselves are run output (``launcher.output``).
+        # warmup.  Journaled: the plans themselves are run output
+        # (``launcher.output``), which a fresh process holds only from the
+        # last snapshot on.
         self._executed = False
         self.tracer: Tracer = NULL_TRACER
         #: Bumped by every call that may change ``state_dict``.
@@ -771,6 +773,7 @@ class ArbitrationStage:
             },
             "gate_until": self._gate_until,
             "in_flight": self._in_flight.plan_id if self._in_flight else None,
+            "executed": self._executed,
             "ids": self._ids.state_dict(),
         }
 
@@ -793,7 +796,10 @@ class ArbitrationStage:
         self._gate_until = float(gate) if gate is not None else None
         self._ids.load_state_dict(state.get("ids", {}))
         plans = self.launcher.output.plans
-        self._executed = any(p.execution_end is not None for p in plans)
+        if "executed" in state:
+            self._executed = bool(state["executed"])
+        else:  # an older journal: derived from the plans this process holds
+            self._executed = any(p.execution_end is not None for p in plans)
         in_flight_id = state.get("in_flight")
         self._in_flight = None
         if in_flight_id is not None:

@@ -18,7 +18,7 @@ import time as _time
 from dataclasses import asdict
 
 from repro.errors import JournalError
-from repro.journal.delta import SignedState, UnitCache
+from repro.journal.delta import UnitCache
 from repro.journal.records import make_record
 from repro.journal.resume import read_journal
 from repro.journal.snapshot import write_snapshot
@@ -56,9 +56,9 @@ class Journal:
         self._snapshot_index = _snapshot_index
         self._fsyncs_seen = 0
         self._closed = False
-        # The last barrier this epoch wrote, as the next delta's base: the
-        # signatures of a plain state, or the unit cache it was taken from.
-        self._base: SignedState | UnitCache | None = None
+        # The unit cache the last barrier this epoch wrote was taken from:
+        # the next delta's base.
+        self._base: UnitCache | None = None
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -133,28 +133,18 @@ class Journal:
             self.metrics.counter("journal.fsync.count").inc(new_syncs)
             self._fsyncs_seen = self._writer.fsync_count
 
-    def barrier(self, t: float, state: dict | UnitCache) -> int:
-        """Journal one control-loop barrier at time *t*: the state in full
-        for the first barrier of a writer epoch, afterwards only its delta
-        against the barrier before it.  *state* is a plain dict, diffed by
-        signature (``SignedState``), or a :class:`UnitCache` brought up to
-        date, whose delta is the units that moved since the last barrier
+    def barrier(self, t: float, units: UnitCache) -> int:
+        """Journal one control-loop barrier at time *t* from *units*, brought
+        up to date: the whole state for the first barrier of a writer epoch,
+        afterwards only the units that moved since the barrier before it
         (``UnitCache.take_moved``)."""
-        units = state if isinstance(state, UnitCache) else None
-        base = self._base
-        if units is not None and base is units:
-            delta = units.take_moved()
-        elif units is None and isinstance(base, SignedState):
-            delta = base.delta(state)
-        else:
-            if units is not None:
-                units.take_moved()  # all of them are in the full state
-                state = units.state()
-            seq = self.append("barrier", t=t, state=state)
-            self._base = units if units is not None else SignedState(state)
+        if self._base is not units:
+            units.take_moved()  # all of them are in the full state
+            seq = self.append("barrier", t=t, state=units.state())
+            self._base = units
             return seq
         try:
-            return self.append("barrier", t=t, delta=delta)
+            return self.append("barrier", t=t, delta=units.take_moved())
         except BaseException:
             self._base = None  # the base moved on and the WAL did not
             raise

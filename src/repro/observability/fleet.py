@@ -9,10 +9,10 @@ failure / poison counts, breaker trips, and a top-k "noisy tenant"
 ranking.  The rollup exports as tenant-labeled OpenMetrics families via
 :func:`~repro.observability.openmetrics.render_labeled_openmetrics`.
 
-All state is a pure function of the recorded event sequence and
-round-trips :meth:`state_dict` / :meth:`load_state_dict` losslessly, so
-the campaign WAL barrier can persist it and a crash/resume produces
-bit-identical rollups.
+All state is a fold of the campaign's watch stream: :meth:`ingest` takes
+one event, so a resumed service rebuilds the rollup by folding the
+committed stream (:func:`~repro.observability.watch.read_watch_stream`)
+and nothing journals it a second time.
 """
 
 from __future__ import annotations
@@ -40,6 +40,23 @@ class FleetHealthEngine:
 
     # -- ingestion -----------------------------------------------------
 
+    def ingest(self, event: dict[str, Any]) -> None:
+        """Fold one watch-stream event into its tenant's rollup; the
+        kinds the rollup does not count (admissions, leases, starts) pass."""
+        kind = event["kind"]
+        if kind in ("reject", "lease-deny"):
+            self.record_rejection(event["tenant"])
+        elif kind == "breaker-trip":
+            self.record_trip(event["tenant"])
+        elif kind == "cell-retry":
+            self.record_failure(event["tenant"])
+        elif kind == "cell-complete":
+            self.record_cell(event["tenant"], event["makespan"])
+        elif kind == "cell-poison":
+            self.record_cell(event["tenant"], None, status="poisoned")
+        elif kind in ("alert", "slo-transition"):
+            self.ingest_alert(event["tenant"], HealthAlert.from_dict(event["alert"]))
+
     def registry(self, tenant_id: str) -> MetricsRegistry:
         """The tenant's rollup registry, created on first use."""
         reg = self._registries.get(tenant_id)
@@ -49,19 +66,13 @@ class FleetHealthEngine:
         return reg
 
     def record_cell(
-        self,
-        tenant_id: str,
-        latency: float | None,
-        *,
-        status: str = "completed",
-        failures: int = 0,
+        self, tenant_id: str, latency: float | None, *, status: str = "completed"
     ) -> None:
         """Fold one finished cell into the tenant's rollup.
 
         *latency* is the cell's simulated makespan, ``None`` for a cell
         that never finished (a poisoned cell leaves no latency sample);
-        *status* is the executor outcome (``completed`` / ``poisoned``);
-        *failures* is the number of failed attempts the supervisor absorbed.
+        *status* is the executor outcome (``completed`` / ``poisoned``).
         """
         if status not in ("completed", "poisoned"):
             raise ObservabilityError(f"unknown cell status {status!r}")
@@ -69,8 +80,10 @@ class FleetHealthEngine:
         if latency is not None:
             reg.histogram("fleet.cell.latency").observe(latency)
         reg.counter(f"fleet.cell.{status}").inc()
-        if failures:
-            reg.counter("fleet.cell.failures").inc(failures)
+
+    def record_failure(self, tenant_id: str) -> None:
+        """One failed attempt the supervisor absorbed for the tenant."""
+        self.registry(tenant_id).counter("fleet.cell.failures").inc()
 
     def record_rejection(self, tenant_id: str) -> None:
         """One admission/lease rejection for the tenant."""
@@ -157,9 +170,11 @@ class FleetHealthEngine:
         """Tenant-labeled OpenMetrics text for the whole fleet."""
         return render_labeled_openmetrics(self._registries, label="tenant", prefix=prefix)
 
-    # -- persistence ---------------------------------------------------
+    # -- comparison ----------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
+        """Every registry and alert list as plain data: what a fold of the
+        same stream must reproduce."""
         return {
             "registries": {
                 tid: self._registries[tid].state_dict() for tid in self.tenants()
@@ -169,12 +184,3 @@ class FleetHealthEngine:
                 for tid in self.tenants()
             },
         }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        self._registries.clear()
-        self._alerts.clear()
-        for tid, reg_state in state.get("registries", {}).items():
-            self.registry(tid).load_state_dict(reg_state)
-        for tid, alerts in state.get("alerts", {}).items():
-            self.registry(tid)
-            self._alerts[tid] = [HealthAlert.from_dict(a) for a in alerts]

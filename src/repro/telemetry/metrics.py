@@ -153,38 +153,6 @@ class LatencyHistogram:
             "max": None if math.isinf(self.max) else self.max,
         }
 
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        bounds = tuple(float(b) for b in state["bounds"])
-        if bounds != self.bounds:
-            raise TelemetryError(
-                f"histogram {self.name!r}: cannot load state with different buckets"
-            )
-        self.counts = [int(c) for c in state["counts"]]
-        self.count = int(state["count"])
-        self.total = float(state["total"])
-        self.min = math.inf if state.get("min") is None else float(state["min"])
-        self.max = -math.inf if state.get("max") is None else float(state["max"])
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold another histogram's :meth:`state_dict` into this one.
-
-        Bucket bounds must match exactly — merged observations stay
-        bit-identical to having observed both series into one histogram.
-        """
-        bounds = tuple(float(b) for b in state["bounds"])
-        if bounds != self.bounds:
-            raise TelemetryError(
-                f"histogram {self.name!r}: cannot merge state with different buckets"
-            )
-        for i, c in enumerate(state["counts"]):
-            self.counts[i] += int(c)
-        self.count += int(state["count"])
-        self.total += float(state["total"])
-        if state.get("min") is not None:
-            self.min = min(self.min, float(state["min"]))
-        if state.get("max") is not None:
-            self.max = max(self.max, float(state["max"]))
-
 
 def instrument_stat(inst: Counter | Gauge | LatencyHistogram | None, stat: str) -> float | None:
     """Current *stat* of *inst* as an SLO input, or None when unobservable:
@@ -266,28 +234,6 @@ class MetricsRegistry:
                 n: self._histograms[n].state_dict() for n in sorted(self._histograms)
             },
         }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Replace all instruments with the serialized *state*."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self.merge_state(state)
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold a serialized registry into this one.
-
-        Counters add, gauges take the incoming value (last write wins),
-        histograms merge bucket-by-bucket.  :meth:`load_state_dict` is
-        this onto an empty registry (how fleet rollup state is restored).
-        """
-        for name, value in state.get("counters", {}).items():
-            self.counter(name).inc(float(value))
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name).set(float(value))
-        for name, hstate in state.get("histograms", {}).items():
-            h = self.histogram(name, buckets=tuple(hstate["bounds"]))
-            h.merge_state(hstate)
 
 
 class _NullInstrument:

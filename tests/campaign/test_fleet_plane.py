@@ -3,8 +3,9 @@
 The acceptance proof lives here: with the fleet observability plane
 enabled, a supervisor crash mid-campaign resumes with the watch stream
 **byte-identical** and the fleet rollup **bit-identical** to an
-uncrashed control campaign — every piece of fleet state round-trips
-``state_dict`` through the fleet WAL barriers.
+uncrashed control campaign.  The stream is the plane's one history: the
+rollup and the alert lists are its fold, and the fleet WAL barriers hold
+only the controller state (clock, breaker, SLO streaks).
 """
 
 import json
@@ -24,6 +25,7 @@ from repro.journal.delta import apply_delta
 from repro.journal.wal import encode_record, read_segment, segment_path
 from repro.observability import (
     EVENT_KINDS,
+    FleetHealthEngine,
     FleetSpec,
     ObservabilitySpec,
     SloSpec,
@@ -179,6 +181,59 @@ class TestFleetPlane:
             fh.writelines(lines)
         with pytest.raises(JournalError, match="fleet-barrier"):
             self.make_service(tmp_path)
+
+    def test_an_older_fleet_wal_is_refused(self, tmp_path):
+        """A fleet WAL whose barriers journal the rollup and the alert
+        lists beside the stream (and whose ``cell-complete`` events carry
+        no makespan) predates the rollup's fold: resuming it would count
+        its history twice or not at all.  Refuse, naming the key."""
+        svc = self.make_service(tmp_path)
+        svc.run_pending(stop_after=2)
+        segment = segment_path(str(tmp_path / "__fleet__" / "wal"), 0)
+        state, lines = None, []
+        for rec in read_segment(segment):
+            if rec["kind"] == "barrier":  # rewrite it the way it used to be written
+                state = apply_delta(state, rec.pop("delta")) if "delta" in rec else rec["state"]
+                rec["state"] = {
+                    **state, "fleet": svc.fleet.state_dict(),
+                    "alerts": {t: [a.to_dict() for a in al] for t, al in svc.alerts.items()},
+                }
+            lines.append(encode_record(rec))
+        with open(segment, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        watch = tmp_path / "__fleet__" / "watch.jsonl"
+        events = [json.loads(line) for line in watch.read_text().splitlines()]
+        for event in events:
+            event.pop("makespan", None)
+        watch.write_text("".join(
+            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events))
+        with pytest.raises(JournalError, match="'fleet'"):
+            self.make_service(tmp_path)
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["control", "crashed"])
+    def test_the_stream_folds_to_the_live_engine(self, tmp_path, crash):
+        """A fresh engine fed the committed stream is the live engine: the
+        poisoned tenant's failures and trips, the tenant SLO's alerts."""
+        svc = self.campaign(tmp_path, crash=crash)
+        folded = FleetHealthEngine(svc.fleet.spec)
+        for event in read_watch_stream(svc.watch_path):
+            folded.ingest(event)
+        assert folded.state_dict() == svc.fleet.state_dict()
+        assert folded.render_openmetrics() == svc.fleet.render_openmetrics()
+        roll = folded.rollup()["tenants"]
+        assert roll["alice"]["poisoned"] and roll["alice"]["trips"]
+        assert roll["bob"]["alerts_firing"]
+
+    def test_a_fleet_barrier_holds_only_controller_state(self, tmp_path):
+        svc = self.campaign(tmp_path, crash=True)
+        state, folded = None, 0
+        for rec in read_journal(str(tmp_path / "__fleet__" / "wal")).records:
+            if rec["kind"] == "barrier":
+                state = apply_delta(state, rec["delta"]) if "delta" in rec else rec["state"]
+                assert set(state) == {"now", "breaker", "slo", "fleet_slo"}
+                folded += 1
+        assert folded == 6  # one per executed cell, over both lives
+        assert state["now"] == svc.now
 
     def test_live_resubmit_after_cooldown_still_admitted(self, tmp_path):
         """The resume bypass must not leak into live operation: a cell

@@ -55,7 +55,6 @@ from repro.core.sensors.sources import DataSource
 from repro.errors import SensorError
 from repro.fabric import DegradedModeController, FabricLink, NetworkSpec
 from repro.journal import JournalSpec, read_journal
-from repro.journal import delta as delta_module
 from repro.journal.delta import UnitCache
 from repro.observability import HealthEngine, ObservabilitySpec, SloSpec
 from repro.observability.health import log_alert
@@ -684,12 +683,13 @@ class TestIdleTick:
 
 class TestBarrier:
     """A barrier where only ``next_tick`` moved writes that one unit and
-    signs nothing: no signature, no link, health or degraded-mode state
-    built, with 10 and with 1 000 health alerts in the run.  Finding the
-    change by signing the controller state costs 27 signatures a tick."""
+    builds nothing else: no link, health or degraded-mode state, with 10
+    and with 1 000 health alerts in the run.  Finding the change by
+    signing the controller state cost 27 signatures a tick; nothing can
+    sign one now (``test_one_path_structure.py::test_the_runtime_signs_no_state``)."""
 
     @staticmethod
-    def _quiet_barrier(tmp_path, alerts: int) -> tuple[int, int, int, int, list]:
+    def _quiet_barrier(tmp_path, alerts: int) -> tuple[int, int, int, list]:
         machine = summit(2)
         alloc = Allocation("a0", machine, machine.nodes, walltime_limit=1e9)
         task = TaskSpec("T", lambda: IterativeApp(ConstantModel(1.0), total_steps=4), nprocs=2)
@@ -707,9 +707,7 @@ class TestBarrier:
             alert = HealthAlert(float(i), "slo:x.p95", "firing", "warning", 1.0, 0.0, "")
             log_alert(launcher.log, orch.tracer, alert)
         engine.run(until=4.5)  # the fresh streak saturates by the barrier at 3
-        signed: list[int] = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(delta_module, "_signature", lambda v: signed.append(1))
             links = count_calls(patch, FabricLink, "state_dict")
             healths = count_calls(patch, HealthEngine, "state_dict")
             degraded = count_calls(patch, DegradedModeController, "state_dict")
@@ -718,12 +716,12 @@ class TestBarrier:
         orch.stop()
         barrier = [r for r in read_journal(journal.dir).records if r["kind"] == "barrier"][-1]
         paths = [path for path, _ in barrier["delta"]]
-        return len(signed), len(links), len(healths), len(degraded), paths
+        return len(links), len(healths), len(degraded), paths
 
     def test_a_quiet_barrier_signs_nothing_whatever_the_alerts(self, tmp_path):
         small = self._quiet_barrier(tmp_path, 10)
         large = self._quiet_barrier(tmp_path, 1000)
-        assert small == large == (0, 0, 0, 0, [["next_tick"]])
+        assert small == large == (0, 0, 0, [["next_tick"]])
 
 
 PAPER_RUNS = {

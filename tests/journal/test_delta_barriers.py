@@ -27,7 +27,7 @@ from repro.errors import JournalError
 from repro.experiments import run_gray_scott_experiment
 from repro.journal import Journal, JournalSpec, read_journal, scenario_fingerprint
 from repro.journal import journal as journal_module
-from repro.journal.delta import UnitCache, apply_delta, state_delta
+from repro.journal.delta import UnitCache, apply_delta
 from repro.journal.wal import encode_record, list_segment_indices, segment_path
 from repro.observability import ObservabilitySpec
 from repro.runtime import core, sim_driver
@@ -245,67 +245,46 @@ def test_a_delta_that_meets_the_wrong_base_is_refused(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# the writer: epochs, snapshots, aliasing, types
+# the writer: epochs, failed appends, snapshots
 # --------------------------------------------------------------------------- #
 def barrier_records(journal_dir: str) -> list[dict]:
     return [r for r in read_journal(journal_dir).records if r["kind"] == "barrier"]
 
 
+def at(units: UnitCache, **entries) -> UnitCache:
+    """*units* brought up to *entries*: unit name -> (revision, state)."""
+    for name, (revision, state) in entries.items():
+        units.update((name,), revision, lambda state=state: state)
+    return units
+
+
 def test_first_barrier_is_full_then_deltas_and_reopen_starts_over(tmp_path):
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
+    units = UnitCache()
     with closing(Journal.open(spec)) as j:
-        j.barrier(0.0, {"a": {"x": 1, "y": [1, 2]}, "b": None})
-        j.barrier(1.0, {"a": {"x": 2, "y": [1, 2]}, "b": None})
-        j.barrier(2.0, {"a": {"x": 2, "y": [1, 2]}, "b": None})
+        j.barrier(0.0, at(units, a=(0, {"x": 1, "y": [1, 2]}), b=(0, None)))
+        j.barrier(1.0, at(units, a=(1, {"x": 2, "y": [1, 2]}), b=(0, None)))
+        j.barrier(2.0, at(units, a=(1, {"x": 2, "y": [1, 2]}), b=(0, None)))
     first, second, third = barrier_records(spec.dir)
     assert first["state"] == {"a": {"x": 1, "y": [1, 2]}, "b": None} and "delta" not in first
-    assert second["delta"] == [[["a", "x"], 2]] and "state" not in second
+    assert second["delta"] == [[["a"], {"x": 2, "y": [1, 2]}]] and "state" not in second
     assert third["delta"] == []
-    with closing(Journal.reopen(spec.dir)) as j:
-        j.barrier(3.0, {"a": {"x": 2, "y": [1, 2]}, "b": None})
+    with closing(Journal.reopen(spec.dir)) as j:  # the same cache, a new writer epoch
+        j.barrier(3.0, at(units, a=(1, {"x": 2, "y": [1, 2]}), b=(0, None)))
     assert "state" in barrier_records(spec.dir)[-1]
     assert read_journal(spec.dir).barrier_state == {"a": {"x": 2, "y": [1, 2]}, "b": None}
 
 
-def test_the_base_does_not_alias_the_state_it_was_handed(tmp_path):
-    """A component that returns its live list from ``state_dict`` and later
-    mutates it in place must still see the mutation journaled."""
-    spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
-    alerts = [{"t": 1.0}]
-    with closing(Journal.open(spec)) as j:
-        j.barrier(0.0, {"health": {"alerts": alerts}})
-        alerts.append({"t": 2.0})
-        alerts[0]["t"] = 1.5
-        j.barrier(1.0, {"health": {"alerts": alerts}})
-    assert barrier_records(spec.dir)[-1]["delta"] == [
-        [["health", "alerts"], [{"t": 1.5}, {"t": 2.0}]]
-    ]
-
-
-def test_a_type_only_change_is_journaled(tmp_path):
-    spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
-    states = [
-        {"n": 1, "z": 0.0, "deep": {"flags": [0, 1]}},
-        {"n": 1.0, "z": -0.0, "deep": {"flags": [False, 1]}},
-        {"n": True, "z": 0, "deep": {"flags": [False, 1.0]}},
-    ]
-    with closing(Journal.open(spec)) as j:
-        for t, state in enumerate(states):
-            j.barrier(float(t), state)
-            j.sync()
-            assert canonical(read_journal(spec.dir).barrier_state) == canonical(state)
-    assert [len(r.get("delta", [])) for r in barrier_records(spec.dir)] == [0, 3, 3]
-
-
 def test_a_barrier_that_failed_to_append_is_not_a_base(tmp_path, monkeypatch):
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
+    units = UnitCache()
     with closing(Journal.open(spec)) as j:
-        j.barrier(0.0, {"a": 1})
+        j.barrier(0.0, at(units, a=(0, 1)))
         with monkeypatch.context() as patch:
             patch.setattr(j._writer, "append", lambda record: 1 / 0)
             with pytest.raises(ZeroDivisionError):
-                j.barrier(1.0, {"a": 2})
-        j.barrier(2.0, {"a": 2})  # no delta against the unwritten {"a": 2}
+                j.barrier(1.0, at(units, a=(1, 2)))
+        j.barrier(2.0, at(units, a=(1, 2)))  # no delta against the unwritten {"a": 2}
     assert [r.get("state") for r in barrier_records(spec.dir)] == [{"a": 1}, {"a": 2}]
 
 
@@ -313,17 +292,17 @@ def test_a_snapshot_without_the_barrier_makes_the_next_barrier_full(tmp_path):
     """Compaction deletes the record a delta would fold onto; only a
     snapshot that embeds the barrier may be followed by a delta."""
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
-    state = {"a": 1}
+    units = UnitCache()
     with closing(Journal.open(spec)) as j:
-        j.barrier(0.0, state)
-        j.snapshot({"t": 0.0, "barrier": state})
-        j.barrier(1.0, {"a": 2})
+        j.barrier(0.0, at(units, a=(0, 1)))
+        j.snapshot({"t": 0.0, "barrier": units.state()})
+        j.barrier(1.0, at(units, a=(1, 2)))
         j.sync()
         assert "delta" in barrier_records(spec.dir)[-1]
         assert read_journal(spec.dir).barrier_state == {"a": 2}
         j.snapshot({"t": 1.0})
         assert read_journal(spec.dir).barrier_state is None
-        j.barrier(2.0, {"a": 3})
+        j.barrier(2.0, at(units, a=(2, 3)))
     (only,) = barrier_records(spec.dir)
     assert (only["t"], only["state"]) == (2.0, {"a": 3})
 
@@ -396,33 +375,40 @@ STATES = st.recursive(
 )
 
 
-@settings(max_examples=200)
-@given(STATES, STATES)
-def test_applying_the_delta_gives_the_new_state(prev, cur):
-    before = canonical(prev)
-    delta = json.loads(json.dumps(state_delta(prev, cur)))  # as a reader meets it
-    assert canonical(apply_delta(prev, delta)) == canonical(cur)
-    assert canonical(prev) == before, "apply_delta mutated its input"
-    assert state_delta(cur, cur) == []
+PATHS = (("a",), ("b",), ("fabric", "links", "c0"), ("fabric", "links", "c1"))
 
 
 @settings(max_examples=60)
-@given(st.lists(STATES, min_size=2, max_size=8))
-def test_a_chain_of_deltas_folds_to_the_last_state(states):
-    from repro.journal.delta import SignedState
+@given(
+    st.lists(STATES, min_size=len(PATHS), max_size=len(PATHS)),
+    st.lists(st.dictionaries(st.sampled_from(range(len(PATHS))), STATES), max_size=7),
+)
+def test_a_chain_of_deltas_folds_to_the_last_state(first, moves):
+    """Each step moves some units to new states; the first delta is the
+    whole state, and folding each next one (as a reader meets it, JSON
+    text) onto it gives the cache's state again."""
+    units, revisions, current = UnitCache(), [0] * len(PATHS), list(first)
 
-    signed, folded = SignedState(states[0]), states[0]
-    for state in states[1:]:
-        folded = apply_delta(folded, json.loads(json.dumps(signed.delta(state))))
-        assert canonical(folded) == canonical(state)
+    def refresh() -> list:
+        for i, path in enumerate(PATHS):
+            units.update(path, revisions[i], lambda state=current[i]: state)
+        return json.loads(json.dumps(units.take_moved()))
+
+    refresh()  # the first barrier: every unit, written as the whole state
+    folded = json.loads(json.dumps(units.state()))
+    for move in moves:
+        for i, state in move.items():
+            revisions[i] += 1
+            current[i] = state
+        delta = refresh()
+        assert sorted(tuple(path) for path, _ in delta) == sorted(PATHS[i] for i in move)
+        folded = apply_delta(folded, delta)
+        assert canonical(folded) == canonical(units.state())
 
 
-def test_a_unit_barrier_writes_the_moved_units_whole(tmp_path, monkeypatch):
+def test_a_unit_barrier_writes_the_moved_units_whole(tmp_path):
     """A delta of revisioned units is each unit whose revision moved,
-    written whole at its path; nothing is signed to find them."""
-    from repro.journal import delta
-
-    monkeypatch.setattr(delta, "_signature", lambda value: 1 / 0)
+    written whole at its path."""
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off")
     units, alerts = UnitCache(), [{"t": float(i)} for i in range(1000)]
 
@@ -446,12 +432,3 @@ def test_a_unit_barrier_writes_the_moved_units_whole(tmp_path, monkeypatch):
         [],
     ]
     assert read_journal(spec.dir).barrier_state == units.state()
-
-
-def test_a_dict_whose_keys_came_or_went_is_replaced_whole():
-    prev = {"a": {"x": 1, "y": 2}, "b": {"k": None}}
-    assert state_delta(prev, {"a": {"x": 1}, "b": {"k": None}}) == [[["a"], {"x": 1}]]
-    assert state_delta(prev, {"a": {"x": 1, "y": 2}, "b": {}}) == [[["b"], {}]]
-    assert state_delta(prev, {"a": {"x": 1, "y": 2}}) == [[[], {"a": {"x": 1, "y": 2}}]]
-    assert state_delta({"a": [1, {"x": 1}]}, {"a": [1, {"x": 2}]}) == [[["a"], [1, {"x": 2}]]]
-    assert state_delta({"a": None}, {"a": {}}) == [[["a"], {}]]

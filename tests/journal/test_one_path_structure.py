@@ -5,7 +5,8 @@ AST walks over ``src/repro`` with the helpers of
 ``tests/journal/test_ledger_structure.py``: a second envelope encoder, a
 second copy of the actuation op loop, a second step-time sampling path, a
 second barrier protocol, a driver with its own barrier or snapshot, a
-runtime that signs a state to find what a barrier writes, a second OpenMetrics renderer, a telemetry
+barrier that signs a state to find what it writes, a fleet history
+journaled beside its watch stream, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a run record stored outside the run log, a
 second report path, a second snapshot pointer, a snapshot that carries
 run output, a Monitor round that polls every binding, a paper claim
@@ -59,6 +60,8 @@ GONE = {
     "take_unchanged", "_trie", "vouched", "DyflowOrchestrator._barrier_state",
     # the live launcher's second heartbeat poller
     "LiveLauncher._watch",
+    # the fleet rollup restored from a barrier instead of folded from its stream
+    "FleetHealthEngine.load_state_dict", "CampaignService._fleet_state",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
@@ -207,18 +210,22 @@ def test_barriers_are_written_and_folded_in_one_place():
 
 
 def test_the_runtime_signs_no_state():
-    """An orchestrator barrier learns what changed from unit revisions
-    alone: nothing under ``runtime/`` signs or diffs a state.  Only the
-    campaign fleet's plain state is diffed by signature."""
-    signs = {"SignedState", "marshal", "state_delta", "_signature"}
-    hits = [
-        module for module in modules_where(lambda n: bool(signs & set(identifiers(n))))
-        if module.startswith("runtime/")
+    """A barrier learns what changed from unit revisions alone: nothing
+    under ``src/repro`` signs or diffs a state to find it."""
+    signs = {"SignedState", "marshal", "state_delta", "_signature", "_signed"}
+    assert modules_where(lambda n: bool(signs & set(identifiers(n)))) == []
+
+
+def test_the_fleet_barrier_journals_no_history():
+    """The watch stream is the fleet plane's history: the barrier names
+    neither the rollup engine nor the alert lists, which are its fold."""
+    (barrier,) = [
+        node for node in ast.walk(modules()["campaign/service.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_fleet_barrier"
     ]
-    assert hits == []
-    assert modules_where(lambda n: "SignedState" in identifiers(n)) == [
-        "journal/delta.py", "journal/journal.py",
-    ]
+    names = {name for node in ast.walk(barrier) for name in identifiers(node)}
+    assert {"breaker", "_slo", "_fleet_slo", "barrier"} <= names
+    assert not names & {"fleet", "alerts", "rollup"}
 
 
 def appends_kind(kind):

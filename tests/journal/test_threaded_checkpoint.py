@@ -13,7 +13,7 @@ import time
 from types import SimpleNamespace
 
 from repro.core import ActionType, PolicyApplication, PolicySpec, SensorSpec
-from repro.core.actions import SuggestedAction
+from repro.core.actions import Reason, SuggestedAction
 from repro.journal import JournalSpec, read_journal
 from repro.runtime import RuntimeOptions, threaded
 from repro.runtime.threaded import LiveTaskSpec, ThreadedDyflow
@@ -172,13 +172,15 @@ def test_a_start_parked_at_the_crash_starts_after_the_resume(tmp_path):
     assert "A" not in second.arbitration.waiting
 
 
-def by_hand(monkeypatch, journal_dir, clock):
-    """A runner whose rounds the test drives on a fake clock: no thread runs."""
+def by_hand(monkeypatch, journal_dir, clock, max_workers_total=1, **journal):
+    """A runner whose rounds the test drives on a fake clock: no stage
+    thread runs, and T, if started, ends at once."""
     monkeypatch.setattr(threaded, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     runner = ThreadedDyflow(
-        "LIVE", [LiveTaskSpec("T", lambda s, w: None, nworkers=2)], warmup=0.5, settle=0.5,
-        max_workers_total=1,  # a START of T parks
-        options=RuntimeOptions(journal=JournalSpec(dir=journal_dir, fsync="off")),
+        "LIVE", [LiveTaskSpec("T", lambda s, w: None, nworkers=2, total_steps=0)],
+        warmup=0.5, settle=0.5,
+        max_workers_total=max_workers_total,  # 1: a START of T parks
+        options=RuntimeOptions(journal=JournalSpec(dir=journal_dir, fsync="off", **journal)),
     )
     runner.add_sensor(SensorSpec("V", "FILEREAD"))
     runner.monitor_task("T", "V", info_source="io/v.json", var="v")
@@ -219,3 +221,40 @@ def test_a_resume_rebuilds_the_controller_it_took_over(tmp_path, monkeypatch):
     second.resume_from(journal_dir)
     assert controller_state(second) == expected
     assert second.now() == 7.0  # continues from the last barrier
+
+
+def test_a_resume_after_a_plan_reports_the_settle_gate(tmp_path, monkeypatch):
+    """A snapshot after the executed plan compacts its records away, so the
+    resumed runner's run output holds no plan: that a plan executed, which
+    tells the settle gate from the warmup, comes back from the barrier."""
+    clock = [0.0]
+    journal_dir = str(tmp_path / "wal")
+    first = by_hand(monkeypatch, journal_dir, clock, max_workers_total=2, snapshot_every=1)
+    first._open_journal(workflow="LIVE")
+    first._running = True
+    first._begin(first.now())
+    fs = first.hub.filesystem
+    plan = None
+    while plan is None:
+        clock[0] += 1.0
+        assert clock[0] < 10.0, "the START policy never planned"
+        fs.write("io/v.json", {"v": clock[0]}, mtime=clock[0])
+        first._monitor_round(first.now())
+        first._decision_round(first.now())
+        if len(first._queue):
+            plan = first.arbitration.arbitrate(first._queue.get(), first.now())
+    first._log_plan(plan)
+    for _wait in first.actuation.execute(plan, on_done=first._on_plan_done):
+        pass
+    clock[0] += 0.1
+    first._decision_round(first.now())  # a barrier, and the snapshot after it
+    assert first.arbitration.gated(first.now()) is Reason.GATED_SETTLE
+    first.stop()
+    expected = first.arbitration.state_dict()
+
+    clock[0] = 100.0  # a new process: its clock restarts
+    second = by_hand(monkeypatch, journal_dir, clock, max_workers_total=2, snapshot_every=1)
+    second.resume_from(journal_dir)
+    assert second.plans == []  # the precondition: the plan records went with the compaction
+    assert second.arbitration.gated(second.now()) is Reason.GATED_SETTLE
+    assert second.arbitration.state_dict() == expected

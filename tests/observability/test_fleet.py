@@ -1,5 +1,7 @@
 """FleetHealthEngine: deterministic cross-tenant rollups and export."""
 
+import json
+
 import pytest
 
 from repro.campaign import CampaignService, ExecutorSpec, TenantCell, TenantSpec, TenantsSpec
@@ -10,20 +12,50 @@ from repro.observability.slo import HealthAlert
 from repro.observability.spec import FleetSpec
 
 
-def busy_fleet() -> FleetHealthEngine:
+ALERT = HealthAlert(
+    time=3.0, source="slo:x", kind="firing", severity="warning",
+    value=9.0, threshold=5.0, message="x too high",
+)
+
+#: The watch events of a small campaign, as ``CampaignService`` emits them.
+BUSY_EVENTS = [
+    *({"kind": "cell-complete", "tenant": "alice", "makespan": m} for m in (1.0, 2.0, 4.0)),
+    {"kind": "admit", "tenant": "bob"},  # counted nowhere in the rollup
+    {"kind": "cell-retry", "tenant": "bob"},
+    {"kind": "cell-retry", "tenant": "bob"},
+    {"kind": "cell-complete", "tenant": "bob", "makespan": 10.0},
+    {"kind": "cell-poison", "tenant": "bob"},
+    {"kind": "reject", "tenant": "bob"},
+    {"kind": "breaker-trip", "tenant": "bob"},
+    {"kind": "alert", "tenant": "bob", "alert": ALERT.to_dict()},
+    {"kind": "cell-complete", "tenant": "carol", "makespan": 1.5},
+]
+
+
+def fold(events) -> FleetHealthEngine:
     eng = FleetHealthEngine(FleetSpec(top_k=2))
-    for latency in (1.0, 2.0, 4.0):
-        eng.record_cell("alice", latency)
-    eng.record_cell("bob", 10.0, failures=2)
-    eng.record_cell("bob", 0.0, status="poisoned")
-    eng.record_rejection("bob")
-    eng.record_trip("bob")
-    eng.ingest_alert("bob", HealthAlert(
-        time=3.0, source="slo:x", kind="firing", severity="warning",
-        value=9.0, threshold=5.0, message="x too high",
-    ))
-    eng.record_cell("carol", 1.5)
+    for event in events:
+        eng.ingest(event)
     return eng
+
+
+def busy_fleet() -> FleetHealthEngine:
+    return fold(BUSY_EVENTS)
+
+
+def test_the_fold_calls_the_per_kind_handlers():
+    by_hand = FleetHealthEngine(FleetSpec(top_k=2))
+    for latency in (1.0, 2.0, 4.0):
+        by_hand.record_cell("alice", latency)
+    by_hand.record_failure("bob")
+    by_hand.record_failure("bob")
+    by_hand.record_cell("bob", 10.0)
+    by_hand.record_cell("bob", None, status="poisoned")
+    by_hand.record_rejection("bob")
+    by_hand.record_trip("bob")
+    by_hand.ingest_alert("bob", ALERT)
+    by_hand.record_cell("carol", 1.5)
+    assert busy_fleet().state_dict() == by_hand.state_dict()
 
 
 class TestRollup:
@@ -74,20 +106,22 @@ class TestExport:
 
 
 class TestPersistence:
+    """The engine persists as the stream it folds: an engine folded from
+    the events as a reader meets them (JSON text) is the live one."""
+
     def test_state_roundtrip_is_lossless(self):
         eng = busy_fleet()
-        restored = FleetHealthEngine(FleetSpec(top_k=2))
-        restored.load_state_dict(eng.state_dict())
+        restored = fold(json.loads(json.dumps(BUSY_EVENTS)))
         assert restored.rollup() == eng.rollup()
         assert restored.render_openmetrics() == eng.render_openmetrics()
         assert restored.state_dict() == eng.state_dict()
 
     def test_restored_engine_keeps_accumulating(self):
         eng = busy_fleet()
-        restored = FleetHealthEngine(FleetSpec(top_k=2))
-        restored.load_state_dict(eng.state_dict())
-        restored.record_cell("alice", 8.0)
-        eng.record_cell("alice", 8.0)
+        restored = fold(json.loads(json.dumps(BUSY_EVENTS)))
+        more = {"kind": "cell-complete", "tenant": "alice", "makespan": 8.0}
+        restored.ingest(more)
+        eng.ingest(more)
         assert restored.rollup() == eng.rollup()
 
 
@@ -102,7 +136,9 @@ class TestPoisonedCellsLeaveNoLatencySample:
             eng.record_cell("alice", 100.0)
         before = eng.rollup()["tenants"]["alice"]["latency"]
         for _ in range(3):
-            eng.record_cell("alice", None, status="poisoned", failures=2)
+            eng.record_cell("alice", None, status="poisoned")
+            eng.record_failure("alice")
+            eng.record_failure("alice")
         alice = eng.rollup()["tenants"]["alice"]
         assert alice["latency"] == before and before["count"] == 3
         assert alice["poisoned"] == 3.0 and alice["failures"] == 6.0
