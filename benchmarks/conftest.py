@@ -3,20 +3,20 @@
 The paper's tables, figures and ablations are not here: each claim is a
 row of ``repro.experiments.report`` (``python examples/reproduce_all.py``),
 and that an absent optional layer does no work is counted in tier-1
-(``tests/runtime/test_absent_layers.py``).  What remains are the four
+(``tests/runtime/test_absent_layers.py``).  What remains are the three
 benches CI runs: core throughput against its committed budget, the
-fabric fault sweep, the multi-tenant campaign and the fleet plane's
-cost.  Measured rows are
+fabric fault sweep and the multi-tenant campaign.  Measured rows are
 printed (run pytest with ``-s`` to see them), and each bench writes a
 machine-readable ``BENCH_<name>.json`` artifact via :func:`write_bench`
 with the uniform schema ``{"name", "config", "metrics": {...}}`` so CI
 and the comparison scripts can collect every result the same way.
 
 ``benchmarks/`` (this directory) is the **one canonical location** for
-those artifacts — it is where the committed baselines live, what
-``RunStore`` indexes, and what CI gates against.  ``write_bench``
-defaults there regardless of the invoking working directory; set
-``$BENCH_OUTPUT_DIR`` to redirect (e.g. to a scratch dir in CI).
+those artifacts — it is where the committed baselines live and what CI
+gates against; ``tests/test_bench_artifacts.py`` checks that each
+committed one keeps the schema.  ``write_bench`` defaults there
+regardless of the invoking working directory; set ``$BENCH_OUTPUT_DIR``
+to redirect (e.g. to a scratch dir in CI).
 """
 
 from __future__ import annotations

@@ -158,9 +158,6 @@ _FLAT = {
     "WatchStream": "repro.observability",
     "read_watch_stream": "repro.observability",
     "render_labeled_openmetrics": "repro.observability",
-    "RunStore": "repro.observability",
-    "RunRecord": "repro.observability",
-    "load_record": "repro.observability",
     # canned experiments
     "run_xgc_experiment": "repro.experiments",
     "run_gray_scott_experiment": "repro.experiments",

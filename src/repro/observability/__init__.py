@@ -36,7 +36,6 @@ from repro.observability.report import (
 )
 from repro.observability.slo import EwmaDetector, HealthAlert, SloEvaluator
 from repro.observability.spec import AnomalySpec, FleetSpec, ObservabilitySpec, SloSpec
-from repro.observability.store import RunRecord, RunStore, flatten_metrics, load_record
 from repro.observability.watch import EVENT_KINDS, WatchStream, read_watch_stream
 from repro.observability.utilization import (
     BusySegment,
@@ -78,11 +77,6 @@ __all__ = [
     "WatchStream",
     "read_watch_stream",
     "EVENT_KINDS",
-    # run store
-    "RunStore",
-    "RunRecord",
-    "load_record",
-    "flatten_metrics",
     # slo / health
     "HealthAlert",
     "SloEvaluator",

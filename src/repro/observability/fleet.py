@@ -5,8 +5,9 @@ per-run :class:`~repro.observability.health.HealthEngine`.  Where the
 health engine watches one orchestrator's registry, the fleet engine
 merges *per-tenant* metric streams and :class:`HealthAlert` records into
 one deterministic rollup: per-tenant p50/p95 cell latency, completion /
-failure / poison counts, breaker trips, and a top-k "noisy tenant"
-ranking.  The rollup exports as tenant-labeled OpenMetrics families via
+failure / poison counts, breaker trips, and a top-:data:`NOISY_TOP_K`
+"noisy tenant" ranking.  The rollup exports as tenant-labeled
+OpenMetrics families via
 :func:`~repro.observability.openmetrics.render_labeled_openmetrics`.
 
 All state is a fold of the campaign's watch stream: :meth:`ingest` takes
@@ -24,6 +25,9 @@ from repro.observability.openmetrics import render_labeled_openmetrics
 from repro.observability.slo import HealthAlert
 from repro.observability.spec import FleetSpec
 from repro.telemetry.metrics import MetricsRegistry
+
+#: How many tenants :meth:`FleetHealthEngine.noisy_tenants` ranks.
+NOISY_TOP_K = 3
 
 # Cell latencies are simulated makespans (seconds to thousands of
 # seconds); the default 1ms..2000s buckets cover them.
@@ -127,12 +131,11 @@ class FleetHealthEngine:
             + 0.5 * val("fleet.cell.rejected")
         )
 
-    def noisy_tenants(self, k: int | None = None) -> list[tuple[str, float]]:
-        """Top-*k* tenants by noise score (score desc, id asc tiebreak)."""
-        k = self.spec.top_k if k is None else k
+    def noisy_tenants(self) -> list[tuple[str, float]]:
+        """The :data:`NOISY_TOP_K` noisiest tenants (score desc, id asc tiebreak)."""
         scored = [(tid, self._noise_score(tid)) for tid in self.tenants()]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]
+        return scored[:NOISY_TOP_K]
 
     def rollup(self) -> dict[str, Any]:
         """The fleet state as one deterministic JSON-friendly dict."""

@@ -34,6 +34,8 @@ from repro.sim.trace import as_record
 from repro.telemetry.tracer import TraceSpan
 
 REPORT_SCHEMA = "dyflow-run-report/1"
+#: Rows in the report's bottleneck and slow-span tables.
+TOP_N = 5
 
 #: Metric families whose values depend on the wall clock; reports must
 #: stay byte-identical across same-seed runs, so these never appear.
@@ -77,7 +79,7 @@ def build_report(
     utilization: UtilizationReport | None = None,
     alerts: Iterable[HealthAlert] = (),
     metrics: Mapping[str, Mapping[str, Any]] | None = None,
-    top_n: int = 5,
+    top_n: int = TOP_N,
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble the report document from analysis inputs."""
@@ -114,7 +116,7 @@ def build_report(
 
 def report_from_jsonl(
     records: Iterable[Any],
-    top_n: int = 5,
+    top_n: int = TOP_N,
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Build the report from a run's log records, in append order.
@@ -301,7 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("jsonl", help="path to the run's JSONL event log")
     parser.add_argument("-o", "--output", help="write markdown report here")
     parser.add_argument("--json", dest="json_output", help="write JSON report here")
-    parser.add_argument("--top", type=int, default=5, help="rows in top-N tables")
     parser.add_argument(
         "--format", choices=("md", "json"), default="md",
         help="stdout format when no output file is given",
@@ -311,9 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         help="exit 1 unless the critical path is non-empty (CI smoke)",
     )
     args = parser.parse_args(argv)
-    report = report_from_jsonl(
-        read_jsonl(args.jsonl), top_n=args.top, meta={"source": args.jsonl}
-    )
+    report = report_from_jsonl(read_jsonl(args.jsonl), meta={"source": args.jsonl})
     write_report(report, path=args.output, json_path=args.json_output)
     if args.output is None and args.json_output is None:
         text = render_markdown(report) if args.format == "md" else render_json(report)

@@ -113,7 +113,6 @@ class FleetSpec:
     Attributes:
         openmetrics_path: if set, fleet rollups are rendered there as
             tenant-labeled OpenMetrics families at campaign finalize.
-        top_k: how many noisy tenants the rollup ranks.
         watch_path: if set, the campaign's watch stream is written to
             this JSONL file instead of under the journal root.
         flight_recorder: ring-buffer capacity (events) for the crash /
@@ -121,7 +120,6 @@ class FleetSpec:
     """
 
     openmetrics_path: str | None = attr(None)
-    top_k: int = attr(3, ge=1)
     watch_path: str | None = attr(None)
     flight_recorder: int = attr(256, ge=0)
 
@@ -145,7 +143,6 @@ class ObservabilitySpec:
         report_path: if set, a markdown run report is written there when
             the run finishes.
         report_json_path: if set, the same report as JSON.
-        top_n: how many bottleneck/slow-span rows reports carry.
         slos: declarative objectives evaluated every ``eval_every``.
         anomalies: EWMA/z-score detectors evaluated on the same cadence.
         fleet: optional fleet-plane configuration (multi-tenant rollups,
@@ -156,7 +153,6 @@ class ObservabilitySpec:
     openmetrics_path: str | None = attr(None, holder="openmetrics", name="path")
     report_path: str | None = attr(None, holder="report", name="path")
     report_json_path: str | None = attr(None, holder="report", name="json-path")
-    top_n: int = attr(5, ge=1)
     slos: tuple[SloSpec, ...] = children(SloSpec, "slo")
     anomalies: tuple[AnomalySpec, ...] = children(AnomalySpec, "anomaly")
     fleet: FleetSpec | None = child(FleetSpec)

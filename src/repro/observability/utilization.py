@@ -83,23 +83,16 @@ def _node_timeline(
 
 
 def quarantine_intervals(
-    history: Iterable[Any], end: float
+    history: Iterable[tuple[float, str, str]], end: float
 ) -> dict[str, list[tuple[float, float]]]:
-    """Pair quarantined/released events into per-node exclusion intervals.
+    """Pair ``(time, node_id, kind)`` quarantined/released events into
+    per-node exclusion intervals.
 
-    *history* holds :class:`~repro.resilience.quarantine.QuarantineEvent`
-    objects or ``(time, node_id, kind)``-shaped mappings/sequences.
     A node still quarantined when the run ends is clamped to *end*.
     """
     opened: dict[str, float] = {}
     out: dict[str, list[tuple[float, float]]] = {}
-    for ev in history:
-        if isinstance(ev, Mapping):
-            t, node, kind = float(ev["time"]), ev["node_id"], ev["kind"]
-        elif isinstance(ev, (list, tuple)):
-            t, node, kind = float(ev[0]), ev[1], ev[2]
-        else:
-            t, node, kind = ev.time, ev.node_id, ev.kind
+    for t, node, kind in history:
         if kind == "quarantined":
             opened.setdefault(node, t)
         elif kind == "released" and node in opened:
@@ -115,7 +108,7 @@ def build_utilization(
     segments: Iterable[BusySegment],
     start: float = 0.0,
     end: float | None = None,
-    quarantine_history: Iterable[Any] = (),
+    quarantine_history: Iterable[tuple[float, str, str]] = (),
 ) -> UtilizationReport:
     """Assemble the report from explicit inputs."""
     segments = list(segments)

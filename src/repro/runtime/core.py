@@ -466,6 +466,6 @@ class RuntimeCore:
             write_openmetrics(spec.openmetrics_path, self.tracer.metrics)
         if spec.report_path is not None or spec.report_json_path is not None:
             report = report_from_jsonl(
-                self.launcher.log.records(), top_n=spec.top_n, meta={"workflow": self.workflow_id}
+                self.launcher.log.records(), meta={"workflow": self.workflow_id}
             )
             write_report(report, path=spec.report_path, json_path=spec.report_json_path)

@@ -11,6 +11,7 @@ strings; there is no permission model.
 from __future__ import annotations
 
 import fnmatch
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -43,14 +44,20 @@ class SimFilesystem:
     of its path, a creation watch on every creation of a path its
     pattern matches.
 
-    There is no lock.  Readers may run beside writers; a write that can
-    fire a watch must hold the lock its reader's collect holds (the
-    threaded runtime's exit statuses are written under the launcher's
-    lock).  Two threads writing the *same* path at once are not
-    supported, here as in :meth:`append_record`.
+    One lock guards ``_files`` and the log: :meth:`write`,
+    :meth:`append_record` and :meth:`remove` hold it while they change
+    them, and :meth:`scan` and :meth:`listdir` while they copy the
+    paths, so a glob on one thread never iterates a dict another thread
+    is growing.  The single-key reads and :meth:`created_since` need no
+    lock: :meth:`write` publishes the file before its log line.  The
+    watches fire outside it; a write that can fire a watch must hold
+    the lock its reader's collect holds (the threaded runtime's exit
+    statuses are written under the launcher's lock).  Two threads
+    writing the *same* path at once are not supported.
     """
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._files: dict[str, FileEntry] = {}
         self._created: list[str] = []
         self._path_watches: dict[str, list[tuple[set[int], int]]] = {}
@@ -88,13 +95,15 @@ class SimFilesystem:
         file logs nothing.
         """
         entry = FileEntry(path=path, data=data, mtime=mtime, size=size, meta=dict(meta))
-        created = path not in self._files
-        # Publish order: the file first, then its log line.  A reader on
-        # another thread that saw the line before the file would skip the
-        # path and advance past it for good.
-        self._files[path] = entry
+        with self._lock:
+            created = path not in self._files
+            # Publish order: the file first, then its log line.  A reader
+            # on another thread that saw the line before the file would
+            # skip the path and advance past it for good.
+            self._files[path] = entry
+            if created:
+                self._created.append(path)
         if created:
-            self._created.append(path)
             for match, wake, token in self._creation_watches:
                 if match(path):
                     wake.add(token)
@@ -103,20 +112,23 @@ class SimFilesystem:
 
     def append_record(self, path: str, record: Any, mtime: float) -> FileEntry:
         """Append *record* to a list-valued file (creating it if needed)."""
-        entry = self._files.get(path)
+        with self._lock:
+            entry = self._files.get(path)
+            if entry is not None:
+                if not isinstance(entry.data, list):
+                    raise StoreError(f"{path} is not an appendable record file")
+                entry.data.append(record)
+                entry.mtime = mtime
         if entry is None:
             return self.write(path, [record], mtime)
-        if not isinstance(entry.data, list):
-            raise StoreError(f"{path} is not an appendable record file")
-        entry.data.append(record)
-        entry.mtime = mtime
         self._changed(path)
         return entry
 
     def remove(self, path: str) -> None:
-        if path not in self._files:
-            raise StoreError(f"no such file: {path}")
-        del self._files[path]
+        with self._lock:
+            if path not in self._files:
+                raise StoreError(f"no such file: {path}")
+            del self._files[path]
         self._changed(path)
 
     # -- reads -----------------------------------------------------------------
@@ -166,10 +178,11 @@ class SimFilesystem:
         :meth:`created_since`.  Results are sorted by (mtime, path) so
         scans are deterministic.
         """
-        # Snapshot first: threaded app tasks create files while this runs.
+        with self._lock:
+            files = list(self._files.items())
         hits = [
             e
-            for p, e in list(self._files.items())
+            for p, e in files
             if fnmatch.fnmatchcase(p, pattern) and (since is None or e.mtime > since)
         ]
         hits.sort(key=lambda e: (e.mtime, e.path))
@@ -179,7 +192,9 @@ class SimFilesystem:
         """All paths under a ``/``-terminated prefix."""
         if not prefix.endswith("/"):
             prefix += "/"
-        return sorted(p for p in list(self._files) if p.startswith(prefix))
+        with self._lock:
+            paths = list(self._files)
+        return sorted(p for p in paths if p.startswith(prefix))
 
     def __len__(self) -> int:
         return len(self._files)

@@ -106,9 +106,9 @@ class TestFleetPlane:
         assert control_bytes, "control campaign must emit watch events"
         assert crashed_bytes == control_bytes
         assert crashed.watch() == control.watch()
-        # The durable stream replays identically through the reader API.
+        # The durable stream reads back equal to the live one.
         assert (read_watch_stream(crashed.watch_path)
-                == read_watch_stream(control.watch_path))
+                == read_watch_stream(control.watch_path) == control.watch())
 
     def test_crash_after_breaker_trip_resumes_byte_identical(self, tmp_path):
         """Resume re-submissions must bypass a breaker restored tripped.
@@ -346,6 +346,44 @@ class TestFleetPlaneGates:
         svc.run_pending()
         assert svc.watch_path is None
         assert any(e["kind"] == "cell-complete" for e in svc.watch())
+
+
+def burn_cell(cell, lease):
+    """A cheap deterministic cell: a fake makespan and the lease it got."""
+    i = cell.params["i"]
+    return {"makespan": 10.0 + (i % 7), "cores": lease.cores}
+
+
+def outcomes(mode, tmp_path):
+    """The admission verdicts and cell records of a 3-tenant x 15-cell
+    campaign run in *mode*."""
+    observability = journal_root = None
+    if mode == "fleet":
+        observability = ObservabilitySpec(fleet=FleetSpec())
+    elif mode == "durable":
+        journal_root = str(tmp_path / "wal")
+        observability = ObservabilitySpec(
+            fleet=FleetSpec(openmetrics_path=str(tmp_path / "fleet.om")))
+    tenants = ("alice", "bob", "carol")
+    svc = CampaignService(
+        TenantsSpec(nodes=8, cores_per_node=4, tenants=tuple(TenantSpec(t) for t in tenants)),
+        journal_root=journal_root, run_cell=burn_cell, observability=observability,
+    )
+    verdicts = [
+        svc.submit(TenantCell(tenant, dict, params={"i": i})).reason
+        for i in range(15) for tenant in tenants
+    ]
+    records = [(r["tenant"], r["cell_id"], r["status"], r["result"]) for r in svc.run_pending()]
+    return verdicts, records
+
+
+@pytest.mark.parametrize("mode", ["off", "fleet", "durable"])
+def test_the_fleet_plane_leaves_cell_outcomes_unchanged(mode, tmp_path):
+    plain = outcomes("off", tmp_path / "plain")
+    verdicts, records = plain
+    assert len(records) == verdicts.count("") > 0
+    assert {r[2] for r in records} == {"completed"}
+    assert outcomes(mode, tmp_path / mode) == plain
 
 
 class TestTenantSummaryOrdering:

@@ -62,6 +62,8 @@ GONE = {
     "LiveLauncher._watch",
     # the fleet rollup restored from a barrier instead of folded from its stream
     "FleetHealthEngine.load_state_dict", "CampaignService._fleet_state",
+    # a second run store beside perfbench and the committed BENCH artifacts
+    "RunStore", "RunRecord", "flatten_metrics", "load_record",
 }
 
 BENCHMARKS = pathlib.Path(__file__).parents[2] / "benchmarks"
@@ -111,6 +113,7 @@ def test_no_removed_fast_path_identifier_remains():
     assert "campaign/workertel.py" not in modules()
     assert "telemetry/events.py" not in modules()
     assert "observability/snapshot.py" not in modules()
+    assert "observability/store.py" not in modules()
 
 
 def test_actuation_has_one_op_loop_and_one_failure_handler():

@@ -7,7 +7,7 @@ import pytest
 from repro.campaign import CampaignService, ExecutorSpec, TenantCell, TenantSpec, TenantsSpec
 from repro.errors import ObservabilityError
 from repro.observability import ObservabilitySpec, parse_openmetrics
-from repro.observability.fleet import FleetHealthEngine
+from repro.observability.fleet import NOISY_TOP_K, FleetHealthEngine
 from repro.observability.slo import HealthAlert
 from repro.observability.spec import FleetSpec
 
@@ -33,7 +33,7 @@ BUSY_EVENTS = [
 
 
 def fold(events) -> FleetHealthEngine:
-    eng = FleetHealthEngine(FleetSpec(top_k=2))
+    eng = FleetHealthEngine()
     for event in events:
         eng.ingest(event)
     return eng
@@ -44,7 +44,7 @@ def busy_fleet() -> FleetHealthEngine:
 
 
 def test_the_fold_calls_the_per_kind_handlers():
-    by_hand = FleetHealthEngine(FleetSpec(top_k=2))
+    by_hand = FleetHealthEngine()
     for latency in (1.0, 2.0, 4.0):
         by_hand.record_cell("alice", latency)
     by_hand.record_failure("bob")
@@ -78,12 +78,12 @@ class TestRollup:
         assert 0.0 < lat["p50"] <= lat["p95"]
 
     def test_noisy_ranking_is_topk_and_deterministic(self):
-        eng = busy_fleet()
+        # bob: poisoned+trip+failures+alert+reject.  Quiet tenants tie
+        # at zero; id order breaks the tie, and dave falls past the top k.
+        eng = fold([*BUSY_EVENTS, {"kind": "cell-complete", "tenant": "dave", "makespan": 1.0}])
         noisy = eng.noisy_tenants()
-        assert len(noisy) == 2  # spec.top_k
-        assert noisy[0][0] == "bob"  # poisoned+trip+failures+alert+reject
-        # Quiet tenants tie at zero; id order breaks the tie.
-        assert [t for t, _ in eng.noisy_tenants(k=3)] == ["bob", "alice", "carol"]
+        assert len(noisy) == NOISY_TOP_K == 3
+        assert [t for t, _ in noisy] == ["bob", "alice", "carol"]
 
     def test_unknown_cell_status_rejected(self):
         with pytest.raises(ObservabilityError, match="unknown cell status"):

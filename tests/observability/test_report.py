@@ -14,6 +14,7 @@ from repro.observability.explain import explain
 from repro.observability.explain import main as explain_main
 from repro.observability.report import (
     REPORT_SCHEMA,
+    TOP_N,
     build_report,
     main,
     read_jsonl,
@@ -155,19 +156,14 @@ class TestCli:
         capsys.readouterr()
         assert main([full, "--require-critical-path"]) == 0
 
-    def test_top_limits_table_sizes(self, tmp_path):
+    def test_top_limits_table_sizes(self, tmp_path, capsys):
         records = [span_record(f"s{i}", i + 1, 0.0, float(i + 1))
                    for i in range(8)]
         log = self.write_log(tmp_path, records)
-        import io
-        from contextlib import redirect_stdout
-
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            main([log, "--format", "json", "--top", "2"])
-        doc = json.loads(buf.getvalue())
-        assert len(doc["slow_spans"]) == 2
-        assert len(doc["bottlenecks"]) == 2
+        main([log, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["slow_spans"]) == TOP_N == 5
+        assert len(doc["bottlenecks"]) == TOP_N
 
 
 # perfbench's gs_full_stack configuration: chaos fabric, SLO + anomaly

@@ -29,21 +29,6 @@ class TestQuarantineIntervals:
         out = quarantine_intervals([(10.0, "n1", "quarantined")], end=60.0)
         assert out == {"n1": [(10.0, 60.0)]}
 
-    def test_mapping_shaped_events_are_accepted(self):
-        history = [
-            {"time": 5.0, "node_id": "n3", "kind": "quarantined"},
-            {"time": 9.0, "node_id": "n3", "kind": "released"},
-        ]
-        assert quarantine_intervals(history, end=50.0) == {"n3": [(5.0, 9.0)]}
-
-    def test_object_shaped_events_are_accepted(self):
-        class Ev:
-            def __init__(self, time, node_id, kind):
-                self.time, self.node_id, self.kind = time, node_id, kind
-
-        history = [Ev(1.0, "n4", "quarantined"), Ev(2.0, "n4", "released")]
-        assert quarantine_intervals(history, end=10.0) == {"n4": [(1.0, 2.0)]}
-
     def test_release_without_open_interval_is_ignored(self):
         assert quarantine_intervals([(3.0, "n5", "released")], end=10.0) == {}
 

@@ -79,8 +79,6 @@ API_SURFACE = [
     "ResilienceSpec",
     "RetryPolicy",
     "RngRegistry",
-    "RunRecord",
-    "RunStore",
     "RuntimeOptions",
     "Savanna",
     "ScenarioResult",
@@ -117,7 +115,6 @@ API_SURFACE = [
     "format_report",
     "isosurface_cell_count",
     "lint_xml_text",
-    "load_record",
     "parse_dyflow_xml",
     "parse_openmetrics",
     "read_journal",

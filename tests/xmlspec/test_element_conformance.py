@@ -101,7 +101,7 @@ BOUNDS = [
 
 def test_every_configuration_element_is_enumerated():
     assert len(PATHS) == 19
-    assert len(BOUNDS) > 100
+    assert len(BOUNDS) == 100
 
 
 @pytest.mark.parametrize("path", PATHS, ids=IDS)

@@ -248,7 +248,6 @@ def test_full_document_with_all_elements_round_trips():
             eval_every=5.0,
             openmetrics_path="run/metrics.prom",
             report_path="run/report.md", report_json_path="run/report.json",
-            top_n=7,
             slos=(
                 SloSpec(metric="plan.response", stat="p95", op="LT",
                         threshold=60.0, severity="warning",
