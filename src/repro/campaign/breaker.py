@@ -53,6 +53,11 @@ class TenantBreaker:
         return self._q._until[tenant_id] - t
 
     @property
+    def revision(self) -> int:
+        """Moves whenever :meth:`state_dict` may have."""
+        return self._q.revision
+
+    @property
     def history(self) -> list[QuarantineEvent]:
         return self._q.history
 

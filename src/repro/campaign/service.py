@@ -330,25 +330,30 @@ class CampaignService:
         The barrier carries what the resumed service can rebuild neither
         from the per-tenant ledgers nor from the watch stream: the
         logical clock, the breaker windows and the SLO evaluator streaks.
-        Each is a unit whose revision is the clock, which moves once
-        before every barrier; the rollup and the alert lists are folded
-        from the stream.  It is the orchestrator's ``barrier`` record:
-        full for a writer's first, then the moved units.
+        Each is a unit with its own revision (the clock's is the clock;
+        each SLO map's is the tuple of its evaluators' revisions), so a
+        barrier writes the clock, the SLO maps only when the cell fed an
+        evaluator and the breaker only when it recorded or released
+        something; the rollup and the alert lists are folded from the
+        stream.  It is the orchestrator's ``barrier`` record: full for a
+        writer's first, then the moved units.
         """
         journal = self._fleet_wal.journal
         if journal is None:
             return
         units, now = self._fleet_units, self._now
         units.update(("now",), now, lambda: now)
-        units.update(("breaker",), now, self.breaker.state_dict)
-        units.update(("slo",), now, lambda: {
-            tid: self._slo[tid].state_dict() for tid in sorted(self._slo)
-        })
-        units.update(("fleet_slo",), now, lambda: {
-            ev.spec.key: ev.state_dict()
-            for tid in sorted(self._fleet_slo)
-            for ev in self._fleet_slo[tid]
-        })
+        units.update(("breaker",), self.breaker.revision, self.breaker.state_dict)
+        slo = [(tid, self._slo[tid]) for tid in sorted(self._slo)]
+        units.update(
+            ("slo",), tuple(ev.revision for _, ev in slo),
+            lambda: {tid: ev.state_dict() for tid, ev in slo},
+        )
+        fleet_slo = [ev for tid in sorted(self._fleet_slo) for ev in self._fleet_slo[tid]]
+        units.update(
+            ("fleet_slo",), tuple(ev.revision for ev in fleet_slo),
+            lambda: {ev.spec.key: ev.state_dict() for ev in fleet_slo},
+        )
         journal.barrier(now, units)
         journal.sync()
         self._watch.sync()

@@ -9,7 +9,9 @@ works (engine events under the simulated driver, a pending list under
 the threaded one).  All randomness comes from named
 :class:`~repro.sim.rng.RngRegistry` streams, so chaos runs replay
 bit-identically, and the full in-flight state (send buffer, breaker,
-RNG positions) round-trips ``state_dict()`` for the crash journal.
+RNG positions) round-trips ``state_dict()`` for the crash journal.  The
+link draws only through ``RngRegistry.random``, so its RNG positions are
+draw counts, not generator states.
 ``revision`` moves whenever that state may have, so a barrier rebuilds
 the state only when it moved: every method that changes it bumps it,
 except ``_u`` and ``_rto``, which only the bumping methods call.
@@ -88,7 +90,7 @@ class FabricLink:
 
     # -- helpers -----------------------------------------------------------------
     def _u(self, suffix: str) -> float:
-        return float(self.rng.stream(f"fabric:{self.link_id}:{suffix}").random())
+        return self.rng.random(f"fabric:{self.link_id}:{suffix}")
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.tracer.enabled:

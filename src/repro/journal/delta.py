@@ -41,6 +41,11 @@ class UnitCache:
             self._built[path] = (revision, build())
             self._moved.append(path)
 
+    @property
+    def moved(self) -> tuple:
+        """The paths rebuilt since the last :meth:`take_moved`, in build order."""
+        return tuple(self._moved)
+
     def take_moved(self) -> list:
         """The delta since the last call: ``[path, state]`` for each unit
         rebuilt since, in build order."""

@@ -29,6 +29,15 @@ from repro.journal.wal import WalWriter, claim_epoch, list_segment_indices
 SNAPSHOT_BYTE_BUCKETS: tuple[float, ...] = tuple(256.0 * 4.0**e for e in range(11))
 
 
+def _persisted(spec: JournalSpec) -> dict:
+    """The spec as the journal persists it: without ``dir``, which a reader
+    takes from where it finds the journal, so the bytes written do not
+    depend on the path."""
+    fields = asdict(spec)
+    del fields["dir"]
+    return fields
+
+
 class Journal:
     """Writer-side handle on a journal directory (one fencing epoch)."""
 
@@ -75,7 +84,7 @@ class Journal:
                 "use Journal.reopen() to recover it"
             )
         journal = cls(spec, metrics=metrics)
-        journal.append("meta", journal_spec=asdict(spec), **meta)
+        journal.append("meta", journal_spec=_persisted(spec), **meta)
         return journal
 
     @classmethod
@@ -102,7 +111,7 @@ class Journal:
             _start_seq=js.last_seq,
             _snapshot_index=js.next_snapshot,
         )
-        journal.append("resume", journal_spec=asdict(spec))
+        journal.append("resume", journal_spec=_persisted(spec))
         return journal
 
     # -- writing -------------------------------------------------------------
@@ -165,7 +174,7 @@ class Journal:
         index = self._snapshot_index
         self._snapshot_index += 1
         segment_after = self._writer.rotate()
-        full = {**state, "journal_spec": asdict(self.spec)}
+        full = {**state, "journal_spec": _persisted(self.spec)}
         size = write_snapshot(self.spec.dir, index, full, segment_after, self._seq)
         if self.metrics is not None:
             self.metrics.histogram(

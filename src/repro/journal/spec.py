@@ -17,7 +17,8 @@ class JournalSpec:
     ``fsync`` trades durability for throughput: ``always`` syncs after
     every record, ``batch`` after every ``batch_every`` records (and on
     snapshot/close), ``off`` leaves flushing to the OS.  ``snapshot_every``
-    is measured in control-loop barriers (ticks).
+    is measured in control-loop barriers (ticks) that wrote a unit other
+    than the clock.
     """
 
     dir: str = attr("journal", nonempty=True)

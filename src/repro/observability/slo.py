@@ -81,6 +81,8 @@ class SloEvaluator:
         self.firing = False
         self._bad_streak = 0
         self._good_streak = 0
+        #: Moves whenever the journaled state does (``state_dict``).
+        self.revision = 0
 
     @property
     def source(self) -> str:
@@ -94,6 +96,7 @@ class SloEvaluator:
         """
         if value is None:
             return None
+        self.revision += 1
         spec = self.spec
         if spec.healthy(value):
             self._good_streak += 1
@@ -131,6 +134,7 @@ class SloEvaluator:
         }
 
     def load_state_dict(self, state: dict[str, Any]) -> None:
+        self.revision += 1
         self.firing = bool(state.get("firing", False))
         self._bad_streak = int(state.get("bad", 0))
         self._good_streak = int(state.get("good", 0))

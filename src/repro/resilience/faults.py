@@ -237,7 +237,7 @@ class ChaosEngine:
         if not self._running:
             return False
         self.revision += 1
-        if float(self.rng.stream("chaos:stage-drop").random()) >= self.model.stage_drop_prob:
+        if self.rng.random("chaos:stage-drop") >= self.model.stage_drop_prob:
             return False
         self._record("stage-drop", channel_name)
         return True
@@ -248,7 +248,7 @@ class ChaosEngine:
         if self.model.msg_drop_prob <= 0:
             return False
         self.revision += 1
-        if float(self.rng.stream("chaos:msg-drop").random()) >= self.model.msg_drop_prob:
+        if self.rng.random("chaos:msg-drop") >= self.model.msg_drop_prob:
             return False
         self.dropped_envelopes += 1
         self._record("msg-drop", env.sender)

@@ -37,6 +37,8 @@ class NodeQuarantine:
         self._failures: dict[str, list[float]] = {}
         self._until: dict[str, float] = {}
         self.history: list[QuarantineEvent] = []
+        #: Moves whenever the journaled state may have (``state_dict``).
+        self.revision = 0
 
     # -- recording ---------------------------------------------------------------
     def record_failure(self, node_id: str, now: float | None = None) -> bool:
@@ -46,6 +48,7 @@ class NodeQuarantine:
         (re)arms the cooldown, so a node that keeps failing stays out.
         """
         t = self.clock() if now is None else now
+        self.revision += 1
         times = self._failures.setdefault(node_id, [])
         times.append(t)
         cutoff = t - self.spec.window
@@ -67,6 +70,7 @@ class NodeQuarantine:
         if t >= until:
             # Cooldown elapsed: release lazily, stamped at the cooldown's
             # end rather than at this query, and clear the blame record.
+            self.revision += 1
             del self._until[node_id]
             self._failures.pop(node_id, None)
             self.history.append(QuarantineEvent(until, node_id, "released"))
@@ -93,6 +97,7 @@ class NodeQuarantine:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self.revision += 1
         self._failures = {
             n: [float(x) for x in ts] for n, ts in state.get("failures", {}).items()
         }

@@ -37,6 +37,15 @@ from repro.util.jsonmsg import Envelope
 from repro.wms.launcher import LauncherCore
 
 
+def _moves_controller(paths) -> bool:
+    """Whether a barrier that wrote the units at *paths* counts toward
+    ``snapshot_every``: it moved a unit other than the clock.  A writer
+    epoch's first, full barrier builds every unit, so it counts; one that
+    moved only ``next_tick``, or nothing, left every unit a resume loads
+    where the barrier before it did."""
+    return any(tuple(path) != ("next_tick",) for path in paths)
+
+
 def _absent() -> None:
     """The journaled state of a subsystem that is not configured."""
     return None
@@ -327,9 +336,12 @@ class RuntimeCore:
     def _journal_barrier(self, now: float) -> None:
         if self._journal is None:
             return
-        self._barriers += 1
         units = self._barrier_units(self._units)
+        moved = units.moved
         self._journal.barrier(now, units)
+        if not _moves_controller(moved):
+            return
+        self._barriers += 1
         every = self._journal.spec.snapshot_every
         if every > 0 and self._barriers % every == 0:
             # The snapshot seals this barrier's segment: it embeds the
@@ -376,9 +388,9 @@ class RuntimeCore:
         the WAL suffix (observations, restarts, Decision ticks, plans:
         each replaces the one with its id in the run output), apply the
         last barrier, and take the journal over (next fencing epoch, the
-        uninterrupted run's snapshot cadence).  A plan a crash interrupted
-        becomes ``_resumed_op``, finished exactly-once through the op
-        ledger.  Returns the journal state and the time of its last
+        snapshot count carried on over the replayed barriers that count).  A plan a
+        crash interrupted becomes ``_resumed_op``, finished exactly-once
+        through the op ledger.  Returns the journal state and the time of its last
         barrier or snapshot (``None``: neither)."""
         js = read_journal(journal_dir)
         b = js.barrier_state
@@ -413,7 +425,8 @@ class RuntimeCore:
                 elif kind == "barrier":
                     self.decision.tick(rec["t"])
                     t = rec["t"]
-                    replayed_barriers += 1
+                    if "state" in rec or _moves_controller(p for p, _ in rec["delta"]):
+                        replayed_barriers += 1
                 elif kind in ("plan", "plan-done"):
                     output.upsert_plan(ActionPlan.from_dict(rec["plan"]))
         finally:

@@ -56,12 +56,12 @@ BOB_SLO = SloSpec(metric="fleet.cell.latency", stat="p95", op="GT",
 class TestFleetPlane:
     """Crash/resume bit-identity and the fleet plane's side artifacts."""
 
-    def make_service(self, root):
+    def make_service(self, root, slos=(BOB_SLO,)):
         svc = CampaignService(
             make_spec(*THREE_TENANTS),
             journal_root=str(root),
             run_cell=failing_for_alice,
-            observability=ObservabilitySpec(slos=(BOB_SLO,), fleet=FleetSpec()),
+            observability=ObservabilitySpec(slos=slos, fleet=FleetSpec()),
         )
         for i in range(2):
             svc.submit(TenantCell("alice", wf_factory, params={"i": i}))
@@ -69,14 +69,14 @@ class TestFleetPlane:
             svc.submit(TenantCell("carol", wf_factory, params={"i": i}))
         return svc
 
-    def campaign(self, root, crash=False):
-        svc = self.make_service(root)
+    def campaign(self, root, crash=False, slos=(BOB_SLO,)):
+        svc = self.make_service(root, slos)
         if crash:
             svc.run_pending(stop_after=2)
             # Supervisor "crash": a fresh service over the same WAL root
             # restores the fleet plane from the last barrier and replays
             # completed cells from the per-tenant ledgers.
-            svc = self.make_service(root)
+            svc = self.make_service(root, slos)
         svc.run_pending()
         return svc
 
@@ -225,15 +225,19 @@ class TestFleetPlane:
         assert roll["bob"]["alerts_firing"]
 
     def test_a_fleet_barrier_holds_only_controller_state(self, tmp_path):
-        svc = self.campaign(tmp_path, crash=True)
-        state, folded = None, 0
-        for rec in read_journal(str(tmp_path / "__fleet__" / "wal")).records:
-            if rec["kind"] == "barrier":
-                state = apply_delta(state, rec["delta"]) if "delta" in rec else rec["state"]
-                assert set(state) == {"now", "breaker", "slo", "fleet_slo"}
-                folded += 1
-        assert folded == 6  # one per executed cell, over both lives
-        assert state["now"] == svc.now
+        """The barrier's keys do not depend on the configuration: a
+        campaign with no tenant SLO still journals an (empty) SLO map."""
+        for name, slos in (("tenant-slo", (BOB_SLO,)), ("no-slo", ())):
+            root = tmp_path / name
+            svc = self.campaign(root, crash=True, slos=slos)
+            state, folded = None, 0
+            for rec in read_journal(str(root / "__fleet__" / "wal")).records:
+                if rec["kind"] == "barrier":
+                    state = apply_delta(state, rec["delta"]) if "delta" in rec else rec["state"]
+                    assert set(state) == {"now", "breaker", "slo", "fleet_slo"}
+                    folded += 1
+            assert folded == 6  # one per executed cell, over both lives
+            assert state["now"] == svc.now
 
     def test_live_resubmit_after_cooldown_still_admitted(self, tmp_path):
         """The resume bypass must not leak into live operation: a cell

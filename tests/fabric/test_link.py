@@ -158,3 +158,84 @@ class TestStateDict:
             f"fabric:c7:{s}" for s in ("net", "drop", "dup", "reorder",
                                        "ackdrop", "backoff")
         )
+
+
+#: A link unit as the journal held it before links drew through
+#: ``RngRegistry.random``: every stream as its full PCG64 state.  Taken
+#: after three sends with their acks planned and one ack received, on
+#: ``OLD_NETWORK`` with ``RngRegistry(0)``; ``OLD_AFTER`` is what that
+#: link did next: ``poll(50.0)``, ``plan_ack`` of seq 7 at 51.0, a send
+#: of seq 8 at 52.0, as ``[deliver_at, seq]``.
+OLD_NETWORK = dict(latency=0.2, jitter=0.1, drop_prob=0.3, dup_prob=0.2, reorder_prob=0.2,
+                   ack_drop_prob=0.2, ack_timeout=2.0, max_retransmits=3,
+                   retransmit_jitter=0.5)
+OLD_UNIT = {
+    "buffer": [
+        {"env": '{"kind":"sensor-update","payload":{"updates":[]},"sender":"c0","seq":0,'
+                '"time":0.0}', "attempts": 0, "next_retry": 2.6065799863304986},
+        {"env": '{"kind":"sensor-update","payload":{"updates":[]},"sender":"c0","seq":2,'
+                '"time":2.0}', "attempts": 0, "next_retry": 4.316144643494887},
+    ],
+    "breaker_failures": 0,
+    "breaker_open_until": None,
+    "counters": {
+        "sent": 3, "transmitted": 3, "dropped": 2, "partition_dropped": 0, "duplicated": 1,
+        "reordered": 0, "retransmits": 0, "acked": 1, "gave_up": 0, "evicted": 0,
+        "ack_dropped": 0, "breaker_shed": 0, "breaker_trips": 0,
+    },
+    "rng": {"seed": 0, "streams": {
+        f"fabric:c0:{name}": {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        for name, state, inc in [
+            ("net", 144688744792956834156726808738900470302,
+             56709022549036425588505152224355447101),
+            ("drop", 109947495367955061579303056771406568970,
+             150752989731518153418714358550350141059),
+            ("dup", 228561065484113934279826187483925678548,
+             339206066058622292142166964488598055777),
+            ("reorder", 203020673664594464938604789521970056750,
+             70889167487329414178492643507772910151),
+            ("ackdrop", 201084845606809589165524950749288591505,
+             151007780621564511651826128617486668795),
+            ("backoff", 296106407482601748740296723370022548077,
+             195667871122453446932559056926241515861),
+        ]
+    }},
+}
+OLD_AFTER = [[50.239418278206024, 2], [51.26342477667087, 7], [52.21359035351398, 8]]
+
+
+def what_it_does_next(lk: FabricLink) -> list:
+    after = [[at, e.seq] for at, e in lk.poll(50.0)]
+    after.append([lk.plan_ack(env(7), 51.0), 7])
+    return after + [[at, e.seq] for at, e in lk.send(env(8, time=52.0), 52.0)]
+
+
+class TestRngState:
+    def fresh(self) -> FabricLink:
+        return FabricLink("c0", NetworkSpec(**OLD_NETWORK), RngRegistry(0))
+
+    def test_a_link_unit_carries_draw_counts(self):
+        lk = self.fresh()
+        for i in range(3):
+            lk.send(env(i, time=float(i)), float(i))
+            lk.plan_ack(env(i), i + 0.5)
+        lk.on_ack("c0", 1, 4.0)
+        state = lk.state_dict()
+        assert state["rng"]["streams"] == {}
+        assert set(state["rng"]["draws"]) <= set(fabric_streams("c0"))
+        # The same state as the older unit, and the same draws from it.
+        assert {k: v for k, v in state.items() if k != "rng"} == {
+            k: v for k, v in OLD_UNIT.items() if k != "rng"
+        }
+        resumed = self.fresh()
+        resumed.load_state_dict(state)
+        assert what_it_does_next(resumed) == what_it_does_next(lk) == OLD_AFTER
+
+    def test_an_older_unit_with_full_generator_states_loads_and_draws_identically(self):
+        lk = self.fresh()
+        lk.load_state_dict(OLD_UNIT)
+        assert lk.state_dict() == OLD_UNIT  # full states stay full states
+        assert what_it_does_next(lk) == OLD_AFTER

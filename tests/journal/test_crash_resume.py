@@ -30,6 +30,7 @@ from repro.journal import (
 from repro.journal import journal as journal_module
 from repro.journal.snapshot import load_latest_snapshot, snapshot_path, write_snapshot
 from repro.journal.wal import list_segment_indices, read_segment, segment_path
+from repro.observability import ObservabilitySpec
 from repro.runtime import DyflowOrchestrator
 from repro.telemetry import TelemetrySpec
 from tests.journal.test_crash_sweep import run as run_full_stack
@@ -97,8 +98,9 @@ class TestBarrierCrashResume:
         assert scenario_fingerprint(res) == scenario_fingerprint(ref)
 
     def test_crash_on_a_snapshot_aligned_barrier(self, tmp_path):
-        # snapshot_every=1 makes *every* barrier a snapshot barrier, so
-        # the crash record seals the barrier into the compacted segment
+        # snapshot_every=1 snapshots after every barrier that moves the
+        # controller, the crash barrier at 500 s among them, so the
+        # crash record seals the barrier into the compacted segment
         # and the replayable suffix holds no barrier at all — resume must
         # fall back to the barrier state embedded in the snapshot.
         spec = jspec(tmp_path, snapshot_every=1)
@@ -136,6 +138,26 @@ class TestSnapshotFiles:
         assert set(load_latest_snapshot(str(journal_dir))["state"]) == {
             "t", "server", "decision", "plans", "barrier", "journal_spec",
         }
+
+    def test_the_snapshot_bytes_do_not_depend_on_the_journal_path(self, tmp_path):
+        """The persisted spec carries no ``dir``: the same seed journaled
+        into two directories whose names differ in length exports the same
+        snapshot byte total."""
+
+        def snapshot_bytes_sum(name: str) -> str:
+            base = tmp_path / name
+            res = run_gray_scott_experiment(
+                telemetry=TelemetrySpec(),
+                observability=ObservabilitySpec(openmetrics_path=str(base / "metrics.prom")),
+                journal=jspec(base, snapshot_every=5), crash_times=(300.0,),
+            )
+            assert res.meta["crashes"] == [300.0]
+            (line,) = [line for line in (base / "metrics.prom").read_text().splitlines()
+                       if line.startswith("dyflow_journal_snapshot_bytes_sum")]
+            return line
+
+        short, long = snapshot_bytes_sum("a"), snapshot_bytes_sum("a-much-longer-name")
+        assert short == long and float(short.split()[-1]) > 0
 
     def test_interrupted_compactions_resume_to_the_reference(self, tmp_path, monkeypatch):
         sealed = {"after": 0}  # the first segment the previous snapshot did not cover
@@ -213,7 +235,8 @@ class TestSnapshotFiles:
         assert res.meta["crashes"] == [300.0]
         assert not [n for n in os.listdir(spec.dir) if n.startswith("snapshot-")]
         resumes = [r for r in read_journal(spec.dir).records if r["kind"] == "resume"]
-        assert [r["journal_spec"] for r in resumes] == [asdict(spec)]
+        persisted = {k: v for k, v in asdict(spec).items() if k != "dir"}
+        assert [r["journal_spec"] for r in resumes] == [persisted]
 
 
 class TestChaosCrashResume:

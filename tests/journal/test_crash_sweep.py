@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.experiments import run_gray_scott_experiment
-from repro.journal import JournalSpec, scenario_fingerprint
+from repro.journal import Journal, JournalSpec, scenario_fingerprint
 from repro.observability import AnomalySpec, ObservabilitySpec, SloSpec
 from repro.telemetry import TelemetrySpec
 
@@ -34,7 +34,6 @@ CHAOS_XML = """
   </resilience>"""
 SLOS = (SloSpec(metric="plan.response", stat="p95", op="LT", threshold=60.0),)
 ANOMALIES = (AnomalySpec(metric="stage.monitor.latency", stat="p95", window=20, z=4.0),)
-SNAPSHOT_EVERY = 20  # the default cadence: barrier n is the tick at t = n - 1
 LAST_TICK = 1900
 
 
@@ -58,10 +57,6 @@ def no_disk_sync(monkeypatch):
     monkeypatch.setattr(os, "fsync", lambda fd: None)
 
 
-def snapshot_aligned(t: float) -> bool:
-    return (int(t) + 1) % SNAPSHOT_EVERY == 0
-
-
 def crash_at_each(ticks, tmp_path, reference) -> list[float]:
     """Crash at every tick in *ticks* within one run; returns where it died."""
     result = run(tmp_path / "wal", crash_times=tuple(float(t) for t in ticks))
@@ -70,7 +65,7 @@ def crash_at_each(ticks, tmp_path, reference) -> list[float]:
 
 
 FORCED = [
-    339, 340,  # a snapshot-aligned tick, then the tick right after its snapshot
+    362, 363,  # a snapshot-aligned tick, then the tick right after its snapshot
     612, 613,  # inside the partition; the second dies one tick after a resume
 ]
 SAMPLED = sorted(random.Random(17).sample(range(1, LAST_TICK), 20))
@@ -85,17 +80,26 @@ def test_crash_at_sampled_barriers_resumes_to_the_reference(ticks, tmp_path, ref
     assert len(died) == len(ticks) and all(d >= t for d, t in zip(died, ticks))
 
 
-def test_crash_at_the_layout_cases_resumes_to_the_reference(tmp_path, reference):
+def test_crash_at_the_layout_cases_resumes_to_the_reference(tmp_path, reference, monkeypatch):
+    # A snapshot follows every 20th barrier that moved the controller, so
+    # which ticks are snapshot-aligned is read off the run, not computed.
+    snapshots, snapshot = [], Journal.snapshot
+
+    def recorded(journal, state):
+        snapshots.append(state["t"])
+        return snapshot(journal, state)
+
+    monkeypatch.setattr(Journal, "snapshot", recorded)
     died = crash_at_each(FORCED, tmp_path, reference)
     assert died == [float(t) for t in FORCED]  # none deferred
-    assert snapshot_aligned(died[0]) and snapshot_aligned(died[1] - 1)
+    assert died[0] in snapshots and died[1] not in snapshots
     assert 600.0 <= died[2] <= 630.0 and died[3] == died[2] + 1
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("offset", range(6))
 def test_crash_at_every_barrier_of_a_window(offset, tmp_path, reference):
-    """Ticks 540..839 — across the partition and 15 snapshots — every sixth
+    """Ticks 540..839 — across the partition and six snapshots — every sixth
     per run, so the six runs together crash at each barrier once."""
     ticks = list(range(540 + offset, 840, 6))
     died = crash_at_each(ticks, tmp_path, reference)

@@ -36,12 +36,18 @@ from repro.telemetry import TelemetrySpec
 from tests.journal.test_barrier_layout import EVERY_SUBSYSTEM
 from tests.journal.test_threaded_checkpoint import make_runner
 
-CRASH_TIMES = (300.0, 707.0)  # right after a snapshot of the default cadence; mid-segment
+CRASH_TIMES = (309.0, 707.0)  # right after a snapshot of the default cadence; mid-segment
 CHECK_UNTIL = {1: 400, 5: 800}  # snapshot_every -> first tick time not read back
 
 
 def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def moves_controller(delta) -> bool:
+    """A barrier that counts toward ``snapshot_every``: a full one (no
+    delta), or a delta that wrote a unit other than the clock."""
+    return delta is None or any(path != ["next_tick"] for path, _ in delta)
 
 
 class Recording:
@@ -53,10 +59,13 @@ class Recording:
         self.handed: dict[float, str] = {}  # barrier time -> canonical state
         self.records: list[tuple[int, str, int]] = []  # (epoch, "state"|"delta", bytes)
         self.checked = {"barrier": 0, "snapshot": 0}
+        self.moved_checked = 0  # checked barriers that moved a unit other than the clock
+        self.replayed: list[int] = []  # per resume: moved barriers past its snapshot
         self.fresh: str | None = None  # the state this tick, built uncached
         self.fresh_checked = 0
         barrier, snapshot, append = Journal.barrier, Journal.snapshot, Journal.append
         barrier_units = sim_driver.DyflowOrchestrator._barrier_units
+        resume_read = core.read_journal
         recording = self
 
         def fresh_barrier_units(orch, units):
@@ -80,6 +89,14 @@ class Recording:
             fold_equals_handed(journal, t, "barrier")
             return seq
 
+        def counted_resume_read(journal_dir):
+            state = resume_read(journal_dir)
+            recording.replayed.append(sum(
+                moves_controller(rec.get("delta"))
+                for rec in state.records if rec["kind"] == "barrier"
+            ))
+            return state
+
         def checked_snapshot(journal, state):
             index = snapshot(journal, state)
             fold_equals_handed(journal, state["t"], "snapshot")  # base: the embedded barrier
@@ -87,6 +104,8 @@ class Recording:
 
         def sized_append(journal, kind, **payload):
             if kind == "barrier":
+                if payload["t"] < check_until and moves_controller(payload.get("delta")):
+                    recording.moved_checked += 1
                 layout = "state" if "state" in payload else "delta"
                 size = len(encode_record({**payload, "seq": 0, "kind": kind, "e": 0}))
                 recording.records.append((journal.epoch, layout, size))
@@ -97,6 +116,7 @@ class Recording:
         patch.setattr(sim_driver.DyflowOrchestrator, "_barrier_units", fresh_barrier_units)
         patch.setattr(Journal, "snapshot", checked_snapshot)
         patch.setattr(Journal, "append", sized_append)
+        patch.setattr(core, "read_journal", counted_resume_read)
         patch.setattr(os, "fsync", lambda fd: None)  # snapshots sync whatever the spec says
         try:
             self.result = run_gray_scott_experiment(
@@ -116,9 +136,10 @@ def recorded(tmp_path_factory):
     """``recorded(snapshot_every)`` -> the Recording, one run per cadence.
 
     Reading the WAL back costs a snapshot parse, and the snapshot grows
-    with the run: the default cadence is checked at all ~1900 ticks, a
-    snapshot every 5 ticks until past both crash/resumes (t < 800), one
-    at *every* tick until past the first (t < 400).
+    with the run: the default cadence is checked at all ~1900 ticks,
+    ``snapshot_every=5`` until past both crash/resumes (t < 800), and
+    ``snapshot_every=1``, a snapshot after every barrier that moved the
+    controller, until past the first (t < 400).
     """
     runs: dict[int, Recording] = {}
 
@@ -152,7 +173,15 @@ def test_the_wal_folds_to_the_handed_over_state_at_every_tick(
     barriers = len(rec.records)
     assert barriers > 1500 and rec.fresh_checked == barriers
     checked = CHECK_UNTIL.get(snapshot_every, barriers)  # one tick a second from t=0
-    assert rec.checked == {"barrier": checked, "snapshot": checked // snapshot_every}
+    # A snapshot follows every snapshot_every-th barrier that moved a unit
+    # other than the clock; one that moved only next_tick does not count.
+    assert rec.checked == {
+        "barrier": checked, "snapshot": rec.moved_checked // snapshot_every,
+    }
+    assert 0 < rec.moved_checked < checked
+    # So a resume replays at most snapshot_every of them past its snapshot.
+    assert len(rec.replayed) == len(CRASH_TIMES)
+    assert all(n <= snapshot_every for n in rec.replayed), rec.replayed
     # The first barrier of each of the three writer epochs is full, no other.
     assert [e for e, layout, _ in rec.records if layout == "state"] == [1, 2, 3]
     for epoch in (1, 2, 3):
@@ -313,12 +342,14 @@ def test_a_snapshot_without_the_barrier_makes_the_next_barrier_full(tmp_path):
 def test_reopen_leaves_the_state_it_was_given_unchanged(tmp_path):
     spec = JournalSpec(dir=str(tmp_path / "journal"), fsync="off", snapshot_every=7)
     with closing(Journal.open(spec)) as j:
-        j.snapshot({})  # persists the spec, "dir" included
+        j.snapshot({})  # persists the spec, without its "dir"
     state = read_journal(spec.dir)
+    assert "dir" not in state.journal_spec
+    state.journal_spec["dir"] = "/elsewhere"  # as an older journal persisted it
     before = dict(state.journal_spec)
     with closing(Journal.reopen(spec.dir, state=state)) as j:
         assert j.spec == spec
-    assert state.journal_spec == before and before["dir"] == spec.dir
+    assert state.journal_spec == before
 
 
 def test_a_resume_reads_the_journal_once(tmp_path, monkeypatch):

@@ -44,7 +44,8 @@ class TestWriting:
         [meta] = read_journal(s.dir).records
         assert (meta["kind"], meta["seq"]) == ("meta", 1)
         assert (meta["workflow"], meta["t"]) == ("W", 0.0)
-        assert meta["journal_spec"] == asdict(s)
+        # The directory is where a reader finds the journal: not persisted.
+        assert meta["journal_spec"] == {k: v for k, v in asdict(s).items() if k != "dir"}
 
     def test_open_refuses_populated_dir(self, tmp_path):
         s = spec(tmp_path)

@@ -10,8 +10,9 @@ journaled beside its watch stream, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a run record stored outside the run log, a
 second report path, a second snapshot pointer, a snapshot that carries
 run output, a Monitor round that polls every binding, a paper claim
-written outside the report, or a suggestion that ends without a reason
-fails here by name.
+written outside the report, a suggestion that ends without a reason, or
+a link or chaos drop draw that brings full generator states back into
+the barrier fails here by name.
 """
 
 import ast
@@ -497,3 +498,41 @@ def test_a_suggestion_ends_in_one_reason_rendered_in_one_place():
     assert "self.failed_ops" not in {
         ast.unparse(n) for n in ast.walk(actuation_stage()) if isinstance(n, ast.Attribute)
     }
+
+
+def rng_calls(cls):
+    """(method, registry method, first argument) of every ``self.rng.<m>(...)`` in *cls*."""
+    return {
+        (fn.name, n.func.attr, ast.unparse(n.args[0]) if n.args else None)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and ast.unparse(n.func.value) == "self.rng"
+    }
+
+
+def test_a_random_only_stream_is_drawn_through_rng_random():
+    """A link, and the chaos engine's drop sites, draw through
+    ``RngRegistry.random`` alone, so their streams are journaled as draw
+    counts: a ``stream(...)`` draw there would bring full generator
+    states back into every link unit, and nothing else hands those
+    streams out either."""
+    link = rng_calls(class_named("fabric/link.py", "FabricLink"))
+    assert {(fn, method) for fn, method, _arg in link} == {
+        ("_u", "random"), ("state_dict", "state_dict"), ("load_state_dict", "load_state_dict"),
+    }
+    chaos = rng_calls(class_named("resilience/faults.py", "ChaosEngine"))
+    drops = {"_drop_staged_step": "'chaos:stage-drop'", "drop_envelope": "'chaos:msg-drop'"}
+    assert {call for call in chaos if call[0] in drops} == {
+        (fn, "random", name) for fn, name in drops.items()
+    }
+
+    def hands_out_a_counted_stream(node):
+        return (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "stream" and bool(node.args)
+            and any(name in ast.unparse(node.args[0])
+                    for name in ("fabric:", "chaos:stage-drop", "chaos:msg-drop"))
+        )
+
+    assert modules_where(hands_out_a_counted_stream) == []

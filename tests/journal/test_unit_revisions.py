@@ -9,8 +9,9 @@ built one at every tick of one run; these properties drive a link, a
 health engine, the server's ingress side, degraded mode and the
 orchestrator's in-flight deliveries through what that run never does —
 partitions, a breaker, lost acks, a bound health feed, a full queue,
-direct deliveries, a crash, restores — and require after every call: the
-state moved, so the revision moved.
+direct deliveries, a crash, restores — and the campaign fleet's units
+(its tenant breaker, an SLO evaluator), and require after every call:
+the state moved, so the revision moved.
 """
 
 import json
@@ -19,14 +20,15 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.breaker import TenantBreaker
 from repro.cluster import Allocation, summit
 from repro.core import MonitorServer
 from repro.fabric import DegradedModeController, FabricLink, NetworkSpec, PartitionWindow
 from repro.journal import JournalSpec
 from repro.observability import AnomalySpec, HealthEngine, ObservabilitySpec, SloSpec
 from repro.observability.health import log_alert
-from repro.observability.slo import HealthAlert
-from repro.resilience import ResilienceSpec
+from repro.observability.slo import HealthAlert, SloEvaluator
+from repro.resilience import QuarantineSpec, ResilienceSpec
 from repro.runtime import DyflowOrchestrator, RuntimeOptions
 from repro.sim import SimEngine
 from repro.sim.rng import RngRegistry
@@ -240,3 +242,60 @@ def test_the_in_flight_table_bumps_its_revision_whenever_it_moves(calls):
             elif not orch.crashed:
                 orch._crash()
             tracked.check(call)
+
+
+BREAKER_CALLS = st.lists(
+    st.tuples(st.sampled_from(["fail", "query", "active", "blamed", "save", "restore"]),
+              st.sampled_from(["a", "b"]), st.floats(0.0, 30.0)),
+    max_size=40,
+)
+
+
+@settings(max_examples=80)
+@given(BREAKER_CALLS)
+@example([("fail", "a", 0.0)] * 2 + [("query", "a", 25.0)])  # a trip, then the lazy release
+def test_a_tenant_breaker_bumps_its_revision_whenever_its_state_moves(calls):
+    clock = [0.0]
+    breaker = TenantBreaker(QuarantineSpec(failures=2, window=10.0, cooldown=20.0),
+                            clock=lambda: clock[0])
+    tracked, saved = Tracked(breaker), breaker.state_dict()
+    for call, tenant, dt in calls:
+        clock[0] += dt
+        if call == "fail":
+            breaker.record_failure(tenant)
+        elif call == "query":
+            breaker.is_quarantined(tenant)
+        elif call == "active":
+            breaker.active()
+        elif call == "blamed":
+            breaker.blamed(tenant)
+        elif call == "save":
+            saved = breaker.state_dict()
+        else:
+            breaker.load_state_dict(saved)
+        tracked.check(call)
+
+
+SLO_CALLS = st.lists(
+    st.tuples(st.sampled_from(["evaluate", "unobserved", "save", "restore"]),
+              st.floats(0.0, 4.0)),
+    max_size=40,
+)
+
+
+@settings(max_examples=80)
+@given(SLO_CALLS)
+def test_an_slo_evaluator_bumps_its_revision_whenever_its_state_moves(calls):
+    evaluator = SloEvaluator(SloSpec(metric="tenant.a.failures", stat="count", op="LT",
+                                     threshold=2.0, fire_after=2, clear_after=2))
+    tracked, saved = Tracked(evaluator), evaluator.state_dict()
+    for now, (call, value) in enumerate(calls):
+        if call == "evaluate":
+            evaluator.evaluate(float(now), value)
+        elif call == "unobserved":
+            evaluator.evaluate(float(now), None)
+        elif call == "save":
+            saved = evaluator.state_dict()
+        else:
+            evaluator.load_state_dict(saved)
+        tracked.check(call)
