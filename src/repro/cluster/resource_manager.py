@@ -12,49 +12,109 @@ which the property-based tests check after arbitrary operation sequences.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from repro.cluster.allocation import Allocation, ResourceSet
-from repro.cluster.node import NodeState
+from repro.cluster.node import Node, NodeState
 from repro.errors import AllocationError
 
 
-def place_cores(
-    free: ResourceSet,
-    nodes,
-    ncores: int,
-    per_node_limit: int | None = None,
-    exclude_nodes: set[str] | None = None,
-) -> ResourceSet:
-    """Deterministically pick *ncores* from *free* over *nodes*.
+class FreeIndex:
+    """Free cores per node, and the inventory positions of the nodes that
+    have any, in inventory order.
 
-    Standalone placement used both by the live resource manager and by
-    Arbitration's shadow bookkeeping while it builds a plan.  Nodes are
-    filled in inventory order; unhealthy and excluded nodes are skipped.
-    Raises :class:`AllocationError` when the request cannot be met.
+    Placement walks only ``open``, so a task start reads the nodes it may
+    take cores from, not the whole inventory.  Node health and quarantine
+    are not in the index: they change outside the resource manager, so
+    :meth:`place` reads them live at lookup.
     """
-    if ncores <= 0:
-        raise AllocationError(f"ncores must be > 0, got {ncores}")
-    exclude = exclude_nodes or set()
-    chosen: dict[str, int] = {}
-    remaining = ncores
-    for node in nodes:
-        if remaining == 0:
-            break
-        if node.state != NodeState.UP or node.node_id in exclude:
-            continue
-        avail = free.cores_on(node.node_id)
-        if per_node_limit is not None:
-            avail = min(avail, per_node_limit)
-        take = min(avail, remaining)
-        if take > 0:
-            chosen[node.node_id] = take
-            remaining -= take
-    if remaining > 0:
+
+    __slots__ = ("nodes", "pos", "free", "open")
+
+    def __init__(self, nodes: list[Node]) -> None:
+        self.nodes = nodes
+        self.pos = {n.node_id: i for i, n in enumerate(nodes)}
+        self.free = {n.node_id: n.cores for n in nodes}
+        self.open = list(range(len(nodes)))
+
+    def copy(self) -> "FreeIndex":
+        """An independent index over the same inventory."""
+        other = FreeIndex.__new__(FreeIndex)
+        other.nodes, other.pos = self.nodes, self.pos
+        other.free, other.open = dict(self.free), list(self.open)
+        return other
+
+    def add(self, rs: ResourceSet, sign: int) -> None:
+        """Return *rs*'s cores to the free pool (``sign=+1``) or take them
+        (``sign=-1``), keeping ``open`` to the nodes left with free cores."""
+        free, open_, pos = self.free, self.open, self.pos
+        for node_id, n in rs.as_dict().items():
+            before = free[node_id]
+            after = free[node_id] = before + sign * n
+            if before <= 0 < after:
+                insort(open_, pos[node_id])
+            elif after <= 0 < before:
+                del open_[bisect_left(open_, pos[node_id])]
+
+    def place(
+        self,
+        ncores: int,
+        per_node_limit: int | None,
+        exclude: set[str] | frozenset[str],
+        avoid: ResourceSet | None = None,
+    ) -> ResourceSet:
+        """Deterministically pick *ncores* free cores.
+
+        Nodes with free cores are filled in inventory order, taking up to
+        ``per_node_limit`` cores from each; unhealthy and *exclude*d nodes
+        are skipped.  *avoid* is subtracted first and must be free.
+        Raises :class:`AllocationError` when the request cannot be met.
+        """
+        if ncores <= 0:
+            raise AllocationError(f"ncores must be > 0, got {ncores}")
+        nodes, free, up = self.nodes, self.free, NodeState.UP
+        held = avoid.as_dict() if avoid else {}
+        for node_id, n in held.items():
+            have = self.healthy_free(node_id)
+            if n > have:
+                raise AllocationError(
+                    f"cannot subtract {n} cores on {node_id}: only {have} present"
+                )
+        chosen: dict[str, int] = {}
+        remaining = ncores
+        for p in self.open:
+            node = nodes[p]
+            node_id = node.node_id
+            if node.state is not up or node_id in exclude:
+                continue
+            avail = free[node_id] - held.get(node_id, 0)
+            if per_node_limit is not None and avail > per_node_limit:
+                avail = per_node_limit
+            if avail > 0:
+                take = avail if avail < remaining else remaining
+                chosen[node_id] = take
+                remaining -= take
+                if not remaining:
+                    return ResourceSet(chosen)
         raise AllocationError(
             f"cannot place {ncores} cores"
             f"{f' (limit {per_node_limit}/node)' if per_node_limit else ''}: "
             f"{ncores - remaining} available under constraints"
         )
-    return ResourceSet(chosen)
+
+    def healthy_free(self, node_id: str) -> int:
+        """Free cores on *node_id*, or 0 for an unknown or unhealthy node."""
+        p = self.pos.get(node_id)
+        if p is None or self.nodes[p].state is not NodeState.UP:
+            return 0
+        return self.free[node_id]
+
+    def check_free(self, rs: ResourceSet) -> None:
+        """Raise :class:`AllocationError` unless every core of *rs* is free
+        on a healthy node; reads only *rs*'s nodes."""
+        for node_id, n in rs.as_dict().items():
+            if n > self.healthy_free(node_id):
+                raise AllocationError(f"resource set {rs!r} not free")
 
 
 class ResourceManager:
@@ -69,11 +129,9 @@ class ResourceManager:
         self.allocation = allocation
         self.quarantine = quarantine
         self._assigned: dict[str, ResourceSet] = {}
-        # Incremental per-node totals mirroring _assigned, so
-        # assigned_total()/free() stay O(nodes) instead of unioning every
-        # owner's set (O(owners x nodes) per call made task launch
-        # quadratic at 10k tasks).
-        self._per_node: dict[str, int] = {}
+        #: The free cores :meth:`_account` keeps current; every placement
+        #: reads it.  Arbitration's shadow places over a copy of it.
+        self.free_index = FreeIndex(allocation.nodes)
         #: Bumped on every assignment mutation that moves a core; the
         #: first component of :meth:`placement_epoch`.
         self.version = 0
@@ -82,13 +140,7 @@ class ResourceManager:
         if not rs:
             return  # nothing moved: placement answers are unchanged
         self.version += 1
-        per_node = self._per_node
-        for node_id, n in rs.as_dict().items():
-            c = per_node.get(node_id, 0) + sign * n
-            if c:
-                per_node[node_id] = c
-            else:
-                per_node.pop(node_id, None)
+        self.free_index.add(rs, -sign)
 
     # -- views ----------------------------------------------------------------
     def owners(self) -> list[str]:
@@ -99,34 +151,29 @@ class ResourceManager:
         return self._assigned.get(owner, ResourceSet.empty())
 
     def assigned_total(self) -> ResourceSet:
-        return ResourceSet(self._per_node)
+        free = self.free_index.free
+        return ResourceSet({n.node_id: n.cores - free[n.node_id] for n in self.allocation.nodes})
+
+    def _open_nodes(self):
+        """The healthy nodes with free cores, in inventory order; health is
+        read live because nodes fail and recover outside this class."""
+        nodes, up = self.allocation.nodes, NodeState.UP
+        for p in self.free_index.open:
+            if nodes[p].state is up:
+                yield nodes[p].node_id
 
     def free(self) -> ResourceSet:
-        """Unassigned cores on healthy nodes.
-
-        One pass over the inventory against the per-node totals that
-        :meth:`_account` keeps current; node health is read live because
-        nodes fail and recover outside this class.
-        """
-        used = self._per_node
-        return ResourceSet({
-            n.node_id: n.cores - used.get(n.node_id, 0)
-            for n in self.allocation.nodes
-            if n.state == NodeState.UP
-        })
+        """Unassigned cores on healthy nodes, read off the free index."""
+        free = self.free_index.free
+        return ResourceSet({node_id: free[node_id] for node_id in self._open_nodes()})
 
     def free_cores(self) -> int:
         """``free().total_cores`` without building the set.
 
         Arbitration asks it on every idle tick that has a waiting queue.
         """
-        used = self._per_node
-        up = NodeState.UP
-        total = 0
-        for n in self.allocation.nodes:
-            if n.state is up:
-                total += n.cores - used.get(n.node_id, 0)
-        return total
+        free = self.free_index.free
+        return sum(free[node_id] for node_id in self._open_nodes())
 
     def healthy_node_ids(self) -> set[str]:
         return {n.node_id for n in self.allocation.healthy_nodes()}
@@ -177,12 +224,10 @@ class ResourceManager:
 
         Raises :class:`AllocationError` when the request cannot be met.
         """
-        free = self.free()
-        if avoid is not None:
-            free = free.subtract(avoid)
-        exclude = set(exclude_nodes) if exclude_nodes else set()
-        exclude |= self.excluded_nodes()
-        return place_cores(free, self.allocation.nodes, ncores, per_node_limit, exclude)
+        exclude = self.excluded_nodes()
+        if exclude_nodes:
+            exclude = exclude | set(exclude_nodes)
+        return self.free_index.place(ncores, per_node_limit, exclude, avoid)
 
     # -- mutation ----------------------------------------------------------------
     def assign(
@@ -204,8 +249,7 @@ class ResourceManager:
         """Assign an explicit, already-planned resource set to *owner*."""
         if owner in self._assigned:
             raise AllocationError(f"owner {owner!r} already holds resources")
-        if not self.free().contains(rs):
-            raise AllocationError(f"resource set {rs!r} not free")
+        self.free_index.check_free(rs)
         self._assigned[owner] = rs
         self._account(rs, +1)
         return rs
@@ -299,11 +343,18 @@ class ResourceManager:
 
     # -- invariants ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Raise :class:`AllocationError` if bookkeeping is inconsistent."""
+        """Raise :class:`AllocationError` if bookkeeping is inconsistent,
+        or if the free index differs from a full scan of the inventory."""
         per_node: dict[str, int] = {}
         for rs in self._assigned.values():
             for node_id, n in rs.items():
                 per_node[node_id] = per_node.get(node_id, 0) + n
+        index = self.free_index
+        scan = {n.node_id: n.cores - per_node.get(n.node_id, 0) for n in self.allocation.nodes}
+        if index.free != scan:
+            raise AllocationError(f"free index {index.free} != scan {scan}")
+        if index.open != [p for p, n in enumerate(self.allocation.nodes) if scan[n.node_id] > 0]:
+            raise AllocationError(f"open nodes {index.open} != scan {scan}")
         for node in self.allocation.nodes:
             used = per_node.pop(node.node_id, 0)
             if node.state != NodeState.UP and used > 0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.cluster.resource_manager import place_cores
 from repro.core.lowlevel import ActionPlan, DegradationReport, LowLevelOp
 from repro.errors import ActuationError, AllocationError, LaunchError
 from repro.journal.ledger import AppliedOpsLedger
@@ -236,12 +235,7 @@ class ActuationStage:
             except AllocationError:
                 # State drifted since planning (e.g. another exit changed
                 # the free pool): re-place the same core count now.
-                resources = place_cores(
-                    launcher.rm.free(),
-                    launcher.rm.allocation.nodes,
-                    op.resources.total_cores,
-                    exclude_nodes=launcher.rm.excluded_nodes(),
-                )
+                resources = launcher.rm.plan_placement(op.resources.total_cores)
                 launcher.rm.assign_set(op.task, resources)
             yield from launcher.start_task_with_resources(
                 op.task,

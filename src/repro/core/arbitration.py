@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster.allocation import ResourceSet
-from repro.cluster.resource_manager import place_cores
+from repro.cluster.resource_manager import FreeIndex
 from repro.core.actions import (
     ActionType, Outcome, Reason, SuggestedAction, actions_conflict, count_reason,
     render_outcome, tally,
@@ -100,6 +100,10 @@ class _Shadow:
     fresh starts, waiting-queue drains, dependent restarts, packed
     fallbacks — hits the same gate, and victimizing a same-workflow
     task frees quota exactly like it frees cores.
+
+    Until the plan moves a core, the shadow reads the live assignment and
+    places over the live free index; its first :meth:`take` or
+    :meth:`release` copies both, so building a shadow costs nothing.
     """
 
     def __init__(
@@ -109,13 +113,10 @@ class _Shadow:
         cache: _FeasibilityCache | None = None,
         core_quota: int | None = None,
     ) -> None:
-        rm = self.rm = launcher.rm
+        self.rm = launcher.rm
         self.core_quota = core_quota
-        self.nodes = rm.allocation.nodes
-        self.free = rm.free()
-        self.assigned: dict[str, ResourceSet] = {
-            name: rm.assignment(name) for name in rm.owners()
-        }
+        self.index = self.rm.free_index
+        self._assigned: dict[str, ResourceSet] | None = None
         # Quarantined nodes are excluded exactly like unhealthy ones:
         # Arbitration "ensures the exclusion of problematic resources".
         # Constant within one plan build (simulated time does not advance),
@@ -126,13 +127,28 @@ class _Shadow:
         if cache is not None:
             cache.sync(epoch)
 
+    @property
+    def assigned(self) -> dict[str, ResourceSet]:
+        """Owner → cores as the plan so far leaves them, copied from the
+        live manager on first use."""
+        if self._assigned is None:
+            rm = self.rm
+            self._assigned = {name: rm.assignment(name) for name in rm.owners()}
+        return self._assigned
+
+    def _own_index(self) -> FreeIndex:
+        """The shadow's own free index, copied before its first change."""
+        if self.pristine:
+            self.pristine = False
+            self.index = self.index.copy()
+        return self.index
+
     def holds(self, task: str) -> bool:
         return task in self.assigned
 
     def release(self, task: str) -> ResourceSet:
-        self.pristine = False
         rs = self.assigned.pop(task, ResourceSet.empty())
-        self.free = self.free.union(rs.restrict_to(self.rm.healthy_node_ids()))
+        self._own_index().add(rs, +1)
         return rs
 
     def place(self, ncores: int, per_node_limit: int | None) -> ResourceSet:
@@ -152,18 +168,16 @@ class _Shadow:
                 "known infeasible against current resources"
             )
         try:
-            return place_cores(
-                self.free, self.nodes, ncores, per_node_limit,
-                exclude_nodes=self.excluded,
-            )
+            return self.index.place(ncores, per_node_limit, self.excluded)
         except AllocationError:
             if usable:
                 cache.note_infeasible(ncores, per_node_limit)
             raise
 
     def take(self, task: str, rs: ResourceSet) -> None:
-        self.pristine = False
-        self.free = self.free.subtract(rs)
+        index = self._own_index()
+        index.check_free(rs)
+        index.add(rs, -1)
         self.assigned[task] = rs
 
 

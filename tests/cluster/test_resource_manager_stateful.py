@@ -12,6 +12,8 @@ requires that:
 - ``check_invariants()`` passes;
 - cores are conserved: what the owners hold plus what is free is the
   capacity of the healthy nodes, and each owner holds what the model says;
+- the free index (free cores per node, and the inventory positions of
+  the nodes with any) equals a full scan of the inventory;
 - ``free()`` and ``free_cores()`` equal a recomputation from the model;
 - ``plan_placement`` gives, for a grid of request shapes, the answer of
   :func:`place_cores` — the full inventory scan placement used to be —
@@ -88,14 +90,17 @@ class ResourceManagerMachine(RuleBasedStateMachine):
         self.model: dict[str, dict[str, int]] = {}
 
     # -- the oracle ------------------------------------------------------------------
-    def oracle_free(self) -> ResourceSet:
+    def scan(self) -> dict[str, int]:
+        """Free cores of every node, health aside, from the model."""
         used: dict[str, int] = {}
         for held in self.model.values():
             for node_id, n in held.items():
                 used[node_id] = used.get(node_id, 0) + n
-        return ResourceSet({
-            n.node_id: n.cores - used.get(n.node_id, 0) for n in self.nodes if n.is_up
-        })
+        return {n.node_id: n.cores - used.get(n.node_id, 0) for n in self.nodes}
+
+    def oracle_free(self) -> ResourceSet:
+        scan = self.scan()
+        return ResourceSet({n.node_id: scan[n.node_id] for n in self.nodes if n.is_up})
 
     def oracle_placement(self, ncores, per_node_limit=None, exclude_nodes=None, avoid=None):
         """What ``plan_placement`` answered when it was a full scan."""
@@ -215,6 +220,13 @@ class ResourceManagerMachine(RuleBasedStateMachine):
         capacity = sum(n.cores for n in self.nodes if n.is_up)
         assert held + rm.free().total_cores == capacity
         assert rm.assigned_total().total_cores == held
+
+    @invariant()
+    def the_index_equals_a_full_scan(self):
+        scan = self.scan()
+        index = self.rm.free_index
+        assert index.free == scan
+        assert index.open == [p for p, node_id in enumerate(NODE_IDS) if scan[node_id] > 0]
 
     @invariant()
     def free_equals_a_recomputation(self):

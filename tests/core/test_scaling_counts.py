@@ -13,8 +13,9 @@ an unsignalled, unblocked step runs no sub-generator and builds no
 ``StreamStep`` that no reader reads, a consumer whose input is staged
 never enters the input wait, a sleep costs one heap entry and one
 resume, a barrier where only the next tick moved writes that unit and
-signs nothing whatever the alert history holds, and a snapshot's server and plan
-entries are the same whatever the run has produced.  Each count is what
+signs nothing whatever the alert history holds, a snapshot's server and plan
+entries are the same whatever the run has produced, and a task start
+reads as many nodes at 3 000 tasks as at 1 000.  Each count is what
 a scan over all N entries — or a retry on every tick, or a per-task
 object nothing uses — would get wrong.
 """
@@ -30,8 +31,9 @@ from repro.apps import ConstantModel, CouplingRegistry, IterativeApp
 from repro.apps import base as app_base
 from repro.apps.base import TaskContext
 from repro.campaign import CampaignService, TenantCell, TenantSpec, TenantsSpec
-from repro.cluster import Allocation, summit
+from repro.cluster import Allocation, ResourceManager, summit
 from repro.cluster.machine import MachinePerf
+from repro.cluster.node import Node
 from repro.core import (
     ActionType,
     DecisionStage,
@@ -751,6 +753,61 @@ class TestWaitingQueueRetry:
         result = PAPER_RUNS[scenario](machine, seed=1)
         assert len(result.plans) == plans
         assert len(shadows) <= 2 * plans
+
+
+def count_placement_node_reads(monkeypatch) -> list[int]:
+    """Patch ``Node.state`` with a counting descriptor and bracket the
+    placement entry points of :class:`ResourceManager`; returns, per
+    outermost placement call, how many distinct nodes it read.  Every
+    placement reads a node's health before it takes its cores."""
+    reading: list[set[int]] = []  # the open call's nodes, while one is open
+    counts: list[int] = []
+
+    class CountingState:
+        def __get__(self, node, owner=None):
+            if node is None:
+                return self
+            if reading:
+                reading[0].add(id(node))
+            return node.__dict__["state"]
+
+        def __set__(self, node, value):
+            node.__dict__["state"] = value
+
+    monkeypatch.setattr(Node, "state", CountingState())
+    for name in ("assign", "assign_set", "grow", "plan_placement"):
+        def bracket(self, *args, _original=getattr(ResourceManager, name), **kwargs):
+            if reading:
+                return _original(self, *args, **kwargs)
+            reading.append(set())
+            try:
+                return _original(self, *args, **kwargs)
+            finally:
+                counts.append(len(reading.pop()))
+
+        monkeypatch.setattr(ResourceManager, name, bracket)
+    return counts
+
+
+class TestPlacementWork:
+    """A task start reads the nodes it takes cores from, not the machine.
+    The synthetic scenario packs one-core tasks onto 64-core nodes, so
+    3 000 tasks span 47 nodes to 1 000's 16; a placement that built the
+    free pool over every node read all of them on every start."""
+
+    def nodes_read_per_start(self, monkeypatch, tasks: int) -> float:
+        with monkeypatch.context() as patch:
+            counts = count_placement_node_reads(patch)
+            result = run_synthetic_experiment(tasks)
+        starts = sum(len(rec.history) for rec in result.launcher.records.values())
+        assert starts == tasks and len(counts) == tasks
+        return sum(counts) / starts
+
+    def test_nodes_read_per_start_are_flat_from_1k_to_3k_tasks(self, monkeypatch):
+        small = self.nodes_read_per_start(monkeypatch, 1000)
+        large = self.nodes_read_per_start(monkeypatch, 3000)
+        assert small >= 1.0
+        assert large / small <= 1.05, (small, large)
 
 
 def shape(value):

@@ -10,9 +10,9 @@ journaled beside its watch stream, a second OpenMetrics renderer, a telemetry
 handoff with no reader, a run record stored outside the run log, a
 second report path, a second snapshot pointer, a snapshot that carries
 run output, a Monitor round that polls every binding, a paper claim
-written outside the report, a suggestion that ends without a reason, or
+written outside the report, a suggestion that ends without a reason,
 a link or chaos drop draw that brings full generator states back into
-the barrier fails here by name.
+the barrier, or a placement that walks every node fails here by name.
 """
 
 import ast
@@ -536,3 +536,37 @@ def test_a_random_only_stream_is_drawn_through_rng_random():
         )
 
     assert modules_where(hands_out_a_counted_stream) == []
+
+
+#: The methods a placement goes through: the manager's free-pool views and
+#: booking calls, the index they read, Arbitration's shadow and Actuation's
+#: re-place.
+PLACEMENT_METHODS = {
+    ("cluster/resource_manager.py", "ResourceManager"): (
+        "free", "free_cores", "_open_nodes", "plan_placement", "assign", "assign_set", "grow",
+    ),
+    ("cluster/resource_manager.py", "FreeIndex"): ("add", "place", "healthy_free", "check_free"),
+    ("core/arbitration.py", "_Shadow"): ("__init__", "assigned", "_own_index", "release",
+                                         "place", "take"),
+    ("core/actuation.py", "ActuationStage"): ("_run_op",),
+}
+
+
+def test_a_placement_walks_only_the_nodes_with_free_cores():
+    """Every placement — a task start, a grow, Arbitration's shadow,
+    Actuation's re-place — goes through ``FreeIndex.place``, which walks
+    the nodes with free cores: none of these methods loops over a node
+    inventory, and the full-scan ``place_cores`` is gone."""
+    walks = []
+    for (module, cls), names in PLACEMENT_METHODS.items():
+        methods = {
+            fn.name: fn for fn in class_named(module, cls).body if isinstance(fn, ast.FunctionDef)
+        }
+        for name in names:
+            for n in ast.walk(methods[name]):
+                if isinstance(n, (ast.For, ast.comprehension)) and "nodes" in {
+                    ident for sub in ast.walk(n.iter) for ident in identifiers(sub)
+                }:
+                    walks.append(f"{cls}.{name}: {ast.unparse(n.iter)}")
+    assert walks == []
+    assert modules_where(lambda node: "place_cores" in identifiers(node)) == []
