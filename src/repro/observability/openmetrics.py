@@ -5,8 +5,10 @@ OpenMetrics text exposition format: counters as ``_total`` samples,
 gauges as plain samples, latency histograms as cumulative ``le`` buckets
 plus a companion ``*_quantile`` gauge family carrying the interpolated
 p50/p95/p99 with ``quantile`` labels.  Output is deterministic — metric
-families are sorted by name and floats render via ``repr`` — so
-same-seed runs produce byte-identical exports.
+families are sorted by name, floats render via ``repr`` and the
+wall-clock families (:data:`~repro.telemetry.metrics.NONDETERMINISTIC_PREFIXES`)
+are left out, as the run report leaves them out — so same-seed runs
+produce byte-identical exports.
 
 :func:`parse_openmetrics` is a deliberately *strict* parser used by the
 test suite to keep the renderer honest: it validates name syntax, label
@@ -22,7 +24,7 @@ from itertools import accumulate
 from typing import Any
 
 from repro.errors import ObservabilityError
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, is_deterministic
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -84,7 +86,8 @@ def _fmt(value: float) -> str:
 
 def _render_families(registries: dict[str, MetricsRegistry], label: str, prefix: str) -> str:
     """The one family loop: same-named instruments across *registries* are
-    one family, each sample tagged ``label="<key>"`` (untagged without *label*)."""
+    one family, each sample tagged ``label="<key>"`` (untagged without
+    *label*); wall-clock families are skipped."""
     counters: dict[str, list[tuple[str, str, Any]]] = {}
     gauges: dict[str, list[tuple[str, str, Any]]] = {}
     hists: dict[str, list[tuple[str, str, Any]]] = {}
@@ -95,12 +98,11 @@ def _render_families(registries: dict[str, MetricsRegistry], label: str, prefix:
         if label:
             tag = f'{label}="{escape_label_value(key)}"'
             only, lead = f"{{{tag}}}", f"{{{tag},"
-        for c in reg.counters():
-            counters.setdefault(c.name, []).append((only, lead, c))
-        for g in reg.gauges():
-            gauges.setdefault(g.name, []).append((only, lead, g))
-        for h in reg.histograms():
-            hists.setdefault(h.name, []).append((only, lead, h))
+        for family, instruments in ((counters, reg.counters()), (gauges, reg.gauges()),
+                                    (hists, reg.histograms())):
+            for inst in instruments:
+                if is_deterministic(inst.name):
+                    family.setdefault(inst.name, []).append((only, lead, inst))
 
     lines: list[str] = []
     for cname in sorted(counters):

@@ -31,24 +31,19 @@ from repro.observability.analysis import (
 from repro.observability.slo import HealthAlert
 from repro.observability.utilization import UtilizationReport, utilization_from_events
 from repro.sim.trace import as_record
+from repro.telemetry.metrics import is_deterministic
 from repro.telemetry.tracer import TraceSpan
 
 REPORT_SCHEMA = "dyflow-run-report/1"
 #: Rows in the report's bottleneck and slow-span tables.
 TOP_N = 5
 
-#: Metric families whose values depend on the wall clock; reports must
-#: stay byte-identical across same-seed runs, so these never appear.
-_NONDETERMINISTIC_PREFIXES = ("journal.",)
-
-
 def _deterministic_metrics(snapshot: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
     """Filter a registry snapshot down to sim-deterministic families."""
     out: dict[str, Any] = {}
     for name in sorted(snapshot):
-        if any(name.startswith(p) for p in _NONDETERMINISTIC_PREFIXES):
-            continue
-        out[name] = dict(snapshot[name])
+        if is_deterministic(name):
+            out[name] = dict(snapshot[name])
     return out
 
 

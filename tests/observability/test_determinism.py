@@ -3,7 +3,8 @@
 The crash-recovery half re-runs the Gray-Scott scenario with controller
 crashes and verifies the resumed run emits *exactly* the alert sequence
 of an uninterrupted reference — the health state rides the journal, so
-WAL replay must never double-fire an alert.
+WAL replay must never double-fire an alert — and that two same-seed
+crash runs with a journal export byte-identical OpenMetrics files.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.observability import AnomalySpec, ObservabilitySpec, SloSpec
 from repro.sim.trace import as_record
 from repro.telemetry import TelemetrySpec
 from repro.telemetry.tracer import TraceSpan
+from tests.observability.test_report import CHAOS_XML
 
 
 def obs_spec(**kw):
@@ -111,3 +113,30 @@ class TestCrashResumeDeterminism:
         kept = run_records(ref)
         assert {r["kind"] for r in kept} >= {"outcome", "alert", "update", "gantt-span"}
         assert run_records(res) == kept
+
+
+def test_a_journaled_crash_run_exports_byte_identical_metrics(tmp_path):
+    """The seed-1 summit full-stack crash run (chaos fabric, SLO and
+    anomaly detector, a WAL, two controller crashes), twice, into
+    directories whose names differ in length: the journal's wall-clock
+    families stay out of ``metrics.prom`` as they stay out of the report."""
+    exports = []
+    for name in ("a", "a-much-longer-run-directory"):
+        base = tmp_path / name
+        base.mkdir()
+        result = run_gray_scott_experiment(
+            "summit", seed=1, telemetry=TelemetrySpec(),
+            observability=ObservabilitySpec(
+                eval_every=5.0,
+                slos=(SloSpec(metric="plan.response", stat="p95", op="LT", threshold=60.0),),
+                anomalies=(AnomalySpec(metric="stage.monitor.latency", stat="p95",
+                                       window=20, z=4.0),),
+                openmetrics_path=str(base / "metrics.prom"),
+            ),
+            journal=JournalSpec(dir=str(base / "wal"), fsync="batch"),
+            crash_times=(300.0, 615.0), xml_extra=CHAOS_XML,
+        )
+        assert result.meta["crashes"] == [300.0, 615.0]
+        exports.append((base / "metrics.prom").read_bytes())
+    assert exports[0] == exports[1]
+    assert b"dyflow_journal" not in exports[0]
