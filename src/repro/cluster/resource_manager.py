@@ -13,6 +13,7 @@ which the property-based tests check after arbitrary operation sequences.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from typing import Iterator
 
 from repro.cluster.allocation import Allocation, ResourceSet
 from repro.cluster.node import Node, NodeState
@@ -102,6 +103,15 @@ class FreeIndex:
             f"{ncores - remaining} available under constraints"
         )
 
+    def healthy(self) -> Iterator[tuple[str, int]]:
+        """``(node id, free cores)`` of the healthy nodes with free cores,
+        in inventory order."""
+        nodes, free, up = self.nodes, self.free, NodeState.UP
+        for p in self.open:
+            node = nodes[p]
+            if node.state is up:
+                yield node.node_id, free[node.node_id]
+
     def healthy_free(self, node_id: str) -> int:
         """Free cores on *node_id*, or 0 for an unknown or unhealthy node."""
         p = self.pos.get(node_id)
@@ -154,26 +164,16 @@ class ResourceManager:
         free = self.free_index.free
         return ResourceSet({n.node_id: n.cores - free[n.node_id] for n in self.allocation.nodes})
 
-    def _open_nodes(self):
-        """The healthy nodes with free cores, in inventory order; health is
-        read live because nodes fail and recover outside this class."""
-        nodes, up = self.allocation.nodes, NodeState.UP
-        for p in self.free_index.open:
-            if nodes[p].state is up:
-                yield nodes[p].node_id
-
     def free(self) -> ResourceSet:
         """Unassigned cores on healthy nodes, read off the free index."""
-        free = self.free_index.free
-        return ResourceSet({node_id: free[node_id] for node_id in self._open_nodes()})
+        return ResourceSet(dict(self.free_index.healthy()))
 
     def free_cores(self) -> int:
         """``free().total_cores`` without building the set.
 
         Arbitration asks it on every idle tick that has a waiting queue.
         """
-        free = self.free_index.free
-        return sum(free[node_id] for node_id in self._open_nodes())
+        return sum(n for _node_id, n in self.free_index.healthy())
 
     def healthy_node_ids(self) -> set[str]:
         return {n.node_id for n in self.allocation.healthy_nodes()}

@@ -143,9 +143,6 @@ class _Shadow:
             self.index = self.index.copy()
         return self.index
 
-    def holds(self, task: str) -> bool:
-        return task in self.assigned
-
     def release(self, task: str) -> ResourceSet:
         rs = self.assigned.pop(task, ResourceSet.empty())
         self._own_index().add(rs, +1)

@@ -543,9 +543,11 @@ def test_a_random_only_stream_is_drawn_through_rng_random():
 #: re-place.
 PLACEMENT_METHODS = {
     ("cluster/resource_manager.py", "ResourceManager"): (
-        "free", "free_cores", "_open_nodes", "plan_placement", "assign", "assign_set", "grow",
+        "free", "free_cores", "plan_placement", "assign", "assign_set", "grow",
     ),
-    ("cluster/resource_manager.py", "FreeIndex"): ("add", "place", "healthy_free", "check_free"),
+    ("cluster/resource_manager.py", "FreeIndex"): (
+        "add", "place", "healthy", "healthy_free", "check_free",
+    ),
     ("core/arbitration.py", "_Shadow"): ("__init__", "assigned", "_own_index", "release",
                                          "place", "take"),
     ("core/actuation.py", "ActuationStage"): ("_run_op",),
