@@ -61,9 +61,9 @@ class _FeasibilityCache:
     changes, i.e. until :meth:`ResourceManager.placement_epoch` moves.
     Within one epoch it answers repeat lookups — the acquire pass and the
     line-16 drain both try each waiting entry, and several entries may
-    share one shape — without the per-node scan.  Only *pristine* shadows (no plan-local
+    share one shape — without a placement walk.  Only *pristine* shadows (no plan-local
     releases/takes yet) may consult or feed the cache; once a plan
-    mutates its scratch free-set the shapes no longer describe the live
+    mutates its own free index the shapes no longer describe the live
     machine.
     """
 
@@ -101,9 +101,9 @@ class _Shadow:
     fallbacks — hits the same gate, and victimizing a same-workflow
     task frees quota exactly like it frees cores.
 
-    Until the plan moves a core, the shadow reads the live assignment and
-    places over the live free index; its first :meth:`take` or
-    :meth:`release` copies both, so building a shadow costs nothing.
+    Building a shadow costs nothing: it places over the live free index
+    until its first :meth:`take` or :meth:`release` copies it, and copies
+    the live assignment when :attr:`assigned` is first read.
     """
 
     def __init__(

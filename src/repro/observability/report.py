@@ -38,6 +38,7 @@ REPORT_SCHEMA = "dyflow-run-report/1"
 #: Rows in the report's bottleneck and slow-span tables.
 TOP_N = 5
 
+
 def _deterministic_metrics(snapshot: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
     """Filter a registry snapshot down to sim-deterministic families."""
     out: dict[str, Any] = {}
