@@ -6,7 +6,7 @@ gauges as plain samples, latency histograms as cumulative ``le`` buckets
 plus a companion ``*_quantile`` gauge family carrying the interpolated
 p50/p95/p99 with ``quantile`` labels.  Output is deterministic — metric
 families are sorted by name, floats render via ``repr`` and the
-wall-clock families (:data:`~repro.telemetry.metrics.NONDETERMINISTIC_PREFIXES`)
+wall-clock families (:data:`~repro.telemetry.metrics.WALL_CLOCK_FAMILIES`)
 are left out, as the run report leaves them out — so same-seed runs
 produce byte-identical exports.
 

@@ -23,15 +23,15 @@ DEFAULT_BUCKETS: tuple[float, ...] = tuple(
     m * 10.0**e for e in range(-3, 4) for m in (1.0, 2.5, 5.0)
 )
 
-#: Metric families whose values depend on the wall clock (the journal's
-#: append latency and fsync count).  Same-seed runs export byte-identical
-#: reports and OpenMetrics files, so neither export carries them.
-NONDETERMINISTIC_PREFIXES = ("journal.",)
+#: Metric families whose values depend on the wall clock.  Same-seed runs
+#: export byte-identical reports and OpenMetrics files, so neither export
+#: carries them.
+WALL_CLOCK_FAMILIES = frozenset({"journal.append.latency"})
 
 
 def is_deterministic(name: str) -> bool:
     """Whether metric family *name* is a function of the simulated run."""
-    return not name.startswith(NONDETERMINISTIC_PREFIXES)
+    return name not in WALL_CLOCK_FAMILIES
 
 
 class Counter:

@@ -139,4 +139,5 @@ def test_a_journaled_crash_run_exports_byte_identical_metrics(tmp_path):
         assert result.meta["crashes"] == [300.0, 615.0]
         exports.append((base / "metrics.prom").read_bytes())
     assert exports[0] == exports[1]
-    assert b"dyflow_journal" not in exports[0]
+    assert b"dyflow_journal_append_latency" not in exports[0]
+    assert b"dyflow_journal_snapshot_bytes_sum" in exports[0]
