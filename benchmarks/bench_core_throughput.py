@@ -6,7 +6,7 @@ four-stage control loop chew through it.  The artifact
 (``BENCH_core_throughput.json``) is the budget every future PR is held
 to: the ``core-throughput-smoke`` CI job re-runs the smoke size and
 fails when ticks/sec regresses more than 10% against the committed
-numbers.
+numbers or its counted work differs from them.
 
 CLI usage (what CI runs)::
 
@@ -16,9 +16,10 @@ CLI usage (what CI runs)::
 ``--smoke`` runs only the 1k-task size; ``--check`` compares
 calibration-normalized ticks/sec against a committed artifact (each
 run divides by its own bare-engine event rate, so machine speed
-cancels out).  Without ``--check`` the run just writes the artifact
-(``$BENCH_OUTPUT_DIR``, default ``benchmarks/`` — the canonical
-artifact location).
+cancels out) and requires the counted work — ``events_executed`` and
+``ticks`` — to equal the artifact's exactly.  Without ``--check`` the
+run just writes the artifact (``$BENCH_OUTPUT_DIR``, default
+``benchmarks/`` — the canonical artifact location).
 
 Reading the JSON: one row per scenario size under ``metrics.sizes``;
 ``ticks_per_sec`` is the headline number (control-loop iterations per
@@ -99,14 +100,17 @@ def run_suite(sizes=FULL_SIZES, repeats: int = 1) -> dict:
 
 
 def check_regression(metrics: dict, committed_path: str) -> list[str]:
-    """Compare calibration-normalized ticks/sec against a committed artifact.
+    """Compare a run against a committed artifact, in two halves.
 
-    Each run's ticks/sec is divided by its own :func:`calibrate` rate,
-    cancelling machine speed and load out of the comparison; what is
-    left is the scenario's per-event overhead relative to a bare engine
-    loop — the thing a core regression actually changes.  Only sizes
-    present in both runs are compared (the smoke job measures 1k
-    against the committed full suite).  Returns failure messages.
+    The exact half: ``events_executed`` and ``ticks`` count the work the
+    seeded scenario does, so any difference from the artifact is a change
+    in that work, whatever the host.  The seconds half: each run's
+    ticks/sec is divided by its own :func:`calibrate` rate, cancelling
+    machine speed and load out of the comparison; what is left is the
+    scenario's per-event overhead relative to a bare engine loop, and a
+    loss beyond ``REGRESSION_BUDGET`` fails.  Only sizes present in both
+    runs are compared (the smoke job measures 1k against the committed
+    full suite).  Returns failure messages.
     """
     with open(committed_path, encoding="utf-8") as fh:
         committed = json.load(fh)
@@ -119,6 +123,11 @@ def check_regression(metrics: dict, committed_path: str) -> list[str]:
         base = base_sizes.get(size)
         if base is None:
             continue
+        for count in ("events_executed", "ticks"):
+            if row[count] != base[count]:
+                failures.append(
+                    f"{size} tasks: {count} {row[count]} != committed {base[count]}"
+                )
         if base_calib and calib:
             ours = row["ticks_per_sec"] / calib
             theirs = base["ticks_per_sec"] / base_calib

@@ -1,22 +1,21 @@
-"""Reporting helpers for the benchmarks.
+"""Reporting helper for the benchmark.
 
-The paper's tables, figures and ablations are not here: each claim is a
-row of ``repro.experiments.report`` (``python examples/reproduce_all.py``),
-and that an absent optional layer does no work is counted in tier-1
-(``tests/runtime/test_absent_layers.py``).  What remains are the three
-benches CI runs: core throughput against its committed budget, the
-fabric fault sweep and the multi-tenant campaign.  Measured rows are
-printed (run pytest with ``-s`` to see them), and each bench writes a
-machine-readable ``BENCH_<name>.json`` artifact via :func:`write_bench`
-with the uniform schema ``{"name", "config", "metrics": {...}}`` so CI
-and the comparison scripts can collect every result the same way.
+The paper's tables, figures and ablations are not here, and neither are
+the §6 extensions' shape claims (the lossy fabric's drop sweep, the
+crash-looping tenant): each is a row of ``repro.experiments.report``
+(``python examples/reproduce_all.py``), and their invariants are tier-1
+tests.  That an absent optional layer does no work is counted in tier-1
+too (``tests/runtime/test_absent_layers.py``).  What remains is the one
+bench CI runs: core throughput against its committed budget.  It writes
+a machine-readable ``BENCH_<name>.json`` artifact via :func:`write_bench`
+with the uniform schema ``{"name", "config", "metrics": {...}}``.
 
 ``benchmarks/`` (this directory) is the **one canonical location** for
-those artifacts — it is where the committed baselines live and what CI
-gates against; ``tests/test_bench_artifacts.py`` checks that each
-committed one keeps the schema.  ``write_bench`` defaults there
-regardless of the invoking working directory; set ``$BENCH_OUTPUT_DIR``
-to redirect (e.g. to a scratch dir in CI).
+that artifact — it is where the committed baseline lives and what CI
+gates against; ``tests/test_bench_artifacts.py`` checks that it keeps
+the schema.  ``write_bench`` defaults there regardless of the invoking
+working directory; set ``$BENCH_OUTPUT_DIR`` to redirect (e.g. to a
+scratch dir in CI).
 """
 
 from __future__ import annotations
@@ -47,9 +46,3 @@ def write_bench(
     print("BENCH " + json.dumps(payload, sort_keys=True, default=str))
     return payload
 
-
-def emit(title: str, lines: list[str]) -> str:
-    """Print a report block; returns the joined text."""
-    text = "\n".join([f"== {title} ==", *lines])
-    print("\n" + text)
-    return text

@@ -154,7 +154,7 @@ class CampaignService:
         # The service supervises cells in-process (serial mode): cell
         # factories are closures, which worker processes cannot receive.
         # Process-parallel grids go through SupervisedExecutor directly
-        # with a picklable grid function (see benchmarks/bench_multitenant).
+        # with a picklable grid function (as in tests/campaign/test_executor.py).
         exec_spec = spec.executor if spec.executor is not None else ExecutorSpec()
         self.executor = SupervisedExecutor(
             replace(exec_spec, workers=0), rng=RngRegistry(rng_seed)

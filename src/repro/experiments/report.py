@@ -3,7 +3,8 @@
 Every claim of the paper's evaluation that this repo checks is one row
 here: Tables 1–3, Figs. 1, 6, 8, 9 and 11, the §4.6 cost analysis with
 the per-stage latency histograms, the ablations of the design choices
-(DESIGN.md §4), the two §6 extensions and a resilience sweep.
+(DESIGN.md §4), the two §6 extensions, a resilience sweep, the lossy
+Monitor fabric and the campaign bulkheads.
 ``build_report()`` runs every experiment on both machine models — each
 distinct scenario call once, however many rows read it — and returns
 the rows; ``format_report()`` renders them as the table
@@ -22,6 +23,7 @@ from repro.apps.gray_scott import ANALYSIS_TASKS as GS_ANALYSES
 from repro.apps.gray_scott import GrayScottConfig
 from repro.apps.lammps import ANALYSIS_TASKS as MD_ANALYSES
 from repro.apps.lammps import LammpsConfig
+from repro.campaign import CampaignService, ExecutorSpec, TenantCell, TenantSpec, TenantsSpec
 from repro.cluster import Allocation, summit
 from repro.core import (
     ActionType,
@@ -444,6 +446,51 @@ def _sweep_run(task_crash_mtbf: float, ntasks: int = 4, nprocs: int = 8,
     }
 
 
+def _lossy_fabric(drop: float) -> str:
+    """A Monitor fabric dropping *drop* of the copies, duplicating and
+    reordering 5 %, with a 30 s partition at 600 s from 10 % loss up."""
+    partition = '<partition start="600.0" duration="30.0"/>' if drop >= 0.10 else ""
+    return (
+        '<resilience><network latency="0.2" jitter="0.1" '
+        f'drop-prob="{drop!r}" dup-prob="0.05" reorder-prob="0.05" ack-timeout="2.0" '
+        'max-retransmits="5" ingress-capacity="64" drain-per-tick="32" stale-after="20.0" '
+        f'degrade-after="3" recover-after="3">{partition}</network></resilience>'
+    )
+
+
+def _workflow(n: int, steps: int) -> WorkflowSpec:
+    return WorkflowSpec(f"wf-{n}-{steps}", [
+        TaskSpec("T", IterativeApp(ConstantModel(1.0), total_steps=steps), nprocs=n)])
+
+
+def _crash_loop(**_params):
+    raise RuntimeError("alice's workflow factory always crashes")
+
+
+def _tenant_run() -> dict[str, dict[str, Any]]:
+    """Three tenants on one 4×8 machine: ``alice``'s factory always raises,
+    ``bob`` and ``carol`` run small grids; every cell runs, the ones parked
+    behind the breaker once its cooldown elapses.  The tenant summary."""
+    svc = CampaignService(TenantsSpec(
+        nodes=4, cores_per_node=8,
+        tenants=(TenantSpec("alice", quota_cores=8), TenantSpec("bob", quota_cores=16),
+                 TenantSpec("carol", quota_cores=16)),
+        executor=ExecutorSpec(max_attempts=2, backoff_base=0.0, jitter=0.0),
+        breaker=QuarantineSpec(failures=4, window=100.0, cooldown=50.0),
+    ), rng_seed=7)
+    for tenant, cells in (("alice", 6), ("bob", 6), ("carol", 4)):
+        factory = _crash_loop if tenant == "alice" else _workflow
+        for i in range(cells):
+            svc.submit(TenantCell(tenant, factory, params={"n": 2, "steps": 3 + i % 3},
+                                  nprocs=2, seed=7))
+    svc.run_pending()
+    while svc.admission.pending():
+        svc.advance_time(svc.breaker.spec.cooldown + 1.0)
+        if not svc.run_pending():
+            break
+    return svc.tenant_summary()
+
+
 def _ablations(report: Report, machine: str, run: Run) -> None:
     """The design choices of DESIGN.md §4, each switched off (Summit only)."""
     if machine != "summit":
@@ -478,8 +525,8 @@ def _ablations(report: Report, machine: str, run: Run) -> None:
 
 
 def _extensions(report: Report, machine: str, run: Run) -> None:
-    """The two §6 future-work extensions and a resilience sweep, on their
-    own small workflows."""
+    """The two §6 future-work extensions, a resilience sweep, the lossy
+    Monitor fabric's drop sweep and a crash-looping campaign tenant."""
     if machine != "summit":
         return
     row = functools.partial(report.add, "extension (§6)", machine)
@@ -518,6 +565,38 @@ def _extensions(report: Report, machine: str, run: Run) -> None:
     row("resilience sweep: steps/core-hour", "decays with the failure rate",
         f"{heavy['steps_per_core_hour']:.1f} < {base['steps_per_core_hour']:.1f}",
         heavy["steps_per_core_hour"] < base["steps_per_core_hour"])
+
+    # The lossy Monitor fabric: loss costs retransmits and data age, while
+    # the ack/retransmit layer delivers every envelope and the run is unchanged.
+    lossy = [run(run_gray_scott_experiment, machine, seed=7, xml_extra=_lossy_fabric(drop))
+             for drop in (0.0, 0.05, 0.10, 0.20)]
+    fabric = [r.meta["fabric"] for r in lossy]
+    retries = [f["links"]["retransmits"] for f in fabric]
+    row("lossy fabric: retransmits, 0–20 % drop", "none clean, rising with loss",
+        " / ".join(map(str, retries)),
+        fabric[0]["links"]["dropped"] == retries[0] == 0 and retries == sorted(set(retries)))
+    stale = [f["staleness_p95"] for f in fabric]
+    row("lossy fabric: p95 ingest staleness", "rises with loss",
+        f"{stale[0]:.2f}s → {stale[-1]:.2f}s", stale == sorted(stale) and stale[0] < stale[-1])
+    delivered = {f["server"]["received"] - f["server"]["duplicates"] for f in fabric}
+    makespans = {r.makespan for r in lossy}
+    row("lossy fabric: delivered, makespan", "the same at every loss rate",
+        f"{min(delivered)} unique, {min(makespans):.0f}s",
+        len(delivered) == len(makespans) == 1 and all(
+            r.launcher.record("GrayScott").current.state == TaskState.COMPLETED for r in lossy))
+
+    # Bulkheads: a crash-looping tenant is contained, its neighbours finish.
+    tenants = _tenant_run()
+    alice = tenants.pop("alice")
+    row("crash loop: cells done, trips, alerts", "none done, quarantined, alerted",
+        f"{alice['completed']} cells, {alice['quarantine_trips']} trips, "
+        f"{len(alice['alerts'])} alerts",
+        alice["completed"] == 0 and alice["failed"] > 0 and alice["quarantine_trips"] > 0
+        and bool(alice["alerts"]))
+    row("crash loop: neighbours' cells done", "all of them",
+        ", ".join(f"{tid} {t['completed']}/{t['submitted']}" for tid, t in tenants.items()),
+        all(t["completed"] == t["submitted"] and not t["failed"] and not t["poisoned"]
+            for t in tenants.values()))
 
 
 #: One section per paper item, in the paper's order.

@@ -34,7 +34,6 @@ def configure_orchestrator(
     ignore_crash_requests: bool = False,
     on_crash=None,
     preflight: str = "off",
-    options: RuntimeOptions | None = None,
 ) -> DyflowOrchestrator:
     """Build a :class:`DyflowOrchestrator` for *launcher* from *spec*.
 
@@ -43,15 +42,14 @@ def configure_orchestrator(
     own dependency declarations.  Runtime configuration starts from
     :meth:`RuntimeOptions.from_spec` — the XML's ``<resilience>``,
     ``<telemetry>``, ``<journal>`` and ``<observability>`` sections — and
-    each convenience argument (*telemetry*, *journal*, *observability*,
-    *preflight*) overrides its section when given; pass an explicit
-    *options* to replace the spec-derived bundle wholesale (combining it
-    with the per-section arguments is an error).  These convenience
-    keywords are first-class here; the orchestrator constructors take
-    ``options=`` only.  A spec/options resilience section configures the
-    launcher's recovery layer *before* the orchestrator is built, so the
-    orchestrator can wire the watchdog and the chaos engine; without one,
-    any programmatically installed resilience spec is left intact.
+    each keyword argument (*telemetry*, *journal*, *observability*,
+    *preflight*) overrides its section when given.  These keywords are
+    the one way to configure a runtime here; the orchestrator
+    constructors take ``options=`` only.  A spec resilience section
+    configures the launcher's recovery layer *before* the orchestrator
+    is built, so the orchestrator can wire the watchdog and the chaos
+    engine; without one, any programmatically installed resilience spec
+    is left intact.
     *tracer*, *ignore_crash_requests* and *on_crash* pass straight
     through to the orchestrator (used when rebuilding one for
     :meth:`DyflowOrchestrator.resume_from`).
@@ -68,15 +66,7 @@ def configure_orchestrator(
     }
     if preflight != "off":
         overrides["preflight"] = preflight
-    if options is not None:
-        if overrides:
-            raise XmlSpecError(
-                f"configure_orchestrator: {sorted(overrides)} passed alongside "
-                "options=; fold them into the RuntimeOptions"
-            )
-        opts = options
-    else:
-        opts = RuntimeOptions.from_spec(spec).override(**overrides)
+    opts = RuntimeOptions.from_spec(spec).override(**overrides)
     rule = spec.rules.get(workflow_id)
     rules = ArbitrationRules.from_workflow(
         launcher.workflow,

@@ -219,6 +219,7 @@ class TestFleetPlane:
         for event in read_watch_stream(svc.watch_path):
             folded.ingest(event)
         assert folded.state_dict() == svc.fleet.state_dict()
+        assert folded.rollup() == svc.fleet.rollup()
         assert folded.render_openmetrics() == svc.fleet.render_openmetrics()
         roll = folded.rollup()["tenants"]
         assert roll["alice"]["poisoned"] and roll["alice"]["trips"]

@@ -29,7 +29,6 @@ from repro.experiments import run_gray_scott_experiment
 from repro.experiments.grayscott_scenario import GrayScottConfig, build_workflow, gray_scott_xml
 from repro.journal import Journal, JournalSpec, read_journal, scenario_fingerprint
 from repro.observability import ObservabilitySpec
-from repro.runtime import RuntimeOptions
 from repro.sim import RngRegistry, SimEngine
 from repro.telemetry import TelemetrySpec
 from repro.wms import Savanna
@@ -63,20 +62,15 @@ def first_barrier_state(journal_dir: str, everything: bool) -> list[tuple[str, o
     engine.run(until=0)
     launcher = Savanna(engine, build_workflow(config), job.allocation, rng=RngRegistry(3))
     xml = gray_scott_xml("summit")
-    # No snapshot in these 21 ticks: compaction would delete the segment
-    # holding the epoch's first — the only full — barrier record.
-    options = RuntimeOptions(
-        journal=JournalSpec(dir=journal_dir, fsync="off", snapshot_every=1000)
-    )
+    layers = {}
     if everything:
         xml = xml.replace("</dyflow>", EVERY_SUBSYSTEM + "\n</dyflow>")
-        options = options.override(
-            telemetry=TelemetrySpec(),
-            observability=ObservabilitySpec(),
-        )
-    spec = parse_dyflow_xml(xml)
+        layers = {"telemetry": TelemetrySpec(), "observability": ObservabilitySpec()}
+    # No snapshot in these 21 ticks: compaction would delete the segment
+    # holding the epoch's first — the only full — barrier record.
     orch = configure_orchestrator(
-        launcher, spec, options=options.override(resilience=spec.resilience)
+        launcher, parse_dyflow_xml(xml),
+        journal=JournalSpec(dir=journal_dir, fsync="off", snapshot_every=1000), **layers,
     )
     orch.start()
     launcher.launch_workflow()

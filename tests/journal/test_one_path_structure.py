@@ -464,6 +464,17 @@ def test_a_paper_claim_is_written_once_as_a_report_row():
     assert paper_constants == []
 
 
+def test_benchmarks_is_the_one_throughput_script():
+    """A claim a bench script used to check beside the report is a report
+    row or a tier-1 test now: ``benchmarks/`` keeps only the core-throughput
+    gate, and CI runs nothing else from it."""
+    assert {p.stem for p in BENCHMARKS.glob("*.py")} == {
+        "__init__", "conftest", "bench_core_throughput"}
+    ci = (BENCHMARKS.parent / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    assert set(re.findall(r"benchmarks/[\w.]+", ci)) == {
+        "benchmarks/bench_core_throughput.py", "benchmarks/BENCH_core_throughput.json"}
+
+
 
 def test_a_suggestion_ends_in_one_reason_rendered_in_one_place():
     """A plan line ``P:ACTION:T`` is spelled once, in ``render_outcome``;
