@@ -1,5 +1,6 @@
 """Run reports: assembly, rendering, the ``report`` CLI, and one report path."""
 
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,26 @@ QUARANTINE_XML = """
   </resilience>"""
 
 
+# sha256 of each run's finalize report.  A change to how the report is
+# computed must leave these be; regenerate them only for an intended change
+# to the document (print ``hashlib.sha256(path.read_bytes()).hexdigest()``
+# for both files of each run below).
+REPORT_SHA256 = {
+    "full-stack": {
+        "report.json": "cf93c8cb6733b8d7b0f99b5a2d6612aba4ca770ef938dc26c9519be5dbf05fe0",
+        "report.md": "44adb6b6f158f90eeb09628e57dce7d6cfad077dd6cfb8fb4a13ea78529c78cd",
+    },
+    "plain": {
+        "report.json": "914846edafac6154485283c7e54328ad6657bcae2aab02c255d37ae08d52bb26",
+        "report.md": "9d1f1a4a149f4b8c89074e21107c0657a31a72d0c50f8b50c7465d3a8e944738",
+    },
+    "quarantine": {
+        "report.json": "e3c331ac54a6604f5f655a514ba8770013b6798ddc8d70bba30c6a80184b15ee",
+        "report.md": "a85f55edf6b6b3a9593797ba1e7246d2fd4dc919a4c08647d2799d20bc54383f",
+    },
+}
+
+
 class TestOneReportPath:
     """The report a runtime writes at finalize is the report the CLI rebuilds
     from the JSONL log that same finalize flushed — byte for byte."""
@@ -227,6 +248,14 @@ class TestOneReportPath:
         assert (base / "report.md").read_text() == render_markdown(rebuilt)
         assert (base / "report.json").read_text() == render_json(rebuilt)
         assert rebuilt["metrics"] and rebuilt["utilization"] is not None
+
+    def test_the_report_bytes_are_pinned(self, run):
+        """Each run's report, byte for byte: the full-stack one is the
+        seed-1 summit crash run perfbench's ``gs_full_stack`` times."""
+        name, _result, base = run
+        digests = {f: hashlib.sha256((base / f).read_bytes()).hexdigest()
+                   for f in ("report.json", "report.md")}
+        assert digests == REPORT_SHA256[name]
 
     def test_the_log_ends_with_the_finalize_metrics_record(self, run):
         _name, result, base = run
