@@ -22,15 +22,9 @@ import json
 import sys
 from typing import Any, Iterable, Mapping
 
-from repro.observability.analysis import (
-    SpanView,
-    bottlenecks,
-    critical_path,
-    slowest_spans,
-)
+from repro.observability.analysis import SpanForest, SpanView
 from repro.observability.slo import HealthAlert
 from repro.observability.utilization import UtilizationReport, utilization_from_events
-from repro.sim.trace import as_record
 from repro.telemetry.metrics import is_deterministic
 from repro.telemetry.tracer import TraceSpan
 
@@ -70,6 +64,15 @@ def _utilization_section(util: UtilizationReport | None) -> dict[str, Any] | Non
     }
 
 
+def _alert_row(alert: HealthAlert) -> dict[str, Any]:
+    """An alert's fields with its numbers as floats, as its JSONL line
+    reads back, so a live alert and its flushed line give one row."""
+    row = alert.to_dict()
+    for key in ("time", "value", "threshold"):
+        row[key] = float(row[key])
+    return row
+
+
 def build_report(
     spans: Iterable[SpanView],
     utilization: UtilizationReport | None = None,
@@ -79,8 +82,8 @@ def build_report(
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble the report document from analysis inputs."""
-    views = list(spans)
-    path = critical_path(views)
+    forest = SpanForest(spans)
+    path = forest.critical_path()
     report: dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "meta": dict(meta or {}),
@@ -95,16 +98,16 @@ def build_report(
                 for e in path.entries
             ],
         },
-        "bottlenecks": bottlenecks(views, top_n=top_n),
+        "bottlenecks": forest.bottlenecks(top_n),
         "slow_spans": [
             {
                 "name": v.name, "category": v.category,
                 "start": v.start, "end": v.end, "duration": v.duration,
             }
-            for v in slowest_spans(views, top_n=top_n)
+            for v in forest.slowest_spans(top_n)
         ],
         "utilization": _utilization_section(utilization),
-        "alerts": [a.to_dict() for a in alerts],
+        "alerts": [_alert_row(a) for a in alerts],
         "metrics": _deterministic_metrics(metrics) if metrics is not None else {},
     }
     return report
@@ -117,27 +120,39 @@ def report_from_jsonl(
 ) -> dict[str, Any]:
     """Build the report from a run's log records, in append order.
 
-    A record is a log object or its JSONL line; a :class:`TraceSpan` is
-    read by reference, and both forms give the same :class:`SpanView`.
-    The utilization horizon is the latest record that is not a span, the
-    metrics the last ``metrics`` record.
+    A record is a log object or its JSONL line, and both forms give the
+    same report.  One pass reads each record in place: a span becomes a
+    :class:`SpanView`, an alert stays a :class:`HealthAlert`, and every
+    other record goes to the utilization, which reads its time (and a
+    task Gantt span's placement).  The utilization horizon is the latest
+    record that is not a span, the metrics the last ``metrics`` record.
     """
     views: list[SpanView] = []
-    events: list[Mapping[str, Any]] = []
+    alerts: list[HealthAlert] = []
+    events: list[Any] = []
+    metrics: Mapping[str, Mapping[str, Any]] = {}
+    has_wms = False
     for r in records:
-        if isinstance(r, TraceSpan):
-            views.append(SpanView.from_span(r))
+        if type(r) is dict:
+            kind = r.get("kind")
+            if kind == "span":
+                if r.get("end") is not None:
+                    views.append(SpanView.from_record(r))
+                continue
+            if kind == "alert":
+                alerts.append(HealthAlert.from_dict(r["alert"]))
+            elif kind == "metrics":
+                metrics = r["metrics"]
+            elif kind == "point" and r.get("name") == "run.allocation":
+                has_wms = True
+        elif isinstance(r, TraceSpan):
+            if r.end is not None:
+                views.append(SpanView.from_span(r))
             continue
-        r = as_record(r)
-        if r.get("kind") != "span":
-            events.append(r)
-        elif r.get("end") is not None:
-            views.append(SpanView.from_record(r))
-    alerts = [HealthAlert.from_dict(r["alert"]) for r in events if r.get("kind") == "alert"]
-    has_wms = any(r.get("name") == "run.allocation" for r in events if r.get("kind") == "point")
+        elif isinstance(r, HealthAlert):
+            alerts.append(r)
+        events.append(r)
     util = utilization_from_events(events) if has_wms else None
-    snapshots = [r for r in events if r.get("kind") == "metrics"]
-    metrics = snapshots[-1]["metrics"] if snapshots else {}
     return build_report(
         views, utilization=util, alerts=alerts, metrics=metrics,
         top_n=top_n, meta=meta,

@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.sim.trace import Span
+from repro.telemetry.tracer import TraceSpan
+
 
 @dataclass(frozen=True)
 class BusySegment:
@@ -162,22 +165,30 @@ def build_utilization(
 
 
 def utilization_from_events(
-    records: Iterable[Mapping[str, Any]],
+    records: Iterable[Any],
     start: float = 0.0,
     end: float | None = None,
 ) -> UtilizationReport:
-    """Build the report from a run's log records (JSONL form).
+    """Build the report from a run's log records (objects or JSONL form).
 
     Consumes ``run.allocation`` (node → cores), the task spans (their
     ``nodes`` placement; a span still open is clamped to the horizon), and
     ``run.quarantine-history``.  The horizon defaults to the latest instant
     a record holds (a task span's end, if closed), telemetry spans aside.
+    A log object other than a Gantt span is read in place, for its time.
     """
     node_cores: dict[str, int] = {}
     runs: list[Mapping[str, Any]] = []
     history: list[tuple[float, str, str]] = []
     max_time = start
     for rec in records:
+        if type(rec) is not dict:
+            if isinstance(rec, TraceSpan):
+                continue
+            if not isinstance(rec, Span):
+                max_time = max(max_time, float(rec.time))
+                continue
+            rec = rec.to_record()
         kind = rec.get("kind")
         if kind == "gantt-span":
             if rec.get("category") == "task" and rec.get("nodes"):

@@ -259,12 +259,17 @@ class Tracer:
         self.log.append({"kind": kind, "time": time, **fields})
 
     # -- queries -----------------------------------------------------------------------
+    def _started(self) -> list:
+        """The log's records, then the spans still open."""
+        with self._lock:
+            return [*self.log.records(), *self._open.values()]
+
     @property
     def spans(self) -> list[TraceSpan]:
         """Every span started, open ones too, in start order."""
-        with self._lock:
-            started = [*self.log.of_type(TraceSpan), *self._open.values()]
-        return sorted(started, key=lambda s: s.span_id)
+        started = [s for s in self._started() if isinstance(s, TraceSpan)]
+        started.sort(key=lambda s: s.span_id)
+        return started
 
     def finished_spans(
         self, name: str | None = None, category: str | None = None
@@ -272,8 +277,9 @@ class Tracer:
         """Closed spans filtered by name and/or category, in start order."""
         out = [
             s
-            for s in self.spans
-            if s.end is not None
+            for s in self.log.records()
+            if isinstance(s, TraceSpan)
+            and s.end is not None
             and (name is None or s.name == name)
             and (category is None or s.category == category)
         ]
@@ -281,7 +287,13 @@ class Tracer:
         return out
 
     def children_of(self, span: TraceSpan) -> list[TraceSpan]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        """The spans started under *span*, open ones too, in start order."""
+        out = [
+            s for s in self._started()
+            if isinstance(s, TraceSpan) and s.parent_id == span.span_id
+        ]
+        out.sort(key=lambda s: s.span_id)
+        return out
 
     def records(self) -> list:
         """The log's records in append order; objects are the live ones."""

@@ -1,5 +1,7 @@
 """Critical-path, slack, and bottleneck attribution over span trees."""
 
+import json
+
 from repro.observability.analysis import (
     SpanView,
     as_views,
@@ -131,3 +133,15 @@ class TestAsViews:
         (v,) = as_views(tracer.spans)
         assert (v.name, v.category, v.start, v.end) == ("tick", "loop", 0.0, 2.5)
         assert v.duration == 2.5
+
+    def test_a_span_and_its_jsonl_line_give_equal_views(self):
+        t = [0.0]
+        tracer = Tracer(clock=lambda: t[0])
+        with tracer.span("tick", "loop"):
+            t[0] = 2
+        (span,) = tracer.spans
+        line = json.loads(json.dumps(span.to_record()))
+        live, flushed = SpanView.from_span(span), SpanView.from_record(line)
+        assert live == flushed and hash(live) == hash(flushed)
+        assert live != SpanView("tick", "loop", span.span_id, None, 0.0, 2.5)
+        assert {live, flushed} == {live}

@@ -98,6 +98,17 @@ class TestReportFromJsonl:
         # The open span contributes nothing to the analysis.
         assert all("open" != s["name"] for s in report["slow_spans"])
 
+    def test_a_live_alert_and_its_jsonl_line_give_one_row(self):
+        """Alerts are read in place; an int threshold (``SloSpec(threshold=60)``)
+        still reads as the float its JSONL line reads back as."""
+        alert = HealthAlert(time=6, source="slo:x.p95", kind="firing",
+                            severity="warning", value=50, threshold=60, message="m")
+        line = json.loads(json.dumps(alert.to_record()))
+        live, flushed = report_from_jsonl([alert]), report_from_jsonl([line])
+        assert render_json(live) == render_json(flushed)
+        assert live["alerts"][0]["threshold"] == 60.0
+        assert isinstance(live["alerts"][0]["threshold"], float)
+
     def test_without_allocation_events_utilization_is_absent(self):
         records = [span_record("loop.tick", 1, 0.0, 10.0)]
         assert report_from_jsonl(records)["utilization"] is None
