@@ -23,7 +23,7 @@ sub-facades** so related pieces can be imported as a group::
 
 * ``repro.api.runtime`` — the two drivers, :class:`RuntimeOptions`,
   the engine/rng substrate, and the XML bootstrap.
-* ``repro.api.telemetry`` — tracer, metrics, Chrome-trace export.
+* ``repro.api.telemetry`` — tracer and metrics.
 * ``repro.api.fault`` — resilience specs and the chaos engine.
 * ``repro.api.journal`` — crash-recovery journaling and fingerprints.
 * ``repro.api.lint`` — static verification, preflight, SARIF.
@@ -133,8 +133,6 @@ _FLAT = {
     "TraceSpan": "repro.telemetry",
     "MetricsRegistry": "repro.telemetry",
     "build_tracer": "repro.telemetry",
-    "to_chrome_trace": "repro.telemetry",
-    "write_chrome_trace": "repro.telemetry",
     # observability
     "ObservabilitySpec": "repro.observability",
     "SloSpec": "repro.observability",
@@ -143,8 +141,6 @@ _FLAT = {
     "HealthEngine": "repro.observability",
     "HEALTH_TASK": "repro.observability",
     "SpanView": "repro.observability",
-    "critical_path": "repro.observability",
-    "bottlenecks": "repro.observability",
     "utilization_from_events": "repro.observability",
     "render_openmetrics": "repro.observability",
     "parse_openmetrics": "repro.observability",

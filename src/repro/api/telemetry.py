@@ -1,4 +1,4 @@
-"""``repro.api.telemetry`` — tracing, metrics, and trace export."""
+"""``repro.api.telemetry`` — tracing and metrics."""
 
 from repro.telemetry import (
     MetricsRegistry,
@@ -7,8 +7,6 @@ from repro.telemetry import (
     Tracer,
     TraceSpan,
     build_tracer,
-    to_chrome_trace,
-    write_chrome_trace,
 )
 
 __all__ = [
@@ -18,6 +16,4 @@ __all__ = [
     "TraceSpan",
     "MetricsRegistry",
     "build_tracer",
-    "to_chrome_trace",
-    "write_chrome_trace",
 ]

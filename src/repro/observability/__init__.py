@@ -11,11 +11,8 @@ with its own abstractions (see docs/observability.md).
 from repro.observability.analysis import (
     CriticalPath,
     PathEntry,
+    SpanForest,
     SpanView,
-    bottlenecks,
-    critical_path,
-    exclusive_times,
-    slowest_spans,
 )
 from repro.observability.fleet import FleetHealthEngine
 from repro.observability.health import HEALTH_TASK, HealthEngine, HealthSensorSource
@@ -52,13 +49,10 @@ __all__ = [
     "AnomalySpec",
     "FleetSpec",
     # analysis
+    "SpanForest",
     "SpanView",
     "CriticalPath",
     "PathEntry",
-    "critical_path",
-    "exclusive_times",
-    "bottlenecks",
-    "slowest_spans",
     # utilization
     "BusySegment",
     "NodeUtilization",

@@ -8,12 +8,13 @@ span could have run without lengthening its parent.  **Exclusive time**
 (duration minus the children's durations) attributes cost to the span
 that actually did the work, which is what the bottleneck tables rank.
 
-Everything here is a pure function of the span list, uses only the
-runtime clock (simulated seconds under the sim driver), and breaks every
-tie deterministically — the run report built on top must be
-byte-identical across same-seed runs.  A :class:`SpanForest` sorts the
-spans once and builds the children map once; every analysis is a view
-of it, so a report walks its spans once however many sections it has.
+:class:`SpanForest` is the one entry point: it sorts the spans once and
+builds the children map once, and every analysis is a method reading
+that one forest, so a report walks its spans once however many sections
+it has.  Everything here is a pure function of the span list, uses only
+the runtime clock (simulated seconds under the sim driver), and breaks
+every tie deterministically — the run report built on top must be
+byte-identical across same-seed runs.
 """
 
 from __future__ import annotations
@@ -145,6 +146,9 @@ class SpanForest:
         self.roots, self.children = _forest(self.views)
 
     def critical_path(self) -> CriticalPath:
+        """Longest-duration chain from the longest root down to a leaf,
+        taking the longest child at each level.  An entry's slack is
+        ``parent.duration - entry.duration`` (0 for the root)."""
         if not self.roots:
             return CriticalPath(entries=(), total=0.0)
         entries: list[PathEntry] = []
@@ -164,6 +168,7 @@ class SpanForest:
         return CriticalPath(entries=tuple(entries), total=root.duration)
 
     def exclusive_times(self) -> dict[int, float]:
+        """span_id → duration not covered by that span's direct children."""
         children = self.children
         out: dict[int, float] = {}
         for v in self.views:
@@ -175,6 +180,10 @@ class SpanForest:
         return out
 
     def bottlenecks(self, top_n: int = 5) -> list[dict[str, Any]]:
+        """Top-N (category, name) groups by total exclusive time.  The
+        category is the stage that owns the span (``monitor``,
+        ``decision``, ``arbitration``, ``actuation``, ``wms``, ``loop``), so
+        the table reads as per-stage cost attribution."""
         excl = self.exclusive_times()
         groups: dict[tuple[str, str], dict[str, Any]] = {}
         for v in self.views:
@@ -195,38 +204,6 @@ class SpanForest:
         return ranked[:top_n]
 
     def slowest_spans(self, top_n: int = 5) -> list[SpanView]:
+        """Top-N individual spans by duration."""
         return heapq.nlargest(top_n, self.views, key=_DURATION)
 
-
-def critical_path(spans: Iterable[TraceSpan | SpanView]) -> CriticalPath:
-    """Longest-duration chain from the longest root down to a leaf.
-
-    At each level the longest child is taken (ties: earliest start, then
-    lowest span id).  Slack of a chain entry is ``parent.duration -
-    entry.duration`` (the root's slack is 0 by definition).
-    """
-    return SpanForest(spans).critical_path()
-
-
-def exclusive_times(spans: Iterable[TraceSpan | SpanView]) -> dict[int, float]:
-    """span_id → duration not covered by that span's direct children."""
-    return SpanForest(spans).exclusive_times()
-
-
-def bottlenecks(
-    spans: Iterable[TraceSpan | SpanView], top_n: int = 5
-) -> list[dict[str, Any]]:
-    """Top-N (category, name) groups by total exclusive time.
-
-    The category is the stage that owns the span (``monitor``,
-    ``decision``, ``arbitration``, ``actuation``, ``wms``, ``loop``), so
-    the table reads as per-stage cost attribution.
-    """
-    return SpanForest(spans).bottlenecks(top_n)
-
-
-def slowest_spans(
-    spans: Iterable[TraceSpan | SpanView], top_n: int = 5
-) -> list[SpanView]:
-    """Top-N individual spans by duration (ties: earliest, lowest id)."""
-    return SpanForest(spans).slowest_spans(top_n)

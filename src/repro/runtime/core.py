@@ -31,7 +31,7 @@ from repro.observability import HealthEngine, report_from_jsonl, write_openmetri
 from repro.observability.health import log_alert
 from repro.resilience import HeartbeatWatchdog
 from repro.runtime.options import RuntimeOptions
-from repro.telemetry import build_tracer, write_chrome_trace
+from repro.telemetry import build_tracer
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.jsonmsg import Envelope
 from repro.wms.launcher import LauncherCore
@@ -462,16 +462,14 @@ class RuntimeCore:
     # -- end-of-run outputs -----------------------------------------------------------
     def finalize_telemetry(self) -> None:
         """Record a final metrics snapshot, flush the JSONL log, and write
-        the Chrome trace and observability exports, if configured.  The
-        run report is built from the run log, as the report CLI builds it
-        from the flushed file."""
+        the observability exports, if configured.  The run report is built
+        from the run log, as the report CLI builds it from the flushed
+        file."""
         if self._telemetry_finalized or not self.tracer.enabled:
             return
         self._telemetry_finalized = True
         self.tracer.record("metrics", self.now(), metrics=self.tracer.metrics.snapshot())
         self.tracer.flush()
-        if self.telemetry is not None and self.telemetry.chrome_trace_path is not None:
-            write_chrome_trace(self.telemetry.chrome_trace_path, self.tracer)
         spec = self.observability
         if spec is None:
             return

@@ -103,10 +103,10 @@ class RunLog:
             with self._lock:
                 self._entries.extend(records)
 
-    def records(self, start: int = 0) -> list:
-        """The records from index *start* on, in append order."""
+    def records(self) -> list:
+        """The records in append order."""
         with self._lock:
-            return self._entries[start:]
+            return self._entries[:]
 
     def of_type(self, cls: type) -> list:
         """The records that are *cls* instances, in append order."""

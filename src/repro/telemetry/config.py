@@ -28,12 +28,9 @@ class TelemetrySpec:
     Attributes:
         jsonl_path: if set, :meth:`Tracer.flush` writes the run's records
             there as JSONL.
-        chrome_trace_path: if set, runtimes write a Chrome
-            ``trace_event`` JSON file there when the run finishes.
     """
 
     jsonl_path: str | None = attr(None, holder="jsonl", name="path")
-    chrome_trace_path: str | None = attr(None, holder="chrome-trace", name="path")
 
     def validate(self) -> None:
         check_fields(self, TelemetryError, "telemetry")

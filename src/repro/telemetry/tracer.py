@@ -30,6 +30,10 @@ from repro.errors import TelemetryError
 from repro.sim.trace import RunLog, as_record
 from repro.telemetry.metrics import MetricsRegistry, NullMetrics
 
+# One reused encoder for the flush, as ``util/jsonmsg.py`` keeps for
+# envelopes: ``json.dumps`` builds a new encoder on every call.
+_ENC = json.JSONEncoder(separators=(",", ":"), sort_keys=True, default=str)
+
 
 @dataclass
 class TraceSpan:
@@ -134,10 +138,8 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.path = path
         self.log = log if log is not None else RunLog()
-        self._open: dict[int, TraceSpan] = {}  # started, not yet in the log
-        self._flushed: int | None = None  # log records written to path so far
         self._next_id = 0
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the span id counter
         self._stacks = threading.local()
 
     # -- nesting stack (per thread) ------------------------------------------------
@@ -182,24 +184,20 @@ class Tracer:
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-            span = TraceSpan(
-                name=name,
-                category=category,
-                span_id=span_id,
-                parent_id=parent.span_id if parent is not None else None,
-                start=self.clock(),
-                wall_start=time.perf_counter(),
-                attrs=dict(attrs),
-            )
-            self._open[span_id] = span
-        return span
+        return TraceSpan(
+            name=name,
+            category=category,
+            span_id=span_id,
+            parent_id=parent.span_id if parent is not None else None,
+            start=self.clock(),
+            wall_start=time.perf_counter(),
+            attrs=dict(attrs),
+        )
 
     def end_span(self, span: TraceSpan, **attrs: Any) -> None:
         """Close *span*, stamping both clocks and recording its latency."""
         if span.end is not None:
             return
-        with self._lock:
-            self._open.pop(span.span_id, None)
         span.end = self.clock()
         span.wall_end = time.perf_counter()
         if attrs:
@@ -259,62 +257,18 @@ class Tracer:
         self.log.append({"kind": kind, "time": time, **fields})
 
     # -- queries -----------------------------------------------------------------------
-    def _started(self) -> list:
-        """The log's records, then the spans still open."""
-        with self._lock:
-            return [*self.log.records(), *self._open.values()]
-
-    @property
-    def spans(self) -> list[TraceSpan]:
-        """Every span started, open ones too, in start order."""
-        started = [s for s in self._started() if isinstance(s, TraceSpan)]
-        started.sort(key=lambda s: s.span_id)
-        return started
-
-    def finished_spans(
-        self, name: str | None = None, category: str | None = None
-    ) -> list[TraceSpan]:
-        """Closed spans filtered by name and/or category, in start order."""
-        out = [
-            s
-            for s in self.log.records()
-            if isinstance(s, TraceSpan)
-            and s.end is not None
-            and (name is None or s.name == name)
-            and (category is None or s.category == category)
-        ]
-        out.sort(key=lambda s: (s.start, s.span_id))
-        return out
-
-    def children_of(self, span: TraceSpan) -> list[TraceSpan]:
-        """The spans started under *span*, open ones too, in start order."""
-        out = [
-            s for s in self._started()
-            if isinstance(s, TraceSpan) and s.parent_id == span.span_id
-        ]
-        out.sort(key=lambda s: s.span_id)
-        return out
-
     def records(self) -> list:
         """The log's records in append order; objects are the live ones."""
         return self.log.records()
 
     def flush(self) -> None:
-        """Write the log records not yet written to ``path`` as JSONL lines.
-
-        The first flush replaces the file, so a reused path holds one
-        run; later flushes append.  No-op without a path.
-        """
+        """Write the whole log to ``path`` as JSONL lines, replacing the
+        file, so a reused path holds one run.  No-op without a path."""
         if self.path is None:
             return
-        with self._lock:
-            done = self._flushed
-            pending = self.log.records(done or 0)
-            self._flushed = (done or 0) + len(pending)
-        with open(self.path, "a" if done is not None else "w", encoding="utf-8") as fh:
-            for record in pending:
-                fh.write(json.dumps(as_record(record), separators=(",", ":"), sort_keys=True,
-                                    default=str))
+        with open(self.path, "w", encoding="utf-8") as fh:
+            for record in self.log.records():
+                fh.write(_ENC.encode(as_record(record)))
                 fh.write("\n")
 
 
@@ -350,8 +304,6 @@ class NullTracer(Tracer):
         self.path = None
         self.log = RunLog()
         self.log.muted = True
-        self._open: dict[int, TraceSpan] = {}
-        self._lock = threading.Lock()
 
     def span(self, name: str, category: str = "span", **attrs: Any) -> _NullSpanContext:  # type: ignore[override]
         return _NULL_CTX

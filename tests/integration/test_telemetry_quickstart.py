@@ -2,8 +2,8 @@
 
 Runs the same two-task workflow as ``examples/quickstart.py`` under a
 recording tracer and checks the whole pipeline: spans exist for all four
-control-loop stages, per-stage latency histograms fill, the JSONL log
-lands on disk, and the Chrome trace export is valid.
+control-loop stages, per-stage latency histograms fill, and the JSONL log
+lands on disk.
 """
 
 import json
@@ -32,6 +32,8 @@ from repro.api import (
     summit,
 )
 from repro.runtime import RuntimeOptions
+from tests.telemetry.spans import children as child_spans
+from tests.telemetry.spans import finished
 
 STAGES = ("monitor", "decision", "arbitration", "actuation")
 
@@ -72,10 +74,7 @@ def run_quickstart(telemetry=None, tracer=None, seed=1):
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("telemetry")
-    spec = TelemetrySpec(
-        jsonl_path=str(tmp / "events.jsonl"),
-        chrome_trace_path=str(tmp / "trace.json"),
-    )
+    spec = TelemetrySpec(jsonl_path=str(tmp / "events.jsonl"))
     engine, orch = run_quickstart(telemetry=spec)
     orch.finalize_telemetry()
     return engine, orch, spec
@@ -91,15 +90,15 @@ def test_run_still_adjusts_the_analysis(traced):
 def test_spans_exist_for_all_four_stages(traced):
     _engine, orch, _spec = traced
     tracer = orch.tracer
-    by_category = {c: tracer.finished_spans(category=c) for c in STAGES}
+    by_category = {c: finished(tracer, category=c) for c in STAGES}
     for stage, spans in by_category.items():
         assert spans, f"no spans recorded for stage {stage!r}"
     # Specific span names on the canonical path.
-    assert tracer.finished_spans("monitor.ingest", "monitor")
-    assert tracer.finished_spans("decision.tick", "decision")
-    assert tracer.finished_spans("arbitration.arbitrate", "arbitration")
-    assert tracer.finished_spans("actuation.plan", "actuation")
-    assert tracer.finished_spans("wms.launch", "wms")
+    assert finished(tracer, "monitor.ingest", "monitor")
+    assert finished(tracer, "decision.tick", "decision")
+    assert finished(tracer, "arbitration.arbitrate", "arbitration")
+    assert finished(tracer, "actuation.plan", "actuation")
+    assert finished(tracer, "wms.launch", "wms")
 
 
 def test_per_stage_latency_histograms_fill(traced):
@@ -118,15 +117,15 @@ def test_per_stage_latency_histograms_fill(traced):
 def test_stage_spans_nest_under_loop_ticks(traced):
     _engine, orch, _spec = traced
     tracer = orch.tracer
-    ticks = {s.span_id for s in tracer.finished_spans("loop.tick", "loop")}
+    ticks = {s.span_id for s in finished(tracer, "loop.tick", "loop")}
     assert ticks
-    arb = tracer.finished_spans("arbitration.arbitrate", "arbitration")
+    arb = finished(tracer, "arbitration.arbitrate", "arbitration")
     assert arb and all(s.parent_id in ticks for s in arb)
     # Plan executions hang off a tick too, with per-op children below.
-    plans = tracer.finished_spans("actuation.plan", "actuation")
+    plans = finished(tracer, "actuation.plan", "actuation")
     assert plans
     for plan_span in plans:
-        children = tracer.children_of(plan_span)
+        children = child_spans(tracer, plan_span)
         assert children, "plan span has no per-op child spans"
         assert all(c.name.startswith("op.") for c in children)
 
@@ -138,23 +137,6 @@ def test_jsonl_log_written(traced):
     records = [json.loads(ln) for ln in lines]
     assert all({"kind", "time"} <= set(r) for r in records)
     assert any(r["kind"] == "span" for r in records)
-
-
-def test_chrome_export_is_valid_and_monotonic(traced):
-    _engine, _orch, spec = traced
-    doc = json.load(open(spec.chrome_trace_path, encoding="utf-8"))
-    events = doc["traceEvents"]
-    complete = [e for e in events if e["ph"] == "X"]
-    assert complete
-    ts = [e["ts"] for e in complete]
-    assert ts == sorted(ts), "trace events must be in non-decreasing ts order"
-    assert all(e["dur"] >= 0 for e in complete)
-    assert all({"name", "cat", "pid", "tid", "args"} <= set(e) for e in complete)
-    cats = {e["cat"] for e in complete}
-    assert set(STAGES) <= cats
-    # Metadata rows name the process and every track.
-    meta = [e for e in events if e["ph"] == "M"]
-    assert any(e["name"] == "process_name" for e in meta)
 
 
 def test_identical_to_untraced_run(traced):

@@ -36,6 +36,8 @@ from repro.telemetry import TelemetrySpec
 from tests.journal.test_crash_sweep import run as run_full_stack
 from tests.journal.test_journal import damage_file
 from tests.resilience.conftest import flaky_app_factory, make_sim, make_task, steady_app_factory
+from tests.telemetry.spans import children as child_spans
+from tests.telemetry.spans import finished as finished_spans
 
 CHAOS_XML = """
   <resilience>
@@ -376,11 +378,11 @@ class TestHardCrashExactlyOnce:
         tracer = res.tracer
         assert tracer.metrics.lookup("plan.response").count == len(res.plans)
         assert tracer.metrics.lookup("stage.actuation.latency").count == len(res.plans)
-        finished = {s.attrs["plan"]: s for s in tracer.finished_spans(name="actuation.plan")}
+        finished = {s.attrs["plan"]: s for s in finished_spans(tracer, name="actuation.plan")}
         assert sorted(finished) == sorted(p.plan_id for p in res.plans)
         last_life = finished[plan0.plan_id]
         assert last_life.start == t2
-        children = tracer.children_of(last_life)
+        children = child_spans(tracer, last_life)
         assert children and all(c.name.startswith("op.") for c in children)
         assert start.task not in [c.attrs["task"] for c in children]  # skipped, not re-run
 

@@ -18,6 +18,7 @@ the barrier, or a placement that walks every node fails here by name.
 import ast
 import pathlib
 import re
+import threading
 
 from repro.journal import RECORD_KINDS
 from tests.journal.test_ledger_structure import identifiers, modules, modules_where
@@ -389,7 +390,8 @@ def test_the_run_log_holds_the_one_run_record():
 def test_a_record_becomes_a_jsonl_line_in_one_place():
     def renders_a_line(node):  # compact JSON: one object per line
         return (
-            isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("json.dumps", "json.JSONEncoder")
             and any(k.arg == "separators" for k in node.keywords)
         )
 
@@ -400,7 +402,7 @@ def test_a_record_becomes_a_jsonl_line_in_one_place():
     # watch.py is the campaign's durable stream, not a run's record.
     assert owners == ["observability/watch.py", "telemetry/tracer.py"]
     flush = functions(tracer_class())["flush"]
-    assert [n for n in ast.walk(flush) if renders_a_line(n)]
+    assert "_ENC.encode" in {ast.unparse(n) for n in ast.walk(flush)}
     assert len([n for n in ast.walk(modules()["telemetry/tracer.py"]) if renders_a_line(n)]) == 1
 
     def spells_a_span_line(node):
@@ -583,3 +585,74 @@ def test_a_placement_walks_only_the_nodes_with_free_cores():
                     walks.append(f"{cls}.{name}: {ast.unparse(n.iter)}")
     assert walks == []
     assert modules_where(lambda node: "place_cores" in identifiers(node)) == []
+
+
+def test_the_tracer_keeps_spans_only_in_its_log_and_writes_them_only_in_flush(tmp_path):
+    """A span the tracer hands out is its caller's until it ends, and then
+    the run log's: after a traced crash run (whose dead controller left
+    spans open), with one more span left open by hand, nothing on the
+    tracer but its log holds a ``TraceSpan``.  And ``Tracer.flush`` is the
+    one place spans reach a file: no second exporter, no document format
+    of one, no read of an open-span registry is left."""
+    from repro.telemetry import TraceSpan
+    from tests.journal.test_crash_sweep import run
+
+    result = run(tmp_path / "wal", crash_times=(300.0,))
+    tracer = result.tracer
+    assert result.meta["crashes"] == [300.0]
+    left_open = tracer.start_span("left-open")
+
+    def spans_in(value, seen):
+        if id(value) in seen:
+            return []
+        seen.add(id(value))
+        if isinstance(value, TraceSpan):
+            return [value]
+        if isinstance(value, threading.local):
+            value = vars(value)
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple, set, frozenset)):
+            return [s for item in value for s in spans_in(item, seen)]
+        return []
+
+    held = {name: spans_in(value, set()) for name, value in vars(tracer).items() if name != "log"}
+    assert {name: spans for name, spans in held.items() if spans} == {}
+    assert left_open not in tracer.records()
+    assert any(isinstance(r, TraceSpan) for r in tracer.records())
+
+    def opens_to_write(node):
+        return (
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "open"
+            and any(isinstance(a, ast.Constant) and a.value in ("w", "a", "wb", "ab")
+                    for a in node.args[1:])
+        )
+
+    writers = {
+        (module, fn.name) for module, tree in modules().items()
+        if module.startswith(("telemetry/", "observability/"))
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn) if opens_to_write(n)
+    }
+    assert writers == {
+        ("telemetry/tracer.py", "flush"),  # the run log, spans among its records
+        ("observability/report.py", "write_report"),
+        ("observability/openmetrics.py", "write_openmetrics"),
+        ("observability/watch.py", "__init__"),  # the campaign's watch stream
+    }
+    assert "telemetry/export.py" not in modules()
+
+    def names_a_removed_span_store_or_exporter(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return any(s in node.value for s in ("traceEvents", "trace_event", "chrome"))
+        return bool({
+            "chrome_trace_path", "to_chrome_trace", "write_chrome_trace", "chrome_trace_events",
+            "finished_spans", "children_of", "_started", "_flushed",
+        } & set(identifiers(node)))
+
+    assert modules_where(names_a_removed_span_store_or_exporter) == []
+    tracer_attrs = {
+        n.attr for n in ast.walk(tracer_class())
+        if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "self"
+    }
+    assert not tracer_attrs & {"_open", "spans"}

@@ -2,14 +2,7 @@
 
 import json
 
-from repro.observability.analysis import (
-    SpanView,
-    as_views,
-    bottlenecks,
-    critical_path,
-    exclusive_times,
-    slowest_spans,
-)
+from repro.observability.analysis import SpanForest, SpanView, as_views
 from repro.telemetry import Tracer
 
 
@@ -40,20 +33,20 @@ def tree():
 
 class TestCriticalPath:
     def test_follows_the_longest_child_chain(self):
-        path = critical_path(tree())
+        path = SpanForest(tree()).critical_path()
         assert [e.name for e in path.entries] == ["root", "slow-child", "grandchild"]
         assert path.total == 10.0
         assert [e.depth for e in path.entries] == [0, 1, 2]
 
     def test_slack_is_headroom_inside_the_parent(self):
-        path = critical_path(tree())
+        path = SpanForest(tree()).critical_path()
         by_name = {e.name: e for e in path.entries}
         assert by_name["root"].slack == 0.0  # roots have no parent
         assert by_name["slow-child"].slack == 10.0 - 7.0
         assert by_name["grandchild"].slack == 7.0 - 3.0
 
     def test_empty_input_yields_an_empty_falsy_path(self):
-        path = critical_path([])
+        path = SpanForest([]).critical_path()
         assert not path
         assert path.entries == () and path.total == 0.0
 
@@ -62,27 +55,26 @@ class TestCriticalPath:
             view("late", 2, 1.0, 3.0),
             view("early", 1, 0.0, 2.0),
         ]
-        path = critical_path(spans)
+        path = SpanForest(spans).critical_path()
         assert path.entries[0].name == "early"
 
     def test_orphan_parent_ids_make_spans_roots(self):
         # A span whose parent never closed (or was sampled away) must not
         # vanish from the analysis; it is promoted to a root.
         orphan = view("orphan", 7, 0.0, 20.0, parent=999)
-        path = critical_path(tree() + [orphan])
+        path = SpanForest(tree() + [orphan]).critical_path()
         assert path.entries[0].name == "orphan"
         assert path.total == 20.0
 
     def test_open_spans_from_a_tracer_are_excluded(self):
         tracer = Tracer(clock=lambda: 0.0)
-        tracer.start_span("never-closed")
-        path = critical_path(tracer.spans)
+        path = SpanForest([tracer.start_span("never-closed")]).critical_path()
         assert not path
 
 
 class TestExclusiveTimes:
     def test_children_are_subtracted_from_the_parent(self):
-        excl = exclusive_times(tree())
+        excl = SpanForest(tree()).exclusive_times()
         assert excl[1] == 10.0 - (7.0 + 2.0)  # root minus its two children
         assert excl[2] == 7.0 - 3.0
         assert excl[4] == 3.0  # leaf keeps everything
@@ -93,13 +85,13 @@ class TestExclusiveTimes:
             view("child-a", 2, 0.0, 2.0, parent=1),
             view("child-b", 3, 0.0, 2.0, parent=1),
         ]
-        assert exclusive_times(spans)[1] == 0.0
+        assert SpanForest(spans).exclusive_times()[1] == 0.0
 
 
 class TestBottlenecks:
     def test_groups_by_category_and_name_ranked_by_exclusive(self):
         spans = tree() + [view("root", 6, 20.0, 21.0)]  # second instance
-        ranked = bottlenecks(spans, top_n=10)
+        ranked = SpanForest(spans).bottlenecks(top_n=10)
         assert ranked[0]["name"] == "other-root"
         top = {(g["category"], g["name"]): g for g in ranked}
         root = top[("span", "root")]
@@ -109,12 +101,12 @@ class TestBottlenecks:
         assert root["max_exclusive"] == 1.0
 
     def test_top_n_truncates(self):
-        assert len(bottlenecks(tree(), top_n=2)) == 2
+        assert len(SpanForest(tree()).bottlenecks(top_n=2)) == 2
 
 
 class TestSlowestSpans:
     def test_ranked_by_duration_with_deterministic_ties(self):
-        slow = slowest_spans(tree(), top_n=3)
+        slow = SpanForest(tree()).slowest_spans(top_n=3)
         assert [s.name for s in slow] == ["root", "slow-child", "other-root"]
 
 
@@ -130,7 +122,7 @@ class TestAsViews:
         tracer = Tracer(clock=lambda: t[0])
         with tracer.span("tick", "loop"):
             t[0] = 2.5
-        (v,) = as_views(tracer.spans)
+        (v,) = as_views(tracer.records())
         assert (v.name, v.category, v.start, v.end) == ("tick", "loop", 0.0, 2.5)
         assert v.duration == 2.5
 
@@ -139,7 +131,7 @@ class TestAsViews:
         tracer = Tracer(clock=lambda: t[0])
         with tracer.span("tick", "loop"):
             t[0] = 2
-        (span,) = tracer.spans
+        (span,) = tracer.records()
         line = json.loads(json.dumps(span.to_record()))
         live, flushed = SpanView.from_span(span), SpanView.from_record(line)
         assert live == flushed and hash(live) == hash(flushed)

@@ -20,14 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability.analysis import (
-    SpanView,
-    as_views,
-    bottlenecks,
-    critical_path,
-    exclusive_times,
-    slowest_spans,
-)
+from repro.observability.analysis import SpanForest, SpanView, as_views
 from repro.observability.report import report_from_jsonl
 from repro.telemetry.tracer import TraceSpan
 
@@ -210,8 +203,8 @@ def as_line(span: TraceSpan) -> dict[str, Any]:
 @settings(max_examples=100)
 @given(spans=forests(), top_n=st.integers(0, 8), data=st.data())
 def test_every_section_equals_the_four_pass_oracle(spans, top_n, data):
-    """The public functions, fed tracer spans and views mixed, against the
-    oracle fed the same spans."""
+    """A ``SpanForest`` of tracer spans and views mixed against the oracle
+    fed the same spans."""
     closed = [s for s in spans if s.end is not None]
     as_view = data.draw(st.lists(st.booleans(), min_size=len(spans), max_size=len(spans)))
     mine = [SpanView.from_span(s) if v and s.end is not None else s
@@ -221,13 +214,14 @@ def test_every_section_equals_the_four_pass_oracle(spans, top_n, data):
 
     assert [bits(fields(v)) for v in as_views(mine)] == [
         bits(fields(v)) for v in oracle_as_views(theirs)]
-    path = critical_path(mine)
+    forest = SpanForest(mine)
+    path = forest.critical_path()
     entries, total = oracle_critical_path(theirs)
     assert bits([asdict(e) for e in path.entries]) == bits(list(entries))
     assert bits(path.total) == bits(total)
-    assert bits(exclusive_times(mine)) == bits(oracle_exclusive_times(theirs))
-    assert bits(bottlenecks(mine, top_n)) == bits(oracle_bottlenecks(theirs, top_n))
-    assert [bits(fields(v)) for v in slowest_spans(mine, top_n)] == [
+    assert bits(forest.exclusive_times()) == bits(oracle_exclusive_times(theirs))
+    assert bits(forest.bottlenecks(top_n)) == bits(oracle_bottlenecks(theirs, top_n))
+    assert [bits(fields(v)) for v in forest.slowest_spans(top_n)] == [
         bits(fields(v)) for v in oracle_slowest_spans(theirs, top_n)]
     assert len(as_views(mine)) == len(closed)
 
@@ -273,4 +267,4 @@ def test_children_are_summed_longest_first():
     oracle = [OracleView(v.name, v.category, v.span_id, v.parent_id, v.start, v.end)
               for v in spans]
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
-    assert bits(exclusive_times(spans)) == bits(oracle_exclusive_times(oracle))
+    assert bits(SpanForest(spans).exclusive_times()) == bits(oracle_exclusive_times(oracle))

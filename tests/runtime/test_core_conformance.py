@@ -138,7 +138,7 @@ class TestConformance:
 RUNTIME_DIR = pathlib.Path(repro.runtime.__file__).parent
 WIRED_ONCE = (
     "HealthEngine", "FabricLink", "DegradedModeController", "build_tracer", "make_source",
-    "write_openmetrics", "write_chrome_trace", "report_from_jsonl",
+    "write_openmetrics", "report_from_jsonl",
     "ArbitrationStage", "ActuationStage",
     # one heartbeat poller, one barrier cache and one resume on both runtimes
     "HeartbeatWatchdog", "UnitCache", "read_journal",

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import TelemetryError
+from repro.observability import SpanForest
 from repro.telemetry import (
     NULL_TRACER,
     NullTracer,
@@ -12,7 +13,9 @@ from repro.telemetry import (
     Tracer,
     build_tracer,
 )
+from repro.sim.trace import Span, as_record
 from repro.telemetry.tracer import _DROPPED
+from tests.telemetry.spans import children, finished
 
 
 class FakeClock:
@@ -32,7 +35,7 @@ def test_span_context_manager_records_and_times():
     assert span.duration == 2.5
     assert span.wall_duration >= 0.0
     assert span.attrs == {"n": 3}
-    assert tracer.finished_spans("tick", "loop") == [span]
+    assert finished(tracer, "tick", "loop") == [span]
 
 
 def test_nesting_via_with_blocks():
@@ -42,7 +45,7 @@ def test_nesting_via_with_blocks():
             assert tracer.current_span() is inner
         assert tracer.current_span() is outer
     assert inner.parent_id == outer.span_id
-    assert tracer.children_of(outer) == [inner]
+    assert children(tracer, outer) == [inner]
     assert tracer.current_span() is None
 
 
@@ -106,7 +109,7 @@ def test_point_events_count_and_log():
     assert record["attrs"] == {"node": "n4"}
 
 
-def test_finished_spans_sorted_by_start():
+def test_a_forest_orders_the_logged_spans_by_start():
     clock = FakeClock()
     tracer = Tracer(clock=clock)
     clock.now = 5.0
@@ -115,7 +118,9 @@ def test_finished_spans_sorted_by_start():
     clock.now = 1.0
     early = tracer.start_span("a")
     tracer.end_span(early)
-    assert tracer.finished_spans("a") == [early, late]
+    assert tracer.records() == [late, early]  # the log keeps closing order
+    assert [v.span_id for v in SpanForest(tracer.records()).views] == [
+        early.span_id, late.span_id]
 
 
 def test_jsonl_log_flush_to_file(tmp_path):
@@ -124,7 +129,7 @@ def test_jsonl_log_flush_to_file(tmp_path):
     with tracer.span("tick"):
         pass
     tracer.flush()
-    tracer.flush()  # second flush appends nothing new
+    tracer.flush()  # a second flush rewrites the file, it does not append
     lines = [ln for ln in open(path, encoding="utf-8").read().splitlines() if ln]
     assert len(lines) == 1
     assert '"kind":"span"' in lines[0]
@@ -139,8 +144,8 @@ def test_null_tracer_is_inert():
     assert null.add_span("y", start=0, end=1) is _DROPPED
     null.end_span(_DROPPED)
     null.point("p")
-    assert null.spans == []
-    assert null.finished_spans() == []
+    assert null.records() == []
+    assert finished(null) == []
     assert null.current_span() is None
     assert null.metrics.counter("c").value == 0.0
 
@@ -203,10 +208,28 @@ def test_a_reused_jsonl_path_holds_one_run(tmp_path):
         tracer.point("run.allocation", "wms", nodes={"n1": 4})
         tracer.flush()
     assert [r["name"] for r in read_lines(path)] == ["run.allocation"]
-    # ... while later flushes of one tracer append what is new.
-    tracer.point("wms.task-end", "wms")
+
+
+def test_the_flush_writes_the_bytes_of_one_json_dumps_per_record(tmp_path):
+    """The flush's one shared encoder writes what ``json.dumps`` wrote per
+    record: a telemetry span, a point whose attribute is not JSON (written
+    as its ``str``), a Gantt span and a ``metrics`` record."""
+    path = tmp_path / "events.jsonl"
+    clock = FakeClock()
+    tracer = Tracer(clock=clock, path=str(path))
+    with tracer.span("tick", "loop", n=3):
+        clock.now = 2.5
+    tracer.point("odd", "event", where=path, nodes={"n2": 4, "n1": 8})
+    tracer.log.append(Span("Sim", "Sim#1", 0.0, 2.5, meta={"nprocs": 40}))
+    tracer.record("metrics", 2.5, metrics=tracer.metrics.snapshot())
     tracer.flush()
-    assert [r["name"] for r in read_lines(path)] == ["run.allocation", "wms.task-end"]
+    expected = "".join(
+        json.dumps(as_record(r), separators=(",", ":"), sort_keys=True, default=str) + "\n"
+        for r in tracer.records()
+    )
+    assert len(tracer.records()) == 4
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert read_lines(path)[1]["attrs"]["where"] == str(path)
 
 
 def test_null_tracer_records_nothing():

@@ -105,11 +105,9 @@ API_SURFACE = [
     "WorkflowSpec",
     "XGC_XML",
     "analyze_dataflow",
-    "bottlenecks",
     "build_report",
     "build_tracer",
     "configure_orchestrator",
-    "critical_path",
     "deepthought2",
     "fix_xml_text",
     "format_report",
@@ -134,10 +132,8 @@ API_SURFACE = [
     "scenario_fingerprint",
     "statepoint_id",
     "summit",
-    "to_chrome_trace",
     "utilization_from_events",
     "verify_spec",
-    "write_chrome_trace",
     "write_dyflow_xml",
     "write_openmetrics",
     "write_report",
@@ -154,7 +150,6 @@ SUBFACADES = {
     "telemetry": [
         "TelemetrySpec", "Tracer", "NullTracer", "TraceSpan",
         "MetricsRegistry", "build_tracer",
-        "to_chrome_trace", "write_chrome_trace",
     ],
     "fault": [
         "ResilienceSpec", "RetryPolicy", "WatchdogSpec", "QuarantineSpec",
@@ -274,7 +269,7 @@ def test_facade_covers_the_main_entry_points():
         "SimEngine", "Savanna", "WorkflowSpec", "DyflowOrchestrator",
         "ThreadedDyflow", "parse_dyflow_xml", "write_dyflow_xml",
         "configure_orchestrator", "TelemetrySpec", "Tracer",
-        "build_tracer", "to_chrome_trace", "ResilienceSpec",
+        "build_tracer", "ResilienceSpec",
         "run_gray_scott_experiment", "ReproError",
     ):
         assert name in api.__all__, f"facade is missing {name}"

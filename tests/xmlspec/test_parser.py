@@ -238,6 +238,10 @@ class TestValidation:
         with pytest.raises(XmlSpecError, match=f"unexpected <{element}> attribute '{attribute}'"):
             parse_dyflow_xml(f"<dyflow>{fragment}</dyflow>", validate=False)
 
+    def test_the_removed_chrome_trace_option_is_an_error(self):
+        with pytest.raises(XmlSpecError, match="unexpected <telemetry> child <chrome-trace>"):
+            parse_dyflow_xml('<telemetry><chrome-trace path="t.json"/></telemetry>')
+
     def test_param_coercion(self):
         spec = parse_dyflow_xml(f"<dyflow>{FIG3}{FIG4}</dyflow>")
         assert spec.applications[0].action_params["adjust-by"] == 20  # int, not str

@@ -240,8 +240,7 @@ def test_full_document_with_all_elements_round_trips():
                 links=(LinkOverride("c1", latency=1.0, drop_prob=0.3),),
             ),
         ),
-        telemetry=TelemetrySpec(jsonl_path="run/events.jsonl",
-                                chrome_trace_path="run/trace.json"),
+        telemetry=TelemetrySpec(jsonl_path="run/events.jsonl"),
         journal=JournalSpec(dir="run/journal", fsync="batch",
                             batch_every=32, snapshot_every=10),
         observability=ObservabilitySpec(
